@@ -3,7 +3,7 @@
 //! MSHR live-fill scan. Each loop is a branch-light linear pass over a
 //! struct-of-arrays layout; these benches pin their per-probe cost so a
 //! layout regression shows up as a ns/iter jump rather than only as noise
-//! in `ndpsim bench`.
+//! in an end-to-end `simbench` run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ndp_cache::mshr::MshrFile;

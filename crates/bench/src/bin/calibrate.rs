@@ -90,7 +90,7 @@ fn base_config(args: &Args) -> Result<SimConfig, CliError> {
 }
 
 /// The calibration grid over `base` ([`calibration::grid`], shared with
-/// the `ndpsim bench` calibration pass).
+/// the pinned `cal` digest test).
 fn calibration_spec(base: SimConfig, workloads: &[WorkloadId]) -> SweepSpec {
     let names: Vec<&str> = workloads.iter().map(|w| w.name()).collect();
     calibration::grid(base, &names)

@@ -1,6 +1,6 @@
 #![forbid(unsafe_code)]
-//! `ndpsim` — run one simulation, a declarative sweep, or the fixed
-//! benchmark.
+//! `ndpsim` — run one simulation or a declarative sweep, or serve
+//! sweeps as a long-running experiment service.
 //!
 //! **Single run** (every flag is generated from the knob registry in
 //! `ndp_sim::spec::KNOBS` — `--help` prints the full table):
@@ -25,405 +25,17 @@
 //! order as soon as every earlier point has retired; `--resume` skips
 //! points already on disk (matched by config fingerprint + grid index)
 //! and produces a file byte-for-byte identical to an uninterrupted run.
-//!
-//! **Benchmark** (`bench`): times the fixed end-to-end experiment sweep
-//! and writes JSON, tracking the simulator's own throughput across PRs:
-//!
-//! ```text
-//! cargo run --release --features legacy_hotpath -p ndp-bench --bin ndpsim -- \
-//!     bench --out BENCH_baseline.json
-//! cargo run --release -p ndp-bench --bin ndpsim -- \
-//!     bench --out BENCH_end_to_end.json --baseline BENCH_baseline.json
-//! ```
 
-use ndp_bench::calibration;
 use ndp_bench::cli::{
-    config_from_args, exit_on_err, install_jobs, json_f64, json_str, json_u64, knob_help_table,
-    ndpsim_value_flags, Args, CliError, NDPSIM_BOOL_FLAGS,
+    config_from_args, exit_on_err, install_jobs, knob_help_table, ndpsim_value_flags, Args,
+    CliError, NDPSIM_BOOL_FLAGS,
 };
 use ndp_bench::serve::{serve, ServeConfig};
 use ndp_bench::supervisor::{supervise, SupervisorConfig};
-use ndp_sim::experiment::run_batch;
 use ndp_sim::fault::FaultPlan;
 use ndp_sim::shard::ShardSpec;
-use ndp_sim::spec::{
-    apply_knob, config_fingerprint, run_sweep, run_sweep_jsonl_opts, JsonlOptions, SweepSpec,
-};
-use ndp_sim::sweeps::{mlp_sweep, pwc_size_sweep, shared_llc_sweep};
-use ndp_sim::{Machine, SimConfig, SystemKind};
-use ndp_workloads::WorkloadId;
-use ndpage::Mechanism;
-use std::time::Instant;
-
-/// The fixed benchmark sweep: the Figs 12–14 engine (every mechanism on
-/// two contrasting workloads, 2 cores) plus a 3-point PWC-capacity sweep —
-/// 16 full machine constructions + runs per pass.
-fn bench_sweep_pass() -> (u64, u64) {
-    let figure_cfgs: Vec<SimConfig> = [WorkloadId::Rnd, WorkloadId::Bfs]
-        .iter()
-        .flat_map(|&w| {
-            Mechanism::ALL.iter().map(move |&m| {
-                SimConfig::new(SystemKind::Ndp, 2, m, w)
-                    .with_ops(4_000, 8_000)
-                    .with_footprint(512 << 20)
-            })
-        })
-        .collect();
-    let mut sim_ops: u64 = figure_cfgs
-        .iter()
-        .map(|c| u64::from(c.cores) * (c.warmup_ops + c.measure_ops))
-        .sum();
-    let mut digest = 0u64;
-    for report in run_batch(figure_cfgs) {
-        digest ^= report.fingerprint();
-    }
-
-    let base = SimConfig::new(SystemKind::Ndp, 4, Mechanism::Radix, WorkloadId::Rnd)
-        .with_ops(4_000, 8_000)
-        .with_footprint(512 << 20);
-    let sizes = [16usize, 64, 256];
-    sim_ops += sizes.len() as u64 * 2 * 4 * (base.warmup_ops + base.measure_ops);
-    for point in pwc_size_sweep(WorkloadId::Rnd, &sizes, &base) {
-        digest ^= point.radix.fingerprint() ^ point.ndpage.fingerprint();
-    }
-    (sim_ops, digest)
-}
-
-/// Issue-window sizes of the bench MLP sweep — also the `windows` field
-/// of the emitted JSON, so the two can never diverge.
-const BENCH_MLP_WINDOWS: [u32; 3] = [1, 4, 8];
-
-/// Shared-L3 capacities of the bench LLC sweep — also the `l3_kbs`
-/// field of the emitted JSON.
-const BENCH_LLC_KBS: [u32; 2] = [512, 4096];
-
-/// The shared-LLC benchmark sweep: Radix and NDPage co-run
-/// multiprogrammed under a small and an ample shared L3 (the co-runner
-/// interference study). Returns `(sim_ops, digest, ndpage speedup under
-/// pressure, ndpage speedup with ample capacity)`.
-fn bench_llc_pass() -> (u64, u64, f64, f64) {
-    let base = SimConfig::new(SystemKind::Ndp, 2, Mechanism::Radix, WorkloadId::Bfs)
-        .with_ops(4_000, 8_000)
-        .with_footprint(512 << 20);
-    let sizes = BENCH_LLC_KBS;
-    let sim_ops = sizes.len() as u64 * 2 * 2 * (base.warmup_ops + base.measure_ops);
-    let points = shared_llc_sweep(WorkloadId::Bfs, &sizes, &base);
-    let mut digest = 0u64;
-    for point in &points {
-        digest ^= point.radix.fingerprint() ^ point.ndpage.fingerprint();
-    }
-    let pressured = points.first().expect("small-L3 point").ndpage_speedup();
-    let ample = points.last().expect("large-L3 point").ndpage_speedup();
-    (sim_ops, digest, pressured, ample)
-}
-
-/// The MLP benchmark sweep: Radix and NDPage over issue-window sizes
-/// (window 1 = the blocking engine, so this digest also re-anchors the
-/// blocking path). Returns `(sim_ops, digest, ndpage speedup at the
-/// widest window, ndpage speedup when blocking)`.
-fn bench_mlp_pass() -> (u64, u64, f64, f64) {
-    let base = SimConfig::new(SystemKind::Ndp, 4, Mechanism::Radix, WorkloadId::Bfs)
-        .with_ops(4_000, 8_000)
-        .with_footprint(512 << 20);
-    let windows = BENCH_MLP_WINDOWS;
-    let sim_ops = windows.len() as u64 * 2 * 4 * (base.warmup_ops + base.measure_ops);
-    let points = mlp_sweep(WorkloadId::Bfs, &windows, &base);
-    let mut digest = 0u64;
-    for point in &points {
-        digest ^= point.radix.fingerprint() ^ point.ndpage.fingerprint();
-    }
-    let blocking = points.first().expect("window 1 point").ndpage_speedup();
-    let widest = points.last().expect("window 8 point").ndpage_speedup();
-    (sim_ops, digest, widest, blocking)
-}
-
-/// Tolerance widening for the quick-scale calibration pass — the same
-/// factor the CI `calibrate --quick --check` gate uses, chosen so the
-/// deterministic quick-scale deviations sit inside every band.
-const CAL_TOLERANCE_SCALE: f64 = 8.0;
-
-/// The calibration benchmark pass: the `calibrate --quick` grid (three
-/// workloads x NDP 1/4/8 + CPU 4 cores x every mechanism) evaluated
-/// against the embedded paper targets with CI-widened bands. Returns
-/// `(sim_ops, digest, findings)` — the digest covers every row's report
-/// and gates `--check-digest` across hot-path modes like the others.
-fn bench_calibration_pass() -> (u64, u64, Vec<calibration::Finding>) {
-    let mut base = SimConfig::cli_default();
-    for (knob, value) in [
-        ("footprint", "268435456"),
-        ("measure_ops", "6000"),
-        ("warmup_ops", "2000"),
-    ] {
-        apply_knob(&mut base, knob, value).expect("calibration base knob");
-    }
-    let spec = calibration::grid(base, &["RND", "BFS", "XS"]);
-    let sim_ops: u64 = spec
-        .expand()
-        .expect("calibration grid")
-        .iter()
-        .map(|p| u64::from(p.config.cores) * (p.config.warmup_ops + p.config.measure_ops))
-        .sum();
-    let result = run_sweep(&spec).expect("calibration sweep");
-    let mut digest = 0u64;
-    let lines: Vec<String> = result
-        .rows
-        .iter()
-        .map(|r| {
-            digest ^= r.report.fingerprint();
-            r.to_jsonl()
-        })
-        .collect();
-    // Through the same JSONL text `calibrate --check` consumes, so the
-    // bench numbers and the harness can never derive metrics differently.
-    let rows = calibration::parse_rows(&lines.join("\n")).expect("calibration rows");
-    let findings = calibration::evaluate(&rows, &[], CAL_TOLERANCE_SCALE).expect("calibration");
-    (sim_ops, digest, findings)
-}
-
-fn run_bench(args: &Args) {
-    let runs: usize = exit_on_err(args.num("--runs"))
-        .map_or(3, |n| n as usize)
-        .max(1);
-    let out = args
-        .get("--out")
-        .unwrap_or_else(|| "BENCH_end_to_end.json".to_string());
-    let mode = if cfg!(feature = "legacy_hotpath") {
-        "legacy"
-    } else {
-        "fast"
-    };
-    let threads = ndp_sim::parallel::default_threads();
-
-    let mut walls = Vec::with_capacity(runs);
-    let mut sim_ops = 0u64;
-    let mut digest = 0u64;
-    for i in 0..runs {
-        let t0 = Instant::now();
-        let (ops, d) = bench_sweep_pass();
-        let wall = t0.elapsed().as_secs_f64();
-        sim_ops = ops;
-        digest = d;
-        eprintln!("pass {}/{}: {:.3} s", i + 1, runs, wall);
-        walls.push(wall);
-    }
-    let best = walls.iter().cloned().fold(f64::INFINITY, f64::min);
-    let ops_per_sec = sim_ops as f64 / best;
-
-    // The MLP sweep runs once, outside the timed passes, so `best_wall_s`
-    // stays comparable with benchmark files from before the pipeline.
-    let t0 = Instant::now();
-    let (mlp_ops, mlp_digest, mlp_speedup_w8, mlp_speedup_w1) = bench_mlp_pass();
-    let mlp_wall = t0.elapsed().as_secs_f64();
-    eprintln!("mlp pass: {mlp_wall:.3} s");
-
-    // So does the shared-LLC sweep (its digest covers the shared-L3
-    // counters, which only exist when the layer is enabled).
-    let t0 = Instant::now();
-    let (llc_ops, llc_digest, llc_speedup_small, llc_speedup_large) = bench_llc_pass();
-    let llc_wall = t0.elapsed().as_secs_f64();
-    eprintln!("llc pass: {llc_wall:.3} s");
-
-    // And the calibration pass: the quick-scale paper-target grid, with
-    // the CI-widened bands, digest-gated like the other sweeps.
-    let t0 = Instant::now();
-    let (cal_ops, cal_digest, cal_findings) = bench_calibration_pass();
-    let cal_wall = t0.elapsed().as_secs_f64();
-    let cal_hit = cal_findings.iter().filter(|f| f.pass).count();
-    eprintln!(
-        "calibration pass: {cal_wall:.3} s ({cal_hit}/{} targets in band at {CAL_TOLERANCE_SCALE}x tolerance)",
-        cal_findings.len()
-    );
-
-    // A missing --baseline flag is fine (the speedup fields are simply
-    // omitted); a *named* baseline that cannot be read or parsed is an
-    // error — silently dropping it would let the CI gates misfire with a
-    // misleading "need --baseline" diagnosis.
-    let baseline = args.get("--baseline").map(|path| {
-        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("error: cannot read baseline {path:?}: {e}");
-            std::process::exit(2);
-        });
-        let wall = json_f64(&text, "best_wall_s").unwrap_or_else(|| {
-            eprintln!("error: baseline {path:?} has no best_wall_s field");
-            std::process::exit(2);
-        });
-        let mode = json_str(&text, "mode").unwrap_or_else(|| "unknown".to_string());
-        // All three digests gate --check-digest: the blocking sweep, the
-        // windowed MLP sweep and the shared-LLC sweep must each be
-        // bit-identical across hot-path modes (mlp_digest/llc_digest are
-        // absent from baselines predating their sweep).
-        let digest = json_u64(&text, "report_digest");
-        let base_mlp_digest = json_u64(&text, "mlp_digest");
-        let base_llc_digest = json_u64(&text, "llc_digest");
-        let base_cal_digest = json_u64(&text, "cal_digest");
-        (
-            mode,
-            wall,
-            digest,
-            base_mlp_digest,
-            base_llc_digest,
-            base_cal_digest,
-        )
-    });
-
-    let mut json = String::from("{\n");
-    json.push_str("  \"bench\": \"end_to_end_sweep\",\n");
-    json.push_str(&format!("  \"mode\": \"{mode}\",\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"runs\": {runs},\n"));
-    json.push_str("  \"machine_runs_per_pass\": 16,\n");
-    json.push_str(&format!("  \"simulated_ops_per_pass\": {sim_ops},\n"));
-    json.push_str(&format!("  \"report_digest\": {digest},\n"));
-    json.push_str(&format!(
-        "  \"wall_s_per_pass\": [{}],\n",
-        walls
-            .iter()
-            .map(|w| format!("{w:.4}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!("  \"best_wall_s\": {best:.4},\n"));
-    json.push_str("  \"mlp_sweep\": {\n");
-    json.push_str(&format!(
-        "    \"windows\": [{}],\n",
-        BENCH_MLP_WINDOWS.map(|w| w.to_string()).join(", ")
-    ));
-    json.push_str(&format!("    \"mlp_simulated_ops\": {mlp_ops},\n"));
-    json.push_str(&format!("    \"mlp_digest\": {mlp_digest},\n"));
-    json.push_str(&format!(
-        "    \"mlp_ops_per_sec\": {:.1},\n",
-        mlp_ops as f64 / mlp_wall
-    ));
-    json.push_str(&format!(
-        "    \"ndpage_speedup_blocking\": {mlp_speedup_w1:.4},\n"
-    ));
-    json.push_str(&format!(
-        "    \"ndpage_speedup_window8\": {mlp_speedup_w8:.4},\n"
-    ));
-    json.push_str(&format!("    \"mlp_wall_s\": {mlp_wall:.4}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"llc_sweep\": {\n");
-    json.push_str(&format!(
-        "    \"l3_kbs\": [{}],\n",
-        BENCH_LLC_KBS.map(|kb| kb.to_string()).join(", ")
-    ));
-    json.push_str(&format!("    \"llc_simulated_ops\": {llc_ops},\n"));
-    json.push_str(&format!("    \"llc_digest\": {llc_digest},\n"));
-    json.push_str(&format!(
-        "    \"llc_ops_per_sec\": {:.1},\n",
-        llc_ops as f64 / llc_wall
-    ));
-    json.push_str(&format!(
-        "    \"ndpage_speedup_small_l3\": {llc_speedup_small:.4},\n"
-    ));
-    json.push_str(&format!(
-        "    \"ndpage_speedup_large_l3\": {llc_speedup_large:.4},\n"
-    ));
-    json.push_str(&format!("    \"llc_wall_s\": {llc_wall:.4}\n"));
-    json.push_str("  },\n");
-    json.push_str("  \"calibration\": {\n");
-    json.push_str(&format!("    \"cal_simulated_ops\": {cal_ops},\n"));
-    json.push_str(&format!("    \"cal_digest\": {cal_digest},\n"));
-    json.push_str(&format!(
-        "    \"cal_tolerance_scale\": {CAL_TOLERANCE_SCALE},\n"
-    ));
-    json.push_str(&format!(
-        "    {}\n",
-        calibration::bench_json_fields(&cal_findings, cal_wall)
-    ));
-    json.push_str("  },\n");
-    if let Some((base_mode, base_wall, _, _, _, _)) = &baseline {
-        json.push_str(&format!("  \"ops_per_sec\": {ops_per_sec:.1},\n"));
-        json.push_str(&format!("  \"baseline_mode\": \"{base_mode}\",\n"));
-        json.push_str(&format!("  \"baseline_best_wall_s\": {base_wall:.4},\n"));
-        json.push_str(&format!(
-            "  \"speedup_over_baseline\": {:.3}\n",
-            base_wall / best
-        ));
-    } else {
-        json.push_str(&format!("  \"ops_per_sec\": {ops_per_sec:.1}\n"));
-    }
-    json.push_str("}\n");
-
-    std::fs::write(&out, &json).expect("write bench JSON");
-    println!("{json}");
-    println!("wrote {out}");
-    if let Some((
-        base_mode,
-        base_wall,
-        base_digest,
-        base_mlp_digest,
-        base_llc_digest,
-        base_cal_digest,
-    )) = baseline
-    {
-        println!(
-            "speedup vs {base_mode} baseline: {:.2}x ({:.3} s -> {:.3} s)",
-            base_wall / best,
-            base_wall,
-            best
-        );
-        // CI gates: the simulated results — blocking sweep and windowed
-        // MLP sweep alike — must be bit-identical across hot-path modes,
-        // and the overhaul's speedup must not regress.
-        if args.has("--check-digest") {
-            match base_digest {
-                Some(b) if b == digest => eprintln!("digest check: ok ({digest})"),
-                Some(b) => {
-                    eprintln!("error: report digest {digest} != baseline digest {b}");
-                    std::process::exit(1);
-                }
-                None => {
-                    eprintln!("error: --check-digest but baseline has no report_digest");
-                    std::process::exit(1);
-                }
-            }
-            match base_mlp_digest {
-                Some(b) if b == mlp_digest => eprintln!("mlp digest check: ok ({mlp_digest})"),
-                Some(b) => {
-                    eprintln!("error: mlp digest {mlp_digest} != baseline mlp digest {b}");
-                    std::process::exit(1);
-                }
-                // Pre-pipeline baseline files carry no mlp_digest; the
-                // blocking gate above still applies.
-                None => eprintln!("mlp digest check: skipped (baseline has none)"),
-            }
-            match base_llc_digest {
-                Some(b) if b == llc_digest => eprintln!("llc digest check: ok ({llc_digest})"),
-                Some(b) => {
-                    eprintln!("error: llc digest {llc_digest} != baseline llc digest {b}");
-                    std::process::exit(1);
-                }
-                // Pre-shared-LLC baseline files carry no llc_digest.
-                None => eprintln!("llc digest check: skipped (baseline has none)"),
-            }
-            match base_cal_digest {
-                Some(b) if b == cal_digest => eprintln!("cal digest check: ok ({cal_digest})"),
-                Some(b) => {
-                    eprintln!("error: cal digest {cal_digest} != baseline cal digest {b}");
-                    std::process::exit(1);
-                }
-                // Pre-calibration baseline files carry no cal_digest.
-                None => eprintln!("cal digest check: skipped (baseline has none)"),
-            }
-        }
-        if let Some(floor) = args.get("--min-speedup") {
-            let floor: f64 = floor.parse().unwrap_or_else(|_| {
-                eprintln!("error: --min-speedup expects a number, got {floor:?}");
-                std::process::exit(2);
-            });
-            let speedup = base_wall / best;
-            if speedup < floor {
-                eprintln!("error: speedup {speedup:.3}x fell below the {floor:.3}x floor");
-                std::process::exit(1);
-            }
-            eprintln!("speedup floor check: ok ({speedup:.3}x >= {floor:.3}x)");
-        }
-    } else if args.has("--check-digest") || args.get("--min-speedup").is_some() {
-        eprintln!("error: --check-digest/--min-speedup need --baseline");
-        std::process::exit(2);
-    }
-}
+use ndp_sim::spec::{config_fingerprint, run_sweep, run_sweep_jsonl_opts, JsonlOptions, SweepSpec};
+use ndp_sim::Machine;
 
 /// Validates `NDP_FAULT` up front (like `NDP_THREADS`): a typo'd fault
 /// plan must exit cleanly, not silently run fault-free.
@@ -537,17 +149,6 @@ fn run_sweep_cmd(args: &Args) {
             std::process::exit(2);
         }
         let out = args.get("--out").expect("checked above");
-        let row_timeout = args.get("--row-timeout").map_or(600.0, |raw| {
-            raw.parse::<f64>()
-                .ok()
-                .filter(|t| t.is_finite() && *t > 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!(
-                        "error: --row-timeout expects a positive number of seconds, got {raw:?}"
-                    );
-                    std::process::exit(2);
-                })
-        });
         let cfg = SupervisorConfig {
             spec_path,
             sets: args.get_all("--set"),
@@ -555,7 +156,7 @@ fn run_sweep_cmd(args: &Args) {
             workers,
             resume: args.has("--resume"),
             jobs: exit_on_err(args.num("--jobs")),
-            row_timeout: std::time::Duration::from_secs_f64(row_timeout),
+            row_timeout: row_timeout_from_args(args),
             max_retries: exit_on_err(args.num_u32("--max-retries")).unwrap_or(2),
             backoff: std::time::Duration::from_millis(
                 exit_on_err(args.num("--backoff-ms")).unwrap_or(250),
@@ -721,8 +322,6 @@ fn run_single(args: &Args) {
         eprintln!(
             "usage: ndpsim [flags]        run one simulation (flags below)\n\
              \x20      ndpsim sweep ...    declarative spec sweep (sweep --help)\n\
-             \x20      ndpsim bench [--runs N] [--out FILE] [--baseline FILE] \\\n\
-             \x20                   [--check-digest] [--min-speedup X] [--jobs N]\n\
              \n\
              Each run flag sets the registered knob of the same row; `--set\n\
              knob=value` (repeatable, applied last) reaches every knob, flagged\n\
@@ -774,26 +373,21 @@ fn main() {
     exit_on_err(install_jobs(&args));
 
     match args.raw().first().map(String::as_str) {
-        Some("bench") => {
-            if args.has("--help") {
-                eprintln!(
-                    "usage: ndpsim bench [--runs N] [--out FILE] [--baseline FILE] \\\n\
-                     \x20                   [--check-digest] [--min-speedup X] [--jobs N]"
-                );
-                return;
-            }
-            exit_on_err(args.reject_unknown(
-                &["--runs", "--out", "--baseline", "--min-speedup", "--jobs"],
-                &["bench", "--check-digest", "--help"],
-            ));
-            run_bench(&args);
-        }
         Some("sweep") => run_sweep_cmd(&args),
         Some("serve") => run_serve_cmd(&args),
         Some(verb @ ("submit" | "status" | "watch" | "cancel" | "shutdown")) => {
             // Borrow ends before args is used again below.
             let verb = verb.to_string();
             run_client_cmd(&verb, &args);
+        }
+        // A leading word can only be a subcommand; never fall through to
+        // a default single run for one that does not exist.
+        Some(word) if !word.starts_with('-') => {
+            eprintln!(
+                "error: unrecognized subcommand {word:?}; valid subcommands: sweep, serve, \
+                 submit, status, watch, cancel, shutdown (or run flags, see --help)"
+            );
+            std::process::exit(2);
         }
         _ => run_single(&args),
     }

@@ -23,6 +23,21 @@ fn rejects_unknown_workload_listing_valid_names() {
 }
 
 #[test]
+fn rejects_unknown_subcommand_listing_valid_ones() {
+    let out = ndpsim().args(["bench", "--runs", "1"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("\"bench\""),
+        "echoes the bad word: {stderr}"
+    );
+    assert!(
+        stderr.contains("sweep") && stderr.contains("serve"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn rejects_unknown_mechanism_listing_valid_names() {
     let out = ndpsim().args(["--mechanism", "foo"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));

@@ -37,20 +37,57 @@ const QUAD_SPEC: &str = r#"{
            {"knob": "mechanism", "values": ["radix", "ndpage"]}]
 }"#;
 
-/// The same grid with ~seconds-per-row cost, for tests that must catch
-/// a job mid-flight (cancel, server kill).
-const SLOW_SPEC: &str = r#"{
-  "name": "quad_slow",
-  "base": {"workload": "RND", "warmup_ops": 20000, "measure_ops": 400000,
-           "footprint": 134217728},
-  "axes": [{"knob": "pwc_entries", "values": [16, 64]},
-           {"knob": "mechanism", "values": ["radix", "ndpage"]}]
-}"#;
+/// Fault plan that holds a QUAD_SPEC job mid-flight: the worker owning
+/// grid index 3 hangs before emitting that row, so rows 0..3 land and
+/// the job stays `running` until the server's 600 s row timeout.
+const HANG_LAST_ROW: &str = "hang@3";
 
 fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
     let needle = format!("\"{key}\":\"");
     let rest = &text[text.find(&needle)? + needle.len()..];
     Some(&rest[..rest.find('"')?])
+}
+
+/// Pids of the live `ndpsim sweep` workers of any job under `state`:
+/// every worker is spawned with `--spec`/`--out` paths inside the state
+/// dir (the server itself only names the dir, with no trailing `/`), and
+/// a zombie's empty cmdline drops out of the match.
+fn job_workers(state: &std::path::Path) -> Vec<u32> {
+    let needle = format!("{}/", state.to_str().unwrap()).into_bytes();
+    let needle = needle.as_slice();
+    let Ok(procs) = std::fs::read_dir("/proc") else {
+        return Vec::new();
+    };
+    procs
+        .filter_map(|e| e.ok()?.file_name().to_str()?.parse::<u32>().ok())
+        .filter(|pid| {
+            std::fs::read(format!("/proc/{pid}/cmdline"))
+                .is_ok_and(|c| c.windows(needle.len()).any(|w| w == needle))
+        })
+        .collect()
+}
+
+/// SIGKILLs every worker of `state`'s jobs (orphans of a killed server,
+/// or a worker hung by a fault plan) and waits until none is left.
+fn kill_job_workers(state: &std::path::Path) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let pids = job_workers(state);
+        if pids.is_empty() {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "workers {pids:?} survived SIGKILL"
+        );
+        Command::new("kill")
+            .arg("-9")
+            .args(pids.iter().map(u32::to_string))
+            .stderr(Stdio::null())
+            .status()
+            .ok();
+        std::thread::sleep(Duration::from_millis(50));
+    }
 }
 
 fn json_num(text: &str, key: &str) -> Option<u64> {
@@ -146,6 +183,8 @@ impl Drop for Server {
     fn drop(&mut self) {
         self.child.kill().ok();
         self.child.wait().ok();
+        // A failed test must not leave a fault-hung worker behind.
+        kill_job_workers(&self.state);
         std::fs::remove_dir_all(&self.state).ok();
     }
 }
@@ -230,15 +269,16 @@ fn watch_streams_while_running_and_fault_recovery_matches_offline_bytes() {
 
 #[test]
 fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
-    let reference = offline_reference(SLOW_SPEC, "restart");
+    let reference = offline_reference(QUAD_SPEC, "restart");
     let state = tmp("restart_state");
     let job;
     {
-        let mut server = Server::start(&state, &[]);
-        job = server.submit(SLOW_SPEC, "restart");
-        server.wait_status(&job, "job running", |s| s.contains("\"state\":\"running\""));
-        // Hard-kill the server mid-job (workers are orphaned and keep
-        // streaming their shards; the journal's last record is
+        let mut server = Server::start(&state, &[("NDP_FAULT", HANG_LAST_ROW.to_string())]);
+        job = server.submit(QUAD_SPEC, "restart");
+        // Rows 0..3 land and row 3 hangs, so the job is held mid-flight.
+        let held = server.wait_status(&job, "three rows", |s| json_num(s, "rows_done") == Some(3));
+        assert!(held.contains("\"state\":\"running\""), "{held}");
+        // Hard-kill the server mid-job (the journal's last record is
         // `running`).
         server.child.kill().unwrap();
         server.child.wait().unwrap();
@@ -247,25 +287,23 @@ fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
         server.state = tmp("restart_nonexistent");
     }
 
-    // Wait for the orphaned workers to finish their shards so the
-    // restarted supervisor's workers never race them on the same files.
+    // The orphaned workers must not race the restarted supervisor's on
+    // the same files. Every row that can land already has (rows_done was
+    // 3), and the worker owning row 3 hangs forever, so kill the orphans
+    // rather than wait for them.
+    kill_job_workers(&state);
     let rows_dir = state.join(&job);
-    let shard_rows = || {
-        ndp_sim::shard::existing_shard_files(&rows_dir.join("rows.jsonl"))
-            .iter()
-            .filter_map(|p| std::fs::read_to_string(p).ok())
-            .map(|t| ndp_sim::spec::parse_jsonl(&t).len())
-            .sum::<usize>()
-    };
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while shard_rows() < 4 {
-        assert!(Instant::now() < deadline, "orphan workers never finished");
-        std::thread::sleep(Duration::from_millis(100));
-    }
+    let shard_rows: usize = ndp_sim::shard::existing_shard_files(&rows_dir.join("rows.jsonl"))
+        .iter()
+        .filter_map(|p| std::fs::read_to_string(p).ok())
+        .map(|t| ndp_sim::spec::parse_jsonl(&t).len())
+        .sum();
+    assert_eq!(shard_rows, 3, "rows on disk before the restart");
 
-    // Restart on the same state dir: the journal re-enqueues the job,
-    // the always-resume supervisor reuses every row on disk, and watch
-    // bytes stay identical to the offline sweep.
+    // Restart on the same state dir without the fault: the journal
+    // re-enqueues the job, the always-resume supervisor reuses every row
+    // on disk and runs only row 3, and watch bytes stay identical to the
+    // offline sweep.
     let server = Server::start(&state, &[]);
     server.wait_status(&job, "resumed job done", |s| {
         s.contains("\"state\":\"done\"")
@@ -279,22 +317,23 @@ fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
 #[test]
 fn cancel_kills_workers_keeps_rows_and_journals_terminal_state() {
     let state = tmp("cancel_state");
-    let server = Server::start(&state, &[]);
-    let job = server.submit(SLOW_SPEC, "cancel");
+    let server = Server::start(&state, &[("NDP_FAULT", HANG_LAST_ROW.to_string())]);
+    let job = server.submit(QUAD_SPEC, "cancel");
 
-    // Let at least one row land, then cancel mid-flight.
-    server.wait_status(&job, "first row", |s| {
-        json_num(s, "rows_done").is_some_and(|n| n >= 1)
-    });
+    // Rows 0..3 land and row 3 hangs: cancel while the job is held
+    // mid-flight.
+    server.wait_status(&job, "three rows", |s| json_num(s, "rows_done") == Some(3));
     let out = server.client(&["cancel", "--job", &job]);
     assert_eq!(out.status.code(), Some(0));
     let cancelled =
         server.wait_status(&job, "cancelled", |s| s.contains("\"state\":\"cancelled\""));
     let kept = json_num(&cancelled, "rows_done").unwrap();
-    assert!(
-        (1..4).contains(&kept),
-        "cancel mid-flight kept {kept} of 4 rows: {cancelled}"
+    assert_eq!(
+        kept, 3,
+        "cancel mid-flight keeps the landed rows: {cancelled}"
     );
+    // Cancellation killed the hung worker.
+    assert_eq!(job_workers(&state), Vec::<u32>::new());
 
     // Watch on a cancelled job flushes the completed rows (gaps
     // allowed) instead of hanging.

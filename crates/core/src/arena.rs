@@ -144,10 +144,8 @@ impl PteArena {
         self.pte_slabs[b.pte_slab as usize][b.pte_start as usize + idx] = pte;
     }
 
-    /// The child node linked at `idx`, if any. Mirrors the old
-    /// `by_frame.get(&pte.pfn())` probe as a direct array load. (Unused
-    /// under `legacy_hotpath`, whose descents keep the map probe.)
-    #[cfg_attr(feature = "legacy_hotpath", allow(dead_code))]
+    /// The child node linked at `idx`, if any: a direct array load in
+    /// place of a frame→node map probe.
     #[inline]
     pub(crate) fn kid(&self, b: PteBlock, idx: usize) -> Option<usize> {
         let k = self.kid_slabs[b.kid_slab as usize][b.kid_start as usize + idx];
@@ -199,7 +197,6 @@ impl Node {
 
     /// The child node index linked at `idx` (set alongside the PTE when a
     /// child table is attached).
-    #[cfg_attr(feature = "legacy_hotpath", allow(dead_code))]
     #[inline]
     pub(crate) fn kid(&self, arena: &PteArena, idx: usize) -> Option<usize> {
         arena.kid(self.block, idx)

@@ -19,8 +19,6 @@ use crate::table::{
 };
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{ENTRIES_PER_FLAT_NODE, ENTRIES_PER_NODE, PAGE_SIZE};
-#[cfg(feature = "legacy_hotpath")]
-use ndp_types::FastMap;
 use ndp_types::{PageSize, Pfn, PtLevel, Vpn};
 
 const NODE_ENTRIES: usize = ENTRIES_PER_NODE as usize;
@@ -38,12 +36,6 @@ pub struct FlattenedL2L1 {
     nodes: Vec<Node>,
     /// Flattened leaf nodes (2^18 entries each).
     flat_nodes: Vec<Node>,
-    /// The seed's frame→node maps, used for descent under
-    /// `legacy_hotpath` in place of the arena's child-handle lane.
-    #[cfg(feature = "legacy_hotpath")]
-    by_frame: FastMap<u64, usize>,
-    #[cfg(feature = "legacy_hotpath")]
-    flat_by_frame: FastMap<u64, usize>,
     l3_nodes: Vec<usize>,
     root: usize,
     mapped: u64,
@@ -57,10 +49,6 @@ impl FlattenedL2L1 {
             arena: PteArena::new(),
             nodes: Vec::new(),
             flat_nodes: Vec::new(),
-            #[cfg(feature = "legacy_hotpath")]
-            by_frame: FastMap::default(),
-            #[cfg(feature = "legacy_hotpath")]
-            flat_by_frame: FastMap::default(),
             l3_nodes: Vec::new(),
             root: 0,
             mapped: 0,
@@ -74,38 +62,10 @@ impl FlattenedL2L1 {
         let idx = self.nodes.len();
         self.nodes
             .push(Node::new(frame, NODE_ENTRIES, true, &mut self.arena));
-        #[cfg(feature = "legacy_hotpath")]
-        self.by_frame.insert(frame.as_u64(), idx);
         if is_l3 {
             self.l3_nodes.push(idx);
         }
         idx
-    }
-
-    /// Resolves the interior child (root→L3) a present PTE points to.
-    #[cfg(not(feature = "legacy_hotpath"))]
-    #[inline]
-    fn interior_child(&self, node: usize, idx: usize, _pte: Pte) -> Option<usize> {
-        self.nodes[node].kid(&self.arena, idx)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    #[inline]
-    fn interior_child(&self, _node: usize, _idx: usize, pte: Pte) -> Option<usize> {
-        self.by_frame.get(&pte.pfn().as_u64()).copied()
-    }
-
-    /// Resolves the flattened leaf node (L3→flat) a present PTE points to.
-    #[cfg(not(feature = "legacy_hotpath"))]
-    #[inline]
-    fn flat_child(&self, node: usize, idx: usize, _pte: Pte) -> Option<usize> {
-        self.nodes[node].kid(&self.arena, idx)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    #[inline]
-    fn flat_child(&self, _node: usize, _idx: usize, pte: Pte) -> Option<usize> {
-        self.flat_by_frame.get(&pte.pfn().as_u64()).copied()
     }
 
     fn new_flat(&mut self, alloc: &mut FrameAllocator) -> usize {
@@ -115,8 +75,6 @@ impl FlattenedL2L1 {
         let idx = self.flat_nodes.len();
         self.flat_nodes
             .push(Node::new(frame, FLAT_ENTRIES, false, &mut self.arena));
-        #[cfg(feature = "legacy_hotpath")]
-        self.flat_by_frame.insert(frame.as_u64(), idx);
         idx
     }
 
@@ -126,9 +84,9 @@ impl FlattenedL2L1 {
         let mut tables_allocated = 0;
 
         let l4_idx = vpn.l4_index();
-        let l4e = self.nodes[self.root].get(&self.arena, l4_idx);
-        let l3 = if l4e.is_present() {
-            self.interior_child(self.root, l4_idx, l4e)
+        let l3 = if self.nodes[self.root].get(&self.arena, l4_idx).is_present() {
+            self.nodes[self.root]
+                .kid(&self.arena, l4_idx)
                 .expect("root PTE links its L3 node")
         } else {
             let n = self.new_interior(alloc, true);
@@ -140,9 +98,9 @@ impl FlattenedL2L1 {
         };
 
         let l3_idx = vpn.l3_index();
-        let l3e = self.nodes[l3].get(&self.arena, l3_idx);
-        let flat = if l3e.is_present() {
-            self.flat_child(l3, l3_idx, l3e)
+        let flat = if self.nodes[l3].get(&self.arena, l3_idx).is_present() {
+            self.nodes[l3]
+                .kid(&self.arena, l3_idx)
                 .expect("L3 PTE links its flattened node")
         } else {
             let n = self.new_flat(alloc);
@@ -214,18 +172,17 @@ impl FlattenedL2L1 {
     /// Resolves `(l3_node, flat_node)` indices for `vpn`, if mapped that far.
     fn descend(&self, vpn: Vpn) -> Option<(usize, usize)> {
         let l4_idx = vpn.l4_index();
-        let l4e = self.nodes[self.root].get(&self.arena, l4_idx);
-        if !l4e.is_present() {
+        if !self.nodes[self.root].get(&self.arena, l4_idx).is_present() {
             return None;
         }
-        let l3 = self.interior_child(self.root, l4_idx, l4e)?;
+        let l3 = self.nodes[self.root].kid(&self.arena, l4_idx)?;
         let l3_idx = vpn.l3_index();
         let l3e = self.nodes[l3].get(&self.arena, l3_idx);
         if !l3e.is_present() {
             return None;
         }
         debug_assert!(l3e.is_flattened(), "L3 entries point to flattened nodes");
-        let flat = self.flat_child(l3, l3_idx, l3e)?;
+        let flat = self.nodes[l3].kid(&self.arena, l3_idx)?;
         Some((l3, flat))
     }
 }

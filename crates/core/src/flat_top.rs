@@ -24,8 +24,6 @@ use crate::pte::Pte;
 use crate::table::{FaultKind, MapOutcome, PageTable, PageTableKind, Translation};
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{ENTRIES_PER_FLAT_NODE, ENTRIES_PER_NODE, LEVEL_BITS, PAGE_SIZE};
-#[cfg(feature = "legacy_hotpath")]
-use ndp_types::FastMap;
 use ndp_types::{PageSize, PtLevel, Vpn};
 
 const NODE_ENTRIES: usize = ENTRIES_PER_NODE as usize;
@@ -45,10 +43,6 @@ pub struct FlattenedL4L3 {
     root: Node,
     /// PL2 and PL1 nodes.
     nodes: Vec<Node>,
-    /// The seed's frame→node map, used for descent under `legacy_hotpath`
-    /// in place of the arena's child-handle lane.
-    #[cfg(feature = "legacy_hotpath")]
-    by_frame: FastMap<u64, usize>,
     l2_nodes: Vec<usize>,
     l1_nodes: Vec<usize>,
     mapped: u64,
@@ -67,8 +61,6 @@ impl FlattenedL4L3 {
             arena,
             root,
             nodes: Vec::new(),
-            #[cfg(feature = "legacy_hotpath")]
-            by_frame: FastMap::default(),
             l2_nodes: Vec::new(),
             l1_nodes: Vec::new(),
             mapped: 0,
@@ -81,8 +73,6 @@ impl FlattenedL4L3 {
         // L1 nodes hold only leaves; no child lane needed.
         self.nodes
             .push(Node::new(frame, NODE_ENTRIES, is_l2, &mut self.arena));
-        #[cfg(feature = "legacy_hotpath")]
-        self.by_frame.insert(frame.as_u64(), idx);
         if is_l2 {
             self.l2_nodes.push(idx);
         } else {
@@ -91,45 +81,17 @@ impl FlattenedL4L3 {
         idx
     }
 
-    /// Resolves the PL2 node a present root PTE points to.
-    #[cfg(not(feature = "legacy_hotpath"))]
-    #[inline]
-    fn root_child(&self, ri: usize, _pte: Pte) -> Option<usize> {
-        self.root.kid(&self.arena, ri)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    #[inline]
-    fn root_child(&self, _ri: usize, pte: Pte) -> Option<usize> {
-        self.by_frame.get(&pte.pfn().as_u64()).copied()
-    }
-
-    /// Resolves the PL1 node a present PL2 PTE points to.
-    #[cfg(not(feature = "legacy_hotpath"))]
-    #[inline]
-    fn child_of(&self, node: usize, idx: usize, _pte: Pte) -> Option<usize> {
-        self.nodes[node].kid(&self.arena, idx)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    #[inline]
-    fn child_of(&self, _node: usize, _idx: usize, pte: Pte) -> Option<usize> {
-        self.by_frame.get(&pte.pfn().as_u64()).copied()
-    }
-
     fn descend(&self, vpn: Vpn) -> Option<(usize, usize)> {
         let ri = flat_l4l3_index(vpn);
-        let re = self.root.get(&self.arena, ri);
-        if !re.is_present() {
+        if !self.root.get(&self.arena, ri).is_present() {
             return None;
         }
-        let l2 = self.root_child(ri, re)?;
+        let l2 = self.root.kid(&self.arena, ri)?;
         let l2_idx = vpn.l2_index();
-        let l2e = self.nodes[l2].get(&self.arena, l2_idx);
-        if !l2e.is_present() {
+        if !self.nodes[l2].get(&self.arena, l2_idx).is_present() {
             return None;
         }
-        let l1 = self.child_of(l2, l2_idx, l2e)?;
+        let l1 = self.nodes[l2].kid(&self.arena, l2_idx)?;
         Some((l2, l1))
     }
 }
@@ -154,9 +116,10 @@ impl PageTable for FlattenedL4L3 {
         let mut tables_allocated = 0;
 
         let ri = flat_l4l3_index(vpn);
-        let re = self.root.get(&self.arena, ri);
-        let l2 = if re.is_present() {
-            self.root_child(ri, re).expect("root PTE links its L2 node")
+        let l2 = if self.root.get(&self.arena, ri).is_present() {
+            self.root
+                .kid(&self.arena, ri)
+                .expect("root PTE links its L2 node")
         } else {
             let n = self.new_node(alloc, true);
             tables_allocated += 1;
@@ -167,9 +130,9 @@ impl PageTable for FlattenedL4L3 {
         };
 
         let l2_idx = vpn.l2_index();
-        let l2e = self.nodes[l2].get(&self.arena, l2_idx);
-        let l1 = if l2e.is_present() {
-            self.child_of(l2, l2_idx, l2e)
+        let l1 = if self.nodes[l2].get(&self.arena, l2_idx).is_present() {
+            self.nodes[l2]
+                .kid(&self.arena, l2_idx)
                 .expect("L2 PTE links its L1 node")
         } else {
             let n = self.new_node(alloc, false);

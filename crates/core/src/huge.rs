@@ -19,8 +19,6 @@ use crate::pte::Pte;
 use crate::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangeMapOutcome, Translation};
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{ENTRIES_PER_NODE, PAGE_SIZE};
-#[cfg(feature = "legacy_hotpath")]
-use ndp_types::FastMap;
 use ndp_types::{PageSize, PtLevel, Vpn};
 
 const NODE_ENTRIES: usize = ENTRIES_PER_NODE as usize;
@@ -39,10 +37,6 @@ pub struct HugeStats {
 pub struct HugePageTable {
     arena: PteArena,
     nodes: Vec<Node>,
-    /// The seed's frame→node map, used for descent under `legacy_hotpath`
-    /// in place of the arena's child-handle lane.
-    #[cfg(feature = "legacy_hotpath")]
-    by_frame: FastMap<u64, usize>,
     /// per-level node lists: [L4, L3, L2, L1-fallback].
     per_level: [Vec<usize>; 4],
     root: usize,
@@ -56,8 +50,6 @@ impl HugePageTable {
         let mut t = HugePageTable {
             arena: PteArena::new(),
             nodes: Vec::new(),
-            #[cfg(feature = "legacy_hotpath")]
-            by_frame: FastMap::default(),
             per_level: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
             root: 0,
             stats: HugeStats::default(),
@@ -79,39 +71,22 @@ impl HugePageTable {
         let track_kids = level_idx < 3;
         self.nodes
             .push(Node::new(frame, NODE_ENTRIES, track_kids, &mut self.arena));
-        #[cfg(feature = "legacy_hotpath")]
-        self.by_frame.insert(frame.as_u64(), idx);
         self.per_level[level_idx].push(idx);
         idx
-    }
-
-    /// Resolves the child node a present non-huge PTE points to.
-    #[cfg(not(feature = "legacy_hotpath"))]
-    #[inline]
-    fn child_of(&self, node: usize, idx: usize, _pte: Pte) -> Option<usize> {
-        self.nodes[node].kid(&self.arena, idx)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    #[inline]
-    fn child_of(&self, _node: usize, _idx: usize, pte: Pte) -> Option<usize> {
-        self.by_frame.get(&pte.pfn().as_u64()).copied()
     }
 
     /// Descends to the L2 node, returning `(l3_node, l2_node)` if present.
     fn descend_l2(&self, vpn: Vpn) -> Option<(usize, usize)> {
         let l4_idx = vpn.l4_index();
-        let l4e = self.nodes[self.root].get(&self.arena, l4_idx);
-        if !l4e.is_present() {
+        if !self.nodes[self.root].get(&self.arena, l4_idx).is_present() {
             return None;
         }
-        let l3 = self.child_of(self.root, l4_idx, l4e)?;
+        let l3 = self.nodes[self.root].kid(&self.arena, l4_idx)?;
         let l3_idx = vpn.l3_index();
-        let l3e = self.nodes[l3].get(&self.arena, l3_idx);
-        if !l3e.is_present() {
+        if !self.nodes[l3].get(&self.arena, l3_idx).is_present() {
             return None;
         }
-        let l2 = self.child_of(l3, l3_idx, l3e)?;
+        let l2 = self.nodes[l3].kid(&self.arena, l3_idx)?;
         Some((l3, l2))
     }
 }
@@ -134,7 +109,7 @@ impl PageTable for HugePageTable {
                 size: PageSize::Size2M,
             });
         }
-        let l1 = self.child_of(l2, l2_idx, l2e)?;
+        let l1 = self.nodes[l2].kid(&self.arena, l2_idx)?;
         let l1e = self.nodes[l1].get(&self.arena, vpn.l1_index());
         l1e.is_present().then(|| Translation {
             pfn: l1e.pfn(),
@@ -146,9 +121,9 @@ impl PageTable for HugePageTable {
         let mut tables_allocated = 0;
 
         let l4_idx = vpn.l4_index();
-        let l4e = self.nodes[self.root].get(&self.arena, l4_idx);
-        let l3 = if l4e.is_present() {
-            self.child_of(self.root, l4_idx, l4e)
+        let l3 = if self.nodes[self.root].get(&self.arena, l4_idx).is_present() {
+            self.nodes[self.root]
+                .kid(&self.arena, l4_idx)
                 .expect("L4 PTE links its L3 node")
         } else {
             let n = self.new_node(alloc, 1);
@@ -160,9 +135,9 @@ impl PageTable for HugePageTable {
         };
 
         let l3_idx = vpn.l3_index();
-        let l3e = self.nodes[l3].get(&self.arena, l3_idx);
-        let l2 = if l3e.is_present() {
-            self.child_of(l3, l3_idx, l3e)
+        let l2 = if self.nodes[l3].get(&self.arena, l3_idx).is_present() {
+            self.nodes[l3]
+                .kid(&self.arena, l3_idx)
                 .expect("L3 PTE links its L2 node")
         } else {
             let n = self.new_node(alloc, 2);
@@ -180,8 +155,8 @@ impl PageTable for HugePageTable {
                 return MapOutcome::already_mapped();
             }
             // Fallback region: map the individual 4 KB page.
-            let l1 = self
-                .child_of(l2, l2_idx, l2e)
+            let l1 = self.nodes[l2]
+                .kid(&self.arena, l2_idx)
                 .expect("fallback L2 PTE links its L1 node");
             let l1_idx = vpn.l1_index();
             if self.nodes[l1].get(&self.arena, l1_idx).is_present() {
@@ -287,7 +262,7 @@ impl PageTable for HugePageTable {
                 size: PageSize::Size2M,
             }
         } else {
-            let l1 = self.child_of(l2, vpn.l2_index(), l2e)?;
+            let l1 = self.nodes[l2].kid(&self.arena, vpn.l2_index())?;
             let l1e = self.nodes[l1].get(&self.arena, vpn.l1_index());
             if !l1e.is_present() {
                 return None;

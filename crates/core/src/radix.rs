@@ -9,8 +9,6 @@ use crate::table::{
 };
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{ENTRIES_PER_NODE, PAGE_SIZE};
-#[cfg(feature = "legacy_hotpath")]
-use ndp_types::FastMap;
 use ndp_types::{PageSize, Pfn, PtLevel, Vpn};
 
 const NODE_ENTRIES: usize = ENTRIES_PER_NODE as usize;
@@ -26,10 +24,6 @@ const NODE_ENTRIES: usize = ENTRIES_PER_NODE as usize;
 pub struct Radix4 {
     arena: PteArena,
     nodes: Vec<Node>,
-    /// The seed's frame→node map, used for descent under `legacy_hotpath`
-    /// in place of the arena's child-handle lane.
-    #[cfg(feature = "legacy_hotpath")]
-    by_frame: FastMap<u64, usize>,
     /// per-level node lists: [L4, L3, L2, L1] indices.
     per_level: [Vec<usize>; 4],
     root: usize,
@@ -43,8 +37,6 @@ impl Radix4 {
         let mut t = Radix4 {
             arena: PteArena::new(),
             nodes: Vec::new(),
-            #[cfg(feature = "legacy_hotpath")]
-            by_frame: FastMap::default(),
             per_level: [Vec::new(), Vec::new(), Vec::new(), Vec::new()],
             root: 0,
             mapped: 0,
@@ -60,25 +52,8 @@ impl Radix4 {
         let track_kids = level_idx < 3;
         self.nodes
             .push(Node::new(frame, NODE_ENTRIES, track_kids, &mut self.arena));
-        #[cfg(feature = "legacy_hotpath")]
-        self.by_frame.insert(frame.as_u64(), idx);
         self.per_level[level_idx].push(idx);
         idx
-    }
-
-    /// Resolves the child node a present interior PTE points to: a direct
-    /// child-handle load, or the seed's frame-keyed hash probe under
-    /// `legacy_hotpath`.
-    #[cfg(not(feature = "legacy_hotpath"))]
-    #[inline]
-    fn child_of(&self, node: usize, idx: usize, _pte: Pte) -> Option<usize> {
-        self.nodes[node].kid(&self.arena, idx)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    #[inline]
-    fn child_of(&self, _node: usize, _idx: usize, pte: Pte) -> Option<usize> {
-        self.by_frame.get(&pte.pfn().as_u64()).copied()
     }
 
     /// Descends to (creating as needed) the L1 node for `vpn`, returning
@@ -90,7 +65,8 @@ impl Radix4 {
             let idx = vpn.index_for(*level);
             let pte = self.nodes[node].get(&self.arena, idx);
             node = if pte.is_present() {
-                self.child_of(node, idx, pte)
+                self.nodes[node]
+                    .kid(&self.arena, idx)
                     .expect("interior PTE links its child node")
             } else {
                 let child = self.new_node(alloc, depth + 1);
@@ -160,14 +136,12 @@ impl Radix4 {
     /// returning its arena index, or `None` where the path is unmapped.
     fn descend(&self, vpn: Vpn, level_idx: usize) -> Option<usize> {
         let mut node = self.root;
-        for (depth, level) in PtLevel::RADIX_WALK.iter().enumerate().take(level_idx) {
+        for level in PtLevel::RADIX_WALK.iter().take(level_idx) {
             let idx = vpn.index_for(*level);
-            let pte = self.nodes[node].get(&self.arena, idx);
-            if !pte.is_present() {
+            if !self.nodes[node].get(&self.arena, idx).is_present() {
                 return None;
             }
-            let _ = depth;
-            node = self.child_of(node, idx, pte)?;
+            node = self.nodes[node].kid(&self.arena, idx)?;
         }
         Some(node)
     }
@@ -249,7 +223,7 @@ impl PageTable for Radix4 {
                 return None;
             }
             if group < 3 {
-                node = self.child_of(node, idx, pte)?;
+                node = self.nodes[node].kid(&self.arena, idx)?;
             } else {
                 leaf = pte;
             }

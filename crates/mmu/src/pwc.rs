@@ -233,31 +233,13 @@ impl Pwc {
 ///
 /// The bank is a fixed-size array indexed by [`PtLevel::pwc_slot`] — the
 /// level set is a tiny closed enum, and the per-walk-step probe is one of
-/// the simulator's hottest operations, so an O(1) array index replaces the
-/// seed's `BTreeMap` descent (kept under `legacy_hotpath` for baseline
-/// benchmarking). Slot order equals level order, so statistics iterate
-/// identically to the map-backed layout.
+/// the simulator's hottest operations, so it is an O(1) array index. Slot
+/// order equals level order, so statistics iterate in level order.
 #[derive(Debug, Clone)]
 pub struct PwcSet {
-    pwcs: PwcStore,
+    pwcs: [Option<Pwc>; PtLevel::PWC_SLOTS],
     enabled: bool,
     capacity: usize,
-}
-
-#[cfg(not(feature = "legacy_hotpath"))]
-type PwcStore = [Option<Pwc>; PtLevel::PWC_SLOTS];
-
-#[cfg(feature = "legacy_hotpath")]
-type PwcStore = std::collections::BTreeMap<PtLevel, Pwc>;
-
-#[cfg(not(feature = "legacy_hotpath"))]
-fn empty_store() -> PwcStore {
-    core::array::from_fn(|_| None)
-}
-
-#[cfg(feature = "legacy_hotpath")]
-fn empty_store() -> PwcStore {
-    std::collections::BTreeMap::new()
 }
 
 impl Default for PwcSet {
@@ -284,7 +266,7 @@ impl PwcSet {
     pub fn enabled_with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "PWC needs at least one entry");
         PwcSet {
-            pwcs: empty_store(),
+            pwcs: core::array::from_fn(|_| None),
             enabled: true,
             capacity,
         }
@@ -295,7 +277,7 @@ impl PwcSet {
     #[must_use]
     pub fn disabled() -> Self {
         PwcSet {
-            pwcs: empty_store(),
+            pwcs: core::array::from_fn(|_| None),
             enabled: false,
             capacity: PWC_ENTRIES,
         }
@@ -308,19 +290,10 @@ impl PwcSet {
     }
 
     /// The live (touched) PWC for `level`, creating it on first use.
-    #[cfg(not(feature = "legacy_hotpath"))]
     #[inline]
     fn level_pwc(&mut self, level: PtLevel) -> &mut Pwc {
         let capacity = self.capacity;
         self.pwcs[level.pwc_slot()].get_or_insert_with(|| Pwc::with_capacity(level, capacity))
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    fn level_pwc(&mut self, level: PtLevel) -> &mut Pwc {
-        let capacity = self.capacity;
-        self.pwcs
-            .entry(level)
-            .or_insert_with(|| Pwc::with_capacity(level, capacity))
     }
 
     /// Probes the PWC for `level` in address space `asid`; always misses
@@ -345,25 +318,13 @@ impl PwcSet {
 
     /// Probes `level` and installs the tag on a miss with a single scan
     /// (see [`Pwc::probe_fill`]); equivalent to `access` + `fill`-on-miss.
-    /// Always misses (and fills nothing) when disabled. Under
-    /// `legacy_hotpath` this runs the seed's two-call sequence.
+    /// Always misses (and fills nothing) when disabled.
     #[inline]
     pub fn probe_fill(&mut self, level: PtLevel, asid: Asid, vpn: Vpn) -> bool {
         if !self.enabled {
             return false;
         }
-        #[cfg(not(feature = "legacy_hotpath"))]
-        {
-            self.level_pwc(level).probe_fill(asid, vpn)
-        }
-        #[cfg(feature = "legacy_hotpath")]
-        {
-            let hit = self.level_pwc(level).access(asid, vpn);
-            if !hit {
-                self.level_pwc(level).fill(asid, vpn);
-            }
-            hit
-        }
+        self.level_pwc(level).probe_fill(asid, vpn)
     }
 
     /// Drops every level's tags of `asid` (a targeted shootdown),
@@ -385,37 +346,17 @@ impl PwcSet {
     }
 
     /// Statistics for one level, if it has been touched.
-    #[cfg(not(feature = "legacy_hotpath"))]
     #[must_use]
     pub fn level_stats(&self, level: PtLevel) -> Option<&HitMiss> {
         self.pwcs[level.pwc_slot()].as_ref().map(Pwc::stats)
     }
 
-    /// Statistics for one level, if it has been touched.
-    #[cfg(feature = "legacy_hotpath")]
-    #[must_use]
-    pub fn level_stats(&self, level: PtLevel) -> Option<&HitMiss> {
-        self.pwcs.get(&level).map(Pwc::stats)
-    }
-
-    #[cfg(not(feature = "legacy_hotpath"))]
     fn touched(&self) -> impl Iterator<Item = &Pwc> {
         self.pwcs.iter().filter_map(Option::as_ref)
     }
 
-    #[cfg(feature = "legacy_hotpath")]
-    fn touched(&self) -> impl Iterator<Item = &Pwc> {
-        self.pwcs.values()
-    }
-
-    #[cfg(not(feature = "legacy_hotpath"))]
     fn touched_mut(&mut self) -> impl Iterator<Item = &mut Pwc> {
         self.pwcs.iter_mut().filter_map(Option::as_mut)
-    }
-
-    #[cfg(feature = "legacy_hotpath")]
-    fn touched_mut(&mut self) -> impl Iterator<Item = &mut Pwc> {
-        self.pwcs.values_mut()
     }
 
     /// Clears contents and statistics of all levels.

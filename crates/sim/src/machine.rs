@@ -50,34 +50,17 @@ use std::collections::{BTreeMap, VecDeque};
 const POST_SWITCH_WINDOW: u64 = 256;
 
 /// The per-core page table. The mechanism set is closed, so the hot path
-/// dispatches statically through [`ndpage::PageTableImpl`]; the seed's
-/// `Box<dyn PageTable>` vtable dispatch is kept under `legacy_hotpath`
-/// for baseline benchmarking.
-#[cfg(not(feature = "legacy_hotpath"))]
+/// dispatches statically through [`ndpage::PageTableImpl`].
 type TableImpl = ndpage::PageTableImpl;
-
-#[cfg(feature = "legacy_hotpath")]
-type TableImpl = Box<dyn PageTable>;
 
 /// Builds `mechanism`'s table; `Ideal` still places pages through a radix
 /// table (but is charged no translation work).
 fn build_table(mechanism: Mechanism, alloc: &mut FrameAllocator) -> TableImpl {
-    #[cfg(not(feature = "legacy_hotpath"))]
-    {
-        mechanism.build_impl(alloc).unwrap_or_else(|| {
-            Mechanism::Radix
-                .build_impl(alloc)
-                .expect("radix always builds")
-        })
-    }
-    #[cfg(feature = "legacy_hotpath")]
-    {
-        mechanism.build_table(alloc).unwrap_or_else(|| {
-            Mechanism::Radix
-                .build_table(alloc)
-                .expect("radix always builds")
-        })
-    }
+    mechanism.build_impl(alloc).unwrap_or_else(|| {
+        Mechanism::Radix
+            .build_impl(alloc)
+            .expect("radix always builds")
+    })
 }
 
 /// Streams one process's premap schedule — its regions flattened into
@@ -120,7 +103,6 @@ impl<'a> ChunkCursor<'a> {
 /// rounded outward to page boundaries) — the precondition for deferring
 /// premap leaf installs, since a planned-but-unapplied page still reads
 /// as unmapped and would double-allocate if planned again.
-#[cfg(not(feature = "legacy_hotpath"))]
 fn page_spans_disjoint(regions: &[ndp_workloads::region::Region]) -> bool {
     use ndp_types::addr::PAGE_SIZE;
     let mut spans: Vec<(u64, u64)> = regions
@@ -510,9 +492,7 @@ impl Machine {
         // be re-planned: a planned-but-unapplied page still reads as
         // unmapped, so a process whose regions overlap must take the
         // combined path (chunks within one region never overlap).
-        #[cfg(not(feature = "legacy_hotpath"))]
         let mut deferred = region_lists.iter().all(|rs| page_spans_disjoint(rs));
-        #[cfg(not(feature = "legacy_hotpath"))]
         let mut plans: Vec<Vec<ndpage::table::RangePlan>> = vec![Vec::new(); targets.len()];
 
         // Round-robin passes over the cursors reproduce the historical
@@ -531,54 +511,37 @@ impl Machine {
                 let pages = len.div_ceil(PAGE_SIZE);
                 // Range mapping descends each table once per region
                 // instead of once per page — the init phase maps millions
-                // of pages. The seed's per-page loop (identical faults,
-                // frames and counts) is kept under `legacy_hotpath`.
-                #[cfg(not(feature = "legacy_hotpath"))]
-                {
-                    let table = &mut self.cores[core_idx].procs[proc_idx].table;
-                    let outcome = if deferred {
-                        match table.plan_range(first, pages, &mut self.alloc) {
-                            Some(plan) => {
-                                let outcome = plan.outcome;
-                                plans[target_idx].push(plan);
-                                outcome
-                            }
-                            // The design can't split the halves (ECH, Huge
-                            // Page); the probe had no side effects, so the
-                            // combined call takes over from here on.
-                            None => {
-                                deferred = false;
-                                table.map_range(first, pages, &mut self.alloc)
-                            }
+                // of pages, with the same faults, frames and counts as a
+                // per-page loop.
+                let table = &mut self.cores[core_idx].procs[proc_idx].table;
+                let outcome = if deferred {
+                    match table.plan_range(first, pages, &mut self.alloc) {
+                        Some(plan) => {
+                            let outcome = plan.outcome;
+                            plans[target_idx].push(plan);
+                            outcome
                         }
-                    } else {
-                        table.map_range(first, pages, &mut self.alloc)
-                    };
-                    let faults = &mut proc_faults[target_idx];
-                    faults.minor_4k += outcome.minor_4k;
-                    faults.minor_2m += outcome.minor_2m;
-                    faults.fallback += outcome.fallback;
-                }
-                #[cfg(feature = "legacy_hotpath")]
-                for p in 0..pages {
-                    let outcome = self.cores[core_idx].procs[proc_idx]
-                        .table
-                        .map(first.add(p), &mut self.alloc);
-                    let faults = &mut proc_faults[target_idx];
-                    match outcome.fault {
-                        Some(FaultKind::Minor4K) => faults.minor_4k += 1,
-                        Some(FaultKind::Minor2M) => faults.minor_2m += 1,
-                        Some(FaultKind::Fallback4K) => faults.fallback += 1,
-                        None => {}
+                        // The design can't split the halves (ECH, Huge
+                        // Page); the probe had no side effects, so the
+                        // combined call takes over from here on.
+                        None => {
+                            deferred = false;
+                            table.map_range(first, pages, &mut self.alloc)
+                        }
                     }
-                }
+                } else {
+                    table.map_range(first, pages, &mut self.alloc)
+                };
+                let faults = &mut proc_faults[target_idx];
+                faults.minor_4k += outcome.minor_4k;
+                faults.minor_2m += outcome.minor_2m;
+                faults.fallback += outcome.fallback;
             }
         }
 
         // Apply phase: install the planned leaf PTEs, one task per table.
         // Pure memory writes with no shared state, so thread count cannot
         // affect the result; `par_map` keeps task order regardless.
-        #[cfg(not(feature = "legacy_hotpath"))]
         if plans.iter().any(|p| !p.is_empty()) {
             let work: Vec<(&mut TableImpl, Vec<ndpage::table::RangePlan>)> = self
                 .cores
@@ -630,11 +593,6 @@ impl Machine {
     /// a constant (`limit`) computable at pick time. Execution order —
     /// and therefore every timestamp and digest — is identical at any
     /// epoch size, including the per-op `epoch_ops = 1`.
-    ///
-    /// The seed's one-op-per-pick loop is kept under `legacy_hotpath`
-    /// for baseline comparison (it ignores `epoch_ops`, which is
-    /// timing-inert anyway).
-    #[cfg(not(feature = "legacy_hotpath"))]
     #[must_use]
     pub fn run(mut self) -> RunReport {
         let total_ops = self.cfg.warmup_ops + self.cfg.measure_ops;
@@ -700,53 +658,6 @@ impl Machine {
         }
         // Windowed cores finish their traces with ops still in flight;
         // wall-clock includes waiting those out (in-order retirement).
-        for core in &mut self.cores {
-            core.drain_window();
-        }
-        self.into_report()
-    }
-
-    /// The seed's per-op loop: re-scan for the oldest unfinished core
-    /// before every single op (see the batched `run` above).
-    #[cfg(feature = "legacy_hotpath")]
-    #[must_use]
-    pub fn run(mut self) -> RunReport {
-        let total_ops = self.cfg.warmup_ops + self.cfg.measure_ops;
-        loop {
-            // Oldest unfinished core goes next (conservative interleaving).
-            let mut next: Option<usize> = None;
-            for (i, core) in self.cores.iter().enumerate() {
-                if core.ops_done < total_ops && next.is_none_or(|n| core.time < self.cores[n].time)
-                {
-                    next = Some(i);
-                }
-            }
-            let Some(i) = next else { break };
-
-            if !self.cores[i].measuring && self.cores[i].ops_done >= self.cfg.warmup_ops {
-                self.begin_measurement(i);
-            }
-            let active = self.cores[i].active;
-            let op = self.cores[i].procs[active]
-                .trace
-                .next()
-                .expect("traces are infinite");
-            self.exec_op(i, op);
-            let core = &mut self.cores[i];
-            core.ops_done += 1;
-            if core.measuring {
-                core.ops_measured += 1;
-                if op.is_memory() {
-                    core.mem_ops_measured += 1;
-                }
-            }
-            if core.procs.len() > 1 {
-                core.quantum_ops += 1;
-                if core.quantum_ops >= self.cfg.context_switch_quantum_ops {
-                    self.context_switch(i);
-                }
-            }
-        }
         for core in &mut self.cores {
             core.drain_window();
         }
@@ -957,12 +868,8 @@ impl Machine {
         // One descent serves the fault check, the translation and the
         // walk path: a mapped VPN (the steady state — the footprint is
         // premapped) resolves in a single `translate_and_walk`; only a
-        // genuine first touch pays the fault path and re-descends. The
-        // seed's separate fault-check + translate + walk_path calls
-        // (three descents) are kept under `legacy_hotpath` for baseline
-        // benchmarking.
-        #[cfg(not(feature = "legacy_hotpath"))]
-        let (os, (translation, path)) = {
+        // genuine first touch pays the fault path and re-descends.
+        let (os, (translation, path)) =
             match self.cores[i].procs[active].table.translate_and_walk(vpn) {
                 Some(walked) => (Cycles::ZERO, walked),
                 None => {
@@ -974,24 +881,7 @@ impl Machine {
                         .expect("just mapped");
                     (os, walked)
                 }
-            }
-        };
-        #[cfg(feature = "legacy_hotpath")]
-        let (os, (translation, path)) = {
-            let mut os = Cycles::ZERO;
-            if self.cores[i].procs[active].table.translate(vpn).is_none() {
-                os = self.fault_in(i, active, vpn);
-            }
-            let translation = self.cores[i].procs[active]
-                .table
-                .translate(vpn)
-                .expect("mapped above or earlier");
-            let path = self.cores[i].procs[active]
-                .table
-                .walk_path(vpn)
-                .expect("mapped pages have walk paths");
-            (os, (translation, path))
-        };
+            };
         let plan = self.cores[i].walker.plan(asid, vpn, &path);
 
         // The walk needs a hardware walker: concurrent misses beyond the

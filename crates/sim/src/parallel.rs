@@ -12,9 +12,6 @@
 //! the queue is a single atomic cursor over the input vector, which is
 //! ample for experiment-level granularity (each task is a whole
 //! simulation run, milliseconds to minutes).
-//!
-//! Under `legacy_hotpath` the drivers run serially, reproducing the
-//! seed's one-core experiment loop for baseline benchmarking.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -94,21 +91,14 @@ pub fn default_threads() -> usize {
 }
 
 /// Maps `f` over `items` on [`default_threads`] workers, returning the
-/// results in input order. Serial under `legacy_hotpath`.
+/// results in input order.
 pub fn par_map<I, T, F>(items: Vec<I>, f: F) -> Vec<T>
 where
     I: Send,
     T: Send,
     F: Fn(I) -> T + Sync,
 {
-    #[cfg(feature = "legacy_hotpath")]
-    {
-        items.into_iter().map(f).collect()
-    }
-    #[cfg(not(feature = "legacy_hotpath"))]
-    {
-        par_map_threads(default_threads(), items, f)
-    }
+    par_map_threads(default_threads(), items, f)
 }
 
 /// [`par_map`] with an explicit worker count (`1` runs inline). The
@@ -123,8 +113,7 @@ where
     par_map_sink_threads(threads, items, f, |_, _| ())
 }
 
-/// [`par_map_sink_threads`] on [`default_threads`] workers. Serial (and
-/// sink-in-order by construction) under `legacy_hotpath`.
+/// [`par_map_sink_threads`] on [`default_threads`] workers.
 pub fn par_map_sink<I, T, F, S>(items: Vec<I>, f: F, sink: S) -> Vec<T>
 where
     I: Send,
@@ -132,14 +121,7 @@ where
     F: Fn(I) -> T + Sync,
     S: FnMut(usize, &T) + Send,
 {
-    #[cfg(feature = "legacy_hotpath")]
-    {
-        par_map_sink_threads(1, items, f, sink)
-    }
-    #[cfg(not(feature = "legacy_hotpath"))]
-    {
-        par_map_sink_threads(default_threads(), items, f, sink)
-    }
+    par_map_sink_threads(default_threads(), items, f, sink)
 }
 
 /// Work-stealing map with an **in-order result sink**: `sink(i, &result)`

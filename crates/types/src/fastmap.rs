@@ -1,18 +1,12 @@
 //! Shared fast hashing for the simulator's hot maps.
 //!
-//! The page-table mechanisms index nodes by owning frame (`by_frame`
-//! maps) on every walk and map call, and the trace profiler counts
-//! page touches per op — all keyed by small integers. `std`'s default
-//! SipHash is DoS-resistant but costs ~10× what these lookups need, so
-//! the hot maps use an FxHash-style multiply hasher instead via the
-//! [`FastMap`]/[`FastSet`] aliases.
+//! The trace profiler counts page touches per op, keyed by small
+//! integers. `std`'s default SipHash is DoS-resistant but costs ~10× what
+//! these lookups need, so the simulator's maps use an FxHash-style
+//! multiply hasher instead via the [`FastMap`]/[`FastSet`] aliases.
 //!
 //! The hasher is fixed-seed, so iteration order is deterministic — a
 //! property the reproduction's bit-identical-runs guarantee leans on.
-//!
-//! With the `legacy_hotpath` feature the aliases revert to the
-//! SipHash-backed `std` defaults, rebuilding the pre-overhaul hot path so
-//! `ndpsim bench` can measure the difference within one tree.
 
 use core::hash::{BuildHasherDefault, Hasher};
 use std::collections::{HashMap, HashSet};
@@ -80,21 +74,11 @@ impl Hasher for FastHasher {
 /// `BuildHasher` for [`FastHasher`] (fixed seed, deterministic order).
 pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
-/// A `HashMap` on the shared fast hasher (hot-path default).
-#[cfg(not(feature = "legacy_hotpath"))]
+/// A `HashMap` on the shared fast hasher.
 pub type FastMap<K, V> = HashMap<K, V, FastBuildHasher>;
 
-/// A `HashSet` on the shared fast hasher (hot-path default).
-#[cfg(not(feature = "legacy_hotpath"))]
+/// A `HashSet` on the shared fast hasher.
 pub type FastSet<T> = HashSet<T, FastBuildHasher>;
-
-/// Legacy baseline: the seed's SipHash-backed map.
-#[cfg(feature = "legacy_hotpath")]
-pub type FastMap<K, V> = HashMap<K, V>;
-
-/// Legacy baseline: the seed's SipHash-backed set.
-#[cfg(feature = "legacy_hotpath")]
-pub type FastSet<T> = HashSet<T>;
 
 #[cfg(test)]
 mod tests {

@@ -26,8 +26,9 @@ fn bench_cfg(system: SystemKind, cores: u32, m: Mechanism, w: WorkloadId) -> Sim
 
 /// Golden fingerprints from the pre-refactor engine (2-core NDP,
 /// 4 k warmup / 8 k measured ops, 512 MB footprint) for every mechanism
-/// on both contrasting workloads — the `ndpsim bench` figure engine's
-/// exact configurations.
+/// on both contrasting workloads — the exact configurations of the
+/// figure-engine half of the pinned `report` digest
+/// (`crates/bench/tests/bench_digests.rs`).
 const GOLDEN: [(WorkloadId, Mechanism, u64); 10] = [
     (WorkloadId::Rnd, Mechanism::Radix, 6116369665233581051),
     (WorkloadId::Rnd, Mechanism::Ech, 11800367191099474065),
