@@ -11,14 +11,18 @@
 //! records the full-scale output. Every simulated table's header names
 //! the scale it was produced at. `--jobs N` caps the parallel driver's
 //! workers (wins over `NDP_THREADS`, exactly as in `ndpsim`).
+//!
+//! Every simulated table is one [`SweepSpec`] grid run through
+//! [`run_sweep`], its rows read back in grid order with
+//! [`SweepResult::pairs`] and [`SweepResult::geomean_speedup`]; only
+//! Fig 8's occupancy is a mapping analysis without timing.
 
 use ndp_bench::cli::{exit_on_err, install_jobs, Args};
-use ndp_bench::{pct, print_table, spd, AblationVariant};
-use ndp_sim::experiment::{
-    geomean_speedups, miss_rate_figure, motivation_figures, occupancy_figure, run, scaling_figure,
-    speedup_figure, Scale,
-};
+use ndp_bench::{pct, print_table, spd};
+use ndp_sim::experiment::{occupancy_figure, Scale};
+use ndp_sim::spec::{mechanism_names, run_sweep, SweepResult, SweepRow, SweepSpec};
 use ndp_sim::{SimConfig, SystemKind};
+use ndp_types::stats::mean;
 use ndp_types::PtLevel;
 use ndp_workloads::WorkloadId;
 use ndpage::Mechanism;
@@ -135,30 +139,36 @@ fn main() {
     }
 }
 
+/// Extension studies beyond the paper's figures: parameter sweeps that
+/// probe *why* NDPage works and where its advantage would end. Each is
+/// Radix against NDPage (or Huge Page's TLB treatment) along one axis.
 fn sweeps(scale: Scale) {
-    use ndp_sim::sweeps::{
-        context_switch_sweep, fracturing_ablation, mlp_sweep, pwc_size_sweep, shared_llc_sweep,
-        tlb_reach_sweep,
-    };
-    let base = scale.apply(SimConfig::new(
-        SystemKind::Ndp,
-        4,
-        Mechanism::Radix,
-        WorkloadId::Rnd,
-    ));
+    let mechanisms = ["radix", "ndpage"];
 
+    // Growing the per-level PWCs. §V-C predicts NDPage's edge shrinks
+    // once PWCs cover the PL2/PL1 prefixes (flattening removes misses a
+    // big-enough PWC would also remove), but bypass keeps a residual
+    // advantage.
     println!(
         "\n=== Extension: PWC-size sweep (RND, 4-core NDP) [{} scale] ===\n",
         scale.name()
     );
-    let rows: Vec<Vec<String>> = pwc_size_sweep(WorkloadId::Rnd, &[8, 16, 64, 256, 1024], &base)
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Rnd))
+            .named("pwc_size_sweep")
+            .axis("pwc_entries", &[8, 16, 64, 256, 1024])
+            .axis("mechanism", &mechanisms),
+    );
+    let rows: Vec<Vec<String>> = result
+        .pairs("mechanism")
         .iter()
-        .map(|p| {
+        .map(|(_, p)| {
+            let (radix, ndpage) = (&p[0].report, &p[1].report);
             vec![
-                p.entries.to_string(),
-                format!("{:.1}", p.radix.avg_ptw_latency()),
-                format!("{:.1}", p.ndpage.avg_ptw_latency()),
-                spd(p.ndpage_speedup()),
+                coord(p[0], "pwc_entries"),
+                format!("{:.1}", radix.avg_ptw_latency()),
+                format!("{:.1}", ndpage.avg_ptw_latency()),
+                spd(ndpage.speedup_over(radix)),
             ]
         })
         .collect();
@@ -167,17 +177,28 @@ fn sweeps(scale: Scale) {
         &rows,
     );
 
+    // Growing the L2 TLB. With enough reach the walk rate collapses and
+    // every mechanism converges toward Ideal. Sizes must be 12-way
+    // divisible into a power of two sets.
     println!(
         "\n=== Extension: L2-TLB reach sweep (RND, 4-core NDP) [{} scale] ===\n",
         scale.name()
     );
-    let rows: Vec<Vec<String>> = tlb_reach_sweep(WorkloadId::Rnd, &[384, 1536, 6144], &base)
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Rnd))
+            .named("tlb_reach_sweep")
+            .axis("tlb_l2_entries", &[384, 1536, 6144])
+            .axis("mechanism", &mechanisms),
+    );
+    let rows: Vec<Vec<String>> = result
+        .pairs("mechanism")
         .iter()
-        .map(|p| {
+        .map(|(_, p)| {
+            let (radix, ndpage) = (&p[0].report, &p[1].report);
             vec![
-                p.entries.to_string(),
-                pct(p.radix.tlb_walk_rate()),
-                spd(p.ndpage.speedup_over(&p.radix)),
+                coord(p[0], "tlb_l2_entries"),
+                pct(radix.tlb_walk_rate()),
+                spd(ndpage.speedup_over(radix)),
             ]
         })
         .collect();
@@ -186,39 +207,78 @@ fn sweeps(scale: Scale) {
         &rows,
     );
 
+    // Huge Page with native 2 MB TLB entries (fracturing off) exposes
+    // how much of its Fig 12 deficit comes from TLB support rather than
+    // the table structure. One paired axis: the Radix baseline, then
+    // Huge Page fractured (the paper's treatment) and native.
     println!(
         "\n=== Extension: Huge Page TLB-fracturing ablation (RND, 1-core) [{} scale] ===\n",
         scale.name()
     );
-    let ab = fracturing_ablation(WorkloadId::Rnd, &base);
-    let rows = vec![
-        vec![
-            "fractured (paper)".into(),
-            pct(ab.fractured.tlb_walk_rate()),
-            spd(ab.fractured.speedup_over(&ab.radix)),
-        ],
-        vec![
-            "native 2MB entries".into(),
-            pct(ab.native.tlb_walk_rate()),
-            spd(ab.native.speedup_over(&ab.radix)),
-        ],
-    ];
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 1, WorkloadId::Rnd))
+            .named("fracturing_ablation")
+            .paired_axis(vec![
+                vec![("mechanism", "radix".to_string())],
+                vec![("mechanism", "hugepage".to_string())],
+                vec![
+                    ("mechanism", "hugepage".to_string()),
+                    ("tlb_fracture_huge", "false".to_string()),
+                ],
+            ]),
+    );
+    let radix = &result.rows[0].report;
+    let rows: Vec<Vec<String>> = ["fractured (paper)", "native 2MB entries"]
+        .iter()
+        .zip(&result.rows[1..])
+        .map(|(label, r)| {
+            vec![
+                (*label).to_string(),
+                pct(r.report.tlb_walk_rate()),
+                spd(r.report.speedup_over(radix)),
+            ]
+        })
+        .collect();
     print_table(&["Huge Page TLB", "walk rate", "speedup vs Radix"], &rows);
 
+    // Two processes per core, sweeping the scheduling quantum with ASID
+    // tagging on and off. Untagged runs full-flush TLBs and PWCs at
+    // every switch, so the sweep measures how quickly each mechanism
+    // re-warms: NDPage's flattened single-fetch walks refill the TLB far
+    // cheaper than Radix's four-level descents. The flush penalty is
+    // untagged over tagged cycles; the recovery advantage is the ratio
+    // of post-flush walk costs (one walk per hot page either way, so it
+    // is the structural part of the penalty).
     println!(
         "\n=== Extension: context-switch sweep (BFS, 2-core NDP, 2 procs/core) [{} scale] ===\n",
         scale.name()
     );
-    let rows: Vec<Vec<String>> = context_switch_sweep(WorkloadId::Bfs, &[2_000, 10_000], &base)
-        .iter()
-        .map(|p| {
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 2, WorkloadId::Bfs).with_procs(2))
+            .named("context_switch_sweep")
+            .axis("context_switch_quantum_ops", &[2_000, 10_000])
+            .axis("mechanism", &mechanisms)
+            .axis("tlb_tagging", &[true, false]),
+    );
+    // Grid order within one quantum: (Radix, NDPage) x (tagged, untagged).
+    let rows: Vec<Vec<String>> = result
+        .rows
+        .chunks(4)
+        .map(|runs| {
+            let [radix_t, radix_u, ndpage_t, ndpage_u] = [0, 1, 2, 3].map(|i| &runs[i].report);
+            let ndpage_cost = ndpage_u.post_switch_walk_cost();
+            let advantage = if ndpage_cost == 0.0 {
+                0.0
+            } else {
+                radix_u.post_switch_walk_cost() / ndpage_cost
+            };
             vec![
-                p.quantum.to_string(),
-                format!("{:.3}x", p.flush_penalty(Mechanism::Radix)),
-                format!("{:.3}x", p.flush_penalty(Mechanism::NdPage)),
-                format!("{:.0} cyc", p.post_flush_walk_cost(Mechanism::Radix)),
-                format!("{:.0} cyc", p.post_flush_walk_cost(Mechanism::NdPage)),
-                format!("{:.2}x", p.ndpage_recovery_advantage()),
+                coord(&runs[0], "context_switch_quantum_ops"),
+                format!("{:.3}x", radix_t.speedup_over(radix_u)),
+                format!("{:.3}x", ndpage_t.speedup_over(ndpage_u)),
+                format!("{:.0} cyc", radix_u.post_switch_walk_cost()),
+                format!("{:.0} cyc", ndpage_cost),
+                format!("{advantage:.2}x"),
             ]
         })
         .collect();
@@ -234,21 +294,41 @@ fn sweeps(scale: Scale) {
         &rows,
     );
 
+    // Widening the per-core issue window, with MSHRs matched to it on
+    // one paired axis (window 1 is the blocking core).
     println!(
         "\n=== Extension: MLP sweep (BFS, 4-core NDP, MSHRs = window) [{} scale] ===\n",
         scale.name()
     );
-    let rows: Vec<Vec<String>> = mlp_sweep(WorkloadId::Bfs, &[1, 2, 4, 8, 16], &base)
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Bfs))
+            .named("mlp_sweep")
+            .paired_axis(
+                [1, 2, 4, 8, 16]
+                    .iter()
+                    .map(|w: &u32| {
+                        vec![
+                            ("mlp_window", w.to_string()),
+                            ("mshrs_per_core", w.to_string()),
+                        ]
+                    })
+                    .collect(),
+            )
+            .axis("mechanism", &mechanisms),
+    );
+    let rows: Vec<Vec<String>> = result
+        .pairs("mechanism")
         .iter()
-        .map(|p| {
+        .map(|(_, p)| {
+            let (radix, ndpage) = (&p[0].report, &p[1].report);
             vec![
-                p.window.to_string(),
-                format!("{:.1}", p.radix.cpo()),
-                format!("{:.1}", p.ndpage.cpo()),
-                format!("{:.2}", p.radix.achieved_mlp()),
-                format!("{:.0} cyc", p.radix.mlp.walker_queue_delay()),
-                format!("{:.0} cyc", p.ndpage.mlp.walker_queue_delay()),
-                spd(p.ndpage_speedup()),
+                coord(p[0], "mlp_window"),
+                format!("{:.1}", radix.cpo()),
+                format!("{:.1}", ndpage.cpo()),
+                format!("{:.2}", radix.achieved_mlp()),
+                format!("{:.0} cyc", radix.mlp.walker_queue_delay()),
+                format!("{:.0} cyc", ndpage.mlp.walker_queue_delay()),
+                spd(ndpage.speedup_over(radix)),
             ]
         })
         .collect();
@@ -270,25 +350,39 @@ fn sweeps(scale: Scale) {
          with MLP, and NDPage's one-fetch walks pay off more, not less."
     );
 
+    // Four co-running address spaces squeezing one shared banked L3 of
+    // shrinking capacity (0 KB disables the layer, anchoring the
+    // baseline in the same grid).
     println!(
         "\n=== Extension: shared-LLC interference sweep \
          (RND, 2-core NDP, 2 procs/core) [{} scale] ===\n",
         scale.name()
     );
-    let rows: Vec<Vec<String>> = shared_llc_sweep(WorkloadId::Rnd, &[0, 256, 2048, 8192], &base)
+    let result = sweep(
+        SweepSpec::new(
+            ndp_radix(scale, 2, WorkloadId::Rnd)
+                .with_procs(2)
+                .with_quantum(2_000),
+        )
+        .named("shared_llc_sweep")
+        .axis("l3_kb", &[0, 256, 2048, 8192])
+        .axis("mechanism", &mechanisms),
+    );
+    let rows: Vec<Vec<String>> = result
+        .pairs("mechanism")
         .iter()
-        .map(|p| {
-            let l3 = p.radix.l3.as_ref();
+        .map(|(_, p)| {
+            let (radix, ndpage) = (&p[0].report, &p[1].report);
+            let l3 = radix.l3.as_ref();
             vec![
-                if p.l3_kb == 0 {
-                    "off".into()
-                } else {
-                    format!("{} KB", p.l3_kb)
+                match coord(p[0], "l3_kb").as_str() {
+                    "0" => "off".into(),
+                    kb => format!("{kb} KB"),
                 },
-                pct(p.radix_l3_metadata_hit_rate()),
+                pct(l3.map_or(0.0, |s| s.metadata.hit_rate())),
                 l3.map_or_else(|| "-".into(), |s| s.bank_conflicts.to_string()),
                 l3.map_or_else(|| "-".into(), |s| s.back_invalidations.to_string()),
-                spd(p.ndpage_speedup()),
+                spd(ndpage.speedup_over(radix)),
             ]
         })
         .collect();
@@ -309,7 +403,6 @@ fn sweeps(scale: Scale) {
          mechanisms moves with cache pressure, the paper's central claim."
     );
 }
-
 fn table1() {
     println!("\n=== Table I: simulated system configuration ===\n");
     let rows = vec![
@@ -381,36 +474,39 @@ fn fig4_fig5(scale: Scale, workloads: &[WorkloadId]) {
         scale.name()
     );
     println!("=== Fig 5: address-translation share of runtime ===\n");
-    let rows_data = motivation_figures(scale, workloads);
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Rnd))
+            .named("fig4_fig5")
+            .axis("workload", workloads)
+            .axis("system", &["ndp", "cpu"]),
+    );
     let mut rows = Vec::new();
     let (mut ndp_ptw, mut cpu_ptw, mut ndp_fr, mut cpu_fr) = (vec![], vec![], vec![], vec![]);
-    for row in &rows_data {
-        ndp_ptw.push(row.ndp.avg_ptw_latency());
-        cpu_ptw.push(row.cpu.avg_ptw_latency());
-        ndp_fr.push(row.ndp.translation_fraction());
-        cpu_fr.push(row.cpu.translation_fraction());
+    for (_, pair) in result.pairs("system") {
+        let (ndp, cpu) = (&pair[0].report, &pair[1].report);
+        ndp_ptw.push(ndp.avg_ptw_latency());
+        cpu_ptw.push(cpu.avg_ptw_latency());
+        ndp_fr.push(ndp.translation_fraction());
+        cpu_fr.push(cpu.translation_fraction());
         rows.push(vec![
-            row.workload.name().into(),
-            format!("{:.1}", row.ndp.avg_ptw_latency()),
-            format!("{:.1}", row.cpu.avg_ptw_latency()),
+            ndp.workload.name().into(),
+            format!("{:.1}", ndp.avg_ptw_latency()),
+            format!("{:.1}", cpu.avg_ptw_latency()),
             format!(
                 "{:+.0}%",
-                (row.ndp.avg_ptw_latency() / row.cpu.avg_ptw_latency() - 1.0) * 100.0
+                (ndp.avg_ptw_latency() / cpu.avg_ptw_latency() - 1.0) * 100.0
             ),
-            pct(row.ndp.translation_fraction()),
-            pct(row.cpu.translation_fraction()),
+            pct(ndp.translation_fraction()),
+            pct(cpu.translation_fraction()),
         ]);
     }
     rows.push(vec![
         "avg".into(),
-        format!("{:.1}", ndp_types::stats::mean(&ndp_ptw)),
-        format!("{:.1}", ndp_types::stats::mean(&cpu_ptw)),
-        format!(
-            "{:+.0}%",
-            (ndp_types::stats::mean(&ndp_ptw) / ndp_types::stats::mean(&cpu_ptw) - 1.0) * 100.0
-        ),
-        pct(ndp_types::stats::mean(&ndp_fr)),
-        pct(ndp_types::stats::mean(&cpu_fr)),
+        format!("{:.1}", mean(&ndp_ptw)),
+        format!("{:.1}", mean(&cpu_ptw)),
+        format!("{:+.0}%", (mean(&ndp_ptw) / mean(&cpu_ptw) - 1.0) * 100.0),
+        pct(mean(&ndp_fr)),
+        pct(mean(&cpu_fr)),
     ]);
     print_table(
         &[
@@ -431,15 +527,28 @@ fn fig6(scale: Scale, workloads: &[WorkloadId]) {
         "\n=== Fig 6: scaling with core count (Radix) [{} scale] ===\n",
         scale.name()
     );
-    let rows_data = scaling_figure(scale, workloads, &[1, 4, 8]);
-    let rows: Vec<Vec<String>> = rows_data
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 1, WorkloadId::Rnd))
+            .named("fig6")
+            .axis("system", &["ndp", "cpu"])
+            .axis("cores", &[1, 4, 8])
+            .axis("workload", workloads),
+    );
+    // One row per (system, cores): the mean over workloads.
+    let rows: Vec<Vec<String>> = result
+        .pairs("workload")
         .iter()
-        .map(|(cores, system, ptw, frac)| {
+        .map(|(_, runs)| {
+            let ptw: Vec<f64> = runs.iter().map(|r| r.report.avg_ptw_latency()).collect();
+            let frac: Vec<f64> = runs
+                .iter()
+                .map(|r| r.report.translation_fraction())
+                .collect();
             vec![
-                system.to_string(),
-                cores.to_string(),
-                format!("{ptw:.1}"),
-                pct(*frac),
+                runs[0].report.system.to_string(),
+                runs[0].report.cores.to_string(),
+                format!("{:.1}", mean(&ptw)),
+                pct(mean(&frac)),
             ]
         })
         .collect();
@@ -455,25 +564,33 @@ fn fig7(scale: Scale, workloads: &[WorkloadId]) {
         "\n=== Fig 7: L1 miss rates, 4-core NDP [{} scale] ===\n",
         scale.name()
     );
-    let data = miss_rate_figure(scale, workloads);
+    // Ideal has no translation traffic, so its data miss rate is the
+    // pollution-free reference for Radix's.
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Rnd))
+            .named("fig7")
+            .axis("workload", workloads)
+            .axis("mechanism", &["ideal", "radix"]),
+    );
     let mut rows = Vec::new();
     let (mut i, mut a, mut m) = (vec![], vec![], vec![]);
-    for row in &data {
-        i.push(row.data_ideal);
-        a.push(row.data_actual);
-        m.push(row.metadata);
+    for (_, pair) in result.pairs("mechanism") {
+        let (ideal, radix) = (&pair[0].report, &pair[1].report);
+        i.push(ideal.l1_data.miss_rate());
+        a.push(radix.l1_data.miss_rate());
+        m.push(radix.l1_metadata.miss_rate());
         rows.push(vec![
-            row.workload.name().into(),
-            pct(row.data_ideal),
-            pct(row.data_actual),
-            pct(row.metadata),
+            radix.workload.name().into(),
+            pct(ideal.l1_data.miss_rate()),
+            pct(radix.l1_data.miss_rate()),
+            pct(radix.l1_metadata.miss_rate()),
         ]);
     }
     rows.push(vec![
         "avg".into(),
-        pct(ndp_types::stats::mean(&i)),
-        pct(ndp_types::stats::mean(&a)),
-        pct(ndp_types::stats::mean(&m)),
+        pct(mean(&i)),
+        pct(mean(&a)),
+        pct(mean(&m)),
     ]);
     print_table(
         &[
@@ -510,10 +627,10 @@ fn fig8(scale: Scale, workloads: &[WorkloadId]) {
     }
     rows.push(vec![
         "avg".into(),
-        pct(ndp_types::stats::mean(&p1)),
-        pct(ndp_types::stats::mean(&p2)),
-        pct(ndp_types::stats::mean(&p3)),
-        pct(ndp_types::stats::mean(&pc)),
+        pct(mean(&p1)),
+        pct(mean(&p2)),
+        pct(mean(&p3)),
+        pct(mean(&pc)),
     ]);
     print_table(&["workload", "PL1", "PL2", "PL3", "PL2/PL1 merged"], &rows);
     println!("\npaper: PL1 97.97%, PL2 98.24%, PL3 3.12%, PL4 0.43%");
@@ -524,23 +641,33 @@ fn pwc(scale: Scale) {
         "\n=== §V-C: page-walk-cache hit rates (4-core NDP, Radix) [{} scale] ===\n",
         scale.name()
     );
-    let workloads = [
-        WorkloadId::Bfs,
-        WorkloadId::Rnd,
-        WorkloadId::Xs,
-        WorkloadId::Gen,
-    ];
-    let mut rows = Vec::new();
-    for w in workloads {
-        let r = run(scale.apply(SimConfig::new(SystemKind::Ndp, 4, Mechanism::Radix, w)));
-        rows.push(vec![
-            w.name().into(),
-            pct(r.pwc_hit_rate(PtLevel::L4).unwrap_or(0.0)),
-            pct(r.pwc_hit_rate(PtLevel::L3).unwrap_or(0.0)),
-            pct(r.pwc_hit_rate(PtLevel::L2).unwrap_or(0.0)),
-            pct(r.pwc_hit_rate(PtLevel::L1).unwrap_or(0.0)),
-        ]);
-    }
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Rnd))
+            .named("pwc")
+            .axis(
+                "workload",
+                &[
+                    WorkloadId::Bfs,
+                    WorkloadId::Rnd,
+                    WorkloadId::Xs,
+                    WorkloadId::Gen,
+                ],
+            ),
+    );
+    let rows: Vec<Vec<String>> = result
+        .rows
+        .iter()
+        .map(|row| {
+            let r = &row.report;
+            vec![
+                r.workload.name().into(),
+                pct(r.pwc_hit_rate(PtLevel::L4).unwrap_or(0.0)),
+                pct(r.pwc_hit_rate(PtLevel::L3).unwrap_or(0.0)),
+                pct(r.pwc_hit_rate(PtLevel::L2).unwrap_or(0.0)),
+                pct(r.pwc_hit_rate(PtLevel::L1).unwrap_or(0.0)),
+            ]
+        })
+        .collect();
     print_table(
         &["workload", "PL4 PWC", "PL3 PWC", "PL2 PWC", "PL1 PWC"],
         &rows,
@@ -553,25 +680,37 @@ fn speedups(label: &str, cores: u32, scale: Scale, workloads: &[WorkloadId]) {
         "\n=== {label}: speedup over Radix, {cores}-core NDP [{} scale] ===\n",
         scale.name()
     );
-    let rows_data = speedup_figure(cores, scale, workloads);
-    let mut rows = Vec::new();
-    for row in &rows_data {
-        let mut cells = vec![row.workload.name().to_string()];
-        cells.extend(row.speedups.iter().map(|(_, s)| spd(*s)));
-        rows.push(cells);
-    }
-    let gm = geomean_speedups(&rows_data);
-    let mut cells = vec!["geomean".to_string()];
-    cells.extend(gm.iter().map(|(_, s)| spd(*s)));
-    rows.push(cells);
+    // Radix first: every other mechanism's speedup is over it.
+    let mechanisms = mechanism_names();
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, cores, WorkloadId::Rnd))
+            .named(label)
+            .axis("workload", workloads)
+            .axis("mechanism", &mechanisms),
+    );
+    let mut rows: Vec<Vec<String>> = result
+        .pairs("mechanism")
+        .iter()
+        .map(|(_, runs)| {
+            let radix = &runs[0].report;
+            std::iter::once(radix.workload.name().to_string())
+                .chain(runs[1..].iter().map(|r| spd(r.report.speedup_over(radix))))
+                .collect()
+        })
+        .collect();
+    let g = |m: &str| result.geomean_speedup("mechanism", "radix", m);
+    rows.push(
+        std::iter::once("geomean".to_string())
+            .chain(mechanisms[1..].iter().map(|m| spd(g(m))))
+            .collect(),
+    );
     print_table(&["workload", "ECH", "Huge Page", "NDPage", "Ideal"], &rows);
 
-    let g = |m: Mechanism| gm.iter().find(|(mm, _)| *mm == m).map_or(0.0, |(_, s)| *s);
     println!(
         "\nNDPage vs Radix {:+.1}%, vs second-best ECH {:+.1}%, vs Huge Page {:+.1}%",
-        (g(Mechanism::NdPage) - 1.0) * 100.0,
-        (g(Mechanism::NdPage) / g(Mechanism::Ech) - 1.0) * 100.0,
-        (g(Mechanism::NdPage) / g(Mechanism::HugePage) - 1.0) * 100.0
+        (g("ndpage") - 1.0) * 100.0,
+        (g("ndpage") / g("ech") - 1.0) * 100.0,
+        (g("ndpage") / g("hugepage") - 1.0) * 100.0
     );
     match label {
         "fig12" => println!("paper: NDPage +34.4% vs Radix, +14.3% vs ECH, +24.4% vs Huge Page"),
@@ -581,24 +720,54 @@ fn speedups(label: &str, cores: u32, scale: Scale, workloads: &[WorkloadId]) {
     }
 }
 
+/// The §V ablation variants, isolating NDPage's two mechanisms and its
+/// PWC interaction: `(column, knob settings)`, Radix first as the
+/// baseline.
+const ABLATION: [(&str, &[(&str, &str)]); 5] = [
+    ("Radix", &[("mechanism", "radix")]),
+    (
+        "Radix+Bypass",
+        &[("mechanism", "radix"), ("bypass", "metadata-l1")],
+    ),
+    (
+        "Flatten-only",
+        &[("mechanism", "ndpage"), ("bypass", "none")],
+    ),
+    ("NDPage", &[("mechanism", "ndpage")]),
+    ("NDPage-noPWC", &[("mechanism", "ndpage"), ("pwc", "off")]),
+];
+
 fn ablation(scale: Scale) {
     println!(
         "\n=== Ablation: NDPage's mechanisms in isolation (4-core NDP) [{} scale] ===\n",
         scale.name()
     );
-    let workloads = [WorkloadId::Bfs, WorkloadId::Rnd, WorkloadId::Xs];
-    let mut rows = Vec::new();
-    for w in workloads {
-        let radix = run(scale.apply(AblationVariant::Radix.config(4, w)));
-        let mut cells = vec![w.name().to_string()];
-        for v in AblationVariant::ALL {
-            let r = run(scale.apply(v.config(4, w)));
-            cells.push(spd(r.speedup_over(&radix)));
-        }
-        rows.push(cells);
-    }
+    let result = sweep(
+        SweepSpec::new(ndp_radix(scale, 4, WorkloadId::Rnd))
+            .named("ablation")
+            .axis(
+                "workload",
+                &[WorkloadId::Bfs, WorkloadId::Rnd, WorkloadId::Xs],
+            )
+            .paired_axis(
+                ABLATION
+                    .iter()
+                    .map(|(_, sets)| sets.iter().map(|&(k, v)| (k, v.to_string())).collect())
+                    .collect(),
+            ),
+    );
+    let rows: Vec<Vec<String>> = result
+        .rows
+        .chunks(ABLATION.len())
+        .map(|runs| {
+            let radix = &runs[0].report;
+            std::iter::once(radix.workload.name().to_string())
+                .chain(runs.iter().map(|r| spd(r.report.speedup_over(radix))))
+                .collect()
+        })
+        .collect();
     let headers: Vec<&str> = std::iter::once("workload")
-        .chain(AblationVariant::ALL.iter().map(|v| v.name()))
+        .chain(ABLATION.iter().map(|(name, _)| *name))
         .collect();
     print_table(&headers, &rows);
     println!(
@@ -607,4 +776,26 @@ fn ablation(scale: Scale) {
          those fetches — leaving only never-hitting leaf fetches, which are\n\
          then safe to bypass. PWCs remain essential (paper SV-C)."
     );
+}
+
+/// An NDP Radix run of `workload` on `cores` cores at `scale`: the base
+/// every simulated grid above starts from before its axes apply.
+fn ndp_radix(scale: Scale, cores: u32, workload: WorkloadId) -> SimConfig {
+    scale.apply(SimConfig::new(
+        SystemKind::Ndp,
+        cores,
+        Mechanism::Radix,
+        workload,
+    ))
+}
+
+/// Runs a grid on the parallel spec engine. Every grid here is a fixed
+/// literal, so one that fails to expand is a bug in this file.
+fn sweep(spec: SweepSpec) -> SweepResult {
+    run_sweep(&spec).unwrap_or_else(|e| panic!("{} grid: {e}", spec.name))
+}
+
+/// A row's axis value for `knob`, as the table prints it.
+fn coord(row: &SweepRow, knob: &str) -> String {
+    row.coord(knob).unwrap_or_default().to_string()
 }

@@ -11,8 +11,7 @@
 //! tolerance band. Everything needed to re-check a finished run is in
 //! the JSONL file; no simulation state survives into this module.
 
-use crate::cli::{json_f64, json_str, json_u64};
-use ndp_sim::spec::{mechanism_names, SweepSpec};
+use ndp_sim::spec::{mechanism_names, parse_json, Json, SweepSpec};
 use ndp_sim::SimConfig;
 
 /// The `(system, cores)` pairs the paper's figures evaluate: NDP
@@ -364,17 +363,33 @@ impl CalRow {
     }
 }
 
-/// Parses one calibration JSONL line.
+/// A top-level number of a parsed JSONL row, read from the number's
+/// source text (so 64-bit counters never round-trip through an `f64`).
+fn number<T: std::str::FromStr>(row: &Json, key: &str) -> Option<T> {
+    match row.get(key) {
+        Some(Json::Num(raw)) => raw.parse().ok(),
+        _ => None,
+    }
+}
+
+/// Parses one calibration JSONL line: coordinates from its `knobs`
+/// object, counters from the top level.
 ///
 /// # Errors
 ///
-/// Names the missing field (older-format rows without the calibration
-/// counters are rejected with a hint to re-run the sweep).
+/// Malformed JSON, or names the missing field (older-format rows
+/// without the calibration counters are rejected with a hint to re-run
+/// the sweep).
 pub fn parse_row(line: &str) -> Result<CalRow, String> {
-    let s =
-        |key: &str| json_str(line, key).ok_or_else(|| format!("row is missing coordinate {key:?}"));
+    let row = parse_json(line)?;
+    let s = |key: &str| {
+        row.get("knobs")
+            .and_then(|k| k.get(key))
+            .and_then(Json::scalar)
+            .ok_or_else(|| format!("row is missing coordinate {key:?}"))
+    };
     let n = |key: &str| {
-        json_u64(line, key).ok_or_else(|| {
+        number(&row, key).ok_or_else(|| {
             format!(
                 "row is missing counter {key:?} (pre-calibration JSONL format? \
                  re-run the sweep to regenerate it)"
@@ -393,7 +408,7 @@ pub fn parse_row(line: &str) -> Result<CalRow, String> {
         translation_cycles: n("translation_cycles")?,
         walks: n("walks")?,
         ptw_cycles: n("ptw_cycles")?,
-        avg_core_cycles: json_f64(line, "avg_core_cycles")
+        avg_core_cycles: number(&row, "avg_core_cycles")
             .ok_or_else(|| "row is missing counter \"avg_core_cycles\"".to_string())?,
         tlb_l1_hits: n("tlb_l1_hits")?,
         tlb_l1_misses: n("tlb_l1_misses")?,
@@ -657,10 +672,8 @@ pub fn group_rows(rows: &[CalRow]) -> Vec<Vec<String>> {
 ///
 /// Empty input or a malformed line (named by 1-based number).
 pub fn jsonl_tables(text: &str) -> Result<String, String> {
-    use ndp_sim::spec::{parse_json, Json};
-
-    /// One parsed stream line: grid index, knob coordinates, raw text.
-    type ParsedRow = (u64, Vec<(String, String)>, String);
+    /// One parsed stream line: grid index, knob coordinates, the row.
+    type ParsedRow = (u64, Vec<(String, String)>, Json);
     let mut knob_names: Vec<String> = Vec::new();
     let mut parsed: Vec<ParsedRow> = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -668,10 +681,7 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
             continue;
         }
         let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let index = v
-            .get("i")
-            .and_then(Json::scalar)
-            .and_then(|s| s.parse().ok())
+        let index = number(&v, "i")
             .ok_or_else(|| format!("line {}: row has no grid index \"i\"", lineno + 1))?;
         let mut knobs = Vec::new();
         if let Some(Json::Obj(pairs)) = v.get("knobs") {
@@ -683,7 +693,7 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
                 knobs.push((k.clone(), val));
             }
         }
-        parsed.push((index, knobs, line.to_string()));
+        parsed.push((index, knobs, v));
     }
     if parsed.is_empty() {
         return Err("no rows (empty JSONL)".to_string());
@@ -704,8 +714,8 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
     ]);
     let rows: Vec<Vec<String>> = parsed
         .iter()
-        .map(|(index, knobs, line)| {
-            let n = |key: &str| json_u64(line, key);
+        .map(|(index, knobs, row)| {
+            let n = |key: &str| number::<u64>(row, key);
             let mut cells = vec![index.to_string()];
             for name in &knob_names {
                 cells.push(

@@ -338,42 +338,6 @@ pub fn parse_workload_list(
         .collect()
 }
 
-// --- shared flat-JSON field extraction (bench baselines; no serde) ---
-
-/// Extracts `"key": <number>` from a flat JSON object.
-#[must_use]
-pub fn json_f64(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| c != '-' && c != '.' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": <integer>` losslessly (digests exceed f64's 53-bit
-/// mantissa, so they must never round-trip through a float).
-#[must_use]
-pub fn json_u64(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts `"key": "<string>"` from a flat JSON object.
-#[must_use]
-pub fn json_str(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,15 +468,5 @@ mod tests {
         assert_eq!(ws.len(), 2);
         let err = parse_workload_list("--workloads", "RND,bogus").unwrap_err();
         assert!(err.message.contains("bogus") && err.message.contains("BFS"));
-    }
-
-    #[test]
-    fn json_field_extraction() {
-        let text =
-            "{\"mode\": \"fast\", \"best_wall_s\": 1.25, \"report_digest\": 14763835927449417281}";
-        assert_eq!(json_str(text, "mode").as_deref(), Some("fast"));
-        assert_eq!(json_f64(text, "best_wall_s"), Some(1.25));
-        assert_eq!(json_u64(text, "report_digest"), Some(14763835927449417281));
-        assert_eq!(json_u64(text, "missing"), None);
     }
 }

@@ -7,9 +7,7 @@
 //! also witness thread-count independence.
 
 use ndp_bench::calibration;
-use ndp_sim::experiment::run_batch;
-use ndp_sim::spec::{apply_knob, run_sweep};
-use ndp_sim::sweeps::{mlp_sweep, pwc_size_sweep, shared_llc_sweep};
+use ndp_sim::spec::{apply_knob, mechanism_names, run_sweep, SweepSpec};
 use ndp_sim::{SimConfig, SystemKind};
 use ndp_workloads::WorkloadId;
 use ndpage::Mechanism;
@@ -19,53 +17,58 @@ const MLP_DIGEST: u64 = 14920915780567262132;
 const LLC_DIGEST: u64 = 14219396697369523494;
 const CAL_DIGEST: u64 = 907243844365967685;
 
-/// An NDP machine with 4 k warmup / 8 k measured ops over 512 MB.
+/// An NDP Radix machine with 4 k warmup / 8 k measured ops over 512 MB.
 fn base(cores: u32, workload: WorkloadId) -> SimConfig {
     SimConfig::new(SystemKind::Ndp, cores, Mechanism::Radix, workload)
         .with_ops(4_000, 8_000)
         .with_footprint(512 << 20)
 }
 
+fn digest(spec: &SweepSpec) -> u64 {
+    run_sweep(spec).expect("pinned grid is valid").digest()
+}
+
 /// Every mechanism on RND and BFS with 2 cores, then Radix vs NDPage at
 /// three PWC capacities with 4 cores.
 #[test]
 fn report_digest_is_pinned() {
-    let figure_cfgs: Vec<SimConfig> = [WorkloadId::Rnd, WorkloadId::Bfs]
-        .iter()
-        .flat_map(|&w| {
-            Mechanism::ALL.iter().map(move |&m| {
-                SimConfig::new(SystemKind::Ndp, 2, m, w)
-                    .with_ops(4_000, 8_000)
-                    .with_footprint(512 << 20)
-            })
-        })
-        .collect();
-    let mut digest = run_batch(figure_cfgs)
-        .iter()
-        .fold(0, |d, r| d ^ r.fingerprint());
-    for point in pwc_size_sweep(WorkloadId::Rnd, &[16, 64, 256], &base(4, WorkloadId::Rnd)) {
-        digest ^= point.radix.fingerprint() ^ point.ndpage.fingerprint();
-    }
-    assert_eq!(digest, REPORT_DIGEST);
+    let figure = SweepSpec::new(base(2, WorkloadId::Rnd))
+        .axis("workload", &[WorkloadId::Rnd, WorkloadId::Bfs])
+        .axis("mechanism", &mechanism_names());
+    let pwc = SweepSpec::new(base(4, WorkloadId::Rnd))
+        .axis("pwc_entries", &[16, 64, 256])
+        .axis("mechanism", &["radix", "ndpage"]);
+    assert_eq!(digest(&figure) ^ digest(&pwc), REPORT_DIGEST);
 }
 
 /// Radix vs NDPage on BFS at issue windows 1, 4 and 8 (window 1 is the
-/// blocking engine).
+/// blocking engine), MSHRs matched to the window.
 #[test]
 fn mlp_digest_is_pinned() {
-    let digest = mlp_sweep(WorkloadId::Bfs, &[1, 4, 8], &base(4, WorkloadId::Bfs))
-        .iter()
-        .fold(0, |d, p| d ^ p.radix.fingerprint() ^ p.ndpage.fingerprint());
-    assert_eq!(digest, MLP_DIGEST);
+    let spec = SweepSpec::new(base(4, WorkloadId::Bfs))
+        .paired_axis(
+            [1, 4, 8]
+                .iter()
+                .map(|w: &u32| {
+                    vec![
+                        ("mlp_window", w.to_string()),
+                        ("mshrs_per_core", w.to_string()),
+                    ]
+                })
+                .collect(),
+        )
+        .axis("mechanism", &["radix", "ndpage"]);
+    assert_eq!(digest(&spec), MLP_DIGEST);
 }
 
-/// Radix vs NDPage co-running on BFS under a 512 KB and a 4 MB shared L3.
+/// Radix vs NDPage co-running (2 procs/core, 2 k-op quantum) on BFS
+/// under a 512 KB and a 4 MB shared L3.
 #[test]
 fn llc_digest_is_pinned() {
-    let digest = shared_llc_sweep(WorkloadId::Bfs, &[512, 4096], &base(2, WorkloadId::Bfs))
-        .iter()
-        .fold(0, |d, p| d ^ p.radix.fingerprint() ^ p.ndpage.fingerprint());
-    assert_eq!(digest, LLC_DIGEST);
+    let spec = SweepSpec::new(base(2, WorkloadId::Bfs).with_procs(2).with_quantum(2_000))
+        .axis("l3_kb", &[512, 4096])
+        .axis("mechanism", &["radix", "ndpage"]);
+    assert_eq!(digest(&spec), LLC_DIGEST);
 }
 
 /// The `calibrate --quick` grid: RND, BFS and XS at 256 MB per core,
@@ -81,10 +84,5 @@ fn cal_digest_is_pinned() {
         apply_knob(&mut cfg, knob, value).expect("calibration base knob");
     }
     let spec = calibration::grid(cfg, &["RND", "BFS", "XS"]);
-    let digest = run_sweep(&spec)
-        .expect("calibration sweep")
-        .rows
-        .iter()
-        .fold(0, |d, r| d ^ r.report.fingerprint());
-    assert_eq!(digest, CAL_DIGEST);
+    assert_eq!(digest(&spec), CAL_DIGEST);
 }

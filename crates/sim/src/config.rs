@@ -73,7 +73,7 @@ pub struct SimConfig {
     pub tlb_l2_entries: Option<u32>,
     /// Override for 2 MB TLB-entry fracturing (`None` = fractured, the
     /// paper's Huge Page treatment; `Some(false)` gives native 2 MB
-    /// entries — the [`crate::sweeps::fracturing_ablation`] study).
+    /// entries — the Huge Page TLB-fracturing study of `figures sweeps`).
     pub tlb_fracture_huge: Option<bool>,
     /// Compaction/khugepaged interference: cycles charged per
     /// [`Self::COMPACTION_PERIOD`] ops, scaled by the run's THP-fallback

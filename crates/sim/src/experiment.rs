@@ -1,31 +1,13 @@
-//! High-level experiment drivers: one function per paper figure/table.
+//! Experiment scale and the one figure that is not a timed sweep.
 //!
-//! Each driver returns plain data (rows of numbers keyed by workload /
-//! mechanism) so callers — the `figures` binary, Criterion benches, tests —
-//! can print, assert or plot without re-running logic.
+//! Every timed figure is a [`crate::spec::SweepSpec`] grid (see the
+//! `figures` binary); [`Scale`] sets the windows and footprints those
+//! grids run at. Fig 8's page-table occupancy is a mapping analysis with
+//! no timing, so it lives here as plain code.
 
-use crate::config::{SimConfig, SystemKind};
-use crate::machine::Machine;
+use crate::config::SimConfig;
 use crate::parallel::par_map;
-use crate::report::RunReport;
-use ndp_types::stats::geomean;
 use ndp_workloads::WorkloadId;
-use ndpage::Mechanism;
-
-/// Runs one configuration.
-#[must_use]
-pub fn run(cfg: SimConfig) -> RunReport {
-    Machine::new(cfg).run()
-}
-
-/// Runs a batch of configurations across worker threads, returning
-/// reports in input order. Each [`Machine`] is self-contained and seeded,
-/// so the reports are bit-identical to running the batch serially
-/// (asserted by `tests/determinism_and_stats.rs`).
-#[must_use]
-pub fn run_batch(cfgs: Vec<SimConfig>) -> Vec<RunReport> {
-    par_map(cfgs, run)
-}
 
 /// Scale of an experiment batch; controls windows and footprints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,182 +46,6 @@ impl Scale {
         }
         cfg
     }
-}
-
-/// One speedup row of Figs 12–14: a workload's speedups over Radix.
-#[derive(Debug, Clone)]
-pub struct SpeedupRow {
-    /// The workload.
-    pub workload: WorkloadId,
-    /// `(mechanism, speedup-over-Radix)` for ECH, Huge Page, NDPage, Ideal.
-    pub speedups: Vec<(Mechanism, f64)>,
-}
-
-/// Figs 12/13/14: speedup over Radix for every workload and mechanism on
-/// an NDP system with `cores` cores.
-#[must_use]
-pub fn speedup_figure(cores: u32, scale: Scale, workloads: &[WorkloadId]) -> Vec<SpeedupRow> {
-    // One task per (workload, mechanism) pair, fanned out together.
-    let cfgs: Vec<SimConfig> = workloads
-        .iter()
-        .flat_map(|&w| {
-            Mechanism::ALL
-                .iter()
-                .map(move |&m| scale.apply(SimConfig::new(SystemKind::Ndp, cores, m, w)))
-        })
-        .collect();
-    let mut reports = run_batch(cfgs).into_iter();
-    workloads
-        .iter()
-        .map(|&w| {
-            let per_mechanism: Vec<RunReport> = (&mut reports).take(Mechanism::ALL.len()).collect();
-            let radix = &per_mechanism[0];
-            debug_assert_eq!(radix.mechanism, Mechanism::Radix);
-            SpeedupRow {
-                workload: w,
-                speedups: per_mechanism[1..]
-                    .iter()
-                    .map(|r| (r.mechanism, r.speedup_over(radix)))
-                    .collect(),
-            }
-        })
-        .collect()
-}
-
-/// Geometric-mean speedup per mechanism across rows (the paper's
-/// "on average" numbers).
-#[must_use]
-pub fn geomean_speedups(rows: &[SpeedupRow]) -> Vec<(Mechanism, f64)> {
-    let mechanisms = [
-        Mechanism::Ech,
-        Mechanism::HugePage,
-        Mechanism::NdPage,
-        Mechanism::Ideal,
-    ];
-    mechanisms
-        .iter()
-        .map(|&m| {
-            let vals: Vec<f64> = rows
-                .iter()
-                .filter_map(|row| {
-                    row.speedups
-                        .iter()
-                        .find(|(mm, _)| *mm == m)
-                        .map(|(_, s)| *s)
-                })
-                .collect();
-            (m, geomean(&vals))
-        })
-        .collect()
-}
-
-/// Fig 4 / Fig 5 row: NDP-vs-CPU motivation metrics for one workload on
-/// 4-core Radix systems.
-#[derive(Debug, Clone)]
-pub struct MotivationRow {
-    /// The workload.
-    pub workload: WorkloadId,
-    /// NDP run.
-    pub ndp: RunReport,
-    /// CPU run.
-    pub cpu: RunReport,
-}
-
-/// Figs 4–5: 4-core NDP vs CPU under Radix.
-#[must_use]
-pub fn motivation_figures(scale: Scale, workloads: &[WorkloadId]) -> Vec<MotivationRow> {
-    let cfgs: Vec<SimConfig> = workloads
-        .iter()
-        .flat_map(|&w| {
-            [SystemKind::Ndp, SystemKind::Cpu]
-                .map(|s| scale.apply(SimConfig::new(s, 4, Mechanism::Radix, w)))
-        })
-        .collect();
-    let mut reports = run_batch(cfgs).into_iter();
-    workloads
-        .iter()
-        .map(|&w| MotivationRow {
-            workload: w,
-            ndp: reports.next().expect("one NDP report per workload"),
-            cpu: reports.next().expect("one CPU report per workload"),
-        })
-        .collect()
-}
-
-/// Fig 6: PTW latency and translation-overhead scaling over core counts.
-#[must_use]
-pub fn scaling_figure(
-    scale: Scale,
-    workloads: &[WorkloadId],
-    core_counts: &[u32],
-) -> Vec<(u32, SystemKind, f64, f64)> {
-    let points: Vec<(SystemKind, u32)> = [SystemKind::Ndp, SystemKind::Cpu]
-        .iter()
-        .flat_map(|&system| core_counts.iter().map(move |&cores| (system, cores)))
-        .collect();
-    let cfgs: Vec<SimConfig> = points
-        .iter()
-        .flat_map(|&(system, cores)| {
-            workloads
-                .iter()
-                .map(move |&w| scale.apply(SimConfig::new(system, cores, Mechanism::Radix, w)))
-        })
-        .collect();
-    let mut reports = run_batch(cfgs).into_iter();
-    points
-        .into_iter()
-        .map(|(system, cores)| {
-            let batch: Vec<RunReport> = (&mut reports).take(workloads.len()).collect();
-            let ptw: Vec<f64> = batch.iter().map(RunReport::avg_ptw_latency).collect();
-            let frac: Vec<f64> = batch.iter().map(RunReport::translation_fraction).collect();
-            (
-                cores,
-                system,
-                ndp_types::stats::mean(&ptw),
-                ndp_types::stats::mean(&frac),
-            )
-        })
-        .collect()
-}
-
-/// Fig 7: L1 miss rates on 4-core NDP — data under Ideal (no metadata),
-/// data under Radix, and metadata under Radix.
-#[derive(Debug, Clone)]
-pub struct MissRateRow {
-    /// The workload.
-    pub workload: WorkloadId,
-    /// L1 data miss rate with no translation traffic (Ideal).
-    pub data_ideal: f64,
-    /// L1 data miss rate under Radix (pollution included).
-    pub data_actual: f64,
-    /// L1 metadata miss rate under Radix.
-    pub metadata: f64,
-}
-
-/// Fig 7 rows.
-#[must_use]
-pub fn miss_rate_figure(scale: Scale, workloads: &[WorkloadId]) -> Vec<MissRateRow> {
-    let cfgs: Vec<SimConfig> = workloads
-        .iter()
-        .flat_map(|&w| {
-            [Mechanism::Ideal, Mechanism::Radix]
-                .map(|m| scale.apply(SimConfig::new(SystemKind::Ndp, 4, m, w)))
-        })
-        .collect();
-    let mut reports = run_batch(cfgs).into_iter();
-    workloads
-        .iter()
-        .map(|&w| {
-            let ideal = reports.next().expect("one Ideal report per workload");
-            let radix = reports.next().expect("one Radix report per workload");
-            MissRateRow {
-                workload: w,
-                data_ideal: ideal.l1_data.miss_rate(),
-                data_actual: radix.l1_data.miss_rate(),
-                metadata: radix.l1_metadata.miss_rate(),
-            }
-        })
-        .collect()
 }
 
 /// Fig 8: radix page-table occupancy rates per workload.
@@ -287,48 +93,6 @@ pub fn occupancy_figure(
 mod tests {
     use super::*;
 
-    const W: [WorkloadId; 2] = [WorkloadId::Rnd, WorkloadId::Bfs];
-
-    #[test]
-    fn speedup_rows_have_all_mechanisms() {
-        let rows = speedup_figure(1, Scale::Quick, &[WorkloadId::Rnd]);
-        assert_eq!(rows.len(), 1);
-        assert_eq!(rows[0].speedups.len(), 4);
-        let gm = geomean_speedups(&rows);
-        let ideal = gm.iter().find(|(m, _)| *m == Mechanism::Ideal).unwrap().1;
-        let ndpage = gm.iter().find(|(m, _)| *m == Mechanism::NdPage).unwrap().1;
-        assert!(ideal >= ndpage, "Ideal bounds NDPage");
-        assert!(ndpage > 1.0, "NDPage beats Radix");
-    }
-
-    #[test]
-    fn motivation_shows_ndp_worse_than_cpu() {
-        // BFS has the hot/cold working-set structure that lets CPU caches
-        // absorb PTE lines; uniform-random GUPS is hostile to both systems.
-        let rows = motivation_figures(Scale::Quick, &[WorkloadId::Bfs]);
-        let row = &rows[0];
-        assert!(
-            row.ndp.avg_ptw_latency() > row.cpu.avg_ptw_latency(),
-            "NDP {} vs CPU {}",
-            row.ndp.avg_ptw_latency(),
-            row.cpu.avg_ptw_latency()
-        );
-        assert!(row.ndp.translation_fraction() > row.cpu.translation_fraction());
-    }
-
-    #[test]
-    fn miss_rates_show_pollution() {
-        let rows = miss_rate_figure(Scale::Quick, &[WorkloadId::Rnd]);
-        let r = &rows[0];
-        assert!(r.metadata > 0.8, "metadata miss {}", r.metadata);
-        assert!(
-            r.data_actual >= r.data_ideal,
-            "pollution can only hurt: {} vs {}",
-            r.data_actual,
-            r.data_ideal
-        );
-    }
-
     #[test]
     fn occupancy_shows_full_bottom_levels() {
         let rows = occupancy_figure(Scale::Quick, &[WorkloadId::Rnd]);
@@ -337,11 +101,5 @@ mod tests {
         assert!(pl2 > 0.9, "PL2 dense: {pl2}");
         assert!(pl3 < 0.05, "PL3 sparse: {pl3}");
         assert!(combined > 0.9, "merged level dense: {combined}");
-    }
-
-    #[test]
-    fn scaling_covers_requested_points() {
-        let rows = scaling_figure(Scale::Quick, &W[..1], &[1, 2]);
-        assert_eq!(rows.len(), 4); // 2 systems x 2 core counts
     }
 }

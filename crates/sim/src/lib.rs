@@ -56,7 +56,6 @@ pub mod parallel;
 pub mod report;
 pub mod shard;
 pub mod spec;
-pub mod sweeps;
 
 pub use config::{SimConfig, SystemKind};
 pub use machine::Machine;

@@ -1,9 +1,9 @@
-//! Order-preserving parallel fan-out for experiment drivers.
+//! Order-preserving parallel fan-out for sweep grids.
 //!
 //! Every simulation run is a self-contained, seeded [`crate::Machine`]:
-//! runs share no mutable state, so sweeps and figure drivers can execute
-//! their points on worker threads and still produce **bit-identical
-//! results in the same order** as a serial loop — each output slot is
+//! runs share no mutable state, so sweeps can execute their points on
+//! worker threads and still produce **bit-identical results in the same
+//! order** as a serial loop — each output slot is
 //! written by exactly the task that owns its index, regardless of how the
 //! OS schedules the workers (`tests/determinism_and_stats.rs` asserts
 //! this).

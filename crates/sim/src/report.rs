@@ -339,6 +339,18 @@ impl RunReport {
         baseline.total_cycles.as_f64() / self.total_cycles.as_f64()
     }
 
+    /// Mean latency of a walk in a post-switch cold window (0 when none
+    /// happened): on untagged hardware, the per-walk price of re-warming
+    /// translation state after a flush.
+    #[must_use]
+    pub fn post_switch_walk_cost(&self) -> f64 {
+        if self.sched.post_switch_walks == 0 {
+            0.0
+        } else {
+            self.sched.post_switch_walk_cycles as f64 / self.sched.post_switch_walks as f64
+        }
+    }
+
     /// PWC hit rate at a level, if that level was exercised.
     #[must_use]
     pub fn pwc_hit_rate(&self, level: PtLevel) -> Option<f64> {

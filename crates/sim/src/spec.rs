@@ -14,10 +14,10 @@
 //! * **[`SweepSpec`]** — a base [`SimConfig`] plus [`Axis`] lists whose
 //!   cross product [`SweepSpec::expand`]s into a deterministic,
 //!   seed-stable grid of configs (row-major: the first axis varies
-//!   slowest, the last fastest — matching the legacy sweeps' nesting).
-//!   Axes are either one knob × values, or *paired* points that set
-//!   several knobs together (e.g. `mlp_window` with matching
-//!   `mshrs_per_core`). Specs load from JSON ([`SweepSpec::from_json`]).
+//!   slowest, the last fastest). Axes are either one knob × values, or
+//!   *paired* points that set several knobs together (e.g. `mlp_window`
+//!   with matching `mshrs_per_core`). Specs load from JSON
+//!   ([`SweepSpec::from_json`]).
 //! * **[`run_sweep`]** — the one generic engine: expands the grid, fans
 //!   the configs out over the work-stealing parallel driver
 //!   ([`crate::parallel`]), and returns a [`SweepResult`] with
@@ -28,10 +28,9 @@
 //!   already on disk — an interrupted sweep resumed produces a file
 //!   byte-for-byte equal to an uninterrupted run.
 //!
-//! The legacy sweep functions in [`crate::sweeps`] are thin wrappers
-//! that build a spec and project typed rows; their outputs are
-//! bit-identical to the hand-rolled loops they replaced (asserted by
-//! `tests/spec_api.rs`).
+//! Every simulated table of the `figures` binary is a [`SweepSpec`]
+//! grid read back through [`SweepResult::pairs`] and
+//! [`SweepResult::geomean_speedup`].
 
 use crate::config::{InclusionPolicy, SimConfig, SystemKind};
 use crate::fault::FaultPlan;
@@ -1556,13 +1555,6 @@ pub struct SweepResult {
 }
 
 impl SweepResult {
-    /// The reports in grid order, consuming the result (what the legacy
-    /// sweep wrappers project their typed rows from).
-    #[must_use]
-    pub fn into_reports(self) -> Vec<RunReport> {
-        self.rows.into_iter().map(|r| r.report).collect()
-    }
-
     /// XOR of every row's report fingerprint — one digest for the whole
     /// sweep.
     #[must_use]
@@ -1593,13 +1585,6 @@ impl SweepResult {
             }
         }
         groups
-    }
-
-    /// Geometric mean of `metric` over every row.
-    #[must_use]
-    pub fn geomean_of(&self, metric: impl Fn(&RunReport) -> f64) -> f64 {
-        let vals: Vec<f64> = self.rows.iter().map(|r| metric(&r.report)).collect();
-        geomean(&vals)
     }
 
     /// Geometric-mean speedup of `test` over `baseline` along `knob`:

@@ -33,7 +33,7 @@ struct DlrmGen {
 }
 
 impl DlrmGen {
-    fn run_batch(&mut self) {
+    fn gen_batch(&mut self) {
         for _ in 0..GATHERS_PER_BATCH {
             // Categorical features follow a strong popularity skew:
             // popular items form a hot set, the long tail is uniform.
@@ -58,7 +58,7 @@ impl Iterator for DlrmGen {
 
     fn next(&mut self) -> Option<Op> {
         while self.buf.is_empty() {
-            self.run_batch();
+            self.gen_batch();
         }
         self.buf.pop_front()
     }

@@ -6,8 +6,11 @@
 //! cargo run --release --example graph_analytics
 //! ```
 
-use ndp_sim::experiment::{geomean_speedups, speedup_figure, Scale};
+use ndp_sim::experiment::Scale;
+use ndp_sim::spec::{mechanism_names, run_sweep, SweepSpec};
+use ndp_sim::{SimConfig, SystemKind};
 use ndp_workloads::WorkloadId;
+use ndpage::Mechanism;
 
 fn main() {
     let workloads = [WorkloadId::Bfs, WorkloadId::Pr, WorkloadId::Cc];
@@ -17,12 +20,22 @@ fn main() {
         "kernel", "ECH", "Huge Page", "NDPage", "Ideal"
     );
 
-    let rows = speedup_figure(4, Scale::Quick, &workloads);
-    for row in &rows {
-        let s: Vec<f64> = row.speedups.iter().map(|(_, v)| *v).collect();
+    // Every mechanism per kernel, Radix first as the baseline.
+    let mechanisms = mechanism_names();
+    let base = SimConfig::new(SystemKind::Ndp, 4, Mechanism::Radix, WorkloadId::Bfs);
+    let spec = SweepSpec::new(Scale::Quick.apply(base))
+        .axis("workload", &workloads)
+        .axis("mechanism", &mechanisms);
+    let result = run_sweep(&spec).expect("the grid is valid");
+    for (_, runs) in result.pairs("mechanism") {
+        let radix = &runs[0].report;
+        let s: Vec<f64> = runs[1..]
+            .iter()
+            .map(|r| r.report.speedup_over(radix))
+            .collect();
         println!(
             "{:<6} {:>7.2}x {:>10.2}x {:>7.2}x {:>7.2}x",
-            row.workload.name(),
+            radix.workload.name(),
             s[0],
             s[1],
             s[2],
@@ -31,7 +44,8 @@ fn main() {
     }
 
     println!();
-    for (mechanism, gm) in geomean_speedups(&rows) {
+    for (mechanism, name) in Mechanism::ALL.iter().zip(&mechanisms).skip(1) {
+        let gm = result.geomean_speedup("mechanism", "radix", name);
         println!("geomean {mechanism:<10} {gm:.3}x");
     }
     println!(

@@ -2,10 +2,9 @@
 //! bit-identical reports; different seeds ⇒ different timings; internal
 //! counters must reconcile.
 
-use ndp_sim::experiment::{run, run_batch};
-use ndp_sim::parallel::par_map_threads;
-use ndp_sim::sweeps::pwc_size_sweep;
-use ndp_sim::{Machine, SimConfig, SystemKind};
+use ndp_sim::parallel::{par_map, par_map_threads};
+use ndp_sim::spec::{run_sweep, SweepSpec};
+use ndp_sim::{Machine, RunReport, SimConfig, SystemKind};
 use ndp_workloads::WorkloadId;
 use ndpage::Mechanism;
 
@@ -90,7 +89,7 @@ fn per_core_seeds_differ_within_a_run() {
 }
 
 /// A small but heterogeneous batch: three mechanisms, two workloads, two
-/// core counts — the shape `experiment.rs` fans out.
+/// core counts.
 fn batch_cfgs() -> Vec<SimConfig> {
     let mut cfgs = Vec::new();
     for (mechanism, workload, cores, seed) in [
@@ -110,6 +109,11 @@ fn batch_cfgs() -> Vec<SimConfig> {
     cfgs
 }
 
+/// Runs a batch on the parallel driver, reports in input order.
+fn run_all(cfgs: Vec<SimConfig>) -> Vec<RunReport> {
+    par_map(cfgs, |c| Machine::new(c).run())
+}
+
 #[test]
 fn parallel_batch_is_bit_identical_to_serial() {
     // Serial reference: plain in-order loop, no parallel machinery.
@@ -118,13 +122,13 @@ fn parallel_batch_is_bit_identical_to_serial() {
         .map(|c| Machine::new(c).run().fingerprint())
         .collect();
 
-    // The fan-out path the experiment drivers use (however many threads
-    // this host offers)...
-    let driver: Vec<u64> = run_batch(batch_cfgs())
+    // The fan-out path the sweep engine uses (however many threads this
+    // host offers)...
+    let driver: Vec<u64> = run_all(batch_cfgs())
         .into_iter()
         .map(|r| r.fingerprint())
         .collect();
-    assert_eq!(serial, driver, "run_batch must preserve results and order");
+    assert_eq!(serial, driver, "par_map must preserve results and order");
 
     // ...and an explicitly multi-threaded run, so the threaded path is
     // exercised even on single-core CI hosts.
@@ -152,21 +156,25 @@ fn parallel_sweep_is_bit_identical_to_serial() {
             c.footprint_override = base.footprint_override;
             c.seed = base.seed;
             c.pwc_entries = Some(entries);
-            serial.push(run(c).fingerprint());
+            serial.push(Machine::new(c).run().fingerprint());
         }
     }
 
-    let sweep = pwc_size_sweep(WorkloadId::Rnd, &sizes, &base);
-    let parallel: Vec<u64> = sweep
-        .iter()
-        .flat_map(|p| [p.radix.fingerprint(), p.ndpage.fingerprint()])
-        .collect();
+    let mut spec_base = base.clone();
+    spec_base.cores = 4;
+    let sweep = run_sweep(
+        &SweepSpec::new(spec_base)
+            .axis("pwc_entries", &sizes)
+            .axis("mechanism", &["radix", "ndpage"]),
+    )
+    .unwrap();
+    let parallel: Vec<u64> = sweep.rows.iter().map(|r| r.report.fingerprint()).collect();
     assert_eq!(
         serial, parallel,
         "sweep points must match serial runs bit for bit"
     );
-    assert_eq!(sweep[0].entries, 8);
-    assert_eq!(sweep[1].entries, 64);
+    assert_eq!(sweep.rows[0].coord("pwc_entries"), Some("8"));
+    assert_eq!(sweep.rows[2].coord("pwc_entries"), Some("64"));
 }
 
 /// The first configuration combining all three post-seed subsystems:
@@ -207,13 +215,13 @@ fn parallel_driver_is_bit_identical_with_shared_llc_windowed_multiprogrammed() {
 
     // The driver fan-out path, then an explicitly 4-threaded run so the
     // threaded schedule is exercised even on single-core CI hosts.
-    let driver: Vec<u64> = run_batch(combined_cfgs())
+    let driver: Vec<u64> = run_all(combined_cfgs())
         .into_iter()
         .map(|r| r.fingerprint())
         .collect();
     assert_eq!(
         serial, driver,
-        "run_batch must stay bit-identical with L3 + window 8 + 2 procs"
+        "par_map must stay bit-identical with L3 + window 8 + 2 procs"
     );
     let threaded: Vec<u64> = par_map_threads(4, combined_cfgs(), |c| Machine::new(c).run())
         .into_iter()
@@ -222,7 +230,7 @@ fn parallel_driver_is_bit_identical_with_shared_llc_windowed_multiprogrammed() {
     assert_eq!(serial, threaded, "4 worker threads, same bits, same order");
 
     // The runs genuinely combined the three subsystems.
-    for report in run_batch(combined_cfgs()) {
+    for report in run_all(combined_cfgs()) {
         assert_eq!(report.mlp_window, 8);
         assert_eq!(report.procs_per_core, 2);
         let l3 = report.l3.as_ref().expect("shared L3 enabled");

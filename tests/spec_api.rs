@@ -1,15 +1,14 @@
-//! Spec-API integration tests: the declarative sweep engine must be a
-//! drop-in for the hand-rolled sweep loops it replaced — bit-identical
-//! rows, identical JSON, order-deterministic grids — and the JSONL
-//! driver must resume interrupted sweeps byte-for-byte.
+//! Spec-API integration tests: the declarative sweep engine must expand
+//! order-deterministic grids, run them bit-identically at any thread
+//! count, and the JSONL driver must resume interrupted sweeps
+//! byte-for-byte.
 
 use ndp_sim::parallel::par_map_threads;
 use ndp_sim::shard::ShardSpec;
 use ndp_sim::spec::{
     apply_knob, config_fingerprint, config_knobs, merge_sweep_jsonl, parse_jsonl, run_sweep,
-    run_sweep_jsonl, run_sweep_jsonl_opts, JsonlOptions, SweepRow, SweepSpec,
+    run_sweep_jsonl, run_sweep_jsonl_opts, JsonlOptions, SweepSpec,
 };
-use ndp_sim::sweeps::{mlp_sweep, pwc_size_sweep, shared_llc_sweep};
 use ndp_sim::{Machine, SimConfig, SystemKind};
 use ndp_workloads::WorkloadId;
 use ndpage::Mechanism;
@@ -20,15 +19,6 @@ fn quick_base() -> SimConfig {
     SimConfig::quick(SystemKind::Ndp, 1, Mechanism::Radix, WorkloadId::Rnd)
         .with_ops(500, 1_500)
         .with_footprint(256 << 20)
-}
-
-/// Copies exactly the fields the sweeps' `with_base` copies.
-fn with_base(mut cfg: SimConfig, base: &SimConfig) -> SimConfig {
-    cfg.warmup_ops = base.warmup_ops;
-    cfg.measure_ops = base.measure_ops;
-    cfg.footprint_override = base.footprint_override;
-    cfg.seed = base.seed;
-    cfg
 }
 
 /// Runtime companion to `ndp-lint`'s static registry-completeness rule:
@@ -59,131 +49,6 @@ fn knob_registry_covers_every_simconfig_field_exactly_once() {
         apply_knob(&mut rebuilt, name, value).expect("registry round-trip");
     }
     assert_eq!(config_fingerprint(&rebuilt), config_fingerprint(&cfg));
-}
-
-#[test]
-fn legacy_pwc_sweep_is_bit_identical_to_spec_engine_and_json() {
-    let base = quick_base();
-    let sizes = [8usize, 64];
-
-    // The pre-spec implementation: a hand-rolled serial grid loop.
-    let legacy: Vec<_> = sizes
-        .iter()
-        .flat_map(|&entries| {
-            [Mechanism::Radix, Mechanism::NdPage].map(|m| {
-                let mut cfg = with_base(
-                    SimConfig::new(SystemKind::Ndp, 4, m, WorkloadId::Rnd),
-                    &base,
-                );
-                cfg.pwc_entries = Some(entries);
-                Machine::new(cfg).run()
-            })
-        })
-        .collect();
-
-    // The wrapper (spec-built) must reproduce it row for row.
-    let points = pwc_size_sweep(WorkloadId::Rnd, &sizes, &base);
-    assert_eq!(points.len(), 2);
-    let wrapper = [
-        &points[0].radix,
-        &points[0].ndpage,
-        &points[1].radix,
-        &points[1].ndpage,
-    ];
-    for (l, w) in legacy.iter().zip(wrapper) {
-        assert_eq!(
-            l.fingerprint(),
-            w.fingerprint(),
-            "rows must be bit-identical"
-        );
-    }
-
-    // ... and serializing the legacy reports through the engine's rows
-    // yields byte-identical JSON to the spec-built sweep.
-    let spec = SweepSpec::new(with_base(
-        SimConfig::new(SystemKind::Ndp, 4, Mechanism::Radix, WorkloadId::Rnd),
-        &base,
-    ))
-    .axis("pwc_entries", &sizes)
-    .axis("mechanism", &["radix", "ndpage"]);
-    let result = run_sweep(&spec).unwrap();
-    let legacy_json: String = result
-        .rows
-        .iter()
-        .zip(legacy)
-        .map(|(row, report)| {
-            let legacy_row = SweepRow {
-                index: row.index,
-                coords: row.coords.clone(),
-                config_fingerprint: row.config_fingerprint,
-                report,
-            };
-            legacy_row.to_jsonl() + "\n"
-        })
-        .collect();
-    assert_eq!(result.to_jsonl(), legacy_json);
-}
-
-#[test]
-fn legacy_mlp_sweep_is_bit_identical_to_spec_engine() {
-    let base = quick_base();
-    let windows = [1u32, 4];
-    let legacy: Vec<_> = windows
-        .iter()
-        .flat_map(|&window| {
-            [Mechanism::Radix, Mechanism::NdPage].map(|m| {
-                let mut cfg = with_base(
-                    SimConfig::new(SystemKind::Ndp, 4, m, WorkloadId::Rnd),
-                    &base,
-                );
-                cfg.mlp_window = window;
-                cfg.mshrs_per_core = window;
-                cfg.walkers_per_core = base.walkers_per_core;
-                Machine::new(cfg).run()
-            })
-        })
-        .collect();
-    let points = mlp_sweep(WorkloadId::Rnd, &windows, &base);
-    let wrapper = [
-        &points[0].radix,
-        &points[0].ndpage,
-        &points[1].radix,
-        &points[1].ndpage,
-    ];
-    for (l, w) in legacy.iter().zip(wrapper) {
-        assert_eq!(l.fingerprint(), w.fingerprint());
-    }
-}
-
-#[test]
-fn legacy_llc_sweep_is_bit_identical_to_spec_engine() {
-    let base = quick_base();
-    let sizes = [0u32, 512];
-    let legacy: Vec<_> = sizes
-        .iter()
-        .flat_map(|&kb| {
-            [Mechanism::Radix, Mechanism::NdPage].map(|m| {
-                let cfg = with_base(
-                    SimConfig::new(SystemKind::Ndp, 2, m, WorkloadId::Rnd),
-                    &base,
-                )
-                .with_procs(2)
-                .with_quantum(2_000)
-                .with_l3(kb);
-                Machine::new(cfg).run()
-            })
-        })
-        .collect();
-    let points = shared_llc_sweep(WorkloadId::Rnd, &sizes, &base);
-    let wrapper = [
-        &points[0].radix,
-        &points[0].ndpage,
-        &points[1].radix,
-        &points[1].ndpage,
-    ];
-    for (l, w) in legacy.iter().zip(wrapper) {
-        assert_eq!(l.fingerprint(), w.fingerprint());
-    }
 }
 
 #[test]
