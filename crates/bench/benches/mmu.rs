@@ -7,8 +7,8 @@ use ndp_mmu::tlb::TlbHierarchy;
 use ndp_mmu::walker::PageTableWalker;
 use ndp_types::{Asid, PageSize, Pfn, PtLevel, Vpn};
 use ndpage::alloc::FrameAllocator;
-use ndpage::radix::Radix4;
 use ndpage::table::PageTable;
+use ndpage::tree::{Tree, RADIX};
 
 fn bench_tlb(c: &mut Criterion) {
     let mut group = c.benchmark_group("tlb");
@@ -54,7 +54,7 @@ fn bench_pwc(c: &mut Criterion) {
 
 fn bench_walker(c: &mut Criterion) {
     let mut alloc = FrameAllocator::new(4 << 30);
-    let mut table = Radix4::new(&mut alloc);
+    let mut table = Tree::new(&RADIX, &mut alloc);
     let vpns: Vec<Vpn> = (0..10_000u64).map(|i| Vpn::new(i * 613)).collect();
     for &vpn in &vpns {
         table.map(vpn, &mut alloc);

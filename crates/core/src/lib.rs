@@ -9,22 +9,25 @@
 //!    page-table-entry fetches are marked non-cacheable in the NDP L1,
 //!    modelling the paper's PFLD-style special loads over OS-marked,
 //!    64 B-aligned PTE regions (§V-A).
-//! 2. **A flattened L2/L1 page table** ([`flat::FlattenedL2L1`]) — the last
-//!    two radix levels merge into a single 2 MB node with 2^18 entries,
+//! 2. **A flattened L2/L1 page table** ([`tree::NDPAGE`]) — the last two
+//!    radix levels merge into a single 2 MB node with 2^18 entries,
 //!    shortening every walk from 4 to 3 sequential accesses while keeping
 //!    4 KB pages (§V-B).
 //!
 //! To evaluate them against the paper's baselines, the crate also implements
-//! every comparison design behind one [`table::PageTable`] trait:
+//! every comparison design behind one [`table::PageTable`] trait. The
+//! radix-family designs are one [`tree::Tree`] type whose levels are data,
+//! built from a [`tree::Layout`]:
 //!
-//! * [`radix::Radix4`] — the conventional x86-64 4-level radix table;
-//! * [`cuckoo::ElasticCuckooTable`] — the state-of-the-art hashed design
-//!   (ECH) with parallel way probes and elastic resizing;
-//! * [`huge::HugePageTable`] — 2 MB transparent huge pages with a
+//! * [`tree::RADIX`] — the conventional x86-64 4-level radix table;
+//! * [`tree::HUGE_PAGE`] — 2 MB transparent huge pages with a
 //!   contiguity-aware allocator and 4 KB fallback;
-//! * [`flat_top::FlattenedL4L3`] — a counterpoint that merges the *top*
-//!   two levels instead, showing why the paper's bottom-merge is the
-//!   right one.
+//! * [`tree::TOP_FLATTENED`] — a counterpoint that merges the *top* two
+//!   levels instead, showing why the paper's bottom-merge is the right
+//!   one;
+//!
+//! and [`cuckoo::ElasticCuckooTable`] is the state-of-the-art hashed design
+//! (ECH) with parallel way probes and elastic resizing.
 //!
 //! A shared [`alloc::FrameAllocator`] hands out physical frames, tags
 //! page-table frames (so the bypass policy can recognise metadata), and
@@ -35,12 +38,12 @@
 //!
 //! ```
 //! use ndpage::alloc::FrameAllocator;
-//! use ndpage::flat::FlattenedL2L1;
 //! use ndpage::table::PageTable;
+//! use ndpage::tree::{Tree, NDPAGE};
 //! use ndp_types::VirtAddr;
 //!
 //! let mut alloc = FrameAllocator::new(16 << 30);
-//! let mut pt = FlattenedL2L1::new(&mut alloc);
+//! let mut pt = Tree::new(&NDPAGE, &mut alloc);
 //! let vpn = VirtAddr::new(0x7f00_2000_1000).vpn();
 //! pt.map(vpn, &mut alloc);
 //! let walk = pt.walk_path(vpn).expect("mapped");
@@ -51,15 +54,26 @@ pub mod alloc;
 pub(crate) mod arena;
 pub mod bypass;
 pub mod cuckoo;
-pub mod flat;
-pub mod flat_top;
-pub mod huge;
 pub mod mechanism;
 pub mod occupancy;
 pub mod pte;
-pub mod radix;
 pub mod table;
+pub mod tree;
 pub mod walk;
+
+// Unit tests of the tree layouts, one module per design.
+#[cfg(test)]
+#[path = "tree_tests/flat.rs"]
+mod flat;
+#[cfg(test)]
+#[path = "tree_tests/flat_top.rs"]
+mod flat_top;
+#[cfg(test)]
+#[path = "tree_tests/huge.rs"]
+mod huge;
+#[cfg(test)]
+#[path = "tree_tests/radix.rs"]
+mod radix;
 
 pub use alloc::FrameAllocator;
 pub use bypass::BypassPolicy;

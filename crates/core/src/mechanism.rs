@@ -4,11 +4,9 @@
 use crate::alloc::FrameAllocator;
 use crate::bypass::BypassPolicy;
 use crate::cuckoo::ElasticCuckooTable;
-use crate::flat::FlattenedL2L1;
-use crate::huge::HugePageTable;
 use crate::occupancy::OccupancyReport;
-use crate::radix::Radix4;
 use crate::table::{MapOutcome, PageTable, PageTableKind, RangeMapOutcome, RangePlan, Translation};
+use crate::tree::{Tree, HUGE_PAGE, NDPAGE, RADIX};
 use crate::walk::WalkPath;
 use ndp_types::Vpn;
 use std::fmt;
@@ -88,31 +86,15 @@ impl Mechanism {
         matches!(self, Mechanism::Ideal)
     }
 
-    /// Builds the mechanism's page table, or `None` for `Ideal`.
-    ///
-    /// Returns a trait object; extension code that mixes in custom
-    /// [`PageTable`] implementations wants this form. The simulator's
-    /// per-op hot path uses [`Mechanism::build_impl`] instead.
-    #[must_use]
-    pub fn build_table(self, alloc: &mut FrameAllocator) -> Option<Box<dyn PageTable>> {
-        match self {
-            Mechanism::Radix => Some(Box::new(Radix4::new(alloc))),
-            Mechanism::Ech => Some(Box::new(ElasticCuckooTable::new(alloc))),
-            Mechanism::HugePage => Some(Box::new(HugePageTable::new(alloc))),
-            Mechanism::NdPage => Some(Box::new(FlattenedL2L1::new(alloc))),
-            Mechanism::Ideal => None,
-        }
-    }
-
     /// Builds the mechanism's page table as a statically dispatched
     /// [`PageTableImpl`], or `None` for `Ideal`.
     #[must_use]
     pub fn build_impl(self, alloc: &mut FrameAllocator) -> Option<PageTableImpl> {
         match self {
-            Mechanism::Radix => Some(PageTableImpl::Radix(Radix4::new(alloc))),
+            Mechanism::Radix => Some(PageTableImpl::Tree(Tree::new(&RADIX, alloc))),
             Mechanism::Ech => Some(PageTableImpl::Ech(ElasticCuckooTable::new(alloc))),
-            Mechanism::HugePage => Some(PageTableImpl::Huge(HugePageTable::new(alloc))),
-            Mechanism::NdPage => Some(PageTableImpl::Flat(FlattenedL2L1::new(alloc))),
+            Mechanism::HugePage => Some(PageTableImpl::Tree(Tree::new(&HUGE_PAGE, alloc))),
+            Mechanism::NdPage => Some(PageTableImpl::Tree(Tree::new(&NDPAGE, alloc))),
             Mechanism::Ideal => None,
         }
     }
@@ -126,23 +108,17 @@ impl Mechanism {
 /// trait — the walker, occupancy tooling, reports — works unchanged.
 #[derive(Debug, Clone)]
 pub enum PageTableImpl {
-    /// Conventional x86-64 4-level radix table.
-    Radix(Radix4),
+    /// A radix-family tree: the Radix, NDPage or Huge Page layout.
+    Tree(Tree),
     /// Elastic cuckoo hash table.
     Ech(ElasticCuckooTable),
-    /// 2 MB transparent-huge-page table.
-    Huge(HugePageTable),
-    /// NDPage's flattened L2/L1 table.
-    Flat(FlattenedL2L1),
 }
 
 macro_rules! dispatch {
     ($self:ident, $table:ident => $body:expr) => {
         match $self {
-            PageTableImpl::Radix($table) => $body,
+            PageTableImpl::Tree($table) => $body,
             PageTableImpl::Ech($table) => $body,
-            PageTableImpl::Huge($table) => $body,
-            PageTableImpl::Flat($table) => $body,
         }
     };
 }
@@ -247,38 +223,29 @@ mod tests {
     }
 
     #[test]
-    fn build_table_kinds() {
+    fn build_impl_kinds() {
         let mut alloc = FrameAllocator::new(1 << 30);
-        for m in Mechanism::REAL {
-            let mut t = m.build_table(&mut alloc).expect("real mechanism");
-            let vpn = Vpn::new(0x42);
-            t.map(vpn, &mut alloc);
-            assert!(t.translate(vpn).is_some(), "{m}");
-        }
-        assert!(Mechanism::Ideal.build_table(&mut alloc).is_none());
-        assert!(Mechanism::Ideal.is_ideal());
-    }
-
-    #[test]
-    fn build_impl_matches_build_table() {
-        let mut alloc = FrameAllocator::new(1 << 30);
-        for m in Mechanism::REAL {
-            let mut boxed = m.build_table(&mut alloc).expect("real mechanism");
-            let mut statics = m.build_impl(&mut alloc).expect("real mechanism");
-            assert_eq!(boxed.kind(), statics.kind(), "{m}");
-            let vpn = Vpn::new(0xAB_CDEF);
-            let ob = boxed.map(vpn, &mut alloc);
-            let os = statics.map(vpn, &mut alloc);
-            assert_eq!(ob.newly_mapped, os.newly_mapped, "{m}");
-            assert_eq!(ob.fault, os.fault, "{m}");
-            assert_eq!(
-                boxed.walk_path(vpn).unwrap().sequential_depth(),
-                statics.walk_path(vpn).unwrap().sequential_depth(),
-                "{m}"
-            );
-            assert_eq!(boxed.mapped_pages(), statics.mapped_pages(), "{m}");
-        }
+        let kinds: Vec<PageTableKind> = Mechanism::REAL
+            .iter()
+            .map(|m| {
+                let mut t = m.build_impl(&mut alloc).expect("real mechanism");
+                let vpn = Vpn::new(0x42);
+                t.map(vpn, &mut alloc);
+                assert!(t.translate(vpn).is_some(), "{m}");
+                t.kind()
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                PageTableKind::Radix4,
+                PageTableKind::ElasticCuckoo,
+                PageTableKind::HugePage,
+                PageTableKind::FlattenedL2L1,
+            ]
+        );
         assert!(Mechanism::Ideal.build_impl(&mut alloc).is_none());
+        assert!(Mechanism::Ideal.is_ideal());
     }
 
     #[test]
@@ -287,7 +254,7 @@ mod tests {
         let depths: Vec<usize> = Mechanism::REAL
             .iter()
             .map(|m| {
-                let mut t = m.build_table(&mut alloc).unwrap();
+                let mut t = m.build_impl(&mut alloc).unwrap();
                 let vpn = Vpn::new(0x1234);
                 t.map(vpn, &mut alloc);
                 t.walk_path(vpn).unwrap().sequential_depth()

@@ -3,8 +3,10 @@
 
 use ndp_types::{PtLevel, Vpn};
 use ndpage::alloc::FrameAllocator;
-use ndpage::table::PageTable;
-use ndpage::Mechanism;
+use ndpage::cuckoo::ElasticCuckooTable;
+use ndpage::table::{PageTable, PageTableKind, RangeMapOutcome};
+use ndpage::tree::{Tree, LAYOUTS};
+use ndpage::{Mechanism, PageTableImpl};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -14,13 +16,24 @@ fn arb_vpn() -> impl Strategy<Value = u64> {
     0u64..(16u64 << 30 >> 12)
 }
 
+/// The designs under test: every tree layout, then ECH.
+const DESIGNS: usize = LAYOUTS.len() + 1;
+
+/// Builds design number `design` (see [`DESIGNS`]) and its display name.
+fn build(design: usize, alloc: &mut FrameAllocator) -> (&'static str, PageTableImpl) {
+    match LAYOUTS.get(design) {
+        Some(layout) => (layout.name, PageTableImpl::Tree(Tree::new(layout, alloc))),
+        None => ("ECH", PageTableImpl::Ech(ElasticCuckooTable::new(alloc))),
+    }
+}
+
 fn for_each_design(
-    mut f: impl FnMut(Mechanism, &mut FrameAllocator, Box<dyn PageTable>) -> Result<(), TestCaseError>,
+    mut f: impl FnMut(&str, &mut FrameAllocator, PageTableImpl) -> Result<(), TestCaseError>,
 ) -> Result<(), TestCaseError> {
-    for mechanism in Mechanism::REAL {
+    for design in 0..DESIGNS {
         let mut alloc = FrameAllocator::new(8 << 30);
-        let table = mechanism.build_table(&mut alloc).expect("real mechanism");
-        f(mechanism, &mut alloc, table)?;
+        let (name, table) = build(design, &mut alloc);
+        f(name, &mut alloc, table)?;
     }
     Ok(())
 }
@@ -32,17 +45,17 @@ proptest! {
     /// frame forever (stability), for every design.
     #[test]
     fn translate_after_map_is_stable(vpns in vec(arb_vpn(), 1..200)) {
-        for_each_design(|mechanism, alloc, mut table| {
+        for_each_design(|name, alloc, mut table| {
             let mut first_seen: HashMap<u64, u64> = HashMap::new();
             for &raw in &vpns {
                 let vpn = Vpn::new(raw);
                 table.map(vpn, alloc);
                 let tr = table.translate(vpn).unwrap_or_else(
-                    || panic!("{mechanism}: mapped vpn {raw:#x} must translate"));
+                    || panic!("{name}: mapped vpn {raw:#x} must translate"));
                 let prev = first_seen.entry(raw).or_insert(tr.pfn.as_u64());
                 prop_assert_eq!(
                     *prev, tr.pfn.as_u64(),
-                    "{}: translation of {:#x} changed", mechanism, raw
+                    "{}: translation of {:#x} changed", name, raw
                 );
             }
             // Re-check everything at the end (no later map disturbed it).
@@ -50,7 +63,7 @@ proptest! {
                 prop_assert_eq!(
                     table.translate(Vpn::new(raw)).unwrap().pfn.as_u64(),
                     pfn,
-                    "{}: {:#x} disturbed by later maps", mechanism, raw
+                    "{}: {:#x} disturbed by later maps", name, raw
                 );
             }
             Ok(())
@@ -61,7 +74,7 @@ proptest! {
     /// huge pages share a *region* but distinct VPNs get distinct frames).
     #[test]
     fn distinct_vpns_get_distinct_frames(vpns in vec(arb_vpn(), 1..200)) {
-        for_each_design(|mechanism, alloc, mut table| {
+        for_each_design(|name, alloc, mut table| {
             let unique: HashSet<u64> = vpns.iter().copied().collect();
             let mut frames = HashSet::new();
             for &raw in &unique {
@@ -70,7 +83,7 @@ proptest! {
                 let pfn = table.translate(vpn).expect("mapped").pfn.as_u64();
                 prop_assert!(
                     frames.insert(pfn),
-                    "{}: frame {:#x} assigned twice", mechanism, pfn
+                    "{}: frame {:#x} assigned twice", name, pfn
                 );
             }
             Ok(())
@@ -82,19 +95,19 @@ proptest! {
     /// (the property the bypass hardware relies on).
     #[test]
     fn walk_paths_are_well_formed(vpns in vec(arb_vpn(), 1..150), probe in arb_vpn()) {
-        for_each_design(|mechanism, alloc, mut table| {
+        for_each_design(|name, alloc, mut table| {
             for &raw in &vpns {
                 table.map(Vpn::new(raw), alloc);
             }
             for &raw in &vpns {
                 let path = table.walk_path(Vpn::new(raw)).unwrap_or_else(
-                    || panic!("{mechanism}: mapped vpn needs a walk path"));
+                    || panic!("{name}: mapped vpn needs a walk path"));
                 prop_assert!(!path.is_empty());
                 prop_assert!(path.sequential_depth() <= path.len());
                 for step in path.steps() {
                     prop_assert!(
                         alloc.is_table_frame(step.addr.pfn()),
-                        "{}: walk step {:?} outside table frames", mechanism, step
+                        "{}: walk step {:?} outside table frames", name, step
                     );
                 }
             }
@@ -104,7 +117,7 @@ proptest! {
             if vpns.iter().all(|v| (v >> 9) != probe_region) {
                 prop_assert!(
                     table.translate(Vpn::new(probe)).is_none(),
-                    "{}: unmapped vpn must not translate", mechanism
+                    "{}: unmapped vpn must not translate", name
                 );
                 prop_assert!(table.walk_path(Vpn::new(probe)).is_none());
             }
@@ -120,11 +133,11 @@ proptest! {
         starts in vec(arb_vpn(), 1..12),
         lens in vec(1u64..1200, 1..12),
     ) {
-        for mechanism in Mechanism::REAL {
+        for design in 0..DESIGNS {
             let mut alloc_a = FrameAllocator::new(8 << 30);
             let mut alloc_b = FrameAllocator::new(8 << 30);
-            let mut by_range = mechanism.build_table(&mut alloc_a).expect("real mechanism");
-            let mut by_page = mechanism.build_table(&mut alloc_b).expect("real mechanism");
+            let (name, mut by_range) = build(design, &mut alloc_a);
+            let (_, mut by_page) = build(design, &mut alloc_b);
             let mut range_faults = (0u64, 0u64, 0u64);
             let mut page_faults = (0u64, 0u64, 0u64);
             for (&start, &len) in starts.iter().zip(&lens) {
@@ -142,9 +155,9 @@ proptest! {
                     }
                 }
             }
-            prop_assert_eq!(range_faults, page_faults, "{}", mechanism);
-            prop_assert_eq!(by_range.mapped_pages(), by_page.mapped_pages(), "{}", mechanism);
-            prop_assert_eq!(by_range.table_bytes(), by_page.table_bytes(), "{}", mechanism);
+            prop_assert_eq!(range_faults, page_faults, "{}", name);
+            prop_assert_eq!(by_range.mapped_pages(), by_page.mapped_pages(), "{}", name);
+            prop_assert_eq!(by_range.table_bytes(), by_page.table_bytes(), "{}", name);
             for (&start, &len) in starts.iter().zip(&lens) {
                 for p in 0..len {
                     let vpn = Vpn::new(start).add(p);
@@ -152,9 +165,53 @@ proptest! {
                         by_range.translate(vpn),
                         by_page.translate(vpn),
                         "{} vpn {:?}",
-                        mechanism,
+                        name,
                         vpn
                     );
+                }
+            }
+        }
+    }
+
+    /// Planning a range and applying the plan must build exactly what
+    /// `map_range` builds — same translations, frames, table storage and
+    /// fault totals — for every design that plans; the machine's premap
+    /// splits `map_range` this way. Designs that decline to plan are the
+    /// huge-page and hashed tables.
+    #[test]
+    fn plan_then_apply_matches_map_range(
+        starts in vec(arb_vpn(), 1..12),
+        lens in vec(1u64..1200, 1..12),
+    ) {
+        for design in 0..DESIGNS {
+            let mut alloc_a = FrameAllocator::new(8 << 30);
+            let mut alloc_b = FrameAllocator::new(8 << 30);
+            let (name, mut planned) = build(design, &mut alloc_a);
+            let (_, mut direct) = build(design, &mut alloc_b);
+            let mut plan_totals = RangeMapOutcome::default();
+            let mut direct_totals = RangeMapOutcome::default();
+            for (&start, &len) in starts.iter().zip(&lens) {
+                let first = Vpn::new(start);
+                let Some(plan) = planned.plan_range(first, len, &mut alloc_a) else {
+                    prop_assert!(
+                        matches!(planned.kind(), PageTableKind::HugePage | PageTableKind::ElasticCuckoo),
+                        "{} declined to plan", name
+                    );
+                    break;
+                };
+                prop_assert_eq!(plan.pages(), plan.outcome.minor_4k, "{}", name);
+                planned.apply_plan(&plan);
+                plan_totals.absorb_range(plan.outcome);
+                direct_totals.absorb_range(direct.map_range(first, len, &mut alloc_b));
+            }
+            prop_assert_eq!(plan_totals, direct_totals, "{}", name);
+            prop_assert_eq!(alloc_a.frames_used(), alloc_b.frames_used(), "{}", name);
+            prop_assert_eq!(planned.mapped_pages(), direct.mapped_pages(), "{}", name);
+            prop_assert_eq!(planned.table_bytes(), direct.table_bytes(), "{}", name);
+            for (&start, &len) in starts.iter().zip(&lens) {
+                for p in 0..len {
+                    let vpn = Vpn::new(start).add(p);
+                    prop_assert_eq!(planned.translate(vpn), direct.translate(vpn), "{} {:?}", name, vpn);
                 }
             }
         }
@@ -164,7 +221,7 @@ proptest! {
     /// calls exactly — the simulator's hot path relies on it.
     #[test]
     fn combined_lookup_matches_separate_calls(vpns in vec(arb_vpn(), 1..150), probe in arb_vpn()) {
-        for_each_design(|mechanism, alloc, mut table| {
+        for_each_design(|name, alloc, mut table| {
             for &raw in &vpns {
                 table.map(Vpn::new(raw), alloc);
             }
@@ -172,7 +229,7 @@ proptest! {
                 let vpn = Vpn::new(raw);
                 let combined = table.translate_and_walk(vpn);
                 let separate = table.translate(vpn).zip(table.walk_path(vpn));
-                prop_assert_eq!(combined, separate, "{}", mechanism);
+                prop_assert_eq!(combined, separate, "{}", name);
             }
             Ok(())
         })?;
@@ -182,7 +239,7 @@ proptest! {
     /// `newly_mapped == false`.
     #[test]
     fn remap_is_idempotent(vpns in vec(arb_vpn(), 1..100)) {
-        for_each_design(|mechanism, alloc, mut table| {
+        for_each_design(|name, alloc, mut table| {
             for &raw in &vpns {
                 table.map(Vpn::new(raw), alloc);
             }
@@ -191,10 +248,10 @@ proptest! {
                 let outcome = table.map(Vpn::new(raw), alloc);
                 prop_assert!(
                     !outcome.newly_mapped,
-                    "{}: remap of {:#x} claimed new mapping", mechanism, raw
+                    "{}: remap of {:#x} claimed new mapping", name, raw
                 );
             }
-            prop_assert_eq!(table.mapped_pages(), count, "{}", mechanism);
+            prop_assert_eq!(table.mapped_pages(), count, "{}", name);
             Ok(())
         })?;
     }
@@ -204,7 +261,7 @@ proptest! {
     /// number of mapped pages.
     #[test]
     fn occupancy_is_consistent(vpns in vec(arb_vpn(), 1..200)) {
-        for_each_design(|mechanism, alloc, mut table| {
+        for_each_design(|name, alloc, mut table| {
             let unique: HashSet<u64> = vpns.iter().copied().collect();
             for &raw in &unique {
                 table.map(Vpn::new(raw), alloc);
@@ -213,10 +270,10 @@ proptest! {
             for (level, lo) in occ.iter() {
                 prop_assert!(
                     lo.valid_entries <= lo.capacity,
-                    "{}: {} over-occupied", mechanism, level
+                    "{}: {} over-occupied", name, level
                 );
             }
-            if mechanism == Mechanism::Radix {
+            if table.kind() == PageTableKind::Radix4 {
                 let l1 = occ.level(PtLevel::L1).expect("radix has PL1");
                 prop_assert_eq!(l1.valid_entries, unique.len() as u64);
             }
@@ -230,9 +287,9 @@ proptest! {
     #[test]
     fn walk_depths_are_structural(vpns in vec(arb_vpn(), 1..100)) {
         let mut alloc = FrameAllocator::new(8 << 30);
-        let mut flat = Mechanism::NdPage.build_table(&mut alloc).unwrap();
-        let mut radix = Mechanism::Radix.build_table(&mut alloc).unwrap();
-        let mut ech = Mechanism::Ech.build_table(&mut alloc).unwrap();
+        let mut flat = Mechanism::NdPage.build_impl(&mut alloc).unwrap();
+        let mut radix = Mechanism::Radix.build_impl(&mut alloc).unwrap();
+        let mut ech = Mechanism::Ech.build_impl(&mut alloc).unwrap();
         for &raw in &vpns {
             let vpn = Vpn::new(raw);
             flat.map(vpn, &mut alloc);

@@ -265,13 +265,12 @@ mod tests {
     use super::*;
     use ndp_types::Asid;
     use ndpage::alloc::FrameAllocator;
-    use ndpage::flat::FlattenedL2L1;
-    use ndpage::radix::Radix4;
     use ndpage::table::PageTable;
+    use ndpage::tree::{Tree, NDPAGE, RADIX};
 
-    fn radix_fixture() -> (FrameAllocator, Radix4, Vpn) {
+    fn radix_fixture() -> (FrameAllocator, Tree, Vpn) {
         let mut alloc = FrameAllocator::new(1 << 30);
-        let mut t = Radix4::new(&mut alloc);
+        let mut t = Tree::new(&RADIX, &mut alloc);
         let vpn = Vpn::new(0x1_2345);
         t.map(vpn, &mut alloc);
         (alloc, t, vpn)
@@ -302,7 +301,7 @@ mod tests {
     #[test]
     fn upper_levels_stay_warm_across_pages() {
         let mut alloc = FrameAllocator::new(1 << 30);
-        let mut t = Radix4::new(&mut alloc);
+        let mut t = Tree::new(&RADIX, &mut alloc);
         let mut w = PageTableWalker::with_pwcs();
         // Touch many pages within the same 1 GB region: PL4/PL3 warm,
         // PL2/PL1 churn.
@@ -336,7 +335,7 @@ mod tests {
     #[test]
     fn flattened_walk_costs_one_fetch_when_upper_levels_hit() {
         let mut alloc = FrameAllocator::new(1 << 30);
-        let mut t = FlattenedL2L1::new(&mut alloc);
+        let mut t = Tree::new(&NDPAGE, &mut alloc);
         let mut w = PageTableWalker::with_pwcs();
         let a = Vpn::new(100);
         let b = Vpn::new(200_000); // same 1 GB region → same L4/L3 tags

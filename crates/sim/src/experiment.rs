@@ -66,8 +66,8 @@ pub fn occupancy_figure(
     use ndp_types::addr::PAGE_SIZE;
     use ndp_workloads::TraceParams;
     use ndpage::alloc::FrameAllocator;
-    use ndpage::radix::Radix4;
     use ndpage::table::PageTable;
+    use ndpage::tree::{Tree, RADIX};
 
     par_map(workloads.to_vec(), |w| {
         let footprint = match scale {
@@ -78,7 +78,7 @@ pub fn occupancy_figure(
         // Bookkeeping-only allocator: sized generously so even the
         // 33 GB GEN footprint maps (no data is materialised).
         let mut alloc = FrameAllocator::new((footprint * 2).max(64 << 30));
-        let mut table = Radix4::new(&mut alloc);
+        let mut table = Tree::new(&RADIX, &mut alloc);
         for region in w.regions(params) {
             let first = region.base.vpn();
             let pages = region.bytes.div_ceil(PAGE_SIZE);

@@ -4,7 +4,7 @@
 //! canonical virtual addresses, 4 KB base pages, and a 4-level radix page
 //! table where each level indexes with 9 bits. NDPage's flattened L2/L1
 //! table instead consumes the low 18 translation bits in one step
-//! ([`Vpn::flat_l2l1_index`]).
+//! ([`ENTRIES_PER_FLAT_NODE`] entries per node).
 
 use core::fmt;
 
@@ -50,19 +50,6 @@ pub enum PtLevel {
 }
 
 impl PtLevel {
-    /// All conventional radix levels in walk order (root first).
-    pub const RADIX_WALK: [PtLevel; 4] = [PtLevel::L4, PtLevel::L3, PtLevel::L2, PtLevel::L1];
-
-    /// Number of virtual-address index bits consumed at this level.
-    #[must_use]
-    pub fn index_bits(self) -> u32 {
-        match self {
-            PtLevel::FlatL2L1 => 2 * LEVEL_BITS,
-            PtLevel::HashWay(_) => 0,
-            _ => LEVEL_BITS,
-        }
-    }
-
     /// Number of distinct PWC slots (see [`PtLevel::pwc_slot`]).
     pub const PWC_SLOTS: usize = 5 + Self::MAX_HASH_WAYS;
 
@@ -324,39 +311,6 @@ impl Vpn {
         (self.0 & (ENTRIES_PER_NODE - 1)) as usize
     }
 
-    /// 18-bit index into an NDPage flattened L2/L1 node (bits 29..=12).
-    #[must_use]
-    #[inline]
-    pub const fn flat_l2l1_index(self) -> usize {
-        (self.0 & (ENTRIES_PER_FLAT_NODE - 1)) as usize
-    }
-
-    /// Radix index for an arbitrary level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is [`PtLevel::HashWay`], which has no radix index.
-    #[inline]
-    #[must_use]
-    pub fn index_for(self, level: PtLevel) -> usize {
-        match level {
-            PtLevel::L4 => self.l4_index(),
-            PtLevel::L3 => self.l3_index(),
-            PtLevel::L2 => self.l2_index(),
-            PtLevel::L1 => self.l1_index(),
-            PtLevel::FlatL2L1 => self.flat_l2l1_index(),
-            PtLevel::HashWay(_) => panic!("hash ways are not radix-indexed"),
-        }
-    }
-
-    /// The VPN truncated to a 2 MB boundary (its PL1 index cleared); this is
-    /// the tag used for huge-page TLB entries and flattened-node selection.
-    #[must_use]
-    #[inline]
-    pub const fn huge_aligned(self) -> Vpn {
-        Vpn(self.0 & !(ENTRIES_PER_NODE - 1))
-    }
-
     /// Returns the VPN advanced by `pages`.
     #[must_use]
     #[inline]
@@ -497,16 +451,17 @@ mod tests {
         assert_eq!(vpn.l3_index(), 2);
         assert_eq!(vpn.l2_index(), 3);
         assert_eq!(vpn.l1_index(), 4);
-        assert_eq!(vpn.flat_l2l1_index(), (3 << LEVEL_BITS | 4) as usize);
     }
 
     #[test]
     fn flat_index_is_l2_concat_l1() {
+        // The flattened node's 18-bit index (the VPN's low 18 bits) is the
+        // PL2 index followed by the PL1 index.
         for raw in [0u64, 1, 511, 512, 0x3ffff, 0x40000, 0xdead_beef] {
             let vpn = Vpn::new(raw);
             assert_eq!(
-                vpn.flat_l2l1_index(),
-                (vpn.l2_index() << LEVEL_BITS as usize) | vpn.l1_index(),
+                raw & (ENTRIES_PER_FLAT_NODE - 1),
+                ((vpn.l2_index() << LEVEL_BITS) | vpn.l1_index()) as u64,
                 "vpn {raw:#x}"
             );
         }
@@ -530,9 +485,9 @@ mod tests {
     fn huge_alignment() {
         let va = VirtAddr::new(0x4020_3456);
         let vpn = va.vpn();
-        assert_eq!(vpn.huge_aligned().l1_index(), 0);
-        assert_eq!(vpn.huge_aligned().l2_index(), vpn.l2_index());
-        assert_eq!(va.huge_vpn(), vpn.huge_aligned());
+        assert_eq!(va.huge_vpn().l1_index(), 0);
+        assert_eq!(va.huge_vpn().l2_index(), vpn.l2_index());
+        assert_eq!(va.huge_vpn().as_u64(), vpn.as_u64() - vpn.l1_index() as u64);
     }
 
     #[test]
@@ -547,8 +502,6 @@ mod tests {
     fn level_names_match_paper() {
         assert_eq!(PtLevel::L4.name(), "PL4");
         assert_eq!(PtLevel::FlatL2L1.name(), "PL2/PL1");
-        assert_eq!(PtLevel::FlatL2L1.index_bits(), 18);
-        assert_eq!(PtLevel::L2.index_bits(), 9);
     }
 
     #[test]

@@ -110,10 +110,10 @@ fn main() {
     let mut alloc = FrameAllocator::new(1 << 30);
     let mut mono = MonolithicTable::new(&mut alloc);
     let mut flat = Mechanism::NdPage
-        .build_table(&mut alloc)
+        .build_impl(&mut alloc)
         .expect("built-in table");
     let mut radix = Mechanism::Radix
-        .build_table(&mut alloc)
+        .build_impl(&mut alloc)
         .expect("built-in table");
 
     let vpns: Vec<Vpn> = (0..5u64).map(|i| Vpn::new(i * 104_729 + 7)).collect();
@@ -127,8 +127,8 @@ fn main() {
     println!("{:<28} {:>6} {:>9}", "design", "depth", "fetches");
     for (name, table) in [
         ("custom MonolithicTable", &mono as &dyn PageTable),
-        ("NDPage FlattenedL2L1", flat.as_ref()),
-        ("x86-64 Radix4", radix.as_ref()),
+        ("NDPage flattened L2/L1", &flat as &dyn PageTable),
+        ("x86-64 4-level radix", &radix as &dyn PageTable),
     ] {
         let path = table.walk_path(vpns[0]).expect("mapped");
         println!(

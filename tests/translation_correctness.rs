@@ -5,6 +5,7 @@ use ndp_mmu::tlb::TlbHierarchy;
 use ndp_mmu::walker::PageTableWalker;
 use ndp_types::{Asid, PageSize, Pfn, Vpn};
 use ndpage::alloc::FrameAllocator;
+use ndpage::table::PageTable;
 use ndpage::Mechanism;
 
 /// Pushing a table's translations through the TLB hierarchy and reading
@@ -13,7 +14,7 @@ use ndpage::Mechanism;
 fn tlb_round_trips_every_design() {
     for mechanism in Mechanism::REAL {
         let mut alloc = FrameAllocator::new(8 << 30);
-        let mut table = mechanism.build_table(&mut alloc).expect("real");
+        let mut table = mechanism.build_impl(&mut alloc).expect("real");
         let mut tlb = TlbHierarchy::table1();
 
         let vpns: Vec<Vpn> = (0..64u64).map(|i| Vpn::new(i * 104_729)).collect();
@@ -42,7 +43,7 @@ fn tlb_round_trips_every_design() {
 fn walker_plans_are_subsets_of_walk_paths() {
     for mechanism in Mechanism::REAL {
         let mut alloc = FrameAllocator::new(8 << 30);
-        let mut table = mechanism.build_table(&mut alloc).expect("real");
+        let mut table = mechanism.build_impl(&mut alloc).expect("real");
         let mut walker = if mechanism.uses_pwc() {
             PageTableWalker::with_pwcs()
         } else {
@@ -78,7 +79,7 @@ fn walker_plans_are_subsets_of_walk_paths() {
 fn bypass_recognition_is_sound_and_complete() {
     for mechanism in Mechanism::REAL {
         let mut alloc = FrameAllocator::new(8 << 30);
-        let mut table = mechanism.build_table(&mut alloc).expect("real");
+        let mut table = mechanism.build_impl(&mut alloc).expect("real");
         let mut data_frames = Vec::new();
         for i in 0..2000u64 {
             let vpn = Vpn::new(i * 613);
@@ -108,7 +109,7 @@ fn bypass_recognition_is_sound_and_complete() {
 #[test]
 fn pwcs_preserve_translation_results() {
     let mut alloc = FrameAllocator::new(4 << 30);
-    let mut table = Mechanism::NdPage.build_table(&mut alloc).expect("real");
+    let mut table = Mechanism::NdPage.build_impl(&mut alloc).expect("real");
     let mut with = PageTableWalker::with_pwcs();
     let mut without = PageTableWalker::without_pwcs();
 
@@ -133,13 +134,11 @@ fn pwcs_preserve_translation_results() {
 /// merged away was already absorbed by the near-perfect upper-level PWCs.
 #[test]
 fn bottom_flattening_beats_top_flattening_under_pwcs() {
-    use ndpage::flat::FlattenedL2L1;
-    use ndpage::flat_top::FlattenedL4L3;
-    use ndpage::table::PageTable as _;
+    use ndpage::tree::{Tree, NDPAGE, TOP_FLATTENED};
 
     let mut alloc = FrameAllocator::new(8 << 30);
-    let mut bottom = FlattenedL2L1::new(&mut alloc);
-    let mut top = FlattenedL4L3::new(&mut alloc);
+    let mut bottom = Tree::new(&NDPAGE, &mut alloc);
+    let mut top = Tree::new(&TOP_FLATTENED, &mut alloc);
     let mut walker_bottom = PageTableWalker::with_pwcs();
     let mut walker_top = PageTableWalker::with_pwcs();
 
