@@ -1,9 +1,10 @@
-//! The four pinned sweep digests: each folds (XOR) the `RunReport`
+//! The five pinned sweep digests: each folds (XOR) the `RunReport`
 //! fingerprints of one fixed sweep, so any change to simulated behaviour
 //! on that sweep moves its constant. They cover the blocking figure
 //! engine plus a PWC-capacity sweep (`report`), the issue-window sweep
-//! (`mlp`), the shared-LLC sweep (`llc`) and the quick-scale calibration
-//! grid (`cal`). Every sweep runs on the parallel driver, so the pins
+//! (`mlp`), the shared-LLC sweep (`llc`), the quick-scale calibration
+//! grid (`cal`) and a windowed, co-running, shared-LLC grid whose DRAM
+//! runs the overlap (reservation-list) scheduler (`windowed_shared`). Every sweep runs on the parallel driver, so the pins
 //! also witness thread-count independence.
 
 use ndp_bench::calibration;
@@ -16,6 +17,7 @@ const REPORT_DIGEST: u64 = 14763835927449417281;
 const MLP_DIGEST: u64 = 14920915780567262132;
 const LLC_DIGEST: u64 = 14219396697369523494;
 const CAL_DIGEST: u64 = 907243844365967685;
+const WINDOWED_SHARED_DIGEST: u64 = 1664570759798941318;
 
 /// An NDP Radix machine with 4 k warmup / 8 k measured ops over 512 MB.
 fn base(cores: u32, workload: WorkloadId) -> SimConfig {
@@ -85,4 +87,25 @@ fn cal_digest_is_pinned() {
     }
     let spec = calibration::grid(cfg, &["RND", "BFS", "XS"]);
     assert_eq!(digest(&spec), CAL_DIGEST);
+}
+
+/// Radix vs NDPage on RND and BFS with an 8-deep issue window and 8
+/// MSHRs, 2 tagged-TLB procs/core at a 2 k-op quantum, a 512 KB shared L3
+/// and 128 KB vault buffers: overlap DRAM scheduling, the shared L3 and
+/// co-running processes together, long enough for every bank's
+/// reservation list to reach its cap.
+#[test]
+fn windowed_shared_digest_is_pinned() {
+    let cfg = base(2, WorkloadId::Rnd)
+        .with_procs(2)
+        .with_quantum(2_000)
+        .with_tlb_tagging(true)
+        .with_window(8)
+        .with_mshrs(8)
+        .with_l3(512)
+        .with_vault_buffer(128);
+    let spec = SweepSpec::new(cfg)
+        .axis("workload", &[WorkloadId::Rnd, WorkloadId::Bfs])
+        .axis("mechanism", &["radix", "ndpage"]);
+    assert_eq!(digest(&spec), WINDOWED_SHARED_DIGEST);
 }
