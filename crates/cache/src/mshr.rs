@@ -132,10 +132,19 @@ impl MshrFile {
     /// result does **not** reserve anything — the caller re-issues the
     /// fetch at the returned time and allocates then.
     pub fn probe(&mut self, line: LineAddr, now: Cycles) -> MshrLookup {
-        if let Some(done) = self.fill_in_flight(line, now) {
-            return MshrLookup::Coalesced(done);
+        // One pass does both scans: the first live record of `line` is a
+        // merge (as in `fill_in_flight`); otherwise it counts live fills.
+        let mut live = 0;
+        for (&l, &done) in self.lines.iter().zip(&self.dones) {
+            if done > now {
+                if l == line {
+                    self.stats.coalesced += 1;
+                    return MshrLookup::Coalesced(done);
+                }
+                live += 1;
+            }
         }
-        if self.in_flight(now) < self.capacity() {
+        if live < self.capacity() {
             return MshrLookup::Free;
         }
         // The file frees up once enough live fills land that the count
@@ -171,13 +180,13 @@ impl MshrFile {
         self.lines.push(line);
         self.dones.push(done);
         if self.dones.len() > self.capacity + HISTORY_SLACK {
+            // The first record with the minimum completion time.
+            let min = *self.dones.iter().min().expect("non-empty list");
             let oldest = self
                 .dones
                 .iter()
-                .enumerate()
-                .min_by_key(|&(_, &d)| d)
-                .map(|(i, _)| i)
-                .expect("non-empty list");
+                .position(|&d| d == min)
+                .expect("minimum is present");
             self.lines.swap_remove(oldest);
             self.dones.swap_remove(oldest);
         }
@@ -285,6 +294,38 @@ mod tests {
             "X's in-flight record must survive Y's allocation"
         );
         assert_eq!(m.fill_in_flight(line(0x0), Cycles::new(500)), None);
+    }
+
+    #[test]
+    fn probe_agrees_with_the_two_scan_reference() {
+        // The fused probe must answer exactly as `fill_in_flight` then
+        // `in_flight` would, including which record a merge reports.
+        let mut m = MshrFile::new(4);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut now = Cycles::ZERO;
+        for _ in 0..2_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let l = line((x % 24) * 64);
+            now += Cycles::new(x % 7);
+            let t = now + Cycles::new(x % 40);
+            let mut reference = m.clone();
+            let want = match reference.fill_in_flight(l, t) {
+                Some(done) => MshrLookup::Coalesced(done),
+                None if reference.in_flight(t) < 4 => MshrLookup::Free,
+                None => MshrLookup::Full(Cycles::ZERO),
+            };
+            let got = m.probe(l, t);
+            match (got, want) {
+                (MshrLookup::Full(_), MshrLookup::Full(_)) => {}
+                _ => assert_eq!(got, want),
+            }
+            assert_eq!(m.stats().coalesced, reference.stats().coalesced);
+            if got == MshrLookup::Free {
+                m.allocate(l, t, t + Cycles::new(20 + x % 60));
+            }
+        }
     }
 
     #[test]

@@ -17,23 +17,29 @@
 //! under the plain model a request that merely got *processed* later
 //! would queue behind one that *arrives* later, inflating contention with
 //! a processing-order artifact. [`Dram::with_overlap_scheduling`] swaps
-//! each bank's scalar busy time for a short **reservation list**:
-//! a request takes the earliest gap that fits after its arrival
-//! (FR-FCFS-with-lookahead), so overlapped requests contend by their
-//! actual timestamps regardless of processing order. Blocking
+//! each bank's and channel's scalar busy time for a bounded, sorted
+//! **reservation list** of its most recent bookings: a request takes the
+//! earliest gap that fits after its arrival (FR-FCFS-with-lookahead), so
+//! overlapped requests contend by their actual timestamps regardless of
+//! processing order. The gap search starts from a binary search, so the
+//! past intervals that fill every list cost O(log n), not a scan. Blocking
 //! configurations keep the legacy scalar path bit for bit.
 
 use ndp_types::stats::LatencyStat;
 use ndp_types::{Cycles, PhysAddr, RwKind};
 use std::collections::VecDeque;
 
-/// Reservations remembered per bank/channel in overlap mode. Banks are
-/// shared by *all* cores, so the live-interval population scales with
-/// `cores × mlp_window ÷ banks`; 256 covers every realistic
-/// configuration (e.g. 8 cores × 64-deep windows against a 24-bank
-/// vault) with slack. Beyond that the oldest interval falls off and its
-/// span can be double-booked — a bounded optimism only reachable by
-/// pathological single-bank hammering at maximum scale.
+/// Reservations remembered per bank/channel in overlap mode. Nothing
+/// expires a booking, so every busy list fills with past intervals and
+/// stays at this cap; only the most recent few (about `cores ×
+/// mlp_window ÷ banks`) can still meet a new request, and the gap search
+/// skips the rest by binary search. They are not pruned: which interval
+/// the cap evicts next depends on them, so pruning would move results.
+/// 256 covers every realistic live population (e.g. 8 cores × 64-deep
+/// windows against a 24-bank vault) with slack. Beyond that the oldest
+/// interval falls off and its span can be double-booked — a bounded
+/// optimism only reachable by pathological single-bank hammering at
+/// maximum scale.
 const MAX_BANK_RESERVATIONS: usize = 256;
 
 /// Row-buffer outcome of a single DRAM access.
@@ -183,9 +189,27 @@ struct Reservations {
 
 /// The earliest start ≥ `arrival` of a `dur`-long gap in `slots`
 /// (read-only; see [`book`]).
+///
+/// The scan starts at the first interval that can matter, found by
+/// binary search; the skipped prefix ends before `arrival` and so could
+/// neither stop the scan nor raise the candidate. Starts are sorted, so
+/// the intervals starting before `arrival` form a prefix. Positive-length
+/// intervals are disjoint and no zero-length one lies strictly inside
+/// one, so of that prefix only intervals sharing its last start can reach
+/// `arrival`; everything before them ends earlier. (Ends alone are not
+/// sorted: a zero-length interval booked at an existing start sorts
+/// after the longer one.)
 fn gap_at_or_after(slots: &Slots, arrival: Cycles, dur: Cycles) -> Cycles {
+    let before = slots.partition_point(|&(start, _)| start < arrival);
+    let first = match before.checked_sub(1) {
+        Some(last) => {
+            let last_start = slots[last].0;
+            slots.partition_point(|&(start, _)| start < last_start)
+        }
+        None => 0,
+    };
     let mut candidate = arrival;
-    for &(start, end) in slots {
+    for &(start, end) in slots.range(first..) {
         if candidate + dur <= start {
             break;
         }
@@ -194,14 +218,11 @@ fn gap_at_or_after(slots: &Slots, arrival: Cycles, dur: Cycles) -> Cycles {
     candidate
 }
 
-/// Books `[start, start + dur)` in `slots`, keeping them sorted; the
-/// oldest reservation falls off once the list exceeds
-/// [`MAX_BANK_RESERVATIONS`].
+/// Books `[start, start + dur)` in `slots` after every interval starting
+/// at or before `start`, keeping them sorted; the oldest reservation falls
+/// off once the list exceeds [`MAX_BANK_RESERVATIONS`].
 fn book(slots: &mut Slots, start: Cycles, dur: Cycles) {
-    let idx = slots
-        .iter()
-        .position(|&(s, _)| s > start)
-        .unwrap_or(slots.len());
+    let idx = slots.partition_point(|&(s, _)| s <= start);
     slots.insert(idx, (start, start + dur));
     if slots.len() > MAX_BANK_RESERVATIONS {
         slots.pop_front();
@@ -354,6 +375,21 @@ impl Dram {
     /// `rw` only selects which latency distribution records the access —
     /// see [`DramStats`].
     pub fn access(&mut self, addr: PhysAddr, rw: RwKind, now: Cycles) -> DramResult {
+        self.access_with(addr, rw, now, gap_at_or_after, book)
+    }
+
+    /// [`Dram::access`] with the overlap mode's gap search and booking
+    /// passed in, so tests can replay one stream through a reference
+    /// implementation of each.
+    #[inline(always)]
+    fn access_with(
+        &mut self,
+        addr: PhysAddr,
+        rw: RwKind,
+        now: Cycles,
+        search: impl Fn(&Slots, Cycles, Cycles) -> Cycles,
+        reserve: impl Fn(&mut Slots, Cycles, Cycles),
+    ) -> DramResult {
         let (channel, bank_in_ch, row) = self.decode(addr);
         let bank_idx = (channel * self.config.banks_per_channel + bank_in_ch) as usize;
         let bank = &mut self.banks[bank_idx];
@@ -390,15 +426,15 @@ impl Dram {
                 let chan_slots = &res.channels[channel as usize];
                 let mut candidate = now;
                 let ready = loop {
-                    let bank_start = gap_at_or_after(bank_slots, candidate, occupancy);
-                    let chan_start = gap_at_or_after(chan_slots, bank_start, burst);
+                    let bank_start = search(bank_slots, candidate, occupancy);
+                    let chan_start = search(chan_slots, bank_start, burst);
                     if chan_start == bank_start {
                         break bank_start;
                     }
                     candidate = chan_start;
                 };
-                book(&mut res.banks[bank_idx], ready, occupancy);
-                book(&mut res.channels[channel as usize], ready, burst);
+                reserve(&mut res.banks[bank_idx], ready, occupancy);
+                reserve(&mut res.channels[channel as usize], ready, burst);
                 ready
             }
         };
@@ -447,6 +483,8 @@ impl Dram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn small() -> Dram {
         Dram::new(DramConfig {
@@ -607,6 +645,130 @@ mod tests {
         // An oversized one skips to the end of the booked region.
         let start = gap_at_or_after(&slots, Cycles::new(11_200), Cycles::new(2_000));
         assert!(start >= slots.back().unwrap().1);
+    }
+
+    /// The linear-scan gap search the binary-search one must reproduce.
+    fn linear_gap_at_or_after(slots: &Slots, arrival: Cycles, dur: Cycles) -> Cycles {
+        let mut candidate = arrival;
+        for &(start, end) in slots {
+            if candidate + dur <= start {
+                break;
+            }
+            candidate = candidate.max(end);
+        }
+        candidate
+    }
+
+    /// The linear-scan booking the binary-search one must reproduce.
+    fn linear_book(slots: &mut Slots, start: Cycles, dur: Cycles) {
+        let idx = slots
+            .iter()
+            .position(|&(s, _)| s > start)
+            .unwrap_or(slots.len());
+        slots.insert(idx, (start, start + dur));
+        if slots.len() > MAX_BANK_RESERVATIONS {
+            slots.pop_front();
+        }
+    }
+
+    /// Durations mixing zero with short and long positive lengths, so one
+    /// list holds zero-length intervals at the starts of longer ones.
+    fn duration() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1u64..40, 40u64..400]
+    }
+
+    /// A DRAM whose channel bus and row hits occupy nothing, so both
+    /// reservation lists mix zero-length and positive intervals.
+    fn zero_burst() -> DramConfig {
+        DramConfig {
+            channels: 2,
+            banks_per_channel: 2,
+            row_bytes: 1024,
+            timing: DramTiming {
+                row_hit: Cycles::ZERO,
+                burst: Cycles::ZERO,
+                ..DramTiming::hbm2()
+            },
+            capacity_bytes: 1 << 30,
+        }
+    }
+
+    /// Replays one out-of-order stream through the device twice, once
+    /// with the production gap search and once with the linear oracle,
+    /// and compares every result and the final statistics. Each request
+    /// picks one of three rows of bank 0 (per channel), so the lists fill
+    /// past their cap and row hits, misses and conflicts all occur.
+    fn overlap_matches_oracle(
+        config: DramConfig,
+        stream: &[(u64, u64, u64, bool)],
+    ) -> Result<(), TestCaseError> {
+        let lines_per_row = u64::from(config.channels) * config.row_bytes / 64;
+        let row_stride = lines_per_row * u64::from(config.banks_per_channel);
+        let mut fast = Dram::new(config).with_overlap_scheduling();
+        let mut oracle = fast.clone();
+        for (i, &(row, col, ahead, write)) in stream.iter().enumerate() {
+            // A window of requests booked up to `ahead` cycles past a
+            // steadily advancing issue clock.
+            let now = Cycles::new(i as u64 * 8 + ahead);
+            let addr = PhysAddr::new((row * row_stride + col % lines_per_row) * 64);
+            let rw = if write { RwKind::Write } else { RwKind::Read };
+            let got = fast.access(addr, rw, now);
+            let want = oracle.access_with(addr, rw, now, linear_gap_at_or_after, linear_book);
+            prop_assert_eq!(got, want, "request {}", i);
+        }
+        prop_assert_eq!(
+            format!("{:?}", fast.stats()),
+            format!("{:?}", oracle.stats())
+        );
+        let res = fast.reservations.as_ref().expect("overlap mode");
+        prop_assert!(res.banks.iter().any(|s| s.len() == MAX_BANK_RESERVATIONS));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Long random booking sequences (past the cap, so the front
+        /// evicts) keep identical lists and gap answers under both
+        /// implementations, for arrivals before, inside and after the
+        /// booked span and for zero durations.
+        #[test]
+        fn binary_search_matches_linear_oracle(
+            steps in vec((0u64..3, any::<u64>(), duration(), any::<bool>()), 600..1_000),
+        ) {
+            let mut fast = Slots::new();
+            let mut oracle = Slots::new();
+            for (where_, offset, dur, commit) in steps {
+                let (lo, hi) = match (oracle.front(), oracle.back()) {
+                    (Some(&(lo, _)), Some(&(_, hi))) => (lo.as_u64(), hi.as_u64()),
+                    _ => (0, 0),
+                };
+                let arrival = Cycles::new(match where_ {
+                    0 => lo - offset % (lo + 1),
+                    1 => lo + offset % (hi - lo + 1),
+                    _ => hi + offset % 500,
+                });
+                let dur = Cycles::new(dur);
+                let start = linear_gap_at_or_after(&oracle, arrival, dur);
+                prop_assert_eq!(gap_at_or_after(&fast, arrival, dur), start);
+                if commit {
+                    book(&mut fast, start, dur);
+                    linear_book(&mut oracle, start, dur);
+                    prop_assert_eq!(&fast, &oracle);
+                }
+            }
+            prop_assert_eq!(fast.len(), MAX_BANK_RESERVATIONS);
+        }
+
+        /// Out-of-order arrivals through an overlap-mode vault and a
+        /// zero-burst device schedule exactly as under the linear oracle.
+        #[test]
+        fn overlap_dram_matches_linear_oracle(
+            stream in vec((0u64..3, 0u64..128, 0u64..1_500, any::<bool>()), 2_000..3_000),
+        ) {
+            overlap_matches_oracle(DramConfig::hbm2_vault(), &stream)?;
+            overlap_matches_oracle(zero_burst(), &stream)?;
+        }
     }
 
     #[test]
