@@ -1,13 +1,14 @@
-//! Criterion microbenches for the memory substrate: set-associative cache
-//! access/fill, DRAM device timing (scalar and overlap scheduling), and
+//! Criterion microbenches for the memory substrate: private and shared
+//! set-associative cache access/fill, DRAM device timing (scalar and overlap scheduling), and
 //! controller contention (backs the Fig 6 contention analysis with
 //! component-level numbers).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndp_cache::hierarchy::CacheHierarchy;
+use ndp_cache::shared::{InclusionPolicy, SharedCache, SharedConfig};
 use ndp_mem::controller::MemoryController;
 use ndp_mem::dram::DramConfig;
-use ndp_types::{AccessClass, Cycles, PhysAddr, RwKind};
+use ndp_types::{AccessClass, Asid, Cycles, PhysAddr, RwKind};
 
 type HierarchyCtor = fn() -> CacheHierarchy;
 
@@ -33,6 +34,26 @@ fn bench_cache(c: &mut Criterion) {
             });
         });
     }
+    group.finish();
+}
+
+/// The shared line array behind banked ports: an inclusive 512 KB,
+/// 16-way, 8-bank L3 driven by the private benches' address stream.
+fn bench_shared(c: &mut Criterion) {
+    let mut group = c.benchmark_group("shared");
+    group.bench_function("access_fill", |b| {
+        let mut l3 = SharedCache::new(SharedConfig::l3(512, 16, 8, InclusionPolicy::Inclusive));
+        let mut now = Cycles::ZERO;
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            now += Cycles::new(4);
+            let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0x3FFF_FFC0);
+            if !l3.access(addr, RwKind::Read, AccessClass::Data, now).hit {
+                black_box(l3.fill(addr, AccessClass::Data, Asid::ZERO, false));
+            }
+        });
+    });
     group.finish();
 }
 
@@ -116,6 +137,6 @@ fn bench_contention(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_cache, bench_dram, bench_contention
+    targets = bench_cache, bench_shared, bench_dram, bench_contention
 }
 criterion_main!(benches);

@@ -5,13 +5,13 @@
 //! goes to the memory controller and calls [`CacheHierarchy::fill`]).
 
 use crate::mshr::{MshrFile, MshrLookup, MshrStats};
-use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim, Writeback};
-use ndp_types::{InlineVec, LineAddr};
+use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
+use ndp_types::{Asid, InlineVec, LineAddr};
 
 /// Dirty victims produced by one fill — at most one per cache level, so
 /// the list lives inline (a fill happens on every miss; the seed's `Vec`
 /// return put an allocation there).
-pub type WritebackList = InlineVec<Writeback, 4>;
+pub type WritebackList = InlineVec<Victim, 4>;
 
 /// A victim tagged with the level (0 = L1) that evicted it. Victims of
 /// the *outermost* private level leave the private hierarchy entirely —
@@ -159,16 +159,6 @@ impl CacheHierarchy {
         self.levels[level].stats()
     }
 
-    /// Configuration of one level.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` is out of range.
-    #[must_use]
-    pub fn level_config(&self, level: usize) -> &CacheConfig {
-        self.levels[level].config()
-    }
-
     /// Checks residency in any level without perturbing state or
     /// statistics (invariant checks; the timing path uses
     /// [`CacheHierarchy::lookup`]).
@@ -225,23 +215,8 @@ impl CacheHierarchy {
     pub fn fill(&mut self, addr: PhysAddr, class: AccessClass, dirty: bool) -> WritebackList {
         self.levels
             .iter_mut()
-            .filter_map(|level| level.fill(addr, class, dirty))
-            .collect()
-    }
-
-    /// Installs a line only in levels at or below `from_level` (e.g. fill
-    /// L2/L3 but not L1 — used for partial-bypass ablations).
-    pub fn fill_from(
-        &mut self,
-        from_level: usize,
-        addr: PhysAddr,
-        class: AccessClass,
-        dirty: bool,
-    ) -> WritebackList {
-        self.levels
-            .iter_mut()
-            .skip(from_level)
-            .filter_map(|level| level.fill(addr, class, dirty))
+            .filter_map(|level| level.fill(addr, class, Asid::ZERO, dirty))
+            .filter(|victim| victim.dirty)
             .collect()
     }
 
@@ -258,7 +233,7 @@ impl CacheHierarchy {
             .enumerate()
             .filter_map(|(level, cache)| {
                 cache
-                    .fill_victim(addr, class, dirty)
+                    .fill(addr, class, Asid::ZERO, dirty)
                     .map(|victim| LevelVictim { level, victim })
             })
             .collect()
@@ -270,21 +245,12 @@ impl CacheHierarchy {
     pub fn back_invalidate(&mut self, addr: PhysAddr) -> BackInvalidate {
         let mut result = BackInvalidate::default();
         for level in &mut self.levels {
-            if level.probe(addr) {
+            if let Some(dirty) = level.invalidate(addr) {
                 result.present = true;
-                if level.invalidate(addr) {
-                    result.dirty = true;
-                }
+                result.dirty |= dirty;
             }
         }
         result
-    }
-
-    /// Invalidates a line everywhere.
-    pub fn invalidate(&mut self, addr: PhysAddr) {
-        for level in &mut self.levels {
-            level.invalidate(addr);
-        }
     }
 
     /// Clears contents and statistics of every level, and the MSHR file.
@@ -358,18 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn fill_from_skips_l1() {
-        let mut h = CacheHierarchy::cpu(1);
-        let a = PhysAddr::new(0x40);
-        h.fill_from(1, a, AccessClass::Metadata, false);
-        let r = h.lookup(a, RwKind::Read, AccessClass::Metadata);
-        match r {
-            LookupResult::Hit { level, .. } => assert_eq!(level, 1),
-            LookupResult::MissAll { .. } => panic!("expected an L2 hit"),
-        }
-    }
-
-    #[test]
     fn fill_collect_tags_victims_with_their_level() {
         let mut h = CacheHierarchy::ndp(); // one 64-set, 8-way level
                                            // Fill one L1 set to capacity, then once more: the ninth fill
@@ -405,15 +359,6 @@ mod tests {
         h.fill(a, AccessClass::Data, false);
         let bi = h.back_invalidate(a);
         assert!(bi.present && !bi.dirty);
-    }
-
-    #[test]
-    fn invalidate_everywhere() {
-        let mut h = CacheHierarchy::cpu(1);
-        let a = PhysAddr::new(0x80);
-        h.fill(a, AccessClass::Data, false);
-        h.invalidate(a);
-        assert!(!h.lookup(a, RwKind::Read, AccessClass::Data).is_hit());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #![forbid(unsafe_code)]
 //! Cache substrate for the NDPage reproduction.
 //!
-//! Provides a set-associative write-back cache model with **per-class
-//! statistics** — every line remembers whether it holds normal data or
-//! page-table metadata, so the pollution effects central to the paper's
-//! first key observation (§IV-A) can be measured directly:
+//! Provides one set-associative write-back LRU line array,
+//! [`set_assoc::SetAssocCache`], with **per-class statistics** — every
+//! line remembers whether it holds normal data or page-table metadata,
+//! so the pollution effects central to the paper's first key observation
+//! (§IV-A) can be measured directly:
 //!
 //! * the L1 miss rate of metadata (~98% in the paper, Fig 7),
 //! * the inflation of the *data* miss rate caused by metadata fills
@@ -18,9 +19,10 @@
 //!
 //! [`shared::SharedCache`] models the layer *below* the private
 //! hierarchies that co-running cores and processes genuinely share: a
-//! banked shared L3 (inclusive or exclusive of the private levels, with
+//! `SetAssocCache` behind banked ports and per-bank MSHR files, serving
+//! as a shared L3 (inclusive or exclusive of the private levels, with
 //! back-invalidation on inclusive eviction) or an NDP per-vault buffer,
-//! with per-bank MSHR files and occupancy accounted by [`ndp_types::Asid`].
+//! with occupancy accounted by [`ndp_types::Asid`].
 //!
 //! # Examples
 //!
@@ -38,11 +40,10 @@
 
 pub mod hierarchy;
 pub mod mshr;
-pub mod replacement;
 pub mod set_assoc;
 pub mod shared;
 
 pub use hierarchy::CacheHierarchy;
 pub use mshr::{MshrFile, MshrLookup, MshrStats};
-pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache};
+pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
 pub use shared::{InclusionPolicy, SharedCache, SharedConfig, SharedStats};

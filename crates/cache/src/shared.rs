@@ -1,10 +1,12 @@
-//! Shared last-level cache: one banked, set-associative structure that
-//! every core's misses contend in.
+//! Shared last-level cache: one banked [`SetAssocCache`] that every
+//! core's misses contend in.
 //!
 //! The private [`crate::hierarchy::CacheHierarchy`] models per-core
 //! levels; this module models the layer *below* them that co-running
 //! cores and processes share — the CPU's L3, or an NDP vault buffer in
-//! front of a memory channel. Two things make sharing real here:
+//! front of a memory channel. The lines live in the same LRU
+//! [`SetAssocCache`] the private levels use; this wrapper adds only what
+//! is shared:
 //!
 //! * **Banked ports.** Sets are partitioned across `banks` (low set
 //!   bits); each bank serves one access per [`SharedConfig::bank_period`]
@@ -26,10 +28,13 @@
 //! onto a single fetch below, and a saturated bank backpressures.
 
 use crate::mshr::{MshrFile, MshrLookup, MshrStats};
-use crate::set_assoc::MAX_WAYS;
+use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
 use core::fmt;
-use ndp_types::stats::HitMiss;
 use ndp_types::{AccessClass, Asid, Cycles, LineAddr, PhysAddr, RwKind};
+
+/// Highest associativity a shared cache accepts (as wide as Table I's
+/// 16-way L2/L3).
+const MAX_WAYS: usize = 16;
 
 /// How the shared cache relates to the private levels above it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -136,18 +141,6 @@ impl SharedConfig {
         }
     }
 
-    /// Number of sets implied by the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometry is invalid (see [`SharedConfig::check`]).
-    #[must_use]
-    pub fn sets(&self) -> usize {
-        self.check().expect("invalid shared-cache geometry");
-        let lines = self.size_bytes / self.line_bytes;
-        (lines / u64::from(self.ways)) as usize
-    }
-
     /// Validates the geometry, returning a message naming the first
     /// problem (used by `SimConfig::validate` so bad CLI knobs die with
     /// a clean error instead of a panic mid-construction).
@@ -179,14 +172,9 @@ impl SharedConfig {
 /// cache statistic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SharedStats {
-    /// Hits/misses of normal-data accesses.
-    pub data: HitMiss,
-    /// Hits/misses of metadata (PTE) accesses.
-    pub metadata: HitMiss,
-    /// Data lines evicted by metadata fills — shared-level pollution.
-    pub data_evicted_by_metadata: u64,
-    /// Dirty victims pushed out toward memory.
-    pub writebacks: u64,
+    /// The line array's per-class hit/miss, pollution and writeback
+    /// counters.
+    pub cache: CacheStats,
     /// Private writebacks absorbed in place (line present, marked dirty)
     /// instead of travelling to memory.
     pub writebacks_absorbed: u64,
@@ -204,10 +192,7 @@ impl SharedStats {
     /// Accumulates another cache's counters into this one (merging the
     /// per-vault buffers into one report block).
     pub fn merge(&mut self, other: &SharedStats) {
-        self.data.merge(&other.data);
-        self.metadata.merge(&other.metadata);
-        self.data_evicted_by_metadata += other.data_evicted_by_metadata;
-        self.writebacks += other.writebacks;
+        self.cache.merge(&other.cache);
         self.writebacks_absorbed += other.writebacks_absorbed;
         self.bank_conflicts += other.bank_conflicts;
         self.bank_conflict_cycles += other.bank_conflict_cycles;
@@ -230,53 +215,19 @@ pub struct SharedLookup {
     pub done: Cycles,
 }
 
-/// A victim evicted by a shared-cache fill.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SharedVictim {
-    /// Line-aligned physical address of the victim.
-    pub addr: PhysAddr,
-    /// Class of the victim line.
-    pub class: AccessClass,
-    /// Whether it must be written toward memory.
-    pub dirty: bool,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    class: AccessClass,
-    asid: Asid,
-    stamp: u64,
-}
-
-impl Default for Line {
-    fn default() -> Self {
-        Line {
-            tag: 0,
-            valid: false,
-            dirty: false,
-            class: AccessClass::Data,
-            asid: Asid::ZERO,
-            stamp: 0,
-        }
-    }
-}
-
-/// A banked, set-associative, ASID-tagged shared cache.
+/// A [`SetAssocCache`] behind banked ports and per-bank MSHR files.
 #[derive(Debug, Clone)]
 pub struct SharedCache {
     config: SharedConfig,
-    sets: usize,
-    lines: Vec<Line>,
+    lines: SetAssocCache,
     /// Per-bank port-busy frontier. A scalar (not a reservation list):
     /// the bank period is a couple of cycles, so processing-order skew
     /// under windowed cores distorts far less than it would for
     /// hundred-cycle DRAM bank occupancy — and stays deterministic.
     bank_busy: Vec<Cycles>,
     mshrs: Vec<MshrFile>,
-    tick: u64,
+    /// The shared-only counters; `stats.cache` stays zero because the
+    /// line array keeps its own (see [`SharedCache::stats`]).
     stats: SharedStats,
 }
 
@@ -288,18 +239,22 @@ impl SharedCache {
     /// Panics if the geometry fails [`SharedConfig::check`].
     #[must_use]
     pub fn new(config: SharedConfig) -> Self {
-        let sets = config.sets();
-        let ways = config.ways as usize;
+        config.check().expect("invalid shared-cache geometry");
+        let lines = SetAssocCache::new(CacheConfig {
+            name: config.name,
+            size_bytes: config.size_bytes,
+            ways: config.ways,
+            line_bytes: config.line_bytes,
+            latency: config.latency,
+            metadata_lru_insert: false,
+        });
         let banks = config.banks as usize;
-        let mshrs = (0..banks)
-            .map(|_| MshrFile::new(config.mshrs_per_bank))
-            .collect();
         SharedCache {
-            sets,
-            lines: vec![Line::default(); sets * ways],
+            lines,
             bank_busy: vec![Cycles::ZERO; banks],
-            mshrs,
-            tick: 0,
+            mshrs: (0..banks)
+                .map(|_| MshrFile::new(config.mshrs_per_bank))
+                .collect(),
             stats: SharedStats::default(),
             config,
         }
@@ -314,13 +269,17 @@ impl SharedCache {
     /// Number of sets.
     #[must_use]
     pub fn sets(&self) -> usize {
-        self.sets
+        self.lines.config().sets()
     }
 
-    /// Accumulated statistics.
+    /// Accumulated statistics: the line array's counters plus the
+    /// shared-only ones.
     #[must_use]
-    pub fn stats(&self) -> &SharedStats {
-        &self.stats
+    pub fn stats(&self) -> SharedStats {
+        SharedStats {
+            cache: *self.lines.stats(),
+            ..self.stats
+        }
     }
 
     /// The bank a set belongs to (its low set bits) — a partition: every
@@ -333,20 +292,7 @@ impl SharedCache {
     /// The bank an address's set belongs to.
     #[must_use]
     pub fn bank_of(&self, addr: PhysAddr) -> usize {
-        self.bank_of_set(self.set_and_tag(addr).0)
-    }
-
-    fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
-        let line_addr = addr.as_u64() / self.config.line_bytes;
-        (
-            (line_addr as usize) & (self.sets - 1),
-            line_addr / self.sets as u64,
-        )
-    }
-
-    fn set_slice_mut(&mut self, set: usize) -> &mut [Line] {
-        let ways = self.config.ways as usize;
-        &mut self.lines[set * ways..(set + 1) * ways]
+        self.bank_of_set(self.lines.set_of(addr))
     }
 
     /// Waits for the set's bank port and occupies it; returns when the
@@ -362,11 +308,11 @@ impl SharedCache {
         start
     }
 
-    /// One demand access at `now` on behalf of `asid`, recording
-    /// per-class hit/miss statistics and bank-port contention. Under the
-    /// exclusive policy a hit *extracts* the line (it moves back into
-    /// the private hierarchy); the returned `dirty` flag carries the
-    /// extracted copy's dirtiness up with it.
+    /// One demand access at `now`, recording per-class hit/miss
+    /// statistics and bank-port contention. Under the exclusive policy a
+    /// hit *extracts* the line (it moves back into the private
+    /// hierarchy); the returned `dirty` flag carries the extracted
+    /// copy's pre-access dirtiness up with it.
     pub fn access(
         &mut self,
         addr: PhysAddr,
@@ -374,47 +320,22 @@ impl SharedCache {
         class: AccessClass,
         now: Cycles,
     ) -> SharedLookup {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.set_and_tag(addr);
-        let bank = self.bank_of_set(set);
-        let start = self.arbitrate(bank, now);
-        let latency = self.config.latency;
+        let start = self.arbitrate(self.bank_of(addr), now);
         let exclusive = self.config.policy == InclusionPolicy::Exclusive;
-        let lines = self.set_slice_mut(set);
-        let mut hit = false;
-        let mut dirty = false;
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            hit = true;
-            if exclusive {
-                dirty = line.dirty;
-                *line = Line::default();
-            } else {
-                line.stamp = tick;
-                if rw.is_write() {
-                    line.dirty = true;
-                }
-            }
-        }
-        match class {
-            AccessClass::Data => self.stats.data.record(hit),
-            AccessClass::Metadata => self.stats.metadata.record(hit),
-        }
+        let rw = if exclusive { RwKind::Read } else { rw };
+        let hit = self.lines.access(addr, rw, class);
+        let dirty = hit && exclusive && self.lines.invalidate(addr) == Some(true);
         SharedLookup {
             hit,
             dirty,
-            done: start + latency,
+            done: start + self.config.latency,
         }
     }
 
     /// Checks residency without perturbing state or statistics.
     #[must_use]
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = self.config.ways as usize;
-        self.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.lines.probe(addr)
     }
 
     /// Installs a line for `asid` (a demand fill under the inclusive
@@ -428,83 +349,17 @@ impl SharedCache {
         class: AccessClass,
         asid: Asid,
         dirty: bool,
-    ) -> Option<SharedVictim> {
-        self.tick += 1;
-        let tick = self.tick;
-        let (set, tag) = self.set_and_tag(addr);
-        let line_bytes = self.config.line_bytes;
-        let sets = self.sets as u64;
-        let lines = self.set_slice_mut(set);
-
-        // Already resident (racing fills): refresh in place.
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.stamp = tick;
-            line.dirty |= dirty;
-            line.class = class;
-            line.asid = asid;
-            return None;
-        }
-
-        // Invalid way first, else LRU.
-        let victim_way = lines
-            .iter()
-            .enumerate()
-            .find(|(_, l)| !l.valid)
-            .map_or_else(
-                || {
-                    lines
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, l)| l.stamp)
-                        .map(|(i, _)| i)
-                        .expect("sets are non-empty")
-                },
-                |(i, _)| i,
-            );
-        let victim = &mut lines[victim_way];
-        let mut evicted = None;
-        let mut pollution = false;
-        if victim.valid {
-            if victim.class == AccessClass::Data && class.is_metadata() {
-                pollution = true;
-            }
-            let victim_line = victim.tag * sets + set as u64;
-            evicted = Some(SharedVictim {
-                addr: PhysAddr::new(victim_line * line_bytes),
-                class: victim.class,
-                dirty: victim.dirty,
-            });
-        }
-        *victim = Line {
-            tag,
-            valid: true,
-            dirty,
-            class,
-            asid,
-            stamp: tick,
-        };
-        if pollution {
-            self.stats.data_evicted_by_metadata += 1;
-        }
-        if evicted.is_some_and(|v| v.dirty) {
-            self.stats.writebacks += 1;
-        }
-        evicted
+    ) -> Option<Victim> {
+        self.lines.fill(addr, class, asid, dirty)
     }
 
     /// Absorbs a posted private writeback: if the line is resident it is
     /// marked dirty here (the write travels no further) and `true` comes
     /// back; otherwise the caller forwards the write toward memory.
     pub fn accept_writeback(&mut self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let lines = self.set_slice_mut(set);
-        if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.dirty = true;
-            self.stats.writebacks_absorbed += 1;
-            true
-        } else {
-            false
-        }
+        let absorbed = self.lines.mark_dirty(addr);
+        self.stats.writebacks_absorbed += u64::from(absorbed);
+        absorbed
     }
 
     /// Records that an inclusive eviction invalidated a private copy
@@ -553,28 +408,23 @@ impl SharedCache {
     /// Valid lines currently resident.
     #[must_use]
     pub fn live_lines(&self) -> u64 {
-        self.lines.iter().filter(|l| l.valid).count() as u64
+        self.lines.live_lines()
     }
 
     /// Live lines per owning ASID, sorted by ASID — always sums to
     /// [`SharedCache::live_lines`].
     #[must_use]
     pub fn occupancy_by_asid(&self) -> Vec<(Asid, u64)> {
-        let mut by_asid: std::collections::BTreeMap<Asid, u64> = std::collections::BTreeMap::new();
-        for line in self.lines.iter().filter(|l| l.valid) {
-            *by_asid.entry(line.asid).or_default() += 1;
-        }
-        by_asid.into_iter().collect()
+        self.lines.occupancy_by_asid()
     }
 
     /// Clears contents, timing state and statistics.
     pub fn reset(&mut self) {
-        self.lines.fill(Line::default());
+        self.lines.reset();
         self.bank_busy.fill(Cycles::ZERO);
         for file in &mut self.mshrs {
             file.reset();
         }
-        self.tick = 0;
         self.stats = SharedStats::default();
     }
 
@@ -582,6 +432,7 @@ impl SharedCache {
     /// contents, port frontiers and in-flight fills — the
     /// warmup/measurement boundary.
     pub fn clear_stats(&mut self) {
+        self.lines.clear_stats();
         for file in &mut self.mshrs {
             file.clear_stats();
         }
@@ -618,8 +469,8 @@ mod tests {
         c.fill(a, AccessClass::Data, Asid(1), false);
         let hit = c.access(a, RwKind::Read, AccessClass::Data, Cycles::new(100));
         assert!(hit.hit);
-        assert_eq!(c.stats().data.hits, 1);
-        assert_eq!(c.stats().data.misses, 1);
+        assert_eq!(c.stats().cache.data.hits, 1);
+        assert_eq!(c.stats().cache.data.misses, 1);
         assert_eq!(c.occupancy_by_asid(), vec![(Asid(1), 1)]);
     }
 
@@ -660,6 +511,24 @@ mod tests {
     }
 
     #[test]
+    fn exclusive_write_hit_returns_pre_access_dirtiness() {
+        let mut c = tiny(InclusionPolicy::Exclusive);
+        let a = PhysAddr::new(0x80);
+        c.fill(a, AccessClass::Data, Asid::ZERO, false);
+        let hit = c.access(a, RwKind::Write, AccessClass::Data, Cycles::ZERO);
+        assert!(hit.hit);
+        assert!(
+            !hit.dirty,
+            "the store dirties the private copy, not this one"
+        );
+        assert!(!c.probe(a), "exclusive hit removes the line");
+        c.fill(a, AccessClass::Data, Asid::ZERO, true);
+        let hit = c.access(a, RwKind::Write, AccessClass::Data, Cycles::ZERO);
+        assert!(hit.hit && hit.dirty);
+        assert_eq!(c.live_lines(), 0);
+    }
+
+    #[test]
     fn fill_evicts_lru_and_reports_dirty_victims() {
         let mut c = tiny(InclusionPolicy::Inclusive);
         let a = PhysAddr::new(0); // set 0
@@ -670,15 +539,15 @@ mod tests {
         let victim = c.fill(d, AccessClass::Metadata, Asid::ZERO, false);
         assert_eq!(
             victim,
-            Some(SharedVictim {
+            Some(Victim {
                 addr: a,
                 class: AccessClass::Data,
                 dirty: true
             })
         );
-        assert_eq!(c.stats().writebacks, 1);
+        assert_eq!(c.stats().cache.writebacks, 1);
         assert_eq!(
-            c.stats().data_evicted_by_metadata,
+            c.stats().cache.data_evicted_by_metadata,
             1,
             "metadata evicted data"
         );
@@ -744,7 +613,7 @@ mod tests {
         c.access(a, RwKind::Read, AccessClass::Data, Cycles::ZERO);
         c.fill(a, AccessClass::Data, Asid(3), false);
         c.clear_stats();
-        assert_eq!(c.stats().data.total(), 0);
+        assert_eq!(c.stats().cache.data.total(), 0);
         assert!(c.probe(a), "contents survive");
         c.reset();
         assert!(!c.probe(a));

@@ -4,7 +4,6 @@
 //! exclusion, occupancy partition, bank partition) under random streams.
 
 use ndp_cache::hierarchy::CacheHierarchy;
-use ndp_cache::replacement::ReplacementPolicy;
 use ndp_cache::set_assoc::{CacheConfig, SetAssocCache};
 use ndp_cache::shared::{InclusionPolicy, SharedCache, SharedConfig};
 use ndp_types::{AccessClass, Asid, Cycles, PhysAddr, RwKind};
@@ -65,7 +64,6 @@ fn tiny_config() -> CacheConfig {
         ways: 8,
         line_bytes: 64,
         latency: Cycles::new(1),
-        replacement: ReplacementPolicy::Lru,
         metadata_lru_insert: false,
     }
 }
@@ -79,7 +77,6 @@ fn prop_l1() -> CacheHierarchy {
         ways: 2,
         line_bytes: 64,
         latency: Cycles::new(1),
-        replacement: ReplacementPolicy::Lru,
         metadata_lru_insert: false,
     }])
 }
@@ -108,19 +105,38 @@ fn line_of(sel: u64) -> PhysAddr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Under pure-LRU data traffic, the cache must agree with the
-    /// reference model on every hit/miss decision.
+    /// Under pure-LRU data traffic, the cache — and an inclusive
+    /// single-bank shared cache of the same geometry — must agree with
+    /// the reference model on every hit/miss decision.
     #[test]
     fn matches_reference_lru(addrs in vec(0u64..32_768, 1..400)) {
         let mut cache = SetAssocCache::new(tiny_config());
+        let mut shared = SharedCache::new(SharedConfig {
+            name: "prop-shared",
+            size_bytes: 4096, // 8 sets x 8 ways, like tiny_config
+            ways: 8,
+            banks: 1,
+            line_bytes: 64,
+            latency: Cycles::new(1),
+            bank_period: Cycles::new(1),
+            policy: InclusionPolicy::Inclusive,
+            mshrs_per_bank: 1,
+        });
         let mut reference = RefCache::new(8, 8);
-        for &addr in &addrs {
+        for (t, &addr) in addrs.iter().enumerate() {
             let a = PhysAddr::new(addr & !63);
             let got = cache.access(a, RwKind::Read, AccessClass::Data);
+            let shared_got = shared
+                .access(a, RwKind::Read, AccessClass::Data, Cycles::new(t as u64))
+                .hit;
             let want = reference.access(addr & !63);
             prop_assert_eq!(got, want, "divergence at {:#x}", addr);
+            prop_assert_eq!(shared_got, want, "shared divergence at {:#x}", addr);
             if !got {
-                cache.fill(a, AccessClass::Data, false);
+                cache.fill(a, AccessClass::Data, Asid::ZERO, false);
+            }
+            if !shared_got {
+                shared.fill(a, AccessClass::Data, Asid::ZERO, false);
             }
             if !want {
                 reference.fill(addr & !63);
@@ -139,7 +155,7 @@ proptest! {
             let _ = cache.probe(a);
             prop_assert_eq!(cache.stats().total().total(), before, "probe counted");
             if !cache.access(a, RwKind::Read, AccessClass::Data) {
-                cache.fill(a, AccessClass::Data, false);
+                cache.fill(a, AccessClass::Data, Asid::ZERO, false);
             }
         }
         prop_assert_eq!(cache.stats().total().total(), addrs.len() as u64);
@@ -172,7 +188,7 @@ proptest! {
             let hit = cache.access(a, RwKind::Read, class);
             prop_assert_eq!(hit, cache.probe(a), "access/probe disagree");
             if !hit {
-                cache.fill(a, class, false);
+                cache.fill(a, class, Asid::ZERO, false);
                 prop_assert!(cache.probe(a), "fill must install");
             }
         }
@@ -385,7 +401,8 @@ proptest! {
                 written.insert(a.as_u64());
             }
             if !cache.access(a, rw, AccessClass::Data) {
-                if let Some(wb) = cache.fill(a, AccessClass::Data, is_store) {
+                let victim = cache.fill(a, AccessClass::Data, Asid::ZERO, is_store);
+                if let Some(wb) = victim.filter(|v| v.dirty) {
                     prop_assert!(
                         written.contains(&wb.addr.as_u64()),
                         "writeback of never-written line {:#x}",

@@ -25,8 +25,8 @@ use crate::config::{InclusionPolicy, SimConfig, SystemKind};
 use crate::report::{FaultCounts, MlpStats, RunReport, SchedStats, SharedLlcStats};
 use ndp_cache::hierarchy::{CacheHierarchy, LookupResult, VictimList};
 use ndp_cache::mshr::MshrLookup;
-use ndp_cache::set_assoc::CacheConfig;
-use ndp_cache::shared::{SharedCache, SharedVictim};
+use ndp_cache::set_assoc::{CacheConfig, Victim};
+use ndp_cache::shared::SharedCache;
 use ndp_mem::controller::MemoryController;
 use ndp_mem::dram::DramConfig;
 use ndp_mem::noc::MeshNoc;
@@ -1117,7 +1117,7 @@ impl Machine {
     /// An inclusive L3 evicted `victim`: invalidate every private copy
     /// (back-invalidation) and push dirty data toward memory — the
     /// victim's own dirtiness or a dirtier private copy's.
-    fn back_invalidate_for(&mut self, i: usize, victim: SharedVictim, now: Cycles) {
+    fn back_invalidate_for(&mut self, i: usize, victim: Victim, now: Cycles) {
         let mut present = false;
         let mut dirty_private = false;
         for core in &mut self.cores {
@@ -1345,7 +1345,7 @@ impl Machine {
             let mut live_lines = 0u64;
             let mut occupancy: BTreeMap<u16, u64> = BTreeMap::new();
             for cache in caches {
-                stats.merge(cache.stats());
+                stats.merge(&cache.stats());
                 let mshr = cache.mshr_totals();
                 mshr_coalesced += mshr.coalesced;
                 mshr_full_stalls += mshr.full_stalls;
@@ -1361,10 +1361,10 @@ impl Machine {
                 banks: config.banks,
                 units: caches.len() as u32,
                 policy,
-                data: stats.data,
-                metadata: stats.metadata,
-                data_evicted_by_metadata: stats.data_evicted_by_metadata,
-                writebacks: stats.writebacks,
+                data: stats.cache.data,
+                metadata: stats.cache.metadata,
+                data_evicted_by_metadata: stats.cache.data_evicted_by_metadata,
+                writebacks: stats.cache.writebacks,
                 writebacks_absorbed: stats.writebacks_absorbed,
                 bank_conflicts: stats.bank_conflicts,
                 bank_conflict_cycles: stats.bank_conflict_cycles,

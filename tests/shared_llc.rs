@@ -209,10 +209,10 @@ fn exact_hit_miss_accounting_on_a_hand_built_sequence() {
             .hit
     );
 
-    assert_eq!(l3.stats().data.hits, 2);
-    assert_eq!(l3.stats().data.misses, 2);
-    assert_eq!(l3.stats().metadata.hits, 1);
-    assert_eq!(l3.stats().metadata.misses, 1);
+    assert_eq!(l3.stats().cache.data.hits, 2);
+    assert_eq!(l3.stats().cache.data.misses, 2);
+    assert_eq!(l3.stats().cache.metadata.hits, 1);
+    assert_eq!(l3.stats().cache.metadata.misses, 1);
 
     // A metadata fill into the full set 0 evicts LRU data line `a`
     // (c was just written): pollution plus no writeback for clean `a`,
@@ -222,8 +222,8 @@ fn exact_hit_miss_accounting_on_a_hand_built_sequence() {
         .expect("set 0 is full");
     assert_eq!(victim.addr, a);
     assert!(!victim.dirty);
-    assert_eq!(l3.stats().data_evicted_by_metadata, 1);
-    assert_eq!(l3.stats().writebacks, 0);
+    assert_eq!(l3.stats().cache.data_evicted_by_metadata, 1);
+    assert_eq!(l3.stats().cache.writebacks, 0);
     let victim = l3
         .fill(
             PhysAddr::new(12 * 64),
@@ -234,8 +234,8 @@ fn exact_hit_miss_accounting_on_a_hand_built_sequence() {
         .expect("set 0 still full");
     assert_eq!(victim.addr, c, "LRU order: c was older than the new line");
     assert!(victim.dirty, "the write at t=500 dirtied c");
-    assert_eq!(l3.stats().writebacks, 1);
-    assert_eq!(l3.stats().data_evicted_by_metadata, 2);
+    assert_eq!(l3.stats().cache.writebacks, 1);
+    assert_eq!(l3.stats().cache.data_evicted_by_metadata, 2);
 
     // Occupancy: set 0 holds two metadata lines for ASID 1, set 1 one
     // for ASID 1 — ASID 0 lost everything.
