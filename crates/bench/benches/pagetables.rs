@@ -1,16 +1,18 @@
 //! Criterion microbenches for the page-table designs — every tree layout
 //! and ECH: per-page `map`, region-at-a-time `map_range` (the premap
 //! path), `translate`, and `translate_and_walk` (the simulator's per-miss
-//! call). Supports the Fig 12–14 mechanism comparisons with
-//! component-level numbers.
+//! call) — plus a whole machine's premap of eight ECH tables. Supports
+//! the Fig 12–14 mechanism comparisons with component-level numbers.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use ndp_sim::{Machine, SimConfig, SystemKind};
 use ndp_types::Vpn;
+use ndp_workloads::WorkloadId;
 use ndpage::alloc::FrameAllocator;
 use ndpage::cuckoo::ElasticCuckooTable;
 use ndpage::table::PageTable;
 use ndpage::tree::{Tree, LAYOUTS};
-use ndpage::PageTableImpl;
+use ndpage::{Mechanism, PageTableImpl};
 
 const PAGES: u64 = 50_000;
 
@@ -112,9 +114,26 @@ fn bench_translate_and_walk(c: &mut Criterion) {
     group.finish();
 }
 
+/// `Machine::new` for an 8-core NDP machine under ECH at the calibration
+/// grid's quick scale: eight 256 MiB address spaces premapped into eight
+/// elastic cuckoo tables (shape per table, replay the frame allocations
+/// in schedule order, bind the frames per table).
+fn bench_premap(c: &mut Criterion) {
+    let mut group = c.benchmark_group("pagetable_premap");
+    group.sample_size(10);
+    group.bench_function("ECH_x8", |b| {
+        b.iter(|| {
+            let cfg = SimConfig::new(SystemKind::Ndp, 8, Mechanism::Ech, WorkloadId::Rnd)
+                .with_footprint(256 << 20);
+            black_box(Machine::new(cfg))
+        });
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_map, bench_map_range, bench_translate, bench_translate_and_walk
+    targets = bench_map, bench_map_range, bench_translate, bench_translate_and_walk, bench_premap
 }
 criterion_main!(benches);

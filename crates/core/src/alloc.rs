@@ -38,7 +38,7 @@ pub enum FramePurpose {
 }
 
 /// Allocation statistics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
     /// 4 KB data frames handed out.
     pub data_frames: u64,

@@ -143,6 +143,10 @@ impl PageTable for PageTableImpl {
         dispatch!(self, t => t.map_range(first, pages, alloc))
     }
 
+    fn shape_range(&mut self, first: Vpn, pages: u64) {
+        dispatch!(self, t => t.shape_range(first, pages))
+    }
+
     fn plan_range(
         &mut self,
         first: Vpn,

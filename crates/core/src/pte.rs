@@ -55,6 +55,13 @@ impl Pte {
         Pte(Pte::next(pfn).0 | FLATTENED)
     }
 
+    /// A not-present entry carrying `ordinal` in its frame field: a
+    /// page's stand-in until its frame is known (see
+    /// [`crate::cuckoo::ElasticCuckooTable`]'s phased premap).
+    pub(crate) const fn unbound(ordinal: u64) -> Self {
+        Pte((ordinal & PFN_MASK) << PFN_SHIFT)
+    }
+
     /// Whether the entry is present.
     #[must_use]
     pub const fn is_present(self) -> bool {

@@ -115,12 +115,12 @@ impl RangeMapOutcome {
     }
 }
 
-/// One deferred run of leaf installs: `count` consecutive pages landing in
-/// one leaf node, backed by `count` consecutive frames from `first_pfn`.
+/// One deferred run of leaf installs: `count` consecutive pages, backed
+/// by `count` consecutive frames from `first_pfn`.
 ///
-/// `node` is an implementation-defined leaf-node index (Radix L1 node,
-/// flattened L2/L1 node); only the table that produced the plan can
-/// interpret it.
+/// `node` and `start` are implementation-defined — a tree's leaf node and
+/// first entry in it, the elastic cuckoo table's first page ordinal — so
+/// only the table that produced the plan can interpret them.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PlanSegment {
     pub(crate) node: u32,
@@ -195,15 +195,33 @@ pub trait PageTable {
         totals
     }
 
+    /// The allocator-free first step of a phased premap: lays out
+    /// `pages` pages from `first` as [`Self::map`] would, without touching
+    /// the allocator, so that per-table shaping can run in parallel
+    /// across tables. The allocator calls it owes are then made by
+    /// [`Self::plan_range`] over the same ranges in the same order, and
+    /// the frames land in the table when [`Self::apply_plan`] has applied
+    /// every resulting plan; until then the table must not be queried.
+    ///
+    /// The trees need no shaping (their layout is fixed by the VPNs, so
+    /// `plan_range` already makes every allocator call up front), and
+    /// the default does nothing. The elastic cuckoo table shapes: where
+    /// its entries land, and when it resizes, depends on its own VPN
+    /// sequence only.
+    fn shape_range(&mut self, first: Vpn, pages: u64) {
+        let _ = (first, pages);
+    }
+
     /// The allocator half of [`Self::map_range`], with leaf installs
     /// deferred into the returned [`RangePlan`]. The allocator call
     /// sequence and fault totals are exactly those of `map_range`; the
     /// mapping only becomes visible once [`Self::apply_plan`] runs.
     ///
-    /// Returns `None` when the design cannot split the two halves (the
-    /// elastic cuckoo table interleaves allocation with insertion during
-    /// resizes; huge pages fall back based on live allocator state) —
-    /// callers must then use plain `map_range`.
+    /// Returns `None` when the design cannot split the two halves —
+    /// callers must then use plain `map_range`. Huge pages decline (they
+    /// fall back based on live allocator state), and so does the elastic
+    /// cuckoo table for any range it was not shaped for
+    /// ([`Self::shape_range`]).
     ///
     /// Until the plan is applied, the planned pages still read as
     /// unmapped, so planning the same page twice would double-allocate:
@@ -221,7 +239,8 @@ pub trait PageTable {
 
     /// Installs the leaf PTEs recorded by an earlier [`Self::plan_range`]
     /// on this same table. Pure memory writes — no allocator access — so
-    /// per-table apply calls can run in parallel across tables.
+    /// per-table apply calls can run in parallel across tables. Plans from
+    /// a shaped table must all be applied, in plan order.
     ///
     /// # Panics
     ///

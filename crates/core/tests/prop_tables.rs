@@ -173,11 +173,12 @@ proptest! {
         }
     }
 
-    /// Planning a range and applying the plan must build exactly what
-    /// `map_range` builds — same translations, frames, table storage and
-    /// fault totals — for every design that plans; the machine's premap
-    /// splits `map_range` this way. Designs that decline to plan are the
-    /// huge-page and hashed tables.
+    /// Shaping a range, planning it and applying the plan must build
+    /// exactly what `map_range` builds — same translations and walk
+    /// addresses, frames, table storage and fault totals — for every
+    /// design that plans; the machine's premap splits `map_range` this
+    /// way. Only the huge-page design declines to plan. Ranges may
+    /// overlap, so the hashed table also replays already-mapped pages.
     #[test]
     fn plan_then_apply_matches_map_range(
         starts in vec(arb_vpn(), 1..12),
@@ -192,11 +193,9 @@ proptest! {
             let mut direct_totals = RangeMapOutcome::default();
             for (&start, &len) in starts.iter().zip(&lens) {
                 let first = Vpn::new(start);
+                planned.shape_range(first, len);
                 let Some(plan) = planned.plan_range(first, len, &mut alloc_a) else {
-                    prop_assert!(
-                        matches!(planned.kind(), PageTableKind::HugePage | PageTableKind::ElasticCuckoo),
-                        "{} declined to plan", name
-                    );
+                    prop_assert_eq!(planned.kind(), PageTableKind::HugePage, "{} declined to plan", name);
                     break;
                 };
                 prop_assert_eq!(plan.pages(), plan.outcome.minor_4k, "{}", name);
@@ -211,8 +210,68 @@ proptest! {
             for (&start, &len) in starts.iter().zip(&lens) {
                 for p in 0..len {
                     let vpn = Vpn::new(start).add(p);
-                    prop_assert_eq!(planned.translate(vpn), direct.translate(vpn), "{} {:?}", name, vpn);
+                    prop_assert_eq!(
+                        planned.translate_and_walk(vpn),
+                        direct.translate_and_walk(vpn),
+                        "{} {:?}",
+                        name,
+                        vpn
+                    );
                 }
+            }
+        }
+    }
+
+    /// The hashed table's phased premap — shape every range, plan them in
+    /// shape order, apply every plan — must build exactly what
+    /// `map_range` builds over the same disjoint ranges, as the machine's
+    /// premap relies on: walk addresses (slots and way bases), frames,
+    /// allocator and cuckoo statistics, pending rehash work, storage and
+    /// occupancy. Single scattered pages make the table kick, which
+    /// sequential keys never do.
+    #[test]
+    fn ech_shape_plan_apply_matches_map_range(
+        spans in vec((arb_vpn(), 1u64..700), 1..24),
+        scattered in vec(arb_vpn(), 0..6000),
+    ) {
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        for (start, len) in spans.into_iter().chain(scattered.into_iter().map(|v| (v, 1))) {
+            if ranges.iter().all(|&(s, l)| start + len <= s || s + l <= start) {
+                ranges.push((start, len));
+            }
+        }
+        let mut alloc_a = FrameAllocator::new(64 << 30);
+        let mut alloc_b = FrameAllocator::new(64 << 30);
+        let mut phased = ElasticCuckooTable::new(&mut alloc_a);
+        let mut direct = ElasticCuckooTable::new(&mut alloc_b);
+        for &(start, len) in &ranges {
+            phased.shape_range(Vpn::new(start), len);
+        }
+        let mut plans = Vec::new();
+        let mut plan_totals = RangeMapOutcome::default();
+        let mut direct_totals = RangeMapOutcome::default();
+        for &(start, len) in &ranges {
+            let plan = phased.plan_range(Vpn::new(start), len, &mut alloc_a);
+            let plan = plan.expect("a shaped range plans");
+            plan_totals.absorb_range(plan.outcome);
+            plans.push(plan);
+            direct_totals.absorb_range(direct.map_range(Vpn::new(start), len, &mut alloc_b));
+        }
+        for plan in &plans {
+            phased.apply_plan(plan);
+        }
+        prop_assert_eq!(plan_totals, direct_totals);
+        prop_assert_eq!(alloc_a.frames_used(), alloc_b.frames_used());
+        prop_assert_eq!(alloc_a.stats(), alloc_b.stats());
+        prop_assert_eq!(phased.stats(), direct.stats());
+        prop_assert_eq!(phased.take_pending_os_work(), direct.take_pending_os_work());
+        prop_assert_eq!(phased.mapped_pages(), direct.mapped_pages());
+        prop_assert_eq!(phased.table_bytes(), direct.table_bytes());
+        prop_assert_eq!(phased.occupancy(), direct.occupancy());
+        for &(start, len) in &ranges {
+            for p in 0..len {
+                let vpn = Vpn::new(start).add(p);
+                prop_assert_eq!(phased.translate_and_walk(vpn), direct.translate_and_walk(vpn), "{:?}", vpn);
             }
         }
     }

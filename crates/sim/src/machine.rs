@@ -40,7 +40,7 @@ use ndp_workloads::{Trace, TraceParams};
 use ndpage::alloc::FrameAllocator;
 use ndpage::bypass::BypassPolicy;
 use ndpage::occupancy::OccupancyReport;
-use ndpage::table::{FaultKind, PageTable};
+use ndpage::table::{FaultKind, PageTable, PageTableKind};
 use ndpage::Mechanism;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -459,13 +459,21 @@ impl Machine {
     ///
     /// The chunk schedule streams from per-target cursors (nothing
     /// footprint-proportional is materialised — traces themselves are
-    /// already lazy iterators), and for designs that support the
-    /// plan/apply split the phase runs in two halves: a serial planning
-    /// pass over the canonical interleaved schedule that performs every
-    /// allocator interaction (so frames, faults and digests are identical
-    /// to the combined path), then a parallel per-table pass installing
-    /// the planned leaf PTEs — the bulk of init time at paper-scale
-    /// footprints — via the order-preserving parallel driver.
+    /// already lazy iterators). When every process's regions are disjoint
+    /// the phase splits three ways, so that only the allocator calls run
+    /// serially:
+    ///
+    /// 1. **Shape**, one parallel task per table: each table lays out its
+    ///    own pages without the allocator ([`PageTable::shape_range`]; a
+    ///    no-op for the trees, whose layout the VPNs fix).
+    /// 2. **Plan**, serially over the canonical interleaved schedule:
+    ///    every allocator call the combined path would make, in its order
+    ///    (so frames, faults and digests are identical).
+    /// 3. **Apply**, one parallel task per table: the planned leaf PTEs
+    ///    are written — the bulk of init time at paper-scale footprints.
+    ///
+    /// Huge Page declines to plan (its huge-vs-fallback choice reads live
+    /// allocator state) and maps through the combined `map_range`.
     fn premap_footprints(&mut self) {
         use ndp_types::addr::PAGE_SIZE;
 
@@ -494,6 +502,23 @@ impl Machine {
         // combined path (chunks within one region never overlap).
         let mut deferred = region_lists.iter().all(|rs| page_spans_disjoint(rs));
         let mut plans: Vec<Vec<ndpage::table::RangePlan>> = vec![Vec::new(); targets.len()];
+        if deferred {
+            // Only the hashed table shapes (`shape_range` is a no-op on the
+            // trees), so the trees skip the fan-out.
+            let work: Vec<(&mut TableImpl, ChunkCursor<'_>)> = self
+                .cores
+                .iter_mut()
+                .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
+                .zip(region_lists.iter().map(|r| ChunkCursor::new(r)))
+                .filter(|(table, _)| table.kind() == PageTableKind::ElasticCuckoo)
+                .collect();
+            crate::parallel::par_map(work, |(table, mut cursor)| {
+                while let Some((base, len)) = cursor.next_chunk() {
+                    let first = ndp_types::VirtAddr::new(base).vpn();
+                    table.shape_range(first, len.div_ceil(PAGE_SIZE));
+                }
+            });
+        }
 
         // Round-robin passes over the cursors reproduce the historical
         // `for chunk_idx { for target }` interleaving exactly (exhausted
@@ -521,9 +546,9 @@ impl Machine {
                             plans[target_idx].push(plan);
                             outcome
                         }
-                        // The design can't split the halves (ECH, Huge
-                        // Page); the probe had no side effects, so the
-                        // combined call takes over from here on.
+                        // The design can't split the halves (Huge Page);
+                        // the probe had no side effects, so the combined
+                        // call takes over from here on.
                         None => {
                             deferred = false;
                             table.map_range(first, pages, &mut self.alloc)
