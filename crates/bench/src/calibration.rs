@@ -438,15 +438,10 @@ pub fn parse_rows(text: &str) -> Result<Vec<CalRow>, String> {
     Ok(rows)
 }
 
-/// The mean of `metric` over the rows in a target's
-/// `(system, cores, mechanism)` group, with the workload count.
-#[must_use]
-pub fn group_mean(rows: &[CalRow], t: &PaperTarget) -> (Option<f64>, usize) {
-    let vals: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.system == t.system && r.cores == t.cores && r.mechanism == t.mechanism)
-        .filter_map(|r| r.metric(t.metric))
-        .collect();
+/// The mean of the `Some` values, `None` when there are none, with
+/// the count of values averaged.
+fn mean_of(values: impl Iterator<Item = Option<f64>>) -> (Option<f64>, usize) {
+    let vals: Vec<f64> = values.flatten().collect();
     #[allow(clippy::cast_precision_loss)]
     let mean = (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64);
     (mean, vals.len())
@@ -514,7 +509,13 @@ pub fn evaluate(
                 .find(|(k, _)| k == t.key)
                 .map_or(t.tolerance, |(_, tol)| *tol);
             let band = tol.half_width(t.value) * scale;
-            let (measured, workloads) = group_mean(rows, t);
+            let (measured, workloads) = mean_of(
+                rows.iter()
+                    .filter(|r| {
+                        r.system == t.system && r.cores == t.cores && r.mechanism == t.mechanism
+                    })
+                    .map(|r| r.metric(t.metric)),
+            );
             // An exactly-on-band measurement passes: widen by a hair of
             // float slack so `x ± band` endpoints are inside.
             let pass = measured.is_some_and(|m| (m - t.value).abs() <= band + 1e-9 * t.value.abs());
@@ -627,16 +628,8 @@ pub fn group_rows(rows: &[CalRow]) -> Vec<Vec<String>> {
                 .iter()
                 .filter(|r| &r.system == system && r.cores == *cores && &r.mechanism == mechanism)
                 .collect();
-            let mean = |metric: Metric| {
-                let vals: Vec<f64> = members.iter().filter_map(|r| r.metric(metric)).collect();
-                #[allow(clippy::cast_precision_loss)]
-                (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
-            };
-            let walk_rate = {
-                let vals: Vec<f64> = members.iter().filter_map(|r| r.tlb_walk_rate()).collect();
-                #[allow(clippy::cast_precision_loss)]
-                (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64)
-            };
+            let mean = |metric: Metric| mean_of(members.iter().map(|r| r.metric(metric))).0;
+            let walk_rate = mean_of(members.iter().map(|r| r.tlb_walk_rate())).0;
             vec![
                 system.clone(),
                 cores.to_string(),

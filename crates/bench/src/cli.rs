@@ -2,9 +2,8 @@
 //! `calibrate` binaries.
 //!
 //! One `Args` accessor, one error type, and one registry-driven
-//! [`config_from_args`] replace the per-binary copies of `get`/`has`,
-//! `num*`, `die_unknown` and the workload/mechanism name lists that each
-//! binary used to carry (or go without). The flag table itself lives in
+//! [`config_from_args`] replace the per-binary copies of `get`/`has`
+//! and `num*` that each binary used to carry. The flag table itself lives in
 //! [`ndp_sim::spec::KNOBS`] — the single source of truth shared with
 //! spec files and `--set` overrides — so a new `SimConfig` knob becomes
 //! a CLI flag by adding exactly one registry entry.
@@ -13,8 +12,6 @@ use ndp_sim::parallel;
 use ndp_sim::spec::{apply_knob, KNOBS};
 use ndp_sim::SimConfig;
 use std::fmt;
-
-pub use ndp_sim::spec::{mechanism_names, parse_mechanism, parse_workload, workload_names};
 
 /// A CLI failure: the message to print on stderr and the process exit
 /// code (2 = usage/parse error, 1 = semantic/validation error — the
@@ -187,16 +184,6 @@ impl Args {
     }
 }
 
-/// Exits with a message listing the valid spellings — an unrecognised
-/// value must never silently run some default configuration instead.
-#[must_use]
-pub fn die_unknown(flag: &str, got: &str, valid: &[String]) -> CliError {
-    CliError::usage(format!(
-        "error: unrecognized {flag} {got:?}; valid values: {}",
-        valid.join(", ")
-    ))
-}
-
 /// Installs a `--jobs N` override for the parallel driver (wins over
 /// `NDP_THREADS`), and validates `NDP_THREADS` itself so a malformed
 /// value fails up front instead of panicking mid-sweep.
@@ -322,22 +309,6 @@ pub fn knob_help_table() -> String {
     out
 }
 
-/// Splits a comma-separated workload list, validating every name.
-///
-/// # Errors
-///
-/// A usage error listing the valid workload names.
-pub fn parse_workload_list(
-    flag: &str,
-    s: &str,
-) -> Result<Vec<ndp_workloads::WorkloadId>, CliError> {
-    s.split(',')
-        .map(str::trim)
-        .filter(|w| !w.is_empty())
-        .map(|w| parse_workload(w).ok_or_else(|| die_unknown(flag, w, &workload_names())))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,13 +431,5 @@ mod tests {
             assert!(help.contains(k.name), "missing {}", k.name);
         }
         assert!(help.contains("--no-asid"));
-    }
-
-    #[test]
-    fn workload_lists_validate() {
-        let ws = parse_workload_list("--workloads", "RND, bfs").unwrap();
-        assert_eq!(ws.len(), 2);
-        let err = parse_workload_list("--workloads", "RND,bogus").unwrap_err();
-        assert!(err.message.contains("bogus") && err.message.contains("BFS"));
     }
 }

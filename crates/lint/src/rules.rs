@@ -488,7 +488,8 @@ pub fn panic_free_rule(ws: &Workspace) -> Vec<Diagnostic> {
 /// `--set`), never the ad-hoc `SimConfig::new(..).with_*(..)`
 /// constructors: their grids feed spec files and JSONL coordinates, so
 /// a config assembled outside the registry silently drifts from what
-/// `--emit-spec` round-trips and what `calibrate --check` re-derives.
+/// the committed spec files express and what `calibrate --check`
+/// re-derives.
 pub const REGISTRY_CONSTRUCTION_FILES: &[&str] = &["crates/bench/src/bin/calibrate.rs"];
 
 /// Construction tokens that bypass the knob registry.
