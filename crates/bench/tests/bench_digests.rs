@@ -1,11 +1,14 @@
-//! The five pinned sweep digests: each folds (XOR) the `RunReport`
+//! The six pinned sweep digests: each folds (XOR) the `RunReport`
 //! fingerprints of one fixed sweep, so any change to simulated behaviour
 //! on that sweep moves its constant. They cover the blocking figure
 //! engine plus a PWC-capacity sweep (`report`), the issue-window sweep
 //! (`mlp`), the shared-LLC sweep (`llc`), the quick-scale calibration
-//! grid (`cal`) and a windowed, co-running, shared-LLC grid whose DRAM
-//! runs the overlap (reservation-list) scheduler (`windowed_shared`). Every sweep runs on the parallel driver, so the pins
-//! also witness thread-count independence.
+//! grid (`cal`), a windowed, co-running, shared-LLC grid whose DRAM
+//! runs the overlap (reservation-list) scheduler (`windowed_shared`), and
+//! Huge Page on memories small enough that 2 MB contiguity runs out
+//! during premap, so most of each footprint takes THP-fallback faults
+//! (`huge_fallback`). Every sweep runs on the parallel driver, so the
+//! pins also witness thread-count independence.
 
 use ndp_bench::calibration;
 use ndp_sim::spec::{apply_knob, mechanism_names, run_sweep, SweepSpec};
@@ -18,6 +21,7 @@ const MLP_DIGEST: u64 = 14920915780567262132;
 const LLC_DIGEST: u64 = 14219396697369523494;
 const CAL_DIGEST: u64 = 907243844365967685;
 const WINDOWED_SHARED_DIGEST: u64 = 1664570759798941318;
+const HUGE_FALLBACK_DIGEST: u64 = 14058462956231557024;
 
 /// An NDP Radix machine with 4 k warmup / 8 k measured ops over 512 MB.
 fn base(cores: u32, workload: WorkloadId) -> SimConfig {
@@ -108,4 +112,42 @@ fn windowed_shared_digest_is_pinned() {
         .axis("workload", &[WorkloadId::Rnd, WorkloadId::Bfs])
         .axis("mechanism", &["radix", "ndpage"]);
     assert_eq!(digest(&spec), WINDOWED_SHARED_DIGEST);
+}
+
+/// Huge Page at quick scale (1 GiB per core) on 1–3 GiB memories:
+/// RND, BFS (two procs per core), XS and DLRM each exhaust the
+/// contiguity pool partway through premap, so every row mixes 2 MB
+/// faults with THP-fallback faults (pinned per row beside the digest).
+#[test]
+fn huge_fallback_digest_is_pinned() {
+    // (workload, cores, procs per core, memory GiB, fallback faults)
+    let rows: [(&str, u32, u32, u64, u64); 4] = [
+        ("RND", 1, 1, 2, 26_624),
+        ("BFS", 2, 2, 2, 813_168),
+        ("XS", 4, 1, 3, 695_468),
+        ("DLRM", 2, 1, 1, 406_528),
+    ];
+    let base = SimConfig::quick(SystemKind::Ndp, 1, Mechanism::HugePage, WorkloadId::Rnd)
+        .with_ops(2_000, 6_000);
+    let spec = SweepSpec::new(base).paired_axis(
+        rows.iter()
+            .map(|&(workload, cores, procs, gib, _)| {
+                vec![
+                    ("workload", workload.to_string()),
+                    ("cores", cores.to_string()),
+                    ("procs_per_core", procs.to_string()),
+                    ("memory_capacity", (gib << 30).to_string()),
+                ]
+            })
+            .collect(),
+    );
+    let result = run_sweep(&spec).expect("pinned grid is valid");
+    let fallback: Vec<u64> = result
+        .rows
+        .iter()
+        .map(|r| r.report.faults.fallback)
+        .collect();
+    assert_eq!(fallback, rows.map(|r| r.4));
+    assert!(result.rows.iter().all(|r| r.report.faults.minor_2m > 0));
+    assert_eq!(result.digest(), HUGE_FALLBACK_DIGEST);
 }
