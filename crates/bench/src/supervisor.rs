@@ -19,7 +19,7 @@
 
 use crate::cli::CliError;
 use ndp_sim::shard::{shard_path, stream_path, ShardSpec};
-use ndp_sim::spec::{merge_sweep_jsonl, SweepSpec};
+use ndp_sim::spec::{json_escape, merge_sweep_jsonl, SweepSpec};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -354,7 +354,7 @@ pub fn supervise_with_cancel(
     let summary = format!(
         "{{\"sweep\":\"{}\",\"grid\":{},\"merged\":{},\"missing\":[{}],\"digest\":{},\
          \"outcome\":\"{outcome}\",\"shards\":[{}]}}",
-        spec.name.replace('\\', "\\\\").replace('"', "\\\""),
+        json_escape(&spec.name),
         merge.grid,
         merge.merged,
         missing.join(","),

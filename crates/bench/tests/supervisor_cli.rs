@@ -7,6 +7,7 @@
 //! Fault injection uses the `NDP_FAULT` knob (`abort|hang|torn@INDEX`,
 //! optional `:once=MARKER` to make the fault one-shot across respawns).
 
+use ndp_sim::spec::{parse_json, Json};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -23,14 +24,18 @@ fn tmp(tag: &str, ext: &str) -> PathBuf {
 }
 
 /// 2x2 grid (pwc_entries x mechanism), sized to finish in well under a
-/// second per point.
+/// second per point. Its name ([`QUAD_NAME`]) holds a tab, a newline and
+/// quotes, which the supervisor's JSON summary line must escape.
 const QUAD_SPEC: &str = r#"{
-  "name": "quad",
+  "name": "quad\tline\nbreak \"q\"",
   "base": {"workload": "RND", "warmup_ops": 100, "measure_ops": 300,
            "footprint": 134217728},
   "axes": [{"knob": "pwc_entries", "values": [16, 64]},
            {"knob": "mechanism", "values": ["radix", "ndpage"]}]
 }"#;
+
+/// The name [`QUAD_SPEC`] declares, unescaped.
+const QUAD_NAME: &str = "quad\tline\nbreak \"q\"";
 
 struct Fixture {
     spec: PathBuf,
@@ -98,6 +103,10 @@ fn supervised_run_matches_serial_bytes() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"outcome\":\"full\""), "stdout: {stdout}");
+    // The summary is one JSON line whatever the spec's name holds.
+    let summary = stdout.lines().last().expect("a summary line");
+    let summary = parse_json(summary).unwrap_or_else(|e| panic!("{e}: {summary}"));
+    assert_eq!(summary.get("sweep"), Some(&Json::Str(QUAD_NAME.into())));
     assert_eq!(std::fs::read_to_string(&fx.out).unwrap(), reference);
     // Shard intermediates are cleaned up after a full merge.
     assert!(ndp_sim::shard::existing_shard_files(&fx.out).is_empty());

@@ -30,8 +30,9 @@ const EMPTY: u64 = u64::MAX;
 /// Allocates the data frames of ordinals `from..to` as one run of `plan`.
 fn plan_data_run(plan: &mut RangePlan, from: u64, to: u64, alloc: &mut FrameAllocator) {
     if to > from {
-        let pfn = alloc.alloc_data_frames(to - from);
-        plan.push(0, from as usize, (to - from) as usize, pfn);
+        let count = to - from;
+        let pfn = alloc.alloc_data_frames(count);
+        plan.push(0, from as usize, count as usize, pfn, FaultKind::Minor4K);
     }
 }
 

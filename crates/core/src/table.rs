@@ -130,10 +130,11 @@ pub(crate) struct PlanSegment {
 }
 
 /// The deferred half of a [`PageTable::map_range`]: every allocator
-/// interaction has already happened (interior nodes created, data frames
-/// reserved), but the leaf PTE writes — the bulk of premap time at
-/// paper-scale footprints — are recorded as segments to be installed
-/// later by [`PageTable::apply_plan`], possibly on another thread.
+/// interaction has already happened (interior nodes and 2 MB leaves
+/// created, data frames reserved), but the 4 KB leaf PTE writes — the
+/// bulk of premap time at paper-scale footprints — are recorded as
+/// segments to be installed later by [`PageTable::apply_plan`], possibly
+/// on another thread.
 #[derive(Debug, Clone, Default)]
 pub struct RangePlan {
     pub(crate) segments: Vec<PlanSegment>,
@@ -142,15 +143,28 @@ pub struct RangePlan {
 }
 
 impl RangePlan {
-    /// Records one run of `count` absent pages (all 4 KB minor faults).
-    pub(crate) fn push(&mut self, node: usize, start: usize, count: usize, first_pfn: Pfn) {
+    /// Records one run of `count` absent pages, each taking a 4 KB
+    /// `fault` (a minor fault, or a THP fallback).
+    pub(crate) fn push(
+        &mut self,
+        node: usize,
+        start: usize,
+        count: usize,
+        first_pfn: Pfn,
+        fault: FaultKind,
+    ) {
         self.segments.push(PlanSegment {
             node: node as u32,
             start: start as u32,
             count: count as u32,
             first_pfn: first_pfn.as_u64(),
         });
-        self.outcome.minor_4k += count as u64;
+        let count = count as u64;
+        match fault {
+            FaultKind::Minor4K => self.outcome.minor_4k += count,
+            FaultKind::Fallback4K => self.outcome.fallback += count,
+            FaultKind::Minor2M => unreachable!("a 2 MB leaf is not a run of 4 KB pages"),
+        }
     }
 
     /// Number of pages the plan will install.
@@ -212,21 +226,19 @@ pub trait PageTable {
         let _ = (first, pages);
     }
 
-    /// The allocator half of [`Self::map_range`], with leaf installs
+    /// The allocator half of [`Self::map_range`], with 4 KB leaf installs
     /// deferred into the returned [`RangePlan`]. The allocator call
     /// sequence and fault totals are exactly those of `map_range`; the
-    /// mapping only becomes visible once [`Self::apply_plan`] runs.
+    /// deferred pages only become visible once [`Self::apply_plan`] runs.
     ///
-    /// Returns `None` when the design cannot split the two halves —
-    /// callers must then use plain `map_range`. Huge pages decline (they
-    /// fall back based on live allocator state), and so does the elastic
-    /// cuckoo table for any range it was not shaped for
-    /// ([`Self::shape_range`]).
+    /// Returns `None` when the design cannot split the two halves, and
+    /// callers must then use plain `map_range`. The built-in trees always
+    /// plan; custom designs (the default) and the elastic cuckoo table,
+    /// for any range it was not shaped for ([`Self::shape_range`]), decline.
     ///
-    /// Until the plan is applied, the planned pages still read as
-    /// unmapped, so planning the same page twice would double-allocate:
-    /// callers are responsible for only batching plans over disjoint
-    /// ranges (the machine's premap checks this and falls back).
+    /// Until the plan is applied, its pages still read as unmapped, so
+    /// planning a page twice would double-allocate: callers must only
+    /// batch plans over disjoint ranges.
     fn plan_range(
         &mut self,
         first: Vpn,

@@ -282,40 +282,80 @@ impl Tree {
         (child, true)
     }
 
-    /// Descends to (creating as needed) the leaf-level node for `vpn`.
-    fn leaf_node_for(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> usize {
+    /// The fault a fresh 4 KB leaf takes: under the huge-page policy one
+    /// only ever sits below an entry whose 2 MB allocation failed.
+    fn leaf_fault(&self) -> FaultKind {
+        if self.layout.huge_leaf_at.is_some() {
+            FaultKind::Fallback4K
+        } else {
+            FaultKind::Minor4K
+        }
+    }
+
+    /// Descends to (creating as needed) the leaf-level node for `vpn`, or
+    /// `None` if a 2 MB leaf maps it. An absent huge-level entry first
+    /// tries a 2 MB block, as [`PageTable::map`] does; the leaf is written
+    /// at once, so later ranges see it, and counted in `outcome`.
+    fn leaf_node_for(
+        &mut self,
+        vpn: Vpn,
+        alloc: &mut FrameAllocator,
+        outcome: &mut RangeMapOutcome,
+    ) -> Option<usize> {
         let levels = self.layout.levels;
         let mut node = 0;
         for (depth, level) in levels[..self.leaf_depth()].iter().enumerate() {
-            node = self.child_or_new(node, depth, level.index(vpn), alloc).0;
+            let idx = level.index(vpn);
+            let pte = self.nodes[node].get(&self.arena, idx);
+            if pte.is_huge() {
+                return None;
+            }
+            if !pte.is_present() && self.layout.huge_leaf_at == Some(level.level) {
+                if let Some(base) =
+                    alloc.alloc_contiguous(PageSize::Size2M.frames(), FramePurpose::Data)
+                {
+                    self.nodes[node].set(&mut self.arena, idx, Pte::huge_leaf(base));
+                    self.mapped += 1;
+                    outcome.minor_2m += 1;
+                    return None;
+                }
+            }
+            node = self.child_or_new(node, depth, idx, alloc).0;
         }
-        node
+        Some(node)
     }
 
-    /// Scans `pages` from `first` once, creating interior nodes as needed
-    /// and reserving backing frames for maximal runs of absent pages
-    /// (bulk-bumped, preserving the per-page allocator call sequence);
-    /// leaf installs are recorded as plan segments. Shared by `map_range`
-    /// (which applies immediately) and `plan_range` (which defers).
+    /// Scans `pages` from `first` once, creating interior nodes and 2 MB
+    /// leaves as needed and reserving backing frames for maximal runs of
+    /// absent pages (bulk-bumped, preserving the per-page allocator call
+    /// sequence); 4 KB leaf installs are recorded as plan segments. Shared
+    /// by `map_range` (which applies immediately) and `plan_range`.
     fn plan_runs(&mut self, first: Vpn, pages: u64, alloc: &mut FrameAllocator) -> RangePlan {
         let leaf = self.layout.levels[self.leaf_depth()];
+        let fault = self.leaf_fault();
         let mut plan = RangePlan::default();
         // One descent per leaf node's region: pages are ascending, so a
-        // region's interior nodes are created at its first page either way.
+        // region's interior nodes or 2 MB leaf are made at its first page.
         let mut cached: Option<(u64, usize)> = None;
         let mut p = 0u64;
         while p < pages {
             let vpn = first.add(p);
             let region = vpn.as_u64() >> leaf.bits;
+            let idx = leaf.index(vpn);
             let node = match cached {
                 Some((r, node)) if r == region => node,
-                _ => {
-                    let node = self.leaf_node_for(vpn, alloc);
-                    cached = Some((region, node));
-                    node
-                }
+                _ => match self.leaf_node_for(vpn, alloc, &mut plan.outcome) {
+                    Some(node) => {
+                        cached = Some((region, node));
+                        node
+                    }
+                    // A 2 MB leaf maps the rest of the region.
+                    None => {
+                        p += (leaf.entries() - idx) as u64;
+                        continue;
+                    }
+                },
             };
-            let idx = leaf.index(vpn);
             if self.nodes[node].get(&self.arena, idx).is_present() {
                 p += 1;
                 continue;
@@ -329,7 +369,7 @@ impl Tree {
                 run += 1;
             }
             let first_pfn = alloc.alloc_data_frames(run as u64);
-            plan.push(node, idx, run, first_pfn);
+            plan.push(node, idx, run, first_pfn, fault);
             p += run as u64;
         }
         plan
@@ -397,36 +437,6 @@ impl Tree {
         }
         None
     }
-
-    /// `map_range` under the huge-page policy: after the first fault in a
-    /// 2 MB region decides huge vs fallback, the remaining pages of a huge
-    /// region are no-ops the per-page loop would still pay a descent each
-    /// for; skip them.
-    fn map_range_huge(
-        &mut self,
-        first: Vpn,
-        pages: u64,
-        alloc: &mut FrameAllocator,
-    ) -> RangeMapOutcome {
-        let span = self.layout.levels[self.leaf_depth()].entries() as u64;
-        let mut totals = RangeMapOutcome::default();
-        let mut p = 0u64;
-        while p < pages {
-            let vpn = first.add(p);
-            totals.absorb(self.map(vpn, alloc));
-            let in_region = (span - vpn.as_u64() % span).min(pages - p);
-            let huge_mapped = self
-                .translate(vpn)
-                .is_some_and(|t| t.size == PageSize::Size2M);
-            if !huge_mapped {
-                for q in 1..in_region {
-                    totals.absorb(self.map(vpn.add(q), alloc));
-                }
-            }
-            p += in_region;
-        }
-        totals
-    }
 }
 
 impl PageTable for Tree {
@@ -477,40 +487,27 @@ impl PageTable for Tree {
         let frame = alloc.alloc_frame(FramePurpose::Data);
         self.nodes[node].set(&mut self.arena, idx, Pte::leaf(frame));
         self.mapped += 1;
-        // Under the huge-page policy a 4 KB leaf only ever sits below an
-        // entry whose 2 MB allocation failed.
-        let fault = if self.layout.huge_leaf_at.is_some() {
-            FaultKind::Fallback4K
-        } else {
-            FaultKind::Minor4K
-        };
         MapOutcome {
             newly_mapped: true,
-            fault: Some(fault),
+            fault: Some(self.leaf_fault()),
             tables_allocated,
         }
     }
 
     fn map_range(&mut self, first: Vpn, pages: u64, alloc: &mut FrameAllocator) -> RangeMapOutcome {
-        if self.layout.huge_leaf_at.is_some() {
-            return self.map_range_huge(first, pages, alloc);
-        }
         let plan = self.plan_runs(first, pages, alloc);
         self.install_plan(&plan);
         plan.outcome
     }
 
-    /// `None` under the huge-page policy, whose huge-vs-fallback choice
-    /// depends on live allocator state.
+    /// Always `Some`: every layout's allocator calls (the huge-page
+    /// policy's 2 MB attempts included) are made here, in `map` order.
     fn plan_range(
         &mut self,
         first: Vpn,
         pages: u64,
         alloc: &mut FrameAllocator,
     ) -> Option<RangePlan> {
-        if self.layout.huge_leaf_at.is_some() {
-            return None;
-        }
         Some(self.plan_runs(first, pages, alloc))
     }
 
@@ -663,17 +660,12 @@ mod tests {
     }
 
     #[test]
-    fn only_the_huge_page_layout_declines_to_plan() {
+    fn every_layout_plans() {
         for layout in LAYOUTS {
             let mut alloc = FrameAllocator::new(1 << 30);
             let mut t = Tree::new(layout, &mut alloc);
             let plan = t.plan_range(Vpn::new(0), 8, &mut alloc);
-            assert_eq!(
-                plan.is_none(),
-                layout.huge_leaf_at.is_some(),
-                "{}",
-                layout.name
-            );
+            assert!(plan.is_some(), "{}", layout.name);
         }
     }
 }

@@ -5,7 +5,7 @@ use ndp_types::{PtLevel, Vpn};
 use ndpage::alloc::FrameAllocator;
 use ndpage::cuckoo::ElasticCuckooTable;
 use ndpage::table::{PageTable, PageTableKind, RangeMapOutcome};
-use ndpage::tree::{Tree, LAYOUTS};
+use ndpage::tree::{Tree, HUGE_PAGE, LAYOUTS};
 use ndpage::{Mechanism, PageTableImpl};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -16,23 +16,47 @@ fn arb_vpn() -> impl Strategy<Value = u64> {
     0u64..(16u64 << 30 >> 12)
 }
 
-/// The designs under test: every tree layout, then ECH.
-const DESIGNS: usize = LAYOUTS.len() + 1;
+/// The designs under test: every tree layout, ECH, then Huge Page on a
+/// [`SMALL_POOL`]-byte contiguity pool. On the 8 GB pool the others get,
+/// Huge Page never falls back; on the small one, a test's first few 2 MB
+/// regions take huge leaves and the rest THP-fallback 4 KB pages.
+const DESIGNS: usize = LAYOUTS.len() + 2;
 
-/// Builds design number `design` (see [`DESIGNS`]) and its display name.
-fn build(design: usize, alloc: &mut FrameAllocator) -> (&'static str, PageTableImpl) {
-    match LAYOUTS.get(design) {
-        Some(layout) => (layout.name, PageTableImpl::Tree(Tree::new(layout, alloc))),
-        None => ("ECH", PageTableImpl::Ech(ElasticCuckooTable::new(alloc))),
-    }
+/// The contiguity pool of the last design: eight 2 MB regions, less the
+/// erosion of any 4 KB pages mapped before them.
+const SMALL_POOL: u64 = 16 << 20;
+
+/// Builds design number `design` (see [`DESIGNS`]) on a fresh 8 GB
+/// allocator, returning its display name, the allocator and the table.
+fn build(design: usize) -> (&'static str, FrameAllocator, PageTableImpl) {
+    let ech = LAYOUTS.len();
+    let mut alloc = if design > ech {
+        FrameAllocator::with_contig_pool(8 << 30, SMALL_POOL)
+    } else {
+        FrameAllocator::new(8 << 30)
+    };
+    let (name, table) = match LAYOUTS.get(design) {
+        Some(layout) => (
+            layout.name,
+            PageTableImpl::Tree(Tree::new(layout, &mut alloc)),
+        ),
+        None if design == ech => (
+            "ECH",
+            PageTableImpl::Ech(ElasticCuckooTable::new(&mut alloc)),
+        ),
+        None => (
+            "Huge Page, small pool",
+            PageTableImpl::Tree(Tree::new(&HUGE_PAGE, &mut alloc)),
+        ),
+    };
+    (name, alloc, table)
 }
 
 fn for_each_design(
     mut f: impl FnMut(&str, &mut FrameAllocator, PageTableImpl) -> Result<(), TestCaseError>,
 ) -> Result<(), TestCaseError> {
     for design in 0..DESIGNS {
-        let mut alloc = FrameAllocator::new(8 << 30);
-        let (name, table) = build(design, &mut alloc);
+        let (name, mut alloc, table) = build(design);
         f(name, &mut alloc, table)?;
     }
     Ok(())
@@ -126,36 +150,28 @@ proptest! {
     }
 
     /// Range mapping must build exactly the structure per-page mapping
-    /// builds — same translations, same fault totals, same occupancy —
-    /// since the simulator's init phase relies on the fast path.
+    /// builds — same translations, same fault totals and allocator
+    /// statistics, same storage — since the simulator's init phase relies
+    /// on the fast path.
     #[test]
     fn map_range_matches_per_page_maps(
         starts in vec(arb_vpn(), 1..12),
         lens in vec(1u64..1200, 1..12),
     ) {
         for design in 0..DESIGNS {
-            let mut alloc_a = FrameAllocator::new(8 << 30);
-            let mut alloc_b = FrameAllocator::new(8 << 30);
-            let (name, mut by_range) = build(design, &mut alloc_a);
-            let (_, mut by_page) = build(design, &mut alloc_b);
-            let mut range_faults = (0u64, 0u64, 0u64);
-            let mut page_faults = (0u64, 0u64, 0u64);
+            let (name, mut alloc_a, mut by_range) = build(design);
+            let (_, mut alloc_b, mut by_page) = build(design);
+            let mut range_totals = RangeMapOutcome::default();
+            let mut page_totals = RangeMapOutcome::default();
             for (&start, &len) in starts.iter().zip(&lens) {
                 let first = Vpn::new(start);
-                let o = by_range.map_range(first, len, &mut alloc_a);
-                range_faults.0 += o.minor_4k;
-                range_faults.1 += o.minor_2m;
-                range_faults.2 += o.fallback;
+                range_totals.absorb_range(by_range.map_range(first, len, &mut alloc_a));
                 for p in 0..len {
-                    match by_page.map(first.add(p), &mut alloc_b).fault {
-                        Some(ndpage::table::FaultKind::Minor4K) => page_faults.0 += 1,
-                        Some(ndpage::table::FaultKind::Minor2M) => page_faults.1 += 1,
-                        Some(ndpage::table::FaultKind::Fallback4K) => page_faults.2 += 1,
-                        None => {}
-                    }
+                    page_totals.absorb(by_page.map(first.add(p), &mut alloc_b));
                 }
             }
-            prop_assert_eq!(range_faults, page_faults, "{}", name);
+            prop_assert_eq!(range_totals, page_totals, "{}", name);
+            prop_assert_eq!(alloc_a.stats(), alloc_b.stats(), "{}", name);
             prop_assert_eq!(by_range.mapped_pages(), by_page.mapped_pages(), "{}", name);
             prop_assert_eq!(by_range.table_bytes(), by_page.table_bytes(), "{}", name);
             for (&start, &len) in starts.iter().zip(&lens) {
@@ -174,45 +190,47 @@ proptest! {
     }
 
     /// Shaping a range, planning it and applying the plan must build
-    /// exactly what `map_range` builds — same translations and walk
-    /// addresses, frames, table storage and fault totals — for every
-    /// design that plans; the machine's premap splits `map_range` this
-    /// way. Only the huge-page design declines to plan. Ranges may
-    /// overlap, so the hashed table also replays already-mapped pages.
+    /// exactly what a per-page `map` loop builds — same translations and
+    /// walk addresses, frames, allocator statistics (failed 2 MB attempts
+    /// included), table storage and fault totals — for every design; the
+    /// machine's premap maps this way. The plan installs every 4 KB fault
+    /// it counts, and nothing else: 2 MB leaves are written while planning.
+    /// Ranges may overlap, so the tables also replay already-mapped pages.
     #[test]
-    fn plan_then_apply_matches_map_range(
+    fn plan_then_apply_matches_per_page_maps(
         starts in vec(arb_vpn(), 1..12),
         lens in vec(1u64..1200, 1..12),
     ) {
         for design in 0..DESIGNS {
-            let mut alloc_a = FrameAllocator::new(8 << 30);
-            let mut alloc_b = FrameAllocator::new(8 << 30);
-            let (name, mut planned) = build(design, &mut alloc_a);
-            let (_, mut direct) = build(design, &mut alloc_b);
+            let (name, mut alloc_a, mut planned) = build(design);
+            let (_, mut alloc_b, mut by_page) = build(design);
             let mut plan_totals = RangeMapOutcome::default();
-            let mut direct_totals = RangeMapOutcome::default();
+            let mut page_totals = RangeMapOutcome::default();
             for (&start, &len) in starts.iter().zip(&lens) {
                 let first = Vpn::new(start);
                 planned.shape_range(first, len);
-                let Some(plan) = planned.plan_range(first, len, &mut alloc_a) else {
-                    prop_assert_eq!(planned.kind(), PageTableKind::HugePage, "{} declined to plan", name);
-                    break;
-                };
-                prop_assert_eq!(plan.pages(), plan.outcome.minor_4k, "{}", name);
+                let plan = planned
+                    .plan_range(first, len, &mut alloc_a)
+                    .expect("every built-in design plans a shaped range");
+                let four_k = plan.outcome.minor_4k + plan.outcome.fallback;
+                prop_assert_eq!(plan.pages(), four_k, "{}", name);
                 planned.apply_plan(&plan);
                 plan_totals.absorb_range(plan.outcome);
-                direct_totals.absorb_range(direct.map_range(first, len, &mut alloc_b));
+                for p in 0..len {
+                    page_totals.absorb(by_page.map(first.add(p), &mut alloc_b));
+                }
             }
-            prop_assert_eq!(plan_totals, direct_totals, "{}", name);
+            prop_assert_eq!(plan_totals, page_totals, "{}", name);
             prop_assert_eq!(alloc_a.frames_used(), alloc_b.frames_used(), "{}", name);
-            prop_assert_eq!(planned.mapped_pages(), direct.mapped_pages(), "{}", name);
-            prop_assert_eq!(planned.table_bytes(), direct.table_bytes(), "{}", name);
+            prop_assert_eq!(alloc_a.stats(), alloc_b.stats(), "{}", name);
+            prop_assert_eq!(planned.mapped_pages(), by_page.mapped_pages(), "{}", name);
+            prop_assert_eq!(planned.table_bytes(), by_page.table_bytes(), "{}", name);
             for (&start, &len) in starts.iter().zip(&lens) {
                 for p in 0..len {
                     let vpn = Vpn::new(start).add(p);
                     prop_assert_eq!(
                         planned.translate_and_walk(vpn),
-                        direct.translate_and_walk(vpn),
+                        by_page.translate_and_walk(vpn),
                         "{} {:?}",
                         name,
                         vpn

@@ -40,7 +40,7 @@ use ndp_workloads::{Trace, TraceParams};
 use ndpage::alloc::FrameAllocator;
 use ndpage::bypass::BypassPolicy;
 use ndpage::occupancy::OccupancyReport;
-use ndpage::table::{FaultKind, PageTable, PageTableKind};
+use ndpage::table::{FaultKind, PageTable, PageTableKind, RangeMapOutcome, RangePlan};
 use ndpage::Mechanism;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -97,24 +97,6 @@ impl<'a> ChunkCursor<'a> {
         }
         None
     }
-}
-
-/// Whether the regions' page spans are pairwise disjoint (conservatively
-/// rounded outward to page boundaries) — the precondition for deferring
-/// premap leaf installs, since a planned-but-unapplied page still reads
-/// as unmapped and would double-allocate if planned again.
-fn page_spans_disjoint(regions: &[ndp_workloads::region::Region]) -> bool {
-    use ndp_types::addr::PAGE_SIZE;
-    let mut spans: Vec<(u64, u64)> = regions
-        .iter()
-        .map(|r| {
-            let first = r.base.as_u64() / PAGE_SIZE;
-            let last = (r.base.as_u64() + r.bytes).div_ceil(PAGE_SIZE);
-            (first, last)
-        })
-        .collect();
-    spans.sort_unstable();
-    spans.windows(2).all(|w| w[0].1 <= w[1].0)
 }
 
 /// One multiprogrammed process: a private address space (its own page
@@ -181,7 +163,7 @@ struct CoreCtx {
     os_cycles: u64,
     ptw: LatencyStat,
     ptw_hist: LatencyHistogram,
-    faults: FaultCounts,
+    faults: RangeMapOutcome,
     ops_measured: u64,
     mem_ops_measured: u64,
     /// Whole-run scheduling counters (like `faults`, switches are not a
@@ -409,7 +391,7 @@ impl Machine {
                 os_cycles: 0,
                 ptw: LatencyStat::default(),
                 ptw_hist: LatencyHistogram::new(),
-                faults: FaultCounts::default(),
+                faults: RangeMapOutcome::default(),
                 ops_measured: 0,
                 mem_ops_measured: 0,
                 sched: SchedStats::default(),
@@ -459,21 +441,23 @@ impl Machine {
     ///
     /// The chunk schedule streams from per-target cursors (nothing
     /// footprint-proportional is materialised — traces themselves are
-    /// already lazy iterators). When every process's regions are disjoint
-    /// the phase splits three ways, so that only the allocator calls run
-    /// serially:
+    /// already lazy iterators). The phase splits three ways, so that only
+    /// the allocator calls run serially:
     ///
     /// 1. **Shape**, one parallel task per table: each table lays out its
     ///    own pages without the allocator ([`PageTable::shape_range`]; a
     ///    no-op for the trees, whose layout the VPNs fix).
     /// 2. **Plan**, serially over the canonical interleaved schedule:
-    ///    every allocator call the combined path would make, in its order
-    ///    (so frames, faults and digests are identical).
-    /// 3. **Apply**, one parallel task per table: the planned leaf PTEs
-    ///    are written — the bulk of init time at paper-scale footprints.
+    ///    every allocator call a per-page `map` loop would make, in its
+    ///    order (so frames, faults and digests are identical). Huge Page
+    ///    makes its 2 MB attempts here and writes each huge leaf at once.
+    /// 3. **Apply**, one parallel task per table: the planned 4 KB leaf
+    ///    PTEs are written — the bulk of init time at paper-scale
+    ///    footprints.
     ///
-    /// Huge Page declines to plan (its huge-vs-fallback choice reads live
-    /// allocator state) and maps through the combined `map_range`.
+    /// A planned-but-unapplied page still reads as unmapped, so planning
+    /// it twice would double-allocate; every workload carves its regions
+    /// disjoint (`RegionLayout::carve`), so no page is planned twice.
     fn premap_footprints(&mut self) {
         use ndp_types::addr::PAGE_SIZE;
 
@@ -495,30 +479,23 @@ impl Machine {
         let mut cursors: Vec<ChunkCursor<'_>> =
             region_lists.iter().map(|r| ChunkCursor::new(r)).collect();
 
-        let mut proc_faults = vec![FaultCounts::default(); targets.len()];
-        // Deferred leaf installs are only sound while planned pages cannot
-        // be re-planned: a planned-but-unapplied page still reads as
-        // unmapped, so a process whose regions overlap must take the
-        // combined path (chunks within one region never overlap).
-        let mut deferred = region_lists.iter().all(|rs| page_spans_disjoint(rs));
-        let mut plans: Vec<Vec<ndpage::table::RangePlan>> = vec![Vec::new(); targets.len()];
-        if deferred {
-            // Only the hashed table shapes (`shape_range` is a no-op on the
-            // trees), so the trees skip the fan-out.
-            let work: Vec<(&mut TableImpl, ChunkCursor<'_>)> = self
-                .cores
-                .iter_mut()
-                .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
-                .zip(region_lists.iter().map(|r| ChunkCursor::new(r)))
-                .filter(|(table, _)| table.kind() == PageTableKind::ElasticCuckoo)
-                .collect();
-            crate::parallel::par_map(work, |(table, mut cursor)| {
-                while let Some((base, len)) = cursor.next_chunk() {
-                    let first = ndp_types::VirtAddr::new(base).vpn();
-                    table.shape_range(first, len.div_ceil(PAGE_SIZE));
-                }
-            });
-        }
+        let mut proc_faults = vec![RangeMapOutcome::default(); targets.len()];
+        let mut plans: Vec<Vec<RangePlan>> = vec![Vec::new(); targets.len()];
+        // Only the hashed table shapes (`shape_range` is a no-op on the
+        // trees), so the trees skip the fan-out.
+        let work: Vec<(&mut TableImpl, ChunkCursor<'_>)> = self
+            .cores
+            .iter_mut()
+            .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
+            .zip(region_lists.iter().map(|r| ChunkCursor::new(r)))
+            .filter(|(table, _)| table.kind() == PageTableKind::ElasticCuckoo)
+            .collect();
+        crate::parallel::par_map(work, |(table, mut cursor)| {
+            while let Some((base, len)) = cursor.next_chunk() {
+                let first = ndp_types::VirtAddr::new(base).vpn();
+                table.shape_range(first, len.div_ceil(PAGE_SIZE));
+            }
+        });
 
         // Round-robin passes over the cursors reproduce the historical
         // `for chunk_idx { for target }` interleaving exactly (exhausted
@@ -534,59 +511,38 @@ impl Machine {
                 let (core_idx, proc_idx) = targets[target_idx];
                 let first = ndp_types::VirtAddr::new(base).vpn();
                 let pages = len.div_ceil(PAGE_SIZE);
-                // Range mapping descends each table once per region
-                // instead of once per page — the init phase maps millions
-                // of pages, with the same faults, frames and counts as a
-                // per-page loop.
-                let table = &mut self.cores[core_idx].procs[proc_idx].table;
-                let outcome = if deferred {
-                    match table.plan_range(first, pages, &mut self.alloc) {
-                        Some(plan) => {
-                            let outcome = plan.outcome;
-                            plans[target_idx].push(plan);
-                            outcome
-                        }
-                        // The design can't split the halves (Huge Page);
-                        // the probe had no side effects, so the combined
-                        // call takes over from here on.
-                        None => {
-                            deferred = false;
-                            table.map_range(first, pages, &mut self.alloc)
-                        }
-                    }
-                } else {
-                    table.map_range(first, pages, &mut self.alloc)
-                };
-                let faults = &mut proc_faults[target_idx];
-                faults.minor_4k += outcome.minor_4k;
-                faults.minor_2m += outcome.minor_2m;
-                faults.fallback += outcome.fallback;
+                // Planning descends each table once per region instead of
+                // once per page — the init phase maps millions of pages,
+                // with the same faults, frames and counts as a per-page
+                // loop.
+                let plan = self.cores[core_idx].procs[proc_idx]
+                    .table
+                    .plan_range(first, pages, &mut self.alloc)
+                    .expect("built-in trees always plan, and every ECH range was shaped");
+                proc_faults[target_idx].absorb_range(plan.outcome);
+                plans[target_idx].push(plan);
             }
         }
 
         // Apply phase: install the planned leaf PTEs, one task per table.
         // Pure memory writes with no shared state, so thread count cannot
         // affect the result; `par_map` keeps task order regardless.
-        if plans.iter().any(|p| !p.is_empty()) {
-            let work: Vec<(&mut TableImpl, Vec<ndpage::table::RangePlan>)> = self
-                .cores
-                .iter_mut()
-                .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
-                .zip(plans)
-                .collect();
-            crate::parallel::par_map(work, |(table, table_plans)| {
-                for plan in &table_plans {
-                    table.apply_plan(plan);
-                }
-            });
-        }
+        let work: Vec<(&mut TableImpl, Vec<RangePlan>)> = self
+            .cores
+            .iter_mut()
+            .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
+            .zip(plans)
+            .collect();
+        crate::parallel::par_map(work, |(table, table_plans)| {
+            for plan in &table_plans {
+                table.apply_plan(plan);
+            }
+        });
 
         for (target_idx, &(core_idx, proc_idx)) in targets.iter().enumerate() {
             let faults = proc_faults[target_idx];
             let core = &mut self.cores[core_idx];
-            core.faults.minor_4k += faults.minor_4k;
-            core.faults.minor_2m += faults.minor_2m;
-            core.faults.fallback += faults.fallback;
+            core.faults.absorb_range(faults);
             let proc = &mut core.procs[proc_idx];
             // Init-phase OS work (e.g. ECH rehashes) is not timed.
             let _ = proc.table.take_pending_os_work();
@@ -822,30 +778,18 @@ impl Machine {
     /// `active`'s table, records the fault kind and returns the OS
     /// cycles charged (fault service + any deferred rehash work).
     fn fault_in(&mut self, i: usize, active: usize, vpn: Vpn) -> Cycles {
-        let mut os = Cycles::ZERO;
-        let outcome = {
-            let core = &mut self.cores[i];
-            core.procs[active].table.map(vpn, &mut self.alloc)
-        };
         let core = &mut self.cores[i];
-        match outcome.fault {
-            Some(FaultKind::Minor4K) => {
-                os += self.cfg.fault_minor_4k;
-                core.faults.minor_4k += 1;
-            }
-            Some(FaultKind::Minor2M) => {
-                os += self.cfg.fault_minor_2m;
-                core.faults.minor_2m += 1;
-            }
-            Some(FaultKind::Fallback4K) => {
-                os += self.cfg.fault_fallback;
-                core.faults.fallback += 1;
-            }
-            None => {}
-        }
-        let moved = core.procs[active].table.take_pending_os_work();
-        os += Cycles::new(moved * self.cfg.rehash_entry_cost.as_u64());
-        os
+        let table = &mut core.procs[active].table;
+        let outcome = table.map(vpn, &mut self.alloc);
+        core.faults.absorb(outcome);
+        let service = match outcome.fault {
+            Some(FaultKind::Minor4K) => self.cfg.fault_minor_4k,
+            Some(FaultKind::Minor2M) => self.cfg.fault_minor_2m,
+            Some(FaultKind::Fallback4K) => self.cfg.fault_fallback,
+            None => Cycles::ZERO,
+        };
+        let moved = table.take_pending_os_work();
+        service + Cycles::new(moved * self.cfg.rehash_entry_cost.as_u64())
     }
 
     /// Translates `vpn` for the process running on core `i`, returning

@@ -224,6 +224,36 @@ mod tests {
         assert_eq!(WorkloadId::Gen.table2_footprint(), 33 << 30);
     }
 
+    /// A machine premaps every region by planning its pages first and
+    /// installing them later, which is sound only while no page is planned
+    /// twice; Huge Page decides per 2 MB region. Every workload's regions
+    /// come from `RegionLayout::carve`, so they are 2 MB-aligned and
+    /// share no 2 MB region.
+    #[test]
+    fn regions_are_2mb_aligned_and_disjoint() {
+        const HUGE: u64 = 2 << 20;
+        for id in WorkloadId::ALL {
+            for seed in [0, 1, 7] {
+                for footprint in [Some(8 << 20), Some(256 << 20), None] {
+                    let mut spans: Vec<(u64, u64)> = id
+                        .regions(TraceParams { seed, footprint })
+                        .iter()
+                        .map(|r| {
+                            let base = r.base.as_u64();
+                            assert_eq!(base % HUGE, 0, "{id}: region at {base:#x}");
+                            (base / HUGE, (base + r.bytes).div_ceil(HUGE))
+                        })
+                        .collect();
+                    spans.sort_unstable();
+                    assert!(
+                        spans.windows(2).all(|w| w[0].1 <= w[1].0),
+                        "{id} seed {seed} footprint {footprint:?}: {spans:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn footprint_override() {
         let p = TraceParams::new(0).with_footprint(1 << 20);
