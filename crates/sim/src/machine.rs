@@ -1627,6 +1627,62 @@ mod tests {
         assert_ne!(shared.fingerprint(), private.fingerprint());
     }
 
+    /// Builds `cfg`'s machine, then swaps a freshly built, empty table
+    /// into every process, so every first touch faults during `run`
+    /// (premap otherwise leaves no page for the run loop to fault on).
+    fn unmapped(cfg: SimConfig) -> Machine {
+        let mut m = Machine::new(cfg);
+        let mechanism = m.cfg.mechanism;
+        for core in &mut m.cores {
+            for proc in &mut core.procs {
+                proc.table = build_table(mechanism, &mut m.alloc);
+            }
+        }
+        m
+    }
+
+    /// Runtime first-touch faults (`fault_in`, ECH rehash work, and
+    /// Ideal's map-on-miss) are serviced in timing order against the
+    /// shared allocator. The fingerprints pin that order and its costs.
+    #[test]
+    fn runtime_faults_are_pinned() {
+        let blocking = |m| SimConfig::quick(SystemKind::Ndp, 2, m, WorkloadId::Rnd);
+        let windowed = SimConfig::quick(SystemKind::Ndp, 2, Mechanism::Radix, WorkloadId::Bfs)
+            .with_procs(2)
+            .with_quantum(1_000)
+            .with_tlb_tagging(false)
+            .with_window(8)
+            .with_mshrs(8);
+        let cases = [
+            (blocking(Mechanism::Radix), 6686046148447409354u64),
+            (blocking(Mechanism::Ech), 2184814797022042534),
+            (blocking(Mechanism::HugePage), 2131746133039721284),
+            (blocking(Mechanism::NdPage), 3378737346428799703),
+            (blocking(Mechanism::Ideal), 14536634945980107553),
+            (windowed, 1921588809415402536),
+        ];
+        let faults = |r: &RunReport| r.faults.minor_4k + r.faults.minor_2m + r.faults.fallback;
+        for (cfg, pinned) in cases {
+            let mechanism = cfg.mechanism;
+            let premapped = Machine::new(cfg.clone()).run();
+            let r = unmapped(cfg).run();
+            assert_ne!(r.fingerprint(), premapped.fingerprint(), "{mechanism:?}");
+            if mechanism.is_ideal() {
+                assert_eq!(r.translation_cycles, 0, "map-on-miss is free");
+            } else {
+                assert!(
+                    faults(&r) > faults(&premapped),
+                    "{mechanism:?} faults at run time"
+                );
+                assert!(
+                    r.os_cycles > premapped.os_cycles,
+                    "{mechanism:?} pays the service"
+                );
+            }
+            assert_eq!(r.fingerprint(), pinned, "{mechanism:?}");
+        }
+    }
+
     #[test]
     fn disabled_shared_llc_knobs_are_inert() {
         let base = Machine::new(SimConfig::quick(
