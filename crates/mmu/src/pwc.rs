@@ -32,20 +32,32 @@ fn tagged(asid: Asid, tag: u64) -> u64 {
     tag | asid.tag_bits()
 }
 
+/// "No entry" in the recency links.
+const NIL: u32 = u32::MAX;
+
 /// A single level's page-walk cache.
 ///
-/// Tags and LRU stamps live in parallel arrays (not `(tag, stamp)`
-/// tuples): the per-walk-step tag scan then reads a dense `u64` array the
-/// compiler can vectorise, and the eviction scan reads only stamps.
+/// Tags live in a dense array (the per-walk-step tag scan then reads a
+/// contiguous `u64` row the compiler can vectorise); recency is a doubly
+/// linked list threaded through parallel `newer`/`older` index arrays, so
+/// a hit moves its entry to the MRU end and a miss on a full cache takes
+/// the LRU end as its victim, both in O(1). The PL1 and PL2/PL1 caches
+/// miss on nearly every walk, which made the victim choice a scan of
+/// every entry.
 #[derive(Debug, Clone)]
 pub struct Pwc {
     level: PtLevel,
-    /// Fully associative tags, parallel to `stamps`.
+    /// Fully associative tags, parallel to `newer`/`older`.
     tags: Vec<u64>,
-    /// LRU stamps, parallel to `tags`.
-    stamps: Vec<u64>,
+    /// The next entry toward the MRU end ([`NIL`] at the MRU entry).
+    newer: Vec<u32>,
+    /// The next entry toward the LRU end ([`NIL`] at the LRU entry).
+    older: Vec<u32>,
+    /// Most recently used entry ([`NIL`] when empty).
+    mru: u32,
+    /// Least recently used entry — the next victim ([`NIL`] when empty).
+    lru: u32,
     capacity: usize,
-    tick: u64,
     stats: HitMiss,
 }
 
@@ -67,9 +79,11 @@ impl Pwc {
         Pwc {
             level,
             tags: Vec::with_capacity(capacity),
-            stamps: Vec::with_capacity(capacity),
+            newer: Vec::with_capacity(capacity),
+            older: Vec::with_capacity(capacity),
+            mru: NIL,
+            lru: NIL,
             capacity,
-            tick: 0,
             stats: HitMiss::default(),
         }
     }
@@ -87,26 +101,61 @@ impl Pwc {
         (found != usize::MAX).then_some(found)
     }
 
-    /// Installs `tag` with the current tick, evicting the LRU entry when
-    /// full. Caller guarantees `tag` is absent.
+    /// Links entry `i` (currently unlinked) in at the MRU end.
+    #[inline]
+    fn link_mru(&mut self, i: u32) {
+        self.newer[i as usize] = NIL;
+        self.older[i as usize] = self.mru;
+        if self.mru == NIL {
+            self.lru = i;
+        } else {
+            self.newer[self.mru as usize] = i;
+        }
+        self.mru = i;
+    }
+
+    /// Moves entry `i` to the MRU end.
+    #[inline]
+    fn touch(&mut self, i: usize) {
+        let i = i as u32;
+        if self.mru == i {
+            return;
+        }
+        // `i` is not the MRU entry, so it has a newer neighbour.
+        let (newer, older) = (self.newer[i as usize], self.older[i as usize]);
+        self.older[newer as usize] = older;
+        if older == NIL {
+            self.lru = newer;
+        } else {
+            self.newer[older as usize] = newer;
+        }
+        self.link_mru(i);
+    }
+
+    /// Installs `tag` as the MRU entry, evicting the LRU entry when full.
+    /// Caller guarantees `tag` is absent.
     #[inline]
     fn insert(&mut self, tag: u64) {
         if self.tags.len() < self.capacity {
+            let i = self.tags.len() as u32;
             self.tags.push(tag);
-            self.stamps.push(self.tick);
+            self.newer.push(NIL);
+            self.older.push(NIL);
+            self.link_mru(i);
             return;
         }
-        // First-minimum scan, matching the seed's `min_by_key` choice.
-        let mut victim = 0usize;
-        let mut oldest = u64::MAX;
-        for (i, &s) in self.stamps.iter().enumerate() {
-            if s < oldest {
-                oldest = s;
-                victim = i;
-            }
-        }
+        let victim = self.lru as usize;
         self.tags[victim] = tag;
-        self.stamps[victim] = self.tick;
+        self.touch(victim);
+    }
+
+    /// Drops every entry (the recency list with it).
+    fn clear(&mut self) {
+        self.tags.clear();
+        self.newer.clear();
+        self.older.clear();
+        self.mru = NIL;
+        self.lru = NIL;
     }
 
     /// The level this PWC serves.
@@ -138,10 +187,9 @@ impl Pwc {
     /// records statistics. Tags of other ASIDs never hit.
     #[inline]
     pub fn access(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        self.tick += 1;
         let tag = tagged(asid, Self::tag_for(self.level, vpn));
         if let Some(i) = self.find(tag) {
-            self.stamps[i] = self.tick;
+            self.touch(i);
             self.stats.record(true);
             return true;
         }
@@ -152,10 +200,9 @@ impl Pwc {
     /// Installs the tag after a successful memory fetch of this level.
     #[inline]
     pub fn fill(&mut self, asid: Asid, vpn: Vpn) {
-        self.tick += 1;
         let tag = tagged(asid, Self::tag_for(self.level, vpn));
         if let Some(i) = self.find(tag) {
-            self.stamps[i] = self.tick;
+            self.touch(i);
             return;
         }
         self.insert(tag);
@@ -163,21 +210,18 @@ impl Pwc {
 
     /// [`Self::access`] and, on a miss, [`Self::fill`] in one call with a
     /// single tag scan — the walker probes and then installs every missed
-    /// level, so the separate calls scanned twice. Tick arithmetic and
-    /// statistics match the two-call sequence exactly.
+    /// level, so the separate calls scanned twice. Recency and statistics
+    /// match the two-call sequence exactly.
     #[inline]
     pub fn probe_fill(&mut self, asid: Asid, vpn: Vpn) -> bool {
-        self.tick += 1;
         let tag = tagged(asid, Self::tag_for(self.level, vpn));
         if let Some(i) = self.find(tag) {
-            self.stamps[i] = self.tick;
+            self.touch(i);
             self.stats.record(true);
             return true;
         }
         self.stats.record(false);
-        // The fill half of the pair advances the clock again, exactly as
-        // a separate fill() call would; the tag is known absent.
-        self.tick += 1;
+        // The tag is known absent: the fill half installs it directly.
         self.insert(tag);
         false
     }
@@ -185,37 +229,37 @@ impl Pwc {
     /// Drops every tag of `asid` (a targeted shootdown), returning how
     /// many were dropped. Statistics and other ASIDs survive.
     pub fn flush_asid(&mut self, asid: Asid) -> u64 {
-        let mut dropped = 0;
-        let mut keep = 0;
-        for i in 0..self.tags.len() {
-            if self.tags[i] >> Asid::TAG_SHIFT == u64::from(asid.as_u16()) {
-                dropped += 1;
-            } else {
-                self.tags[keep] = self.tags[i];
-                self.stamps[keep] = self.stamps[i];
-                keep += 1;
+        // Survivors oldest first, re-inserted in that order so the
+        // recency list keeps their relative order.
+        let mut survivors = Vec::with_capacity(self.tags.len());
+        let mut i = self.lru;
+        while i != NIL {
+            let tag = self.tags[i as usize];
+            if tag >> Asid::TAG_SHIFT != u64::from(asid.as_u16()) {
+                survivors.push(tag);
             }
+            i = self.newer[i as usize];
         }
-        self.tags.truncate(keep);
-        self.stamps.truncate(keep);
+        let dropped = (self.tags.len() - survivors.len()) as u64;
+        self.clear();
+        for tag in survivors {
+            self.insert(tag);
+        }
         dropped
     }
 
     /// Drops every tag (the untagged-walker context-switch flush),
-    /// returning how many were dropped. Statistics and the LRU clock
-    /// survive — a flush loses state, not history.
+    /// returning how many were dropped. Statistics survive — a flush
+    /// loses state, not history.
     pub fn flush_all(&mut self) -> u64 {
         let dropped = self.tags.len() as u64;
-        self.tags.clear();
-        self.stamps.clear();
+        self.clear();
         dropped
     }
 
     /// Clears contents and statistics.
     pub fn reset(&mut self) {
-        self.tags.clear();
-        self.stamps.clear();
-        self.tick = 0;
+        self.clear();
         self.stats = HitMiss::default();
     }
 
@@ -533,6 +577,121 @@ mod tests {
         assert!(!set.access(PtLevel::L4, Asid(0), Vpn::new(1)));
         assert!(!set.access(PtLevel::L3, Asid(5), Vpn::new(2)));
         assert_eq!(set.flush_all(), 0);
+    }
+
+    /// The previous PWC: tags with LRU stamps, the victim found by a
+    /// first-minimum scan — the oracle for the recency list.
+    struct StampedPwc {
+        level: PtLevel,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        capacity: usize,
+        tick: u64,
+    }
+
+    impl StampedPwc {
+        fn touch_or_insert(&mut self, tag: u64, insert: bool) -> bool {
+            self.tick += 1;
+            if let Some(i) = self.tags.iter().position(|&t| t == tag) {
+                self.stamps[i] = self.tick;
+                return true;
+            }
+            if insert {
+                if self.tags.len() < self.capacity {
+                    self.tags.push(tag);
+                    self.stamps.push(self.tick);
+                } else {
+                    let mut victim = 0usize;
+                    let mut oldest = u64::MAX;
+                    for (i, &s) in self.stamps.iter().enumerate() {
+                        if s < oldest {
+                            oldest = s;
+                            victim = i;
+                        }
+                    }
+                    self.tags[victim] = tag;
+                    self.stamps[victim] = self.tick;
+                }
+            }
+            false
+        }
+
+        fn tag(&self, asid: Asid, vpn: Vpn) -> u64 {
+            tagged(asid, Pwc::tag_for(self.level, vpn))
+        }
+
+        fn flush_asid(&mut self, asid: Asid) -> u64 {
+            let before = self.tags.len();
+            let keep: Vec<(u64, u64)> = self
+                .tags
+                .iter()
+                .zip(&self.stamps)
+                .filter(|(&t, _)| t >> Asid::TAG_SHIFT != u64::from(asid.as_u16()))
+                .map(|(&t, &s)| (t, s))
+                .collect();
+            self.tags = keep.iter().map(|&(t, _)| t).collect();
+            self.stamps = keep.iter().map(|&(_, s)| s).collect();
+            (before - self.tags.len()) as u64
+        }
+
+        fn resident(&self) -> Vec<u64> {
+            let mut tags = self.tags.clone();
+            tags.sort_unstable();
+            tags
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Same hits and same victims (hence the same resident tags) as
+        /// the stamped argmin scan, over any mix of probes, fills and
+        /// shootdowns on a small cache that evicts constantly.
+        #[test]
+        fn recency_list_matches_the_stamp_scan(
+            capacity in 1usize..9,
+            ops in proptest::collection::vec((0u8..12, 0u16..3, 0u64..24), 1..400),
+        ) {
+            let mut pwc = Pwc::with_capacity(PtLevel::L1, capacity);
+            let mut oracle = StampedPwc {
+                level: PtLevel::L1,
+                tags: Vec::new(),
+                stamps: Vec::new(),
+                capacity,
+                tick: 0,
+            };
+            for &(op, asid_raw, vpn_raw) in &ops {
+                let (asid, vpn) = (Asid(asid_raw), Vpn::new(vpn_raw));
+                let tag = oracle.tag(asid, vpn);
+                match op {
+                    0..=4 => {
+                        let hit = pwc.probe_fill(asid, vpn);
+                        let expect = oracle.touch_or_insert(tag, false);
+                        if !expect {
+                            oracle.touch_or_insert(tag, true);
+                        }
+                        proptest::prop_assert_eq!(hit, expect);
+                    }
+                    5..=7 => {
+                        pwc.fill(asid, vpn);
+                        oracle.touch_or_insert(tag, true);
+                    }
+                    8..=9 => {
+                        let hit = pwc.access(asid, vpn);
+                        proptest::prop_assert_eq!(hit, oracle.touch_or_insert(tag, false));
+                    }
+                    10 => proptest::prop_assert_eq!(pwc.flush_asid(asid), oracle.flush_asid(asid)),
+                    _ => {
+                        proptest::prop_assert_eq!(pwc.flush_all(), oracle.tags.len() as u64);
+                        oracle.tags.clear();
+                        oracle.stamps.clear();
+                    }
+                }
+                let mut resident = pwc.tags.clone();
+                resident.sort_unstable();
+                proptest::prop_assert_eq!(resident, oracle.resident());
+            }
+        }
     }
 
     #[test]

@@ -102,6 +102,10 @@ pub struct TlbHit {
 /// scan needs no validity branch), and `pfns[i]` is the payload, touched
 /// only on a hit. The mapping size is not stored: the key's low bit *is*
 /// the 4 KB / 2 MB namespace.
+///
+/// `huge_live` counts the live 2 MB entries, so a lookup that misses the
+/// 4 KB namespace skips the 2 MB probe while the level holds none — the
+/// common case, since fracturing (the default) never installs one.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
@@ -110,6 +114,7 @@ pub struct Tlb {
     stamps: Vec<u64>,
     pfns: Vec<Pfn>,
     tick: u64,
+    huge_live: usize,
     stats: HitMiss,
 }
 
@@ -126,8 +131,21 @@ impl Tlb {
             stamps: vec![0; ways],
             pfns: vec![Pfn::new(0); ways],
             tick: 0,
+            huge_live: 0,
             stats: HitMiss::default(),
         }
+    }
+
+    /// Live 2 MB entries (the odd-keyed tags).
+    #[must_use]
+    pub fn huge_entries(&self) -> usize {
+        self.huge_live
+    }
+
+    /// Whether a live tag is a 2 MB entry (the empty-way sentinel is
+    /// odd too, so it is excluded first).
+    fn is_huge_tag(tag: u64) -> bool {
+        tag != INVALID_TAG && tag & 1 == 1
     }
 
     /// The level configuration.
@@ -170,15 +188,18 @@ impl Tlb {
         None
     }
 
-    /// Looks up `vpn` in address space `asid`, probing both the 4 KB and
-    /// 2 MB namespaces, and records a hit or miss. Entries of other ASIDs
-    /// never hit.
+    /// Looks up `vpn` in address space `asid`, probing the 4 KB and then
+    /// (while the level holds any) the 2 MB namespace, and records a hit
+    /// or miss. Entries of other ASIDs never hit.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<TlbHit> {
         self.tick += 1;
         let hit = self
             .probe_key(asid, Self::key_for(vpn, PageSize::Size4K))
             .map(|(pfn, size)| TlbHit { pfn, size })
             .or_else(|| {
+                if self.huge_live == 0 {
+                    return None;
+                }
                 self.probe_key(asid, Self::key_for(vpn, PageSize::Size2M))
                     .map(|(base, size)| TlbHit {
                         // Reconstruct the 4 KB frame within the huge page.
@@ -215,6 +236,8 @@ impl Tlb {
                 victim_stamp = self.stamps[w];
             }
         }
+        self.huge_live -= usize::from(Self::is_huge_tag(self.tags[victim]));
+        self.huge_live += usize::from(Self::is_huge_tag(tag));
         self.tags[victim] = tag;
         self.stamps[victim] = self.tick;
         self.pfns[victim] = pfn;
@@ -228,6 +251,7 @@ impl Tlb {
         let mut dropped = 0;
         for w in 0..self.tags.len() {
             if self.tags[w] != INVALID_TAG && self.tags[w] & ASID_MASK == tag_bits {
+                self.huge_live -= usize::from(Self::is_huge_tag(self.tags[w]));
                 self.tags[w] = INVALID_TAG;
                 self.stamps[w] = 0;
                 dropped += 1;
@@ -248,6 +272,7 @@ impl Tlb {
                 dropped += 1;
             }
         }
+        self.huge_live = 0;
         dropped
     }
 
@@ -257,6 +282,7 @@ impl Tlb {
         self.stamps.fill(0);
         self.pfns.fill(Pfn::new(0));
         self.tick = 0;
+        self.huge_live = 0;
         self.stats = HitMiss::default();
     }
 
@@ -587,6 +613,39 @@ mod tests {
         assert_eq!(h.flush_asid(Asid(3)), 2);
         assert!(h.lookup(Asid(3), Vpn::new(9)).outcome.is_miss());
         assert!(!h.lookup(Asid(4), Vpn::new(9)).outcome.is_miss());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The live-2 MB count that gates the 2 MB probe always equals a
+        /// recount of the live odd-keyed tags, whatever mix of fills (both
+        /// sizes, with evictions), lookups, shootdowns and resets ran.
+        #[test]
+        fn huge_count_matches_a_recount(
+            ops in proptest::collection::vec((0u8..16, 0u16..3, 0u64..4096), 1..400),
+        ) {
+            let mut t = Tlb::new(TlbConfig { name: "tiny", entries: 16, ways: 2, latency: Cycles::new(1) });
+            for &(op, asid_raw, vpn_raw) in &ops {
+                let (asid, vpn) = (Asid(asid_raw), Vpn::new(vpn_raw));
+                match op {
+                    0..=5 => t.fill(asid, vpn, Pfn::new(vpn_raw), PageSize::Size4K),
+                    6..=10 => t.fill(asid, vpn, Pfn::new(vpn_raw & !511), PageSize::Size2M),
+                    11..=13 => {
+                        t.lookup(asid, vpn);
+                    }
+                    14 => {
+                        t.flush_asid(asid);
+                    }
+                    _ if vpn_raw % 2 == 0 => {
+                        t.flush_all();
+                    }
+                    _ => t.reset(),
+                }
+                let recount = t.tags.iter().filter(|&&tag| Tlb::is_huge_tag(tag)).count();
+                proptest::prop_assert_eq!(t.huge_entries(), recount);
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,11 @@
 //! skipped). The simulator executes the plan against the cache/DRAM timing
 //! model; keeping the walker free of timing concerns lets the same logic
 //! serve every mechanism and every system configuration.
+//!
+//! The walker is two halves: a [`WalkPlanner`] (the PWC bank and the plan,
+//! purely functional) and [`WalkerSlots`] (the hardware walkers' busy
+//! times, purely timing). [`PageTableWalker`] bundles both; a simulator
+//! that runs translation ahead of timing owns them on different threads.
 
 use crate::pwc::PwcSet;
 use ndp_types::{Asid, Cycles, InlineVec, PhysAddr, PtLevel, Vpn};
@@ -81,48 +86,24 @@ pub struct WalkerStats {
     pub queue_cycles: u64,
 }
 
-/// Plans page-table walks through the PWC bank, and tracks the occupancy
-/// of the core's hardware walkers.
-///
-/// A core has a small fixed number of walker state machines; when more
-/// TLB misses are outstanding than walkers, the excess walks *queue*.
-/// This is the structural asymmetry the non-blocking pipeline exposes:
-/// overlapped data misses each get an MSHR, but overlapped radix walks
-/// serialise behind the walker file — four dependent fetches at a time —
-/// while NDPage's flattened single-fetch walks turn walkers around fast.
+/// The functional half of the walker: plans page-table walks through the
+/// PWC bank. Planning depends only on the walk paths and the PWC contents,
+/// never on timing, so a simulator can run it ahead of its timing model.
 #[derive(Debug, Clone)]
-pub struct PageTableWalker {
+pub struct WalkPlanner {
     pwcs: PwcSet,
-    /// Per-walker busy-until timestamps (length = configured walkers).
-    walker_free_at: InlineVec<Cycles, MAX_WALKERS>,
+    /// Walks, fetches and PWC skips (the queueing fields stay zero).
     stats: WalkerStats,
 }
 
-impl PageTableWalker {
-    /// Hardware walkers per core when not overridden: one, as fits the
-    /// simple in-order cores this simulator models (x86-class OoO cores
-    /// ship two; see [`PageTableWalker::with_walkers`]).
-    pub const DEFAULT_WALKERS: usize = 1;
-
-    fn slots(n: usize) -> InlineVec<Cycles, MAX_WALKERS> {
-        assert!(
-            (1..=MAX_WALKERS).contains(&n),
-            "walker count must be in 1..={MAX_WALKERS}"
-        );
-        (0..n).map(|_| Cycles::ZERO).collect()
-    }
-
-    /// A walker with PWCs enabled (Radix, Huge Page, NDPage).
+impl WalkPlanner {
+    /// A planner with PWCs enabled (Radix, Huge Page, NDPage).
     #[must_use]
     pub fn with_pwcs() -> Self {
-        PageTableWalker {
-            pwcs: PwcSet::enabled(),
-            walker_free_at: Self::slots(Self::DEFAULT_WALKERS),
-            stats: WalkerStats::default(),
-        }
+        Self::over(PwcSet::enabled())
     }
 
-    /// A walker whose PWCs hold `capacity` entries per level (PWC-size
+    /// A planner whose PWCs hold `capacity` entries per level (PWC-size
     /// sweep experiments).
     ///
     /// # Panics
@@ -130,66 +111,20 @@ impl PageTableWalker {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn with_pwc_capacity(capacity: usize) -> Self {
-        PageTableWalker {
-            pwcs: PwcSet::enabled_with_capacity(capacity),
-            walker_free_at: Self::slots(Self::DEFAULT_WALKERS),
-            stats: WalkerStats::default(),
-        }
+        Self::over(PwcSet::enabled_with_capacity(capacity))
     }
 
-    /// A walker without PWCs (ECH; PWC-off ablation).
+    /// A planner without PWCs (ECH; PWC-off ablation).
     #[must_use]
     pub fn without_pwcs() -> Self {
-        PageTableWalker {
-            pwcs: PwcSet::disabled(),
-            walker_free_at: Self::slots(Self::DEFAULT_WALKERS),
+        Self::over(PwcSet::disabled())
+    }
+
+    fn over(pwcs: PwcSet) -> Self {
+        WalkPlanner {
+            pwcs,
             stats: WalkerStats::default(),
         }
-    }
-
-    /// Overrides the number of hardware walkers (the `walkers_per_core`
-    /// knob).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `walkers` is zero or exceeds [`MAX_WALKERS`].
-    #[must_use]
-    pub fn with_walkers(mut self, walkers: usize) -> Self {
-        self.walker_free_at = Self::slots(walkers);
-        self
-    }
-
-    /// Number of hardware walkers.
-    #[must_use]
-    pub fn walkers(&self) -> usize {
-        self.walker_free_at.len()
-    }
-
-    /// Admits a walk that wants to start at `now`: picks the
-    /// earliest-free hardware walker and returns `(slot, start)` where
-    /// `start = max(now, that walker's free time)`. Queueing (a start
-    /// later than `now`) is recorded in [`WalkerStats`]. The caller runs
-    /// the walk and must hand the slot back via
-    /// [`PageTableWalker::release`].
-    pub fn admit(&mut self, now: Cycles) -> (usize, Cycles) {
-        let (slot, free_at) = self
-            .walker_free_at
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, free)| *free)
-            .map(|(i, free)| (i, *free))
-            .expect("at least one walker");
-        let start = now.max(free_at);
-        if start > now {
-            self.stats.queued_walks += 1;
-            self.stats.queue_cycles += (start - now).as_u64();
-        }
-        (slot, start)
-    }
-
-    /// Marks `slot` (from [`PageTableWalker::admit`]) busy until `done`.
-    pub fn release(&mut self, slot: usize, done: Cycles) {
-        self.walker_free_at.as_mut_slice()[slot] = done;
     }
 
     /// The PWC bank (for statistics reporting).
@@ -198,7 +133,7 @@ impl PageTableWalker {
         &self.pwcs
     }
 
-    /// Walker statistics.
+    /// Planning statistics (walks, fetches, PWC skips).
     #[must_use]
     pub fn stats(&self) -> &WalkerStats {
         &self.stats
@@ -244,19 +179,228 @@ impl PageTableWalker {
         self.pwcs.flush_all()
     }
 
-    /// Clears PWC contents, walker occupancy and statistics.
+    /// Clears PWC contents and statistics.
     pub fn reset(&mut self) {
         self.pwcs.reset();
-        for free in self.walker_free_at.as_mut_slice() {
+        self.stats = WalkerStats::default();
+    }
+
+    /// Clears statistics (planning + PWC) while keeping PWC contents warm.
+    pub fn clear_stats(&mut self) {
+        self.pwcs.clear_stats();
+        self.stats = WalkerStats::default();
+    }
+}
+
+/// The timing half of the walker: the occupancy of the core's hardware
+/// walkers.
+///
+/// A core has a small fixed number of walker state machines; when more
+/// TLB misses are outstanding than walkers, the excess walks *queue*.
+/// This is the structural asymmetry the non-blocking pipeline exposes:
+/// overlapped data misses each get an MSHR, but overlapped radix walks
+/// serialise behind the walker file — four dependent fetches at a time —
+/// while NDPage's flattened single-fetch walks turn walkers around fast.
+#[derive(Debug, Clone)]
+pub struct WalkerSlots {
+    /// Per-walker busy-until timestamps (length = configured walkers).
+    free_at: InlineVec<Cycles, MAX_WALKERS>,
+    /// Queueing statistics (the planning fields stay zero).
+    stats: WalkerStats,
+}
+
+impl WalkerSlots {
+    /// `walkers` idle hardware walkers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `walkers` is zero or exceeds [`MAX_WALKERS`].
+    #[must_use]
+    pub fn new(walkers: usize) -> Self {
+        assert!(
+            (1..=MAX_WALKERS).contains(&walkers),
+            "walker count must be in 1..={MAX_WALKERS}"
+        );
+        WalkerSlots {
+            free_at: (0..walkers).map(|_| Cycles::ZERO).collect(),
+            stats: WalkerStats::default(),
+        }
+    }
+
+    /// Number of hardware walkers.
+    #[must_use]
+    pub fn walkers(&self) -> usize {
+        self.free_at.len()
+    }
+
+    /// Queueing statistics (queued walks, queue cycles).
+    #[must_use]
+    pub fn stats(&self) -> &WalkerStats {
+        &self.stats
+    }
+
+    /// Admits a walk that wants to start at `now`: picks the
+    /// earliest-free hardware walker and returns `(slot, start)` where
+    /// `start = max(now, that walker's free time)`. Queueing (a start
+    /// later than `now`) is recorded in [`WalkerStats`]. The caller runs
+    /// the walk and must hand the slot back via [`WalkerSlots::release`].
+    pub fn admit(&mut self, now: Cycles) -> (usize, Cycles) {
+        let (slot, free_at) = self
+            .free_at
+            .iter()
+            .enumerate()
+            .min_by_key(|&(_, free)| *free)
+            .map(|(i, free)| (i, *free))
+            .expect("at least one walker");
+        let start = now.max(free_at);
+        if start > now {
+            self.stats.queued_walks += 1;
+            self.stats.queue_cycles += (start - now).as_u64();
+        }
+        (slot, start)
+    }
+
+    /// Marks `slot` (from [`WalkerSlots::admit`]) busy until `done`.
+    pub fn release(&mut self, slot: usize, done: Cycles) {
+        self.free_at.as_mut_slice()[slot] = done;
+    }
+
+    /// Idles every walker and clears statistics.
+    pub fn reset(&mut self) {
+        for free in self.free_at.as_mut_slice() {
             *free = Cycles::ZERO;
         }
         self.stats = WalkerStats::default();
     }
 
+    /// Clears statistics, keeping occupancy.
+    pub fn clear_stats(&mut self) {
+        self.stats = WalkerStats::default();
+    }
+}
+
+/// A whole walker: a [`WalkPlanner`] over the PWC bank plus the
+/// [`WalkerSlots`] of its hardware walkers.
+#[derive(Debug, Clone)]
+pub struct PageTableWalker {
+    planner: WalkPlanner,
+    slots: WalkerSlots,
+}
+
+impl PageTableWalker {
+    /// Hardware walkers per core when not overridden: one, as fits the
+    /// simple in-order cores this simulator models (x86-class OoO cores
+    /// ship two; see [`PageTableWalker::with_walkers`]).
+    pub const DEFAULT_WALKERS: usize = 1;
+
+    fn over(planner: WalkPlanner) -> Self {
+        PageTableWalker {
+            planner,
+            slots: WalkerSlots::new(Self::DEFAULT_WALKERS),
+        }
+    }
+
+    /// A walker with PWCs enabled (Radix, Huge Page, NDPage).
+    #[must_use]
+    pub fn with_pwcs() -> Self {
+        Self::over(WalkPlanner::with_pwcs())
+    }
+
+    /// A walker whose PWCs hold `capacity` entries per level (PWC-size
+    /// sweep experiments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    #[must_use]
+    pub fn with_pwc_capacity(capacity: usize) -> Self {
+        Self::over(WalkPlanner::with_pwc_capacity(capacity))
+    }
+
+    /// A walker without PWCs (ECH; PWC-off ablation).
+    #[must_use]
+    pub fn without_pwcs() -> Self {
+        Self::over(WalkPlanner::without_pwcs())
+    }
+
+    /// Overrides the number of hardware walkers (the `walkers_per_core`
+    /// knob).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `walkers` is zero or exceeds [`MAX_WALKERS`].
+    #[must_use]
+    pub fn with_walkers(mut self, walkers: usize) -> Self {
+        self.slots = WalkerSlots::new(walkers);
+        self
+    }
+
+    /// Splits the walker into its planning and occupancy halves.
+    #[must_use]
+    pub fn into_parts(self) -> (WalkPlanner, WalkerSlots) {
+        (self.planner, self.slots)
+    }
+
+    /// Number of hardware walkers.
+    #[must_use]
+    pub fn walkers(&self) -> usize {
+        self.slots.walkers()
+    }
+
+    /// See [`WalkerSlots::admit`].
+    pub fn admit(&mut self, now: Cycles) -> (usize, Cycles) {
+        self.slots.admit(now)
+    }
+
+    /// See [`WalkerSlots::release`].
+    pub fn release(&mut self, slot: usize, done: Cycles) {
+        self.slots.release(slot, done);
+    }
+
+    /// The PWC bank (for statistics reporting).
+    #[must_use]
+    pub fn pwcs(&self) -> &PwcSet {
+        self.planner.pwcs()
+    }
+
+    /// Walker statistics: the planner's walk counts with the slots'
+    /// queueing counts.
+    #[must_use]
+    pub fn stats(&self) -> WalkerStats {
+        WalkerStats {
+            queued_walks: self.slots.stats.queued_walks,
+            queue_cycles: self.slots.stats.queue_cycles,
+            ..self.planner.stats
+        }
+    }
+
+    /// See [`WalkPlanner::plan`].
+    pub fn plan(&mut self, asid: Asid, vpn: Vpn, path: &WalkPath) -> WalkPlan {
+        self.planner.plan(asid, vpn, path)
+    }
+
+    /// Drops PWC state of `asid` (a targeted shootdown), returning how
+    /// many tags were dropped. Statistics survive.
+    pub fn flush_asid(&mut self, asid: Asid) -> u64 {
+        self.planner.flush_asid(asid)
+    }
+
+    /// Drops all PWC state (the untagged-walker context-switch flush),
+    /// returning how many tags were dropped. Statistics survive.
+    pub fn flush_all(&mut self) -> u64 {
+        self.planner.flush_all()
+    }
+
+    /// Clears PWC contents, walker occupancy and statistics.
+    pub fn reset(&mut self) {
+        self.planner.reset();
+        self.slots.reset();
+    }
+
     /// Clears statistics (walker + PWC) while keeping PWC contents warm.
     pub fn clear_stats(&mut self) {
-        self.pwcs.clear_stats();
-        self.stats = WalkerStats::default();
+        self.planner.clear_stats();
+        self.slots.clear_stats();
     }
 }
 

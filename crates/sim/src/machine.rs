@@ -20,9 +20,45 @@
 //!   full, walkers busy). Same-line misses coalesce in the MSHR file;
 //!   concurrent page-table walks queue for the hardware walkers — the
 //!   paper's asymmetry: data misses overlap, radix walks serialise.
+//!
+//! # Translation frontend and timing loop
+//!
+//! A run is split in two. Each core's **translation frontend**
+//! (`frontend.rs`) owns its processes' traces and page tables, its TLB
+//! hierarchy and its walker's PWC bank. It turns the op stream into
+//! compact records: compute cycles, or the physical address, the TLB
+//! latency and, after a miss, the walk (PWC probes, PTE-fetch rounds,
+//! native-huge install). It applies context-switch flushes and the warmup
+//! statistics clear at the same op counts the timing loop does. The
+//! **timing loop** keeps everything else and consumes the records in
+//! exactly the per-op order described below: clocks and the epoch
+//! scheduler, caches and MSHRs, the shared L3 and vault buffers, NoC and
+//! DRAM, walker occupancy, the compaction tax and the walk statistics.
+//!
+//! The split is exact because no frontend state depends on timing in any
+//! mode: which entries a TLB or PWC holds follows from the op sequence
+//! alone. The caches stay on the timing side because their contents do
+//! depend on timing: MSHR coalescing and hit-under-miss key on fill
+//! completion times, and an inclusive shared L3 back-invalidates private
+//! lines in the global timing order of every core's misses.
+//!
+//! Frontends never allocate. On an unmapped page a frontend ends its
+//! chunk at that op and stalls; the timing loop services the fault when
+//! it reaches the op, against the shared [`FrameAllocator`], in the same
+//! global order as every other allocation (`fault_in` costs and ECH
+//! rehash work included), then lets the frontend resume.
+//!
+//! Frontends run one chunk ahead on `default_threads() - 1` scoped
+//! producer threads, each serving every `n`-th core through a bounded
+//! queue. With one thread, or inside a [`crate::parallel`] worker, the
+//! timing loop translates each chunk itself when it needs it — the same
+//! code, so the result is bit-identical either way.
+
+mod frontend;
 
 use crate::config::{InclusionPolicy, SimConfig, SystemKind};
 use crate::report::{FaultCounts, MlpStats, RunReport, SchedStats, SharedLlcStats};
+use frontend::{Cursor, FrontProc, Frontend, Lane, MemRec, Rec, Schedule, StopProducers, Xlat};
 use ndp_cache::hierarchy::{CacheHierarchy, LookupResult, VictimList};
 use ndp_cache::mshr::MshrLookup;
 use ndp_cache::set_assoc::{CacheConfig, Victim};
@@ -31,18 +67,18 @@ use ndp_mem::controller::MemoryController;
 use ndp_mem::dram::DramConfig;
 use ndp_mem::noc::MeshNoc;
 use ndp_mmu::tlb::TlbHierarchy;
-use ndp_mmu::walker::PageTableWalker;
+use ndp_mmu::walker::{PageTableWalker, WalkerSlots};
 use ndp_types::stats::{HitMiss, LatencyHistogram, LatencyStat};
-use ndp_types::{
-    AccessClass, Asid, CoreId, Cycles, Op, Pfn, PhysAddr, ProcessId, PtLevel, RwKind, Vpn,
-};
-use ndp_workloads::{Trace, TraceParams};
+use ndp_types::{AccessClass, Asid, CoreId, Cycles, PhysAddr, ProcessId, PtLevel, RwKind, Vpn};
+use ndp_workloads::TraceParams;
 use ndpage::alloc::FrameAllocator;
 use ndpage::bypass::BypassPolicy;
 use ndpage::occupancy::OccupancyReport;
-use ndpage::table::{FaultKind, PageTable, PageTableKind, RangeMapOutcome, RangePlan};
+use ndpage::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangeMapOutcome, RangePlan};
 use ndpage::Mechanism;
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::AtomicBool;
+use std::thread::Thread;
 
 /// Memory ops after a context switch that count toward the post-switch
 /// cold-miss penalty statistics (see [`SchedStats`]). Sized to cover the
@@ -61,6 +97,14 @@ fn build_table(mechanism: Mechanism, alloc: &mut FrameAllocator) -> TableImpl {
             .build_impl(alloc)
             .expect("radix always builds")
     })
+}
+
+/// Process `p` of core `i` gets the globally unique pid
+/// `i * procs_per_core + p`, whose value also offsets the RNG seed; with
+/// one process per core this degenerates to the historical `seed + core`
+/// scheme bit for bit.
+fn pid(cfg: &SimConfig, core: u32, p: u32) -> ProcessId {
+    ProcessId(core * cfg.procs_per_core + p)
 }
 
 /// Streams one process's premap schedule — its regions flattened into
@@ -99,18 +143,13 @@ impl<'a> ChunkCursor<'a> {
     }
 }
 
-/// One multiprogrammed process: a private address space (its own page
-/// table and ASID) and its own trace stream. The translation hardware
-/// (TLBs, PWCs, caches) belongs to the core the process runs on.
+/// The timing side of one multiprogrammed process (its trace and page
+/// table belong to the core's [`Frontend`]).
 struct ProcCtx {
-    #[allow(dead_code)] // identification / future per-proc reporting
-    pid: ProcessId,
-    /// The ASID this process's translations are tagged with. With
-    /// `tlb_tagging` off every process shares [`Asid::ZERO`] and the core
-    /// full-flushes on each switch instead.
+    /// The ASID this process's translations and shared-cache lines are
+    /// tagged with. With `tlb_tagging` off every process shares
+    /// [`Asid::ZERO`] and the core full-flushes on each switch instead.
     asid: Asid,
-    trace: Trace,
-    table: TableImpl,
     /// THP-fallback pressure established during init (0 when the
     /// contiguity pool sufficed); drives compaction interference.
     thp_pressure: f64,
@@ -155,8 +194,9 @@ struct CoreCtx {
     start_time: Cycles,
     ops_done: u64,
     measuring: bool,
-    tlb: TlbHierarchy,
-    walker: PageTableWalker,
+    /// Occupancy of the core's hardware walkers (the PWCs live with the
+    /// frontend).
+    walkers: WalkerSlots,
     caches: CacheHierarchy,
     // Measured-window accumulators.
     translation_cycles: u64,
@@ -253,8 +293,12 @@ impl CoreCtx {
 pub struct Machine {
     cfg: SimConfig,
     cores: Vec<CoreCtx>,
+    /// Each core's translation frontend, index-aligned with `cores`.
+    fronts: Vec<Frontend>,
     controller: MemoryController,
-    noc: MeshNoc,
+    /// One-way NoC latency from core `i` to channel `c`, at
+    /// `i * channels + c` (the mesh arithmetic, done once).
+    one_way: Vec<Cycles>,
     alloc: FrameAllocator,
     bypass: BypassPolicy,
     controller_cleared: bool,
@@ -302,36 +346,66 @@ impl Machine {
         let use_pwc = cfg.pwc_override.unwrap_or_else(|| cfg.mechanism.uses_pwc());
 
         let footprint = cfg.footprint_per_core();
-        // Process `p` of core `i` gets the globally unique pid
-        // `i * procs_per_core + p`, whose value also offsets the RNG seed;
-        // with one process per core this degenerates to the historical
-        // `seed + core` scheme bit for bit.
         let params = |pid: ProcessId| TraceParams {
             seed: cfg.seed + pid.as_u64(),
             footprint: Some(footprint),
         };
 
-        let cores = (0..cfg.cores)
-            .map(|i| CoreCtx {
+        // Tagged hardware gives each co-resident process its own
+        // (core-local) ASID; untagged hardware has a single namespace and
+        // pays with full flushes at every switch.
+        let asid = |p: u32| {
+            if cfg.tlb_tagging {
+                Asid(p as u16)
+            } else {
+                Asid::ZERO
+            }
+        };
+        let schedule = Schedule {
+            total_ops: cfg.warmup_ops + cfg.measure_ops,
+            warmup_ops: cfg.warmup_ops,
+            quantum_ops: cfg.context_switch_quantum_ops,
+            tagging: cfg.tlb_tagging,
+            ideal: cfg.mechanism.is_ideal(),
+            native_huge: !cfg.tlb_fracture_huge.unwrap_or(true),
+        };
+        let mut fronts = Vec::with_capacity(cfg.cores as usize);
+        let mut cores = Vec::with_capacity(cfg.cores as usize);
+        for i in 0..cfg.cores {
+            let procs = (0..cfg.procs_per_core)
+                .map(|p| FrontProc {
+                    asid: asid(p),
+                    trace: cfg.workload.trace(params(pid(&cfg, i, p))),
+                    table: build_table(cfg.mechanism, &mut alloc),
+                })
+                .collect();
+            let tlb = match cfg.tlb_l2_entries {
+                None => TlbHierarchy::table1(),
+                Some(entries) => TlbHierarchy::new(
+                    ndp_mmu::tlb::TlbConfig::l1_dtlb(),
+                    ndp_mmu::tlb::TlbConfig {
+                        name: "L2 TLB",
+                        entries,
+                        ways: 12,
+                        latency: Cycles::new(12),
+                    },
+                ),
+            }
+            .with_fracturing(cfg.tlb_fracture_huge.unwrap_or(true));
+            let (planner, walkers) = match (use_pwc, cfg.pwc_entries) {
+                (false, _) => PageTableWalker::without_pwcs(),
+                (true, None) => PageTableWalker::with_pwcs(),
+                (true, Some(entries)) => PageTableWalker::with_pwc_capacity(entries),
+            }
+            .with_walkers(cfg.walkers_per_core as usize)
+            .into_parts();
+            fronts.push(Frontend::new(procs, tlb, planner, schedule));
+            cores.push(CoreCtx {
                 procs: (0..cfg.procs_per_core)
-                    .map(|p| {
-                        let pid = ProcessId(i * cfg.procs_per_core + p);
-                        ProcCtx {
-                            pid,
-                            // Tagged hardware gives each co-resident
-                            // process its own (core-local) ASID; untagged
-                            // hardware has a single namespace and pays
-                            // with full flushes at every switch.
-                            asid: if cfg.tlb_tagging {
-                                Asid(p as u16)
-                            } else {
-                                Asid::ZERO
-                            },
-                            trace: cfg.workload.trace(params(pid)),
-                            table: build_table(cfg.mechanism, &mut alloc),
-                            thp_pressure: 0.0,
-                            ops_since_tax: 0,
-                        }
+                    .map(|p| ProcCtx {
+                        asid: asid(p),
+                        thp_pressure: 0.0,
+                        ops_since_tax: 0,
                     })
                     .collect(),
                 active: 0,
@@ -348,27 +422,7 @@ impl Machine {
                 start_time: Cycles::ZERO,
                 ops_done: 0,
                 measuring: cfg.warmup_ops == 0,
-                tlb: {
-                    let tlb = match cfg.tlb_l2_entries {
-                        None => TlbHierarchy::table1(),
-                        Some(entries) => TlbHierarchy::new(
-                            ndp_mmu::tlb::TlbConfig::l1_dtlb(),
-                            ndp_mmu::tlb::TlbConfig {
-                                name: "L2 TLB",
-                                entries,
-                                ways: 12,
-                                latency: Cycles::new(12),
-                            },
-                        ),
-                    };
-                    tlb.with_fracturing(cfg.tlb_fracture_huge.unwrap_or(true))
-                },
-                walker: match (use_pwc, cfg.pwc_entries) {
-                    (false, _) => PageTableWalker::without_pwcs(),
-                    (true, None) => PageTableWalker::with_pwcs(),
-                    (true, Some(entries)) => PageTableWalker::with_pwc_capacity(entries),
-                }
-                .with_walkers(cfg.walkers_per_core as usize),
+                walkers,
                 caches: match (cfg.system, cfg.l3_kb) {
                     (SystemKind::Ndp, _) => CacheHierarchy::ndp(),
                     // Each CPU core gets its 2 MB share of the shared L3
@@ -398,7 +452,11 @@ impl Machine {
                 inflight: VecDeque::with_capacity(cfg.mlp_window as usize),
                 mlp: MlpStats::default(),
                 pending_tlb_fills: VecDeque::new(),
-            })
+            });
+        }
+        let one_way = (0..cfg.cores)
+            .flat_map(|i| (0..dram.channels).map(move |c| (i, c)))
+            .map(|(i, c)| noc.core_to_channel(CoreId(i), c))
             .collect();
 
         // Windowed cores book requests far ahead of their issue clock;
@@ -420,8 +478,9 @@ impl Machine {
         let mut machine = Machine {
             cfg,
             cores,
+            fronts,
             controller,
-            noc,
+            one_way,
             alloc,
             bypass,
             controller_cleared: false,
@@ -471,7 +530,7 @@ impl Machine {
             .iter()
             .map(|&(c, p)| {
                 self.cfg.workload.regions(TraceParams {
-                    seed: self.cfg.seed + self.cores[c].procs[p].pid.as_u64(),
+                    seed: self.cfg.seed + pid(&self.cfg, c as u32, p as u32).as_u64(),
                     footprint: Some(footprint),
                 })
             })
@@ -484,9 +543,9 @@ impl Machine {
         // Only the hashed table shapes (`shape_range` is a no-op on the
         // trees), so the trees skip the fan-out.
         let work: Vec<(&mut TableImpl, ChunkCursor<'_>)> = self
-            .cores
+            .fronts
             .iter_mut()
-            .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
+            .flat_map(|f| f.procs.iter_mut().map(|p| &mut p.table))
             .zip(region_lists.iter().map(|r| ChunkCursor::new(r)))
             .filter(|(table, _)| table.kind() == PageTableKind::ElasticCuckoo)
             .collect();
@@ -515,7 +574,7 @@ impl Machine {
                 // once per page — the init phase maps millions of pages,
                 // with the same faults, frames and counts as a per-page
                 // loop.
-                let plan = self.cores[core_idx].procs[proc_idx]
+                let plan = self.fronts[core_idx].procs[proc_idx]
                     .table
                     .plan_range(first, pages, &mut self.alloc)
                     .expect("built-in trees always plan, and every ECH range was shaped");
@@ -528,9 +587,9 @@ impl Machine {
         // Pure memory writes with no shared state, so thread count cannot
         // affect the result; `par_map` keeps task order regardless.
         let work: Vec<(&mut TableImpl, Vec<RangePlan>)> = self
-            .cores
+            .fronts
             .iter_mut()
-            .flat_map(|c| c.procs.iter_mut().map(|p| &mut p.table))
+            .flat_map(|f| f.procs.iter_mut().map(|p| &mut p.table))
             .zip(plans)
             .collect();
         crate::parallel::par_map(work, |(table, table_plans)| {
@@ -541,11 +600,12 @@ impl Machine {
 
         for (target_idx, &(core_idx, proc_idx)) in targets.iter().enumerate() {
             let faults = proc_faults[target_idx];
-            let core = &mut self.cores[core_idx];
-            core.faults.absorb_range(faults);
-            let proc = &mut core.procs[proc_idx];
+            self.cores[core_idx].faults.absorb_range(faults);
             // Init-phase OS work (e.g. ECH rehashes) is not timed.
-            let _ = proc.table.take_pending_os_work();
+            let _ = self.fronts[core_idx].procs[proc_idx]
+                .table
+                .take_pending_os_work();
+            let proc = &mut self.cores[core_idx].procs[proc_idx];
             // Fallback faults are per 4 KB page while huge faults are per
             // 2 MB region; normalise to regions before computing the
             // fraction of the footprint that failed THP allocation.
@@ -574,10 +634,56 @@ impl Machine {
     /// a constant (`limit`) computable at pick time. Execution order —
     /// and therefore every timestamp and digest — is identical at any
     /// epoch size, including the per-op `epoch_ops = 1`.
+    ///
+    /// The ops themselves come translated from the cores' frontends (see
+    /// the module docs), run ahead on producer threads when
+    /// [`crate::parallel::default_threads`] allows more than one thread
+    /// and this is not already a parallel worker.
     #[must_use]
-    pub fn run(mut self) -> RunReport {
+    pub fn run(self) -> RunReport {
+        let producers = if crate::parallel::in_worker() {
+            0
+        } else {
+            crate::parallel::default_threads() - 1
+        };
+        self.run_with(producers)
+    }
+
+    /// [`Machine::run`] with `producers` frontend threads (at most one per
+    /// core; 0 translates inline). The report is the same for every count.
+    fn run_with(mut self, producers: usize) -> RunReport {
+        let lanes: Vec<Lane> = std::mem::take(&mut self.fronts)
+            .into_iter()
+            .map(Lane::new)
+            .collect();
+        let producers = producers.min(lanes.len());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let threads: Vec<Thread> = (0..producers)
+                .map(|first| {
+                    let (lanes, stop) = (&lanes, &stop);
+                    scope
+                        .spawn(move || frontend::produce(lanes, first, producers, stop))
+                        .thread()
+                        .clone()
+                })
+                .collect();
+            let _stop = StopProducers {
+                stop: &stop,
+                producers: &threads,
+            };
+            self.timing_loop(&lanes, &threads);
+        });
+        self.fronts = lanes.into_iter().map(Lane::into_frontend).collect();
+        self.into_report()
+    }
+
+    /// The epoch scheduler over the cores' record streams (see
+    /// [`Machine::run`]); `producers[i % n]` fills core `i`'s lane.
+    fn timing_loop(&mut self, lanes: &[Lane], producers: &[Thread]) {
         let total_ops = self.cfg.warmup_ops + self.cfg.measure_ops;
         let epoch = self.cfg.epoch_ops.max(1);
+        let mut cursors: Vec<Cursor> = lanes.iter().map(|_| Cursor::default()).collect();
         loop {
             let mut next: Option<usize> = None;
             for (i, core) in self.cores.iter().enumerate() {
@@ -606,6 +712,8 @@ impl Machine {
                 limit = Some(limit.map_or(bound, |l| l.min(bound)));
             }
 
+            let (lane, cursor) = (&lanes[i], &mut cursors[i]);
+            let producer = (!producers.is_empty()).then(|| &producers[i % producers.len()]);
             for _ in 0..epoch {
                 if self.cores[i].ops_done >= total_ops
                     || limit.is_some_and(|l| self.cores[i].time >= l)
@@ -615,17 +723,14 @@ impl Machine {
                 if !self.cores[i].measuring && self.cores[i].ops_done >= self.cfg.warmup_ops {
                     self.begin_measurement(i);
                 }
-                let active = self.cores[i].active;
-                let op = self.cores[i].procs[active]
-                    .trace
-                    .next()
-                    .expect("traces are infinite");
-                self.exec_op(i, op);
+                let rec = cursor.next(lane, producer);
+                let is_memory = matches!(rec, Rec::Mem(_));
+                self.exec_op(i, rec, cursor, lane, producer);
                 let core = &mut self.cores[i];
                 core.ops_done += 1;
                 if core.measuring {
                     core.ops_measured += 1;
-                    if op.is_memory() {
+                    if is_memory {
                         core.mem_ops_measured += 1;
                     }
                 }
@@ -642,13 +747,10 @@ impl Machine {
         for core in &mut self.cores {
             core.drain_window();
         }
-        self.into_report()
     }
 
-    /// Round-robin switch to core `i`'s next process: charge the OS cost,
-    /// and — on untagged translation hardware — full-flush the TLBs and
-    /// PWCs (ASID-tagged hardware keeps every resident process's entries
-    /// warm; correctness across address spaces comes from the tags).
+    /// Round-robin switch to core `i`'s next process: charge the OS cost
+    /// (the frontend flushes untagged TLBs and PWCs at the same op).
     fn context_switch(&mut self, i: usize) {
         let core = &mut self.cores[i];
         core.quantum_ops = 0;
@@ -664,22 +766,18 @@ impl Machine {
         if core.measuring {
             core.sched.measured_context_switches += 1;
         }
-        if !self.cfg.tlb_tagging {
-            let dropped = core.tlb.flush_all() + core.walker.flush_all();
-            core.sched.tlb_flushes += 1;
-            core.sched.entries_flushed += dropped;
-        }
         core.post_switch_ops = POST_SWITCH_WINDOW;
         core.post_switch_measured = core.measuring;
     }
 
+    /// Opens core `i`'s measured window (the frontend clears the TLB and
+    /// PWC statistics at the same op).
     fn begin_measurement(&mut self, i: usize) {
         let core = &mut self.cores[i];
         core.measuring = true;
         core.start_time = core.time;
-        core.tlb.clear_stats();
         core.caches.clear_stats();
-        core.walker.clear_stats();
+        core.walkers.clear_stats();
         // The shared controller's window opens with the *first* core to
         // measure, matching the per-core windows: every measured-window
         // request of every core is counted. Residual warmup overlap — a
@@ -703,7 +801,14 @@ impl Machine {
         }
     }
 
-    fn exec_op(&mut self, i: usize, op: Op) {
+    fn exec_op(
+        &mut self,
+        i: usize,
+        rec: Rec,
+        cursor: &mut Cursor,
+        lane: &Lane,
+        producer: Option<&Thread>,
+    ) {
         // Compaction/khugepaged interference while THP fallback pressure
         // persists: the OS periodically steals cycles trying to recover
         // contiguity (Fig 14's Huge Page collapse). The pressure is a
@@ -723,164 +828,138 @@ impl Machine {
                 }
             }
         }
-        match op {
-            Op::Compute(n) => {
+        let mut m = match rec {
+            Rec::Compute(n) => {
                 self.cores[i].time += Cycles::new(u64::from(n));
+                return;
             }
-            Op::Load(va) | Op::Store(va) => {
-                let rw = op.rw().expect("memory op");
-                let window = self.cfg.mlp_window as usize;
-                if window > 1 {
-                    // Issue needs a free window slot; retire (in order)
-                    // to make one, stalling the clock if the oldest op
-                    // has not completed yet.
-                    self.cores[i].make_issue_slot(window);
-                }
-
-                let issue_t = self.cores[i].time;
-                let (pfn, translation, os) = self.translate(i, va.vpn());
-                let core = &mut self.cores[i];
-                if core.measuring {
-                    core.translation_cycles += translation.as_u64();
-                    core.os_cycles += os.as_u64();
-                }
-                if core.post_switch_ops > 0 {
-                    core.post_switch_ops -= 1;
-                }
-
-                let paddr = pfn.base().add(va.page_offset());
-                let data_issue = issue_t + translation + os;
-                let done = self.access_done(i, paddr, rw, AccessClass::Data, data_issue);
-
-                let core = &mut self.cores[i];
-                if core.measuring {
-                    core.mlp.inflight_latency_cycles += (done - issue_t).as_u64();
-                }
-                if window > 1 {
-                    // Windowed: the op stays in flight; the clock only
-                    // pays the issue slot.
-                    core.inflight.push_back(done);
-                    core.time += Cycles::new(1);
-                    if core.measuring {
-                        let depth = core.inflight.len() as u32;
-                        core.mlp.peak_inflight = core.mlp.peak_inflight.max(depth);
-                    }
-                } else {
-                    // Blocking: the clock jumps to completion before the
-                    // next op, exactly the pre-pipeline engine.
-                    core.time = done;
-                }
+            Rec::Mem(m) => m,
+        };
+        // A first touch: map the page now, in timing order, before the
+        // op's timing runs (the frontend waits for it).
+        let os = match m.xlat {
+            Xlat::Fault => {
+                let serviced = cursor.service_fault(&mut m, lane, &mut self.alloc, producer);
+                serviced.map_or(Cycles::ZERO, |(outcome, moved)| {
+                    self.cores[i].faults.absorb(outcome);
+                    self.fault_cycles(outcome, moved)
+                })
             }
+            Xlat::Hit | Xlat::Walk(_) => Cycles::ZERO,
+        };
+
+        let window = self.cfg.mlp_window as usize;
+        if window > 1 {
+            // Issue needs a free window slot; retire (in order) to make
+            // one, stalling the clock if the oldest op has not completed
+            // yet.
+            self.cores[i].make_issue_slot(window);
+        }
+
+        let issue_t = self.cores[i].time;
+        let translation = self.translate(i, &m, os, cursor);
+        let core = &mut self.cores[i];
+        if core.measuring {
+            core.translation_cycles += translation.as_u64();
+            core.os_cycles += os.as_u64();
+        }
+        if core.post_switch_ops > 0 {
+            core.post_switch_ops -= 1;
+        }
+
+        let data_issue = issue_t + translation + os;
+        let done = self.access_done(i, m.paddr, m.rw, AccessClass::Data, data_issue);
+
+        let core = &mut self.cores[i];
+        if core.measuring {
+            core.mlp.inflight_latency_cycles += (done - issue_t).as_u64();
+        }
+        if window > 1 {
+            // Windowed: the op stays in flight; the clock only pays the
+            // issue slot.
+            core.inflight.push_back(done);
+            core.time += Cycles::new(1);
+            if core.measuring {
+                let depth = core.inflight.len() as u32;
+                core.mlp.peak_inflight = core.mlp.peak_inflight.max(depth);
+            }
+        } else {
+            // Blocking: the clock jumps to completion before the next op,
+            // exactly the pre-pipeline engine.
+            core.time = done;
         }
     }
 
-    /// Services a first-touch page fault: maps `vpn` into process
-    /// `active`'s table, records the fault kind and returns the OS
-    /// cycles charged (fault service + any deferred rehash work).
-    fn fault_in(&mut self, i: usize, active: usize, vpn: Vpn) -> Cycles {
-        let core = &mut self.cores[i];
-        let table = &mut core.procs[active].table;
-        let outcome = table.map(vpn, &mut self.alloc);
-        core.faults.absorb(outcome);
+    /// The OS cycles a first-touch fault costs: the service of its kind
+    /// plus the deferred rehash work (`moved` entries) it triggered.
+    fn fault_cycles(&self, outcome: MapOutcome, moved: u64) -> Cycles {
         let service = match outcome.fault {
             Some(FaultKind::Minor4K) => self.cfg.fault_minor_4k,
             Some(FaultKind::Minor2M) => self.cfg.fault_minor_2m,
             Some(FaultKind::Fallback4K) => self.cfg.fault_fallback,
             None => Cycles::ZERO,
         };
-        let moved = table.take_pending_os_work();
         service + Cycles::new(moved * self.cfg.rehash_entry_cost.as_u64())
     }
 
-    /// Translates `vpn` for the process running on core `i`, returning
-    /// `(frame, translation cycles, OS cycles)`. Implements the Fig 11
-    /// flow; TLB and PWC state is tagged with the process's ASID.
-    fn translate(&mut self, i: usize, vpn: Vpn) -> (Pfn, Cycles, Cycles) {
-        let active = self.cores[i].active;
-        if self.cfg.mechanism.is_ideal() {
-            // Every request hits a zero-latency L1 TLB (paper §VI); pages
-            // are still placed through a real table so data-access
-            // behaviour is comparable.
-            if self.cores[i].procs[active].table.translate(vpn).is_none() {
-                let core = &mut self.cores[i];
-                core.procs[active].table.map(vpn, &mut self.alloc);
-            }
-            let pfn = self.cores[i].procs[active]
-                .table
-                .translate(vpn)
-                .expect("just mapped")
-                .pfn;
-            return (pfn, Cycles::ZERO, Cycles::ZERO);
-        }
-
+    /// The timing of memory op `m`'s translation on core `i` (after `os`
+    /// cycles of fault service), returning its translation cycles: the TLB
+    /// lookup, plus on a miss the walk through the walker slots, the PWC
+    /// probes and the PTE fetches' memory rounds (Fig 11).
+    fn translate(&mut self, i: usize, m: &MemRec, os: Cycles, cursor: &mut Cursor) -> Cycles {
+        let lookup = Cycles::new(u64::from(m.tlb));
+        let vpn = m.va.vpn();
         let asid = self.cores[i].asid();
-        let lookup = self.cores[i].tlb.lookup(asid, vpn);
-        if let Some(hit) = lookup.hit {
-            // The functional TLB installs entries the moment their walk
-            // is *planned*; in windowed mode that walk may still be in
-            // flight, making this a hit-under-miss that waits for the
-            // translation data (mirror of the cache-line case).
-            if self.cfg.mlp_window > 1 {
-                let core = &self.cores[i];
-                let now = core.time + lookup.latency;
-                if let Some(done) = core.pending_translation_done(asid, vpn, now) {
+        let walk = match m.xlat {
+            Xlat::Walk(walk) => walk,
+            Xlat::Fault => unreachable!("faults are serviced before their timing"),
+            Xlat::Hit => {
+                // The functional TLB installs entries the moment their
+                // walk is *planned*; in windowed mode that walk may still
+                // be in flight, making this a hit-under-miss that waits
+                // for the translation data (mirror of the cache-line
+                // case).
+                if self.cfg.mlp_window > 1 {
                     let core = &mut self.cores[i];
-                    if core.measuring {
-                        core.mlp.tlb_hits_under_miss += 1;
+                    let now = core.time + lookup;
+                    if let Some(done) = core.pending_translation_done(asid, vpn, now) {
+                        if core.measuring {
+                            core.mlp.tlb_hits_under_miss += 1;
+                        }
+                        return done - core.time;
                     }
-                    return (hit.pfn, done - core.time, Cycles::ZERO);
                 }
+                return lookup;
             }
-            return (hit.pfn, lookup.latency, Cycles::ZERO);
-        }
-
-        // One descent serves the fault check, the translation and the
-        // walk path: a mapped VPN (the steady state — the footprint is
-        // premapped) resolves in a single `translate_and_walk`; only a
-        // genuine first touch pays the fault path and re-descends.
-        let (os, (translation, path)) =
-            match self.cores[i].procs[active].table.translate_and_walk(vpn) {
-                Some(walked) => (Cycles::ZERO, walked),
-                None => {
-                    // Page fault on first touch.
-                    let os = self.fault_in(i, active, vpn);
-                    let walked = self.cores[i].procs[active]
-                        .table
-                        .translate_and_walk(vpn)
-                        .expect("just mapped");
-                    (os, walked)
-                }
-            };
-        let plan = self.cores[i].walker.plan(asid, vpn, &path);
+        };
 
         // The walk needs a hardware walker: concurrent misses beyond the
         // walker count queue here (never in blocking mode — each walk
         // fully retires before the next op issues, so `admit` is free).
-        let walk_base = self.cores[i].time + lookup.latency + os;
-        let (slot, start) = self.cores[i].walker.admit(walk_base);
+        let walk_base = self.cores[i].time + lookup + os;
+        let (slot, start) = self.cores[i].walkers.admit(walk_base);
         // One cycle per PWC probe, then the memory rounds; `clock` tracks
         // the walk's own completion frontier.
-        let mut clock = start + Cycles::new(path.len() as u64);
-        for round in &plan.rounds {
+        let mut clock = start + Cycles::new(u64::from(walk.probes));
+        for &fetches in &walk.fetches[..usize::from(walk.rounds)] {
             let t_issue = clock;
-            let round_done = round
-                .iter()
-                .map(|fetch| {
-                    self.access_done(i, fetch.addr, RwKind::Read, AccessClass::Metadata, t_issue)
-                })
-                .max()
-                .unwrap_or(t_issue);
+            let mut round_done = t_issue;
+            for _ in 0..fetches {
+                let addr = cursor.next_fetch();
+                let done = self.access_done(i, addr, RwKind::Read, AccessClass::Metadata, t_issue);
+                round_done = round_done.max(done);
+            }
             clock = round_done;
         }
-        self.cores[i].walker.release(slot, clock);
+        self.cores[i].walkers.release(slot, clock);
         // The latency a TLB miss experiences: walker queueing (windowed
         // mode only) + PWC probes + memory rounds.
-        let walk = clock - walk_base;
+        let walked = clock - walk_base;
 
-        if self.cores[i].measuring {
-            let core = &mut self.cores[i];
-            core.ptw.record(walk);
-            core.ptw_hist.record(walk);
+        let core = &mut self.cores[i];
+        if core.measuring {
+            core.ptw.record(walked);
+            core.ptw_hist.record(walked);
             // Walks landing shortly after a *measured* context switch are
             // the cold-miss penalty of the switch (flush-induced on
             // untagged hardware, capacity/competition-induced on tagged);
@@ -888,39 +967,27 @@ impl Machine {
             // penalty counters divide cleanly by measured switches.
             if core.post_switch_ops > 0 && core.post_switch_measured {
                 core.sched.post_switch_walks += 1;
-                core.sched.post_switch_walk_cycles += walk.as_u64();
+                core.sched.post_switch_walk_cycles += walked.as_u64();
             }
         }
-
-        // Install in the TLBs (huge mappings store the region base).
-        let base = match translation.size {
-            ndp_types::PageSize::Size4K => translation.pfn,
-            ndp_types::PageSize::Size2M => {
-                Pfn::new(translation.pfn.as_u64() - vpn.l1_index() as u64)
-            }
-        };
-        self.cores[i].tlb.fill(asid, vpn, base, translation.size);
         if self.cfg.mlp_window > 1 {
             // Later ops that functionally hit this entry before `clock`
             // must wait for the walk's data (hit-under-miss). Only a
             // *native* (unfractured) 2 MB install covers its whole
             // region; fractured installs tag the faulting VPN alone.
-            let huge = translation.size == ndp_types::PageSize::Size2M
-                && !self.cfg.tlb_fracture_huge.unwrap_or(true);
-            let key = if huge {
+            let key = if walk.huge {
                 Vpn::new(vpn.as_u64() - vpn.l1_index() as u64)
             } else {
                 vpn
             };
-            self.cores[i].push_pending_fill(PendingTlbFill {
+            core.push_pending_fill(PendingTlbFill {
                 asid,
                 key,
-                huge,
+                huge: walk.huge,
                 done: clock,
             });
         }
-
-        (translation.pfn, lookup.latency + walk, os)
+        lookup + walked
     }
 
     /// One memory access through (or around) core `i`'s cache hierarchy,
@@ -1160,8 +1227,7 @@ impl Machine {
         if self.vaults.is_empty() {
             return self.memory_done(i, addr, RwKind::Read, class, t);
         }
-        let channel = ndp_mem::line_channel(addr, self.controller.config().channels);
-        let one_way = self.noc.core_to_channel(CoreId(i as u32), channel);
+        let (channel, one_way) = self.route(i, addr);
         let arrival = t + one_way;
         let asid = self.cores[i].asid();
         let send_t = {
@@ -1207,11 +1273,10 @@ impl Machine {
             self.memory_done(i, addr, RwKind::Write, class, t);
             return;
         }
-        let channel = ndp_mem::line_channel(addr, self.controller.config().channels);
+        let (channel, one_way) = self.route(i, addr);
         if self.vaults[channel as usize].accept_writeback(addr) {
             return;
         }
-        let one_way = self.noc.core_to_channel(CoreId(i as u32), channel);
         self.controller
             .request_ticketed(addr, RwKind::Write, class, t, t + one_way);
     }
@@ -1228,13 +1293,22 @@ impl Machine {
         class: AccessClass,
         t_issue: Cycles,
     ) -> Cycles {
-        let channel = ndp_mem::line_channel(addr, self.controller.config().channels);
-        let core_id = CoreId(i as u32);
-        let one_way = self.noc.core_to_channel(core_id, channel);
+        let (_, one_way) = self.route(i, addr);
         let ticket = self
             .controller
             .request_ticketed(addr, rw, class, t_issue, t_issue + one_way);
         ticket.done + one_way
+    }
+
+    /// The channel serving `addr` and core `i`'s one-way NoC latency to
+    /// it.
+    fn route(&self, i: usize, addr: PhysAddr) -> (u32, Cycles) {
+        let channels = self.controller.config().channels;
+        let channel = ndp_mem::line_channel(addr, channels);
+        (
+            channel,
+            self.one_way[i * channels as usize + channel as usize],
+        )
     }
 
     fn into_report(self) -> RunReport {
@@ -1257,10 +1331,10 @@ impl Machine {
         let mut table_bytes = 0u64;
         let mut measured = Vec::with_capacity(self.cores.len());
 
-        for core in &self.cores {
+        for (core, front) in self.cores.iter().zip(&self.fronts) {
             measured.push((core.time - core.start_time).as_f64());
-            tlb_l1.merge(core.tlb.l1_stats());
-            tlb_l2.merge(core.tlb.l2_stats());
+            tlb_l1.merge(front.tlb.l1_stats());
+            tlb_l2.merge(front.tlb.l2_stats());
             let l1 = core.caches.level_stats(0);
             l1_data.merge(&l1.data);
             l1_metadata.merge(&l1.metadata);
@@ -1275,6 +1349,8 @@ impl Machine {
             ops += core.ops_measured;
             mem_ops += core.mem_ops_measured;
             sched.merge(&core.sched);
+            sched.tlb_flushes += front.tlb_flushes;
+            sched.entries_flushed += front.entries_flushed;
             // The machine-side MLP counters, then the ones owned by the
             // structures themselves (cleared at measurement start, like
             // every other cache/TLB statistic).
@@ -1283,10 +1359,10 @@ impl Machine {
             mlp.mshr_coalesced += mshr.coalesced;
             mlp.mshr_full_stalls += mshr.full_stalls;
             mlp.mshr_stall_cycles += mshr.full_stall_cycles;
-            let walker = core.walker.stats();
-            mlp.walker_queued_walks += walker.queued_walks;
-            mlp.walker_queue_cycles += walker.queue_cycles;
-            for (level, hm) in core.walker.pwcs().stats() {
+            let walkers = core.walkers.stats();
+            mlp.walker_queued_walks += walkers.queued_walks;
+            mlp.walker_queue_cycles += walkers.queue_cycles;
+            for (level, hm) in front.planner.pwcs().stats() {
                 pwc.entry(level).or_default().merge(hm);
             }
             // Storage is the sum over every address space; occupancy
@@ -1294,7 +1370,7 @@ impl Machine {
             // pooled rate (with the homogeneous footprints and op counts
             // every table runs, this matches the per-table mean up to
             // allocation noise).
-            for proc in &core.procs {
+            for proc in &front.procs {
                 occupancy.merge(&proc.table.occupancy());
                 table_bytes += proc.table.table_bytes();
             }
@@ -1633,8 +1709,8 @@ mod tests {
     fn unmapped(cfg: SimConfig) -> Machine {
         let mut m = Machine::new(cfg);
         let mechanism = m.cfg.mechanism;
-        for core in &mut m.cores {
-            for proc in &mut core.procs {
+        for front in &mut m.fronts {
+            for proc in &mut front.procs {
                 proc.table = build_table(mechanism, &mut m.alloc);
             }
         }
@@ -1643,7 +1719,8 @@ mod tests {
 
     /// Runtime first-touch faults (`fault_in`, ECH rehash work, and
     /// Ideal's map-on-miss) are serviced in timing order against the
-    /// shared allocator. The fingerprints pin that order and its costs.
+    /// shared allocator. The fingerprints pin that order and its costs,
+    /// with frontends inline and on a producer thread.
     #[test]
     fn runtime_faults_are_pinned() {
         let blocking = |m| SimConfig::quick(SystemKind::Ndp, 2, m, WorkloadId::Rnd);
@@ -1665,7 +1742,7 @@ mod tests {
         for (cfg, pinned) in cases {
             let mechanism = cfg.mechanism;
             let premapped = Machine::new(cfg.clone()).run();
-            let r = unmapped(cfg).run();
+            let r = unmapped(cfg.clone()).run();
             assert_ne!(r.fingerprint(), premapped.fingerprint(), "{mechanism:?}");
             if mechanism.is_ideal() {
                 assert_eq!(r.translation_cycles, 0, "map-on-miss is free");
@@ -1680,6 +1757,36 @@ mod tests {
                 );
             }
             assert_eq!(r.fingerprint(), pinned, "{mechanism:?}");
+            for producers in [0, 1] {
+                let again = unmapped(cfg.clone()).run_with(producers);
+                assert_eq!(
+                    again.fingerprint(),
+                    pinned,
+                    "{mechanism:?}, {producers} producers"
+                );
+            }
+        }
+    }
+
+    /// One producer thread serving all eight frontends, three serving
+    /// uneven shares of them, and inline frontends give the same report —
+    /// premapped, and with every page faulting at run time.
+    #[test]
+    fn producers_serving_several_frontends_match_inline() {
+        let cfg = SimConfig::quick(SystemKind::Ndp, 8, Mechanism::NdPage, WorkloadId::Bfs)
+            .with_footprint(64 << 20)
+            .with_ops(2_000, 6_000)
+            .with_procs(2)
+            .with_quantum(700)
+            .with_tlb_tagging(false);
+        let inline = Machine::new(cfg.clone()).run_with(0).fingerprint();
+        let faulting = unmapped(cfg.clone()).run_with(0).fingerprint();
+        assert_ne!(inline, faulting);
+        for producers in [1, 3] {
+            let r = Machine::new(cfg.clone()).run_with(producers);
+            assert_eq!(r.fingerprint(), inline, "{producers} producers");
+            let r = unmapped(cfg.clone()).run_with(producers);
+            assert_eq!(r.fingerprint(), faulting, "{producers} producers, faulting");
         }
     }
 

@@ -13,8 +13,22 @@
 //! ample for experiment-level granularity (each task is a whole
 //! simulation run, milliseconds to minutes).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+thread_local! {
+    /// Set on the worker threads [`par_map_sink_threads`] spawns.
+    static WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether the calling thread is a worker of a parallel map. Work nested
+/// inside a task (a machine's frontend producers) runs inline there
+/// instead of oversubscribing the workers' threads.
+#[must_use]
+pub fn in_worker() -> bool {
+    WORKER.with(Cell::get)
+}
 
 /// Process-wide `--jobs` override (0 = unset). Takes precedence over
 /// `NDP_THREADS`; binaries set it once at startup.
@@ -169,33 +183,36 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..threads.min(n) {
-            scope.spawn(move || loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                if idx >= n {
-                    break;
-                }
-                let item = tasks[idx]
-                    .lock()
-                    .expect("task mutex poisoned")
-                    .take()
-                    .expect("each task index is claimed once");
-                let result = f(item);
-                *slots[idx].lock().expect("slot mutex poisoned") = Some(result);
-                // Drain the completed prefix. No worker ever holds a
-                // slot lock while waiting for the flush lock (stores
-                // release theirs first), so flush -> slot lock order
-                // cannot deadlock.
-                let mut guard = flush.lock().expect("flush mutex poisoned");
-                let (next, sink) = &mut *guard;
-                while *next < n {
-                    let slot = slots[*next].lock().expect("slot mutex poisoned");
-                    match slot.as_ref() {
-                        Some(value) => {
-                            sink(*next, value);
-                            drop(slot);
-                            *next += 1;
+            scope.spawn(move || {
+                WORKER.with(|w| w.set(true));
+                loop {
+                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                    if idx >= n {
+                        break;
+                    }
+                    let item = tasks[idx]
+                        .lock()
+                        .expect("task mutex poisoned")
+                        .take()
+                        .expect("each task index is claimed once");
+                    let result = f(item);
+                    *slots[idx].lock().expect("slot mutex poisoned") = Some(result);
+                    // Drain the completed prefix. No worker ever holds a
+                    // slot lock while waiting for the flush lock (stores
+                    // release theirs first), so flush -> slot lock order
+                    // cannot deadlock.
+                    let mut guard = flush.lock().expect("flush mutex poisoned");
+                    let (next, sink) = &mut *guard;
+                    while *next < n {
+                        let slot = slots[*next].lock().expect("slot mutex poisoned");
+                        match slot.as_ref() {
+                            Some(value) => {
+                                sink(*next, value);
+                                drop(slot);
+                                *next += 1;
+                            }
+                            None => break,
                         }
-                        None => break,
                     }
                 }
             });
