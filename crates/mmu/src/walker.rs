@@ -133,12 +133,6 @@ impl WalkPlanner {
         &self.pwcs
     }
 
-    /// Planning statistics (walks, fetches, PWC skips).
-    #[must_use]
-    pub fn stats(&self) -> &WalkerStats {
-        &self.stats
-    }
-
     /// Probes PWCs for every step of `path` in address space `asid` and
     /// returns the fetches that must go to memory. Fetched levels are
     /// filled into their PWCs (hardware installs translations on the way
@@ -165,12 +159,6 @@ impl WalkPlanner {
             }
         }
         plan
-    }
-
-    /// Drops PWC state of `asid` (a targeted shootdown), returning how
-    /// many tags were dropped. Statistics survive.
-    pub fn flush_asid(&mut self, asid: Asid) -> u64 {
-        self.pwcs.flush_asid(asid)
     }
 
     /// Drops all PWC state (the untagged-walker context-switch flush),
@@ -379,28 +367,10 @@ impl PageTableWalker {
         self.planner.plan(asid, vpn, path)
     }
 
-    /// Drops PWC state of `asid` (a targeted shootdown), returning how
-    /// many tags were dropped. Statistics survive.
-    pub fn flush_asid(&mut self, asid: Asid) -> u64 {
-        self.planner.flush_asid(asid)
-    }
-
-    /// Drops all PWC state (the untagged-walker context-switch flush),
-    /// returning how many tags were dropped. Statistics survive.
-    pub fn flush_all(&mut self) -> u64 {
-        self.planner.flush_all()
-    }
-
     /// Clears PWC contents, walker occupancy and statistics.
     pub fn reset(&mut self) {
         self.planner.reset();
         self.slots.reset();
-    }
-
-    /// Clears statistics (walker + PWC) while keeping PWC contents warm.
-    pub fn clear_stats(&mut self) {
-        self.planner.clear_stats();
-        self.slots.clear_stats();
     }
 }
 

@@ -114,8 +114,8 @@ pub(super) struct Frontend {
     active: usize,
     quantum_ops: u64,
     ops_done: u64,
-    /// The memory op a first touch stopped this frontend at.
-    stalled: Option<(VirtAddr, RwKind)>,
+    /// A first touch stopped this frontend (at its last record).
+    stalled: bool,
     /// Untagged context-switch flushes, and the entries they dropped.
     pub tlb_flushes: u64,
     pub entries_flushed: u64,
@@ -136,7 +136,7 @@ impl Frontend {
             active: 0,
             quantum_ops: 0,
             ops_done: 0,
-            stalled: None,
+            stalled: false,
             tlb_flushes: 0,
             entries_flushed: 0,
         }
@@ -144,16 +144,13 @@ impl Frontend {
 
     /// Every op is translated and retired.
     fn finished(&self) -> bool {
-        self.ops_done >= self.sched.total_ops && self.stalled.is_none()
+        self.ops_done >= self.sched.total_ops && !self.stalled
     }
 
     /// Translates the next ops into `chunk` (replacing its contents): up to
     /// [`CHUNK_OPS`], ending early at a first touch.
     fn fill(&mut self, chunk: &mut Chunk) {
-        assert!(
-            self.stalled.is_none(),
-            "a stalled frontend waits for its fault"
-        );
+        assert!(!self.stalled, "a stalled frontend waits for its fault");
         chunk.recs.clear();
         chunk.fetches.clear();
         while chunk.recs.len() < CHUNK_OPS && self.ops_done < self.sched.total_ops {
@@ -174,7 +171,7 @@ impl Frontend {
                     let rec = self.translate(va, rw, &mut chunk.fetches);
                     if let Xlat::Fault = rec.xlat {
                         chunk.recs.push(Rec::Mem(rec));
-                        self.stalled = Some((va, rw));
+                        self.stalled = true;
                         return;
                     }
                     Rec::Mem(rec)
@@ -267,11 +264,11 @@ impl Frontend {
         alloc: &mut FrameAllocator,
         fetches: &mut Vec<PhysAddr>,
     ) -> Option<(MapOutcome, u64)> {
-        let (va, _) = self
-            .stalled
-            .take()
-            .expect("a fault record stalls its frontend");
-        let vpn = va.vpn();
+        assert!(
+            std::mem::take(&mut self.stalled),
+            "a fault record stalls its frontend"
+        );
+        let (va, vpn) = (rec.va, rec.va.vpn());
         let asid = self.procs[self.active].asid;
         let table = &mut self.procs[self.active].table;
         let outcome = table.map(vpn, alloc);
@@ -352,7 +349,7 @@ impl Lane {
         if front.finished() {
             return Progress::Finished;
         }
-        if front.stalled.is_some() {
+        if front.stalled {
             return Progress::Idle;
         }
         let mut chunk = {
