@@ -90,6 +90,21 @@ fn kill_job_workers(state: &std::path::Path) {
     }
 }
 
+/// `line` with the value of its `"wall_s"` field replaced by `W`: wall
+/// time is the one nondeterministic field of status and journal
+/// records, so everything else about them can be pinned byte for byte.
+fn mask_wall(line: &str) -> String {
+    let key = "\"wall_s\":";
+    let Some(at) = line.find(key) else {
+        return line.to_string();
+    };
+    let start = at + key.len();
+    let len = line[start..]
+        .find(|c: char| !(c.is_ascii_digit() || c == '.'))
+        .unwrap_or(line.len() - start);
+    format!("{}W{}", &line[..start], &line[start + len..])
+}
+
 fn json_num(text: &str, key: &str) -> Option<u64> {
     let needle = format!("\"{key}\":");
     let rest = &text[text.find(&needle)? + needle.len()..];
@@ -104,6 +119,8 @@ struct Server {
     child: Child,
     addr: String,
     state: PathBuf,
+    /// The first stdout line (without its newline).
+    listening: String,
 }
 
 impl Server {
@@ -129,6 +146,7 @@ impl Server {
             child,
             addr,
             state: state.to_path_buf(),
+            listening: line.trim_end().to_string(),
         }
     }
 
@@ -141,17 +159,29 @@ impl Server {
             .unwrap()
     }
 
-    /// Submits a spec string, returning the job id.
-    fn submit(&self, spec: &str, tag: &str) -> String {
+    /// Submits a spec string, returning the client's output.
+    fn submit_raw(&self, spec: &str, tag: &str) -> Output {
         let path = tmp(&format!("{tag}_spec.json"));
         std::fs::write(&path, spec).unwrap();
         let out = self.client(&["submit", "--spec", path.to_str().unwrap()]);
         std::fs::remove_file(&path).ok();
+        out
+    }
+
+    /// Submits a spec string, returning the job id and the response.
+    fn submit_with_response(&self, spec: &str, tag: &str) -> (String, String) {
+        let out = self.submit_raw(spec, tag);
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
         assert_eq!(out.status.code(), Some(0), "submit failed: {stdout}");
-        json_field(&stdout, "job")
+        let job = json_field(&stdout, "job")
             .unwrap_or_else(|| panic!("no job id in {stdout:?}"))
-            .to_string()
+            .to_string();
+        (job, stdout)
+    }
+
+    /// Submits a spec string, returning the job id.
+    fn submit(&self, spec: &str, tag: &str) -> String {
+        self.submit_with_response(spec, tag).0
     }
 
     /// Polls `status --job` until `pred(status_line)` holds.
@@ -171,11 +201,22 @@ impl Server {
         }
     }
 
-    fn shutdown_and_wait(mut self) {
+    /// Shuts the server down (every job must be terminal by now) and
+    /// returns its journal, one record a line.
+    fn shutdown_and_wait(mut self) -> Vec<String> {
         let out = self.client(&["shutdown"]);
         assert_eq!(out.status.code(), Some(0));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "{\"ok\":true,\"state\":\"draining\",\"jobs_pending\":0}\n"
+        );
         let status = self.child.wait().unwrap();
         assert!(status.success(), "server exit: {status:?}");
+        std::fs::read_to_string(self.state.join("journal.jsonl"))
+            .unwrap_or_default()
+            .lines()
+            .map(str::to_string)
+            .collect()
     }
 }
 
@@ -211,8 +252,20 @@ fn submit_status_watch_round_trip_matches_offline_bytes() {
     let reference = offline_reference(QUAD_SPEC, "rt");
     let state = tmp("rt_state");
     let server = Server::start(&state, &[]);
+    assert_eq!(
+        server.listening,
+        format!(
+            "{{\"serve\":\"listening\",\"addr\":\"{}\",\"state\":\"{}\",\"workers\":2}}",
+            server.addr,
+            state.display()
+        )
+    );
 
-    let job = server.submit(QUAD_SPEC, "rt");
+    let (job, submitted) = server.submit_with_response(QUAD_SPEC, "rt");
+    assert_eq!(
+        submitted,
+        format!("{{\"ok\":true,\"job\":\"{job}\",\"grid\":4,\"state\":\"queued\",\"queue\":1}}\n")
+    );
     // Deterministic ids make re-submission idempotent.
     let again = server.submit(QUAD_SPEC, "rt2");
     assert_eq!(job, again);
@@ -220,6 +273,21 @@ fn submit_status_watch_round_trip_matches_offline_bytes() {
     let done = server.wait_status(&job, "job done", |s| s.contains("\"state\":\"done\""));
     assert_eq!(json_num(&done, "rows_done"), Some(4));
     assert_eq!(json_num(&done, "rows_total"), Some(4));
+    assert_eq!(
+        mask_wall(&done),
+        format!(
+            "{{\"job\":\"{job}\",\"name\":\"quad\",\"state\":\"done\",\"queue\":0,\
+             \"rows_done\":4,\"rows_total\":4,\"wall_s\":W}}\n"
+        )
+    );
+    let (_, resubmitted) = server.submit_with_response(QUAD_SPEC, "rt3");
+    assert_eq!(
+        resubmitted,
+        format!(
+            "{{\"ok\":true,\"job\":\"{job}\",\"grid\":4,\"state\":\"done\",\"queue\":0,\
+             \"note\":\"already submitted\"}}\n"
+        )
+    );
 
     // The tentpole acceptance bar: watch bytes == offline sweep bytes.
     let out = server.client(&["watch", "--job", &job]);
@@ -235,7 +303,15 @@ fn submit_status_watch_round_trip_matches_offline_bytes() {
         .collect();
     assert_eq!(got, tail);
 
-    server.shutdown_and_wait();
+    let journal = server.shutdown_and_wait();
+    assert_eq!(
+        journal.iter().map(|l| mask_wall(l)).collect::<Vec<_>>(),
+        [
+            format!("{{\"job\":\"{job}\",\"state\":\"queued\",\"name\":\"quad\",\"grid\":4}}"),
+            format!("{{\"job\":\"{job}\",\"state\":\"running\"}}"),
+            format!("{{\"job\":\"{job}\",\"state\":\"done\",\"wall_s\":W}}"),
+        ]
+    );
 }
 
 #[test]
@@ -278,6 +354,20 @@ fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
         // Rows 0..3 land and row 3 hangs, so the job is held mid-flight.
         let held = server.wait_status(&job, "three rows", |s| json_num(s, "rows_done") == Some(3));
         assert!(held.contains("\"state\":\"running\""), "{held}");
+        // Shutdown while the job is held: the server drains, refusing
+        // new submits until the held job ends (it never does here).
+        let out = server.client(&["shutdown"]);
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "{\"ok\":true,\"state\":\"draining\",\"jobs_pending\":1}\n"
+        );
+        let out = server.submit_raw(QUAD_SPEC, "restart_late");
+        assert_eq!(out.status.code(), Some(1));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            "{\"ok\":false,\"code\":\"draining\",\
+             \"error\":\"server is draining; new submits are refused\"}\n"
+        );
         // Hard-kill the server mid-job (the journal's last record is
         // `running`).
         server.child.kill().unwrap();
@@ -323,14 +413,47 @@ fn cancel_kills_workers_keeps_rows_and_journals_terminal_state() {
     // Rows 0..3 land and row 3 hangs: cancel while the job is held
     // mid-flight.
     server.wait_status(&job, "three rows", |s| json_num(s, "rows_done") == Some(3));
+
+    // A second job queues behind the held one, and cancelling it
+    // flips it straight to cancelled.
+    let (queued, submitted) = server.submit_with_response(&QUAD_SPEC.replace("300", "301"), "q2");
+    assert_eq!(
+        submitted,
+        format!(
+            "{{\"ok\":true,\"job\":\"{queued}\",\"grid\":4,\"state\":\"queued\",\"queue\":1}}\n"
+        )
+    );
+    let out = server.client(&["cancel", "--job", &queued]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{{\"ok\":true,\"job\":\"{queued}\",\"state\":\"cancelled\"}}\n")
+    );
+
     let out = server.client(&["cancel", "--job", &job]);
     assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{{\"ok\":true,\"job\":\"{job}\",\"state\":\"cancelling\"}}\n")
+    );
     let cancelled =
         server.wait_status(&job, "cancelled", |s| s.contains("\"state\":\"cancelled\""));
     let kept = json_num(&cancelled, "rows_done").unwrap();
     assert_eq!(
         kept, 3,
         "cancel mid-flight keeps the landed rows: {cancelled}"
+    );
+    assert_eq!(
+        mask_wall(&cancelled),
+        format!(
+            "{{\"job\":\"{job}\",\"name\":\"quad\",\"state\":\"cancelled\",\"queue\":0,\
+             \"rows_done\":3,\"rows_total\":4,\"wall_s\":W}}\n"
+        )
+    );
+    // Cancelling a terminal job reports its state unchanged.
+    let out = server.client(&["cancel", "--job", &job]);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{{\"ok\":true,\"job\":\"{job}\",\"state\":\"cancelled\"}}\n")
     );
     // Cancellation killed the hung worker.
     assert_eq!(job_workers(&state), Vec::<u32>::new());
@@ -344,13 +467,23 @@ fn cancel_kills_workers_keeps_rows_and_journals_terminal_state() {
         kept as usize
     );
 
-    // The journal records the terminal transition.
-    let journal = std::fs::read_to_string(state.join("journal.jsonl")).unwrap();
-    assert!(
-        journal.contains("\"state\":\"cancelled\""),
-        "journal: {journal}"
+    // The journal records every transition, the terminal ones too.
+    let journal = server.shutdown_and_wait();
+    assert_eq!(
+        journal[3],
+        format!("{{\"job\":\"{queued}\",\"state\":\"cancelled\",\"wall_s\":0.000}}"),
+        "a job cancelled while queued never ran"
     );
-    server.shutdown_and_wait();
+    assert_eq!(
+        journal.iter().map(|l| mask_wall(l)).collect::<Vec<_>>(),
+        [
+            format!("{{\"job\":\"{job}\",\"state\":\"queued\",\"name\":\"quad\",\"grid\":4}}"),
+            format!("{{\"job\":\"{job}\",\"state\":\"running\"}}"),
+            format!("{{\"job\":\"{queued}\",\"state\":\"queued\",\"name\":\"quad\",\"grid\":4}}"),
+            format!("{{\"job\":\"{queued}\",\"state\":\"cancelled\",\"wall_s\":W}}"),
+            format!("{{\"job\":\"{job}\",\"state\":\"cancelled\",\"wall_s\":W}}"),
+        ]
+    );
 }
 
 #[test]
@@ -379,20 +512,41 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
         }
     };
 
-    // Garbage, a non-object, and an unknown verb each get a structured
-    // error on the same connection.
+    // Garbage, a non-object, an unknown verb and requests missing
+    // their operands each get a structured error on the same
+    // connection.
     for (req, expect) in [
-        ("this is not json", "malformed request"),
-        ("[1,2,3]", "must be a JSON object"),
-        ("{\"verb\":\"frobnicate\"}", "unknown verb"),
+        (
+            "this is not json",
+            "malformed request: invalid literal at byte 0",
+        ),
+        ("[1,2,3]", "request must be a JSON object"),
+        (
+            "{\"verb\":\"frobnicate\"}",
+            "unknown verb \\\"frobnicate\\\"; valid: submit, status, watch, cancel, shutdown",
+        ),
         // The quotes around `verb` arrive JSON-escaped inside the
         // error string.
-        ("{\"nope\":1}", "no \\\"verb\\\""),
+        ("{\"nope\":1}", "request has no \\\"verb\\\""),
+        ("{\"verb\":\"watch\"}", "watch needs a \\\"job\\\" id"),
+        ("{\"verb\":\"cancel\"}", "cancel needs a \\\"job\\\" id"),
+        (
+            "{\"verb\":\"submit\"}",
+            "submit needs a \\\"spec\\\" object",
+        ),
+        (
+            "{\"verb\":\"submit\",\"spec\":1}",
+            "submit \\\"spec\\\" must be an object",
+        ),
     ] {
         let lines = send(req);
-        assert_eq!(lines.len(), 1, "one error record for {req:?}");
-        assert!(lines[0].starts_with("{\"ok\":false"), "got {}", lines[0]);
-        assert!(lines[0].contains(expect), "got {}", lines[0]);
+        assert_eq!(
+            lines,
+            [format!(
+                "{{\"ok\":false,\"code\":\"bad-request\",\"error\":\"{expect}\"}}"
+            )],
+            "one error record for {req:?}"
+        );
     }
 
     // ...and the connection still serves real requests afterwards.
@@ -403,11 +557,10 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
     // streams — on watch, status and cancel alike.
     for verb in ["watch", "status", "cancel"] {
         let lines = send(&format!("{{\"verb\":\"{verb}\",\"job\":\"bogus\"}}"));
-        assert_eq!(lines.len(), 1);
-        assert!(
-            lines[0].contains("\"code\":\"not-found\""),
-            "{verb}: {}",
-            lines[0]
+        assert_eq!(
+            lines,
+            ["{\"ok\":false,\"code\":\"not-found\",\"error\":\"unknown job \\\"bogus\\\"\"}"],
+            "{verb}"
         );
     }
 
@@ -458,6 +611,30 @@ fn submit_validates_specs_and_draining_refuses_new_jobs() {
             "{text}"
         );
     }
+}
+
+/// A journal that cannot be appended to fails the submit with a
+/// structured `server-error` record, and nothing is enqueued.
+#[test]
+fn unwritable_journal_is_a_server_error() {
+    let state = tmp("unwritable_state");
+    // A directory where the journal file should be: reading it on
+    // startup finds no records, appending to it fails.
+    std::fs::create_dir_all(state.join("journal.jsonl")).unwrap();
+    let server = Server::start(&state, &[]);
+    let out = server.submit_raw(QUAD_SPEC, "unwritable");
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "{{\"ok\":false,\"code\":\"server-error\",\"error\":\
+             \"error: cannot open {}: Is a directory (os error 21)\"}}\n",
+            state.join("journal.jsonl").display()
+        )
+    );
+    let out = server.client(&["status"]);
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "{\"jobs\":0}\n");
+    server.shutdown_and_wait();
 }
 
 /// `serve` with a corrupt journal mid-file refuses to start; a torn

@@ -37,6 +37,9 @@ const QUAD_SPEC: &str = r#"{
 /// The name [`QUAD_SPEC`] declares, unescaped.
 const QUAD_NAME: &str = "quad\tline\nbreak \"q\"";
 
+/// The summary line's `"sweep"` field for [`QUAD_NAME`], as rendered.
+const QUAD_SWEEP: &str = r#""sweep":"quad\tline\nbreak \"q\"""#;
+
 struct Fixture {
     spec: PathBuf,
     out: PathBuf,
@@ -107,6 +110,15 @@ fn supervised_run_matches_serial_bytes() {
     let summary = stdout.lines().last().expect("a summary line");
     let summary = parse_json(summary).unwrap_or_else(|e| panic!("{e}: {summary}"));
     assert_eq!(summary.get("sweep"), Some(&Json::Str(QUAD_NAME.into())));
+    assert_eq!(
+        stdout,
+        format!(
+            "{{{QUAD_SWEEP},\"grid\":4,\"merged\":4,\"missing\":[],\
+             \"digest\":14800091753052838728,\"outcome\":\"full\",\"shards\":[\
+             {{\"shard\":0,\"attempts\":1,\"state\":\"done\"}},\
+             {{\"shard\":1,\"attempts\":1,\"state\":\"done\"}}]}}\n"
+        )
+    );
     assert_eq!(std::fs::read_to_string(&fx.out).unwrap(), reference);
     // Shard intermediates are cleaned up after a full merge.
     assert!(ndp_sim::shard::existing_shard_files(&fx.out).is_empty());
@@ -202,6 +214,15 @@ fn retries_exhausted_keeps_completed_rows_and_reports_missing() {
         stdout.contains("\"outcome\":\"partial\""),
         "stdout: {stdout}"
     );
+    assert_eq!(
+        stdout,
+        format!(
+            "{{{QUAD_SWEEP},\"grid\":4,\"merged\":3,\"missing\":[2],\
+             \"digest\":260414370505606605,\"outcome\":\"partial\",\"shards\":[\
+             {{\"shard\":0,\"attempts\":2,\"state\":\"failed\"}},\
+             {{\"shard\":1,\"attempts\":1,\"state\":\"done\"}}]}}\n"
+        )
+    );
 
     // The three completed rows survive, in grid order, byte-identical
     // to the corresponding serial lines.
@@ -244,4 +265,12 @@ fn zero_merged_rows_is_failed_exit_4() {
         "stdout: {stdout}"
     );
     assert!(stdout.contains("\"merged\":0"), "stdout: {stdout}");
+    assert_eq!(
+        stdout,
+        format!(
+            "{{{QUAD_SWEEP},\"grid\":4,\"merged\":0,\"missing\":[0,1,2,3],\
+             \"digest\":0,\"outcome\":\"failed\",\"shards\":[\
+             {{\"shard\":0,\"attempts\":2,\"state\":\"failed\"}}]}}\n"
+        )
+    );
 }

@@ -517,6 +517,32 @@ fn example_spec(name: &str) -> PathBuf {
         .join(name)
 }
 
+/// The exact JSONL bytes of the CI spec's rows. simbench and
+/// `calibrate --from` parse these rows, so the row writer must not
+/// move a byte (field order, number formatting, escaping).
+#[test]
+fn ci_quick_rows_match_the_golden_bytes() {
+    let out_path = tmp("ci_quick_golden", "jsonl");
+    std::fs::remove_file(&out_path).ok();
+    let out = ndpsim()
+        .args([
+            "sweep",
+            "--spec",
+            example_spec("ci_quick.json").to_str().unwrap(),
+        ])
+        .args(["--out", out_path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = std::fs::read_to_string(&out_path).unwrap();
+    std::fs::remove_file(&out_path).ok();
+    assert_eq!(got, include_str!("golden/ci_quick.jsonl"));
+}
+
 /// The shipped `filtered.json` example: `--dry-run` shows the pruned,
 /// compactly re-indexed grid, and the supervised path merges it
 /// byte-identically to a serial run — filters change *which* points
