@@ -31,7 +31,7 @@ use ndp_bench::cli::{
     CliError, NDPSIM_BOOL_FLAGS,
 };
 use ndp_bench::serve::{serve, ServeConfig};
-use ndp_bench::supervisor::{supervise, SupervisorConfig};
+use ndp_bench::supervisor::{supervise, Policy, SupervisorConfig};
 use ndp_sim::fault::FaultPlan;
 use ndp_sim::shard::ShardSpec;
 use ndp_sim::spec::{config_fingerprint, run_sweep, run_sweep_jsonl_opts, JsonlOptions, SweepSpec};
@@ -133,34 +133,24 @@ fn run_sweep_cmd(args: &Args) {
     let shard = args.get("--shard").map(|raw| {
         exit_on_err(ShardSpec::parse(&raw).map_err(|e| CliError::usage(format!("error: {e}"))))
     });
-    let workers = exit_on_err(args.num("--workers"));
-    if shard.is_some() && workers.is_some() {
+    let supervised = args.get("--workers").is_some();
+    if shard.is_some() && supervised {
         eprintln!("error: --shard and --workers are mutually exclusive");
         std::process::exit(2);
     }
-    if (shard.is_some() || workers.is_some()) && args.get("--out").is_none() {
+    if (shard.is_some() || supervised) && args.get("--out").is_none() {
         eprintln!("error: --shard/--workers need --out FILE.jsonl");
         std::process::exit(2);
     }
 
-    if let Some(workers) = workers {
-        if workers == 0 {
-            eprintln!("error: --workers must be at least 1");
-            std::process::exit(2);
-        }
+    if supervised {
         let out = args.get("--out").expect("checked above");
         let cfg = SupervisorConfig {
             spec_path,
             sets: args.get_all("--set"),
             out: std::path::PathBuf::from(out),
-            workers,
             resume: args.has("--resume"),
-            jobs: exit_on_err(args.num("--jobs")),
-            row_timeout: row_timeout_from_args(args),
-            max_retries: exit_on_err(args.num_u32("--max-retries")).unwrap_or(2),
-            backoff: std::time::Duration::from_millis(
-                exit_on_err(args.num("--backoff-ms")).unwrap_or(250),
-            ),
+            policy: exit_on_err(Policy::from_args(args)),
         };
         let code = exit_on_err(supervise(&spec, &cfg));
         std::process::exit(code);
@@ -221,21 +211,6 @@ fn run_sweep_cmd(args: &Args) {
     }
 }
 
-/// Parses `--row-timeout SECS` (float, positive) with the sweep
-/// command's semantics.
-fn row_timeout_from_args(args: &Args) -> std::time::Duration {
-    let secs = args.get("--row-timeout").map_or(600.0, |raw| {
-        raw.parse::<f64>()
-            .ok()
-            .filter(|t| t.is_finite() && *t > 0.0)
-            .unwrap_or_else(|| {
-                eprintln!("error: --row-timeout expects a positive number of seconds, got {raw:?}");
-                std::process::exit(2);
-            })
-    });
-    std::time::Duration::from_secs_f64(secs)
-}
-
 /// `ndpsim serve`: the long-running experiment service (submit/status/
 /// watch/cancel/shutdown over newline-delimited JSON on TCP).
 fn run_serve_cmd(args: &Args) {
@@ -271,24 +246,13 @@ fn run_serve_cmd(args: &Args) {
     let addr = exit_on_err(args.get("--addr").ok_or_else(|| {
         CliError::usage("error: serve needs --addr HOST:PORT (port 0 picks an ephemeral port)")
     }));
-    let workers = exit_on_err(args.num("--workers")).unwrap_or(2);
-    if workers == 0 {
-        eprintln!("error: --workers must be at least 1");
-        std::process::exit(2);
-    }
     let cfg = ServeConfig {
         addr,
         state: std::path::PathBuf::from(
             args.get("--state")
                 .unwrap_or_else(|| "serve-state".to_string()),
         ),
-        workers,
-        jobs: exit_on_err(args.num("--jobs")),
-        row_timeout: row_timeout_from_args(args),
-        max_retries: exit_on_err(args.num_u32("--max-retries")).unwrap_or(2),
-        backoff: std::time::Duration::from_millis(
-            exit_on_err(args.num("--backoff-ms")).unwrap_or(250),
-        ),
+        policy: exit_on_err(Policy::from_args(args)),
     };
     exit_on_err(serve(&cfg));
 }

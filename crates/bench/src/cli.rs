@@ -12,6 +12,7 @@ use ndp_sim::parallel;
 use ndp_sim::spec::{apply_knob, KNOBS};
 use ndp_sim::SimConfig;
 use std::fmt;
+use std::io::Write as _;
 
 /// A CLI failure: the message to print on stderr and the process exit
 /// code (2 = usage/parse error, 1 = semantic/validation error — the
@@ -52,10 +53,10 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-/// Prints the error and exits with its code.
+/// Prints the error (best effort) and exits with its code.
 pub fn exit_on_err<T>(result: Result<T, CliError>) -> T {
     result.unwrap_or_else(|e| {
-        eprintln!("{}", e.message);
+        let _ = writeln!(std::io::stderr().lock(), "{}", e.message);
         std::process::exit(e.code);
     })
 }

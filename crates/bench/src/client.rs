@@ -22,6 +22,12 @@ use std::net::TcpStream;
 /// Usage errors for missing/invalid flags; semantic errors for an
 /// unreadable or non-object spec file.
 pub fn request_line(verb: &str, args: &Args) -> Result<String, CliError> {
+    let job = || {
+        args.get("--job")
+            .map(Json::Str)
+            .ok_or_else(|| CliError::usage(format!("error: {verb} requires --job ID")))
+    };
+    let mut request = vec![("verb", Json::Str(verb.to_string()))];
     match verb {
         "submit" => {
             let path = args
@@ -36,36 +42,23 @@ pub fn request_line(verb: &str, args: &Args) -> Result<String, CliError> {
                     "error: {path}: spec must be a JSON object"
                 )));
             }
-            // Re-render compactly: the request must be a single line.
-            Ok(format!(
-                "{{\"verb\":\"submit\",\"spec\":{}}}",
-                spec.render()
-            ))
+            request.push(("spec", spec));
         }
-        "status" => Ok(match args.get("--job") {
-            Some(job) => format!("{{\"verb\":\"status\",\"job\":\"{job}\"}}"),
-            None => "{\"verb\":\"status\"}".to_string(),
-        }),
+        "status" => request.extend(args.get("--job").map(|id| ("job", Json::Str(id)))),
         "watch" => {
-            let job = args
-                .get("--job")
-                .ok_or_else(|| CliError::usage("error: watch requires --job ID"))?;
-            let from = args.num("--from")?.unwrap_or(0);
-            Ok(format!(
-                "{{\"verb\":\"watch\",\"job\":\"{job}\",\"from\":{from}}}"
-            ))
+            request.push(("job", job()?));
+            request.push(("from", Json::num(args.num("--from")?.unwrap_or(0))));
         }
-        "cancel" => {
-            let job = args
-                .get("--job")
-                .ok_or_else(|| CliError::usage("error: cancel requires --job ID"))?;
-            Ok(format!("{{\"verb\":\"cancel\",\"job\":\"{job}\"}}"))
+        "cancel" => request.push(("job", job()?)),
+        "shutdown" => {}
+        other => {
+            return Err(CliError::usage(format!(
+                "error: unknown client verb {other:?}"
+            )))
         }
-        "shutdown" => Ok("{\"verb\":\"shutdown\"}".to_string()),
-        other => Err(CliError::usage(format!(
-            "error: unknown client verb {other:?}"
-        ))),
     }
+    // Rendered compactly: the request must be a single line.
+    Ok(Json::obj(request).render())
 }
 
 /// Sends one request to the service and copies the response lines to
@@ -161,6 +154,13 @@ mod tests {
         assert_eq!(
             request_line("shutdown", &args(&[])).unwrap(),
             "{\"verb\":\"shutdown\"}"
+        );
+        // Job ids are escaped, so a quote reaches the server intact.
+        let line = request_line("cancel", &args(&["--job", "a\"b"])).unwrap();
+        assert_eq!(line, "{\"verb\":\"cancel\",\"job\":\"a\\\"b\"}");
+        assert_eq!(
+            parse_json(&line).unwrap().get("job"),
+            Some(&Json::Str("a\"b".into()))
         );
     }
 

@@ -34,13 +34,21 @@
 //! job, and the always-`--resume` supervisor reuses every row already
 //! on disk — finished rows are never recomputed, and `watch` bytes
 //! stay identical to an offline `ndpsim sweep` of the same spec.
+//!
+//! **Events.** Besides each job's supervisor events, the service writes
+//! these [`event`] lines on stderr: `job` {job, state} at every state
+//! transition, terminal ones adding rows_done, rows_per_s, wall_s and
+//! (for a job that failed to run) why; `reenqueue` {job, name, last} on
+//! restart; `draining` {jobs_pending}; `drained` {}; and `warning`
+//! {message}.
 
 use crate::cli::CliError;
 use crate::supervisor::{
-    supervise_with_cancel, SupervisorConfig, EXIT_CANCELLED, EXIT_FULL, EXIT_PARTIAL,
+    event, rows_per_s, supervise_with_cancel, warn, Policy, SupervisorConfig, EXIT_CANCELLED,
+    EXIT_FULL, EXIT_PARTIAL,
 };
 use ndp_sim::shard::{existing_shard_files, stream_path};
-use ndp_sim::spec::{config_fingerprint, json_escape, parse_json, parse_jsonl, Json, SweepSpec};
+use ndp_sim::spec::{config_fingerprint, ingest_lines, parse_json, parse_jsonl, Json, SweepSpec};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -60,16 +68,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Job-state directory (journal, specs, row streams).
     pub state: PathBuf,
-    /// Shard worker subprocesses per job.
-    pub workers: u64,
-    /// `--jobs` forwarded to each worker (`None` = worker default).
-    pub jobs: Option<u64>,
-    /// Supervisor heartbeat timeout per row.
-    pub row_timeout: Duration,
-    /// Supervisor respawns allowed per shard.
-    pub max_retries: u32,
-    /// Supervisor respawn backoff base.
-    pub backoff: Duration,
+    /// The supervision policy every job runs under.
+    pub policy: Policy,
 }
 
 /// Lifecycle of a job, journalled at every transition.
@@ -128,6 +128,7 @@ impl JobState {
 }
 
 /// One job as the registry tracks it.
+#[derive(Clone)]
 struct Job {
     id: String,
     name: String,
@@ -136,6 +137,20 @@ struct Job {
     cancel: Arc<AtomicBool>,
     started: Option<Instant>,
     wall_s: f64,
+}
+
+impl Job {
+    fn new(id: String, name: String, grid: usize, state: JobState, wall_s: f64) -> Job {
+        Job {
+            id,
+            name,
+            grid,
+            state,
+            cancel: Arc::new(AtomicBool::new(false)),
+            started: None,
+            wall_s,
+        }
+    }
 }
 
 /// In-memory job table, rebuilt from the journal on startup.
@@ -194,85 +209,85 @@ fn rows_path(state: &Path, id: &str) -> PathBuf {
     job_dir(state, id).join("rows.jsonl")
 }
 
-/// Appends one record to the journal with an immediate flush (the
+/// A string field.
+fn jstr(s: &str) -> Json {
+    Json::Str(s.to_string())
+}
+
+/// A `wall_s` field: seconds with three decimals.
+fn wall(secs: f64) -> Json {
+    Json::num(format_args!("{secs:.3}"))
+}
+
+/// Appends a job's `state` transition to the journal, with `extra`
+/// fields after the job and state, and flushes it at once (the
 /// append-only journal is the restart source of truth; a torn tail
 /// from a hard kill is dropped on re-ingest).
-fn journal_append(state: &Path, record: &str) -> Result<(), CliError> {
-    let path = journal_path(state);
+fn journal<'a>(
+    dir: &Path,
+    id: &str,
+    state: JobState,
+    extra: impl IntoIterator<Item = (&'a str, Json)>,
+) -> Result<(), CliError> {
+    let head = [("job", jstr(id)), ("state", jstr(state.as_str()))];
+    let path = journal_path(dir);
     let mut f = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(&path)
         .map_err(|e| CliError::semantic(format!("error: cannot open {}: {e}", path.display())))?;
-    writeln!(f, "{record}")
+    writeln!(f, "{}", Json::obj(head.into_iter().chain(extra)).render())
         .and_then(|()| f.flush())
         .map_err(|e| CliError::semantic(format!("error: cannot append {}: {e}", path.display())))
 }
 
-/// One parsed journal record.
-struct JournalRec {
-    job: String,
-    state: JobState,
-    name: String,
-    grid: usize,
-    wall_s: f64,
+/// The `job` event of a state transition. Terminal states carry the
+/// rows on disk and their rate over `wall_s`.
+fn job_event(dir: &Path, id: &str, state: JobState, wall_s: f64, why: Option<String>) {
+    let mut fields = vec![("job", jstr(id)), ("state", jstr(state.as_str()))];
+    if state.terminal() {
+        let rows = collect_rows(&rows_path(dir, id)).len();
+        fields.extend([
+            ("rows_done", Json::num(rows)),
+            ("rows_per_s", rows_per_s(rows, wall_s)),
+            ("wall_s", wall(wall_s)),
+        ]);
+    }
+    fields.extend(why.map(|why| ("why", Json::Str(why))));
+    event("job", fields);
 }
 
-/// Re-ingests the journal with the same line-granular recovery
-/// semantics as the sweep streams: a torn or garbage **trailing** line
-/// is dropped with a warning (the transition it recorded re-derives
-/// from the job dir), a malformed line mid-file is an error.
-fn ingest_journal(text: &str, source: &str) -> Result<Vec<JournalRec>, CliError> {
-    let mut recs = Vec::new();
-    let mut segments = text.split_inclusive('\n').peekable();
-    let mut lineno = 0usize;
-    while let Some(seg) = segments.next() {
-        lineno += 1;
-        let last = segments.peek().is_none();
-        let terminated = seg.ends_with('\n');
-        let content = seg.trim_end_matches('\n').trim_end_matches('\r');
-        if content.trim().is_empty() {
-            continue;
-        }
-        let parsed = parse_json(content).ok().and_then(|v| {
-            let job = v.get("job")?.scalar()?;
-            let state = JobState::parse(&v.get("state")?.scalar()?)?;
-            let name = v.get("name").and_then(Json::scalar).unwrap_or_default();
-            let grid = v
-                .get("grid")
-                .and_then(Json::scalar)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0);
-            let wall_s = v
-                .get("wall_s")
-                .and_then(Json::scalar)
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0.0);
-            Some(JournalRec {
-                job,
-                state,
-                name,
-                grid,
-                wall_s,
-            })
-        });
-        match parsed {
-            Some(rec) if terminated => recs.push(rec),
-            Some(_) | None if last => {
-                eprintln!(
-                    "serve: {source}: dropping torn/garbage trailing journal line {lineno} \
-                     (the transition re-derives from the job directory)"
-                );
-            }
-            _ => {
-                return Err(CliError::semantic(format!(
-                    "error: {source}: corrupt journal record at line {lineno} \
-                     (mid-file — not a torn tail; refusing to start over it)"
-                )));
-            }
-        }
+/// Reads one journal line as the job it records.
+fn journal_record(line: &str) -> Option<Job> {
+    let v = parse_json(line).ok()?;
+    let field = |key: &str| v.get(key).and_then(Json::scalar);
+    Some(Job::new(
+        field("job")?,
+        field("name").unwrap_or_default(),
+        field("grid").and_then(|s| s.parse().ok()).unwrap_or(0),
+        JobState::parse(&field("state")?)?,
+        field("wall_s").and_then(|s| s.parse().ok()).unwrap_or(0.0),
+    ))
+}
+
+/// Re-ingests the journal with the sweep streams' line-granular
+/// recovery ([`ingest_lines`]): a torn or garbage **trailing** line is
+/// dropped with a warning (the transition it recorded re-derives from
+/// the job dir), a malformed line mid-file is an error.
+fn ingest_journal(text: &str, source: &str) -> Result<Vec<Job>, CliError> {
+    let (recs, torn) = ingest_lines(text, journal_record).map_err(|lineno| {
+        CliError::semantic(format!(
+            "error: {source}: corrupt journal record at line {lineno} \
+             (mid-file — not a torn tail; refusing to start over it)"
+        ))
+    })?;
+    if let Some((lineno, _)) = torn {
+        warn(format!(
+            "{source}: dropping torn/garbage trailing journal line {lineno} \
+             (the transition re-derives from the job directory)"
+        ));
     }
-    Ok(recs)
+    Ok(recs.into_iter().map(|(rec, _)| rec).collect())
 }
 
 impl Registry {
@@ -291,41 +306,33 @@ impl Registry {
             return Ok(reg); // fresh state dir
         };
         for rec in ingest_journal(&text, &path.display().to_string())? {
-            if let Some(job) = reg.jobs.iter_mut().find(|j| j.id == rec.job) {
-                job.state = rec.state;
-                job.wall_s = rec.wall_s;
-                if !rec.name.is_empty() {
-                    job.name = rec.name;
-                }
-                if rec.grid > 0 {
-                    job.grid = rec.grid;
-                }
-            } else {
-                reg.jobs.push(Job {
-                    id: rec.job,
-                    name: rec.name,
-                    grid: rec.grid,
-                    state: rec.state,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    started: None,
-                    wall_s: rec.wall_s,
-                });
+            let Some(job) = reg.jobs.iter_mut().find(|j| j.id == rec.id) else {
+                reg.jobs.push(rec);
+                continue;
+            };
+            job.state = rec.state;
+            job.wall_s = rec.wall_s;
+            if !rec.name.is_empty() {
+                job.name = rec.name;
+            }
+            if rec.grid > 0 {
+                job.grid = rec.grid;
             }
         }
-        for job in &mut reg.jobs {
-            if !job.state.terminal() {
-                if spec_path(state, &job.id).is_file() {
-                    eprintln!(
-                        "serve: re-enqueueing interrupted job {} ({}, last state {})",
-                        job.id,
-                        job.name,
-                        job.state.as_str()
-                    );
-                    job.state = JobState::Queued;
-                } else {
-                    eprintln!("serve: job {} has no spec file; marking failed", job.id);
-                    job.state = JobState::Failed;
-                }
+        for job in reg.jobs.iter_mut().filter(|j| !j.state.terminal()) {
+            if spec_path(state, &job.id).is_file() {
+                let last = jstr(job.state.as_str());
+                let fields = [
+                    ("job", jstr(&job.id)),
+                    ("name", jstr(&job.name)),
+                    ("last", last),
+                ];
+                event("reenqueue", fields);
+                job.state = JobState::Queued;
+            } else {
+                job.state = JobState::Failed;
+                let why = Some("no spec file".to_string());
+                job_event(state, &job.id, job.state, job.wall_s, why);
             }
         }
         Ok(reg)
@@ -370,82 +377,77 @@ fn collect_rows(out: &Path) -> Vec<(u64, String)> {
     map
 }
 
-/// Renders one status record for a job (the registry lock must be
-/// released before the row scan — see `status_records`).
-fn status_record(
-    state: &Path,
-    id: &str,
-    name: &str,
-    grid: usize,
-    job_state: JobState,
-    queue: usize,
-    wall_s: f64,
-) -> String {
-    let rows_done = collect_rows(&rows_path(state, id)).len();
-    format!(
-        "{{\"job\":\"{}\",\"name\":\"{}\",\"state\":\"{}\",\"queue\":{queue},\
-         \"rows_done\":{rows_done},\"rows_total\":{grid},\"wall_s\":{wall_s:.3}}}",
-        json_escape(id),
-        json_escape(name),
-        job_state.as_str()
-    )
+/// Renders one status record for a job snapshot taken under the
+/// registry lock (the row scan runs after releasing it).
+fn status_record(state: &Path, job: &Job, queue: usize) -> String {
+    let rows_done = collect_rows(&rows_path(state, &job.id)).len();
+    Json::obj([
+        ("job", jstr(&job.id)),
+        ("name", jstr(&job.name)),
+        ("state", jstr(job.state.as_str())),
+        ("queue", Json::num(queue)),
+        ("rows_done", Json::num(rows_done)),
+        ("rows_total", Json::num(job.grid)),
+        ("wall_s", wall(job.wall_s)),
+    ])
+    .render()
 }
 
 /// A structured protocol error line.
 fn err_record(code: &str, msg: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"code\":\"{}\",\"error\":\"{}\"}}",
-        json_escape(code),
-        json_escape(msg)
-    )
+    let fields = [
+        ("ok", Json::Bool(false)),
+        ("code", jstr(code)),
+        ("error", jstr(msg)),
+    ];
+    Json::obj(fields).render()
+}
+
+/// A `bad-request` error line.
+fn bad(msg: &str) -> String {
+    err_record("bad-request", msg)
+}
+
+/// The `not-found` error line for a job id.
+fn not_found(id: &str) -> String {
+    err_record("not-found", &format!("unknown job {id:?}"))
+}
+
+/// An `{"ok":true,...}` response.
+fn ok_record<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> String {
+    Json::obj([("ok", Json::Bool(true))].into_iter().chain(fields)).render()
 }
 
 /// Runs one job under the supervisor (always resuming) and maps its
-/// exit code to the terminal state.
-fn run_job(cfg: &ServeConfig, id: &str, cancel: &AtomicBool) -> JobState {
+/// exit code to the terminal state; `Err` says why the job failed
+/// without running.
+fn run_job(cfg: &ServeConfig, id: &str, cancel: &AtomicBool) -> Result<JobState, String> {
     let spath = spec_path(&cfg.state, id);
-    let text = match std::fs::read_to_string(&spath) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("serve: job {id}: cannot read {}: {e}", spath.display());
-            return JobState::Failed;
-        }
-    };
-    let spec = match SweepSpec::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: job {id}: spec no longer loads: {e}");
-            return JobState::Failed;
-        }
-    };
+    let text = std::fs::read_to_string(&spath)
+        .map_err(|e| format!("cannot read {}: {e}", spath.display()))?;
+    let spec = SweepSpec::from_json(&text).map_err(|e| format!("spec no longer loads: {e}"))?;
     let scfg = SupervisorConfig {
         spec_path: spath.display().to_string(),
         sets: Vec::new(),
         out: rows_path(&cfg.state, id),
-        workers: cfg.workers,
         // Always resume: a restarted server (or a re-submitted job)
         // must reuse every row already on disk.
         resume: true,
-        jobs: cfg.jobs,
-        row_timeout: cfg.row_timeout,
-        max_retries: cfg.max_retries,
-        backoff: cfg.backoff,
+        policy: cfg.policy.clone(),
     };
     match supervise_with_cancel(&spec, &scfg, Some(cancel)) {
-        Ok(code) if code == EXIT_FULL => JobState::Done,
-        Ok(code) if code == EXIT_PARTIAL => JobState::Partial,
-        Ok(code) if code == EXIT_CANCELLED => JobState::Cancelled,
-        Ok(_) => JobState::Failed,
-        Err(e) => {
-            eprintln!("serve: job {id}: {e}");
-            JobState::Failed
-        }
+        Ok(code) if code == EXIT_FULL => Ok(JobState::Done),
+        Ok(code) if code == EXIT_PARTIAL => Ok(JobState::Partial),
+        Ok(code) if code == EXIT_CANCELLED => Ok(JobState::Cancelled),
+        Ok(_) => Ok(JobState::Failed),
+        Err(e) => Err(e.message),
     }
 }
 
 /// The job executor: one job at a time, submission order, drains the
 /// queue on shutdown.
 fn executor(reg: &Arc<Mutex<Registry>>, cfg: &ServeConfig) {
+    let warn_on = |e: CliError| warn(e.message);
     loop {
         let next = {
             let mut r = lock(reg);
@@ -469,44 +471,26 @@ fn executor(reg: &Arc<Mutex<Registry>>, cfg: &ServeConfig) {
             std::thread::sleep(POLL);
             continue;
         };
-        if let Err(e) = journal_append(
-            &cfg.state,
-            &format!("{{\"job\":\"{}\",\"state\":\"running\"}}", json_escape(&id)),
-        ) {
-            eprintln!("serve: {e}");
-        }
+        journal(&cfg.state, &id, JobState::Running, []).unwrap_or_else(warn_on);
+        job_event(&cfg.state, &id, JobState::Running, 0.0, None);
         let t0 = Instant::now();
-        // A panic inside one job (a macro hitting a closed pipe, a
-        // supervisor bug) must fail that job, not silently kill the
-        // executor thread and wedge every later submit at "queued".
-        let state =
+        // A panic inside one job (a supervisor bug) must fail that job,
+        // not silently kill the executor thread and wedge every later
+        // submit at "queued".
+        let outcome =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_job(cfg, &id, &cancel)))
-                .unwrap_or_else(|_| {
-                    let _ = writeln!(
-                        std::io::stderr(),
-                        "serve: job {id}: panicked; marking failed"
-                    );
-                    JobState::Failed
-                });
+                .unwrap_or_else(|_| Err("panicked".to_string()));
+        let (state, why) = match outcome {
+            Ok(state) => (state, None),
+            Err(why) => (JobState::Failed, Some(why)),
+        };
         let wall_s = t0.elapsed().as_secs_f64();
-        {
-            let mut r = lock(reg);
-            if let Some(job) = r.jobs.iter_mut().find(|j| j.id == id) {
-                job.state = state;
-                job.wall_s = wall_s;
-            }
+        if let Some(job) = lock(reg).jobs.iter_mut().find(|j| j.id == id) {
+            job.state = state;
+            job.wall_s = wall_s;
         }
-        if let Err(e) = journal_append(
-            &cfg.state,
-            &format!(
-                "{{\"job\":\"{}\",\"state\":\"{}\",\"wall_s\":{wall_s:.3}}}",
-                json_escape(&id),
-                state.as_str()
-            ),
-        ) {
-            eprintln!("serve: {e}");
-        }
-        eprintln!("serve: job {id} -> {}", state.as_str());
+        journal(&cfg.state, &id, state, [("wall_s", wall(wall_s))]).unwrap_or_else(warn_on);
+        job_event(&cfg.state, &id, state, wall_s, why);
     }
 }
 
@@ -517,81 +501,63 @@ fn handle_submit(req: &Json, reg: &Arc<Mutex<Registry>>, cfg: &ServeConfig) -> S
         return err_record("draining", "server is draining; new submits are refused");
     }
     let Some(spec_json) = req.get("spec") else {
-        return err_record("bad-request", "submit needs a \"spec\" object");
+        return bad("submit needs a \"spec\" object");
     };
     if !matches!(spec_json, Json::Obj(_)) {
-        return err_record("bad-request", "submit \"spec\" must be an object");
+        return bad("submit \"spec\" must be an object");
     }
     let text = spec_json.render();
     let spec = match SweepSpec::from_json(&text) {
         Ok(s) => s,
-        Err(e) => return err_record("bad-request", &format!("spec: {e}")),
+        Err(e) => return bad(&format!("spec: {e}")),
     };
     if let Err(e) = spec.validate_axes() {
-        return err_record("bad-request", &format!("spec: {e}"));
+        return bad(&format!("spec: {e}"));
     }
     let (id, grid) = match job_id(&spec) {
         Ok(v) => v,
-        Err(e) => return err_record("bad-request", &e.message),
+        Err(e) => return bad(&e.message),
+    };
+    let queued = JobState::Queued;
+    // The fields a first submit and a re-submit both answer with.
+    let accepted = |job: &Job, queue| {
+        let head = [("job", jstr(&id)), ("grid", Json::num(job.grid))];
+        let tail = [
+            ("state", jstr(job.state.as_str())),
+            ("queue", Json::num(queue)),
+        ];
+        head.into_iter().chain(tail)
     };
     {
         let r = lock(reg);
         if let Some(job) = r.jobs.iter().find(|j| j.id == id) {
             // Deterministic ids make re-submission idempotent.
-            let queue = r.queue_position(&id);
-            return format!(
-                "{{\"ok\":true,\"job\":\"{}\",\"grid\":{},\"state\":\"{}\",\"queue\":{queue},\
-                 \"note\":\"already submitted\"}}",
-                json_escape(&id),
-                job.grid,
-                job.state.as_str()
-            );
+            let note = ("note", jstr("already submitted"));
+            return ok_record(accepted(job, r.queue_position(&id)).chain([note]));
         }
     }
     let dir = job_dir(&cfg.state, &id);
     if let Err(e) = std::fs::create_dir_all(&dir) {
-        return err_record(
-            "server-error",
-            &format!("cannot create {}: {e}", dir.display()),
-        );
+        let msg = format!("cannot create {}: {e}", dir.display());
+        return err_record("server-error", &msg);
     }
     // Land the spec atomically so a crash between submit and journal
     // cannot leave a half-written spec for the restart path to load.
     let spath = spec_path(&cfg.state, &id);
     let tmp = dir.join("spec.json.tmp");
     if let Err(e) = std::fs::write(&tmp, &text).and_then(|()| std::fs::rename(&tmp, &spath)) {
-        return err_record(
-            "server-error",
-            &format!("cannot write {}: {e}", spath.display()),
-        );
+        let msg = format!("cannot write {}: {e}", spath.display());
+        return err_record("server-error", &msg);
     }
-    if let Err(e) = journal_append(
-        &cfg.state,
-        &format!(
-            "{{\"job\":\"{}\",\"state\":\"queued\",\"name\":\"{}\",\"grid\":{grid}}}",
-            json_escape(&id),
-            json_escape(&spec.name)
-        ),
-    ) {
+    let extra = [("name", jstr(&spec.name)), ("grid", Json::num(grid))];
+    if let Err(e) = journal(&cfg.state, &id, queued, extra) {
         return err_record("server-error", &e.message);
     }
-    let queue = {
-        let mut r = lock(reg);
-        r.jobs.push(Job {
-            id: id.clone(),
-            name: spec.name.clone(),
-            grid,
-            state: JobState::Queued,
-            cancel: Arc::new(AtomicBool::new(false)),
-            started: None,
-            wall_s: 0.0,
-        });
-        r.queue_position(&id)
-    };
-    format!(
-        "{{\"ok\":true,\"job\":\"{}\",\"grid\":{grid},\"state\":\"queued\",\"queue\":{queue}}}",
-        json_escape(&id)
-    )
+    job_event(&cfg.state, &id, queued, 0.0, None);
+    let job = Job::new(id.clone(), spec.name.clone(), grid, queued, 0.0);
+    let mut r = lock(reg);
+    r.jobs.push(job.clone());
+    ok_record(accepted(&job, r.queue_position(&id)))
 }
 
 /// Handles `status`: one record for the named job, or one per job.
@@ -599,39 +565,28 @@ fn handle_status(req: &Json, reg: &Arc<Mutex<Registry>>, cfg: &ServeConfig) -> V
     let filter = req.get("job").and_then(Json::scalar);
     // Snapshot under the lock, scan row files after releasing it: the
     // row count is a directory scan and must not block the executor.
-    let snapshot: Vec<(String, String, usize, JobState, usize, f64)> = {
+    let snapshot: Vec<(Job, usize)> = {
         let r = lock(reg);
         r.jobs
             .iter()
             .filter(|j| filter.as_ref().is_none_or(|id| &j.id == id))
             .map(|j| {
-                let wall = match (j.state, j.started) {
-                    (JobState::Running, Some(t0)) => t0.elapsed().as_secs_f64(),
-                    _ => j.wall_s,
-                };
-                (
-                    j.id.clone(),
-                    j.name.clone(),
-                    j.grid,
-                    j.state,
-                    r.queue_position(&j.id),
-                    wall,
-                )
+                let mut job = j.clone();
+                if let (JobState::Running, Some(t0)) = (j.state, j.started) {
+                    job.wall_s = t0.elapsed().as_secs_f64();
+                }
+                (job, r.queue_position(&j.id))
             })
             .collect()
     };
-    if snapshot.is_empty() {
-        if let Some(id) = filter {
-            return vec![err_record("not-found", &format!("unknown job {id:?}"))];
-        }
-        return vec!["{\"jobs\":0}".to_string()];
+    match filter {
+        Some(id) if snapshot.is_empty() => vec![not_found(&id)],
+        None if snapshot.is_empty() => vec![Json::obj([("jobs", Json::num(0))]).render()],
+        _ => snapshot
+            .iter()
+            .map(|(job, queue)| status_record(&cfg.state, job, *queue))
+            .collect(),
     }
-    snapshot
-        .iter()
-        .map(|(id, name, grid, state, queue, wall)| {
-            status_record(&cfg.state, id, name, *grid, *state, *queue, *wall)
-        })
-        .collect()
 }
 
 /// Handles `cancel`: a queued job flips straight to cancelled; a
@@ -640,47 +595,34 @@ fn handle_status(req: &Json, reg: &Arc<Mutex<Registry>>, cfg: &ServeConfig) -> V
 /// state unchanged.
 fn handle_cancel(req: &Json, reg: &Arc<Mutex<Registry>>, cfg: &ServeConfig) -> String {
     let Some(id) = req.get("job").and_then(Json::scalar) else {
-        return err_record("bad-request", "cancel needs a \"job\" id");
+        return bad("cancel needs a \"job\" id");
     };
-    let outcome = {
+    let cancelled = JobState::Cancelled;
+    let (state, now) = {
         let mut r = lock(reg);
-        match r.jobs.iter_mut().find(|j| j.id == id) {
-            None => None,
-            Some(job) => match job.state {
-                JobState::Queued => {
-                    job.state = JobState::Cancelled;
-                    Some(("cancelled", true))
-                }
-                JobState::Running => {
-                    job.cancel.store(true, Ordering::SeqCst);
-                    // The executor journals the terminal record when
-                    // the supervisor actually stops.
-                    Some(("cancelling", false))
-                }
-                state => Some((state.as_str(), false)),
-            },
+        let Some(job) = r.jobs.iter_mut().find(|j| j.id == id) else {
+            return not_found(&id);
+        };
+        match job.state {
+            JobState::Queued => {
+                job.state = cancelled;
+                (cancelled.as_str(), true)
+            }
+            JobState::Running => {
+                job.cancel.store(true, Ordering::SeqCst);
+                // The executor journals the terminal record when the
+                // supervisor actually stops.
+                ("cancelling", false)
+            }
+            state => (state.as_str(), false),
         }
     };
-    match outcome {
-        None => err_record("not-found", &format!("unknown job {id:?}")),
-        Some((state, journal)) => {
-            if journal {
-                if let Err(e) = journal_append(
-                    &cfg.state,
-                    &format!(
-                        "{{\"job\":\"{}\",\"state\":\"cancelled\",\"wall_s\":0.000}}",
-                        json_escape(&id)
-                    ),
-                ) {
-                    eprintln!("serve: {e}");
-                }
-            }
-            format!(
-                "{{\"ok\":true,\"job\":\"{}\",\"state\":\"{state}\"}}",
-                json_escape(&id)
-            )
-        }
+    if now {
+        let wall_s = [("wall_s", wall(0.0))];
+        journal(&cfg.state, &id, cancelled, wall_s).unwrap_or_else(|e| warn(e.message));
+        job_event(&cfg.state, &id, cancelled, 0.0, None);
     }
+    ok_record([("job", jstr(&id)), ("state", jstr(state))])
 }
 
 /// Handles `watch`: streams completed rows as JSONL in grid order as
@@ -696,11 +638,7 @@ fn handle_watch(
     w: &mut impl Write,
 ) -> std::io::Result<()> {
     let Some(id) = req.get("job").and_then(Json::scalar) else {
-        return writeln!(
-            w,
-            "{}",
-            err_record("bad-request", "watch needs a \"job\" id")
-        );
+        return writeln!(w, "{}", bad("watch needs a \"job\" id"));
     };
     let from: usize = req
         .get("from")
@@ -708,24 +646,17 @@ fn handle_watch(
         .and_then(|s| s.parse().ok())
         .unwrap_or(0);
     if !lock(reg).jobs.iter().any(|j| j.id == id) {
-        // Satellite fix: an unknown job is a structured not-found
-        // record, never a silently empty stream.
-        return writeln!(
-            w,
-            "{}",
-            err_record("not-found", &format!("unknown job {id:?}"))
-        );
+        // An unknown job is a structured not-found record, never a
+        // silently empty stream.
+        return writeln!(w, "{}", not_found(&id));
     }
     let out = rows_path(&cfg.state, &id);
     let mut sent = from;
     loop {
         let state = lock(reg).jobs.iter().find(|j| j.id == id).map(|j| j.state);
         let Some(state) = state else {
-            return writeln!(
-                w,
-                "{}",
-                err_record("not-found", &format!("job {id:?} vanished"))
-            );
+            let vanished = err_record("not-found", &format!("job {id:?} vanished"));
+            return writeln!(w, "{vanished}");
         };
         let rows = collect_rows(&out);
         if state.terminal() {
@@ -758,9 +689,8 @@ fn handle_watch(
     }
 }
 
-/// Dispatches one request line; returns the response lines already
-/// written (watch streams directly). The blank-line terminator is
-/// written by the caller.
+/// Answers one request line (watch streams directly). The blank-line
+/// terminator is written by the caller.
 fn respond(
     line: &str,
     reg: &Arc<Mutex<Registry>>,
@@ -768,60 +698,37 @@ fn respond(
     w: &mut impl Write,
 ) -> std::io::Result<()> {
     let req = match parse_json(line.trim()) {
-        Ok(v) if matches!(v, Json::Obj(_)) => v,
-        Ok(_) => {
-            return writeln!(
-                w,
-                "{}",
-                err_record("bad-request", "request must be a JSON object")
-            );
-        }
-        Err(e) => {
-            return writeln!(
-                w,
-                "{}",
-                err_record("bad-request", &format!("malformed request: {e}"))
-            );
-        }
+        Ok(v @ Json::Obj(_)) => v,
+        Ok(_) => return writeln!(w, "{}", bad("request must be a JSON object")),
+        Err(e) => return writeln!(w, "{}", bad(&format!("malformed request: {e}"))),
     };
-    let Some(verb) = req.get("verb").and_then(Json::scalar) else {
-        return writeln!(
-            w,
-            "{}",
-            err_record("bad-request", "request has no \"verb\"")
-        );
-    };
-    match verb.as_str() {
-        "submit" => writeln!(w, "{}", handle_submit(&req, reg, cfg)),
-        "status" => {
-            for rec in handle_status(&req, reg, cfg) {
-                writeln!(w, "{rec}")?;
-            }
-            Ok(())
-        }
-        "watch" => handle_watch(&req, reg, cfg, w),
-        "cancel" => writeln!(w, "{}", handle_cancel(&req, reg, cfg)),
-        "shutdown" => {
+    let records = match req.get("verb").and_then(Json::scalar).as_deref() {
+        None => vec![bad("request has no \"verb\"")],
+        Some("submit") => vec![handle_submit(&req, reg, cfg)],
+        Some("status") => handle_status(&req, reg, cfg),
+        Some("watch") => return handle_watch(&req, reg, cfg, w),
+        Some("cancel") => vec![handle_cancel(&req, reg, cfg)],
+        Some("shutdown") => {
             let pending = {
                 let mut r = lock(reg);
                 r.draining = true;
                 r.jobs.iter().filter(|j| !j.state.terminal()).count()
             };
-            eprintln!("serve: draining ({pending} job(s) pending), refusing new submits");
-            writeln!(
-                w,
-                "{{\"ok\":true,\"state\":\"draining\",\"jobs_pending\":{pending}}}"
-            )
+            event("draining", [("jobs_pending", Json::num(pending))]);
+            let draining = [
+                ("state", jstr("draining")),
+                ("jobs_pending", Json::num(pending)),
+            ];
+            vec![ok_record(draining)]
         }
-        other => writeln!(
-            w,
-            "{}",
-            err_record(
-                "bad-request",
-                &format!("unknown verb {other:?}; valid: submit, status, watch, cancel, shutdown")
-            )
-        ),
+        Some(other) => vec![bad(&format!(
+            "unknown verb {other:?}; valid: submit, status, watch, cancel, shutdown"
+        ))],
+    };
+    for record in records {
+        writeln!(w, "{record}")?;
     }
+    Ok(())
 }
 
 /// One connection: a loop of request lines, each answered by response
@@ -880,14 +787,17 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), CliError> {
     listener
         .set_nonblocking(true)
         .map_err(|e| CliError::semantic(format!("error: cannot set nonblocking accept: {e}")))?;
-    println!(
-        "{{\"serve\":\"listening\",\"addr\":\"{local}\",\"state\":\"{}\",\"workers\":{}}}",
-        json_escape(&cfg.state.display().to_string()),
-        cfg.workers
-    );
+    let listening = Json::obj([
+        ("serve", jstr("listening")),
+        ("addr", jstr(&local.to_string())),
+        ("state", jstr(&cfg.state.display().to_string())),
+        ("workers", Json::num(cfg.policy.workers)),
+    ]);
     // stdout is the machine-readable channel (tests read the bound
     // address from it); make sure the line is out before accepting.
-    let _ = std::io::stdout().flush();
+    let mut stdout = std::io::stdout().lock();
+    let _ = writeln!(stdout, "{}", listening.render()).and_then(|()| stdout.flush());
+    drop(stdout);
 
     let exec_reg = Arc::clone(&reg);
     let exec_cfg = cfg.clone();
@@ -912,7 +822,7 @@ pub fn serve(cfg: &ServeConfig) -> Result<(), CliError> {
         }
     }
     let _ = exec.join();
-    eprintln!("serve: drained; exiting");
+    event("drained", []);
     Ok(())
 }
 
@@ -944,7 +854,7 @@ mod tests {
         let good = "{\"job\":\"a\",\"state\":\"queued\",\"name\":\"n\",\"grid\":4}\n";
         let recs = ingest_journal(good, "j").unwrap();
         assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].job, "a");
+        assert_eq!(recs[0].id, "a");
         assert_eq!(recs[0].state, JobState::Queued);
         assert_eq!(recs[0].grid, 4);
 

@@ -16,10 +16,21 @@
 //! every completed row is merged, the missing grid indices are listed
 //! in a structured JSON summary on stdout, and the exit code tells the
 //! caller which of full / partial / failed happened.
+//!
+//! **Events.** While it runs, the supervisor reports only through
+//! [`event`]: one `{"event":KIND,...}` line on stderr each, with
+//! `shard` the stripe index. `spawn` {shard, attempt, pid}; `retry`
+//! {shard, attempt (the next), of, delay_ms, why}; `give_up` {shard,
+//! attempts, why}; `cancel` {shard, killed (false: never spawned)};
+//! `shard_done` {shard, attempts, rows_done (rows on its stream),
+//! rows_per_s (since the supervisor started)}; `warning` {message}.
+//! `why` names the exit (`exited with code N`, `was killed by a
+//! signal`) or the stall (`stalled (no row for S s)`).
 
-use crate::cli::CliError;
+use crate::cli::{Args, CliError};
 use ndp_sim::shard::{shard_path, stream_path, ShardSpec};
-use ndp_sim::spec::{json_escape, merge_sweep_jsonl, SweepSpec};
+use ndp_sim::spec::{merge_sweep_jsonl, parse_jsonl, Json, SweepSpec};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -40,6 +51,57 @@ const BACKOFF_CAP: Duration = Duration::from_secs(10);
 /// Supervisor poll cadence.
 const POLL: Duration = Duration::from_millis(25);
 
+/// How a supervised run spawns and retries its workers — one policy
+/// for `ndpsim sweep --workers` and for every `ndpsim serve` job.
+#[derive(Debug, Clone)]
+pub struct Policy {
+    /// Number of shard workers (stripes).
+    pub workers: u64,
+    /// `--jobs` to forward to each worker (`None` = worker default).
+    pub jobs: Option<u64>,
+    /// Kill a worker whose shard stream has not grown for this long.
+    pub row_timeout: Duration,
+    /// Respawns allowed per shard after its first attempt.
+    pub max_retries: u32,
+    /// Base backoff before a respawn; doubles per failed attempt.
+    pub backoff: Duration,
+}
+
+impl Policy {
+    /// Parses `--workers N` (default 2, at least 1), `--jobs N`,
+    /// `--row-timeout SECS` (default 600), `--max-retries N` (default 2)
+    /// and `--backoff-ms MS` (default 250).
+    ///
+    /// # Errors
+    ///
+    /// Usage errors for malformed or out-of-range values.
+    pub fn from_args(args: &Args) -> Result<Policy, CliError> {
+        let workers = args.num("--workers")?.unwrap_or(2);
+        if workers == 0 {
+            return Err(CliError::usage("error: --workers must be at least 1"));
+        }
+        let row_timeout = match args.get("--row-timeout") {
+            None => 600.0,
+            Some(raw) => raw
+                .parse::<f64>()
+                .ok()
+                .filter(|t| t.is_finite() && *t > 0.0)
+                .ok_or_else(|| {
+                    CliError::usage(format!(
+                        "error: --row-timeout expects a positive number of seconds, got {raw:?}"
+                    ))
+                })?,
+        };
+        Ok(Policy {
+            workers,
+            jobs: args.num("--jobs")?,
+            row_timeout: Duration::from_secs_f64(row_timeout),
+            max_retries: args.num_u32("--max-retries")?.unwrap_or(2),
+            backoff: Duration::from_millis(args.num("--backoff-ms")?.unwrap_or(250)),
+        })
+    }
+}
+
 /// Everything the supervisor needs to reconstruct worker command lines
 /// and apply the retry policy.
 #[derive(Debug, Clone)]
@@ -50,19 +112,33 @@ pub struct SupervisorConfig {
     pub sets: Vec<String>,
     /// Final merged output path.
     pub out: PathBuf,
-    /// Number of shard workers (stripes).
-    pub workers: u64,
     /// Keep existing rows (otherwise the output and all shard state are
     /// cleared first).
     pub resume: bool,
-    /// `--jobs` to forward to each worker (`None` = worker default).
-    pub jobs: Option<u64>,
-    /// Kill a worker whose shard stream has not grown for this long.
-    pub row_timeout: Duration,
-    /// Respawns allowed per shard after its first attempt.
-    pub max_retries: u32,
-    /// Base backoff before a respawn; doubles per failed attempt.
-    pub backoff: Duration,
+    /// Workers and their retry policy.
+    pub policy: Policy,
+}
+
+/// Writes one `{"event":KIND,...fields}` line to stderr. Best effort: a
+/// closed or broken stderr loses the line, never the run (a print macro
+/// would panic there, inside a job or on the service's executor).
+pub fn event<'a>(kind: &str, fields: impl IntoIterator<Item = (&'a str, Json)>) {
+    let head = ("event", Json::Str(kind.to_string()));
+    let mut line = Json::obj(std::iter::once(head).chain(fields)).render();
+    line.push('\n');
+    // One write: a worker sharing this stderr cannot split the line.
+    let _ = std::io::stderr().lock().write_all(line.as_bytes());
+}
+
+/// A `warning` event: something went wrong that the run survives.
+pub(crate) fn warn(message: String) {
+    event("warning", [("message", Json::Str(message))]);
+}
+
+/// `rows / secs` with three decimals (0 before any time has passed).
+pub(crate) fn rows_per_s(rows: usize, secs: f64) -> Json {
+    let rate = if secs > 0.0 { rows as f64 / secs } else { 0.0 };
+    Json::num(format_args!("{rate:.3}"))
 }
 
 enum WorkerState {
@@ -86,15 +162,10 @@ struct Worker {
     state: WorkerState,
 }
 
-/// Outcome of one shard, for the structured summary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardOutcome {
-    /// Stripe index.
-    pub shard: u64,
-    /// Spawns consumed (1 = no retries needed).
-    pub attempts: u32,
-    /// Whether the stripe completed.
-    pub done: bool,
+impl Worker {
+    fn shard_field(&self) -> (&'static str, Json) {
+        ("shard", Json::num(self.shard.index))
+    }
 }
 
 fn stream_len(path: &Path) -> u64 {
@@ -118,7 +189,7 @@ fn spawn_worker(cfg: &SupervisorConfig, shard: ShardSpec) -> Result<Child, CliEr
     for set in &cfg.sets {
         cmd.arg("--set").arg(set);
     }
-    if let Some(jobs) = cfg.jobs {
+    if let Some(jobs) = cfg.policy.jobs {
         cmd.arg("--jobs").arg(jobs.to_string());
     }
     // Worker stdout (its own summary lines) would interleave with the
@@ -131,24 +202,26 @@ fn spawn_worker(cfg: &SupervisorConfig, shard: ShardSpec) -> Result<Child, CliEr
 
 /// Marks a worker attempt as failed: schedules the respawn with
 /// exponential backoff, or gives up past `max_retries`.
-fn register_failure(cfg: &SupervisorConfig, w: &mut Worker, why: &str) {
-    if w.attempts > cfg.max_retries {
-        eprintln!(
-            "supervisor: shard {} {why}; retries exhausted after {} attempt(s), giving up \
-             (completed rows are kept)",
-            w.shard, w.attempts
-        );
+fn register_failure(policy: &Policy, w: &mut Worker, why: String) {
+    let shard = w.shard_field();
+    if w.attempts > policy.max_retries {
+        // Completed rows are kept.
+        let attempts = ("attempts", Json::num(w.attempts));
+        event("give_up", [shard, attempts, ("why", Json::Str(why))]);
         w.state = WorkerState::Failed;
         return;
     }
     let exp = w.attempts.saturating_sub(1).min(16);
-    let delay = cfg.backoff.saturating_mul(1u32 << exp).min(BACKOFF_CAP);
-    eprintln!(
-        "supervisor: shard {} {why}; retrying in {} ms (attempt {}/{})",
-        w.shard,
-        delay.as_millis(),
-        w.attempts + 1,
-        cfg.max_retries + 1
+    let delay = policy.backoff.saturating_mul(1u32 << exp).min(BACKOFF_CAP);
+    event(
+        "retry",
+        [
+            shard,
+            ("attempt", Json::num(w.attempts + 1)),
+            ("of", Json::num(policy.max_retries + 1)),
+            ("delay_ms", Json::num(delay.as_millis())),
+            ("why", Json::Str(why)),
+        ],
     );
     w.state = WorkerState::Pending {
         at: Instant::now() + delay,
@@ -196,11 +269,13 @@ pub fn supervise_with_cancel(
         }
     }
 
-    let mut workers: Vec<Worker> = (0..cfg.workers)
+    let policy = &cfg.policy;
+    let started = Instant::now();
+    let mut workers: Vec<Worker> = (0..policy.workers)
         .map(|i| {
             let shard = ShardSpec {
                 index: i,
-                count: cfg.workers,
+                count: policy.workers,
             };
             Worker {
                 shard,
@@ -218,19 +293,17 @@ pub fn supervise_with_cancel(
             // rows stay on disk and merge below.
             cancelled = true;
             for w in &mut workers {
-                match &mut w.state {
+                let killed = match &mut w.state {
                     WorkerState::Running { child, .. } => {
                         let _ = child.kill();
                         let _ = child.wait();
-                        eprintln!("supervisor: shard {} cancelled (worker killed)", w.shard);
-                        w.state = WorkerState::Failed;
+                        true
                     }
-                    WorkerState::Pending { .. } => {
-                        eprintln!("supervisor: shard {} cancelled (never spawned)", w.shard);
-                        w.state = WorkerState::Failed;
-                    }
-                    WorkerState::Done | WorkerState::Failed => {}
-                }
+                    WorkerState::Pending { .. } => false,
+                    WorkerState::Done | WorkerState::Failed => continue,
+                };
+                event("cancel", [w.shard_field(), ("killed", Json::Bool(killed))]);
+                w.state = WorkerState::Failed;
             }
         }
         let mut live = false;
@@ -242,11 +315,10 @@ pub fn supervise_with_cancel(
                     if Instant::now() >= *at {
                         w.attempts += 1;
                         let child = spawn_worker(cfg, w.shard)?;
-                        eprintln!(
-                            "supervisor: shard {} spawned (attempt {}, pid {})",
-                            w.shard,
-                            w.attempts,
-                            child.id()
+                        let attempt = ("attempt", Json::num(w.attempts));
+                        event(
+                            "spawn",
+                            [w.shard_field(), attempt, ("pid", Json::num(child.id()))],
                         );
                         w.state = WorkerState::Running {
                             child,
@@ -270,7 +342,18 @@ pub fn supervise_with_cancel(
                     }
                     match child.try_wait() {
                         Ok(Some(status)) if status.success() => {
-                            eprintln!("supervisor: shard {} done", w.shard);
+                            let rows = std::fs::read_to_string(&w.path)
+                                .map_or(0, |text| parse_jsonl(&text).len());
+                            let rate = rows_per_s(rows, started.elapsed().as_secs_f64());
+                            event(
+                                "shard_done",
+                                [
+                                    w.shard_field(),
+                                    ("attempts", Json::num(w.attempts)),
+                                    ("rows_done", Json::num(rows)),
+                                    ("rows_per_s", rate),
+                                ],
+                            );
                             w.state = WorkerState::Done;
                         }
                         Ok(Some(status)) => {
@@ -278,23 +361,23 @@ pub fn supervise_with_cancel(
                                 Some(code) => format!("exited with code {code}"),
                                 None => "was killed by a signal".to_string(),
                             };
-                            register_failure(cfg, w, &why);
+                            register_failure(policy, w, why);
                         }
                         Ok(None) => {
-                            if last_progress.elapsed() > cfg.row_timeout {
+                            if last_progress.elapsed() > policy.row_timeout {
                                 let _ = child.kill();
                                 let _ = child.wait();
                                 let why = format!(
                                     "stalled (no row for {:.1} s)",
-                                    cfg.row_timeout.as_secs_f64()
+                                    policy.row_timeout.as_secs_f64()
                                 );
-                                register_failure(cfg, w, &why);
+                                register_failure(policy, w, why);
                             }
                         }
                         Err(e) => {
                             let _ = child.kill();
                             let _ = child.wait();
-                            register_failure(cfg, w, &format!("became unwaitable ({e})"));
+                            register_failure(policy, w, format!("became unwaitable ({e})"));
                         }
                     }
                 }
@@ -311,18 +394,8 @@ pub fn supervise_with_cancel(
     // never consults the fault plan.
     let merge = merge_sweep_jsonl(spec, &cfg.out)
         .map_err(|e| CliError::semantic(format!("error: merge: {e}")))?;
-    for warning in &merge.warnings {
-        eprintln!("warning: {warning}");
-    }
+    merge.warnings.into_iter().for_each(warn);
 
-    let outcomes: Vec<ShardOutcome> = workers
-        .iter()
-        .map(|w| ShardOutcome {
-            shard: w.shard.index,
-            attempts: w.attempts,
-            done: matches!(w.state, WorkerState::Done),
-        })
-        .collect();
     let (outcome, code) = if merge.missing.is_empty() {
         // A cancel that raced completion is still a completed grid.
         ("full", EXIT_FULL)
@@ -334,34 +407,33 @@ pub fn supervise_with_cancel(
         ("failed", EXIT_FAILED)
     };
 
-    let missing: Vec<String> = merge.missing.iter().map(ToString::to_string).collect();
-    let shards: Vec<String> = outcomes
-        .iter()
-        .map(|o| {
-            format!(
-                "{{\"shard\":{},\"attempts\":{},\"state\":\"{}\"}}",
-                o.shard,
-                o.attempts,
-                if o.done { "done" } else { "failed" }
-            )
-        })
-        .collect();
-    // Not `println!`: when the supervisor runs inside `ndpsim serve`,
-    // stdout may be a pipe the launcher closed after reading the
-    // listening line — a macro panic on EPIPE would kill the executor
-    // thread mid-job. The summary is best-effort; the exit code and the
-    // merged file are the contract.
-    let summary = format!(
-        "{{\"sweep\":\"{}\",\"grid\":{},\"merged\":{},\"missing\":[{}],\"digest\":{},\
-         \"outcome\":\"{outcome}\",\"shards\":[{}]}}",
-        json_escape(&spec.name),
-        merge.grid,
-        merge.merged,
-        missing.join(","),
-        merge.digest,
-        shards.join(",")
-    );
-    use std::io::Write as _;
-    let _ = writeln!(std::io::stdout(), "{summary}");
+    let shards = workers.iter().map(|w| {
+        let state = if matches!(w.state, WorkerState::Done) {
+            "done"
+        } else {
+            "failed"
+        };
+        let attempts = ("attempts", Json::num(w.attempts));
+        Json::obj([
+            w.shard_field(),
+            attempts,
+            ("state", Json::Str(state.into())),
+        ])
+    });
+    let missing = merge.missing.iter().map(Json::num).collect();
+    let summary = Json::obj([
+        ("sweep", Json::Str(spec.name.clone())),
+        ("grid", Json::num(merge.grid)),
+        ("merged", Json::num(merge.merged)),
+        ("missing", Json::Arr(missing)),
+        ("digest", Json::num(merge.digest)),
+        ("outcome", Json::Str(outcome.into())),
+        ("shards", Json::Arr(shards.collect())),
+    ]);
+    // Best effort, like [`event`]: when the supervisor runs inside
+    // `ndpsim serve`, stdout may be a pipe the launcher closed after
+    // reading the listening line. The exit code and the merged file are
+    // the contract.
+    let _ = writeln!(std::io::stdout().lock(), "{}", summary.render());
     Ok(code)
 }

@@ -9,6 +9,7 @@
 //! must keep completed rows with the journal recording the terminal
 //! state.
 
+use ndp_sim::spec::parse_json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -42,10 +43,20 @@ const QUAD_SPEC: &str = r#"{
 /// the job stays `running` until the server's 600 s row timeout.
 const HANG_LAST_ROW: &str = "hang@3";
 
-fn json_field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    Some(&rest[..rest.find('"')?])
+/// A field of a one-line JSON record, as the text it denotes (`None`
+/// when the line does not parse or has no such field).
+fn field(line: &str, key: &str) -> Option<String> {
+    parse_json(line.trim_end()).ok()?.get(key)?.scalar()
+}
+
+/// A numeric field of a one-line JSON record.
+fn num(line: &str, key: &str) -> Option<u64> {
+    field(line, key)?.parse().ok()
+}
+
+/// Whether a one-line JSON record's `state` is `state`.
+fn in_state(line: &str, state: &str) -> bool {
+    field(line, "state").as_deref() == Some(state)
 }
 
 /// Pids of the live `ndpsim sweep` workers of any job under `state`:
@@ -105,15 +116,6 @@ fn mask_wall(line: &str) -> String {
     format!("{}W{}", &line[..start], &line[start + len..])
 }
 
-fn json_num(text: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let rest = &text[text.find(&needle)? + needle.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// A running `ndpsim serve` child bound to an ephemeral loopback port.
 struct Server {
     child: Child,
@@ -125,12 +127,16 @@ struct Server {
 
 impl Server {
     fn start(state: &std::path::Path, envs: &[(&str, String)]) -> Server {
+        Server::start_with(state, envs, Stdio::null())
+    }
+
+    fn start_with(state: &std::path::Path, envs: &[(&str, String)], stderr: Stdio) -> Server {
         let mut cmd = ndpsim();
         cmd.args(["serve", "--addr", "127.0.0.1:0"])
             .args(["--state", state.to_str().unwrap()])
             .args(["--workers", "2", "--backoff-ms", "20"])
             .stdout(Stdio::piped())
-            .stderr(Stdio::null());
+            .stderr(stderr);
         for (k, v) in envs {
             cmd.env(k, v);
         }
@@ -139,9 +145,8 @@ impl Server {
         BufReader::new(child.stdout.take().unwrap())
             .read_line(&mut line)
             .unwrap();
-        let addr = json_field(&line, "addr")
-            .unwrap_or_else(|| panic!("no addr in listening line: {line:?}"))
-            .to_string();
+        let addr =
+            field(&line, "addr").unwrap_or_else(|| panic!("no addr in listening line: {line:?}"));
         Server {
             child,
             addr,
@@ -173,9 +178,7 @@ impl Server {
         let out = self.submit_raw(spec, tag);
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
         assert_eq!(out.status.code(), Some(0), "submit failed: {stdout}");
-        let job = json_field(&stdout, "job")
-            .unwrap_or_else(|| panic!("no job id in {stdout:?}"))
-            .to_string();
+        let job = field(&stdout, "job").unwrap_or_else(|| panic!("no job id in {stdout:?}"));
         (job, stdout)
     }
 
@@ -270,9 +273,9 @@ fn submit_status_watch_round_trip_matches_offline_bytes() {
     let again = server.submit(QUAD_SPEC, "rt2");
     assert_eq!(job, again);
 
-    let done = server.wait_status(&job, "job done", |s| s.contains("\"state\":\"done\""));
-    assert_eq!(json_num(&done, "rows_done"), Some(4));
-    assert_eq!(json_num(&done, "rows_total"), Some(4));
+    let done = server.wait_status(&job, "job done", |s| in_state(s, "done"));
+    assert_eq!(num(&done, "rows_done"), Some(4));
+    assert_eq!(num(&done, "rows_total"), Some(4));
     assert_eq!(
         mask_wall(&done),
         format!(
@@ -352,8 +355,8 @@ fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
         let mut server = Server::start(&state, &[("NDP_FAULT", HANG_LAST_ROW.to_string())]);
         job = server.submit(QUAD_SPEC, "restart");
         // Rows 0..3 land and row 3 hangs, so the job is held mid-flight.
-        let held = server.wait_status(&job, "three rows", |s| json_num(s, "rows_done") == Some(3));
-        assert!(held.contains("\"state\":\"running\""), "{held}");
+        let held = server.wait_status(&job, "three rows", |s| num(s, "rows_done") == Some(3));
+        assert!(in_state(&held, "running"), "{held}");
         // Shutdown while the job is held: the server drains, refusing
         // new submits until the held job ends (it never does here).
         let out = server.client(&["shutdown"]);
@@ -395,9 +398,7 @@ fn server_kill_and_restart_resumes_from_journal_with_identical_bytes() {
     // on disk and runs only row 3, and watch bytes stay identical to the
     // offline sweep.
     let server = Server::start(&state, &[]);
-    server.wait_status(&job, "resumed job done", |s| {
-        s.contains("\"state\":\"done\"")
-    });
+    server.wait_status(&job, "resumed job done", |s| in_state(s, "done"));
     let out = server.client(&["watch", "--job", &job]);
     assert_eq!(out.status.code(), Some(0));
     assert_eq!(String::from_utf8_lossy(&out.stdout), reference);
@@ -412,7 +413,7 @@ fn cancel_kills_workers_keeps_rows_and_journals_terminal_state() {
 
     // Rows 0..3 land and row 3 hangs: cancel while the job is held
     // mid-flight.
-    server.wait_status(&job, "three rows", |s| json_num(s, "rows_done") == Some(3));
+    server.wait_status(&job, "three rows", |s| num(s, "rows_done") == Some(3));
 
     // A second job queues behind the held one, and cancelling it
     // flips it straight to cancelled.
@@ -435,9 +436,8 @@ fn cancel_kills_workers_keeps_rows_and_journals_terminal_state() {
         String::from_utf8_lossy(&out.stdout),
         format!("{{\"ok\":true,\"job\":\"{job}\",\"state\":\"cancelling\"}}\n")
     );
-    let cancelled =
-        server.wait_status(&job, "cancelled", |s| s.contains("\"state\":\"cancelled\""));
-    let kept = json_num(&cancelled, "rows_done").unwrap();
+    let cancelled = server.wait_status(&job, "cancelled", |s| in_state(s, "cancelled"));
+    let kept = num(&cancelled, "rows_done").unwrap();
     assert_eq!(
         kept, 3,
         "cancel mid-flight keeps the landed rows: {cancelled}"
@@ -568,6 +568,14 @@ fn malformed_lines_get_structured_errors_and_the_connection_survives() {
     let out = server.client(&["watch", "--job", "bogus"]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stdout).contains("not-found"));
+    // The client escapes job ids: a quote is an unknown job, not a
+    // malformed request.
+    let out = server.client(&["status", "--job", "a\"b"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(
+        field(&String::from_utf8_lossy(&out.stdout), "code").as_deref(),
+        Some("not-found")
+    );
 
     server.shutdown_and_wait();
 }
@@ -611,6 +619,24 @@ fn submit_validates_specs_and_draining_refuses_new_jobs() {
             "{text}"
         );
     }
+}
+
+/// Events are best effort: with its stderr pipe closed the server
+/// loses event lines, never jobs. Both jobs finish and `shutdown`
+/// drains.
+#[test]
+fn closed_stderr_loses_events_not_jobs() {
+    let state = tmp("closed_stderr_state");
+    let mut server = Server::start_with(&state, &[], Stdio::piped());
+    drop(server.child.stderr.take());
+
+    let first = server.submit(QUAD_SPEC, "closed1");
+    let second = server.submit(&QUAD_SPEC.replace("300", "301"), "closed2");
+    for job in [&first, &second] {
+        let done = server.wait_status(job, "job done", |s| in_state(s, "done"));
+        assert_eq!(num(&done, "rows_done"), Some(4), "{done}");
+    }
+    assert_eq!(server.shutdown_and_wait().len(), 6, "three records per job");
 }
 
 /// A journal that cannot be appended to fails the submit with a

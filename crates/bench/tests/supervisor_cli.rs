@@ -40,6 +40,33 @@ const QUAD_NAME: &str = "quad\tline\nbreak \"q\"";
 /// The summary line's `"sweep"` field for [`QUAD_NAME`], as rendered.
 const QUAD_SWEEP: &str = r#""sweep":"quad\tline\nbreak \"q\"""#;
 
+/// The supervisor's stderr events of one kind, parsed. Every line that
+/// starts with `{"event":` must be a well-formed event record.
+fn events(stderr: &str, kind: &str) -> Vec<Json> {
+    stderr
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":"))
+        .map(|l| parse_json(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .filter(|e| e.get("event") == Some(&Json::Str(kind.into())))
+        .collect()
+}
+
+/// A numeric field of an event.
+fn num(e: &Json, key: &str) -> u64 {
+    e.get(key)
+        .and_then(Json::scalar)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} in {e:?}"))
+}
+
+/// A string field of an event.
+fn text<'a>(e: &'a Json, key: &str) -> &'a str {
+    match e.get(key) {
+        Some(Json::Str(s)) => s,
+        _ => panic!("no {key} in {e:?}"),
+    }
+}
+
 struct Fixture {
     spec: PathBuf,
     out: PathBuf,
@@ -106,6 +133,13 @@ fn supervised_run_matches_serial_bytes() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"outcome\":\"full\""), "stdout: {stdout}");
+    // One spawn and one shard_done per shard, with every row counted.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(events(&stderr, "spawn").len(), 2, "{stderr}");
+    let done = events(&stderr, "shard_done");
+    assert_eq!(done.len(), 2, "{stderr}");
+    assert_eq!(done.iter().map(|e| num(e, "rows_done")).sum::<u64>(), 4);
+    assert!(events(&stderr, "retry").is_empty(), "{stderr}");
     // The summary is one JSON line whatever the spec's name holds.
     let summary = stdout.lines().last().expect("a summary line");
     let summary = parse_json(summary).unwrap_or_else(|e| panic!("{e}: {summary}"));
@@ -141,7 +175,12 @@ fn supervisor_recovers_from_an_injected_abort() {
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("retrying"), "stderr: {stderr}");
+    // Shard 0 (grid indices 0 and 2) dies once and is retried.
+    let retries = events(&stderr, "retry");
+    assert_eq!(retries.len(), 1, "stderr: {stderr}");
+    assert_eq!(num(&retries[0], "shard"), 0);
+    assert_eq!(num(&retries[0], "attempt"), 2);
+    assert_eq!(text(&retries[0], "why"), "exited with code 86");
     assert_eq!(std::fs::read_to_string(&fx.out).unwrap(), reference);
     std::fs::remove_file(&marker).ok();
 }
@@ -164,7 +203,10 @@ fn supervisor_recovers_from_a_hung_worker() {
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
-    assert!(stderr.contains("stalled"), "stderr: {stderr}");
+    let retries = events(&stderr, "retry");
+    assert_eq!(retries.len(), 1, "stderr: {stderr}");
+    assert_eq!(num(&retries[0], "shard"), 0);
+    assert_eq!(text(&retries[0], "why"), "stalled (no row for 1.5 s)");
     assert_eq!(std::fs::read_to_string(&fx.out).unwrap(), reference);
     std::fs::remove_file(&marker).ok();
 }
@@ -207,7 +249,14 @@ fn retries_exhausted_keeps_completed_rows_and_reports_missing() {
         .unwrap();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "stderr: {stderr}");
-    assert!(stderr.contains("retries exhausted"), "stderr: {stderr}");
+    let retries = events(&stderr, "retry");
+    assert_eq!(retries.len(), 1, "stderr: {stderr}");
+    assert_eq!(text(&retries[0], "why"), "exited with code 86");
+    let give_up = events(&stderr, "give_up");
+    assert_eq!(give_up.len(), 1, "stderr: {stderr}");
+    assert_eq!(num(&give_up[0], "shard"), 0);
+    assert_eq!(num(&give_up[0], "attempts"), 2);
+    assert_eq!(text(&give_up[0], "why"), "exited with code 86");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("\"missing\":[2]"), "stdout: {stdout}");
     assert!(

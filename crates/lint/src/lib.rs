@@ -19,8 +19,9 @@
 //!   `std::collections::{HashMap,HashSet}`, `Instant`, `SystemTime` or
 //!   `thread_rng` in non-test code of the deterministic crates.
 //! * [`rules::panic_free_rule`] — **panic-free-io**: no
-//!   `unwrap()`/`expect()`/`panic!` outside tests in supervisor, CLI and
-//!   spec ingest/resume code.
+//!   `unwrap()`/`expect()`/`panic!` and no print macro (`print!`,
+//!   `println!`, `eprint!`, `eprintln!`) outside tests in supervisor,
+//!   service, CLI and spec ingest/resume code.
 //! * [`rules::forbid_unsafe_rule`] — **forbid-unsafe**: every crate root
 //!   carries `#![forbid(unsafe_code)]`.
 //! * [`allow`] — **allow-hygiene** / **stale-allow**: `lint.allow`

@@ -448,8 +448,12 @@ pub fn arena_rule(ws: &Workspace) -> Vec<Diagnostic> {
 /// Panic-prone constructs that must not appear on I/O paths.
 const PANIC_TOKENS: &[&str] = &[".unwrap()", ".expect(", "panic!", "unreachable!"];
 
+/// Print macros, which panic when their stream fails (a closed stderr
+/// pipe, say). Matched as whole tokens, so `eprint!` is not `print!`.
+const PRINT_MACROS: &[&str] = &["print!", "println!", "eprint!", "eprintln!"];
+
 /// Panic freedom: ingest/resume/supervision code surfaces errors instead
-/// of crashing a sweep mid-run.
+/// of crashing a sweep mid-run, and writes its output best effort.
 #[must_use]
 pub fn panic_free_rule(ws: &Workspace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
@@ -459,20 +463,31 @@ pub fn panic_free_rule(ws: &Workspace) -> Vec<Diagnostic> {
             if f.is_test_line(lineno) {
                 continue;
             }
-            for token in PANIC_TOKENS {
-                if line.contains(token) {
-                    out.push(Diagnostic::new(
-                        &f.rel,
-                        lineno,
-                        "panic-free-io",
-                        format!(
-                            "`{token}` is forbidden in I/O-path code; return the error \
-                             (these paths must survive torn files and dying workers)",
-                            token = token.trim_start_matches('.')
-                        ),
-                        f.raw_line(lineno),
-                    ));
-                }
+            let panics = PANIC_TOKENS.iter().filter(|t| line.contains(*t));
+            for token in panics {
+                out.push(Diagnostic::new(
+                    &f.rel,
+                    lineno,
+                    "panic-free-io",
+                    format!(
+                        "`{token}` is forbidden in I/O-path code; return the error \
+                         (these paths must survive torn files and dying workers)",
+                        token = token.trim_start_matches('.')
+                    ),
+                    f.raw_line(lineno),
+                ));
+            }
+            for mac in PRINT_MACROS.iter().filter(|m| has_token(line, m)) {
+                out.push(Diagnostic::new(
+                    &f.rel,
+                    lineno,
+                    "panic-free-io",
+                    format!(
+                        "`{mac}` panics when its stream is closed; write best effort \
+                         (`let _ = writeln!(std::io::stderr().lock(), ..)`)"
+                    ),
+                    f.raw_line(lineno),
+                ));
             }
         }
     }
@@ -756,6 +771,30 @@ mod tests {
         assert_eq!(d.len(), 3, "{d:?}");
         assert!(d.iter().all(|x| x.rule == "panic-free-io"));
         assert_eq!(d.iter().map(|x| x.line).collect::<Vec<_>>(), vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn panic_free_flags_print_macros_outside_tests() {
+        let src = "pub fn run() {\n    eprintln!(\"x\");\n    println!(\"y\");\n    print!(\"z\");\n    eprint!(\"w\");\n    let _ = writeln!(std::io::stderr().lock(), \"ok\");\n    let s = \"eprintln!\"; // println!\n}\n#[cfg(test)]\nmod tests {\n    fn t() { println!(\"fine\"); }\n}\n";
+        let w = ws(
+            &[
+                ("crates/bench/src/serve.rs", src),
+                (
+                    "crates/bench/src/lib.rs",
+                    "pub fn f() { println!(\"table\"); }\n",
+                ),
+            ],
+            "",
+        );
+        let d = panic_free_rule(&w);
+        assert_eq!(d.len(), 4, "{d:?}");
+        assert!(d
+            .iter()
+            .all(|x| x.rule == "panic-free-io" && x.file == "crates/bench/src/serve.rs"));
+        assert_eq!(
+            d.iter().map(|x| x.line).collect::<Vec<_>>(),
+            vec![2, 3, 4, 5]
+        );
     }
 
     #[test]

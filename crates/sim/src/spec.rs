@@ -698,26 +698,34 @@ impl Json {
         }
     }
 
-    /// Renders the value back to compact single-line JSON. Numbers keep
-    /// their original source text, so a parse → render round trip is
-    /// lossless for 64-bit integers; strings are re-escaped.
+    /// An object with `fields` in the given order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// A number written as `n` displays (`format_args!("{x:.3}")` fixes
+    /// a float's digits).
+    pub fn num(n: impl fmt::Display) -> Json {
+        Json::Num(n.to_string())
+    }
+
+    /// Renders the value as compact single-line JSON — the one JSON
+    /// writer of the workspace. Numbers keep their text, so a parse →
+    /// render round trip is lossless for 64-bit integers; strings are
+    /// re-escaped.
     #[must_use]
     pub fn render(&self) -> String {
+        let join = |items: Vec<String>| items.join(",");
         match self {
             Json::Null => "null".to_string(),
             Json::Bool(b) => b.to_string(),
             Json::Num(raw) => raw.clone(),
             Json::Str(s) => format!("\"{}\"", json_escape(s)),
-            Json::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Json::render).collect();
-                format!("[{}]", inner.join(","))
-            }
+            Json::Arr(items) => format!("[{}]", join(items.iter().map(Json::render).collect())),
             Json::Obj(fields) => {
-                let inner: Vec<String> = fields
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\":{}", json_escape(k), v.render()))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
+                let field =
+                    |(k, v): &(String, Json)| format!("\"{}\":{}", json_escape(k), v.render());
+                format!("{{{}}}", join(fields.iter().map(field).collect()))
             }
         }
     }
@@ -792,9 +800,16 @@ impl<'a> JsonParser<'a> {
                         b'"' => b'"',
                         b'\\' => b'\\',
                         b'/' => b'/',
+                        b'b' => 0x08,
+                        b'f' => 0x0c,
                         b'n' => b'\n',
                         b't' => b'\t',
                         b'r' => b'\r',
+                        b'u' => {
+                            let c = self.unicode_escape()?;
+                            out.extend_from_slice(c.encode_utf8(&mut [0; 4]).as_bytes());
+                            continue;
+                        }
                         _ => return Err(self.err("unsupported escape")),
                     });
                 }
@@ -804,52 +819,72 @@ impl<'a> JsonParser<'a> {
         Err(self.err("unterminated string"))
     }
 
+    /// The four hex digits after a `\u`.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self.b.get(self.i..self.i + 4);
+        let hex = digits.and_then(|d| std::str::from_utf8(d).ok());
+        let n = hex.filter(|d| d.bytes().all(|c| c.is_ascii_hexdigit()));
+        let n = n.and_then(|d| u32::from_str_radix(d, 16).ok());
+        let n = n.ok_or_else(|| self.err("expected 4 hex digits after \\u"))?;
+        self.i += 4;
+        Ok(n)
+    }
+
+    /// The character of a `\uXXXX` escape (`\u` consumed). A surrogate
+    /// pair spans two escapes; a lone surrogate is no `char`, so
+    /// `char::from_u32` rejects it.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) && self.b[self.i..].starts_with(b"\\u") {
+            self.i += 2;
+            let lo = self.hex4()?;
+            if (0xDC00..0xE000).contains(&lo) {
+                code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+            }
+        }
+        char::from_u32(code).ok_or_else(|| self.err("lone surrogate in \\u escape"))
+    }
+
+    /// The comma-separated items of an array or object, from its
+    /// opening bracket through `close`.
+    fn seq<T>(
+        &mut self,
+        close: u8,
+        item: impl Fn(&mut Self) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        self.i += 1; // the opening bracket `value` peeked
+        let mut items = Vec::new();
+        if self.peek() == Some(close) {
+            self.i += 1;
+            return Ok(items);
+        }
+        loop {
+            items.push(item(self)?);
+            match self.peek() {
+                Some(b',') => self.i += 1,
+                Some(c) if c == close => {
+                    self.i += 1;
+                    return Ok(items);
+                }
+                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
+            }
+        }
+    }
+
     fn value(&mut self) -> Result<Json, String> {
         match self.peek().ok_or_else(|| self.err("unexpected end"))? {
             b'n' => self.lit("null", Json::Null),
             b't' => self.lit("true", Json::Bool(true)),
             b'f' => self.lit("false", Json::Bool(false)),
             b'"' => self.string().map(Json::Str),
-            b'[' => {
-                self.eat(b'[')?;
-                let mut items = Vec::new();
-                if self.peek() == Some(b']') {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b']') => {
-                            self.i += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            b'{' => {
-                self.eat(b'{')?;
-                let mut fields = Vec::new();
-                if self.peek() == Some(b'}') {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    let key = self.string()?;
-                    self.eat(b':')?;
-                    fields.push((key, self.value()?));
-                    match self.peek() {
-                        Some(b',') => self.i += 1,
-                        Some(b'}') => {
-                            self.i += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
-            }
+            b'[' => self.seq(b']', Self::value).map(Json::Arr),
+            b'{' => self
+                .seq(b'}', |p| {
+                    let key = p.string()?;
+                    p.eat(b':')?;
+                    Ok((key, p.value()?))
+                })
+                .map(Json::Obj),
             c if c == b'-' || c.is_ascii_digit() => {
                 let start = self.i;
                 while self.i < self.b.len()
@@ -888,7 +923,9 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Escapes a string for embedding in a JSON string literal.
+/// Escapes a string for embedding in a JSON string literal (without
+/// the quotes): every control character is escaped. Workspace code
+/// writes JSON through [`Json::render`].
 #[must_use]
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -899,6 +936,9 @@ pub fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
+            '\u{8}' => out.push_str("\\b"),
+            '\u{c}' => out.push_str("\\f"),
+            c if c < ' ' => out.push_str(&format!("\\u{:04x}", c as u32)),
             _ => out.push(c),
         }
     }
@@ -1182,17 +1222,15 @@ impl SweepSpec {
             return Err(SpecError::new("spec JSON: root must be an object"));
         };
         let mut spec = SweepSpec::new(SimConfig::cli_default());
+        let err = |msg: &str| Err(SpecError::new(msg));
         for (key, val) in fields {
-            match key.as_str() {
-                "name" => {
-                    spec.name = val
+            match (key.as_str(), val) {
+                ("name", v) => {
+                    spec.name = v
                         .scalar()
                         .ok_or_else(|| SpecError::new("spec \"name\" must be a string"))?;
                 }
-                "base" => {
-                    let Json::Obj(knobs) = val else {
-                        return Err(SpecError::new("spec \"base\" must be an object"));
-                    };
+                ("base", Json::Obj(knobs)) => {
                     for (name, v) in knobs {
                         let value = v.scalar().ok_or_else(|| {
                             SpecError::new(format!("base knob {name:?} must be a scalar"))
@@ -1200,30 +1238,25 @@ impl SweepSpec {
                         apply_knob(&mut spec.base, &name, &value)?;
                     }
                 }
-                "axes" => {
-                    let Json::Arr(axes) = val else {
-                        return Err(SpecError::new("spec \"axes\" must be an array"));
-                    };
+                ("axes", Json::Arr(axes)) => {
                     for axis in axes {
                         spec.axes.push(Self::axis_from_json(axis)?);
                     }
                 }
-                "filter" => {
-                    let Json::Arr(clauses) = val else {
-                        return Err(SpecError::new(
-                            "spec \"filter\" must be an array of \"knob OP value\" strings",
-                        ));
-                    };
+                ("filter", Json::Arr(clauses)) => {
                     for clause in clauses {
                         let Json::Str(text) = clause else {
-                            return Err(SpecError::new(
-                                "each filter clause must be a \"knob OP value\" string",
-                            ));
+                            return err("each filter clause must be a \"knob OP value\" string");
                         };
                         spec.filters.push(FilterClause::parse(&text)?);
                     }
                 }
-                other => {
+                ("base", _) => return err("spec \"base\" must be an object"),
+                ("axes", _) => return err("spec \"axes\" must be an array"),
+                ("filter", _) => {
+                    return err("spec \"filter\" must be an array of \"knob OP value\" strings")
+                }
+                (other, _) => {
                     return Err(SpecError::new(format!(
                         "unknown spec key {other:?}; valid keys: name, base, axes, filter"
                     )));
@@ -1237,93 +1270,74 @@ impl SweepSpec {
         let Json::Obj(fields) = axis else {
             return Err(SpecError::new("each axis must be an object"));
         };
-        let mut knob_name: Option<String> = None;
-        let mut values: Option<Vec<Json>> = None;
-        let mut points: Option<Vec<Json>> = None;
+        let (mut knob_name, mut values, mut points) = (None, None, None);
         for (key, val) in fields {
-            match key.as_str() {
-                "knob" => {
-                    knob_name = Some(
-                        val.scalar()
-                            .ok_or_else(|| SpecError::new("axis \"knob\" must be a string"))?,
-                    );
+            match (key.as_str(), val) {
+                ("knob", v) => {
+                    let name = v.scalar();
+                    knob_name =
+                        Some(name.ok_or_else(|| SpecError::new("axis \"knob\" must be a string"))?);
                 }
-                "values" => {
-                    let Json::Arr(vs) = val else {
-                        return Err(SpecError::new("axis \"values\" must be an array"));
-                    };
-                    values = Some(vs);
+                ("values", Json::Arr(vs)) => values = Some(vs),
+                ("points", Json::Arr(ps)) => points = Some(ps),
+                (list @ ("values" | "points"), _) => {
+                    return Err(SpecError::new(format!("axis {list:?} must be an array")));
                 }
-                "points" => {
-                    let Json::Arr(ps) = val else {
-                        return Err(SpecError::new("axis \"points\" must be an array"));
-                    };
-                    points = Some(ps);
-                }
-                other => {
+                (other, _) => {
                     return Err(SpecError::new(format!(
                         "unknown axis key {other:?}; valid keys: knob, values, points"
                     )));
                 }
             }
         }
-        match (knob_name, values, points) {
+        // An unknown knob errors with the full registry list.
+        let known = |k: &str| match knob(k) {
+            Some(_) => Ok(()),
+            None => apply_knob(&mut SimConfig::cli_default(), k, "0"),
+        };
+        let scalar = |v: Json, what: String| v.scalar().ok_or_else(|| SpecError::new(what));
+        let points: Vec<AxisPoint> = match (knob_name, values, points) {
             (Some(name), Some(vs), None) => {
-                if knob(&name).is_none() {
-                    // Surface the unknown knob now, with the full list.
-                    apply_knob(&mut SimConfig::cli_default(), &name, "0")?;
-                }
+                known(&name)?;
                 if vs.is_empty() {
                     return Err(SpecError::new(format!("axis {name:?} has no values")));
                 }
-                Ok(Axis {
-                    points: vs
-                        .into_iter()
-                        .map(|v| {
-                            v.scalar()
-                                .map(|value| AxisPoint {
-                                    sets: vec![(name.clone(), value)],
-                                })
-                                .ok_or_else(|| {
-                                    SpecError::new(format!("axis {name:?} values must be scalars"))
-                                })
+                vs.into_iter()
+                    .map(|v| {
+                        let value = scalar(v, format!("axis {name:?} values must be scalars"))?;
+                        Ok(AxisPoint {
+                            sets: vec![(name.clone(), value)],
                         })
-                        .collect::<Result<_, _>>()?,
-                })
+                    })
+                    .collect::<Result<_, SpecError>>()?
             }
             (None, None, Some(ps)) => {
                 if ps.is_empty() {
                     return Err(SpecError::new("paired axis has no points"));
                 }
-                Ok(Axis {
-                    points: ps
-                        .into_iter()
-                        .map(|p| {
-                            let Json::Obj(sets) = p else {
-                                return Err(SpecError::new(
-                                    "each paired-axis point must be an object",
-                                ));
-                            };
-                            let sets = sets
-                                .into_iter()
-                                .map(|(k, v)| {
-                                    if knob(&k).is_none() {
-                                        apply_knob(&mut SimConfig::cli_default(), &k, "0")?;
-                                    }
-                                    v.scalar().map(|value| (k.clone(), value)).ok_or_else(|| {
-                                        SpecError::new(format!("point knob {k:?} must be a scalar"))
-                                    })
-                                })
-                                .collect::<Result<_, _>>()?;
-                            Ok(AxisPoint { sets })
+                ps.into_iter()
+                    .map(|p| {
+                        let Json::Obj(sets) = p else {
+                            return Err(SpecError::new("each paired-axis point must be an object"));
+                        };
+                        let sets = sets.into_iter().map(|(k, v)| {
+                            known(&k)?;
+                            let value = scalar(v, format!("point knob {k:?} must be a scalar"))?;
+                            Ok((k, value))
+                        });
+                        Ok(AxisPoint {
+                            sets: sets.collect::<Result<_, _>>()?,
                         })
-                        .collect::<Result<_, _>>()?,
-                })
+                    })
+                    .collect::<Result<_, SpecError>>()?
             }
-            _ => Err(SpecError::new(
-                "each axis needs either \"knob\" + \"values\" or \"points\"",
-            )),
-        }
+            _ => {
+                return Err(SpecError::new(
+                    "each axis needs either \"knob\" + \"values\" or \"points\"",
+                ))
+            }
+        };
+        Ok(Axis { points })
     }
 
     /// Structural validation of the axes themselves, before any grid
@@ -1514,33 +1528,33 @@ impl SweepRow {
     /// so adding fields here never invalidates existing streams.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let knobs: Vec<String> = self
+        let r = &self.report;
+        let knobs = self
             .coords
             .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        format!(
-            "{{\"i\":{},\"cfg\":{},\"knobs\":{{{}}},\"cycles\":{},\"ops\":{},\"mem_ops\":{},\"translation_cycles\":{},\"os_cycles\":{},\"walks\":{},\"ptw_cycles\":{},\"avg_core_cycles\":{},\"tlb_l1_hits\":{},\"tlb_l1_misses\":{},\"tlb_l2_misses\":{},\"l1d_hits\":{},\"l1d_misses\":{},\"l1m_hits\":{},\"l1m_misses\":{},\"fp\":{}}}",
-            self.index,
-            self.config_fingerprint,
-            knobs.join(","),
-            self.report.total_cycles.as_u64(),
-            self.report.ops,
-            self.report.mem_ops,
-            self.report.translation_cycles,
-            self.report.os_cycles,
-            self.report.ptw.count,
-            self.report.ptw.sum.as_u64(),
-            self.report.avg_core_cycles,
-            self.report.tlb_l1.hits,
-            self.report.tlb_l1.misses,
-            self.report.tlb_l2.misses,
-            self.report.l1_data.hits,
-            self.report.l1_data.misses,
-            self.report.l1_metadata.hits,
-            self.report.l1_metadata.misses,
-            self.report.fingerprint(),
-        )
+            .map(|(k, v)| (k.clone(), Json::Str(v.clone())));
+        Json::obj([
+            ("i", Json::num(self.index)),
+            ("cfg", Json::num(self.config_fingerprint)),
+            ("knobs", Json::Obj(knobs.collect())),
+            ("cycles", Json::num(r.total_cycles.as_u64())),
+            ("ops", Json::num(r.ops)),
+            ("mem_ops", Json::num(r.mem_ops)),
+            ("translation_cycles", Json::num(r.translation_cycles)),
+            ("os_cycles", Json::num(r.os_cycles)),
+            ("walks", Json::num(r.ptw.count)),
+            ("ptw_cycles", Json::num(r.ptw.sum.as_u64())),
+            ("avg_core_cycles", Json::num(r.avg_core_cycles)),
+            ("tlb_l1_hits", Json::num(r.tlb_l1.hits)),
+            ("tlb_l1_misses", Json::num(r.tlb_l1.misses)),
+            ("tlb_l2_misses", Json::num(r.tlb_l2.misses)),
+            ("l1d_hits", Json::num(r.l1_data.hits)),
+            ("l1d_misses", Json::num(r.l1_data.misses)),
+            ("l1m_hits", Json::num(r.l1_metadata.hits)),
+            ("l1m_misses", Json::num(r.l1_metadata.misses)),
+            ("fp", Json::num(r.fingerprint())),
+        ])
+        .render()
     }
 }
 
@@ -1686,89 +1700,88 @@ pub fn parse_jsonl(text: &str) -> Vec<JsonlRow> {
 /// Result of strictly ingesting a JSONL sweep stream for resume/merge.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonlIngest {
-    /// Every valid, newline-terminated row, in file order.
-    pub rows: Vec<JsonlRow>,
-    /// Byte offset just past each row's newline (parallel to `rows`) —
-    /// truncating the file to `ends[k]` keeps exactly rows `0..=k`.
-    pub ends: Vec<u64>,
+    /// Every valid, newline-terminated row, in file order, with the
+    /// byte offset just past its newline (truncating the file there
+    /// keeps exactly the rows up to this one).
+    pub rows: Vec<(JsonlRow, u64)>,
     /// Non-fatal observations: a torn or garbage **trailing** line is
     /// skipped with a warning here (its point simply re-runs).
     pub warnings: Vec<String>,
 }
 
-/// Strictly parses a JSONL sweep stream with line-granular crash
-/// recovery semantics: a malformed or unterminated **final** line is
-/// the signature of an interrupted append and is skipped with a
-/// warning (truncate-and-redo — never an error, never a duplicate);
-/// a malformed line **mid**-file means something other than a crash
-/// mangled the stream, and that is an error naming the line.
+/// What [`ingest_lines`] keeps: every parsed, newline-terminated
+/// record with the byte offset just past its newline, and the dropped
+/// final line, if any (its 1-based number, and whether it parsed).
+pub type Ingested<T> = (Vec<(T, u64)>, Option<(usize, bool)>);
+
+/// Line-granular crash recovery for an append-only stream of records,
+/// one per line, each read by `parse`. A malformed or unterminated
+/// **final** line is the signature of an interrupted append and is
+/// dropped (truncate-and-redo — never an error, never a duplicate); a
+/// malformed line **mid**-file means something other than a crash
+/// mangled the stream. Blank lines are ignored, and a *valid* final
+/// line without its newline is still torn, so a half-flushed line
+/// never survives.
 ///
-/// Blank lines are ignored. A *valid* final line without a trailing
-/// newline is still treated as torn: append-only recovery truncates
-/// to the last newline-terminated row, so a partially-flushed line
-/// re-runs rather than risking a half-written row surviving.
+/// # Errors
+///
+/// The 1-based number of the first malformed line before the final one.
+pub fn ingest_lines<T>(
+    text: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Ingested<T>, usize> {
+    let (mut items, mut torn, mut offset) = (Vec::new(), None, 0u64);
+    let mut segments = text.split_inclusive('\n').enumerate().peekable();
+    while let Some((n, seg)) = segments.next() {
+        offset += seg.len() as u64;
+        let content = seg.trim_end_matches('\n').trim_end_matches('\r');
+        if content.trim().is_empty() {
+            continue;
+        }
+        match parse(content) {
+            Some(item) if seg.ends_with('\n') => items.push((item, offset)),
+            // Unterminated can only be the final segment.
+            parsed if segments.peek().is_none() => torn = Some((n + 1, parsed.is_some())),
+            _ => return Err(n + 1),
+        }
+    }
+    Ok((items, torn))
+}
+
+/// Strictly parses a JSONL sweep stream with [`ingest_lines`]'s
+/// recovery: a torn final line is skipped with a warning (its grid
+/// point re-runs), a malformed line mid-file is an error.
 ///
 /// # Errors
 ///
 /// Corruption before the final line, with `source` and the 1-based
 /// line number in the message.
 pub fn ingest_jsonl(text: &str, source: &str) -> Result<JsonlIngest, SpecError> {
-    let mut ingest = JsonlIngest {
-        rows: Vec::new(),
-        ends: Vec::new(),
-        warnings: Vec::new(),
+    let (rows, torn) = ingest_lines(text, parse_jsonl_line).map_err(|lineno| {
+        SpecError::new(format!(
+            "{source}: corrupt JSONL row at line {lineno} (mid-file — \
+             not a torn tail; refusing to resume over it)"
+        ))
+    })?;
+    let warnings = match torn {
+        None => Vec::new(),
+        Some((lineno, true)) => vec![format!(
+            "{source}: final line {lineno} has no trailing newline \
+             (torn write); dropping it, its grid point will re-run"
+        )],
+        Some((lineno, false)) => vec![format!(
+            "{source}: skipping truncated/garbage trailing line {lineno}; \
+             its grid point will re-run"
+        )],
     };
-    let mut offset = 0u64;
-    let mut lineno = 0usize;
-    let mut segments = text.split_inclusive('\n').peekable();
-    while let Some(seg) = segments.next() {
-        lineno += 1;
-        offset += seg.len() as u64;
-        let last = segments.peek().is_none();
-        let terminated = seg.ends_with('\n');
-        let content = seg.trim_end_matches('\n').trim_end_matches('\r');
-        if content.trim().is_empty() {
-            continue;
-        }
-        let row = parse_jsonl_line(content);
-        match (row, terminated, last) {
-            (Some(row), true, _) => {
-                ingest.rows.push(row);
-                ingest.ends.push(offset);
-            }
-            (Some(_), false, _) => {
-                // Unterminated can only be the final segment.
-                ingest.warnings.push(format!(
-                    "{source}: final line {lineno} has no trailing newline \
-                     (torn write); dropping it, its grid point will re-run"
-                ));
-            }
-            (None, _, true) => {
-                ingest.warnings.push(format!(
-                    "{source}: skipping truncated/garbage trailing line {lineno}; \
-                     its grid point will re-run"
-                ));
-            }
-            (None, _, false) => {
-                return Err(SpecError::new(format!(
-                    "{source}: corrupt JSONL row at line {lineno} (mid-file — \
-                     not a torn tail; refusing to resume over it)"
-                )));
-            }
-        }
-    }
-    Ok(ingest)
+    Ok(JsonlIngest { rows, warnings })
 }
 
 fn parse_jsonl_line(line: &str) -> Option<JsonlRow> {
-    let Ok(Json::Obj(fields)) = parse_json(line) else {
-        return None;
-    };
-    let num = |key: &str| -> Option<u64> {
-        fields.iter().find_map(|(k, v)| match v {
-            Json::Num(raw) if k == key => raw.parse().ok(),
-            _ => None,
-        })
+    let row = parse_json(line).ok()?;
+    let num = |key: &str| match row.get(key)? {
+        Json::Num(raw) => raw.parse().ok(),
+        _ => None,
     };
     Some(JsonlRow {
         index: num("i")?,
@@ -1801,7 +1814,7 @@ fn load_resume_cache(
         let ingest = ingest_jsonl(&text, &name)?;
         warnings.extend(ingest.warnings);
         let mut seen = vec![false; fps.len()];
-        for row in ingest.rows {
+        for (row, _) in ingest.rows {
             let idx = row.index as usize;
             if idx >= fps.len() || fps[idx] != row.config_fingerprint {
                 warnings.push(format!(
@@ -2046,8 +2059,15 @@ pub fn run_sweep_jsonl_opts(
     let grid = spec.expand()?;
     let fps: Vec<u64> = grid.iter().map(|p| config_fingerprint(&p.config)).collect();
     let mut warnings = Vec::new();
+    let serial_shards = match opts.shard {
+        Some(_) => Vec::new(),
+        None => shard::existing_shard_files(path),
+    };
 
-    if let Some(sh) = opts.shard {
+    // Emit positions, the rows already in place at the head of the
+    // output stream, reusable rows for the later positions, and the
+    // stream itself.
+    let (emit, prefix_rows, mut digest, cached, file, stream) = if let Some(sh) = opts.shard {
         let emit: Vec<usize> = (0..grid.len()).filter(|&i| sh.owns(i)).collect();
         let spath = shard::shard_path(path, sh);
         let sname = spath.display().to_string();
@@ -2062,7 +2082,7 @@ pub fn run_sweep_jsonl_opts(
             if let Ok(text) = std::fs::read_to_string(&spath) {
                 let ingest = ingest_jsonl(&text, &sname)?;
                 warnings.extend(ingest.warnings);
-                for (k, row) in ingest.rows.iter().enumerate() {
+                for (k, (row, end)) in ingest.rows.iter().enumerate() {
                     let expect = emit.get(k).copied();
                     if expect != Some(row.index as usize)
                         || fps[row.index as usize] != row.config_fingerprint
@@ -2075,7 +2095,7 @@ pub fn run_sweep_jsonl_opts(
                         break;
                     }
                     prefix_rows = k + 1;
-                    prefix_bytes = ingest.ends[k];
+                    prefix_bytes = *end;
                     digest ^= row.report_fingerprint;
                 }
             }
@@ -2092,89 +2112,67 @@ pub fn run_sweep_jsonl_opts(
             }
         }
 
+        // Append mode: after the truncation every row lands at the end.
         let file = std::fs::OpenOptions::new()
             .create(true)
-            .write(true)
-            .truncate(false)
+            .append(true)
             .open(&spath)
             .map_err(|e| SpecError::new(format!("cannot open {sname}: {e}")))?;
         file.set_len(prefix_bytes)
             .map_err(|e| SpecError::new(format!("cannot truncate {sname}: {e}")))?;
-        {
-            use std::io::Seek as _;
-            let mut f = &file;
-            f.seek(std::io::SeekFrom::End(0))
-                .map_err(|e| SpecError::new(format!("cannot seek {sname}: {e}")))?;
-        }
-
-        let reused = prefix_rows + cached.iter().flatten().count();
-        for row in cached.iter().flatten() {
-            digest ^= row.report_fingerprint;
-        }
-        let (executed, exec_digest) = stream_rows(
-            &grid,
-            &fps,
-            &emit,
-            prefix_rows,
-            &cached,
-            file,
-            opts.fault.as_ref(),
-            &spath,
-        )?;
-        Ok(SweepRunSummary {
-            grid: emit.len(),
-            executed,
-            reused,
-            digest: digest ^ exec_digest,
-            warnings,
-        })
+        (emit, prefix_rows, digest, cached, file, spath)
     } else {
-        let emit: Vec<usize> = (0..grid.len()).collect();
-        let shard_files = shard::existing_shard_files(path);
         let mut cached: Vec<Option<JsonlRow>> = vec![None; grid.len()];
         if opts.resume {
             let mut sources = vec![path.to_path_buf(), shard::stream_path(path)];
-            sources.extend(shard_files.iter().cloned());
+            sources.extend(serial_shards.iter().cloned());
             cached = load_resume_cache(&sources, &fps, &mut warnings)?;
         }
-
         let tmp = shard::stream_path(path);
         let file = std::fs::File::create(&tmp)
             .map_err(|e| SpecError::new(format!("cannot create {}: {e}", tmp.display())))?;
-        let reused = cached.iter().flatten().count();
-        let mut digest = 0u64;
-        for row in cached.iter().flatten() {
-            digest ^= row.report_fingerprint;
-        }
-        let (executed, exec_digest) = stream_rows(
-            &grid,
-            &fps,
-            &emit,
-            0,
-            &cached,
-            file,
-            opts.fault.as_ref(),
-            &tmp,
-        )?;
-        std::fs::rename(&tmp, path).map_err(|e| {
-            SpecError::new(format!(
-                "cannot rename {} to {}: {e}",
-                tmp.display(),
-                path.display()
-            ))
-        })?;
+        ((0..grid.len()).collect(), 0, 0, cached, file, tmp)
+    };
+
+    let reused = prefix_rows + cached.iter().flatten().count();
+    for row in cached.iter().flatten() {
+        digest ^= row.report_fingerprint;
+    }
+    let (executed, exec_digest) = stream_rows(
+        &grid,
+        &fps,
+        &emit,
+        prefix_rows,
+        &cached,
+        file,
+        opts.fault.as_ref(),
+        &stream,
+    )?;
+    if opts.shard.is_none() {
+        land(&stream, path)?;
         // The sweep is complete at `path`; shard files for it are stale.
-        for f in &shard_files {
+        for f in &serial_shards {
             std::fs::remove_file(f).ok();
         }
-        Ok(SweepRunSummary {
-            grid: grid.len(),
-            executed,
-            reused,
-            digest: digest ^ exec_digest,
-            warnings,
-        })
     }
+    Ok(SweepRunSummary {
+        grid: emit.len(),
+        executed,
+        reused,
+        digest: digest ^ exec_digest,
+        warnings,
+    })
+}
+
+/// Atomically renames a finished `.tmp` stream onto its final path.
+fn land(tmp: &Path, path: &Path) -> Result<(), SpecError> {
+    std::fs::rename(tmp, path).map_err(|e| {
+        SpecError::new(format!(
+            "cannot rename {} to {}: {e}",
+            tmp.display(),
+            path.display()
+        ))
+    })
 }
 
 /// Summary of a [`merge_sweep_jsonl`] pass.
@@ -2231,13 +2229,7 @@ pub fn merge_sweep_jsonl(spec: &SweepSpec, path: &Path) -> Result<MergeSummary, 
     w.flush()
         .map_err(|e| SpecError::new(format!("writing {}: {e}", tmp.display())))?;
     drop(w);
-    std::fs::rename(&tmp, path).map_err(|e| {
-        SpecError::new(format!(
-            "cannot rename {} to {}: {e}",
-            tmp.display(),
-            path.display()
-        ))
-    })?;
+    land(&tmp, path)?;
     if missing.is_empty() {
         for f in &shard_files {
             std::fs::remove_file(f).ok();
@@ -2544,6 +2536,40 @@ mod tests {
     }
 
     #[test]
+    fn render_parse_round_trips_control_chars_quotes_and_non_bmp() {
+        let mut nasty: String = (0u8..0x20).map(char::from).collect();
+        nasty.push_str("\"\\/é😀");
+        let value = Json::obj([(nasty.as_str(), Json::Str(nasty.clone()))]);
+        let text = value.render();
+        // Every control char is escaped: the rendered line stays one
+        // printable line.
+        assert!(!text.chars().any(char::is_control), "{text}");
+        assert!(text.contains("\\u0000") && text.contains("\\b") && text.contains("\\f"));
+        assert_eq!(parse_json(&text).unwrap(), value);
+    }
+
+    #[test]
+    fn unicode_escapes_parse_with_surrogate_pairs() {
+        // What Python's json.dump writes for a non-ASCII name.
+        let spec = SweepSpec::from_json(r#"{"name": "caf\u00e9 \ud83d\ude00"}"#).unwrap();
+        assert_eq!(spec.name, "café 😀");
+        assert_eq!(
+            parse_json(r#""\b\f\u0041\u00E9""#).unwrap(),
+            Json::Str("\u{8}\u{c}Aé".into())
+        );
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\u12""#,
+            r#""\u12g4""#,
+        ] {
+            assert!(parse_json(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+
+    #[test]
     fn json_strings_keep_multibyte_utf8_intact() {
         assert_eq!(
             parse_json("\"café Σweep\"").unwrap(),
@@ -2588,8 +2614,8 @@ mod tests {
         let ingest = ingest_jsonl(text, "test").unwrap();
         assert_eq!(ingest.rows.len(), 2);
         assert!(ingest.warnings.is_empty());
-        assert_eq!(ingest.ends[0], 26);
-        assert_eq!(ingest.ends[1], text.len() as u64);
+        assert_eq!(ingest.rows[0].1, 26);
+        assert_eq!(ingest.rows[1].1, text.len() as u64);
         assert!(ingest_jsonl("", "test").unwrap().rows.is_empty());
     }
 
