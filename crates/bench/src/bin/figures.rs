@@ -20,6 +20,7 @@
 use ndp_bench::cli::{exit_on_err, install_jobs, Args};
 use ndp_bench::{pct, print_table, spd};
 use ndp_sim::experiment::{occupancy_figure, Scale};
+use ndp_sim::report::ratio;
 use ndp_sim::spec::{mechanism_names, run_sweep, SweepResult, SweepRow, SweepSpec};
 use ndp_sim::{SimConfig, SystemKind};
 use ndp_types::stats::mean;
@@ -267,11 +268,7 @@ fn sweeps(scale: Scale) {
         .map(|runs| {
             let [radix_t, radix_u, ndpage_t, ndpage_u] = [0, 1, 2, 3].map(|i| &runs[i].report);
             let ndpage_cost = ndpage_u.post_switch_walk_cost();
-            let advantage = if ndpage_cost == 0.0 {
-                0.0
-            } else {
-                radix_u.post_switch_walk_cost() / ndpage_cost
-            };
+            let advantage = ratio(radix_u.post_switch_walk_cost(), ndpage_cost).unwrap_or(0.0);
             vec![
                 coord(&runs[0], "context_switch_quantum_ops"),
                 format!("{:.3}x", radix_t.speedup_over(radix_u)),
@@ -455,14 +452,7 @@ fn calibration_targets() {
     // gates against, straight from the embedded table.
     println!("\n=== Calibration: embedded paper targets (Figs 4/5/6/7) ===\n");
     print_table(
-        &[
-            "key",
-            "figure",
-            "description",
-            "target",
-            "unit",
-            "tolerance",
-        ],
+        &ndp_bench::calibration::TARGET_HEADERS,
         &ndp_bench::calibration::target_rows(),
     );
     println!("\nregenerate: cargo run -p ndp-bench --release --bin calibrate -- --out calibration.jsonl --resume --check");

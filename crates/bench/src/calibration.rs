@@ -3,15 +3,19 @@
 //! `calibrate --check`.
 //!
 //! The evaluation is file-driven: it consumes the calibration sweep's
-//! JSONL rows (each row carries the raw counters — walk counts, PTW
-//! cycles, translation cycles, TLB and L1 hit/miss totals — alongside
-//! the grid coordinates), derives the paper's headline metrics per
-//! `(system, cores, mechanism)` group as the arithmetic mean over the
-//! workloads present, and compares each embedded target against its
-//! tolerance band. Everything needed to re-check a finished run is in
-//! the JSONL file; no simulation state survives into this module.
+//! JSONL rows, parsed into [`JsonlRow`]s (each carries its grid
+//! coordinates and a [`RowCounters`] of raw counters — walk counts, PTW
+//! cycles, translation cycles, TLB and L1 hit/miss totals), takes the
+//! paper's headline metrics from the counters' own methods, averages
+//! them per `(system, cores, mechanism)` group over the workloads
+//! present, and compares each embedded target against its tolerance
+//! band. Everything needed to re-check a finished run is in the JSONL
+//! file; no simulation state survives into this module. The same rows
+//! render as tables for `figures --from-jsonl` ([`jsonl_tables`]).
 
-use ndp_sim::spec::{mechanism_names, parse_json, Json, SweepSpec};
+use crate::pct;
+use ndp_sim::report::ratio;
+use ndp_sim::spec::{mechanism_names, JsonlRow, RowCounters, SweepSpec};
 use ndp_sim::SimConfig;
 
 /// The `(system, cores)` pairs the paper's figures evaluate: NDP
@@ -40,14 +44,16 @@ pub fn grid(base: SimConfig, workloads: &[&str]) -> SweepSpec {
 /// Which derived metric a [`PaperTarget`] pins down.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
-    /// Mean page-table-walk latency in cycles (`ptw_cycles / walks`).
+    /// Mean page-table-walk latency in cycles
+    /// ([`RowCounters::ptw_latency`]).
     AvgPtwLatency,
     /// Fraction of core time spent translating
-    /// (`translation_cycles / (avg_core_cycles * cores)`).
+    /// ([`RowCounters::translation_fraction`]).
     TranslationFraction,
-    /// L1 data-cache miss rate.
+    /// L1 data-cache miss rate ([`RowCounters::l1_data_miss_rate`]).
     L1DataMissRate,
-    /// L1 metadata-cache miss rate (page-table traffic).
+    /// L1 metadata-cache miss rate, page-table traffic
+    /// ([`RowCounters::l1_metadata_miss_rate`]).
     L1MetadataMissRate,
 }
 
@@ -63,12 +69,24 @@ impl Metric {
         }
     }
 
+    /// The metric's value for a row's counters on `cores` cores, `None`
+    /// when its denominator is 0.
+    #[must_use]
+    pub fn of(self, counters: &RowCounters, cores: u32) -> Option<f64> {
+        match self {
+            Metric::AvgPtwLatency => counters.ptw_latency(),
+            Metric::TranslationFraction => counters.translation_fraction(cores),
+            Metric::L1DataMissRate => counters.l1_data_miss_rate(),
+            Metric::L1MetadataMissRate => counters.l1_metadata_miss_rate(),
+        }
+    }
+
     /// Formats a metric value for the report (cycles plain, rates as %).
     #[must_use]
     pub fn fmt(self, v: f64) -> String {
         match self {
             Metric::AvgPtwLatency => format!("{v:.2}"),
-            _ => format!("{:.2}%", v * 100.0),
+            _ => pct(v),
         }
     }
 }
@@ -137,12 +155,8 @@ pub struct PaperTarget {
     pub figure: &'static str,
     /// Human description for the report table.
     pub what: &'static str,
-    /// `system` knob value the group must match.
-    pub system: &'static str,
-    /// `cores` knob value the group must match.
-    pub cores: u32,
-    /// `mechanism` knob value the group must match.
-    pub mechanism: &'static str,
+    /// The `(system, cores, mechanism)` group whose rows it averages.
+    pub group: Group<'static>,
     /// The derived metric being pinned.
     pub metric: Metric,
     /// The paper's value.
@@ -160,9 +174,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_radix_ptw_1c",
         figure: "Fig 6",
         what: "NDP radix avg PTW latency, 1 core",
-        system: "ndp",
-        cores: 1,
-        mechanism: "radix",
+        group: ("ndp", 1, "radix"),
         metric: Metric::AvgPtwLatency,
         value: 242.85,
         tolerance: Tolerance::Rel(0.25),
@@ -171,9 +183,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_radix_ptw_4c",
         figure: "Fig 4",
         what: "NDP radix avg PTW latency, 4 cores",
-        system: "ndp",
-        cores: 4,
-        mechanism: "radix",
+        group: ("ndp", 4, "radix"),
         metric: Metric::AvgPtwLatency,
         value: 474.56,
         tolerance: Tolerance::Rel(0.25),
@@ -182,9 +192,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_radix_ptw_8c",
         figure: "Fig 6",
         what: "NDP radix avg PTW latency, 8 cores",
-        system: "ndp",
-        cores: 8,
-        mechanism: "radix",
+        group: ("ndp", 8, "radix"),
         metric: Metric::AvgPtwLatency,
         value: 551.83,
         tolerance: Tolerance::Rel(0.25),
@@ -193,9 +201,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "cpu_radix_ptw_4c",
         figure: "Fig 4",
         what: "CPU radix avg PTW latency, 4 cores",
-        system: "cpu",
-        cores: 4,
-        mechanism: "radix",
+        group: ("cpu", 4, "radix"),
         metric: Metric::AvgPtwLatency,
         value: 144.24,
         tolerance: Tolerance::Rel(0.25),
@@ -204,9 +210,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_radix_trans_frac_4c",
         figure: "Fig 5",
         what: "NDP radix translation fraction, 4 cores",
-        system: "ndp",
-        cores: 4,
-        mechanism: "radix",
+        group: ("ndp", 4, "radix"),
         metric: Metric::TranslationFraction,
         value: 0.671,
         tolerance: Tolerance::Rel(0.20),
@@ -215,9 +219,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "cpu_radix_trans_frac_4c",
         figure: "Fig 5",
         what: "CPU radix translation fraction, 4 cores",
-        system: "cpu",
-        cores: 4,
-        mechanism: "radix",
+        group: ("cpu", 4, "radix"),
         metric: Metric::TranslationFraction,
         value: 0.3451,
         tolerance: Tolerance::Rel(0.25),
@@ -226,9 +228,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_radix_l1_data_miss_4c",
         figure: "Fig 7",
         what: "NDP radix L1 data miss rate, 4 cores",
-        system: "ndp",
-        cores: 4,
-        mechanism: "radix",
+        group: ("ndp", 4, "radix"),
         metric: Metric::L1DataMissRate,
         value: 0.3589,
         tolerance: Tolerance::Rel(0.20),
@@ -237,9 +237,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_ideal_l1_data_miss_4c",
         figure: "Fig 7",
         what: "NDP ideal-translation L1 data miss rate, 4 cores",
-        system: "ndp",
-        cores: 4,
-        mechanism: "ideal",
+        group: ("ndp", 4, "ideal"),
         metric: Metric::L1DataMissRate,
         value: 0.2616,
         tolerance: Tolerance::Rel(0.20),
@@ -248,9 +246,7 @@ pub const TARGETS: &[PaperTarget] = &[
         key: "ndp_radix_l1_meta_miss_4c",
         figure: "Fig 7",
         what: "NDP radix L1 metadata miss rate, 4 cores",
-        system: "ndp",
-        cores: 4,
-        mechanism: "radix",
+        group: ("ndp", 4, "radix"),
         metric: Metric::L1MetadataMissRate,
         value: 0.9828,
         tolerance: Tolerance::Abs(0.05),
@@ -263,174 +259,61 @@ pub fn target(key: &str) -> Option<&'static PaperTarget> {
     TARGETS.iter().find(|t| t.key == key)
 }
 
-/// One parsed calibration JSONL row: the grid coordinates plus every
-/// counter the derived metrics need.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalRow {
-    /// `workload` coordinate.
-    pub workload: String,
-    /// `system` coordinate.
-    pub system: String,
-    /// `cores` coordinate.
-    pub cores: u32,
-    /// `mechanism` coordinate.
-    pub mechanism: String,
-    /// Cycles cores spent waiting on translation.
-    pub translation_cycles: u64,
-    /// Completed page-table walks.
-    pub walks: u64,
-    /// Total cycles spent in those walks.
-    pub ptw_cycles: u64,
-    /// Mean per-core busy cycles.
-    pub avg_core_cycles: f64,
-    /// L1 TLB hits.
-    pub tlb_l1_hits: u64,
-    /// L1 TLB misses.
-    pub tlb_l1_misses: u64,
-    /// L2 TLB misses (i.e. walks started).
-    pub tlb_l2_misses: u64,
-    /// L1 data-cache hits.
-    pub l1d_hits: u64,
-    /// L1 data-cache misses.
-    pub l1d_misses: u64,
-    /// L1 metadata-cache hits.
-    pub l1m_hits: u64,
-    /// L1 metadata-cache misses.
-    pub l1m_misses: u64,
-}
+/// A calibration group: `(system, cores, mechanism)` knob values.
+pub type Group<'a> = (&'a str, u32, &'a str);
 
-fn ratio(num: f64, den: f64) -> Option<f64> {
-    (den > 0.0).then(|| num / den)
-}
+/// A calibration row's group and counters.
+type Point<'a> = (Group<'a>, &'a RowCounters);
 
-impl CalRow {
-    /// Mean PTW latency in cycles, `None` with no walks.
-    #[must_use]
-    pub fn avg_ptw_latency(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        ratio(self.ptw_cycles as f64, self.walks as f64)
-    }
-
-    /// Fraction of core time spent translating.
-    #[must_use]
-    pub fn translation_fraction(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        ratio(
-            self.translation_cycles as f64,
-            self.avg_core_cycles * f64::from(self.cores),
-        )
-    }
-
-    /// Walks per TLB access (the paper's walk rate).
-    #[must_use]
-    pub fn tlb_walk_rate(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        ratio(
-            self.tlb_l2_misses as f64,
-            (self.tlb_l1_hits + self.tlb_l1_misses) as f64,
-        )
-    }
-
-    /// L1 data-cache miss rate.
-    #[must_use]
-    pub fn l1_data_miss_rate(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        ratio(
-            self.l1d_misses as f64,
-            (self.l1d_hits + self.l1d_misses) as f64,
-        )
-    }
-
-    /// L1 metadata-cache miss rate.
-    #[must_use]
-    pub fn l1_metadata_miss_rate(&self) -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        ratio(
-            self.l1m_misses as f64,
-            (self.l1m_hits + self.l1m_misses) as f64,
-        )
-    }
-
-    /// The row's value for `metric`, `None` when the denominator is 0.
-    #[must_use]
-    pub fn metric(&self, metric: Metric) -> Option<f64> {
-        match metric {
-            Metric::AvgPtwLatency => self.avg_ptw_latency(),
-            Metric::TranslationFraction => self.translation_fraction(),
-            Metric::L1DataMissRate => self.l1_data_miss_rate(),
-            Metric::L1MetadataMissRate => self.l1_metadata_miss_rate(),
-        }
-    }
-}
-
-/// A top-level number of a parsed JSONL row, read from the number's
-/// source text (so 64-bit counters never round-trip through an `f64`).
-fn number<T: std::str::FromStr>(row: &Json, key: &str) -> Option<T> {
-    match row.get(key) {
-        Some(Json::Num(raw)) => raw.parse().ok(),
-        _ => None,
-    }
-}
-
-/// Parses one calibration JSONL line: coordinates from its `knobs`
-/// object, counters from the top level.
+/// Reads a stored row as a calibration point.
 ///
 /// # Errors
 ///
-/// Malformed JSON, or names the missing field (older-format rows
-/// without the calibration counters are rejected with a hint to re-run
-/// the sweep).
-pub fn parse_row(line: &str) -> Result<CalRow, String> {
-    let row = parse_json(line)?;
+/// Names a missing calibration coordinate (`workload` included) or
+/// counter; rows without counters get a hint to re-run the sweep.
+fn point(row: &JsonlRow) -> Result<Point<'_>, String> {
     let s = |key: &str| {
-        row.get("knobs")
-            .and_then(|k| k.get(key))
-            .and_then(Json::scalar)
+        row.coord(key)
             .ok_or_else(|| format!("row is missing coordinate {key:?}"))
-    };
-    let n = |key: &str| {
-        number(&row, key).ok_or_else(|| {
-            format!(
-                "row is missing counter {key:?} (pre-calibration JSONL format? \
-                 re-run the sweep to regenerate it)"
-            )
-        })
     };
     let cores_raw = s("cores")?;
     let cores: u32 = cores_raw
         .parse()
         .map_err(|_| format!("coordinate \"cores\"={cores_raw:?} is not an integer"))?;
-    Ok(CalRow {
-        workload: s("workload")?,
-        system: s("system")?,
-        cores,
-        mechanism: s("mechanism")?,
-        translation_cycles: n("translation_cycles")?,
-        walks: n("walks")?,
-        ptw_cycles: n("ptw_cycles")?,
-        avg_core_cycles: number(&row, "avg_core_cycles")
-            .ok_or_else(|| "row is missing counter \"avg_core_cycles\"".to_string())?,
-        tlb_l1_hits: n("tlb_l1_hits")?,
-        tlb_l1_misses: n("tlb_l1_misses")?,
-        tlb_l2_misses: n("tlb_l2_misses")?,
-        l1d_hits: n("l1d_hits")?,
-        l1d_misses: n("l1d_misses")?,
-        l1m_hits: n("l1m_hits")?,
-        l1m_misses: n("l1m_misses")?,
-    })
+    s("workload")?;
+    let group = (s("system")?, cores, s("mechanism")?);
+    let counters = row.counters.as_ref().map_err(|key| {
+        format!(
+            "row is missing counter {key:?} (pre-calibration JSONL format? \
+             re-run the sweep to regenerate it)"
+        )
+    })?;
+    Ok((group, counters))
 }
 
-/// Parses a whole JSONL stream, naming the first bad line.
+/// The calibration points among `rows`, in row order.
+fn points(rows: &[JsonlRow]) -> Vec<Point<'_>> {
+    rows.iter().filter_map(|r| point(r).ok()).collect()
+}
+
+/// Parses every non-blank line into a stored row that passes `check`.
 ///
 /// # Errors
 ///
-/// Empty input or any malformed row (with its 1-based line number).
-pub fn parse_rows(text: &str) -> Result<Vec<CalRow>, String> {
-    let rows: Vec<CalRow> = text
+/// Empty input, or the first bad row with its 1-based line number.
+fn stored_rows(
+    text: &str,
+    check: impl Fn(&JsonlRow) -> Result<(), String>,
+) -> Result<Vec<JsonlRow>, String> {
+    let rows: Vec<JsonlRow> = text
         .lines()
         .enumerate()
         .filter(|(_, l)| !l.trim().is_empty())
-        .map(|(i, l)| parse_row(l).map_err(|e| format!("line {}: {e}", i + 1)))
+        .map(|(i, l)| {
+            JsonlRow::parse(l)
+                .and_then(|row| check(&row).map(|()| row))
+                .map_err(|e| format!("line {}: {e}", i + 1))
+        })
         .collect::<Result<_, _>>()?;
     if rows.is_empty() {
         return Err("no rows (empty JSONL)".to_string());
@@ -438,13 +321,29 @@ pub fn parse_rows(text: &str) -> Result<Vec<CalRow>, String> {
     Ok(rows)
 }
 
-/// The mean of the `Some` values, `None` when there are none, with
-/// the count of values averaged.
-fn mean_of(values: impl Iterator<Item = Option<f64>>) -> (Option<f64>, usize) {
-    let vals: Vec<f64> = values.flatten().collect();
-    #[allow(clippy::cast_precision_loss)]
-    let mean = (!vals.is_empty()).then(|| vals.iter().sum::<f64>() / vals.len() as f64);
-    (mean, vals.len())
+/// Parses a calibration sweep's JSONL stream: every row must carry the
+/// calibration coordinates and counters.
+///
+/// # Errors
+///
+/// Empty input or any malformed row (with its 1-based line number).
+pub fn parse_rows(text: &str) -> Result<Vec<JsonlRow>, String> {
+    stored_rows(text, |row| point(row).map(|_| ()))
+}
+
+/// The mean of `metric` over the points of `group` that have a value
+/// (`None` when none has), and how many have one.
+fn group_mean(
+    points: &[Point<'_>],
+    group: Group<'_>,
+    metric: impl Fn(&RowCounters) -> Option<f64>,
+) -> (Option<f64>, usize) {
+    let vals: Vec<f64> = points
+        .iter()
+        .filter(|(g, _)| *g == group)
+        .filter_map(|(_, c)| metric(c))
+        .collect();
+    (ratio(vals.iter().sum(), vals.len() as f64), vals.len())
 }
 
 /// One target's evaluation.
@@ -484,7 +383,7 @@ impl Finding {
 ///
 /// Unknown override keys (valid keys listed) or a non-positive scale.
 pub fn evaluate(
-    rows: &[CalRow],
+    rows: &[JsonlRow],
     overrides: &[(String, Tolerance)],
     scale: f64,
 ) -> Result<Vec<Finding>, String> {
@@ -500,6 +399,7 @@ pub fn evaluate(
             ));
         }
     }
+    let points = points(rows);
     Ok(TARGETS
         .iter()
         .map(|t| {
@@ -509,13 +409,7 @@ pub fn evaluate(
                 .find(|(k, _)| k == t.key)
                 .map_or(t.tolerance, |(_, tol)| *tol);
             let band = tol.half_width(t.value) * scale;
-            let (measured, workloads) = mean_of(
-                rows.iter()
-                    .filter(|r| {
-                        r.system == t.system && r.cores == t.cores && r.mechanism == t.mechanism
-                    })
-                    .map(|r| r.metric(t.metric)),
-            );
+            let (measured, workloads) = group_mean(&points, t.group, |c| t.metric.of(c, t.group.1));
             // An exactly-on-band measurement passes: widen by a hair of
             // float slack so `x ± band` endpoints are inside.
             let pass = measured.is_some_and(|m| (m - t.value).abs() <= band + 1e-9 * t.value.abs());
@@ -529,12 +423,6 @@ pub fn evaluate(
             }
         })
         .collect())
-}
-
-/// Whether every finding passed.
-#[must_use]
-pub fn all_pass(findings: &[Finding]) -> bool {
-    findings.iter().all(|f| f.pass)
 }
 
 /// The largest relative deviation across measured findings (0 when
@@ -559,16 +447,10 @@ pub fn report_rows(findings: &[Finding]) -> Vec<Vec<String>> {
                 t.key.to_string(),
                 t.figure.to_string(),
                 t.metric.fmt(t.value),
-                f.measured
-                    .map_or_else(|| "-".to_string(), |m| t.metric.fmt(m)),
-                f.rel_deviation()
-                    .map_or_else(|| "-".to_string(), |d| format!("{:.1}%", d * 100.0)),
+                cell(f.measured, |m| t.metric.fmt(m)),
+                cell(f.rel_deviation(), |d| format!("{:.1}%", d * 100.0)),
                 f.band_spec.clone(),
-                if f.pass {
-                    "pass".to_string()
-                } else {
-                    "FAIL".to_string()
-                },
+                (if f.pass { "pass" } else { "FAIL" }).to_string(),
             ]
         })
         .collect()
@@ -593,10 +475,8 @@ pub fn target_rows() -> Vec<Vec<String>> {
         .collect()
 }
 
-/// Headers of the per-group shape table — the one definition shared by
-/// `calibrate` and `figures --from-jsonl`, so the two renderings can
-/// never drift.
-pub const GROUP_HEADERS: [&str; 9] = [
+/// Headers of the per-group shape table ([`group_table`]).
+const GROUP_HEADERS: [&str; 9] = [
     "system",
     "cores",
     "mechanism",
@@ -608,44 +488,60 @@ pub const GROUP_HEADERS: [&str; 9] = [
     "L1m miss",
 ];
 
-/// The per-group shape summary (`system/cores/mechanism` → derived
-/// metrics), in grid order of first appearance — the human-readable
-/// view `calibrate` prints after a run.
+/// Headers of the embedded target table ([`target_rows`]), shared by
+/// `calibrate --targets` and `figures calibration`.
+pub const TARGET_HEADERS: [&str; 6] = [
+    "key",
+    "figure",
+    "description",
+    "target",
+    "unit",
+    "tolerance",
+];
+
+/// `-` for a metric with a zero denominator, else `fmt` of its value.
+fn cell(value: Option<f64>, fmt: impl Fn(f64) -> String) -> String {
+    value.map_or_else(|| "-".to_string(), fmt)
+}
+
+/// The per-group shape summary (`system/cores/mechanism` → mean
+/// derived metrics over the workloads), groups in order of first
+/// appearance — the view `calibrate` prints after a run and `figures
+/// --from-jsonl` appends to calibration rows, so the two emit identical
+/// bytes. Rows that are not calibration points are skipped.
 #[must_use]
-pub fn group_rows(rows: &[CalRow]) -> Vec<Vec<String>> {
-    let fmt = |v: Option<f64>, m: Metric| v.map_or_else(|| "-".to_string(), |x| m.fmt(x));
-    let mut groups: Vec<(String, u32, String)> = Vec::new();
-    for r in rows {
-        let g = (r.system.clone(), r.cores, r.mechanism.clone());
-        if !groups.contains(&g) {
-            groups.push(g);
+pub fn group_table(rows: &[JsonlRow]) -> String {
+    let points = points(rows);
+    let mut groups: Vec<Group<'_>> = Vec::new();
+    for (g, _) in &points {
+        if !groups.contains(g) {
+            groups.push(*g);
         }
     }
-    groups
+    let table: Vec<Vec<String>> = groups
         .iter()
-        .map(|(system, cores, mechanism)| {
-            let members: Vec<&CalRow> = rows
-                .iter()
-                .filter(|r| &r.system == system && r.cores == *cores && &r.mechanism == mechanism)
-                .collect();
-            let mean = |metric: Metric| mean_of(members.iter().map(|r| r.metric(metric))).0;
-            let walk_rate = mean_of(members.iter().map(|r| r.tlb_walk_rate())).0;
+        .map(|&g @ (system, cores, mechanism)| {
+            let n = points.iter().filter(|(pg, _)| *pg == g).count();
+            let metric =
+                |m: Metric| cell(group_mean(&points, g, |c| m.of(c, cores)).0, |x| m.fmt(x));
             vec![
-                system.clone(),
+                system.to_string(),
                 cores.to_string(),
-                mechanism.clone(),
-                members.len().to_string(),
-                fmt(mean(Metric::AvgPtwLatency), Metric::AvgPtwLatency),
-                fmt(
-                    mean(Metric::TranslationFraction),
-                    Metric::TranslationFraction,
-                ),
-                walk_rate.map_or_else(|| "-".to_string(), |x| format!("{:.2}%", x * 100.0)),
-                fmt(mean(Metric::L1DataMissRate), Metric::L1DataMissRate),
-                fmt(mean(Metric::L1MetadataMissRate), Metric::L1MetadataMissRate),
+                mechanism.to_string(),
+                n.to_string(),
+                metric(Metric::AvgPtwLatency),
+                metric(Metric::TranslationFraction),
+                cell(group_mean(&points, g, RowCounters::tlb_walk_rate).0, pct),
+                metric(Metric::L1DataMissRate),
+                metric(Metric::L1MetadataMissRate),
             ]
         })
-        .collect()
+        .collect();
+    format!(
+        "\nper-group shape metrics ({} rows):\n{}",
+        points.len(),
+        crate::table_string(&GROUP_HEADERS, &table)
+    )
 }
 
 /// Renders stored sweep JSONL as tables without re-simulating — the
@@ -653,102 +549,50 @@ pub fn group_rows(rows: &[CalRow]) -> Vec<Vec<String>> {
 ///
 /// Every stream gets a generic per-row table: grid index, the knob
 /// coordinates (first-seen order across rows; `-` where a row lacks
-/// one), then the derived per-row metrics computable from the raw
-/// counters alone (cycles, cycles/op, mean PTW latency, walk rate, L1
-/// miss rates). When the rows also carry the calibration coordinates
-/// (`workload`/`system`/`cores`/`mechanism`), the same per-group shape
-/// table `calibrate --check --from` prints is appended, through the
-/// same [`group_rows`]/[`GROUP_HEADERS`] code, so the two paths emit
-/// identical bytes for identical rows.
+/// one), then the per-row metrics of its counters (cycles,
+/// [`RowCounters::wall_cycles_per_op`], mean PTW latency, walk rate, L1
+/// miss rates; `-` for a zero denominator or a row without counters).
+/// When every row is also a calibration point, [`group_table`] follows.
 ///
 /// # Errors
 ///
 /// Empty input or a malformed line (named by 1-based number).
 pub fn jsonl_tables(text: &str) -> Result<String, String> {
-    /// One parsed stream line: grid index, knob coordinates, the row.
-    type ParsedRow = (u64, Vec<(String, String)>, Json);
-    let mut knob_names: Vec<String> = Vec::new();
-    let mut parsed: Vec<ParsedRow> = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
+    let rows = stored_rows(text, |_| Ok(()))?;
+    let mut knob_names: Vec<&str> = Vec::new();
+    for (k, _) in rows.iter().flat_map(|r| &r.coords) {
+        if !knob_names.contains(&k.as_str()) {
+            knob_names.push(k);
         }
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let index = number(&v, "i")
-            .ok_or_else(|| format!("line {}: row has no grid index \"i\"", lineno + 1))?;
-        let mut knobs = Vec::new();
-        if let Some(Json::Obj(pairs)) = v.get("knobs") {
-            for (k, val) in pairs {
-                let val = val.scalar().unwrap_or_default();
-                if !knob_names.contains(k) {
-                    knob_names.push(k.clone());
-                }
-                knobs.push((k.clone(), val));
-            }
-        }
-        parsed.push((index, knobs, v));
     }
-    if parsed.is_empty() {
-        return Err("no rows (empty JSONL)".to_string());
-    }
-
-    let ratio = |num: Option<u64>, den: Option<u64>| -> Option<f64> {
-        #[allow(clippy::cast_precision_loss)]
-        match (num, den) {
-            (Some(n), Some(d)) if d > 0 => Some(n as f64 / d as f64),
-            _ => None,
-        }
-    };
-    let fmt = |v: Option<f64>, f: &dyn Fn(f64) -> String| v.map_or_else(|| "-".to_string(), f);
     let mut headers: Vec<&str> = vec!["i"];
-    headers.extend(knob_names.iter().map(String::as_str));
+    headers.extend(&knob_names);
     headers.extend_from_slice(&[
         "cycles", "cyc/op", "ptw", "walkrate", "L1d miss", "L1m miss",
     ]);
-    let rows: Vec<Vec<String>> = parsed
+    let one_dp = |x: f64| format!("{x:.1}");
+    let table: Vec<Vec<String>> = rows
         .iter()
-        .map(|(index, knobs, row)| {
-            let n = |key: &str| number::<u64>(row, key);
-            let mut cells = vec![index.to_string()];
+        .map(|row| {
+            let mut cells = vec![row.index.to_string()];
             for name in &knob_names {
-                cells.push(
-                    knobs
-                        .iter()
-                        .find(|(k, _)| k == name)
-                        .map_or_else(|| "-".to_string(), |(_, v)| v.clone()),
-                );
+                cells.push(row.coord(name).unwrap_or("-").to_string());
             }
-            cells.push(n("cycles").map_or_else(|| "-".to_string(), |c| c.to_string()));
-            cells.push(fmt(ratio(n("cycles"), n("ops")), &|x| format!("{x:.1}")));
-            cells.push(fmt(ratio(n("ptw_cycles"), n("walks")), &|x| {
-                format!("{x:.1}")
-            }));
-            let tlb_accesses = n("tlb_l1_hits").zip(n("tlb_l1_misses")).map(|(h, m)| h + m);
-            cells.push(fmt(ratio(n("tlb_l2_misses"), tlb_accesses), &|x| {
-                format!("{:.2}%", x * 100.0)
-            }));
-            let l1d = n("l1d_hits").zip(n("l1d_misses")).map(|(h, m)| h + m);
-            cells.push(fmt(ratio(n("l1d_misses"), l1d), &|x| {
-                format!("{:.2}%", x * 100.0)
-            }));
-            let l1m = n("l1m_hits").zip(n("l1m_misses")).map(|(h, m)| h + m);
-            cells.push(fmt(ratio(n("l1m_misses"), l1m), &|x| {
-                format!("{:.2}%", x * 100.0)
-            }));
+            let c = row.counters.as_ref().ok();
+            cells.push(c.map_or_else(|| "-".to_string(), |c| c.cycles.to_string()));
+            cells.push(cell(c.and_then(RowCounters::wall_cycles_per_op), one_dp));
+            cells.push(cell(c.and_then(RowCounters::ptw_latency), one_dp));
+            cells.push(cell(c.and_then(RowCounters::tlb_walk_rate), pct));
+            cells.push(cell(c.and_then(RowCounters::l1_data_miss_rate), pct));
+            cells.push(cell(c.and_then(RowCounters::l1_metadata_miss_rate), pct));
             cells
         })
         .collect();
-    let mut out = format!("rows ({}):\n", parsed.len());
-    out.push_str(&crate::table_string(&headers, &rows));
+    let mut out = format!("rows ({}):\n", rows.len());
+    out.push_str(&crate::table_string(&headers, &table));
 
-    // The calibration view rides along whenever the coordinates allow
-    // it — same parse, same grouping, same headers as `calibrate`.
-    if let Ok(cal) = parse_rows(text) {
-        out.push_str(&format!(
-            "\nper-group shape metrics ({} rows):\n",
-            cal.len()
-        ));
-        out.push_str(&crate::table_string(&GROUP_HEADERS, &group_rows(&cal)));
+    if rows.iter().all(|r| point(r).is_ok()) {
+        out.push_str(&group_table(&rows));
     }
     Ok(out)
 }
@@ -757,24 +601,25 @@ pub fn jsonl_tables(text: &str) -> Result<String, String> {
 mod tests {
     use super::*;
 
-    fn row(system: &str, cores: u32, mechanism: &str, workload: &str) -> CalRow {
-        CalRow {
-            workload: workload.to_string(),
-            system: system.to_string(),
-            cores,
-            mechanism: mechanism.to_string(),
-            translation_cycles: 500,
-            walks: 10,
-            ptw_cycles: 4746, // avg 474.6, inside the 4c NDP band
-            avg_core_cycles: 1000.0,
-            tlb_l1_hits: 90,
-            tlb_l1_misses: 10,
-            tlb_l2_misses: 10,
-            l1d_hits: 65,
-            l1d_misses: 35,
-            l1m_hits: 2,
-            l1m_misses: 98,
-        }
+    /// A calibration row line whose counters give a 474.6-cycle mean
+    /// PTW latency, inside the 4-core NDP band.
+    fn line(system: &str, cores: u32, mechanism: &str, workload: &str) -> String {
+        format!(
+            "{{\"i\":3,\"cfg\":7,\"knobs\":{{\"workload\":\"{workload}\",\
+             \"system\":\"{system}\",\"cores\":\"{cores}\",\"mechanism\":\"{mechanism}\"}},\
+             \"cycles\":9,\"ops\":5,\"mem_ops\":4,\"translation_cycles\":500,\
+             \"os_cycles\":0,\"walks\":10,\"ptw_cycles\":4746,\"avg_core_cycles\":1000,\
+             \"tlb_l1_hits\":90,\"tlb_l1_misses\":10,\"tlb_l2_misses\":10,\"l1d_hits\":65,\
+             \"l1d_misses\":35,\"l1m_hits\":2,\"l1m_misses\":98,\"fp\":1}}"
+        )
+    }
+
+    fn row(system: &str, cores: u32, mechanism: &str, workload: &str) -> JsonlRow {
+        JsonlRow::parse(&line(system, cores, mechanism, workload)).unwrap()
+    }
+
+    fn counters(row: &JsonlRow) -> RowCounters {
+        row.counters.unwrap()
     }
 
     #[test]
@@ -814,34 +659,38 @@ mod tests {
 
     #[test]
     fn row_metrics_derive_from_counters() {
-        let r = row("ndp", 4, "radix", "RND");
-        assert!((r.avg_ptw_latency().unwrap() - 474.6).abs() < 1e-9);
-        assert!((r.translation_fraction().unwrap() - 0.125).abs() < 1e-9);
-        assert!((r.tlb_walk_rate().unwrap() - 0.10).abs() < 1e-9);
-        assert!((r.l1_data_miss_rate().unwrap() - 0.35).abs() < 1e-9);
-        assert!((r.l1_metadata_miss_rate().unwrap() - 0.98).abs() < 1e-9);
+        let c = counters(&row("ndp", 4, "radix", "RND"));
+        assert!((c.ptw_latency().unwrap() - 474.6).abs() < 1e-9);
+        assert!((c.translation_fraction(4).unwrap() - 0.125).abs() < 1e-9);
+        assert!((c.tlb_walk_rate().unwrap() - 0.10).abs() < 1e-9);
+        assert!((c.l1_data_miss_rate().unwrap() - 0.35).abs() < 1e-9);
+        assert!((c.l1_metadata_miss_rate().unwrap() - 0.98).abs() < 1e-9);
+        assert!((c.wall_cycles_per_op().unwrap() - 1.8).abs() < 1e-9);
+        assert!((c.cpo(4).unwrap() - 800.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_denominators_yield_none() {
-        let mut r = row("ndp", 4, "radix", "RND");
-        r.walks = 0;
-        r.tlb_l1_hits = 0;
-        r.tlb_l1_misses = 0;
-        assert!(r.avg_ptw_latency().is_none());
-        assert!(r.tlb_walk_rate().is_none());
+        let mut c = counters(&row("ndp", 4, "radix", "RND"));
+        c.walks = 0;
+        c.tlb_l1.hits = 0;
+        c.tlb_l1.misses = 0;
+        assert!(c.ptw_latency().is_none());
+        assert!(c.tlb_walk_rate().is_none());
     }
 
     #[test]
     fn jsonl_row_round_trips_through_parse() {
-        let line = "{\"i\":3,\"cfg\":7,\"knobs\":{\"workload\":\"RND\",\"system\":\"ndp\",\
-                    \"cores\":\"4\",\"mechanism\":\"radix\"},\"cycles\":9,\"ops\":5,\
-                    \"mem_ops\":4,\"translation_cycles\":500,\"os_cycles\":0,\"walks\":10,\
-                    \"ptw_cycles\":4746,\"avg_core_cycles\":1000,\"tlb_l1_hits\":90,\
-                    \"tlb_l1_misses\":10,\"tlb_l2_misses\":10,\"l1d_hits\":65,\
-                    \"l1d_misses\":35,\"l1m_hits\":2,\"l1m_misses\":98,\"fp\":1}";
-        let r = parse_row(line).unwrap();
-        assert_eq!(r, row("ndp", 4, "radix", "RND"));
+        let text = line("ndp", 4, "radix", "RND");
+        let rows = parse_rows(&text).unwrap();
+        assert_eq!(rows, vec![row("ndp", 4, "radix", "RND")]);
+        assert_eq!(rows[0].coord("workload"), Some("RND"));
+        assert_eq!(rows[0].line, text);
+        let c = counters(&rows[0]);
+        assert_eq!(
+            (c.walks, c.ptw_cycles, c.l1_metadata.misses),
+            (10, 4746, 98)
+        );
     }
 
     #[test]
@@ -849,7 +698,7 @@ mod tests {
         let line = "{\"i\":0,\"cfg\":1,\"knobs\":{\"workload\":\"RND\",\"system\":\"ndp\",\
                     \"cores\":\"4\",\"mechanism\":\"radix\"},\"cycles\":9,\"ops\":5,\
                     \"mem_ops\":4,\"translation_cycles\":500,\"os_cycles\":0,\"walks\":10,\"fp\":1}";
-        let err = parse_row(line).unwrap_err();
+        let err = parse_rows(line).unwrap_err();
         assert!(err.contains("ptw_cycles"), "{err}");
         assert!(err.contains("re-run"), "{err}");
     }
@@ -883,7 +732,7 @@ mod tests {
                 .pass
         );
         assert!(
-            !all_pass(&findings),
+            !findings.iter().all(|f| f.pass),
             "1-core / 8-core / cpu groups are absent"
         );
         let missing = findings
@@ -936,13 +785,12 @@ mod tests {
         let table = report_rows(&findings);
         assert_eq!(table.len(), TARGETS.len());
         assert!(table.iter().all(|r| r.len() == 7));
-        let groups = group_rows(&rows);
-        assert_eq!(
-            groups.len(),
-            1,
-            "two workloads, one (system,cores,mechanism) group"
-        );
-        assert_eq!(groups[0][3], "2");
+        // Two workloads, one (system, cores, mechanism) group of 2.
+        let groups = group_table(&rows);
+        assert!(groups.starts_with("\nper-group shape metrics (2 rows):\n"));
+        let data: Vec<&str> = groups.lines().skip(4).collect();
+        assert_eq!(data.len(), 1, "{groups}");
+        assert_eq!(data[0].split_whitespace().nth(3), Some("2"), "{groups}");
         assert_eq!(target_rows().len(), TARGETS.len());
     }
 }

@@ -1,6 +1,7 @@
 //! Run reports: every statistic the paper's figures draw from.
 
 use crate::config::SystemKind;
+use crate::spec::RowCounters;
 use ndp_mem::controller::ClassTraffic;
 use ndp_types::stats::{HitMiss, LatencyStat};
 use ndp_types::{Cycles, PtLevel};
@@ -8,6 +9,14 @@ use ndp_workloads::WorkloadId;
 use ndpage::occupancy::OccupancyReport;
 use ndpage::Mechanism;
 use std::fmt;
+
+/// `num / den`, `None` when `den` is 0: the zero-denominator rule of
+/// every derived metric (report methods read `None` as 0, stored-row
+/// tables print `-`).
+#[must_use]
+pub fn ratio(num: f64, den: f64) -> Option<f64> {
+    (den > 0.0).then(|| num / den)
+}
 
 /// Page-fault counters for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -70,11 +79,11 @@ impl SchedStats {
     /// warmup:measure ratio).
     #[must_use]
     pub fn cold_penalty_per_switch(&self) -> f64 {
-        if self.measured_context_switches == 0 {
-            0.0
-        } else {
-            self.post_switch_walk_cycles as f64 / self.measured_context_switches as f64
-        }
+        ratio(
+            self.post_switch_walk_cycles as f64,
+            self.measured_context_switches as f64,
+        )
+        .unwrap_or(0.0)
     }
 }
 
@@ -132,11 +141,11 @@ impl MlpStats {
     /// no walk queued.
     #[must_use]
     pub fn walker_queue_delay(&self) -> f64 {
-        if self.walker_queued_walks == 0 {
-            0.0
-        } else {
-            self.walker_queue_cycles as f64 / self.walker_queued_walks as f64
-        }
+        ratio(
+            self.walker_queue_cycles as f64,
+            self.walker_queued_walks as f64,
+        )
+        .unwrap_or(0.0)
     }
 }
 
@@ -197,11 +206,7 @@ impl SharedLlcStats {
     /// Mean cycles a bank-conflicted access waited; zero when none did.
     #[must_use]
     pub fn bank_conflict_delay(&self) -> f64 {
-        if self.bank_conflicts == 0 {
-            0.0
-        } else {
-            self.bank_conflict_cycles as f64 / self.bank_conflicts as f64
-        }
+        ratio(self.bank_conflict_cycles as f64, self.bank_conflicts as f64).unwrap_or(0.0)
     }
 }
 
@@ -279,41 +284,32 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Cycles per measured op (lower is better).
+    /// Core time per measured op (lower is better); 0 with no ops.
     #[must_use]
     pub fn cpo(&self) -> f64 {
-        if self.ops == 0 {
-            0.0
-        } else {
-            self.avg_core_cycles * f64::from(self.cores) / self.ops as f64
-        }
+        RowCounters::of(self).cpo(self.cores).unwrap_or(0.0)
     }
 
-    /// Fraction of run time spent on address translation (Fig 5 metric).
+    /// Fraction of run time spent on address translation (Fig 5
+    /// metric); 0 with no core time.
     #[must_use]
     pub fn translation_fraction(&self) -> f64 {
-        let total = self.avg_core_cycles * f64::from(self.cores);
-        if total == 0.0 {
-            0.0
-        } else {
-            self.translation_cycles as f64 / total
-        }
+        RowCounters::of(self)
+            .translation_fraction(self.cores)
+            .unwrap_or(0.0)
     }
 
-    /// Average PTW latency in cycles (Figs 4 and 6a metric).
+    /// Average PTW latency in cycles (Figs 4 and 6a metric); 0 with no
+    /// walks.
     #[must_use]
     pub fn avg_ptw_latency(&self) -> f64 {
-        self.ptw.mean()
+        RowCounters::of(self).ptw_latency().unwrap_or(0.0)
     }
 
-    /// End-to-end TLB miss (walk) rate.
+    /// End-to-end TLB miss (walk) rate; 0 with no TLB accesses.
     #[must_use]
     pub fn tlb_walk_rate(&self) -> f64 {
-        if self.tlb_l1.total() == 0 {
-            0.0
-        } else {
-            self.tlb_l2.misses as f64 / self.tlb_l1.total() as f64
-        }
+        RowCounters::of(self).tlb_walk_rate().unwrap_or(0.0)
     }
 
     /// Average number of memory ops in flight while the cores ran: the
@@ -323,20 +319,13 @@ impl RunReport {
     #[must_use]
     pub fn achieved_mlp(&self) -> f64 {
         let elapsed = self.avg_core_cycles * f64::from(self.cores);
-        if elapsed == 0.0 {
-            0.0
-        } else {
-            self.mlp.inflight_latency_cycles as f64 / elapsed
-        }
+        ratio(self.mlp.inflight_latency_cycles as f64, elapsed).unwrap_or(0.0)
     }
 
     /// Speedup of this run relative to a baseline (Figs 12–14 metric).
     #[must_use]
     pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
-        if self.total_cycles.as_u64() == 0 {
-            return 0.0;
-        }
-        baseline.total_cycles.as_f64() / self.total_cycles.as_f64()
+        ratio(baseline.total_cycles.as_f64(), self.total_cycles.as_f64()).unwrap_or(0.0)
     }
 
     /// Mean latency of a walk in a post-switch cold window (0 when none
@@ -344,11 +333,12 @@ impl RunReport {
     /// translation state after a flush.
     #[must_use]
     pub fn post_switch_walk_cost(&self) -> f64 {
-        if self.sched.post_switch_walks == 0 {
-            0.0
-        } else {
-            self.sched.post_switch_walk_cycles as f64 / self.sched.post_switch_walks as f64
-        }
+        let sched = &self.sched;
+        ratio(
+            sched.post_switch_walk_cycles as f64,
+            sched.post_switch_walks as f64,
+        )
+        .unwrap_or(0.0)
     }
 
     /// PWC hit rate at a level, if that level was exercised.

@@ -27,6 +27,13 @@
 //!   has retired, and `resume` skips points whose config fingerprint is
 //!   already on disk — an interrupted sweep resumed produces a file
 //!   byte-for-byte equal to an uninterrupted run.
+//! * **The row format** — one schema for every stored row. A row's
+//!   counters are a [`RowCounters`], whose key list is the one spelling
+//!   of the counter keys and which defines each derived Fig 4–7 metric
+//!   once ([`RunReport`]'s metric methods delegate to it).
+//!   [`SweepRow::to_jsonl`] writes a row; [`JsonlRow::parse`] reads one
+//!   back, once, for every reader: resume and merge, `serve`, the
+//!   supervisor, `calibrate` and `figures --from-jsonl`.
 //!
 //! Every simulated table of the `figures` binary is a [`SweepSpec`]
 //! grid read back through [`SweepResult::pairs`] and
@@ -36,9 +43,9 @@ use crate::config::{InclusionPolicy, SimConfig, SystemKind};
 use crate::fault::FaultPlan;
 use crate::machine::Machine;
 use crate::parallel::{par_map, par_map_sink};
-use crate::report::RunReport;
+use crate::report::{ratio, RunReport};
 use crate::shard::{self, ShardSpec};
-use ndp_types::stats::geomean;
+use ndp_types::stats::{geomean, HitMiss};
 use ndp_types::Cycles;
 use ndp_workloads::WorkloadId;
 use ndpage::bypass::BypassPolicy;
@@ -1513,48 +1520,197 @@ impl SweepRow {
     /// The value this row's coordinates assign to `knob`, if any.
     #[must_use]
     pub fn coord(&self, knob: &str) -> Option<&str> {
-        self.coords
-            .iter()
-            .find(|(k, _)| k == knob)
-            .map(|(_, v)| v.as_str())
+        coord(&self.coords, knob)
     }
 
-    /// Serializes this row as one JSONL line (no trailing newline):
-    /// grid index, config fingerprint, coordinates, headline counters,
-    /// the calibration counters (everything `calibrate --check` needs to
-    /// derive Fig 4/5/7 metrics — PTW latency, translation fraction,
-    /// walk rate, L1 data/metadata miss rates — from the file alone)
-    /// and the report fingerprint. Resume only re-parses `i`/`cfg`/`fp`,
-    /// so adding fields here never invalidates existing streams.
+    /// Serializes this row as one JSONL line (no trailing newline),
+    /// keys in this order: `i`, `cfg`, `knobs` (the coordinates, as
+    /// strings), the [`RowCounters`] keys, `fp`. Resume needs only `i`,
+    /// `cfg` and `fp`, so adding fields never invalidates old streams.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let r = &self.report;
-        let knobs = self
-            .coords
-            .iter()
-            .map(|(k, v)| (k.clone(), Json::Str(v.clone())));
-        Json::obj([
-            ("i", Json::num(self.index)),
-            ("cfg", Json::num(self.config_fingerprint)),
-            ("knobs", Json::Obj(knobs.collect())),
-            ("cycles", Json::num(r.total_cycles.as_u64())),
-            ("ops", Json::num(r.ops)),
-            ("mem_ops", Json::num(r.mem_ops)),
-            ("translation_cycles", Json::num(r.translation_cycles)),
-            ("os_cycles", Json::num(r.os_cycles)),
-            ("walks", Json::num(r.ptw.count)),
-            ("ptw_cycles", Json::num(r.ptw.sum.as_u64())),
-            ("avg_core_cycles", Json::num(r.avg_core_cycles)),
-            ("tlb_l1_hits", Json::num(r.tlb_l1.hits)),
-            ("tlb_l1_misses", Json::num(r.tlb_l1.misses)),
-            ("tlb_l2_misses", Json::num(r.tlb_l2.misses)),
-            ("l1d_hits", Json::num(r.l1_data.hits)),
-            ("l1d_misses", Json::num(r.l1_data.misses)),
-            ("l1m_hits", Json::num(r.l1_metadata.hits)),
-            ("l1m_misses", Json::num(r.l1_metadata.misses)),
-            ("fp", Json::num(r.fingerprint())),
-        ])
-        .render()
+        let (i, cfg, r) = (self.index as u64, self.config_fingerprint, &self.report);
+        render_row(i, cfg, &self.coords, RowCounters::of(r), r.fingerprint())
+    }
+}
+
+fn coord<'a>(coords: &'a [(String, String)], knob: &str) -> Option<&'a str> {
+    coords
+        .iter()
+        .find(|(k, _)| k == knob)
+        .map(|(_, v)| v.as_str())
+}
+
+/// The keys around a row's counters: grid index, config fingerprint,
+/// coordinates, report fingerprint.
+const FRAME_KEYS: [&str; 4] = ["i", "cfg", "knobs", "fp"];
+
+/// The one row writer ([`SweepRow::to_jsonl`]); [`JsonlRow::parse`]
+/// reads it back.
+fn render_row(index: u64, cfg: u64, coords: &Coords, mut c: RowCounters, fp: u64) -> String {
+    let [index_key, cfg_key, knobs_key, fp_key] = FRAME_KEYS;
+    let knobs = coords
+        .iter()
+        .map(|(k, v)| (k.clone(), Json::Str(v.clone())));
+    let mut fields = vec![
+        (index_key, Json::num(index)),
+        (cfg_key, Json::num(cfg)),
+        (knobs_key, Json::Obj(knobs.collect())),
+    ];
+    fields.extend(c.slots().map(|(key, slot)| match slot {
+        Slot::Count(n) => (key, Json::num(*n)),
+        Slot::Mean(x) => (key, Json::num(*x)),
+    }));
+    fields.push((fp_key, Json::num(fp)));
+    Json::obj(fields).render()
+}
+
+/// The measured-window counters a sweep row carries: everything the
+/// derived Fig 4–7 metrics need, so a stored row needs no simulation
+/// state. Each metric is defined here once, `None` for a zero
+/// denominator; [`RunReport`]'s metric methods delegate to these.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RowCounters {
+    /// Slowest core's measured cycles (the run's wall clock).
+    pub cycles: u64,
+    /// Ops measured, all cores.
+    pub ops: u64,
+    /// Memory ops measured, all cores.
+    pub mem_ops: u64,
+    /// Cycles spent in address translation.
+    pub translation_cycles: u64,
+    /// Cycles spent in OS memory management.
+    pub os_cycles: u64,
+    /// Completed page-table walks.
+    pub walks: u64,
+    /// Cycles spent in those walks.
+    pub ptw_cycles: u64,
+    /// Mean measured cycles across cores.
+    pub avg_core_cycles: f64,
+    /// L1 TLB hits/misses.
+    pub tlb_l1: HitMiss,
+    /// L2 TLB misses (walks started).
+    pub tlb_l2_misses: u64,
+    /// L1 cache hits/misses of normal data.
+    pub l1_data: HitMiss,
+    /// L1 cache hits/misses of metadata (PTEs).
+    pub l1_metadata: HitMiss,
+}
+
+/// Where [`RowCounters::slots`] keeps one counter.
+enum Slot<'a> {
+    Count(&'a mut u64),
+    Mean(&'a mut f64),
+}
+
+impl RowCounters {
+    /// The counters of a finished run.
+    #[must_use]
+    pub fn of(r: &RunReport) -> Self {
+        RowCounters {
+            cycles: r.total_cycles.as_u64(),
+            ops: r.ops,
+            mem_ops: r.mem_ops,
+            translation_cycles: r.translation_cycles,
+            os_cycles: r.os_cycles,
+            walks: r.ptw.count,
+            ptw_cycles: r.ptw.sum.as_u64(),
+            avg_core_cycles: r.avg_core_cycles,
+            tlb_l1: r.tlb_l1,
+            tlb_l2_misses: r.tlb_l2.misses,
+            l1_data: r.l1_data,
+            l1_metadata: r.l1_metadata,
+        }
+    }
+
+    /// Every counter with its row key, in row order: the one spelling
+    /// of the keys, shared by the writer and the parser.
+    fn slots(&mut self) -> [(&'static str, Slot<'_>); 15] {
+        use Slot::{Count, Mean};
+        [
+            ("cycles", Count(&mut self.cycles)),
+            ("ops", Count(&mut self.ops)),
+            ("mem_ops", Count(&mut self.mem_ops)),
+            ("translation_cycles", Count(&mut self.translation_cycles)),
+            ("os_cycles", Count(&mut self.os_cycles)),
+            ("walks", Count(&mut self.walks)),
+            ("ptw_cycles", Count(&mut self.ptw_cycles)),
+            ("avg_core_cycles", Mean(&mut self.avg_core_cycles)),
+            ("tlb_l1_hits", Count(&mut self.tlb_l1.hits)),
+            ("tlb_l1_misses", Count(&mut self.tlb_l1.misses)),
+            ("tlb_l2_misses", Count(&mut self.tlb_l2_misses)),
+            ("l1d_hits", Count(&mut self.l1_data.hits)),
+            ("l1d_misses", Count(&mut self.l1_data.misses)),
+            ("l1m_hits", Count(&mut self.l1_metadata.hits)),
+            ("l1m_misses", Count(&mut self.l1_metadata.misses)),
+        ]
+    }
+
+    /// Reads the counters of a parsed row, each from its number's
+    /// source text (64-bit counters never pass through an `f64`).
+    ///
+    /// # Errors
+    ///
+    /// The key of the first counter that is absent or not a number.
+    fn from_json(row: &Json) -> Result<Self, &'static str> {
+        let mut counters = RowCounters::default();
+        for (key, slot) in counters.slots() {
+            let Some(Json::Num(raw)) = row.get(key) else {
+                return Err(key);
+            };
+            let parsed = match slot {
+                Slot::Count(n) => raw.parse().ok().map(|v| *n = v),
+                Slot::Mean(x) => raw.parse().ok().map(|v| *x = v),
+            };
+            parsed.ok_or(key)?;
+        }
+        Ok(counters)
+    }
+
+    /// Mean page-table-walk latency in cycles (Figs 4 and 6a).
+    #[must_use]
+    pub fn ptw_latency(&self) -> Option<f64> {
+        ratio(self.ptw_cycles as f64, self.walks as f64)
+    }
+
+    /// Share of core time (`avg_core_cycles` × `cores`) spent
+    /// translating (Fig 5).
+    #[must_use]
+    pub fn translation_fraction(&self, cores: u32) -> Option<f64> {
+        let core_time = self.avg_core_cycles * f64::from(cores);
+        ratio(self.translation_cycles as f64, core_time)
+    }
+
+    /// Core time (`avg_core_cycles` × `cores`) per measured op.
+    #[must_use]
+    pub fn cpo(&self, cores: u32) -> Option<f64> {
+        ratio(self.avg_core_cycles * f64::from(cores), self.ops as f64)
+    }
+
+    /// `cycles / ops`: the slowest core's cycles over all cores' ops,
+    /// the stored-row table's `cyc/op`. Unlike [`cpo`](Self::cpo) it
+    /// does not scale with the core count (a quarter of it on 4 cores).
+    #[must_use]
+    pub fn wall_cycles_per_op(&self) -> Option<f64> {
+        ratio(self.cycles as f64, self.ops as f64)
+    }
+
+    /// Walks per L1 TLB access (the end-to-end TLB miss rate).
+    #[must_use]
+    pub fn tlb_walk_rate(&self) -> Option<f64> {
+        ratio(self.tlb_l2_misses as f64, self.tlb_l1.total() as f64)
+    }
+
+    /// L1 data-cache miss rate (Fig 7).
+    #[must_use]
+    pub fn l1_data_miss_rate(&self) -> Option<f64> {
+        (self.l1_data.total() > 0).then(|| self.l1_data.miss_rate())
+    }
+
+    /// L1 metadata-cache miss rate (Fig 7).
+    #[must_use]
+    pub fn l1_metadata_miss_rate(&self) -> Option<f64> {
+        (self.l1_metadata.total() > 0).then(|| self.l1_metadata.miss_rate())
     }
 }
 
@@ -1628,12 +1784,7 @@ impl SweepResult {
     /// order) — exactly the bytes [`run_sweep_jsonl`] writes.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for row in &self.rows {
-            out.push_str(&row.to_jsonl());
-            out.push('\n');
-        }
-        out
+        self.rows.iter().map(|r| r.to_jsonl() + "\n").collect()
     }
 }
 
@@ -1674,19 +1825,64 @@ pub fn run_sweep(spec: &SweepSpec) -> Result<SweepResult, SpecError> {
 // Incremental JSONL output + resume.
 // ---------------------------------------------------------------------------
 
-/// One row parsed back from a JSONL sweep file (resume bookkeeping —
-/// the full report is not deserialized; `line` preserves the original
-/// bytes).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One stored sweep row, parsed once for every reader: resume and
+/// merge, `serve`, the supervisor, `calibrate` and `figures
+/// --from-jsonl`.
+#[derive(Debug, Clone, PartialEq)]
 pub struct JsonlRow {
     /// Grid index recorded in the row.
     pub index: u64,
+    /// The row's coordinates (empty when it has no `knobs`).
+    pub coords: Coords,
     /// Config fingerprint recorded in the row (the resume key).
     pub config_fingerprint: u64,
     /// Report fingerprint recorded in the row.
     pub report_fingerprint: u64,
+    /// The row's counters, or the key of the first one it lacks: rows
+    /// written before the counters existed carry only `i`, `cfg` and
+    /// `fp`, and resume still reuses them.
+    pub counters: Result<RowCounters, &'static str>,
     /// The row's original line, verbatim (no newline).
     pub line: String,
+}
+
+impl JsonlRow {
+    /// Parses one row line (the inverse of [`SweepRow::to_jsonl`]).
+    ///
+    /// # Errors
+    ///
+    /// Malformed JSON, or names the missing index or fingerprint.
+    pub fn parse(line: &str) -> Result<JsonlRow, String> {
+        let row = parse_json(line)?;
+        let [index_key, cfg_key, knobs_key, fp_key] = FRAME_KEYS;
+        let num = |key: &str| match row.get(key) {
+            Some(Json::Num(raw)) => raw
+                .parse()
+                .map_err(|_| format!("row key {key:?} is not a u64")),
+            _ => Err(format!("row has no number {key:?}")),
+        };
+        let coords = match row.get(knobs_key) {
+            Some(Json::Obj(pairs)) => pairs
+                .iter()
+                .map(|(k, v)| (k.clone(), v.scalar().unwrap_or_default()))
+                .collect(),
+            _ => Vec::new(),
+        };
+        Ok(JsonlRow {
+            index: num(index_key)?,
+            coords,
+            config_fingerprint: num(cfg_key)?,
+            report_fingerprint: num(fp_key)?,
+            counters: RowCounters::from_json(&row),
+            line: line.to_string(),
+        })
+    }
+
+    /// The value this row's coordinates assign to `knob`, if any.
+    #[must_use]
+    pub fn coord(&self, knob: &str) -> Option<&str> {
+        coord(&self.coords, knob)
+    }
 }
 
 /// Parses a JSONL sweep file, skipping malformed lines (a truncated
@@ -1694,11 +1890,13 @@ pub struct JsonlRow {
 /// its grid point re-runs).
 #[must_use]
 pub fn parse_jsonl(text: &str) -> Vec<JsonlRow> {
-    text.lines().filter_map(parse_jsonl_line).collect()
+    text.lines()
+        .filter_map(|l| JsonlRow::parse(l).ok())
+        .collect()
 }
 
 /// Result of strictly ingesting a JSONL sweep stream for resume/merge.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JsonlIngest {
     /// Every valid, newline-terminated row, in file order, with the
     /// byte offset just past its newline (truncating the file there
@@ -1757,7 +1955,7 @@ pub fn ingest_lines<T>(
 /// Corruption before the final line, with `source` and the 1-based
 /// line number in the message.
 pub fn ingest_jsonl(text: &str, source: &str) -> Result<JsonlIngest, SpecError> {
-    let (rows, torn) = ingest_lines(text, parse_jsonl_line).map_err(|lineno| {
+    let (rows, torn) = ingest_lines(text, |l| JsonlRow::parse(l).ok()).map_err(|lineno| {
         SpecError::new(format!(
             "{source}: corrupt JSONL row at line {lineno} (mid-file — \
              not a torn tail; refusing to resume over it)"
@@ -1775,20 +1973,6 @@ pub fn ingest_jsonl(text: &str, source: &str) -> Result<JsonlIngest, SpecError> 
         )],
     };
     Ok(JsonlIngest { rows, warnings })
-}
-
-fn parse_jsonl_line(line: &str) -> Option<JsonlRow> {
-    let row = parse_json(line).ok()?;
-    let num = |key: &str| match row.get(key)? {
-        Json::Num(raw) => raw.parse().ok(),
-        _ => None,
-    };
-    Some(JsonlRow {
-        index: num("i")?,
-        config_fingerprint: num("cfg")?,
-        report_fingerprint: num("fp")?,
-        line: line.to_string(),
-    })
 }
 
 /// Loads resume rows from `sources` in order (later sources win) into
@@ -2006,13 +2190,14 @@ fn stream_rows(
         move |k: usize, report: &RunReport| {
             let (p, ref coords, cfg_fp) = missing_rows[k];
             sink.flush_cached_until(p);
-            let row = SweepRow {
-                index: emit[p],
-                coords: coords.clone(),
-                config_fingerprint: cfg_fp,
-                report: report.clone(),
-            };
-            sink.put(&row.to_jsonl());
+            let (index, fp) = (emit[p] as u64, report.fingerprint());
+            sink.put(&render_row(
+                index,
+                cfg_fp,
+                coords,
+                RowCounters::of(report),
+                fp,
+            ));
             let _ = sink.w.flush();
         }
     });
@@ -2248,6 +2433,7 @@ pub fn merge_sweep_jsonl(spec: &SweepSpec, path: &Path) -> Result<MergeSummary, 
 mod tests {
     use super::*;
     use crate::config::SystemKind;
+    use proptest::prelude::*;
 
     fn base() -> SimConfig {
         SimConfig::quick(SystemKind::Ndp, 2, Mechanism::Radix, WorkloadId::Rnd)
@@ -2484,6 +2670,101 @@ mod tests {
         // A truncated final line is dropped, not mis-parsed.
         let truncated = &text[..text.len() - 10];
         assert_eq!(parse_jsonl(truncated).len(), 1);
+    }
+
+    #[test]
+    fn stored_row_metrics_match_the_report_bit_for_bit() {
+        let spec = SweepSpec::new(base().with_ops(200, 500))
+            .axis("cores", &[1usize, 2, 4])
+            .axis("mechanism", &["radix", "ndpage", "ideal"]);
+        let result = run_sweep(&spec).unwrap();
+        let stored = parse_jsonl(&result.to_jsonl());
+        assert_eq!(stored.len(), 9);
+        for (row, parsed) in result.rows.iter().zip(&stored) {
+            let (r, c) = (&row.report, parsed.counters.unwrap());
+            let cores: u32 = parsed.coord("cores").unwrap().parse().unwrap();
+            let bits = |v: Option<f64>| v.unwrap_or(0.0).to_bits();
+            assert_eq!(bits(c.ptw_latency()), r.avg_ptw_latency().to_bits());
+            assert_eq!(
+                bits(c.translation_fraction(cores)),
+                r.translation_fraction().to_bits()
+            );
+            assert_eq!(bits(c.cpo(cores)), r.cpo().to_bits());
+            assert_eq!(bits(c.tlb_walk_rate()), r.tlb_walk_rate().to_bits());
+            assert_eq!(bits(c.l1_data_miss_rate()), r.l1_data.miss_rate().to_bits());
+            assert_eq!(
+                bits(c.l1_metadata_miss_rate()),
+                r.l1_metadata.miss_rate().to_bits()
+            );
+        }
+    }
+
+    /// Counters from raw draws: `avg_core_cycles` is a mean over cores,
+    /// as the simulator computes it, of a total small enough (< 2^40)
+    /// that the mean keeps a fractional part.
+    fn counters_from(n: &[u64], cores: u64) -> RowCounters {
+        RowCounters {
+            cycles: n[0],
+            ops: n[1],
+            mem_ops: n[2],
+            translation_cycles: n[3],
+            os_cycles: n[4],
+            walks: n[5],
+            ptw_cycles: n[6],
+            avg_core_cycles: (n[7] >> 24) as f64 / cores as f64,
+            tlb_l1: HitMiss {
+                hits: n[8],
+                misses: n[9],
+            },
+            tlb_l2_misses: n[10],
+            l1_data: HitMiss {
+                hits: n[11],
+                misses: n[12],
+            },
+            l1_metadata: HitMiss {
+                hits: n[13],
+                misses: n[14],
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Writing a row and parsing it back gives the same frame and
+        /// counters, and writing the parsed row gives the same bytes.
+        #[test]
+        fn rows_round_trip_through_write_and_parse(
+            n in prop::collection::vec(any::<u64>(), 15..16),
+            cores in 1u64..64,
+            frame in (
+                any::<u64>(),
+                any::<u64>(),
+                any::<u64>(),
+            ),
+            knob in prop::sample::select(vec!["", "a\"b", "é 😀", "\u{1}\n"]),
+        ) {
+            let (index, cfg, fp) = frame;
+            let counters = counters_from(&n, cores);
+            let coords = vec![("mechanism".to_string(), knob.to_string())];
+            let line = render_row(index, cfg, &coords, counters, fp);
+            let row = JsonlRow::parse(&line).unwrap();
+            prop_assert_eq!(&row.counters, &Ok(counters));
+            prop_assert_eq!(
+                (row.index, row.config_fingerprint, row.report_fingerprint),
+                (index, cfg, fp)
+            );
+            prop_assert_eq!(&row.coords, &coords);
+            prop_assert_eq!(&row.line, &line);
+            let again = render_row(
+                row.index,
+                row.config_fingerprint,
+                &row.coords,
+                row.counters.unwrap(),
+                row.report_fingerprint,
+            );
+            prop_assert_eq!(again, line);
+        }
     }
 
     #[test]
