@@ -209,6 +209,8 @@ impl MshrFile {
 mod tests {
     use super::*;
     use ndp_types::PhysAddr;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn line(addr: u64) -> LineAddr {
         LineAddr::of(PhysAddr::new(addr))
@@ -324,6 +326,155 @@ mod tests {
             assert_eq!(m.stats().coalesced, reference.stats().coalesced);
             if got == MshrLookup::Free {
                 m.allocate(l, t, t + Cycles::new(20 + x % 60));
+            }
+        }
+    }
+
+    /// The scan-everything MSHR file the production one must reproduce:
+    /// every query walks the whole record list, `Full` sorts the live
+    /// completions, and eviction takes the first record with the minimum
+    /// completion time.
+    #[derive(Debug, Clone)]
+    struct ScanOracle {
+        lines: Vec<LineAddr>,
+        dones: Vec<Cycles>,
+        capacity: usize,
+        stats: MshrStats,
+    }
+
+    impl ScanOracle {
+        fn new(capacity: usize) -> Self {
+            ScanOracle {
+                lines: Vec::new(),
+                dones: Vec::new(),
+                capacity,
+                stats: MshrStats::default(),
+            }
+        }
+
+        fn in_flight(&self, now: Cycles) -> usize {
+            self.dones.iter().filter(|&&done| done > now).count()
+        }
+
+        fn fill_in_flight(&mut self, line: LineAddr, now: Cycles) -> Option<Cycles> {
+            let done = self
+                .lines
+                .iter()
+                .zip(&self.dones)
+                .find(|&(&l, &done)| l == line && done > now)
+                .map(|(_, &done)| done);
+            if done.is_some() {
+                self.stats.coalesced += 1;
+            }
+            done
+        }
+
+        fn probe(&mut self, line: LineAddr, now: Cycles) -> MshrLookup {
+            if let Some(done) = self.fill_in_flight(line, now) {
+                return MshrLookup::Coalesced(done);
+            }
+            let mut live: Vec<Cycles> = self
+                .dones
+                .iter()
+                .filter(|&&done| done > now)
+                .copied()
+                .collect();
+            if live.len() < self.capacity {
+                return MshrLookup::Free;
+            }
+            live.sort_unstable();
+            let free_at = live[live.len() - self.capacity];
+            self.stats.full_stalls += 1;
+            self.stats.full_stall_cycles += (free_at - now).as_u64();
+            MshrLookup::Full(free_at)
+        }
+
+        fn allocate(&mut self, line: LineAddr, done: Cycles) {
+            self.stats.allocated += 1;
+            self.lines.push(line);
+            self.dones.push(done);
+            if self.dones.len() > self.capacity + HISTORY_SLACK {
+                let min = *self.dones.iter().min().expect("non-empty list");
+                let oldest = self.dones.iter().position(|&d| d == min).unwrap();
+                self.lines.swap_remove(oldest);
+                self.dones.swap_remove(oldest);
+            }
+        }
+    }
+
+    /// Replays one stream of queries through an `MshrFile` and the scan
+    /// oracle and compares every outcome, the statistics and the record
+    /// order after each step. Each step is `(kind, line, jitter, dur)`:
+    /// its timestamp is a steadily advancing clock plus `jitter`, so
+    /// queries arrive out of timestamp order, as a windowed core issues
+    /// them. Probes allocate the fill they ask for (at the `Full` wait's
+    /// end if the file is full), so the history overflows its cap.
+    fn mshr_matches_oracle(
+        capacity: usize,
+        stream: &[(u8, u64, u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let mut fast = MshrFile::new(capacity);
+        let mut oracle = ScanOracle::new(capacity);
+        for (i, &(kind, l, jitter, dur)) in stream.iter().enumerate() {
+            let l = line(l * 64);
+            let t = Cycles::new(i as u64 * 6 + jitter);
+            match kind {
+                0 => {
+                    let got = fast.probe(l, t);
+                    prop_assert_eq!(got, oracle.probe(l, t), "probe {}", i);
+                    let sent = match got {
+                        MshrLookup::Coalesced(_) => None,
+                        MshrLookup::Free => Some(t),
+                        MshrLookup::Full(at) => Some(at),
+                    };
+                    if let Some(sent) = sent {
+                        fast.allocate(l, sent, sent + Cycles::new(dur));
+                        oracle.allocate(l, sent + Cycles::new(dur));
+                    }
+                }
+                1 => prop_assert_eq!(
+                    fast.fill_in_flight(l, t),
+                    oracle.fill_in_flight(l, t),
+                    "fill_in_flight {}",
+                    i
+                ),
+                2 if oracle.in_flight(t) < capacity => {
+                    fast.allocate(l, t, t + Cycles::new(dur));
+                    oracle.allocate(l, t + Cycles::new(dur));
+                }
+                _ => prop_assert_eq!(fast.in_flight(t), oracle.in_flight(t), "in_flight {}", i),
+            }
+            prop_assert_eq!(
+                format!("{:?}", fast.stats()),
+                format!("{:?}", oracle.stats),
+                "stats after step {}",
+                i
+            );
+            prop_assert_eq!(&fast.lines, &oracle.lines, "record lines after step {}", i);
+            prop_assert_eq!(&fast.dones, &oracle.dones, "record times after step {}", i);
+        }
+        prop_assert_eq!(oracle.dones.len(), capacity + HISTORY_SLACK);
+        Ok(())
+    }
+
+    /// Durations mixing zero (a record never live) with short and long
+    /// fills, so completion times tie and interleave.
+    fn fill_time() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), 1u64..30, 30u64..400]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Long out-of-order streams of probes, merges, allocations and
+        /// occupancy queries answer exactly as the scan oracle does, for
+        /// files of 1, 2, 8 and 16 registers whose history overflows.
+        #[test]
+        fn mshr_file_matches_scan_oracle(
+            stream in vec((0u8..4, 0u64..48, 0u64..300, fill_time()), 800..1_200),
+        ) {
+            for capacity in [1, 2, 8, 16] {
+                mshr_matches_oracle(capacity, &stream)?;
             }
         }
     }
