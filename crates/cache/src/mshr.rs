@@ -15,6 +15,7 @@
 //! any interleaving the simulator produces.
 
 use ndp_types::{Cycles, LineAddr};
+use std::collections::VecDeque;
 
 /// Outcome of probing the MSHR file for a missing line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,14 +59,23 @@ const HISTORY_SLACK: usize = 64;
 /// backing list additionally retains up to [`HISTORY_SLACK`] expired
 /// records so that probes processed later but timestamped earlier still
 /// observe fills that were in flight at their instant.
+///
+/// Queries cost what the live frontier costs, not the retained history:
+/// an ascending index of the completion times answers occupancy from its
+/// tail (live fills are the suffix above `now`), the `Full` wait by
+/// position and the eviction minimum from its front. The record arrays
+/// keep their insertion order, because a merge reports the first live
+/// record of its line in that order; a branch-free equality pass over
+/// `lines` decides whether that exact scan is needed at all.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    /// Record lines, parallel to `dones` (struct-of-arrays: the live-fill
-    /// and occupancy scans each touch only the array they test, and both
-    /// stay small — ≤ capacity + [`HISTORY_SLACK`] — and branch-light).
+    /// Record lines, parallel to `dones` (struct-of-arrays: the
+    /// equality pass touches only this array).
     lines: Vec<LineAddr>,
     /// Fill-completion time of each record, parallel to `lines`.
     dones: Vec<Cycles>,
+    /// The same completion times as `dones`, sorted ascending.
+    by_done: VecDeque<Cycles>,
     capacity: usize,
     stats: MshrStats,
 }
@@ -84,6 +94,7 @@ impl MshrFile {
         MshrFile {
             lines: Vec::with_capacity(capacity),
             dones: Vec::with_capacity(capacity),
+            by_done: VecDeque::with_capacity(capacity),
             capacity,
             stats: MshrStats::default(),
         }
@@ -101,10 +112,28 @@ impl MshrFile {
         &self.stats
     }
 
-    /// Registers still occupied at `now` (fills not yet complete).
+    /// Registers still occupied at `now` (fills not yet complete): the
+    /// suffix of the completion index above `now`, counted from the back.
     #[must_use]
     pub fn in_flight(&self, now: Cycles) -> usize {
-        self.dones.iter().filter(|&&done| done > now).count()
+        self.by_done
+            .iter()
+            .rev()
+            .take_while(|&&done| done > now)
+            .count()
+    }
+
+    /// The first live record of `line` at `now`, in record order. The
+    /// exact scan runs only when some record holds `line` at all.
+    fn live_record(&self, line: LineAddr, now: Cycles) -> Option<Cycles> {
+        if !self.lines.iter().fold(false, |any, &l| any | (l == line)) {
+            return None;
+        }
+        self.lines
+            .iter()
+            .zip(&self.dones)
+            .find(|&(&l, &done)| l == line && done > now)
+            .map(|(_, &done)| done)
     }
 
     /// The completion time of an in-flight fill covering `line`, if one
@@ -115,12 +144,7 @@ impl MshrFile {
     /// so a later access that "hits" the line must still wait for the
     /// in-flight data if the fill has not landed yet.
     pub fn fill_in_flight(&mut self, line: LineAddr, now: Cycles) -> Option<Cycles> {
-        let done = self
-            .lines
-            .iter()
-            .zip(&self.dones)
-            .find(|&(&l, &done)| l == line && done > now)
-            .map(|(_, &done)| done);
+        let done = self.live_record(line, now);
         if done.is_some() {
             self.stats.coalesced += 1;
         }
@@ -132,35 +156,20 @@ impl MshrFile {
     /// result does **not** reserve anything — the caller re-issues the
     /// fetch at the returned time and allocates then.
     pub fn probe(&mut self, line: LineAddr, now: Cycles) -> MshrLookup {
-        // One pass does both scans: the first live record of `line` is a
-        // merge (as in `fill_in_flight`); otherwise it counts live fills.
-        let mut live = 0;
-        for (&l, &done) in self.lines.iter().zip(&self.dones) {
-            if done > now {
-                if l == line {
-                    self.stats.coalesced += 1;
-                    return MshrLookup::Coalesced(done);
-                }
-                live += 1;
-            }
+        if let Some(done) = self.fill_in_flight(line, now) {
+            return MshrLookup::Coalesced(done);
         }
-        if live < self.capacity() {
+        if self.in_flight(now) < self.capacity {
             return MshrLookup::Free;
         }
         // The file frees up once enough live fills land that the count
         // drops below capacity. Probes are processed in issue order but
         // timestamped out of order, so more than `capacity` fills can be
         // live at this probe's instant — the wait must cover all the
-        // excess, not just the earliest completion. (Expired history
-        // records are skipped; their times are in the past.)
-        let mut live: Vec<Cycles> = self
-            .dones
-            .iter()
-            .filter(|&&done| done > now)
-            .copied()
-            .collect();
-        live.sort_unstable();
-        let free_at = live[live.len() - self.capacity];
+        // excess, not just the earliest completion. The live fills are
+        // the index's suffix above `now`, so the `capacity`-th latest of
+        // them is the `capacity`-th latest completion overall.
+        let free_at = self.by_done[self.by_done.len() - self.capacity];
         self.stats.full_stalls += 1;
         self.stats.full_stall_cycles += (free_at - now).as_u64();
         MshrLookup::Full(free_at)
@@ -173,15 +182,18 @@ impl MshrFile {
     /// Records are never overwritten in place — an expired register's
     /// *record* may still be needed by a probe that is processed later
     /// but timestamped earlier (see [`HISTORY_SLACK`]); instead the
-    /// oldest-completing record is evicted once the history is full.
+    /// oldest-completing record (the first in record order, on ties) is
+    /// evicted once the history is full.
     pub fn allocate(&mut self, line: LineAddr, now: Cycles, done: Cycles) {
         debug_assert!(self.in_flight(now) < self.capacity, "no free register");
         self.stats.allocated += 1;
         self.lines.push(line);
         self.dones.push(done);
+        // New fills complete late, so their place is near the tail.
+        let at = self.by_done.len() - self.by_done.iter().rev().take_while(|&&d| d > done).count();
+        self.by_done.insert(at, done);
         if self.dones.len() > self.capacity + HISTORY_SLACK {
-            // The first record with the minimum completion time.
-            let min = *self.dones.iter().min().expect("non-empty list");
+            let min = self.by_done.pop_front().expect("non-empty index");
             let oldest = self
                 .dones
                 .iter()
@@ -196,6 +208,7 @@ impl MshrFile {
     pub fn reset(&mut self) {
         self.lines.clear();
         self.dones.clear();
+        self.by_done.clear();
         self.stats = MshrStats::default();
     }
 

@@ -21,9 +21,11 @@
 //! **reservation list** of its most recent bookings: a request takes the
 //! earliest gap that fits after its arrival (FR-FCFS-with-lookahead), so
 //! overlapped requests contend by their actual timestamps regardless of
-//! processing order. The gap search starts from a binary search, so the
-//! past intervals that fill every list cost O(log n), not a scan. Blocking
-//! configurations keep the legacy scalar path bit for bit.
+//! processing order. Live bookings sit at each list's tail, so the gap
+//! search and the booking find their place by galloping back from the
+//! tail: a request near the frontier costs O(log d) for the d intervals
+//! it lands behind, not a search over the past intervals that fill every
+//! list. Blocking configurations keep the legacy scalar path bit for bit.
 
 use ndp_types::stats::LatencyStat;
 use ndp_types::{Cycles, PhysAddr, RwKind};
@@ -33,7 +35,7 @@ use std::collections::VecDeque;
 /// expires a booking, so every busy list fills with past intervals and
 /// stays at this cap; only the most recent few (about `cores ×
 /// mlp_window ÷ banks`) can still meet a new request, and the gap search
-/// skips the rest by binary search. They are not pruned: which interval
+/// reaches them from the tail without touching the rest. They are not pruned: which interval
 /// the cap evicts next depends on them, so pruning would move results.
 /// 256 covers every realistic live population (e.g. 8 cores × 64-deep
 /// windows against a 24-bank vault) with slack. Beyond that the oldest
@@ -187,24 +189,57 @@ struct Reservations {
     channels: Vec<Slots>,
 }
 
+/// The number of leading intervals of `slots[..end]` whose start
+/// satisfies `before`, which must hold on a prefix (the partition point).
+///
+/// Live bookings sit at the list's tail and everything ahead of them is
+/// past, so the search gallops backward from `end` (1, 2, 4, … intervals)
+/// until it passes the partition, then binary-searches that bracket: a
+/// request near the frontier touches a few intervals at the tail instead
+/// of the whole list.
+fn partition_from_back(slots: &Slots, end: usize, before: impl Fn(Cycles) -> bool) -> usize {
+    // Every interval in `hi..end` fails `before`.
+    let mut hi = end;
+    let mut step = 1;
+    let mut lo = 0;
+    while hi > 0 {
+        let probe = hi.saturating_sub(step);
+        if before(slots[probe].0) {
+            lo = probe + 1;
+            break;
+        }
+        hi = probe;
+        step *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(slots[mid].0) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// The earliest start ≥ `arrival` of a `dur`-long gap in `slots`
 /// (read-only; see [`book`]).
 ///
 /// The scan starts at the first interval that can matter, found by
-/// binary search; the skipped prefix ends before `arrival` and so could
-/// neither stop the scan nor raise the candidate. Starts are sorted, so
-/// the intervals starting before `arrival` form a prefix. Positive-length
-/// intervals are disjoint and no zero-length one lies strictly inside
-/// one, so of that prefix only intervals sharing its last start can reach
-/// `arrival`; everything before them ends earlier. (Ends alone are not
-/// sorted: a zero-length interval booked at an existing start sorts
-/// after the longer one.)
+/// searching back from the tail; the skipped prefix ends before
+/// `arrival` and so could neither stop the scan nor raise the candidate.
+/// Starts are sorted, so the intervals starting before `arrival` form a
+/// prefix. Positive-length intervals are disjoint and no zero-length one
+/// lies strictly inside one, so of that prefix only intervals sharing
+/// its last start can reach `arrival`; everything before them ends
+/// earlier. (Ends alone are not sorted: a zero-length interval booked at
+/// an existing start sorts after the longer one.)
 fn gap_at_or_after(slots: &Slots, arrival: Cycles, dur: Cycles) -> Cycles {
-    let before = slots.partition_point(|&(start, _)| start < arrival);
+    let before = partition_from_back(slots, slots.len(), |start| start < arrival);
     let first = match before.checked_sub(1) {
         Some(last) => {
             let last_start = slots[last].0;
-            slots.partition_point(|&(start, _)| start < last_start)
+            partition_from_back(slots, last, |start| start < last_start)
         }
         None => 0,
     };
@@ -222,7 +257,7 @@ fn gap_at_or_after(slots: &Slots, arrival: Cycles, dur: Cycles) -> Cycles {
 /// at or before `start`, keeping them sorted; the oldest reservation falls
 /// off once the list exceeds [`MAX_BANK_RESERVATIONS`].
 fn book(slots: &mut Slots, start: Cycles, dur: Cycles) {
-    let idx = slots.partition_point(|&(s, _)| s <= start);
+    let idx = partition_from_back(slots, slots.len(), |s| s <= start);
     slots.insert(idx, (start, start + dur));
     if slots.len() > MAX_BANK_RESERVATIONS {
         slots.pop_front();
@@ -647,7 +682,7 @@ mod tests {
         assert!(start >= slots.back().unwrap().1);
     }
 
-    /// The linear-scan gap search the binary-search one must reproduce.
+    /// The linear-scan gap search the tail search must reproduce.
     fn linear_gap_at_or_after(slots: &Slots, arrival: Cycles, dur: Cycles) -> Cycles {
         let mut candidate = arrival;
         for &(start, end) in slots {
@@ -659,7 +694,7 @@ mod tests {
         candidate
     }
 
-    /// The linear-scan booking the binary-search one must reproduce.
+    /// The linear-scan booking the tail search must reproduce.
     fn linear_book(slots: &mut Slots, start: Cycles, dur: Cycles) {
         let idx = slots
             .iter()
