@@ -200,7 +200,7 @@ fn run_sweep_cmd(args: &Args) {
         for row in &result.rows {
             let coords: Vec<String> = row.coords.iter().map(|(k, v)| format!("{k}={v}")).collect();
             println!(
-                "  [{:>3}] {}  cycles {}  cyc/op {:.1}",
+                "  [{:>3}] {}  cycles {}  cpo {:.1}",
                 row.index,
                 coords.join(", "),
                 row.report.total_cycles.as_u64(),

@@ -282,6 +282,28 @@ fn sweep_set_overrides_reach_the_grid() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Without `--out` the sweep prints each point's `RunReport::cpo` under
+/// the label `cpo`; `cyc/op` names the stored-row tables' `cycles / ops`,
+/// a different figure, and must not appear here.
+#[test]
+fn sweep_without_out_labels_cpo() {
+    let path = tmp("cpo_label", "json");
+    std::fs::write(&path, TINY_SPEC).unwrap();
+    let out = ndpsim()
+        .args(["sweep", "--spec", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let points: Vec<&str> = stdout.lines().filter(|l| l.contains("cycles ")).collect();
+    assert_eq!(points.len(), 2, "{stdout}");
+    for line in points {
+        assert!(line.contains("  cpo "), "{line}");
+    }
+    assert!(!stdout.contains("cyc/op"), "{stdout}");
+}
+
 #[test]
 fn sweep_jsonl_is_jobs_invariant_and_resumable() {
     let spec_path = tmp("run", "json");

@@ -462,7 +462,7 @@ impl fmt::Display for RunReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{} | {} | {} x{}: {} cycles ({:.1} cyc/op)",
+            "{} | {} | {} x{}: {} cycles ({:.1} cpo)",
             self.workload,
             self.mechanism,
             self.system,
