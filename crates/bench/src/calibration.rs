@@ -272,9 +272,12 @@ type Point<'a> = (Group<'a>, &'a RowCounters);
 /// Names a missing calibration coordinate (`workload` included) or
 /// counter; rows without counters get a hint to re-run the sweep.
 fn point(row: &JsonlRow) -> Result<Point<'_>, String> {
+    const HINT: &str = "(pre-calibration JSONL format? re-run the sweep to regenerate it)";
     let s = |key: &str| {
-        row.coord(key)
-            .ok_or_else(|| format!("row is missing coordinate {key:?}"))
+        row.coord(key).ok_or_else(|| match row.counters {
+            Ok(_) => format!("row is missing coordinate {key:?}"),
+            Err(_) => format!("row is missing coordinate {key:?} {HINT}"),
+        })
     };
     let cores_raw = s("cores")?;
     let cores: u32 = cores_raw
@@ -282,12 +285,10 @@ fn point(row: &JsonlRow) -> Result<Point<'_>, String> {
         .map_err(|_| format!("coordinate \"cores\"={cores_raw:?} is not an integer"))?;
     s("workload")?;
     let group = (s("system")?, cores, s("mechanism")?);
-    let counters = row.counters.as_ref().map_err(|key| {
-        format!(
-            "row is missing counter {key:?} (pre-calibration JSONL format? \
-             re-run the sweep to regenerate it)"
-        )
-    })?;
+    let counters = row
+        .counters
+        .as_ref()
+        .map_err(|key| format!("row is missing counter {key:?} {HINT}"))?;
     Ok((group, counters))
 }
 
@@ -700,6 +701,15 @@ mod tests {
                     \"mem_ops\":4,\"translation_cycles\":500,\"os_cycles\":0,\"walks\":10,\"fp\":1}";
         let err = parse_rows(line).unwrap_err();
         assert!(err.contains("ptw_cycles"), "{err}");
+        assert!(err.contains("re-run"), "{err}");
+    }
+
+    #[test]
+    fn frame_only_rows_are_rejected_with_hint() {
+        // The oldest rows resume still accepts: no coordinates and no
+        // counters.
+        let err = parse_rows("{\"i\":0,\"cfg\":1,\"fp\":1}").unwrap_err();
+        assert!(err.contains("coordinate \"cores\""), "{err}");
         assert!(err.contains("re-run"), "{err}");
     }
 
