@@ -1,12 +1,12 @@
 //! Criterion microbenches for the three hot probe loops the epoch-batched
 //! kernel leans on: the TLB set scan, the PWC probe/fill cycle, and the
-//! MSHR live-fill scan. Each loop is a branch-light linear pass over a
+//! MSHR live-fill scan, plus an MSHR file in its windowed steady state. Each loop is a branch-light linear pass over a
 //! struct-of-arrays layout; these benches pin their per-probe cost so a
 //! layout regression shows up as a ns/iter jump rather than only as noise
 //! in an end-to-end `simbench` run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ndp_cache::mshr::MshrFile;
+use ndp_cache::mshr::{MshrFile, MshrLookup, HISTORY_SLACK};
 use ndp_mmu::pwc::PwcSet;
 use ndp_mmu::tlb::TlbHierarchy;
 use ndp_types::{Asid, Cycles, LineAddr, PageSize, Pfn, PhysAddr, PtLevel, Vpn};
@@ -94,9 +94,52 @@ fn bench_mshr_live_scan(c: &mut Criterion) {
     group.finish();
 }
 
+/// The steady state of a windowed core's miss path: 8 registers whose
+/// history sits at its cap (8 + [`HISTORY_SLACK`] records, so every
+/// allocation evicts one), probed by a 16-deep issue window, so some
+/// probes find the file `Full` and some merge into an in-flight fill.
+/// One iteration is one probe plus the allocation it asks for.
+fn bench_mshr_steady_state(c: &mut Criterion) {
+    let mut group = c.benchmark_group("probe_loops");
+    group.bench_function("mshr_steady_probe_allocate", |b| {
+        let mut mshr = MshrFile::new(8);
+        let mut window = [Cycles::ZERO; 16];
+        let mut now = Cycles::ZERO;
+        let mut k = 0u64;
+        let mut step = move || {
+            k += 1;
+            let slot = (k % window.len() as u64) as usize;
+            now = (now + Cycles::new(3)).max(window[slot]);
+            let line = LineAddr::of(PhysAddr::new(
+                ((k.wrapping_mul(0x9E37_79B9) >> 7) % 48) << 6,
+            ));
+            let send = match mshr.probe(line, now) {
+                MshrLookup::Coalesced(done) => {
+                    window[slot] = done;
+                    return *mshr.stats();
+                }
+                MshrLookup::Free => now,
+                MshrLookup::Full(free_at) => free_at,
+            };
+            let done = send + Cycles::new(120 + k % 64);
+            mshr.allocate(line, send, done);
+            window[slot] = done;
+            *mshr.stats()
+        };
+        let mut stats = step();
+        for _ in 0..4 * (8 + HISTORY_SLACK) {
+            stats = step();
+        }
+        assert!(stats.full_stalls > 0 && stats.coalesced > 0, "{stats:?}");
+        b.iter(|| black_box(step()));
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default();
     targets = bench_tlb_set_scan, bench_pwc_probe_fill, bench_mshr_live_scan,
+        bench_mshr_steady_state,
 }
 criterion_main!(benches);

@@ -51,7 +51,7 @@ pub struct MshrStats {
 /// than the previously processed op's), so a record must survive until
 /// no earlier-timestamped probe can still need it — one full issue
 /// window (≤ 64 ops) bounds that distance.
-const HISTORY_SLACK: usize = 64;
+pub const HISTORY_SLACK: usize = 64;
 
 /// A fixed-capacity file of in-flight line fills.
 ///
