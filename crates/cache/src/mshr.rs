@@ -123,19 +123,6 @@ impl MshrFile {
             .count()
     }
 
-    /// The first live record of `line` at `now`, in record order. The
-    /// exact scan runs only when some record holds `line` at all.
-    fn live_record(&self, line: LineAddr, now: Cycles) -> Option<Cycles> {
-        if !self.lines.iter().fold(false, |any, &l| any | (l == line)) {
-            return None;
-        }
-        self.lines
-            .iter()
-            .zip(&self.dones)
-            .find(|&(&l, &done)| l == line && done > now)
-            .map(|(_, &done)| done)
-    }
-
     /// The completion time of an in-flight fill covering `line`, if one
     /// exists at `now`. A `Some` is a **merge** — the caller's access
     /// piggybacks on that fill — and is counted as coalesced. Used both
@@ -144,7 +131,17 @@ impl MshrFile {
     /// so a later access that "hits" the line must still wait for the
     /// in-flight data if the fill has not landed yet.
     pub fn fill_in_flight(&mut self, line: LineAddr, now: Cycles) -> Option<Cycles> {
-        let done = self.live_record(line, now);
+        // The merge is the first live record of `line` in record order;
+        // the exact scan runs only when some record holds `line` at all.
+        if !self.lines.iter().fold(false, |any, &l| any | (l == line)) {
+            return None;
+        }
+        let done = self
+            .lines
+            .iter()
+            .zip(&self.dones)
+            .find(|&(&l, &done)| l == line && done > now)
+            .map(|(_, &done)| done);
         if done.is_some() {
             self.stats.coalesced += 1;
         }

@@ -35,8 +35,9 @@ use std::collections::VecDeque;
 /// expires a booking, so every busy list fills with past intervals and
 /// stays at this cap; only the most recent few (about `cores ×
 /// mlp_window ÷ banks`) can still meet a new request, and the gap search
-/// reaches them from the tail without touching the rest. They are not pruned: which interval
-/// the cap evicts next depends on them, so pruning would move results.
+/// reaches them from the tail without touching the rest. The rest are not
+/// pruned: which interval the cap evicts next depends on them, so pruning
+/// would move results.
 /// 256 covers every realistic live population (e.g. 8 cores × 64-deep
 /// windows against a 24-bank vault) with slack. Beyond that the oldest
 /// interval falls off and its span can be double-booked — a bounded
