@@ -610,6 +610,246 @@ mod tests {
         assert_eq!(CacheConfig::l3(1).latency, Cycles::new(35));
     }
 
+    /// The division-decoded line array with its one-pass fill, kept as
+    /// the oracle for the production decode and victim choice: a fill
+    /// refreshes a resident line, else takes the first invalid way, else
+    /// the first way with the oldest stamp; a LIP metadata fill stamps one
+    /// below the oldest live stamp.
+    struct DivOracle {
+        config: CacheConfig,
+        sets: usize,
+        lines: Vec<Line>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl DivOracle {
+        fn new(config: CacheConfig) -> Self {
+            let sets = config.sets();
+            DivOracle {
+                lines: vec![Line::default(); sets * config.ways as usize],
+                config,
+                sets,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
+            let line_addr = addr.as_u64() / self.config.line_bytes;
+            (
+                (line_addr as usize) % self.sets,
+                line_addr / self.sets as u64,
+            )
+        }
+
+        fn resident(&mut self, addr: PhysAddr) -> Option<&mut Line> {
+            let (set, tag) = self.set_and_tag(addr);
+            let ways = self.config.ways as usize;
+            self.lines[set * ways..(set + 1) * ways]
+                .iter_mut()
+                .find(|l| l.valid && l.tag == tag)
+        }
+
+        fn access(&mut self, addr: PhysAddr, rw: RwKind, class: AccessClass) -> bool {
+            self.tick += 1;
+            let tick = self.tick;
+            let lip = self.config.metadata_lru_insert;
+            let hit = match self.resident(addr) {
+                Some(line) => {
+                    if !(lip && line.class.is_metadata()) {
+                        line.stamp = tick;
+                    }
+                    line.dirty |= rw.is_write();
+                    true
+                }
+                None => false,
+            };
+            match class {
+                AccessClass::Data => self.stats.data.record(hit),
+                AccessClass::Metadata => self.stats.metadata.record(hit),
+            }
+            hit
+        }
+
+        fn fill(
+            &mut self,
+            addr: PhysAddr,
+            class: AccessClass,
+            asid: Asid,
+            dirty: bool,
+        ) -> Option<Victim> {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set_and_tag(addr);
+            let ways = self.config.ways as usize;
+            let lip = self.config.metadata_lru_insert && class.is_metadata();
+            let lines = &mut self.lines[set * ways..(set + 1) * ways];
+            let mut invalid = None;
+            let (mut lru, mut oldest) = (0, None::<u64>);
+            for (way, line) in lines.iter_mut().enumerate() {
+                if !line.valid {
+                    invalid = invalid.or(Some(way));
+                } else if line.tag == tag {
+                    line.stamp = tick;
+                    line.dirty |= dirty;
+                    line.class = class;
+                    line.asid = asid;
+                    return None;
+                } else if oldest.is_none_or(|s| line.stamp < s) {
+                    (lru, oldest) = (way, Some(line.stamp));
+                }
+            }
+            let stamp = if lip {
+                oldest.unwrap_or(tick).saturating_sub(1)
+            } else {
+                tick
+            };
+            let victim = &mut lines[invalid.unwrap_or(lru)];
+            let evicted = victim.valid.then(|| Victim {
+                addr: PhysAddr::new(
+                    (victim.tag * self.sets as u64 + set as u64) * self.config.line_bytes,
+                ),
+                class: victim.class,
+                dirty: victim.dirty,
+            });
+            *victim = Line {
+                tag,
+                stamp,
+                valid: true,
+                dirty,
+                class,
+                asid,
+            };
+            if let Some(v) = evicted {
+                if v.class == AccessClass::Data && class.is_metadata() {
+                    self.stats.data_evicted_by_metadata += 1;
+                }
+                if v.dirty {
+                    self.stats.writebacks += 1;
+                }
+            }
+            evicted
+        }
+
+        fn mark_dirty(&mut self, addr: PhysAddr) -> bool {
+            self.resident(addr).map(|l| l.dirty = true).is_some()
+        }
+
+        fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
+            let line = self.resident(addr)?;
+            let dirty = line.dirty;
+            *line = Line::default();
+            Some(dirty)
+        }
+    }
+
+    /// Every field of a line, for whole-array comparisons.
+    fn line_state(l: &Line) -> (u64, u64, bool, bool, AccessClass, Asid) {
+        (l.tag, l.stamp, l.valid, l.dirty, l.class, l.asid)
+    }
+
+    /// Replays `stream` through a cache of `ways` ways over 4 sets and
+    /// through the oracle, comparing every hit, victim and residency
+    /// answer, and the line array and statistics after every step. Each
+    /// step is `(kind, line, asid, bits)`: bit 0 of `bits` makes the
+    /// step metadata, bit 1 is the fill's dirtiness or the access's store
+    /// bit.
+    fn cache_matches_oracle(
+        ways: u32,
+        lip: bool,
+        stream: &[(u8, u64, u16, u8)],
+    ) -> Result<(), proptest::TestCaseError> {
+        let config = CacheConfig {
+            name: "prop",
+            size_bytes: 4 * u64::from(ways) * 64,
+            ways,
+            line_bytes: 64,
+            latency: Cycles::new(1),
+            metadata_lru_insert: lip,
+        };
+        let mut cache = SetAssocCache::new(config.clone());
+        let mut oracle = DivOracle::new(config);
+        for (i, &(kind, line, asid, bits)) in stream.iter().enumerate() {
+            let (meta, flag) = (bits & 1 == 1, bits & 2 == 2);
+            let addr = PhysAddr::new(line * 64 + (line % 64));
+            let class = if meta {
+                AccessClass::Metadata
+            } else {
+                AccessClass::Data
+            };
+            let rw = if flag { RwKind::Write } else { RwKind::Read };
+            match kind {
+                0..=3 => proptest::prop_assert_eq!(
+                    cache.fill(addr, class, Asid(asid), flag),
+                    oracle.fill(addr, class, Asid(asid), flag),
+                    "fill {}",
+                    i
+                ),
+                4..=6 => proptest::prop_assert_eq!(
+                    cache.access(addr, rw, class),
+                    oracle.access(addr, rw, class),
+                    "access {}",
+                    i
+                ),
+                7 => proptest::prop_assert_eq!(
+                    cache.mark_dirty(addr),
+                    oracle.mark_dirty(addr),
+                    "mark_dirty {}",
+                    i
+                ),
+                _ => proptest::prop_assert_eq!(
+                    cache.invalidate(addr),
+                    oracle.invalidate(addr),
+                    "invalidate {}",
+                    i
+                ),
+            }
+            proptest::prop_assert_eq!(cache.probe(addr), oracle.resident(addr).is_some());
+            proptest::prop_assert_eq!(cache.tick, oracle.tick);
+            let lines: Vec<_> = cache.lines.iter().map(line_state).collect();
+            let expect: Vec<_> = oracle.lines.iter().map(line_state).collect();
+            proptest::prop_assert_eq!(lines, expect, "lines after step {}", i);
+            proptest::prop_assert_eq!(
+                format!("{:?}", cache.stats()),
+                format!("{:?}", oracle.stats),
+                "stats after step {}",
+                i
+            );
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random fill, access, mark-dirty and invalidate streams over 1,
+        /// 2, 8 and 16 ways, with and without LIP metadata fills, give
+        /// the division-decoded one-pass oracle's hits, victims, stamps
+        /// and statistics. A line pool of five sets' worth per set keeps
+        /// every set evicting; LIP fills into sets with invalid ways or
+        /// stamp-0 lines tie at stamp 0, and repeated lines refill
+        /// resident ones.
+        #[test]
+        fn fill_matches_division_oracle(
+            stream in proptest::collection::vec(
+                (0u8..9, 0u64..80, 0u16..3, 0u8..4),
+                1..600,
+            ),
+        ) {
+            for ways in [1, 2, 8, 16] {
+                for lip in [false, true] {
+                    let pool = 4 * 5 * u64::from(ways);
+                    let scaled: Vec<_> = stream
+                        .iter()
+                        .map(|&(k, l, a, b)| (k, l * pool / 80, a, b))
+                        .collect();
+                    cache_matches_oracle(ways, lip, &scaled)?;
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {

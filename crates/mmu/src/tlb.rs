@@ -648,6 +648,141 @@ mod tests {
         }
     }
 
+    /// The one-pass fill kept as the oracle for the production victim
+    /// choice: a resident tag is refreshed in place, else the first way
+    /// with the smallest stamp (invalidated ways scan as stamp 0) is
+    /// replaced. Lookups and flushes are the production ones' copies.
+    struct ScanTlb {
+        sets: usize,
+        ways: usize,
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        pfns: Vec<Pfn>,
+        tick: u64,
+        stats: HitMiss,
+    }
+
+    impl ScanTlb {
+        fn new(config: TlbConfig) -> Self {
+            let (sets, ways) = (config.sets(), config.ways as usize);
+            ScanTlb {
+                sets,
+                ways,
+                tags: vec![INVALID_TAG; sets * ways],
+                stamps: vec![0; sets * ways],
+                pfns: vec![Pfn::new(0); sets * ways],
+                tick: 0,
+                stats: HitMiss::default(),
+            }
+        }
+
+        fn ways_of(&self, key: u64) -> std::ops::Range<usize> {
+            let base = ((key as usize >> 1) % self.sets) * self.ways;
+            base..base + self.ways
+        }
+
+        fn probe_key(&mut self, asid: Asid, key: u64) -> Option<Pfn> {
+            let tag = key | asid.tag_bits();
+            let w = self.ways_of(key).find(|&w| self.tags[w] == tag)?;
+            self.stamps[w] = self.tick;
+            Some(self.pfns[w])
+        }
+
+        fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<TlbHit> {
+            self.tick += 1;
+            let hit = self
+                .probe_key(asid, Tlb::key_for(vpn, PageSize::Size4K))
+                .map(|pfn| TlbHit {
+                    pfn,
+                    size: PageSize::Size4K,
+                })
+                .or_else(|| {
+                    self.probe_key(asid, Tlb::key_for(vpn, PageSize::Size2M))
+                        .map(|base| TlbHit {
+                            pfn: base.add(vpn.l1_index() as u64),
+                            size: PageSize::Size2M,
+                        })
+                });
+            self.stats.record(hit.is_some());
+            hit
+        }
+
+        fn fill(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn, size: PageSize) {
+            self.tick += 1;
+            let key = Tlb::key_for(vpn, size);
+            let tag = key | asid.tag_bits();
+            let (mut victim, mut victim_stamp) = (0, u64::MAX);
+            for w in self.ways_of(key) {
+                if self.tags[w] == tag {
+                    self.stamps[w] = self.tick;
+                    self.pfns[w] = pfn;
+                    return;
+                }
+                if self.stamps[w] < victim_stamp {
+                    (victim, victim_stamp) = (w, self.stamps[w]);
+                }
+            }
+            self.tags[victim] = tag;
+            self.stamps[victim] = self.tick;
+            self.pfns[victim] = pfn;
+        }
+
+        fn flush(&mut self, asid: Option<Asid>) -> u64 {
+            let mut dropped = 0;
+            for w in 0..self.tags.len() {
+                let tag = self.tags[w];
+                if tag != INVALID_TAG && asid.is_none_or(|a| tag & ASID_MASK == a.tag_bits()) {
+                    self.tags[w] = INVALID_TAG;
+                    self.stamps[w] = 0;
+                    dropped += 1;
+                }
+            }
+            dropped
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random fill (both sizes), lookup and shootdown streams over 1,
+        /// 2, 8 and 16 ways give the one-pass scan's hits, victims,
+        /// stamps, frames and statistics. Early shootdowns leave stamp-0
+        /// ways beside live ones, and repeated pages refill resident
+        /// entries.
+        #[test]
+        fn fill_matches_scan_oracle(
+            ops in proptest::collection::vec((0u8..16, 0u16..3, 0u64..1024), 1..500),
+        ) {
+            for ways in [1u32, 2, 8, 16] {
+                let config = TlbConfig { name: "prop", entries: 4 * ways, ways, latency: Cycles::new(1) };
+                let mut t = Tlb::new(config);
+                let mut oracle = ScanTlb::new(config);
+                for (i, &(op, asid_raw, vpn_raw)) in ops.iter().enumerate() {
+                    let (asid, vpn) = (Asid(asid_raw), Vpn::new(vpn_raw * 8 * u64::from(ways) / 64));
+                    match op {
+                        0..=5 => {
+                            t.fill(asid, vpn, Pfn::new(vpn_raw + 7), PageSize::Size4K);
+                            oracle.fill(asid, vpn, Pfn::new(vpn_raw + 7), PageSize::Size4K);
+                        }
+                        6..=7 => {
+                            let base = Pfn::new(vpn_raw << 9);
+                            t.fill(asid, vpn, base, PageSize::Size2M);
+                            oracle.fill(asid, vpn, base, PageSize::Size2M);
+                        }
+                        8..=13 => proptest::prop_assert_eq!(t.lookup(asid, vpn), oracle.lookup(asid, vpn), "lookup {}", i),
+                        14 => proptest::prop_assert_eq!(t.flush_asid(asid), oracle.flush(Some(asid))),
+                        _ => proptest::prop_assert_eq!(t.flush_all(), oracle.flush(None)),
+                    }
+                    proptest::prop_assert_eq!(&t.tags, &oracle.tags, "tags after step {}", i);
+                    proptest::prop_assert_eq!(&t.stamps, &oracle.stamps, "stamps after step {}", i);
+                    proptest::prop_assert_eq!(&t.pfns, &oracle.pfns, "frames after step {}", i);
+                    proptest::prop_assert_eq!(t.tick, oracle.tick);
+                    proptest::prop_assert_eq!(*t.stats(), oracle.stats);
+                }
+            }
+        }
+    }
+
     #[test]
     fn table1_geometries() {
         assert_eq!(TlbConfig::l1_dtlb().sets(), 16);

@@ -377,6 +377,7 @@ impl PageTableWalker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pwc::PWC_ENTRIES;
     use ndp_types::Asid;
     use ndpage::alloc::FrameAllocator;
     use ndpage::table::PageTable;
@@ -504,6 +505,210 @@ mod tests {
     #[should_panic(expected = "walker count")]
     fn zero_walkers_rejected() {
         let _ = PageTableWalker::with_pwcs().with_walkers(0);
+    }
+
+    /// One PWC level of the oracle: tags with LRU stamps, the victim the
+    /// first minimum stamp.
+    #[derive(Default)]
+    struct StampedLevel {
+        tags: Vec<u64>,
+        stamps: Vec<u64>,
+        tick: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    /// Today's planner, kept as the oracle for the production one: every
+    /// step of every group probes its level's PWC (created on first use)
+    /// and installs the tag on a miss; missed steps become the round's
+    /// fetches, and empty rounds vanish.
+    struct OraclePlanner {
+        levels: Vec<Option<StampedLevel>>,
+        enabled: bool,
+        capacity: usize,
+        walks: u64,
+        fetches: u64,
+        skips: u64,
+    }
+
+    impl OraclePlanner {
+        fn new(enabled: bool, capacity: usize) -> Self {
+            OraclePlanner {
+                levels: (0..PtLevel::PWC_SLOTS).map(|_| None).collect(),
+                enabled,
+                capacity,
+                walks: 0,
+                fetches: 0,
+                skips: 0,
+            }
+        }
+
+        fn probe_fill(&mut self, level: PtLevel, asid: Asid, vpn: Vpn) -> bool {
+            if !self.enabled {
+                return false;
+            }
+            let capacity = self.capacity;
+            let pwc = self.levels[level.pwc_slot()].get_or_insert_with(StampedLevel::default);
+            let tag = crate::pwc::Pwc::tag_for(level, vpn) | asid.tag_bits();
+            pwc.tick += 1;
+            if let Some(i) = pwc.tags.iter().position(|&t| t == tag) {
+                pwc.stamps[i] = pwc.tick;
+                pwc.hits += 1;
+                return true;
+            }
+            pwc.misses += 1;
+            if pwc.tags.len() < capacity {
+                pwc.tags.push(tag);
+                pwc.stamps.push(pwc.tick);
+            } else {
+                let min = *pwc.stamps.iter().min().expect("full level");
+                let victim = pwc.stamps.iter().position(|&s| s == min).expect("min");
+                pwc.tags[victim] = tag;
+                pwc.stamps[victim] = pwc.tick;
+            }
+            false
+        }
+
+        /// The walk's fetch addresses, its per-round fetch counts and its
+        /// PWC skips.
+        fn plan(
+            &mut self,
+            asid: Asid,
+            vpn: Vpn,
+            path: &WalkPath,
+        ) -> (Vec<PhysAddr>, Vec<usize>, u32) {
+            self.walks += 1;
+            let (mut addrs, mut rounds, mut skips) = (Vec::new(), Vec::new(), 0);
+            for group in path.groups() {
+                let before = addrs.len();
+                for step in group {
+                    if self.probe_fill(step.level, asid, vpn) {
+                        skips += 1;
+                    } else {
+                        addrs.push(step.addr);
+                    }
+                }
+                if addrs.len() > before {
+                    rounds.push(addrs.len() - before);
+                }
+            }
+            self.fetches += addrs.len() as u64;
+            self.skips += u64::from(skips);
+            (addrs, rounds, skips)
+        }
+
+        /// `(level, hits, misses)` of every touched level, in level order.
+        fn level_stats(&self) -> Vec<(PtLevel, u64, u64)> {
+            (0..PtLevel::PWC_SLOTS)
+                .filter_map(|slot| {
+                    let pwc = self.levels[slot].as_ref()?;
+                    Some((PtLevel::from_pwc_slot(slot), pwc.hits, pwc.misses))
+                })
+                .collect()
+        }
+    }
+
+    /// A production plan as the oracle reports one.
+    fn observed(
+        w: &mut PageTableWalker,
+        asid: Asid,
+        vpn: Vpn,
+        path: &WalkPath,
+    ) -> (Vec<PhysAddr>, Vec<usize>, u32) {
+        let plan = w.plan(asid, vpn, path);
+        let addrs = plan
+            .rounds
+            .iter()
+            .flat_map(|r| r.iter().map(|f| f.addr))
+            .collect();
+        let rounds = plan.rounds.iter().map(|r| r.len()).collect();
+        (addrs, rounds, plan.pwc_skips)
+    }
+
+    /// A walk of one of the built-in shapes: radix (PL4..PL1), NDPage
+    /// (PL4, PL3, PL2/PL1), a 2 MB radix walk (PL4..PL2) or `ways`
+    /// parallel hash probes, at addresses drawn from `seed`.
+    fn shaped_path(shape: u8, ways: usize, seed: u64) -> WalkPath {
+        use ndpage::walk::WalkStep;
+        let levels: Vec<PtLevel> = match shape {
+            0 => vec![PtLevel::L4, PtLevel::L3, PtLevel::L2, PtLevel::L1],
+            1 => vec![PtLevel::L4, PtLevel::L3, PtLevel::FlatL2L1],
+            2 => vec![PtLevel::L4, PtLevel::L3, PtLevel::L2],
+            _ => (0..ways).map(|w| PtLevel::HashWay(w as u8)).collect(),
+        };
+        let hashed = shape > 2;
+        WalkPath::new(
+            levels
+                .into_iter()
+                .enumerate()
+                .map(|(i, level)| WalkStep {
+                    addr: PhysAddr::new((seed.wrapping_mul(0x9E37_79B9) + i as u64 * 4096) & !7),
+                    level,
+                    group: if hashed { 0 } else { i as u8 },
+                })
+                .collect(),
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random walks of every shape, over warm and cold PWCs of 1, 2, 8
+        /// and 64 entries and with PWCs off, plan the oracle's fetch
+        /// addresses, round counts and skips, and leave the same walker
+        /// and per-level PWC statistics; untagged flushes and statistics
+        /// resets interleave.
+        #[test]
+        fn plans_match_the_oracle(
+            ops in proptest::collection::vec((0u8..20, 0u16..3, 0u64..96, 1usize..PtLevel::MAX_HASH_WAYS + 1), 1..400),
+        ) {
+            for (enabled, capacity) in [(true, 1), (true, 2), (true, 8), (true, PWC_ENTRIES), (false, PWC_ENTRIES)] {
+                let mut w = if enabled {
+                    PageTableWalker::with_pwc_capacity(capacity)
+                } else {
+                    PageTableWalker::without_pwcs()
+                };
+                let mut oracle = OraclePlanner::new(enabled, capacity);
+                for (i, &(op, asid_raw, raw, ways)) in ops.iter().enumerate() {
+                    let asid = Asid(asid_raw);
+                    // VPNs sharing upper prefixes, so PL4/PL3 stay warm
+                    // while the lower levels churn.
+                    let vpn = Vpn::new(((raw % 4) << 27) | ((raw % 12) << 18) | (raw << 9) | (raw % 5));
+                    match op {
+                        0..=17 => {
+                            let path = shaped_path(op % 4, ways, raw);
+                            proptest::prop_assert_eq!(
+                                observed(&mut w, asid, vpn, &path),
+                                oracle.plan(asid, vpn, &path),
+                                "walk {}",
+                                i
+                            );
+                        }
+                        18 => {
+                            w.planner.flush_all();
+                            for pwc in oracle.levels.iter_mut().flatten() {
+                                pwc.tags.clear();
+                                pwc.stamps.clear();
+                            }
+                        }
+                        _ => {
+                            w.planner.clear_stats();
+                            (oracle.walks, oracle.fetches, oracle.skips) = (0, 0, 0);
+                            for pwc in oracle.levels.iter_mut().flatten() {
+                                (pwc.hits, pwc.misses) = (0, 0);
+                            }
+                        }
+                    }
+                    let stats = w.stats();
+                    proptest::prop_assert_eq!(
+                        (stats.walks, stats.fetches, stats.pwc_skips),
+                        (oracle.walks, oracle.fetches, oracle.skips)
+                    );
+                    let levels: Vec<_> = w.pwcs().stats().map(|(l, s)| (l, s.hits, s.misses)).collect();
+                    proptest::prop_assert_eq!(levels, oracle.level_stats(), "PWC statistics after step {}", i);
+                }
+            }
+        }
     }
 
     #[test]
