@@ -5,6 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndp_cache::hierarchy::CacheHierarchy;
+use ndp_cache::set_assoc::{CacheConfig, SetAssocCache};
 use ndp_cache::shared::{InclusionPolicy, SharedCache, SharedConfig};
 use ndp_mem::controller::MemoryController;
 use ndp_mem::dram::DramConfig;
@@ -34,6 +35,34 @@ fn bench_cache(c: &mut Criterion) {
             });
         });
     }
+    // A lone L1D filled with lines it never holds (a 16 MiB sweep), so
+    // every fill evicts; every fourth fill is a LIP metadata fill.
+    group.bench_function("fill_l1d", |b| {
+        let mut l1 = SetAssocCache::new(CacheConfig::l1d());
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let class = if i.is_multiple_of(4) {
+                AccessClass::Metadata
+            } else {
+                AccessClass::Data
+            };
+            let addr = PhysAddr::new((i * 64) & 0xFF_FFC0);
+            black_box(l1.fill(addr, class, Asid::ZERO, i.is_multiple_of(8)))
+        });
+    });
+    // The CPU hierarchy's full miss path: a 64 MiB line sweep misses
+    // L1, L2 and the 2 MB L3, then fills all three.
+    group.bench_function("lookup_fill_cpu3", |b| {
+        let mut caches = CacheHierarchy::cpu(1);
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let addr = PhysAddr::new((i * 64) & 0x3FF_FFC0);
+            black_box(caches.lookup(addr, RwKind::Read, AccessClass::Data));
+            black_box(caches.fill(addr, AccessClass::Data, false))
+        });
+    });
     group.finish();
 }
 

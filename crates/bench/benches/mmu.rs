@@ -1,14 +1,17 @@
 //! Criterion microbenches for the MMU: TLB lookups/fills, PWC probes and
-//! full walk planning (backs the §V-C PWC analysis).
+//! full walk planning for Radix, NDPage and ECH (backs the §V-C PWC
+//! analysis).
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkGroup, Criterion};
 use ndp_mmu::pwc::PwcSet;
 use ndp_mmu::tlb::TlbHierarchy;
 use ndp_mmu::walker::PageTableWalker;
 use ndp_types::{Asid, PageSize, Pfn, PtLevel, Vpn};
 use ndpage::alloc::FrameAllocator;
+use ndpage::cuckoo::ElasticCuckooTable;
 use ndpage::table::PageTable;
-use ndpage::tree::{Tree, RADIX};
+use ndpage::tree::{Tree, NDPAGE, RADIX};
+use ndpage::walk::WalkPath;
 
 fn bench_tlb(c: &mut Criterion) {
     let mut group = c.benchmark_group("tlb");
@@ -52,27 +55,66 @@ fn bench_pwc(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_walker(c: &mut Criterion) {
-    let mut alloc = FrameAllocator::new(4 << 30);
-    let mut table = Tree::new(&RADIX, &mut alloc);
-    let vpns: Vec<Vpn> = (0..10_000u64).map(|i| Vpn::new(i * 613)).collect();
-    for &vpn in &vpns {
-        table.map(vpn, &mut alloc);
+/// `vpns` mapped in a fresh `table`, with each one's walk path.
+fn walks<T: PageTable>(
+    mut table: T,
+    alloc: &mut FrameAllocator,
+    vpns: &[Vpn],
+) -> Vec<(Vpn, WalkPath)> {
+    for &vpn in vpns {
+        table.map(vpn, alloc);
     }
-    let paths: Vec<_> = vpns
-        .iter()
-        .map(|&v| table.walk_path(v).expect("mapped"))
-        .collect();
+    vpns.iter()
+        .map(|&v| (v, table.walk_path(v).expect("mapped")))
+        .collect()
+}
 
-    let mut group = c.benchmark_group("walker");
-    group.bench_function("plan_radix_walks", |b| {
-        let mut walker = PageTableWalker::with_pwcs();
+/// Plans `walks` round-robin through `walker`, one walk per iteration.
+fn bench_plans(
+    group: &mut BenchmarkGroup<'_>,
+    name: &str,
+    mut walker: PageTableWalker,
+    walks: &[(Vpn, WalkPath)],
+) {
+    group.bench_function(name, |b| {
         let mut i = 0usize;
         b.iter(|| {
-            i = (i + 1) % vpns.len();
-            black_box(walker.plan(Asid::ZERO, vpns[i], &paths[i]))
+            i = (i + 1) % walks.len();
+            let (vpn, path) = &walks[i];
+            black_box(walker.plan(Asid::ZERO, *vpn, path))
         });
     });
+}
+
+/// Walk planning over 10,000 pages spread across many 2 MB regions:
+/// Radix and NDPage through their PWCs, ECH's parallel way probes
+/// without them.
+fn bench_walker(c: &mut Criterion) {
+    let mut alloc = FrameAllocator::new(4 << 30);
+    let vpns: Vec<Vpn> = (0..10_000u64).map(|i| Vpn::new(i * 613)).collect();
+    let radix = walks(Tree::new(&RADIX, &mut alloc), &mut alloc, &vpns);
+    let ndpage = walks(Tree::new(&NDPAGE, &mut alloc), &mut alloc, &vpns);
+    let ech = walks(ElasticCuckooTable::new(&mut alloc), &mut alloc, &vpns);
+
+    let mut group = c.benchmark_group("walker");
+    bench_plans(
+        &mut group,
+        "plan_radix_walks",
+        PageTableWalker::with_pwcs(),
+        &radix,
+    );
+    bench_plans(
+        &mut group,
+        "plan_ndpage",
+        PageTableWalker::with_pwcs(),
+        &ndpage,
+    );
+    bench_plans(
+        &mut group,
+        "plan_ech_no_pwc",
+        PageTableWalker::without_pwcs(),
+        &ech,
+    );
     group.finish();
 }
 
