@@ -332,8 +332,8 @@ fn sweeps(scale: Scale) {
     print_table(
         &[
             "window",
-            "Radix cyc/op",
-            "NDPage cyc/op",
+            "Radix cpo",
+            "NDPage cpo",
             "Radix MLP",
             "Radix walker wait",
             "NDPage walker wait",
