@@ -75,10 +75,16 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly or is not a power of
-    /// two sets.
+    /// Panics if the geometry does not divide evenly, or if the line size
+    /// or the set count is not a power of two (the line array decodes
+    /// both by shifts).
     #[must_use]
     pub fn sets(&self) -> usize {
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "line size must be a power of two (got {})",
+            self.line_bytes
+        );
         let lines = self.size_bytes / self.line_bytes;
         let sets = lines / u64::from(self.ways);
         assert!(sets > 0, "cache too small for its associativity");
@@ -848,6 +854,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "line size must be a power of two")]
+    fn non_power_of_two_line_size_rejected() {
+        let _ = SetAssocCache::new(CacheConfig {
+            name: "bad",
+            size_bytes: 4 * 96,
+            ways: 1,
+            line_bytes: 96,
+            latency: Cycles::new(1),
+            metadata_lru_insert: false,
+        });
     }
 
     #[test]
