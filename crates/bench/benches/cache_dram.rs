@@ -35,7 +35,7 @@ fn bench_cache(c: &mut Criterion) {
             });
         });
     }
-    // A lone L1D filled with lines it never holds (a 16 MiB sweep), so
+    // A lone L1D filled from a scattered 16 MiB line stream, so nearly
     // every fill evicts; every fourth fill is a LIP metadata fill.
     group.bench_function("fill_l1d", |b| {
         let mut l1 = SetAssocCache::new(CacheConfig::l1d());
@@ -47,18 +47,18 @@ fn bench_cache(c: &mut Criterion) {
             } else {
                 AccessClass::Data
             };
-            let addr = PhysAddr::new((i * 64) & 0xFF_FFC0);
+            let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0xFF_FFC0);
             black_box(l1.fill(addr, class, Asid::ZERO, i.is_multiple_of(8)))
         });
     });
-    // The CPU hierarchy's full miss path: a 64 MiB line sweep misses
-    // L1, L2 and the 2 MB L3, then fills all three.
+    // The CPU hierarchy's full miss path: a scattered 64 MiB line stream
+    // nearly always misses L1, L2 and the 2 MB L3, then fills all three.
     group.bench_function("lookup_fill_cpu3", |b| {
         let mut caches = CacheHierarchy::cpu(1);
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
-            let addr = PhysAddr::new((i * 64) & 0x3FF_FFC0);
+            let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0x3FF_FFC0);
             black_box(caches.lookup(addr, RwKind::Read, AccessClass::Data));
             black_box(caches.fill(addr, AccessClass::Data, false))
         });
@@ -165,7 +165,7 @@ fn bench_contention(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(30);
+    config = Criterion::default().sample_size(1000);
     targets = bench_cache, bench_shared, bench_dram, bench_contention
 }
 criterion_main!(benches);

@@ -120,7 +120,7 @@ fn bench_walker(c: &mut Criterion) {
 
 criterion_group! {
     name = benches;
-    config = Criterion::default().sample_size(30);
+    config = Criterion::default().sample_size(1000);
     targets = bench_tlb, bench_pwc, bench_walker
 }
 criterion_main!(benches);
