@@ -80,11 +80,8 @@ impl CacheConfig {
     /// both by shifts).
     #[must_use]
     pub fn sets(&self) -> usize {
-        assert!(
-            self.line_bytes.is_power_of_two(),
-            "line size must be a power of two (got {})",
-            self.line_bytes
-        );
+        let pow2 = self.line_bytes.is_power_of_two();
+        assert!(pow2, "line size must be a power of two");
         let lines = self.size_bytes / self.line_bytes;
         let sets = lines / u64::from(self.ways);
         assert!(sets > 0, "cache too small for its associativity");
@@ -187,11 +184,14 @@ impl Default for Line {
     }
 }
 
-/// A single set-associative LRU cache level.
+/// A single set-associative LRU cache level. Lines stay array-of-structs
+/// (a struct-of-arrays split measured slower); set and tag decode by the
+/// log2 line size and set count ([`CacheConfig::sets`]).
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: usize,
+    line_shift: u32,
+    set_shift: u32,
     lines: Vec<Line>,
     tick: u64,
     stats: CacheStats,
@@ -208,8 +208,9 @@ impl SetAssocCache {
         let sets = config.sets();
         SetAssocCache {
             lines: vec![Line::default(); sets * config.ways as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
             config,
-            sets,
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -233,11 +234,12 @@ impl SetAssocCache {
         self.set_and_tag(addr).0
     }
 
+    #[inline]
     fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
-        let line_addr = addr.as_u64() / self.config.line_bytes;
+        let line_addr = addr.as_u64() >> self.line_shift;
         (
-            (line_addr as usize) & (self.sets - 1),
-            line_addr / self.sets as u64,
+            (line_addr & ((1 << self.set_shift) - 1)) as usize,
+            line_addr >> self.set_shift,
         )
     }
 
@@ -246,11 +248,23 @@ impl SetAssocCache {
         &mut self.lines[set * ways..(set + 1) * ways]
     }
 
-    fn resident_mut(&mut self, addr: PhysAddr) -> Option<&mut Line> {
+    /// Index of `addr`'s line in `lines`, if resident: a branch-free
+    /// pass over the set (lookups mostly miss).
+    fn resident(&self, addr: PhysAddr) -> Option<usize> {
         let (set, tag) = self.set_and_tag(addr);
-        self.set_mut(set)
-            .iter_mut()
-            .find(|l| l.valid && l.tag == tag)
+        let ways = self.config.ways as usize;
+        let row = set * ways..(set + 1) * ways;
+        let mut found = None;
+        for (i, l) in row.clone().zip(&self.lines[row]) {
+            if l.valid & (l.tag == tag) {
+                found = Some(i);
+            }
+        }
+        found
+    }
+
+    fn resident_mut(&mut self, addr: PhysAddr) -> Option<&mut Line> {
+        self.resident(addr).map(|i| &mut self.lines[i])
     }
 
     /// Looks up `addr`, recording a hit or miss for `class`. On a hit, the
@@ -285,11 +299,7 @@ impl SetAssocCache {
     /// Checks residency without perturbing state or statistics.
     #[must_use]
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        let (set, tag) = self.set_and_tag(addr);
-        let ways = self.config.ways as usize;
-        self.lines[set * ways..(set + 1) * ways]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.resident(addr).is_some()
     }
 
     /// Installs the line for `addr` on behalf of `asid` (after a miss was
@@ -297,9 +307,10 @@ impl SetAssocCache {
     /// and reports the evicted line whether or not it was dirty. The
     /// `writebacks` counter counts only dirty victims.
     ///
-    /// One pass over the set: a resident line is refreshed in place,
-    /// else the first invalid way is taken, else the first way with the
-    /// oldest stamp.
+    /// One pass over the set finds a resident line (refreshed in place)
+    /// and, branch-free, the victim: invalid ways key 0 and live ways key
+    /// stamp + 1, so the first minimum key is the first invalid way, else
+    /// the first way with the oldest stamp.
     pub fn fill(
         &mut self,
         addr: PhysAddr,
@@ -311,36 +322,42 @@ impl SetAssocCache {
         let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
         let lip = self.config.metadata_lru_insert && class.is_metadata();
-        let sets = self.sets as u64;
-        let line_bytes = self.config.line_bytes;
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
         let lines = self.set_mut(set);
-        let mut invalid = None;
-        let (mut lru, mut oldest) = (0, None::<u64>);
-        for (way, line) in lines.iter_mut().enumerate() {
-            if !line.valid {
-                invalid = invalid.or(Some(way));
-            } else if line.tag == tag {
-                // Already resident (e.g. racing fills): just refresh.
-                line.stamp = tick;
-                line.dirty |= dirty;
-                line.class = class;
-                line.asid = asid;
-                return None;
-            } else if oldest.is_none_or(|s| line.stamp < s) {
-                (lru, oldest) = (way, Some(line.stamp));
+        let (mut way, mut key, mut resident) = (0, u64::MAX, None);
+        for (w, line) in lines.iter().enumerate() {
+            if line.valid && line.tag == tag {
+                resident = Some(w);
             }
+            let k = if line.valid { line.stamp + 1 } else { 0 };
+            if k < key {
+                (way, key) = (w, k);
+            }
+        }
+        if let Some(w) = resident {
+            // Already resident (e.g. racing fills): just refresh.
+            let line = &mut lines[w];
+            line.stamp = tick;
+            line.dirty |= dirty;
+            line.class = class;
+            line.asid = asid;
+            return None;
         }
         // LRU-position insertion for metadata: the new line gets a stamp
         // older than everything resident, so it is the set's next victim
-        // unless an access promotes it first.
-        let stamp = if lip {
-            oldest.unwrap_or(tick).saturating_sub(1)
-        } else {
-            tick
+        // unless an access promotes it first. A full set's oldest stamp is
+        // `key - 1`; live stamps never exceed `tick`.
+        let stamp = match (lip, key) {
+            (false, _) => tick,
+            (true, 0) => {
+                let live = lines.iter().filter(|l| l.valid).map(|l| l.stamp);
+                live.min().unwrap_or(tick).saturating_sub(1)
+            }
+            (true, _) => (key - 1).saturating_sub(1),
         };
-        let victim = &mut lines[invalid.unwrap_or(lru)];
+        let victim = &mut lines[way];
         let evicted = victim.valid.then(|| Victim {
-            addr: PhysAddr::new((victim.tag * sets + set as u64) * line_bytes),
+            addr: PhysAddr::new(((victim.tag << set_shift) | set as u64) << line_shift),
             class: victim.class,
             dirty: victim.dirty,
         });

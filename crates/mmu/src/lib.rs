@@ -43,4 +43,4 @@ pub mod walker;
 
 pub use pwc::{Pwc, PwcSet};
 pub use tlb::{Tlb, TlbConfig, TlbHierarchy};
-pub use walker::{PageTableWalker, PteFetch, WalkPlan, WalkPlanner, WalkerSlots};
+pub use walker::{PageTableWalker, WalkPlan, WalkPlanner, WalkRounds, WalkerSlots};

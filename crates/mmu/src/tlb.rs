@@ -169,23 +169,26 @@ impl Tlb {
         }
     }
 
+    /// The ways of `key`'s set.
+    #[inline]
+    fn row(&self, key: u64) -> std::ops::Range<usize> {
+        let (set, ways) = (
+            (key as usize >> 1) & (self.sets - 1),
+            self.config.ways as usize,
+        );
+        set * ways..(set + 1) * ways
+    }
+
     fn probe_key(&mut self, asid: Asid, key: u64) -> Option<(Pfn, PageSize)> {
-        let set = (key as usize >> 1) & (self.sets - 1);
-        let ways = self.config.ways as usize;
-        let tag = key | asid.tag_bits();
-        let base = set * ways;
-        for w in base..base + ways {
-            if self.tags[w] == tag {
-                self.stamps[w] = self.tick;
-                let size = if key & 1 == 1 {
-                    PageSize::Size2M
-                } else {
-                    PageSize::Size4K
-                };
-                return Some((self.pfns[w], size));
-            }
-        }
-        None
+        let (row, tag) = (self.row(key), key | asid.tag_bits());
+        let w = row.start + self.tags[row].iter().position(|&t| t == tag)?;
+        self.stamps[w] = self.tick;
+        let size = if key & 1 == 1 {
+            PageSize::Size2M
+        } else {
+            PageSize::Size4K
+        };
+        Some((self.pfns[w], size))
     }
 
     /// Looks up `vpn` in address space `asid`, probing the 4 KB and then
@@ -216,25 +219,27 @@ impl Tlb {
     pub fn fill(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn, size: PageSize) {
         self.tick += 1;
         let key = Self::key_for(vpn, size);
-        let set = (key as usize >> 1) & (self.sets - 1);
-        let ways = self.config.ways as usize;
         let tag = key | asid.tag_bits();
-        let base = set * ways;
-        // One pass: refresh if present (the size lives in the key, so a
-        // refresh can never change it), else first-minimum-stamp victim —
-        // invalidated ways scan as stamp 0, below every live stamp.
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for w in base..base + ways {
-            if self.tags[w] == tag {
-                self.stamps[w] = self.tick;
-                self.pfns[w] = pfn;
-                return;
+        let row = self.row(key);
+        // One pass: the way holding `tag`, and branch-free the first way
+        // with the smallest stamp (invalidated ways hold stamp 0, below
+        // every live stamp).
+        let (mut victim, mut oldest, mut resident) = (row.start, u64::MAX, None);
+        let ways = self.tags[row.clone()].iter().zip(&self.stamps[row.clone()]);
+        for (w, (&t, &stamp)) in row.zip(ways) {
+            if t == tag {
+                resident = Some(w);
             }
-            if self.stamps[w] < victim_stamp {
-                victim = w;
-                victim_stamp = self.stamps[w];
+            if stamp < oldest {
+                (victim, oldest) = (w, stamp);
             }
+        }
+        // Refresh if present (the size lives in the key, so a refresh can
+        // never change it).
+        if let Some(w) = resident {
+            self.stamps[w] = self.tick;
+            self.pfns[w] = pfn;
+            return;
         }
         self.huge_live -= usize::from(Self::is_huge_tag(self.tags[victim]));
         self.huge_live += usize::from(Self::is_huge_tag(tag));

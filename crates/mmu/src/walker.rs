@@ -1,11 +1,11 @@
 //! The hardware page-table walker.
 //!
 //! Given a [`WalkPath`] from a page-table design, the walker consults the
-//! per-level PWCs and produces a [`WalkPlan`]: the rounds of PTE fetches
-//! that must actually reach the memory system (steps whose PWC hit are
-//! skipped). The simulator executes the plan against the cache/DRAM timing
-//! model; keeping the walker free of timing concerns lets the same logic
-//! serve every mechanism and every system configuration.
+//! per-level PWCs and plans the rounds of PTE fetches that must actually
+//! reach the memory system (steps whose PWC hit are skipped). The
+//! simulator executes the plan against the cache/DRAM timing model;
+//! keeping the walker free of timing concerns lets the same logic serve
+//! every mechanism and every system configuration.
 //!
 //! The walker is two halves: a [`WalkPlanner`] (the PWC bank and the plan,
 //! purely functional) and [`WalkerSlots`] (the hardware walkers' busy
@@ -13,46 +13,40 @@
 //! that runs translation ahead of timing owns them on different threads.
 
 use crate::pwc::PwcSet;
-use ndp_types::{Asid, Cycles, InlineVec, PhysAddr, PtLevel, Vpn};
-use ndpage::walk::WalkPath;
+use ndp_types::{Asid, Cycles, InlineVec, PhysAddr, Vpn};
+use ndpage::walk::{WalkPath, MAX_WALK_STEPS};
 
 /// Most hardware walkers a core can be configured with.
 pub const MAX_WALKERS: usize = 8;
 
-/// One PTE fetch of a walk plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PteFetch {
-    /// Physical address of the PTE.
-    pub addr: PhysAddr,
-    /// Page-table level being read.
-    pub level: PtLevel,
-}
-
-impl Default for PteFetch {
-    fn default() -> Self {
-        PteFetch {
-            addr: PhysAddr::new(0),
-            level: PtLevel::L4,
-        }
-    }
-}
-
-/// One parallel round of PTE fetches (at most the hash-way bound wide).
-pub type WalkRound = InlineVec<PteFetch, { PtLevel::MAX_HASH_WAYS }>;
-
 /// Most sequential rounds any walk needs (a full 4-level radix walk).
 pub const MAX_WALK_ROUNDS: usize = 4;
 
-/// The memory work of one page-table walk, as parallel rounds to issue in
-/// order. Rounds whose every step PWC-hit are absent entirely.
-///
-/// Plans are built and discarded once per TLB miss, so rounds are stored
-/// inline ([`InlineVec`]) — the seed's nested `Vec`s cost several heap
-/// round-trips on that path.
+/// The PTE fetches per dependent memory round of one planned walk, in
+/// issue order; rounds whose every step PWC-hit are absent. The fetch
+/// addresses go to the caller ([`WalkPlanner::plan_into`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct WalkRounds {
+    len: u8,
+    fetches: [u8; MAX_WALK_ROUNDS],
+}
+
+impl WalkRounds {
+    /// PTE fetches per round (overlapping within a round).
+    #[must_use]
+    pub fn as_slice(&self) -> &[u8] {
+        &self.fetches[..usize::from(self.len)]
+    }
+}
+
+/// One planned walk with its fetch addresses inline
+/// ([`PageTableWalker::plan`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WalkPlan {
-    /// Sequential rounds; fetches within a round overlap.
-    pub rounds: InlineVec<WalkRound, MAX_WALK_ROUNDS>,
+    /// Addresses of the PTE fetches that reach memory, in issue order.
+    pub fetches: InlineVec<PhysAddr, MAX_WALK_STEPS>,
+    /// How those fetches split into dependent rounds.
+    pub rounds: WalkRounds,
     /// Steps skipped thanks to PWC hits.
     pub pwc_skips: u32,
 }
@@ -61,13 +55,13 @@ impl WalkPlan {
     /// Total PTE fetches that reach the memory system.
     #[must_use]
     pub fn memory_fetches(&self) -> usize {
-        self.rounds.iter().map(|round| round.len()).sum()
+        self.fetches.len()
     }
 
     /// Number of dependent (serialised) memory rounds.
     #[must_use]
     pub fn sequential_rounds(&self) -> usize {
-        self.rounds.len()
+        self.rounds.as_slice().len()
     }
 }
 
@@ -97,68 +91,46 @@ pub struct WalkPlanner {
 }
 
 impl WalkPlanner {
-    /// A planner with PWCs enabled (Radix, Huge Page, NDPage).
-    #[must_use]
-    pub fn with_pwcs() -> Self {
-        Self::over(PwcSet::enabled())
-    }
-
-    /// A planner whose PWCs hold `capacity` entries per level (PWC-size
-    /// sweep experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_pwc_capacity(capacity: usize) -> Self {
-        Self::over(PwcSet::enabled_with_capacity(capacity))
-    }
-
-    /// A planner without PWCs (ECH; PWC-off ablation).
-    #[must_use]
-    pub fn without_pwcs() -> Self {
-        Self::over(PwcSet::disabled())
-    }
-
-    fn over(pwcs: PwcSet) -> Self {
-        WalkPlanner {
-            pwcs,
-            stats: WalkerStats::default(),
-        }
-    }
-
     /// The PWC bank (for statistics reporting).
     #[must_use]
     pub fn pwcs(&self) -> &PwcSet {
         &self.pwcs
     }
 
-    /// Probes PWCs for every step of `path` in address space `asid` and
-    /// returns the fetches that must go to memory. Fetched levels are
-    /// filled into their PWCs (hardware installs translations on the way
-    /// back up).
-    pub fn plan(&mut self, asid: Asid, vpn: Vpn, path: &WalkPath) -> WalkPlan {
+    /// Probes PWCs for every step of `path` in address space `asid`,
+    /// hands the address of each fetch that must go to memory to `fetch`
+    /// in issue order (the simulator appends them to its record buffer)
+    /// and returns their per-round counts. Fetched levels are filled into
+    /// their PWCs (hardware installs translations on the way back up).
+    ///
+    /// A missed step opens a round when its group differs from the last
+    /// missed step's (groups ascend), so a group whose steps all hit
+    /// leaves no round.
+    #[inline]
+    pub fn plan_into(
+        &mut self,
+        asid: Asid,
+        vpn: Vpn,
+        path: &WalkPath,
+        mut fetch: impl FnMut(PhysAddr),
+    ) -> WalkRounds {
         self.stats.walks += 1;
-        let mut plan = WalkPlan::default();
-        for group in path.groups() {
-            let mut round = WalkRound::new();
-            for step in group {
-                if self.pwcs.probe_fill(step.level, asid, vpn) {
-                    plan.pwc_skips += 1;
-                    self.stats.pwc_skips += 1;
-                } else {
-                    round.push(PteFetch {
-                        addr: step.addr,
-                        level: step.level,
-                    });
-                    self.stats.fetches += 1;
-                }
+        let mut rounds = WalkRounds::default();
+        let mut open = None;
+        for step in path.steps() {
+            if self.pwcs.probe_fill(step.level, asid, vpn) {
+                self.stats.pwc_skips += 1;
+                continue;
             }
-            if !round.is_empty() {
-                plan.rounds.push(round);
+            fetch(step.addr);
+            self.stats.fetches += 1;
+            if open != Some(step.group) {
+                open = Some(step.group);
+                rounds.len += 1;
             }
+            rounds.fetches[usize::from(rounds.len) - 1] += 1;
         }
-        plan
+        rounds
     }
 
     /// Drops all PWC state (the untagged-walker context-switch flush),
@@ -281,9 +253,12 @@ impl PageTableWalker {
     /// ship two; see [`PageTableWalker::with_walkers`]).
     pub const DEFAULT_WALKERS: usize = 1;
 
-    fn over(planner: WalkPlanner) -> Self {
+    fn over(pwcs: PwcSet) -> Self {
         PageTableWalker {
-            planner,
+            planner: WalkPlanner {
+                pwcs,
+                stats: WalkerStats::default(),
+            },
             slots: WalkerSlots::new(Self::DEFAULT_WALKERS),
         }
     }
@@ -291,7 +266,7 @@ impl PageTableWalker {
     /// A walker with PWCs enabled (Radix, Huge Page, NDPage).
     #[must_use]
     pub fn with_pwcs() -> Self {
-        Self::over(WalkPlanner::with_pwcs())
+        Self::over(PwcSet::enabled())
     }
 
     /// A walker whose PWCs hold `capacity` entries per level (PWC-size
@@ -302,13 +277,13 @@ impl PageTableWalker {
     /// Panics if `capacity` is zero.
     #[must_use]
     pub fn with_pwc_capacity(capacity: usize) -> Self {
-        Self::over(WalkPlanner::with_pwc_capacity(capacity))
+        Self::over(PwcSet::enabled_with_capacity(capacity))
     }
 
     /// A walker without PWCs (ECH; PWC-off ablation).
     #[must_use]
     pub fn without_pwcs() -> Self {
-        Self::over(WalkPlanner::without_pwcs())
+        Self::over(PwcSet::disabled())
     }
 
     /// Overrides the number of hardware walkers (the `walkers_per_core`
@@ -362,9 +337,18 @@ impl PageTableWalker {
         }
     }
 
-    /// See [`WalkPlanner::plan`].
+    /// [`WalkPlanner::plan_into`] with the fetch addresses kept in the
+    /// returned plan.
     pub fn plan(&mut self, asid: Asid, vpn: Vpn, path: &WalkPath) -> WalkPlan {
-        self.planner.plan(asid, vpn, path)
+        let mut fetches = InlineVec::new();
+        let rounds = self
+            .planner
+            .plan_into(asid, vpn, path, |addr| fetches.push(addr));
+        WalkPlan {
+            pwc_skips: (path.len() - fetches.len()) as u32,
+            fetches,
+            rounds,
+        }
     }
 
     /// Clears PWC contents, walker occupancy and statistics.
@@ -378,7 +362,7 @@ impl PageTableWalker {
 mod tests {
     use super::*;
     use crate::pwc::PWC_ENTRIES;
-    use ndp_types::Asid;
+    use ndp_types::{Asid, PtLevel};
     use ndpage::alloc::FrameAllocator;
     use ndpage::table::PageTable;
     use ndpage::tree::{Tree, NDPAGE, RADIX};
@@ -463,7 +447,9 @@ mod tests {
             1,
             "PL4+PL3 PWC hits leave only the flat fetch"
         );
-        assert_eq!(plan.rounds[0][0].level, PtLevel::FlatL2L1);
+        let path = t.walk_path(b).unwrap();
+        let flat = path.steps().iter().find(|s| s.level == PtLevel::FlatL2L1);
+        assert_eq!(plan.fetches[0], flat.unwrap().addr);
     }
 
     #[test]
@@ -616,12 +602,8 @@ mod tests {
         path: &WalkPath,
     ) -> (Vec<PhysAddr>, Vec<usize>, u32) {
         let plan = w.plan(asid, vpn, path);
-        let addrs = plan
-            .rounds
-            .iter()
-            .flat_map(|r| r.iter().map(|f| f.addr))
-            .collect();
-        let rounds = plan.rounds.iter().map(|r| r.len()).collect();
+        let addrs = plan.fetches.to_vec();
+        let rounds = plan.rounds.as_slice().iter().map(|&n| n.into()).collect();
         (addrs, rounds, plan.pwc_skips)
     }
 

@@ -941,7 +941,7 @@ impl Machine {
         // One cycle per PWC probe, then the memory rounds; `clock` tracks
         // the walk's own completion frontier.
         let mut clock = start + Cycles::new(u64::from(walk.probes));
-        for &fetches in &walk.fetches[..usize::from(walk.rounds)] {
+        for &fetches in walk.rounds.as_slice() {
             let t_issue = clock;
             let mut round_done = t_issue;
             for _ in 0..fetches {

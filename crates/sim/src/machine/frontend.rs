@@ -10,7 +10,7 @@
 
 use super::TableImpl;
 use ndp_mmu::tlb::TlbHierarchy;
-use ndp_mmu::walker::{WalkPlanner, MAX_WALK_ROUNDS};
+use ndp_mmu::walker::{WalkPlanner, WalkRounds};
 use ndp_types::{Asid, Op, PageSize, Pfn, PhysAddr, RwKind, VirtAddr, Vpn};
 use ndp_workloads::Trace;
 use ndpage::alloc::FrameAllocator;
@@ -33,11 +33,9 @@ const QUEUE_CHUNKS: usize = 4;
 pub(super) struct WalkRec {
     /// PWC probes (one cycle each) before the memory rounds.
     pub probes: u8,
-    /// Memory rounds in use.
-    pub rounds: u8,
-    /// PTE fetches per round; their addresses follow in order in the
-    /// chunk's `fetches`.
-    pub fetches: [u8; MAX_WALK_ROUNDS],
+    /// PTE fetches per memory round; their addresses follow in order in
+    /// the chunk's `fetches`.
+    pub rounds: WalkRounds,
     /// The install is a native 2 MB entry covering its whole region.
     pub huge: bool,
 }
@@ -232,17 +230,13 @@ impl Frontend {
         rec: &mut MemRec,
         fetches: &mut Vec<PhysAddr>,
     ) {
-        let plan = self.planner.plan(asid, vpn, path);
-        let mut walk = WalkRec {
+        let walk = WalkRec {
             probes: path.len() as u8,
-            rounds: plan.rounds.len() as u8,
-            fetches: [0; MAX_WALK_ROUNDS],
+            rounds: self
+                .planner
+                .plan_into(asid, vpn, path, |addr| fetches.push(addr)),
             huge: tr.size == PageSize::Size2M && self.sched.native_huge,
         };
-        for (n, round) in walk.fetches.iter_mut().zip(plan.rounds.iter()) {
-            *n = round.len() as u8;
-            fetches.extend(round.iter().map(|fetch| fetch.addr));
-        }
         // Install in the TLBs (huge mappings store the region base).
         let base = match tr.size {
             PageSize::Size4K => tr.pfn,

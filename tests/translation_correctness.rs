@@ -61,13 +61,11 @@ fn walker_plans_are_subsets_of_walk_paths() {
                 fetched + plan.pwc_skips as usize == path.len(),
                 "{mechanism}: every step is either fetched or PWC-skipped"
             );
-            for round in &plan.rounds {
-                for fetch in round {
-                    assert!(
-                        path_addrs.contains(&fetch.addr.as_u64()),
-                        "{mechanism}: plan fetched an address outside the walk path"
-                    );
-                }
+            for fetch in plan.fetches.iter() {
+                assert!(
+                    path_addrs.contains(&fetch.as_u64()),
+                    "{mechanism}: plan fetched an address outside the walk path"
+                );
             }
         }
     }
