@@ -76,8 +76,7 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if the geometry does not divide evenly, or if the line size
-    /// or the set count is not a power of two (the line array decodes
-    /// both by shifts).
+    /// or set count is not a power of two (both are decoded by shifts).
     #[must_use]
     pub fn sets(&self) -> usize {
         let pow2 = self.line_bytes.is_power_of_two();
@@ -248,19 +247,13 @@ impl SetAssocCache {
         &mut self.lines[set * ways..(set + 1) * ways]
     }
 
-    /// Index of `addr`'s line in `lines`, if resident: a branch-free
-    /// pass over the set (lookups mostly miss).
+    /// Index of `addr`'s line in `lines`, if resident.
     fn resident(&self, addr: PhysAddr) -> Option<usize> {
         let (set, tag) = self.set_and_tag(addr);
         let ways = self.config.ways as usize;
-        let row = set * ways..(set + 1) * ways;
-        let mut found = None;
-        for (i, l) in row.clone().zip(&self.lines[row]) {
-            if l.valid & (l.tag == tag) {
-                found = Some(i);
-            }
-        }
-        found
+        let row = &self.lines[set * ways..(set + 1) * ways];
+        let way = row.iter().position(|l| l.valid && l.tag == tag)?;
+        Some(set * ways + way)
     }
 
     fn resident_mut(&mut self, addr: PhysAddr) -> Option<&mut Line> {
@@ -307,10 +300,11 @@ impl SetAssocCache {
     /// and reports the evicted line whether or not it was dirty. The
     /// `writebacks` counter counts only dirty victims.
     ///
-    /// One pass over the set finds a resident line (refreshed in place)
-    /// and, branch-free, the victim: invalid ways key 0 and live ways key
-    /// stamp + 1, so the first minimum key is the first invalid way, else
-    /// the first way with the oldest stamp.
+    /// One pass over the set: a resident line is refreshed in place;
+    /// otherwise the pass has chosen, branch-free, the victim (invalid
+    /// ways key 0, live ways key stamp + 1, the first minimum wins: the
+    /// first invalid way, else the first oldest way) and LIP's oldest
+    /// live stamp.
     pub fn fill(
         &mut self,
         addr: PhysAddr,
@@ -324,37 +318,27 @@ impl SetAssocCache {
         let lip = self.config.metadata_lru_insert && class.is_metadata();
         let (line_shift, set_shift) = (self.line_shift, self.set_shift);
         let lines = self.set_mut(set);
-        let (mut way, mut key, mut resident) = (0, u64::MAX, None);
-        for (w, line) in lines.iter().enumerate() {
+        // Live stamps never exceed `tick`, so `oldest` starts there.
+        let (mut way, mut key, mut oldest) = (0, u64::MAX, tick);
+        for (w, line) in lines.iter_mut().enumerate() {
             if line.valid && line.tag == tag {
-                resident = Some(w);
+                // Already resident (e.g. racing fills): just refresh.
+                line.stamp = tick;
+                line.dirty |= dirty;
+                line.class = class;
+                line.asid = asid;
+                return None;
             }
             let k = if line.valid { line.stamp + 1 } else { 0 };
             if k < key {
                 (way, key) = (w, k);
             }
-        }
-        if let Some(w) = resident {
-            // Already resident (e.g. racing fills): just refresh.
-            let line = &mut lines[w];
-            line.stamp = tick;
-            line.dirty |= dirty;
-            line.class = class;
-            line.asid = asid;
-            return None;
+            oldest = oldest.min(if line.valid { line.stamp } else { tick });
         }
         // LRU-position insertion for metadata: the new line gets a stamp
         // older than everything resident, so it is the set's next victim
-        // unless an access promotes it first. A full set's oldest stamp is
-        // `key - 1`; live stamps never exceed `tick`.
-        let stamp = match (lip, key) {
-            (false, _) => tick,
-            (true, 0) => {
-                let live = lines.iter().filter(|l| l.valid).map(|l| l.stamp);
-                live.min().unwrap_or(tick).saturating_sub(1)
-            }
-            (true, _) => (key - 1).saturating_sub(1),
-        };
+        // unless an access promotes it first.
+        let stamp = if lip { oldest.saturating_sub(1) } else { tick };
         let victim = &mut lines[way];
         let evicted = victim.valid.then(|| Victim {
             addr: PhysAddr::new(((victim.tag << set_shift) | set as u64) << line_shift),

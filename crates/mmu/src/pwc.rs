@@ -88,15 +88,17 @@ impl Pwc {
         }
     }
 
-    /// Index of `tag`, if cached. A branch-free equality fold (which
-    /// vectorises) answers a miss, the common case below PL3; only a hit
-    /// scans again for its index.
+    /// Index of `tag`, if cached. Written without an early exit so the
+    /// scan vectorises; tags are unique, so the last match is the match.
     #[inline]
     fn find(&self, tag: u64) -> Option<usize> {
-        if !self.tags.iter().fold(false, |any, &t| any | (t == tag)) {
-            return None;
+        let mut found = usize::MAX;
+        for (i, &t) in self.tags.iter().enumerate() {
+            if t == tag {
+                found = i;
+            }
         }
-        self.tags.iter().position(|&t| t == tag)
+        (found != usize::MAX).then_some(found)
     }
 
     /// Links entry `i` (currently unlinked) in at the MRU end.

@@ -220,26 +220,21 @@ impl Tlb {
         self.tick += 1;
         let key = Self::key_for(vpn, size);
         let tag = key | asid.tag_bits();
+        // One pass: refresh if present (the size lives in the key, so a
+        // refresh can never change it), else the first way with the
+        // smallest stamp, chosen branch-free — invalidated ways hold
+        // stamp 0, below every live stamp.
         let row = self.row(key);
-        // One pass: the way holding `tag`, and branch-free the first way
-        // with the smallest stamp (invalidated ways hold stamp 0, below
-        // every live stamp).
-        let (mut victim, mut oldest, mut resident) = (row.start, u64::MAX, None);
-        let ways = self.tags[row.clone()].iter().zip(&self.stamps[row.clone()]);
-        for (w, (&t, &stamp)) in row.zip(ways) {
-            if t == tag {
-                resident = Some(w);
+        let (mut victim, mut oldest) = (row.start, u64::MAX);
+        for w in row {
+            if self.tags[w] == tag {
+                self.stamps[w] = self.tick;
+                self.pfns[w] = pfn;
+                return;
             }
-            if stamp < oldest {
-                (victim, oldest) = (w, stamp);
+            if self.stamps[w] < oldest {
+                (victim, oldest) = (w, self.stamps[w]);
             }
-        }
-        // Refresh if present (the size lives in the key, so a refresh can
-        // never change it).
-        if let Some(w) = resident {
-            self.stamps[w] = self.tick;
-            self.pfns[w] = pfn;
-            return;
         }
         self.huge_live -= usize::from(Self::is_huge_tag(self.tags[victim]));
         self.huge_live += usize::from(Self::is_huge_tag(tag));
