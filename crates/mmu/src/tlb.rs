@@ -222,8 +222,8 @@ impl Tlb {
         let tag = key | asid.tag_bits();
         // One pass: refresh if present (the size lives in the key, so a
         // refresh can never change it), else the first way with the
-        // smallest stamp, chosen branch-free — invalidated ways hold
-        // stamp 0, below every live stamp.
+        // smallest stamp — invalidated ways hold stamp 0, below every
+        // live stamp.
         let row = self.row(key);
         let (mut victim, mut oldest) = (row.start, u64::MAX);
         for w in row {
