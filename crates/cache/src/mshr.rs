@@ -489,6 +489,97 @@ mod tests {
         }
     }
 
+    /// Where an access goes after its tag check: ready at a time, or a
+    /// fetch for the level below leaving at a time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Ready(Cycles),
+        Fetch(Cycles),
+    }
+
+    /// The timing loop's two-call sequence as every cache stage wrote it
+    /// before the MSHR step existed: a hit asks `fill_in_flight` whether
+    /// its line is still arriving; a miss matches `probe`. Runs on the
+    /// scan oracle.
+    fn two_call_oracle(file: &mut ScanOracle, line: LineAddr, hit: bool, now: Cycles) -> Step {
+        if hit {
+            if let Some(fill_done) = file.fill_in_flight(line, now) {
+                return Step::Ready(fill_done.max(now));
+            }
+            return Step::Ready(now);
+        }
+        match file.probe(line, now) {
+            MshrLookup::Coalesced(done) => Step::Ready(done.max(now)),
+            MshrLookup::Free => Step::Fetch(now),
+            MshrLookup::Full(free_at) => Step::Fetch(free_at),
+        }
+    }
+
+    /// The same sequence on the production file.
+    fn two_call_step(file: &mut MshrFile, line: LineAddr, hit: bool, now: Cycles) -> Step {
+        if hit {
+            if let Some(fill_done) = file.fill_in_flight(line, now) {
+                return Step::Ready(fill_done.max(now));
+            }
+            return Step::Ready(now);
+        }
+        match file.probe(line, now) {
+            MshrLookup::Coalesced(done) => Step::Ready(done.max(now)),
+            MshrLookup::Free => Step::Fetch(now),
+            MshrLookup::Full(free_at) => Step::Fetch(free_at),
+        }
+    }
+
+    /// Replays `(hit, line, jitter, dur)` tag-check outcomes through the
+    /// step and the two-call oracle, on a clock that advances steadily
+    /// plus `jitter` (out of timestamp order, as a windowed core issues
+    /// them). Every fetch registers its fill, so the history reaches its
+    /// cap; outcomes, statistics and record order must agree throughout.
+    fn step_matches_two_call_oracle(
+        capacity: usize,
+        stream: &[(bool, u64, u64, u64)],
+    ) -> Result<(), TestCaseError> {
+        let mut fast = MshrFile::new(capacity);
+        let mut oracle = ScanOracle::new(capacity);
+        for (i, &(hit, l, jitter, dur)) in stream.iter().enumerate() {
+            let l = line(l * 64);
+            let t = Cycles::new(i as u64 * 6 + jitter);
+            let got = two_call_step(&mut fast, l, hit, t);
+            prop_assert_eq!(got, two_call_oracle(&mut oracle, l, hit, t), "step {}", i);
+            if let Step::Fetch(sent) = got {
+                fast.allocate(l, sent, sent + Cycles::new(dur));
+                oracle.allocate(l, sent + Cycles::new(dur));
+            }
+            prop_assert_eq!(
+                format!("{:?}", fast.stats()),
+                format!("{:?}", oracle.stats),
+                "stats after step {}",
+                i
+            );
+            prop_assert_eq!(&fast.lines, &oracle.lines, "record lines after step {}", i);
+            prop_assert_eq!(&fast.dones, &oracle.dones, "record times after step {}", i);
+        }
+        prop_assert_eq!(oracle.dones.len(), capacity + HISTORY_SLACK);
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Random hit/miss streams give the same outcome, statistics and
+        /// record order through the step as through the two-call
+        /// sequence, for files of 1, 2, 8 and 16 registers whose history
+        /// overflows.
+        #[test]
+        fn step_matches_the_two_call_sequence(
+            stream in vec((prop::bool::ANY, 0u64..48, 0u64..300, fill_time()), 800..1_200),
+        ) {
+            for capacity in [1, 2, 8, 16] {
+                step_matches_two_call_oracle(capacity, &stream)?;
+            }
+        }
+    }
+
     #[test]
     fn history_is_bounded() {
         let mut m = MshrFile::new(2);
