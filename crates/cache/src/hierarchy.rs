@@ -1,17 +1,15 @@
 //! Multi-level cache assembly: NDP (L1 only) vs CPU (L1+L2+L3).
 //!
 //! The hierarchy resolves lookups top-down and reports either the hit level
-//! (with the accumulated lookup latency) or a full miss (the caller then
-//! goes to the memory controller and calls [`CacheHierarchy::fill`]).
+//! (with the accumulated lookup latency) or a full miss. The caller then
+//! puts the tag check through [`CacheHierarchy::mshr_step`] (when misses
+//! overlap), fetches the line from below, and calls
+//! [`CacheHierarchy::fill`], which returns every victim tagged with the
+//! level that evicted it.
 
-use crate::mshr::{MshrFile, MshrLookup, MshrStats};
+use crate::mshr::{MshrFile, MshrLookup, MshrStats, MshrStep};
 use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
 use ndp_types::{Asid, InlineVec, LineAddr};
-
-/// Dirty victims produced by one fill — at most one per cache level, so
-/// the list lives inline (a fill happens on every miss; the seed's `Vec`
-/// return put an allocation there).
-pub type WritebackList = InlineVec<Victim, 4>;
 
 /// A victim tagged with the level (0 = L1) that evicted it. Victims of
 /// the *outermost* private level leave the private hierarchy entirely —
@@ -25,7 +23,7 @@ pub struct LevelVictim {
 }
 
 /// All victims produced by one fill, clean and dirty, one per level at
-/// most.
+/// most (so the list lives inline: a fill happens on every miss).
 pub type VictimList = InlineVec<LevelVictim, 4>;
 
 /// Result of a back-invalidation sweep across the private levels.
@@ -80,7 +78,7 @@ impl LookupResult {
 ///
 /// The hierarchy additionally owns the core's [`MshrFile`]: misses that
 /// reach memory register their in-flight fill here so overlapped misses
-/// to the same line coalesce ([`CacheHierarchy::probe_mshrs`]) and a full
+/// to the same line coalesce ([`CacheHierarchy::mshr_step`]) and a full
 /// file backpressures further misses. The default single register
 /// reproduces a blocking cache exactly; [`CacheHierarchy::with_mshrs`]
 /// widens it.
@@ -100,11 +98,11 @@ impl CacheHierarchy {
     #[must_use]
     pub fn new(configs: Vec<CacheConfig>) -> Self {
         assert!(!configs.is_empty(), "hierarchy needs at least one level");
-        // fill() collects at most one dirty victim per level into a
-        // WritebackList; bound the depth at construction.
+        // fill() collects at most one victim per level into a
+        // VictimList; bound the depth at construction.
         assert!(
             configs.len() <= 4,
-            "hierarchy supports at most 4 levels (WritebackList capacity)"
+            "hierarchy supports at most 4 levels (VictimList capacity)"
         );
         CacheHierarchy {
             levels: configs.into_iter().map(SetAssocCache::new).collect(),
@@ -198,10 +196,11 @@ impl CacheHierarchy {
         self.mshrs.allocate(LineAddr::of(addr), sent, done);
     }
 
-    /// The completion time of an in-flight fill covering `addr`'s line at
-    /// `now`, if any; counts as a coalesced merge (hit-under-miss).
-    pub fn in_flight_fill(&mut self, addr: PhysAddr, now: Cycles) -> Option<Cycles> {
-        self.mshrs.fill_in_flight(LineAddr::of(addr), now)
+    /// Puts a tag check of `addr` that finished at `now` through the MSHR
+    /// file ([`MshrFile::step`]): the data is ready, or a fetch leaves for
+    /// the level below (then call [`CacheHierarchy::register_fill`]).
+    pub fn mshr_step(&mut self, addr: PhysAddr, hit: bool, now: Cycles) -> MshrStep {
+        self.mshrs.step(LineAddr::of(addr), hit, now)
     }
 
     /// Statistics of the MSHR file.
@@ -210,24 +209,12 @@ impl CacheHierarchy {
         self.mshrs.stats()
     }
 
-    /// Installs a line in every level after a memory fill, collecting any
-    /// dirty victims that must be written back to memory.
-    pub fn fill(&mut self, addr: PhysAddr, class: AccessClass, dirty: bool) -> WritebackList {
-        self.levels
-            .iter_mut()
-            .filter_map(|level| level.fill(addr, class, Asid::ZERO, dirty))
-            .filter(|victim| victim.dirty)
-            .collect()
-    }
-
-    /// Installs a line in every level like [`CacheHierarchy::fill`], but
-    /// reports *every* victim — clean ones included — tagged with the
-    /// level that evicted it. A shared last level underneath needs this
-    /// richer view: outermost-level victims leave the private hierarchy
-    /// (exclusive LLCs are filled by exactly those), inner-level victims
-    /// are still resident further out. Statistics are identical to
-    /// [`CacheHierarchy::fill`].
-    pub fn fill_collect(&mut self, addr: PhysAddr, class: AccessClass, dirty: bool) -> VictimList {
+    /// Installs a line in every level after a fill from below, reporting
+    /// *every* victim, clean ones included, tagged with the level that
+    /// evicted it. Victims of the outermost level leave the private
+    /// hierarchy (an exclusive shared level is filled by exactly those);
+    /// inner-level victims are still resident further out.
+    pub fn fill(&mut self, addr: PhysAddr, class: AccessClass, dirty: bool) -> VictimList {
         self.levels
             .iter_mut()
             .enumerate()
@@ -324,12 +311,12 @@ mod tests {
     }
 
     #[test]
-    fn fill_collect_tags_victims_with_their_level() {
-        let mut h = CacheHierarchy::ndp(); // one 64-set, 8-way level
-                                           // Fill one L1 set to capacity, then once more: the ninth fill
-                                           // evicts the clean LRU line and fill_collect reports it.
+    fn fill_tags_victims_with_their_level() {
+        // One 64-set, 8-way level. Fill one set to capacity, then once
+        // more: the ninth fill evicts the LRU line and fill reports it.
+        let mut h = CacheHierarchy::ndp();
         for i in 0..=8u64 {
-            let victims = h.fill_collect(
+            let victims = h.fill(
                 PhysAddr::new(i * 64 * 64),
                 AccessClass::Data,
                 i == 0, // only the first line is dirty

@@ -44,6 +44,6 @@ pub mod set_assoc;
 pub mod shared;
 
 pub use hierarchy::CacheHierarchy;
-pub use mshr::{MshrFile, MshrLookup, MshrStats};
+pub use mshr::{MshrFile, MshrLookup, MshrStats, MshrStep};
 pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
 pub use shared::{InclusionPolicy, SharedCache, SharedConfig, SharedStats};

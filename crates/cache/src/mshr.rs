@@ -32,6 +32,21 @@ pub enum MshrLookup {
     Full(Cycles),
 }
 
+/// Where an access goes once its tag check and the MSHR file have seen
+/// it ([`MshrFile::step`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MshrStep {
+    /// The data is ready at the contained time: a hit (once any
+    /// in-flight fill of its line has landed) or a miss merged onto an
+    /// in-flight fill.
+    Ready(Cycles),
+    /// A miss that fetches from the level below, leaving at the
+    /// contained time (at once, or when a register frees). The caller
+    /// registers the fill with [`MshrFile::allocate`] once it knows when
+    /// the data lands.
+    Fetch(Cycles),
+}
+
 /// Statistics accumulated by one MSHR file.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MshrStats {
@@ -125,11 +140,9 @@ impl MshrFile {
 
     /// The completion time of an in-flight fill covering `line`, if one
     /// exists at `now`. A `Some` is a **merge** — the caller's access
-    /// piggybacks on that fill — and is counted as coalesced. Used both
-    /// by [`MshrFile::probe`] and directly for hit-under-miss: the
-    /// functional cache installs a line the moment its fill is *issued*,
-    /// so a later access that "hits" the line must still wait for the
-    /// in-flight data if the fill has not landed yet.
+    /// piggybacks on that fill — and is counted as coalesced. Used by
+    /// [`MshrFile::probe`] for a miss and by [`MshrFile::step`] for a
+    /// hit-under-miss.
     pub fn fill_in_flight(&mut self, line: LineAddr, now: Cycles) -> Option<Cycles> {
         // The merge is the first live record of `line` in record order;
         // the exact scan runs only when some record holds `line` at all.
@@ -170,6 +183,26 @@ impl MshrFile {
         self.stats.full_stalls += 1;
         self.stats.full_stall_cycles += (free_at - now).as_u64();
         MshrLookup::Full(free_at)
+    }
+
+    /// The hit-under-miss / coalesce decision for an access to `line`
+    /// whose tag check finished at `now`, hitting or not.
+    ///
+    /// The functional cache installs a line the moment its fill is
+    /// *issued*, so a hit on a line whose fill is still in flight waits
+    /// for the data (counted as coalesced). A miss merges onto an
+    /// in-flight fill of its line, or fetches at once, or waits for a
+    /// register ([`MshrFile::probe`]). A merge reports only fills that
+    /// land after `now`, so a `Ready` time is never before `now`.
+    pub fn step(&mut self, line: LineAddr, hit: bool, now: Cycles) -> MshrStep {
+        if hit {
+            return MshrStep::Ready(self.fill_in_flight(line, now).unwrap_or(now));
+        }
+        match self.probe(line, now) {
+            MshrLookup::Coalesced(done) => MshrStep::Ready(done),
+            MshrLookup::Free => MshrStep::Fetch(now),
+            MshrLookup::Full(free_at) => MshrStep::Fetch(free_at),
+        }
     }
 
     /// Records a primary-miss fill for `line` completing at `done`.
@@ -489,44 +522,21 @@ mod tests {
         }
     }
 
-    /// Where an access goes after its tag check: ready at a time, or a
-    /// fetch for the level below leaving at a time.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    enum Step {
-        Ready(Cycles),
-        Fetch(Cycles),
-    }
-
     /// The timing loop's two-call sequence as every cache stage wrote it
     /// before the MSHR step existed: a hit asks `fill_in_flight` whether
     /// its line is still arriving; a miss matches `probe`. Runs on the
     /// scan oracle.
-    fn two_call_oracle(file: &mut ScanOracle, line: LineAddr, hit: bool, now: Cycles) -> Step {
+    fn two_call_oracle(file: &mut ScanOracle, line: LineAddr, hit: bool, now: Cycles) -> MshrStep {
         if hit {
             if let Some(fill_done) = file.fill_in_flight(line, now) {
-                return Step::Ready(fill_done.max(now));
+                return MshrStep::Ready(fill_done.max(now));
             }
-            return Step::Ready(now);
+            return MshrStep::Ready(now);
         }
         match file.probe(line, now) {
-            MshrLookup::Coalesced(done) => Step::Ready(done.max(now)),
-            MshrLookup::Free => Step::Fetch(now),
-            MshrLookup::Full(free_at) => Step::Fetch(free_at),
-        }
-    }
-
-    /// The same sequence on the production file.
-    fn two_call_step(file: &mut MshrFile, line: LineAddr, hit: bool, now: Cycles) -> Step {
-        if hit {
-            if let Some(fill_done) = file.fill_in_flight(line, now) {
-                return Step::Ready(fill_done.max(now));
-            }
-            return Step::Ready(now);
-        }
-        match file.probe(line, now) {
-            MshrLookup::Coalesced(done) => Step::Ready(done.max(now)),
-            MshrLookup::Free => Step::Fetch(now),
-            MshrLookup::Full(free_at) => Step::Fetch(free_at),
+            MshrLookup::Coalesced(done) => MshrStep::Ready(done.max(now)),
+            MshrLookup::Free => MshrStep::Fetch(now),
+            MshrLookup::Full(free_at) => MshrStep::Fetch(free_at),
         }
     }
 
@@ -544,9 +554,9 @@ mod tests {
         for (i, &(hit, l, jitter, dur)) in stream.iter().enumerate() {
             let l = line(l * 64);
             let t = Cycles::new(i as u64 * 6 + jitter);
-            let got = two_call_step(&mut fast, l, hit, t);
+            let got = fast.step(l, hit, t);
             prop_assert_eq!(got, two_call_oracle(&mut oracle, l, hit, t), "step {}", i);
-            if let Step::Fetch(sent) = got {
+            if let MshrStep::Fetch(sent) = got {
                 fast.allocate(l, sent, sent + Cycles::new(dur));
                 oracle.allocate(l, sent + Cycles::new(dur));
             }

@@ -27,7 +27,7 @@
 //! e.g. two in-flight page walks fetching the same PTE line — merge
 //! onto a single fetch below, and a saturated bank backpressures.
 
-use crate::mshr::{MshrFile, MshrLookup, MshrStats};
+use crate::mshr::{MshrFile, MshrStats, MshrStep};
 use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
 use core::fmt;
 use ndp_types::{AccessClass, Asid, Cycles, LineAddr, PhysAddr, RwKind};
@@ -369,19 +369,12 @@ impl SharedCache {
         self.stats.back_invalidations += 1;
     }
 
-    /// Probes the evicting bank's MSHR file for a miss observed at
-    /// `now` — same contract as the private
-    /// [`crate::hierarchy::CacheHierarchy::probe_mshrs`].
-    pub fn probe_mshrs(&mut self, addr: PhysAddr, now: Cycles) -> MshrLookup {
+    /// Puts a tag check of `addr` that finished at `now` through its
+    /// bank's MSHR file ([`MshrFile::step`]), as the private
+    /// [`crate::hierarchy::CacheHierarchy::mshr_step`] does.
+    pub fn mshr_step(&mut self, addr: PhysAddr, hit: bool, now: Cycles) -> MshrStep {
         let bank = self.bank_of(addr);
-        self.mshrs[bank].probe(LineAddr::of(addr), now)
-    }
-
-    /// The completion time of an in-flight fill covering `addr`, if any
-    /// (hit-under-miss on a line installed at fill issue).
-    pub fn in_flight_fill(&mut self, addr: PhysAddr, now: Cycles) -> Option<Cycles> {
-        let bank = self.bank_of(addr);
-        self.mshrs[bank].fill_in_flight(LineAddr::of(addr), now)
+        self.mshrs[bank].step(LineAddr::of(addr), hit, now)
     }
 
     /// Registers a primary-miss fetch sent below at `sent`, landing at
@@ -593,16 +586,24 @@ mod tests {
     fn mshrs_coalesce_per_bank() {
         let mut c = tiny(InclusionPolicy::Inclusive);
         let a = PhysAddr::new(0);
-        assert_eq!(c.probe_mshrs(a, Cycles::ZERO), MshrLookup::Free);
+        assert_eq!(
+            c.mshr_step(a, false, Cycles::ZERO),
+            MshrStep::Fetch(Cycles::ZERO)
+        );
         c.register_fill(a, Cycles::ZERO, Cycles::new(200));
         assert_eq!(
-            c.probe_mshrs(a, Cycles::new(50)),
-            MshrLookup::Coalesced(Cycles::new(200))
+            c.mshr_step(a, false, Cycles::new(50)),
+            MshrStep::Ready(Cycles::new(200))
         );
         assert_eq!(c.mshr_totals().coalesced, 1);
         assert_eq!(
-            c.in_flight_fill(a, Cycles::new(100)),
-            Some(Cycles::new(200))
+            c.mshr_step(a, true, Cycles::new(100)),
+            MshrStep::Ready(Cycles::new(200))
+        );
+        // Another bank's file never saw the fill.
+        assert_eq!(
+            c.mshr_step(PhysAddr::new(64), false, Cycles::new(50)),
+            MshrStep::Fetch(Cycles::new(50))
         );
     }
 

@@ -267,7 +267,7 @@ proptest! {
                 }
                 // Private fill: outer dirty victims update the L3 copy.
                 let outer = l1.depth() - 1;
-                for lv in l1.fill_collect(addr, AccessClass::Data, is_store) {
+                for lv in l1.fill(addr, AccessClass::Data, is_store) {
                     if lv.level == outer && lv.victim.dirty {
                         let _ = l3.accept_writeback(lv.victim.addr);
                     }
@@ -302,7 +302,7 @@ proptest! {
                 // Hit or miss, the line ends up (only) in the private L1;
                 // an exclusive hit extracted it from the L3.
                 let outer = l1.depth() - 1;
-                for lv in l1.fill_collect(addr, AccessClass::Data, is_store || look.dirty) {
+                for lv in l1.fill(addr, AccessClass::Data, is_store || look.dirty) {
                     if lv.level == outer {
                         // The departing line, clean or dirty, fills the
                         // exclusive L3 (its own victims just drop here —

@@ -59,8 +59,8 @@ mod frontend;
 use crate::config::{InclusionPolicy, SimConfig, SystemKind};
 use crate::report::{FaultCounts, MlpStats, RunReport, SchedStats, SharedLlcStats};
 use frontend::{Cursor, FrontProc, Frontend, Lane, MemRec, Rec, Schedule, StopProducers, Xlat};
-use ndp_cache::hierarchy::{CacheHierarchy, LookupResult, VictimList};
-use ndp_cache::mshr::MshrLookup;
+use ndp_cache::hierarchy::{CacheHierarchy, VictimList};
+use ndp_cache::mshr::MshrStep;
 use ndp_cache::set_assoc::{CacheConfig, Victim};
 use ndp_cache::shared::SharedCache;
 use ndp_mem::controller::MemoryController;
@@ -257,7 +257,7 @@ impl CoreCtx {
 
     /// The completion time of an in-flight walk whose installed entry
     /// covers `vpn`, if any is still outstanding at `now` — the TLB
-    /// analogue of [`CacheHierarchy::in_flight_fill`].
+    /// analogue of a hit-under-miss in [`CacheHierarchy::mshr_step`].
     fn pending_translation_done(&self, asid: Asid, vpn: Vpn, now: Cycles) -> Option<Cycles> {
         let huge_base = Vpn::new(vpn.as_u64() - vpn.l1_index() as u64);
         self.pending_tlb_fills
@@ -303,8 +303,8 @@ pub struct Machine {
     bypass: BypassPolicy,
     controller_cleared: bool,
     /// Shared banked L3 every core's private misses contend in
-    /// (`l3_kb > 0`). `None` keeps the pre-shared-LLC paths untouched —
-    /// the disabled configuration is cycle-identical by construction.
+    /// (`l3_kb > 0`). `None` skips the L3 stage of the miss chain:
+    /// private misses go straight to the vault buffers or DRAM.
     l3: Option<SharedCache>,
     /// Per-vault (per-memory-channel) buffers on the memory side
     /// (`vault_buffer_kb > 0`), arbitrated across every core that
@@ -993,13 +993,21 @@ impl Machine {
     /// One memory access through (or around) core `i`'s cache hierarchy,
     /// issued at `t_issue`; returns its **completion timestamp**.
     ///
-    /// Data misses go through the MSHR file: a second miss to a line
-    /// whose fill is still in flight merges onto that fill (one memory
-    /// request serves both), and a full file delays the fetch until a
-    /// register frees. Metadata (PTE) fetches skip the MSHRs — their
-    /// structural limit is the hardware walkers, and within one walk a
-    /// round's parallel fetches (ECH's hash ways) must not serialise on
-    /// miss registers the walker does not use.
+    /// A miss walks one chain below the core: the private levels, then
+    /// the shared L3 when configured (`read_l3`), then the line's vault
+    /// buffer when configured and DRAM (`read_memory`). An absent stage
+    /// is skipped. Each cache stage puts its tag check through its MSHR
+    /// file's step: a hit, or a miss merged onto an in-flight fill, ends
+    /// the chain there; a miss goes down once a register is free and
+    /// registers its fill when the data's time is known.
+    ///
+    /// In the private levels only windowed data misses use the MSHR
+    /// file: a second miss to a line whose fill is still in flight merges
+    /// onto that fill (one memory request serves both), and a full file
+    /// delays the fetch until a register frees. Metadata (PTE) fetches
+    /// skip the MSHRs — their structural limit is the hardware walkers,
+    /// and within one walk a round's parallel fetches (ECH's hash ways)
+    /// must not serialise on miss registers the walker does not use.
     fn access_done(
         &mut self,
         i: usize,
@@ -1009,143 +1017,92 @@ impl Machine {
         t_issue: Cycles,
     ) -> Cycles {
         if self.bypass.bypasses(class) {
-            // NDPage metadata bypass: straight to memory, no cache probe,
-            // no fill, no pollution.
-            return self.memory_done(i, addr, rw, class, t_issue);
+            // NDPage metadata bypass: straight to DRAM, probing no cache
+            // (vault buffers included), no fill, no pollution.
+            let (_, one_way) = self.route(i, addr);
+            let arrival = t_issue + one_way;
+            let ticket = self
+                .controller
+                .request_ticketed(addr, rw, class, t_issue, arrival);
+            return ticket.done + one_way;
         }
-        let core = &mut self.cores[i];
         // MSHR bookkeeping only matters when ops can overlap; a blocking
         // core's previous fill always lands before its next access, so
         // skipping the (provably inert) scans keeps the default hot path
         // at pre-pipeline speed. Metadata skips them in any mode — the
         // walker file, not the miss file, is its structural limit.
         let coalesce = class == AccessClass::Data && !self.cfg.is_blocking();
-        match core.caches.lookup(addr, rw, class) {
-            LookupResult::Hit { latency, .. } => {
-                let now = t_issue + latency;
-                // The functional cache installs lines when their fill is
-                // *issued*; if that fill is still in flight, this "hit"
-                // is a hit-under-miss and waits for the data to land.
-                if coalesce {
-                    if let Some(fill_done) = core.caches.in_flight_fill(addr, now) {
-                        return fill_done.max(now);
-                    }
-                }
-                now
-            }
-            LookupResult::MissAll { lookup_latency } => {
-                let miss_t = t_issue + lookup_latency;
-                let send_t = if coalesce {
-                    match core.caches.probe_mshrs(addr, miss_t) {
-                        // Same-line fill already in flight: merge, no
-                        // second memory request.
-                        MshrLookup::Coalesced(fill_done) => return fill_done.max(miss_t),
-                        MshrLookup::Free => miss_t,
-                        // Every register busy: the fetch waits for one.
-                        MshrLookup::Full(free_at) => free_at,
-                    }
-                } else {
-                    miss_t
-                };
-                if self.cfg.has_shared_llc() {
-                    // Shared-layer route: the private miss contends in
-                    // the shared L3 and/or vault buffers before (maybe)
-                    // reaching DRAM; an exclusive L3 hit hands the
-                    // extracted copy's dirtiness up with the line.
-                    let (done, extracted_dirty) = self.shared_then_memory(i, addr, class, send_t);
-                    if coalesce {
-                        self.cores[i].caches.register_fill(addr, send_t, done);
-                    }
-                    let victims = self.cores[i].caches.fill_collect(
-                        addr,
-                        class,
-                        rw.is_write() || extracted_dirty,
-                    );
-                    self.route_private_victims(i, victims, done);
-                    return done;
-                }
-                // The demand fill fetches the line regardless of load or
-                // store (store dirtiness is captured at eviction as a
-                // writeback), so it reaches memory as a *read* — which is
-                // also what keeps it in the demand-latency statistics.
-                let done = self.memory_done(i, addr, RwKind::Read, class, send_t);
-                if coalesce {
-                    self.cores[i].caches.register_fill(addr, send_t, done);
-                }
-                let writebacks = self.cores[i].caches.fill(addr, class, rw.is_write());
-                for wb in writebacks {
-                    // Posted writeback: consumes bandwidth, nobody waits;
-                    // accounted under write traffic, not demand latency.
-                    self.memory_done(i, wb.addr, RwKind::Write, wb.class, done);
-                }
-                done
-            }
+        let caches = &mut self.cores[i].caches;
+        let look = caches.lookup(addr, rw, class);
+        let t = t_issue + look.latency();
+        let step = if coalesce {
+            caches.mshr_step(addr, look.is_hit(), t)
+        } else if look.is_hit() {
+            MshrStep::Ready(t)
+        } else {
+            MshrStep::Fetch(t)
+        };
+        let send_t = match step {
+            MshrStep::Ready(done) => return done,
+            MshrStep::Fetch(send_t) => send_t,
+        };
+        // The demand fill fetches the line regardless of load or store
+        // (store dirtiness is captured at eviction as a writeback), so it
+        // goes below as a *read* — which is also what keeps it in the
+        // demand-latency statistics.
+        let (done, extracted_dirty) = self.read_l3(i, addr, class, send_t);
+        let caches = &mut self.cores[i].caches;
+        if coalesce {
+            caches.register_fill(addr, send_t, done);
         }
+        let victims = caches.fill(addr, class, rw.is_write() || extracted_dirty);
+        self.route_private_victims(i, victims, done);
+        done
     }
 
-    /// Routes a private miss through the shared last-level structures:
-    /// shared L3 (when enabled), then vault buffer / DRAM. Returns the
-    /// completion time at the core plus whether an exclusive L3 hit
-    /// extracted a *dirty* copy (the private fill must preserve that
-    /// dirtiness or a future writeback is lost).
-    fn shared_then_memory(
+    /// The shared-L3 stage of a private miss sent at `t` (skipped without
+    /// an L3). Returns when the data is back at the core and whether an
+    /// exclusive L3 hit extracted a *dirty* copy (the private fill must
+    /// keep that dirtiness or a future writeback is lost).
+    fn read_l3(
         &mut self,
         i: usize,
         addr: PhysAddr,
         class: AccessClass,
         t: Cycles,
     ) -> (Cycles, bool) {
-        if self.l3.is_none() {
-            return (self.vault_read(i, addr, class, t), false);
-        }
+        let send_t = match self.l3.as_mut() {
+            None => t,
+            Some(l3) => {
+                let look = l3.access(addr, RwKind::Read, class, t);
+                match l3.mshr_step(addr, look.hit, look.done) {
+                    MshrStep::Ready(done) => return (done, look.dirty),
+                    MshrStep::Fetch(send_t) => send_t,
+                }
+            }
+        };
+        let done = self.read_memory(i, addr, class, send_t);
         let asid = self.cores[i].asid();
-        let look = {
-            let l3 = self.l3.as_mut().expect("checked above");
-            l3.access(addr, RwKind::Read, class, t)
+        let Some(l3) = self.l3.as_mut() else {
+            return (done, false);
         };
-        if look.hit {
-            // The functional L3 installs lines at fill issue; a "hit" on
-            // a line whose fill is still in flight waits for the data
-            // (hit-under-miss, as in the private L1).
-            let l3 = self.l3.as_mut().expect("checked above");
-            if let Some(fill_done) = l3.in_flight_fill(addr, look.done) {
-                return (fill_done.max(look.done), look.dirty);
+        // The fill is registered in the *requesting core's* time frame
+        // (`done` includes core `i`'s NoC return leg), because the L3
+        // itself has no modelled mesh position — its below-L3 fetch
+        // already rides core `i`'s channel path. A coalescing requester
+        // therefore inherits this core's return leg instead of paying its
+        // own; today that requester can only be core `i` itself (address
+        // spaces are disjoint, so no two cores ever share a physical
+        // line), which makes the frames coincide. Revisit if shared
+        // mappings are added.
+        l3.register_fill(addr, send_t, done);
+        // Inclusive: the demand fill installs here as well as in the
+        // private levels; exclusive fills bypass the L3 (it is fed by
+        // private victims instead).
+        if l3.config().policy == InclusionPolicy::Inclusive {
+            if let Some(victim) = l3.fill(addr, class, asid, false) {
+                self.back_invalidate_for(i, victim, done);
             }
-            return (look.done, look.dirty);
-        }
-        let send_t = {
-            let l3 = self.l3.as_mut().expect("checked above");
-            match l3.probe_mshrs(addr, look.done) {
-                // Same-line fetch already in flight below: merge.
-                MshrLookup::Coalesced(done) => return (done.max(look.done), false),
-                MshrLookup::Free => look.done,
-                MshrLookup::Full(free_at) => free_at,
-            }
-        };
-        let done = self.vault_read(i, addr, class, send_t);
-        let victim = {
-            let l3 = self.l3.as_mut().expect("checked above");
-            // The fill is registered in the *requesting core's* time
-            // frame (`done` includes core `i`'s NoC return leg), because
-            // the L3 itself has no modelled mesh position — its
-            // below-L3 fetch already rides core `i`'s channel path. A
-            // coalescing requester therefore inherits this core's return
-            // leg instead of paying its own; today that requester can
-            // only be core `i` itself (address spaces are disjoint, so
-            // no two cores ever share a physical line), which makes the
-            // frames coincide. Revisit if shared mappings are added.
-            l3.register_fill(addr, send_t, done);
-            if l3.config().policy == InclusionPolicy::Inclusive {
-                // Inclusive: the demand fill installs here as well as in
-                // the private levels; exclusive fills bypass the L3 (it
-                // is fed by private victims instead).
-                l3.fill(addr, class, asid, false)
-            } else {
-                None
-            }
-        };
-        if let Some(victim) = victim {
-            self.back_invalidate_for(i, victim, done);
         }
         (done, false)
     }
@@ -1172,11 +1129,10 @@ impl Machine {
         }
     }
 
-    /// Routes the victims of a private fill once a shared layer exists:
-    /// lines leaving the *outermost* private level feed an exclusive L3
-    /// (clean and dirty alike) or update their inclusive-L3 copy in
-    /// place; everything else keeps the flat behaviour (dirty victims
-    /// posted toward memory).
+    /// Routes the victims of a private fill: lines leaving the
+    /// *outermost* private level feed an exclusive L3 (clean and dirty
+    /// alike) or update their inclusive-L3 copy in place; every other
+    /// dirty victim is posted toward memory.
     fn route_private_victims(&mut self, i: usize, victims: VictimList, now: Cycles) {
         let outer = self.cores[i].caches.depth() - 1;
         let asid = self.cores[i].asid();
@@ -1219,85 +1175,63 @@ impl Machine {
         }
     }
 
-    /// A demand read below the shared L3: through the vault buffer when
-    /// one fronts the line's channel, else straight to DRAM. Bypassed
-    /// NDPage metadata never comes through here — it skips the vault
-    /// buffers exactly as it skips every other cache.
-    fn vault_read(&mut self, i: usize, addr: PhysAddr, class: AccessClass, t: Cycles) -> Cycles {
-        if self.vaults.is_empty() {
-            return self.memory_done(i, addr, RwKind::Read, class, t);
-        }
+    /// The last stages of a demand read sent at `t` from above: the vault
+    /// buffer fronting the line's channel when configured, then DRAM.
+    /// Returns when the data is back at the core. Each DRAM request
+    /// carries its own issue and arrival times ([`ndp_types::MemTicket`]),
+    /// so requests a windowed core overlaps contend individually in the
+    /// banks. Bypassed NDPage metadata never comes through here — it
+    /// skips the vault buffers exactly as it skips every other cache.
+    fn read_memory(&mut self, i: usize, addr: PhysAddr, class: AccessClass, t: Cycles) -> Cycles {
         let (channel, one_way) = self.route(i, addr);
         let arrival = t + one_way;
-        let asid = self.cores[i].asid();
-        let send_t = {
-            let vault = &mut self.vaults[channel as usize];
-            let look = vault.access(addr, RwKind::Read, class, arrival);
-            if look.hit {
-                if let Some(fill_done) = vault.in_flight_fill(addr, look.done) {
-                    return fill_done.max(look.done) + one_way;
+        let send_t = match self.vaults.get_mut(channel as usize) {
+            None => arrival,
+            Some(vault) => {
+                let look = vault.access(addr, RwKind::Read, class, arrival);
+                match vault.mshr_step(addr, look.hit, look.done) {
+                    MshrStep::Ready(done) => return done + one_way,
+                    MshrStep::Fetch(send_t) => send_t,
                 }
-                return look.done + one_way;
-            }
-            match vault.probe_mshrs(addr, look.done) {
-                MshrLookup::Coalesced(done) => return done.max(look.done) + one_way,
-                MshrLookup::Free => look.done,
-                MshrLookup::Full(free_at) => free_at,
             }
         };
         let ticket = self
             .controller
             .request_ticketed(addr, RwKind::Read, class, t, send_t);
-        let vault = &mut self.vaults[channel as usize];
-        vault.register_fill(addr, send_t, ticket.done);
-        if let Some(victim) = vault.fill(addr, class, asid, false) {
-            if victim.dirty {
-                // The buffer sits at the vault: its dirty victims drain
-                // into the local banks with no further NoC traversal.
-                self.controller.request_ticketed(
-                    victim.addr,
-                    RwKind::Write,
-                    victim.class,
-                    ticket.done,
-                    ticket.done,
-                );
+        let asid = self.cores[i].asid();
+        if let Some(vault) = self.vaults.get_mut(channel as usize) {
+            vault.register_fill(addr, send_t, ticket.done);
+            if let Some(victim) = vault.fill(addr, class, asid, false) {
+                if victim.dirty {
+                    // The buffer sits at the vault: its dirty victims drain
+                    // into the local banks with no further NoC traversal.
+                    self.controller.request_ticketed(
+                        victim.addr,
+                        RwKind::Write,
+                        victim.class,
+                        ticket.done,
+                        ticket.done,
+                    );
+                }
             }
         }
         ticket.done + one_way
     }
 
-    /// A posted write (nobody waits): absorbed by the line's vault
-    /// buffer when present there, else sent to DRAM.
+    /// A posted write (nobody waits; accounted under write traffic, not
+    /// demand latency): absorbed by the line's vault buffer when present
+    /// there, else sent to DRAM.
     fn post_write(&mut self, i: usize, addr: PhysAddr, class: AccessClass, t: Cycles) {
-        if self.vaults.is_empty() {
-            self.memory_done(i, addr, RwKind::Write, class, t);
-            return;
-        }
         let (channel, one_way) = self.route(i, addr);
-        if self.vaults[channel as usize].accept_writeback(addr) {
+        if self
+            .vaults
+            .get_mut(channel as usize)
+            .is_some_and(|vault| vault.accept_writeback(addr))
+        {
             return;
         }
         self.controller
             .request_ticketed(addr, RwKind::Write, class, t, t + one_way);
-    }
-
-    /// NoC traversal + DRAM service via the shared controller, returning
-    /// the timestamp the data is back at the core. Each request carries
-    /// its own issue/arrival times ([`ndp_types::MemTicket`]), so requests
-    /// a windowed core overlaps contend individually in the DRAM banks.
-    fn memory_done(
-        &mut self,
-        i: usize,
-        addr: PhysAddr,
-        rw: RwKind,
-        class: AccessClass,
-        t_issue: Cycles,
-    ) -> Cycles {
-        let (_, one_way) = self.route(i, addr);
-        let ticket = self
-            .controller
-            .request_ticketed(addr, rw, class, t_issue, t_issue + one_way);
-        ticket.done + one_way
     }
 
     /// The channel serving `addr` and core `i`'s one-way NoC latency to

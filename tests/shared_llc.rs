@@ -288,7 +288,7 @@ fn exclusive_l3_holds_only_lines_that_left_the_private_hierarchy() {
     // Evict it from L1 (fill the 8-way set), playing the machine: the
     // outermost-level victim feeds the exclusive L3.
     for i in 1..=8u64 {
-        for lv in l1.fill_collect(PhysAddr::new(i * 64 * 64), AccessClass::Data, false) {
+        for lv in l1.fill(PhysAddr::new(i * 64 * 64), AccessClass::Data, false) {
             l3.fill(lv.victim.addr, lv.victim.class, Asid::ZERO, lv.victim.dirty);
         }
     }
