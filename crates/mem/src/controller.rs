@@ -70,30 +70,20 @@ pub struct ControllerStats {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     dram: Dram,
-    /// Fixed controller pipeline overhead added to every request.
-    overhead: Cycles,
     stats: ControllerStats,
 }
 
 impl MemoryController {
-    /// Default controller pipeline overhead.
-    pub const DEFAULT_OVERHEAD: Cycles = Cycles::new(10);
+    /// Fixed controller pipeline overhead added to every request.
+    pub const OVERHEAD: Cycles = Cycles::new(10);
 
     /// Builds a controller over a freshly-constructed DRAM device.
     #[must_use]
     pub fn new(config: DramConfig) -> Self {
         MemoryController {
             dram: Dram::new(config),
-            overhead: Self::DEFAULT_OVERHEAD,
             stats: ControllerStats::default(),
         }
-    }
-
-    /// Overrides the fixed controller overhead.
-    #[must_use]
-    pub fn with_overhead(mut self, overhead: Cycles) -> Self {
-        self.overhead = overhead;
-        self
     }
 
     /// Switches the underlying device to overlap (reservation-list) bank
@@ -101,7 +91,7 @@ impl MemoryController {
     /// order (non-blocking pipelines). See [`crate::dram`]'s module docs.
     #[must_use]
     pub fn with_overlap_scheduling(mut self) -> Self {
-        self.dram.set_overlap_scheduling(true);
+        self.dram = self.dram.with_overlap_scheduling();
         self
     }
 
@@ -137,7 +127,7 @@ impl MemoryController {
         arrival: Cycles,
     ) -> MemTicket {
         let result = self.dram.access(addr, rw, arrival);
-        let done = result.done + self.overhead;
+        let done = result.done + Self::OVERHEAD;
         let latency = done - arrival;
         if rw.is_write() {
             self.stats.traffic.write += 1;
@@ -207,7 +197,7 @@ mod tests {
         );
         assert_eq!(
             done,
-            DramConfig::hbm2().timing.row_miss + MemoryController::DEFAULT_OVERHEAD
+            DramConfig::hbm2().timing.row_miss + MemoryController::OVERHEAD
         );
     }
 
@@ -287,7 +277,7 @@ mod tests {
             Cycles::ZERO,
         );
         assert!(
-            done > DramConfig::hbm2().timing.row_conflict + MemoryController::DEFAULT_OVERHEAD,
+            done > DramConfig::hbm2().timing.row_conflict + MemoryController::OVERHEAD,
             "writes keep occupying banks"
         );
     }

@@ -351,27 +351,11 @@ impl Dram {
     /// blocking path must keep the scalar model.
     #[must_use]
     pub fn with_overlap_scheduling(mut self) -> Self {
-        self.set_overlap_scheduling(true);
+        self.reservations = Some(Reservations {
+            banks: vec![Slots::new(); self.config.total_banks()],
+            channels: vec![Slots::new(); self.config.channels as usize],
+        });
         self
-    }
-
-    /// Enables or disables overlap scheduling in place, clearing any
-    /// reservation state.
-    pub fn set_overlap_scheduling(&mut self, enabled: bool) {
-        self.reservations = if enabled {
-            Some(Reservations {
-                banks: vec![Slots::new(); self.config.total_banks()],
-                channels: vec![Slots::new(); self.config.channels as usize],
-            })
-        } else {
-            None
-        };
-    }
-
-    /// Whether overlap (reservation-list) scheduling is active.
-    #[must_use]
-    pub fn overlap_scheduling(&self) -> bool {
-        self.reservations.is_some()
     }
 
     /// The device configuration.

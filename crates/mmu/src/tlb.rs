@@ -374,18 +374,6 @@ impl TlbHierarchy {
         self.l2.stats()
     }
 
-    /// Fraction of L1 lookups that missed both levels and required a walk
-    /// (the paper's end-to-end "TLB miss rate", 91.27% in §IV-A).
-    #[must_use]
-    pub fn walk_rate(&self) -> f64 {
-        let l1_total = self.l1.stats().total();
-        if l1_total == 0 {
-            0.0
-        } else {
-            self.l2.stats().misses as f64 / l1_total as f64
-        }
-    }
-
     /// Looks up `(asid, vpn)` through L1 then L2, promoting L2 hits into L1.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> TlbLookup {
         let mut latency = self.l1.config().latency;

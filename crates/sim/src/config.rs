@@ -368,13 +368,6 @@ impl SimConfig {
         self
     }
 
-    /// Whether any shared last-level structure (shared L3 or vault
-    /// buffers) is enabled.
-    #[must_use]
-    pub fn has_shared_llc(&self) -> bool {
-        self.l3_kb > 0 || self.vault_buffer_kb > 0
-    }
-
     /// The shared-L3 configuration implied by the knobs, if enabled.
     #[must_use]
     pub fn l3_config(&self) -> Option<SharedConfig> {
@@ -626,7 +619,6 @@ mod tests {
         let cfg = SimConfig::new(SystemKind::Ndp, 1, Mechanism::Radix, WorkloadId::Rnd);
         assert_eq!(cfg.l3_kb, 0);
         assert_eq!(cfg.vault_buffer_kb, 0);
-        assert!(!cfg.has_shared_llc());
         assert!(cfg.l3_config().is_none());
         assert!(cfg.vault_buffer_config().is_none());
         assert!(cfg.validate().is_ok());
@@ -637,8 +629,8 @@ mod tests {
         let base = SimConfig::quick(SystemKind::Ndp, 2, Mechanism::Radix, WorkloadId::Rnd);
         let cfg = base.clone().with_l3(2048);
         assert!(cfg.validate().is_ok());
-        assert!(cfg.has_shared_llc());
         assert_eq!(cfg.l3_config().unwrap().size_bytes, 2048 * 1024);
+        assert!(cfg.vault_buffer_config().is_none());
 
         let bad = base.clone().with_l3(2048).with_l3_geometry(32, 8);
         assert!(bad.validate().unwrap_err().to_string().contains("l3_ways"));
@@ -653,7 +645,8 @@ mod tests {
 
         let cfg = base.clone().with_vault_buffer(128);
         assert!(cfg.validate().is_ok());
-        assert!(cfg.has_shared_llc());
+        assert!(cfg.l3_config().is_none());
+        assert_eq!(cfg.vault_buffer_config().unwrap().size_bytes, 128 * 1024);
         let bad = base.clone().with_vault_buffer(100);
         assert!(bad
             .validate()

@@ -65,7 +65,7 @@ fn disabled_shared_llc_is_bit_identical_to_pr3_across_all_golden_configs() {
     for (workload, mechanism, want) in GOLDEN_NDP {
         let cfg = with_inert_llc_knobs(bench_cfg(SystemKind::Ndp, 2, mechanism, workload));
         assert_eq!(cfg.l3_kb, 0, "defaults must leave the shared layer off");
-        assert!(!cfg.has_shared_llc());
+        assert!(cfg.l3_config().is_none() && cfg.vault_buffer_config().is_none());
         let report = Machine::new(cfg).run();
         assert!(report.l3.is_none() && report.vault.is_none());
         assert_eq!(
