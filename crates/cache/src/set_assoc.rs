@@ -759,13 +759,12 @@ mod tests {
     /// Replays `stream` through a cache of `ways` ways over 4 sets and
     /// through the oracle, comparing every hit, victim and residency
     /// answer, and the line array and statistics after every step. Each
-    /// step is `(kind, line, asid, bits)`: bit 0 of `bits` makes the
-    /// step metadata, bit 1 is the fill's dirtiness or the access's store
-    /// bit.
+    /// step is `(kind, line, asid, class, flag)`: `flag` is the fill's
+    /// dirtiness or the access's store bit.
     fn cache_matches_oracle(
         ways: u32,
         lip: bool,
-        stream: &[(u8, u64, u16, u8)],
+        stream: &[(u8, u64, u16, AccessClass, bool)],
     ) -> Result<(), proptest::TestCaseError> {
         let config = CacheConfig {
             name: "prop",
@@ -777,14 +776,8 @@ mod tests {
         };
         let mut cache = SetAssocCache::new(config.clone());
         let mut oracle = DivOracle::new(config);
-        for (i, &(kind, line, asid, bits)) in stream.iter().enumerate() {
-            let (meta, flag) = (bits & 1 == 1, bits & 2 == 2);
+        for (i, &(kind, line, asid, class, flag)) in stream.iter().enumerate() {
             let addr = PhysAddr::new(line * 64 + (line % 64));
-            let class = if meta {
-                AccessClass::Metadata
-            } else {
-                AccessClass::Data
-            };
             let rw = if flag { RwKind::Write } else { RwKind::Read };
             match kind {
                 0..=3 => proptest::prop_assert_eq!(
@@ -827,6 +820,19 @@ mod tests {
         Ok(())
     }
 
+    /// A step's line class: normal data or page-table metadata.
+    fn access_class() -> impl proptest::prelude::Strategy<Value = AccessClass> {
+        proptest::prop_oneof![
+            proptest::prelude::Just(AccessClass::Data),
+            proptest::prelude::Just(AccessClass::Metadata)
+        ]
+    }
+
+    /// A fill's dirtiness, or an access's store bit.
+    fn dirty_or_store() -> impl proptest::prelude::Strategy<Value = bool> {
+        proptest::bool::ANY
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
@@ -840,7 +846,7 @@ mod tests {
         #[test]
         fn fill_matches_division_oracle(
             stream in proptest::collection::vec(
-                (0u8..9, 0u64..80, 0u16..3, 0u8..4),
+                (0u8..9, 0u64..80, 0u16..3, access_class(), dirty_or_store()),
                 1..600,
             ),
         ) {
@@ -849,7 +855,7 @@ mod tests {
                     let pool = 4 * 5 * u64::from(ways);
                     let scaled: Vec<_> = stream
                         .iter()
-                        .map(|&(k, l, a, b)| (k, l * pool / 80, a, b))
+                        .map(|&(k, l, a, c, f)| (k, l * pool / 80, a, c, f))
                         .collect();
                     cache_matches_oracle(ways, lip, &scaled)?;
                 }
