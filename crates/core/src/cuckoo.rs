@@ -391,7 +391,7 @@ impl PageTable for ElasticCuckooTable {
     }
 
     /// Inserts the pages with stand-in PTEs and no allocator, logging the
-    /// allocator calls `map` would make (see [`Shaping`]).
+    /// allocator calls `map` would make (see `Shaping`).
     fn shape_range(&mut self, first: Vpn, pages: u64) {
         let mut log = self.shaping.take().unwrap_or_default();
         assert!(
