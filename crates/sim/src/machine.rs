@@ -1082,7 +1082,6 @@ impl Machine {
             }
         };
         let done = self.read_memory(i, addr, class, send_t);
-        let asid = self.cores[i].asid();
         let Some(l3) = self.l3.as_mut() else {
             return (done, false);
         };
@@ -1100,7 +1099,7 @@ impl Machine {
         // private levels; exclusive fills bypass the L3 (it is fed by
         // private victims instead).
         if l3.config().policy == InclusionPolicy::Inclusive {
-            if let Some(victim) = l3.fill(addr, class, asid, false) {
+            if let Some(victim) = l3.fill(addr, class, self.cores[i].asid(), false) {
                 self.back_invalidate_for(i, victim, done);
             }
         }
@@ -1135,38 +1134,25 @@ impl Machine {
     /// dirty victim is posted toward memory.
     fn route_private_victims(&mut self, i: usize, victims: VictimList, now: Cycles) {
         let outer = self.cores[i].caches.depth() - 1;
-        let asid = self.cores[i].asid();
-        let policy = self.l3.as_ref().map(|l3| l3.config().policy);
         for lv in victims {
             let v = lv.victim;
-            if lv.level == outer {
+            if let Some(l3) = self.l3.as_mut().filter(|_| lv.level == outer) {
+                let policy = l3.config().policy;
                 match policy {
-                    Some(InclusionPolicy::Exclusive) => {
-                        let evicted = self
-                            .l3
-                            .as_mut()
-                            .expect("policy implies an L3")
-                            .fill(v.addr, v.class, asid, v.dirty);
-                        if let Some(evicted) = evicted {
-                            if evicted.dirty {
-                                self.post_write(i, evicted.addr, evicted.class, now);
-                            }
+                    InclusionPolicy::Exclusive => {
+                        let asid = self.cores[i].asid();
+                        let evicted = l3.fill(v.addr, v.class, asid, v.dirty);
+                        if let Some(evicted) = evicted.filter(|e| e.dirty) {
+                            self.post_write(i, evicted.addr, evicted.class, now);
                         }
                         continue;
                     }
                     // A dirty inclusive victim updates its L3 copy in
                     // place when present (absorbed, no memory traffic).
-                    Some(InclusionPolicy::Inclusive)
-                        if v.dirty
-                            && self
-                                .l3
-                                .as_mut()
-                                .expect("policy implies an L3")
-                                .accept_writeback(v.addr) =>
-                    {
+                    InclusionPolicy::Inclusive if v.dirty && l3.accept_writeback(v.addr) => {
                         continue;
                     }
-                    Some(InclusionPolicy::Inclusive) | None => {}
+                    InclusionPolicy::Inclusive => {}
                 }
             }
             if v.dirty {
@@ -1198,21 +1184,19 @@ impl Machine {
         let ticket = self
             .controller
             .request_ticketed(addr, RwKind::Read, class, t, send_t);
-        let asid = self.cores[i].asid();
         if let Some(vault) = self.vaults.get_mut(channel as usize) {
             vault.register_fill(addr, send_t, ticket.done);
-            if let Some(victim) = vault.fill(addr, class, asid, false) {
-                if victim.dirty {
-                    // The buffer sits at the vault: its dirty victims drain
-                    // into the local banks with no further NoC traversal.
-                    self.controller.request_ticketed(
-                        victim.addr,
-                        RwKind::Write,
-                        victim.class,
-                        ticket.done,
-                        ticket.done,
-                    );
-                }
+            let victim = vault.fill(addr, class, self.cores[i].asid(), false);
+            if let Some(victim) = victim.filter(|v| v.dirty) {
+                // The buffer sits at the vault: its dirty victims drain
+                // into the local banks with no further NoC traversal.
+                self.controller.request_ticketed(
+                    victim.addr,
+                    RwKind::Write,
+                    victim.class,
+                    ticket.done,
+                    ticket.done,
+                );
             }
         }
         ticket.done + one_way
