@@ -527,6 +527,7 @@ impl PageTable for ElasticCuckooTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn setup() -> (FrameAllocator, ElasticCuckooTable) {
         let mut alloc = FrameAllocator::new(4 << 30);
@@ -694,5 +695,474 @@ mod tests {
             .map(|w| occ.level(PtLevel::HashWay(w)).unwrap().valid_entries)
             .sum();
         assert_eq!(total, 100);
+    }
+
+    /// Marks an oracle leaf that still holds its page's ordinal: the
+    /// oracle's stand-in, a not-present PTE until `bind` rewrites it.
+    const UNBOUND: u64 = 1 << 63;
+
+    /// The oracle's frame source: the allocator, or its shaping log.
+    trait OracleFrames {
+        fn way(&mut self, way: usize, slots: usize) -> Pfn;
+        /// The leaf of the page being mapped: a frame number, or a
+        /// stand-in ordinal tagged [`UNBOUND`].
+        fn leaf(&mut self) -> u64;
+    }
+
+    impl OracleFrames for FrameAllocator {
+        fn way(&mut self, _way: usize, slots: usize) -> Pfn {
+            let frames = ((slots as u64 * PTE_SIZE).div_ceil(PAGE_SIZE)).max(1);
+            self.alloc_contiguous(frames, FramePurpose::PageTable)
+                .expect("page-table reservations always succeed")
+        }
+
+        fn leaf(&mut self) -> u64 {
+            self.alloc_frame(FramePurpose::Data).as_u64()
+        }
+    }
+
+    #[derive(Debug, Clone, Default)]
+    struct OracleShaping {
+        ranges: Vec<(u64, u64)>,
+        pages: u64,
+        leaf_taken: bool,
+        owed: Vec<(u64, Owed)>,
+        planned: usize,
+        replayed: usize,
+        next: u64,
+        applied: usize,
+        pfns: Vec<u64>,
+    }
+
+    impl OracleFrames for OracleShaping {
+        fn way(&mut self, way: usize, slots: usize) -> Pfn {
+            let at = 2 * self.pages + u64::from(self.leaf_taken);
+            self.owed.push((at, Owed::Way { way, slots }));
+            Pfn::new(0)
+        }
+
+        fn leaf(&mut self) -> u64 {
+            self.leaf_taken = true;
+            self.pages | UNBOUND
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    struct OracleWay {
+        base: Pfn,
+        vpns: Vec<u64>,
+        leaves: Vec<u64>,
+        used: usize,
+        seed: u64,
+    }
+
+    impl OracleWay {
+        fn index(&self, vpn: u64) -> usize {
+            let h = vpn.wrapping_mul(self.seed);
+            (h >> (64 - self.vpns.len().trailing_zeros())) as usize
+        }
+    }
+
+    /// The table as it stood with two arrays per way (keys and leaf
+    /// PTEs), find-then-insert on every map, a per-way f64 load test and
+    /// a stand-in PTE per shaped page bound in one sweep of the ways:
+    /// the oracle the production table's host layout is checked against.
+    #[derive(Debug, Clone)]
+    struct OracleTable {
+        ways: Vec<OracleWay>,
+        mapped: u64,
+        stats: CuckooStats,
+        pending_rehash: u64,
+        shaping: Option<OracleShaping>,
+    }
+
+    impl OracleTable {
+        fn with_slots(alloc: &mut FrameAllocator, slots: usize) -> Self {
+            let seeds = [
+                0x9E37_79B9_7F4A_7C15,
+                0xC2B2_AE3D_27D4_EB4F,
+                0x1656_67B1_9E37_79F9,
+            ];
+            let ways = (0..WAYS)
+                .map(|w| OracleWay {
+                    base: OracleFrames::way(alloc, w, slots),
+                    vpns: vec![EMPTY; slots],
+                    leaves: vec![0; slots],
+                    used: 0,
+                    seed: seeds[w] | 1,
+                })
+                .collect();
+            OracleTable {
+                ways,
+                mapped: 0,
+                stats: CuckooStats::default(),
+                pending_rehash: 0,
+                shaping: None,
+            }
+        }
+
+        fn needs_resize(&self) -> bool {
+            self.ways
+                .iter()
+                .any(|w| w.used as f64 / w.vpns.len() as f64 >= RESIZE_THRESHOLD)
+        }
+
+        fn resize<F: OracleFrames>(&mut self, frames: &mut F) {
+            let mut entries = Vec::new();
+            for way in &self.ways[1..] {
+                for (&v, &leaf) in way.vpns.iter().zip(&way.leaves) {
+                    if v != EMPTY {
+                        entries.push((v, leaf));
+                    }
+                }
+            }
+            let moved = (self.ways[0].used + entries.len()) as u64;
+            for (w, way) in self.ways.iter_mut().enumerate() {
+                let slots = way.vpns.len() * 2;
+                way.base = frames.way(w, slots);
+                if w == 0 {
+                    way.vpns.resize(slots, EMPTY);
+                    way.leaves.resize(slots, 0);
+                    for i in (0..slots / 2).rev() {
+                        let vpn = way.vpns[i];
+                        if vpn != EMPTY {
+                            let leaf = way.leaves[i];
+                            way.vpns[i] = EMPTY;
+                            way.leaves[i] = 0;
+                            let j = way.index(vpn);
+                            way.vpns[j] = vpn;
+                            way.leaves[j] = leaf;
+                        }
+                    }
+                } else {
+                    way.vpns = vec![EMPTY; slots];
+                    way.leaves = vec![0; slots];
+                    way.used = 0;
+                }
+            }
+            self.stats.resizes += 1;
+            self.stats.rehashed_entries += moved;
+            self.pending_rehash += moved;
+            for (vpn, leaf) in entries {
+                self.insert(vpn, leaf, frames);
+            }
+        }
+
+        fn insert<F: OracleFrames>(&mut self, vpn: u64, leaf: u64, frames: &mut F) {
+            let (mut cur_vpn, mut cur_leaf) = (vpn, leaf);
+            let mut way_idx = 0;
+            for kick in 0..=MAX_KICKS {
+                for way in &mut self.ways {
+                    let idx = way.index(cur_vpn);
+                    if way.vpns[idx] == EMPTY {
+                        way.vpns[idx] = cur_vpn;
+                        way.leaves[idx] = cur_leaf;
+                        way.used += 1;
+                        return;
+                    }
+                }
+                if kick == MAX_KICKS {
+                    break;
+                }
+                let way = &mut self.ways[way_idx];
+                let idx = way.index(cur_vpn);
+                std::mem::swap(&mut cur_vpn, &mut way.vpns[idx]);
+                std::mem::swap(&mut cur_leaf, &mut way.leaves[idx]);
+                self.stats.kicks += 1;
+                way_idx = (way_idx + 1) % WAYS;
+            }
+            self.resize(frames);
+            self.insert(cur_vpn, cur_leaf, frames);
+        }
+
+        fn find(&self, vpn: u64) -> Option<(usize, usize)> {
+            self.ways.iter().enumerate().find_map(|(w, way)| {
+                let idx = way.index(vpn);
+                (way.vpns[idx] == vpn).then_some((w, idx))
+            })
+        }
+
+        fn map_with<F: OracleFrames>(&mut self, vpn: u64, frames: &mut F) -> MapOutcome {
+            if self.find(vpn).is_some() {
+                return MapOutcome::already_mapped();
+            }
+            let tables_before = self.stats.resizes;
+            if self.needs_resize() {
+                self.resize(frames);
+            }
+            let leaf = frames.leaf();
+            self.insert(vpn, leaf, frames);
+            self.mapped += 1;
+            MapOutcome {
+                newly_mapped: true,
+                fault: Some(FaultKind::Minor4K),
+                tables_allocated: ((self.stats.resizes - tables_before) * WAYS as u64) as u32,
+            }
+        }
+
+        fn map(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> MapOutcome {
+            self.map_with(vpn.as_u64(), alloc)
+        }
+
+        fn shape_range(&mut self, first: Vpn, pages: u64) {
+            let mut log = self.shaping.take().unwrap_or_default();
+            log.ranges.push((first.as_u64(), pages));
+            for p in 0..pages {
+                log.leaf_taken = false;
+                if !self.map_with(first.add(p).as_u64(), &mut log).newly_mapped {
+                    log.owed.push((2 * log.pages, Owed::Skip));
+                }
+                log.pages += 1;
+            }
+            self.shaping = Some(log);
+        }
+
+        fn plan_range(&mut self, first: Vpn, pages: u64, alloc: &mut FrameAllocator) -> RangePlan {
+            let log = self.shaping.as_mut().expect("a shaped table plans");
+            assert_eq!(log.ranges[log.planned], (first.as_u64(), pages));
+            log.planned += 1;
+            let end = log.next + pages;
+            let mut plan = RangePlan::default();
+            while let Some(&(at, owed)) = log.owed.get(log.replayed).filter(|(at, _)| *at < 2 * end)
+            {
+                log.replayed += 1;
+                let upto = at.div_ceil(2).max(log.next);
+                plan_data_run(&mut plan, log.next, upto, alloc);
+                log.next = upto;
+                match owed {
+                    Owed::Way { way, slots } => {
+                        self.ways[way].base = OracleFrames::way(alloc, way, slots);
+                    }
+                    Owed::Skip => log.next += 1,
+                }
+            }
+            plan_data_run(&mut plan, log.next, end, alloc);
+            log.next = end;
+            plan
+        }
+
+        fn apply_plan(&mut self, plan: &RangePlan) {
+            let log = self
+                .shaping
+                .as_mut()
+                .expect("plans come from a shaped table");
+            log.pfns.resize(log.pages as usize, 0);
+            for seg in &plan.segments {
+                for k in 0..seg.count {
+                    log.pfns[(seg.start + k) as usize] = seg.first_pfn + u64::from(k);
+                }
+            }
+            log.applied += 1;
+            if log.applied == log.ranges.len() {
+                self.bind();
+            }
+        }
+
+        fn bind(&mut self) {
+            let log = self.shaping.take().expect("binding ends a phased premap");
+            for way in &mut self.ways {
+                for (&vpn, leaf) in way.vpns.iter().zip(&mut way.leaves) {
+                    if vpn != EMPTY && *leaf & UNBOUND != 0 {
+                        *leaf = log.pfns[(*leaf & !UNBOUND) as usize];
+                    }
+                }
+            }
+        }
+
+        fn translate_and_walk(&self, vpn: Vpn) -> Option<(Translation, WalkPath)> {
+            let (w, idx) = self.find(vpn.as_u64())?;
+            let mut path = WalkPath::empty();
+            for (way_idx, way) in self.ways.iter().enumerate() {
+                path.push(WalkStep {
+                    addr: way.base.entry_addr(way.index(vpn.as_u64())),
+                    level: PtLevel::HashWay(way_idx as u8),
+                    group: 0,
+                });
+            }
+            let pfn = Pfn::new(self.ways[w].leaves[idx]);
+            Some((
+                Translation {
+                    pfn,
+                    size: PageSize::Size4K,
+                },
+                path,
+            ))
+        }
+
+        fn occupancy(&self) -> OccupancyReport {
+            let mut report = OccupancyReport::new();
+            for (w, way) in self.ways.iter().enumerate() {
+                report.set(
+                    PtLevel::HashWay(w as u8),
+                    LevelOccupancy {
+                        nodes: 1,
+                        valid_entries: way.used as u64,
+                        capacity: way.vpns.len() as u64,
+                    },
+                );
+            }
+            report
+        }
+
+        fn table_bytes(&self) -> u64 {
+            self.ways
+                .iter()
+                .map(|w| (w.vpns.len() as u64 * PTE_SIZE).div_ceil(PAGE_SIZE) * PAGE_SIZE)
+                .sum()
+        }
+
+        /// Every way's slots in order: `(vpn, pfn)`, or `None` if empty.
+        fn slots(&self) -> Vec<Vec<Option<(u64, u64)>>> {
+            self.ways
+                .iter()
+                .map(|way| {
+                    way.vpns
+                        .iter()
+                        .zip(&way.leaves)
+                        .map(|(&vpn, &pfn)| (vpn != EMPTY).then_some((vpn, pfn)))
+                        .collect()
+                })
+                .collect()
+        }
+    }
+
+    /// The production table's slots, as [`OracleTable::slots`] lists them.
+    fn table_slots(t: &ElasticCuckooTable) -> Vec<Vec<Option<(u64, u64)>>> {
+        t.ways
+            .iter()
+            .map(|way| {
+                way.vpns
+                    .iter()
+                    .zip(&way.ptes)
+                    .map(|(&vpn, pte)| (vpn != EMPTY).then_some((vpn, pte.pfn().as_u64())))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// One premap phase of [`table_matches_oracle`]: `(first vpn, pages)`
+    /// ranges, mapped shaped-then-planned-then-applied as the machine
+    /// does (`batched`), or each range shaped, planned and applied in
+    /// turn; then `(vpn)` pages mapped at run time.
+    type Phase = (Vec<(u64, u64)>, bool, Vec<u64>);
+
+    /// VPNs that hash to slot 0 of every way of a 16-slot table (so of
+    /// any smaller one too): the fourth of them kicks until it gives up.
+    fn colliding_vpns() -> Vec<u64> {
+        let probe = OracleTable::with_slots(&mut FrameAllocator::new(1 << 30), 16);
+        (1..)
+            .filter(|&v| probe.ways.iter().all(|w| w.index(v) == 0))
+            .take(12)
+            .collect()
+    }
+
+    fn arb_phase() -> impl Strategy<Value = Phase> {
+        // Narrow windows make ranges overlap and runtime maps hit
+        // premapped pages; the wide one scatters keys across hash slots.
+        let vpn = || {
+            prop_oneof![
+                0u64..2048,
+                0u64..(16u64 << 30 >> 12),
+                proptest::sample::select(colliding_vpns()),
+            ]
+        };
+        let range = prop_oneof![(vpn(), 1u64..600), (vpn(), Just(1u64))];
+        (
+            proptest::collection::vec(range, 0..8),
+            proptest::bool::ANY,
+            proptest::collection::vec(vpn(), 0..400),
+        )
+    }
+
+    /// Replays `phases` on the production table and on the oracle, both
+    /// starting from `slots` slots per way, and compares everything the
+    /// table shows: each map's and plan's outcome, then after each phase
+    /// every way's slot-by-slot `(vpn, pfn)`, the cuckoo statistics,
+    /// pending rehash work, occupancy, storage, mapped pages, allocator
+    /// state and the translation and walk of every touched page.
+    fn table_matches_oracle(slots: usize, phases: &[Phase]) -> Result<(), TestCaseError> {
+        let mut alloc = FrameAllocator::new(64 << 30);
+        let mut oracle_alloc = alloc.clone();
+        let mut table = ElasticCuckooTable::with_slots(&mut alloc, slots);
+        let mut oracle = OracleTable::with_slots(&mut oracle_alloc, slots);
+        let mut touched = Vec::new();
+        for (ranges, batched, runtime) in phases {
+            let mut plans = Vec::new();
+            for &(start, len) in ranges {
+                let first = Vpn::new(start);
+                table.shape_range(first, len);
+                oracle.shape_range(first, len);
+                if !batched {
+                    let plan = table.plan_range(first, len, &mut alloc).unwrap();
+                    let oracle_plan = oracle.plan_range(first, len, &mut oracle_alloc);
+                    prop_assert_eq!(plan.outcome, oracle_plan.outcome);
+                    table.apply_plan(&plan);
+                    oracle.apply_plan(&oracle_plan);
+                }
+                touched.extend(start..start + len);
+            }
+            if *batched {
+                for &(start, len) in ranges {
+                    let first = Vpn::new(start);
+                    let plan = table.plan_range(first, len, &mut alloc).unwrap();
+                    let oracle_plan = oracle.plan_range(first, len, &mut oracle_alloc);
+                    prop_assert_eq!(plan.outcome, oracle_plan.outcome);
+                    plans.push((plan, oracle_plan));
+                }
+                for (plan, oracle_plan) in &plans {
+                    table.apply_plan(plan);
+                    oracle.apply_plan(oracle_plan);
+                }
+            }
+            for &v in runtime {
+                let vpn = Vpn::new(v);
+                prop_assert_eq!(
+                    table.map(vpn, &mut alloc),
+                    oracle.map(vpn, &mut oracle_alloc),
+                    "map {}",
+                    v
+                );
+                touched.push(v);
+            }
+            prop_assert_eq!(table_slots(&table), oracle.slots());
+            prop_assert_eq!(table.stats(), &oracle.stats);
+            prop_assert_eq!(
+                table.take_pending_rehash(),
+                std::mem::take(&mut oracle.pending_rehash)
+            );
+            prop_assert_eq!(table.occupancy(), oracle.occupancy());
+            prop_assert_eq!(table.table_bytes(), oracle.table_bytes());
+            prop_assert_eq!(table.mapped_pages(), oracle.mapped);
+            prop_assert_eq!(alloc.frames_used(), oracle_alloc.frames_used());
+            prop_assert_eq!(alloc.stats(), oracle_alloc.stats());
+            for &v in touched.iter().chain(&[u64::from(u32::MAX)]) {
+                let vpn = Vpn::new(v);
+                prop_assert_eq!(
+                    table.translate_and_walk(vpn),
+                    oracle.translate_and_walk(vpn),
+                    "vpn {}",
+                    v
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The production table against [`OracleTable`] over random
+        /// phased premaps (batched as the machine runs them, or one
+        /// range at a time), overlapping ranges and runtime maps of
+        /// fresh, scattered and already-mapped pages; 2- to 16-slot
+        /// ways reach kick exhaustion, and later phases start a second
+        /// phased premap on a table that already maps pages.
+        #[test]
+        fn table_matches_the_oracle(
+            slots in proptest::sample::select(vec![2usize, 4, 16, ElasticCuckooTable::INITIAL_SLOTS]),
+            phases in proptest::collection::vec(arb_phase(), 1..4),
+        ) {
+            table_matches_oracle(slots, &phases)?;
+        }
     }
 }
