@@ -117,7 +117,7 @@ fn bench_translate_and_walk(c: &mut Criterion) {
 /// `Machine::new` for an 8-core NDP machine under ECH at the calibration
 /// grid's quick scale: eight 256 MiB address spaces premapped into eight
 /// elastic cuckoo tables (shape per table, replay the frame allocations
-/// in schedule order, bind the frames per table).
+/// in schedule order, write the leaf PTEs per table).
 fn bench_premap(c: &mut Criterion) {
     let mut group = c.benchmark_group("pagetable_premap");
     group.sample_size(10);

@@ -9,13 +9,18 @@
 //! resize: when load exceeds a threshold each way doubles and entries
 //! rehash incrementally; we model the rehash work by counting moved
 //! entries (the simulator charges latency for them).
+//!
+//! In host memory a way is one array of 64-bit slots, each packing a
+//! page's VPN (the low `KEY_BITS`) with the index of its leaf PTE in the
+//! table's one leaf array. The simulated layout is not this: a walk
+//! fetches the PTE-sized entry of each probed slot from the way's frames.
 
 use crate::alloc::{FrameAllocator, FramePurpose};
 use crate::occupancy::{LevelOccupancy, OccupancyReport};
 use crate::pte::Pte;
 use crate::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangePlan, Translation};
 use crate::walk::{WalkPath, WalkStep};
-use ndp_types::addr::{PAGE_SIZE, PTE_SIZE};
+use ndp_types::addr::{PAGE_SHIFT, PAGE_SIZE, PTE_SIZE, VA_BITS};
 use ndp_types::{PageSize, Pfn, PtLevel, Vpn};
 
 /// Number of cuckoo ways (3-ary, as in the ECH paper's default).
@@ -25,7 +30,36 @@ pub const RESIZE_THRESHOLD: f64 = 0.6;
 /// Give up cuckoo displacement after this many evictions and resize.
 const MAX_KICKS: usize = 32;
 
+/// Low bits of a slot holding the VPN: every VPN bit of a virtual address.
+const KEY_BITS: u32 = VA_BITS - PAGE_SHIFT;
+const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
+/// Leaf indices fill the slot above the key, so they stay below this.
+const LEAF_LIMIT: u64 = 1 << (u64::BITS - KEY_BITS);
+
+/// A free slot. Its key bits are all ones, which no mapped VPN's are
+/// (`map` refuses that VPN), so comparing keys alone finds a page.
 const EMPTY: u64 = u64::MAX;
+
+/// The slot of the page with VPN `key` whose leaf PTE is `leaves[leaf]`.
+fn pack(key: u64, leaf: u64) -> u64 {
+    assert!(
+        leaf < LEAF_LIMIT,
+        "leaf index {leaf} is past a slot's leaf field"
+    );
+    key | leaf << KEY_BITS
+}
+
+/// The VPN key of a slot.
+const fn key(slot: u64) -> u64 {
+    slot & KEY_MASK
+}
+
+/// The `used` count at which a way of `slots` slots is due to resize:
+/// the least with `used / slots >= RESIZE_THRESHOLD`. Exact in `f64`,
+/// because `slots` is a power of two.
+fn resize_limit(slots: usize) -> usize {
+    (RESIZE_THRESHOLD * slots as f64).ceil() as usize
+}
 
 /// Allocates the data frames of ordinals `from..to` as one run of `plan`.
 fn plan_data_run(plan: &mut RangePlan, from: u64, to: u64, alloc: &mut FrameAllocator) {
@@ -37,15 +71,15 @@ fn plan_data_run(plan: &mut RangePlan, from: u64, to: u64, alloc: &mut FrameAllo
 }
 
 /// Where a table's frames come from while it maps pages: the frame
-/// allocator itself, or a [`Shaping`] log that hands out stand-ins and
-/// writes down the allocator calls it owes. The insert and resize code is
-/// generic over it, so a shaped table is laid out exactly as `map` would
-/// lay it out.
+/// allocator itself, or a [`Shaping`] log that hands out leaf indices
+/// and writes down the allocator calls it owes. The insert and resize
+/// code is generic over it, so a shaped table is laid out exactly as
+/// `map` would lay it out.
 trait Frames {
     /// Storage for way `way`, now `slots` entries long.
     fn way(&mut self, way: usize, slots: usize) -> Pfn;
-    /// The leaf PTE of the page being mapped.
-    fn leaf(&mut self) -> Pte;
+    /// The index in `leaves` of the page being mapped's leaf PTE.
+    fn leaf(&mut self, leaves: &mut Vec<Pte>) -> u64;
 }
 
 impl Frames for FrameAllocator {
@@ -55,8 +89,9 @@ impl Frames for FrameAllocator {
             .expect("page-table reservations always succeed")
     }
 
-    fn leaf(&mut self) -> Pte {
-        Pte::leaf(self.alloc_frame(FramePurpose::Data))
+    fn leaf(&mut self, leaves: &mut Vec<Pte>) -> u64 {
+        leaves.push(Pte::leaf(self.alloc_frame(FramePurpose::Data)));
+        leaves.len() as u64 - 1
     }
 }
 
@@ -72,18 +107,20 @@ enum Owed {
 /// A phased premap in progress (see [`PageTable::shape_range`]).
 ///
 /// Where an entry lands depends only on the VPN sequence: insert and
-/// resize compare VPNs, never PTEs, and resizes fire on per-way counts
+/// resize compare VPNs, never leaves, and resizes fire on per-way counts
 /// and kick exhaustion. So shaping runs the unchanged insert/resize code
-/// with each page's ordinal as a stand-in PTE and no allocator, logging
-/// where every way allocation falls among the pages' data frames (all
-/// the allocator sees of the order). Planning then replays the log
-/// against the allocator range by range (the same calls `map` would
-/// make, in the same order), and applying the last plan rewrites each
-/// stand-in to its page's frame in one sweep of the ways.
+/// with no allocator, handing page `n` of the premap the leaf index
+/// `first_leaf + n`, and logs where every way allocation falls among the
+/// pages' data frames (all the allocator sees of the order). Planning
+/// then replays the log against the allocator range by range (the same
+/// calls `map` would make, in the same order) and grows the leaf array
+/// over the range, and applying a plan writes its pages' leaf PTEs.
 #[derive(Debug, Clone, Default)]
 struct Shaping {
     /// Shaped ranges as `(first vpn, pages)`; plans retrace them in order.
     ranges: Vec<(u64, u64)>,
+    /// The leaf index of the premap's first page.
+    first_leaf: u64,
     /// Pages shaped so far: the next page's ordinal.
     pages: u64,
     /// Whether the page being shaped has taken its data frame.
@@ -99,8 +136,6 @@ struct Shaping {
     next: u64,
     /// Plans applied so far.
     applied: usize,
-    /// Each ordinal's data frame, filled in as plans are applied.
-    pfns: Vec<u64>,
 }
 
 impl Frames for Shaping {
@@ -111,73 +146,54 @@ impl Frames for Shaping {
         Pfn::new(0)
     }
 
-    fn leaf(&mut self) -> Pte {
+    fn leaf(&mut self, _leaves: &mut Vec<Pte>) -> u64 {
         self.leaf_taken = true;
-        Pte::unbound(self.pages)
+        self.first_leaf + self.pages
     }
 }
 
 #[derive(Debug, Clone)]
 struct Way {
     base: Pfn,
-    vpns: Vec<u64>,
-    ptes: Vec<Pte>,
+    /// Packed slots (see [`pack`]), or [`EMPTY`].
+    slots: Vec<u64>,
     used: usize,
+    /// The `used` count that makes the way due to resize.
+    limit: usize,
     seed: u64,
 }
 
 impl Way {
-    fn new(base: Pfn, slots: usize, seed: u64) -> Self {
-        Way {
-            base,
-            vpns: vec![EMPTY; slots],
-            ptes: vec![Pte::NULL; slots],
-            used: 0,
-            seed,
-        }
-    }
-
-    fn slots(&self) -> usize {
-        self.vpns.len()
-    }
-
-    fn index(&self, vpn: Vpn) -> usize {
+    fn index(&self, key: u64) -> usize {
         // Multiply-shift hashing with a per-way odd seed.
-        let h = vpn.as_u64().wrapping_mul(self.seed);
-        (h >> (64 - self.slots().trailing_zeros())) as usize
+        let h = key.wrapping_mul(self.seed);
+        (h >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
     /// Doubles the way, moving each entry to its split slot: one more
     /// hash bit turns slot `i` into `2i` or `2i + 1`. Descending order
     /// never overwrites an entry still to be moved.
     fn split(&mut self) {
-        let slots = self.slots();
-        self.vpns.resize(2 * slots, EMPTY);
-        self.ptes.resize(2 * slots, Pte::NULL);
+        let slots = self.slots.len();
+        self.slots.resize(2 * slots, EMPTY);
+        self.limit = resize_limit(2 * slots);
         for i in (0..slots).rev() {
-            let vpn = self.vpns[i];
-            if vpn != EMPTY {
-                let pte = std::mem::take(&mut self.ptes[i]);
-                self.vpns[i] = EMPTY;
-                let j = self.index(Vpn::new(vpn));
-                self.vpns[j] = vpn;
-                self.ptes[j] = pte;
+            let slot = self.slots[i];
+            if slot != EMPTY {
+                self.slots[i] = EMPTY;
+                let j = self.index(key(slot));
+                self.slots[j] = slot;
             }
         }
     }
 
     /// Empties the way and doubles it.
     fn clear_doubled(&mut self) {
-        let slots = self.slots() * 2;
-        self.vpns.clear();
-        self.vpns.resize(slots, EMPTY);
-        self.ptes.clear();
-        self.ptes.resize(slots, Pte::NULL);
+        let slots = self.slots.len() * 2;
+        self.slots.clear();
+        self.slots.resize(slots, EMPTY);
         self.used = 0;
-    }
-
-    fn entry_addr(&self, idx: usize) -> ndp_types::PhysAddr {
-        self.base.entry_addr(idx)
+        self.limit = resize_limit(slots);
     }
 }
 
@@ -195,7 +211,9 @@ pub struct CuckooStats {
 /// The elastic cuckoo page table ("ECH" in Figs 12–14).
 #[derive(Debug, Clone)]
 pub struct ElasticCuckooTable {
-    ways: Vec<Way>,
+    ways: [Way; WAYS],
+    /// Every mapped page's leaf PTE, indexed by its slot's leaf field.
+    leaves: Vec<Pte>,
     mapped: u64,
     stats: CuckooStats,
     /// Entries rehashed since last drained by the simulator.
@@ -223,11 +241,15 @@ impl ElasticCuckooTable {
             0xC2B2_AE3D_27D4_EB4F,
             0x1656_67B1_9E37_79F9,
         ];
-        let ways = (0..WAYS)
-            .map(|w| Way::new(alloc.way(w, slots), slots, seeds[w] | 1))
-            .collect();
         ElasticCuckooTable {
-            ways,
+            ways: std::array::from_fn(|w| Way {
+                base: alloc.way(w, slots),
+                slots: vec![EMPTY; slots],
+                used: 0,
+                limit: resize_limit(slots),
+                seed: seeds[w] | 1,
+            }),
+            leaves: Vec::new(),
             mapped: 0,
             stats: CuckooStats::default(),
             pending_rehash: 0,
@@ -247,18 +269,8 @@ impl ElasticCuckooTable {
         std::mem::take(&mut self.pending_rehash)
     }
 
-    /// Current load factor across ways.
-    #[must_use]
-    pub fn load_factor(&self) -> f64 {
-        let used: usize = self.ways.iter().map(|w| w.used).sum();
-        let slots: usize = self.ways.iter().map(Way::slots).sum();
-        used as f64 / slots as f64
-    }
-
     fn needs_resize(&self) -> bool {
-        self.ways
-            .iter()
-            .any(|w| w.used as f64 / w.slots() as f64 >= RESIZE_THRESHOLD)
+        self.ways.iter().any(|w| w.used >= w.limit)
     }
 
     /// Doubles every way in place. Way 0's entries move straight to their
@@ -266,23 +278,19 @@ impl ElasticCuckooTable {
     /// each would land there anyway. The other ways' entries are
     /// reinserted.
     fn resize<F: Frames>(&mut self, frames: &mut F) {
-        let mut entries: Vec<(u64, Pte)> =
-            Vec::with_capacity(self.ways[1..].iter().map(|w| w.used).sum());
+        let mut entries = Vec::with_capacity(self.ways[1..].iter().map(|w| w.used).sum());
         for way in &self.ways[1..] {
-            for (&v, &pte) in way.vpns.iter().zip(&way.ptes) {
-                if v != EMPTY {
-                    entries.push((v, pte));
-                }
-            }
+            entries.extend(way.slots.iter().copied().filter(|&slot| slot != EMPTY));
         }
         let moved = (self.ways[0].used + entries.len()) as u64;
         // Grown in place: glibc's `realloc` keeps a block in the arena that
         // allocated it, and a table's ways start in the main thread's, so
         // the memory one machine frees is reused by the next. Fresh
         // blocks would pile up in the arenas of the threads that shaped
-        // the tables, raising peak RSS by a third on the calibration grid.
+        // the tables, raising peak RSS by a third on the calibration grid;
+        // the leaf array grows only while planning, on the main thread.
         for (w, way) in self.ways.iter_mut().enumerate() {
-            way.base = frames.way(w, way.slots() * 2);
+            way.base = frames.way(w, way.slots.len() * 2);
             if w == 0 {
                 way.split();
             } else {
@@ -292,23 +300,20 @@ impl ElasticCuckooTable {
         self.stats.resizes += 1;
         self.stats.rehashed_entries += moved;
         self.pending_rehash += moved;
-        for (vpn, pte) in entries {
-            self.insert(Vpn::new(vpn), pte, frames);
+        for slot in entries {
+            self.insert(slot, frames);
         }
     }
 
-    fn insert<F: Frames>(&mut self, vpn: Vpn, pte: Pte, frames: &mut F) {
-        let mut cur_vpn = vpn.as_u64();
-        let mut cur_pte = pte;
+    fn insert<F: Frames>(&mut self, slot: u64, frames: &mut F) {
+        let mut cur = slot;
         let mut way_idx = 0usize;
         for kick in 0..=MAX_KICKS {
             // Try every way for an empty slot first.
-            for w in 0..WAYS {
-                let way = &mut self.ways[w];
-                let idx = way.index(Vpn::new(cur_vpn));
-                if way.vpns[idx] == EMPTY {
-                    way.vpns[idx] = cur_vpn;
-                    way.ptes[idx] = cur_pte;
+            for way in &mut self.ways {
+                let idx = way.index(key(cur));
+                if way.slots[idx] == EMPTY {
+                    way.slots[idx] = cur;
                     way.used += 1;
                     return;
                 }
@@ -318,29 +323,45 @@ impl ElasticCuckooTable {
             }
             // Displace from the rotating way.
             let way = &mut self.ways[way_idx];
-            let idx = way.index(Vpn::new(cur_vpn));
-            std::mem::swap(&mut cur_vpn, &mut way.vpns[idx]);
-            std::mem::swap(&mut cur_pte, &mut way.ptes[idx]);
+            let idx = way.index(key(cur));
+            std::mem::swap(&mut cur, &mut way.slots[idx]);
             self.stats.kicks += 1;
             way_idx = (way_idx + 1) % WAYS;
         }
         // Path exhausted: grow and retry (always terminates since capacity
         // doubles).
         self.resize(frames);
-        self.insert(Vpn::new(cur_vpn), cur_pte, frames);
+        self.insert(cur, frames);
     }
 
-    /// [`PageTable::map`] with frames from `frames`.
+    /// [`PageTable::map`] with frames from `frames`, probing each way
+    /// once: unless a probed slot holds the page or a resize is due, the
+    /// page takes the first empty one, as `insert`'s first round would.
     fn map_with<F: Frames>(&mut self, vpn: Vpn, frames: &mut F) -> MapOutcome {
-        if self.find(vpn).is_some() {
+        let raw = vpn.as_u64();
+        // From an empty slot's key up, keys lie outside the space.
+        assert!(
+            raw < KEY_MASK,
+            "VPN {raw:#x} is outside the {VA_BITS}-bit virtual address space"
+        );
+        let idx: [usize; WAYS] = std::array::from_fn(|w| self.ways[w].index(raw));
+        let probed: [u64; WAYS] = std::array::from_fn(|w| self.ways[w].slots[idx[w]]);
+        if probed.iter().any(|&slot| key(slot) == raw) {
             return MapOutcome::already_mapped();
         }
         let tables_before = self.stats.resizes;
-        if self.needs_resize() {
+        let due = self.needs_resize();
+        if due {
             self.resize(frames);
         }
-        let leaf = frames.leaf();
-        self.insert(vpn, leaf, frames);
+        let slot = pack(raw, frames.leaf(&mut self.leaves));
+        match probed.iter().position(|&probe| probe == EMPTY) {
+            Some(w) if !due => {
+                self.ways[w].slots[idx[w]] = slot;
+                self.ways[w].used += 1;
+            }
+            _ => self.insert(slot, frames),
+        }
         self.mapped += 1;
         MapOutcome {
             newly_mapped: true,
@@ -349,28 +370,19 @@ impl ElasticCuckooTable {
         }
     }
 
-    /// Ends a phased premap: rewrites every stand-in entry to its page's
-    /// frame in one sweep of the ways.
-    fn bind(&mut self) {
-        let log = self.shaping.take().expect("binding ends a phased premap");
-        for way in &mut self.ways {
-            for (&vpn, pte) in way.vpns.iter().zip(&mut way.ptes) {
-                if vpn != EMPTY && !pte.is_present() {
-                    *pte = Pte::leaf(Pfn::new(log.pfns[pte.pfn().as_u64() as usize]));
-                }
-            }
-        }
+    /// The slot holding `vpn`, if it is mapped.
+    fn find(&self, vpn: Vpn) -> Option<u64> {
+        let raw = vpn.as_u64();
+        let mut probed = self.ways.iter().map(|way| way.slots[way.index(raw)]);
+        // No mapped page has an empty slot's key, or one past it.
+        probed.find(|&slot| key(slot) == raw && raw < KEY_MASK)
     }
 
-    fn find(&self, vpn: Vpn) -> Option<(usize, usize)> {
-        let raw = vpn.as_u64();
-        for (w, way) in self.ways.iter().enumerate() {
-            let idx = way.index(vpn);
-            if way.vpns[idx] == raw {
-                return Some((w, idx));
-            }
+    fn translation(&self, slot: u64) -> Translation {
+        Translation {
+            pfn: self.leaves[(slot >> KEY_BITS) as usize].pfn(),
+            size: PageSize::Size4K,
         }
-        None
     }
 }
 
@@ -380,24 +392,23 @@ impl PageTable for ElasticCuckooTable {
     }
 
     fn translate(&self, vpn: Vpn) -> Option<Translation> {
-        self.find(vpn).map(|(w, idx)| Translation {
-            pfn: self.ways[w].ptes[idx].pfn(),
-            size: PageSize::Size4K,
-        })
+        self.find(vpn).map(|slot| self.translation(slot))
     }
 
     fn map(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> MapOutcome {
         self.map_with(vpn, alloc)
     }
 
-    /// Inserts the pages with stand-in PTEs and no allocator, logging the
+    /// Inserts the pages with leaf indices and no allocator, logging the
     /// allocator calls `map` would make (see `Shaping`).
     fn shape_range(&mut self, first: Vpn, pages: u64) {
-        let mut log = self.shaping.take().unwrap_or_default();
-        assert!(
-            log.pages + pages <= u64::from(u32::MAX),
-            "plans index pages by u32"
-        );
+        let first_leaf = self.leaves.len() as u64;
+        let mut log = self.shaping.take().unwrap_or_else(|| {
+            Box::new(Shaping {
+                first_leaf,
+                ..Shaping::default()
+            })
+        });
         log.ranges.push((first.as_u64(), pages));
         for p in 0..pages {
             log.leaf_taken = false;
@@ -409,8 +420,9 @@ impl PageTable for ElasticCuckooTable {
         self.shaping = Some(log);
     }
 
-    /// Replays the next shaped range's allocator calls. `None` when no
-    /// shaped range is left to plan; the caller then maps directly.
+    /// Replays the next shaped range's allocator calls and grows the leaf
+    /// array over the range. `None` when no shaped range is left to plan;
+    /// the caller then maps directly.
     ///
     /// # Panics
     ///
@@ -443,29 +455,27 @@ impl PageTable for ElasticCuckooTable {
         }
         plan_data_run(&mut plan, log.next, end, alloc);
         log.next = end;
+        self.leaves
+            .resize((log.first_leaf + end) as usize, Pte::NULL);
         Some(plan)
     }
 
-    /// Records the plan's frames; the last plan of a phased premap binds
-    /// every stand-in entry in one sweep.
+    /// Writes the plan's leaf PTEs; the last plan ends the phased premap.
     fn apply_plan(&mut self, plan: &RangePlan) {
         let log = self
             .shaping
             .as_deref_mut()
             .expect("plans come from a shaped table");
-        log.pfns.resize(log.pages as usize, 0);
         for seg in &plan.segments {
-            let start = seg.start as usize;
-            for (k, pfn) in log.pfns[start..start + seg.count as usize]
-                .iter_mut()
-                .enumerate()
-            {
-                *pfn = seg.first_pfn + k as u64;
+            let start = (log.first_leaf + u64::from(seg.start)) as usize;
+            let leaves = &mut self.leaves[start..start + seg.count as usize];
+            for (leaf, pfn) in leaves.iter_mut().zip(seg.first_pfn..) {
+                *leaf = Pte::leaf(Pfn::new(pfn));
             }
         }
         log.applied += 1;
         if log.applied == log.ranges.len() {
-            self.bind();
+            self.shaping = None;
         }
     }
 
@@ -475,22 +485,16 @@ impl PageTable for ElasticCuckooTable {
 
     fn translate_and_walk(&self, vpn: Vpn) -> Option<(Translation, WalkPath)> {
         // One find() instead of two; the path probes every way anyway.
-        let (w, idx) = self.find(vpn)?;
+        let slot = self.find(vpn)?;
         let mut path = WalkPath::empty();
         for (way_idx, way) in self.ways.iter().enumerate() {
             path.push(WalkStep {
-                addr: way.entry_addr(way.index(vpn)),
+                addr: way.base.entry_addr(way.index(vpn.as_u64())),
                 level: PtLevel::HashWay(way_idx as u8),
                 group: 0,
             });
         }
-        Some((
-            Translation {
-                pfn: self.ways[w].ptes[idx].pfn(),
-                size: PageSize::Size4K,
-            },
-            path,
-        ))
+        Some((self.translation(slot), path))
     }
 
     fn occupancy(&self) -> OccupancyReport {
@@ -501,7 +505,7 @@ impl PageTable for ElasticCuckooTable {
                 LevelOccupancy {
                     nodes: 1,
                     valid_entries: way.used as u64,
-                    capacity: way.slots() as u64,
+                    capacity: way.slots.len() as u64,
                 },
             );
         }
@@ -515,7 +519,7 @@ impl PageTable for ElasticCuckooTable {
     fn table_bytes(&self) -> u64 {
         self.ways
             .iter()
-            .map(|w| (w.slots() as u64 * PTE_SIZE).div_ceil(PAGE_SIZE) * PAGE_SIZE)
+            .map(|w| (w.slots.len() as u64 * PTE_SIZE).div_ceil(PAGE_SIZE) * PAGE_SIZE)
             .sum()
     }
 
@@ -569,7 +573,9 @@ mod tests {
             assert!(t.translate(Vpn::new(i * 7919 + 1)).is_some(), "vpn {i}");
         }
         assert_eq!(t.mapped_pages(), n);
-        assert!(t.load_factor() < RESIZE_THRESHOLD + 0.05);
+        let used: usize = t.ways.iter().map(|w| w.used).sum();
+        let slots: usize = t.ways.iter().map(|w| w.slots.len()).sum();
+        assert!((used as f64 / slots as f64) < RESIZE_THRESHOLD + 0.05);
     }
 
     #[test]
@@ -640,7 +646,7 @@ mod tests {
         // after its page's data frame.
         let probe = ElasticCuckooTable::with_slots(&mut FrameAllocator::new(1 << 30), 16);
         let vpns: Vec<u64> = (1..)
-            .filter(|&v| probe.ways.iter().all(|w| w.index(Vpn::new(v)) == 0))
+            .filter(|&v| probe.ways.iter().all(|w| w.index(v) == 0))
             .take(6)
             .collect();
         let (direct, owed) = phased_matches_map(16, &vpns);
@@ -682,6 +688,40 @@ mod tests {
         let (_, t) = setup();
         assert!(t.translate(Vpn::new(7)).is_none());
         assert!(t.walk_path(Vpn::new(7)).is_none());
+        // An empty slot's key, and keys past it, are never mapped.
+        assert!(t.translate(Vpn::new(KEY_MASK)).is_none());
+        assert!(t.translate(Vpn::new(u64::MAX)).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 48-bit virtual address space")]
+    fn map_refuses_a_vpn_beyond_the_virtual_address_space() {
+        let (mut alloc, mut t) = setup();
+        t.map(Vpn::new(1 << KEY_BITS), &mut alloc);
+    }
+
+    #[test]
+    #[should_panic(expected = "is past a slot's leaf field")]
+    fn pack_refuses_a_leaf_index_past_its_field() {
+        pack(5, LEAF_LIMIT);
+    }
+
+    /// The integer resize limit answers as the per-way f64 load test it
+    /// replaced, just below the limit and at it, for every power-of-two
+    /// way size up to 2^40 slots.
+    #[test]
+    fn resize_limit_matches_the_f64_load_test() {
+        for shift in 0..=40 {
+            let slots = 1usize << shift;
+            let limit = resize_limit(slots);
+            for used in [limit - 1, limit] {
+                assert_eq!(
+                    used >= limit,
+                    used as f64 / slots as f64 >= RESIZE_THRESHOLD,
+                    "{used} of {slots} slots"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1031,10 +1071,11 @@ mod tests {
         t.ways
             .iter()
             .map(|way| {
-                way.vpns
+                way.slots
                     .iter()
-                    .zip(&way.ptes)
-                    .map(|(&vpn, pte)| (vpn != EMPTY).then_some((vpn, pte.pfn().as_u64())))
+                    .map(|&slot| {
+                        (slot != EMPTY).then(|| (key(slot), t.translation(slot).pfn.as_u64()))
+                    })
                     .collect()
             })
             .collect()

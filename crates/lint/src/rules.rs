@@ -412,7 +412,7 @@ pub fn determinism_rule(ws: &Workspace) -> Vec<Diagnostic> {
 /// `Vec<Pte>` outside `arena.rs` reintroduces the pointer-chasing
 /// layout the arena replaced and scatters walk state across the heap.
 /// Construction-time code that legitimately owns a PTE vector (e.g. the
-/// cuckoo hash ways, which are not tree nodes) carries a `lint.allow`
+/// cuckoo table's leaf array, which is not a tree node) carries a `lint.allow`
 /// entry with its reason.
 #[must_use]
 pub fn arena_rule(ws: &Workspace) -> Vec<Diagnostic> {
