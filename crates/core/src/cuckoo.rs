@@ -211,7 +211,8 @@ pub struct CuckooStats {
 /// The elastic cuckoo page table ("ECH" in Figs 12–14).
 #[derive(Debug, Clone)]
 pub struct ElasticCuckooTable {
-    ways: [Way; WAYS],
+    /// Boxed: the table sits inline in every process's context.
+    ways: Box<[Way; WAYS]>,
     /// Every mapped page's leaf PTE, indexed by its slot's leaf field.
     leaves: Vec<Pte>,
     mapped: u64,
@@ -242,13 +243,13 @@ impl ElasticCuckooTable {
             0x1656_67B1_9E37_79F9,
         ];
         ElasticCuckooTable {
-            ways: std::array::from_fn(|w| Way {
+            ways: Box::new(std::array::from_fn(|w| Way {
                 base: alloc.way(w, slots),
                 slots: vec![EMPTY; slots],
                 used: 0,
                 limit: resize_limit(slots),
                 seed: seeds[w] | 1,
-            }),
+            })),
             leaves: Vec::new(),
             mapped: 0,
             stats: CuckooStats::default(),
@@ -310,7 +311,7 @@ impl ElasticCuckooTable {
         let mut way_idx = 0usize;
         for kick in 0..=MAX_KICKS {
             // Try every way for an empty slot first.
-            for way in &mut self.ways {
+            for way in self.ways.iter_mut() {
                 let idx = way.index(key(cur));
                 if way.slots[idx] == EMPTY {
                     way.slots[idx] = cur;
