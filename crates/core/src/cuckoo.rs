@@ -642,15 +642,9 @@ mod tests {
 
     #[test]
     fn phased_premap_replays_kick_exhaustion() {
-        // Keys probing slot 0 of every way of a 16-slot table: the fourth
-        // finds all three taken and kicks until it gives up, resizing
-        // after its page's data frame.
-        let probe = ElasticCuckooTable::with_slots(&mut FrameAllocator::new(1 << 30), 16);
-        let vpns: Vec<u64> = (1..)
-            .filter(|&v| probe.ways.iter().all(|w| w.index(v) == 0))
-            .take(6)
-            .collect();
-        let (direct, owed) = phased_matches_map(16, &vpns);
+        // The fourth key finds all three ways taken and kicks until it
+        // gives up, resizing after its page's data frame.
+        let (direct, owed) = phased_matches_map(16, &colliding_vpns()[..6]);
         assert!(direct.stats().kicks > 0);
         assert!(
             owed.iter().any(|&(at, _)| at % 2 == 1),
@@ -1091,7 +1085,7 @@ mod tests {
     /// VPNs that hash to slot 0 of every way of a 16-slot table (so of
     /// any smaller one too): the fourth of them kicks until it gives up.
     fn colliding_vpns() -> Vec<u64> {
-        let probe = OracleTable::with_slots(&mut FrameAllocator::new(1 << 30), 16);
+        let probe = ElasticCuckooTable::with_slots(&mut FrameAllocator::new(1 << 30), 16);
         (1..)
             .filter(|&v| probe.ways.iter().all(|w| w.index(v) == 0))
             .take(12)
