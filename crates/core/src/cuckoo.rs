@@ -1094,7 +1094,8 @@ mod tests {
 
     fn arb_phase() -> impl Strategy<Value = Phase> {
         // Narrow windows make ranges overlap and runtime maps hit
-        // premapped pages; the wide one scatters keys across hash slots.
+        // premapped pages; the wide one scatters keys across hash slots,
+        // and colliding keys exhaust the kicks of small ways.
         let vpn = || {
             prop_oneof![
                 0u64..2048,
