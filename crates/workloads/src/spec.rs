@@ -254,6 +254,29 @@ mod tests {
         }
     }
 
+    /// A machine maps exactly these regions before it runs and has no
+    /// run-time page-fault path, so a trace address outside them would be
+    /// an unmapped page.
+    #[test]
+    fn traces_stay_inside_their_regions() {
+        for id in WorkloadId::ALL {
+            for seed in [0, 1, 7] {
+                for footprint in [Some(8 << 20), Some(256 << 20), None] {
+                    let params = TraceParams { seed, footprint };
+                    let regions = id.regions(params);
+                    for (i, op) in id.trace(params).take(4_000).enumerate() {
+                        let Some(addr) = op.addr() else { continue };
+                        assert!(
+                            regions.iter().any(|r| r.contains(addr)),
+                            "{id} seed {seed} footprint {footprint:?}: op {i} at {addr} \
+                             is outside {regions:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn footprint_override() {
         let p = TraceParams::new(0).with_footprint(1 << 20);
