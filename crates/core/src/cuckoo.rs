@@ -7,8 +7,10 @@
 //! expose, are (a) `d`× the metadata memory traffic per walk and (b) no
 //! page-walk-cache locality to exploit. "Elastic" refers to the online
 //! resize: when load exceeds a threshold each way doubles and entries
-//! rehash incrementally; we model the rehash work by counting moved
-//! entries (the simulator charges latency for them).
+//! rehash incrementally; we count the entries each resize moves
+//! ([`CuckooStats::rehashed_entries`]). Tables grow only while the
+//! simulator premaps, which it does untimed, so that work costs no
+//! simulated cycles.
 //!
 //! In host memory a way is one array of 64-bit slots, each packing a
 //! page's VPN (the low `KEY_BITS`) with the index of its leaf PTE in the
@@ -202,7 +204,7 @@ impl Way {
 pub struct CuckooStats {
     /// Completed resizes.
     pub resizes: u64,
-    /// Entries moved by resizes (charged as OS work by the simulator).
+    /// Entries moved by resizes.
     pub rehashed_entries: u64,
     /// Displacements performed by cuckoo insertion.
     pub kicks: u64,
@@ -217,8 +219,6 @@ pub struct ElasticCuckooTable {
     leaves: Vec<Pte>,
     mapped: u64,
     stats: CuckooStats,
-    /// Entries rehashed since last drained by the simulator.
-    pending_rehash: u64,
     /// The phased premap in progress, if any (boxed: most tables never
     /// shape, and the table sits inline in every process's context).
     shaping: Option<Box<Shaping>>,
@@ -253,7 +253,6 @@ impl ElasticCuckooTable {
             leaves: Vec::new(),
             mapped: 0,
             stats: CuckooStats::default(),
-            pending_rehash: 0,
             shaping: None,
         }
     }
@@ -262,12 +261,6 @@ impl ElasticCuckooTable {
     #[must_use]
     pub fn stats(&self) -> &CuckooStats {
         &self.stats
-    }
-
-    /// Takes (and clears) the count of entries rehashed since the last
-    /// call; the simulator charges OS latency proportional to it.
-    pub fn take_pending_rehash(&mut self) -> u64 {
-        std::mem::take(&mut self.pending_rehash)
     }
 
     fn needs_resize(&self) -> bool {
@@ -300,7 +293,6 @@ impl ElasticCuckooTable {
         }
         self.stats.resizes += 1;
         self.stats.rehashed_entries += moved;
-        self.pending_rehash += moved;
         for slot in entries {
             self.insert(slot, frames);
         }
@@ -523,10 +515,6 @@ impl PageTable for ElasticCuckooTable {
             .map(|w| (w.slots.len() as u64 * PTE_SIZE).div_ceil(PAGE_SIZE) * PAGE_SIZE)
             .sum()
     }
-
-    fn take_pending_os_work(&mut self) -> u64 {
-        self.take_pending_rehash()
-    }
 }
 
 #[cfg(test)]
@@ -580,18 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn pending_rehash_is_drained_once() {
-        let (mut alloc, mut t) = setup();
-        let n = (ElasticCuckooTable::INITIAL_SLOTS as f64 * WAYS as f64 * 0.7) as u64;
-        for i in 0..n {
-            t.map(Vpn::new(i + 1), &mut alloc);
-        }
-        let drained = t.take_pending_rehash();
-        assert!(drained > 0);
-        assert_eq!(t.take_pending_rehash(), 0);
-    }
-
-    #[test]
     fn walk_addresses_are_table_frames_and_distinct_ways() {
         let (mut alloc, mut t) = setup();
         let vpn = Vpn::new(99);
@@ -629,7 +605,6 @@ mod tests {
         assert_eq!(alloc.frames_used(), direct_alloc.frames_used());
         assert_eq!(alloc.stats(), direct_alloc.stats());
         assert_eq!(phased.stats(), direct.stats());
-        assert_eq!(phased.take_pending_rehash(), direct.take_pending_rehash());
         for &v in vpns {
             let vpn = Vpn::new(v);
             assert_eq!(
@@ -807,7 +782,6 @@ mod tests {
         ways: Vec<OracleWay>,
         mapped: u64,
         stats: CuckooStats,
-        pending_rehash: u64,
         shaping: Option<OracleShaping>,
     }
 
@@ -831,7 +805,6 @@ mod tests {
                 ways,
                 mapped: 0,
                 stats: CuckooStats::default(),
-                pending_rehash: 0,
                 shaping: None,
             }
         }
@@ -877,7 +850,6 @@ mod tests {
             }
             self.stats.resizes += 1;
             self.stats.rehashed_entries += moved;
-            self.pending_rehash += moved;
             for (vpn, leaf) in entries {
                 self.insert(vpn, leaf, frames);
             }
@@ -1115,7 +1087,7 @@ mod tests {
     /// starting from `slots` slots per way, and compares everything the
     /// table shows: each map's and plan's outcome, then after each phase
     /// every way's slot-by-slot `(vpn, pfn)`, the cuckoo statistics,
-    /// pending rehash work, occupancy, storage, mapped pages, allocator
+    /// occupancy, storage, mapped pages, allocator
     /// state and the translation and walk of every touched page.
     fn table_matches_oracle(slots: usize, phases: &[Phase]) -> Result<(), TestCaseError> {
         let mut alloc = FrameAllocator::new(64 << 30);
@@ -1163,10 +1135,6 @@ mod tests {
             }
             prop_assert_eq!(table_slots(&table), oracle.slots());
             prop_assert_eq!(table.stats(), &oracle.stats);
-            prop_assert_eq!(
-                table.take_pending_rehash(),
-                std::mem::take(&mut oracle.pending_rehash)
-            );
             prop_assert_eq!(table.occupancy(), oracle.occupancy());
             prop_assert_eq!(table.table_bytes(), oracle.table_bytes());
             prop_assert_eq!(table.mapped_pages(), oracle.mapped);

@@ -181,11 +181,6 @@ impl PageTable for PageTableImpl {
     fn table_bytes(&self) -> u64 {
         dispatch!(self, t => t.table_bytes())
     }
-
-    #[inline]
-    fn take_pending_os_work(&mut self) -> u64 {
-        dispatch!(self, t => t.take_pending_os_work())
-    }
 }
 
 impl fmt::Display for Mechanism {

@@ -291,13 +291,6 @@ pub trait PageTable {
 
     /// Bytes of physical memory consumed by table nodes themselves.
     fn table_bytes(&self) -> u64;
-
-    /// Drains pending OS bookkeeping work, in entries processed since the
-    /// last call (e.g. PTEs moved by an elastic-cuckoo resize). The
-    /// simulator charges OS latency per entry. Defaults to none.
-    fn take_pending_os_work(&mut self) -> u64 {
-        0
-    }
 }
 
 #[cfg(test)]

@@ -42,12 +42,6 @@
 //! completion times, and an inclusive shared L3 back-invalidates private
 //! lines in the global timing order of every core's misses.
 //!
-//! Frontends never allocate. On an unmapped page a frontend ends its
-//! chunk at that op and stalls; the timing loop services the fault when
-//! it reaches the op, against the shared [`FrameAllocator`], in the same
-//! global order as every other allocation (`fault_in` costs and ECH
-//! rehash work included), then lets the frontend resume.
-//!
 //! Frontends run one chunk ahead on `default_threads() - 1` scoped
 //! producer threads, each serving every `n`-th core through a bounded
 //! queue. With one thread, or inside a [`crate::parallel`] worker, the
@@ -66,7 +60,7 @@ use ndp_cache::shared::SharedCache;
 use ndp_mem::controller::MemoryController;
 use ndp_mem::dram::DramConfig;
 use ndp_mem::noc::MeshNoc;
-use ndp_mmu::tlb::TlbHierarchy;
+use ndp_mmu::tlb::{TlbConfig, TlbHierarchy};
 use ndp_mmu::walker::{PageTableWalker, WalkerSlots};
 use ndp_types::stats::{HitMiss, LatencyHistogram, LatencyStat};
 use ndp_types::{AccessClass, Asid, CoreId, Cycles, PhysAddr, ProcessId, PtLevel, RwKind, Vpn};
@@ -74,7 +68,7 @@ use ndp_workloads::TraceParams;
 use ndpage::alloc::FrameAllocator;
 use ndpage::bypass::BypassPolicy;
 use ndpage::occupancy::OccupancyReport;
-use ndpage::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangeMapOutcome, RangePlan};
+use ndpage::table::{PageTable, PageTableKind, RangeMapOutcome, RangePlan};
 use ndpage::Mechanism;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::AtomicBool;
@@ -299,7 +293,6 @@ pub struct Machine {
     /// One-way NoC latency from core `i` to channel `c`, at
     /// `i * channels + c` (the mesh arithmetic, done once).
     one_way: Vec<Cycles>,
-    alloc: FrameAllocator,
     bypass: BypassPolicy,
     controller_cleared: bool,
     /// Shared banked L3 every core's private misses contend in
@@ -382,12 +375,10 @@ impl Machine {
             let tlb = match cfg.tlb_l2_entries {
                 None => TlbHierarchy::table1(),
                 Some(entries) => TlbHierarchy::new(
-                    ndp_mmu::tlb::TlbConfig::l1_dtlb(),
-                    ndp_mmu::tlb::TlbConfig {
-                        name: "L2 TLB",
+                    TlbConfig::l1_dtlb(),
+                    TlbConfig {
                         entries,
-                        ways: 12,
-                        latency: Cycles::new(12),
+                        ..TlbConfig::l2_stlb()
                     },
                 ),
             }
@@ -481,13 +472,12 @@ impl Machine {
             fronts,
             controller,
             one_way,
-            alloc,
             bypass,
             controller_cleared: false,
             l3,
             vaults,
         };
-        machine.premap_footprints();
+        machine.premap_footprints(&mut alloc);
         machine
     }
 
@@ -517,7 +507,10 @@ impl Machine {
     /// A planned-but-unapplied page still reads as unmapped, so planning
     /// it twice would double-allocate; every workload carves its regions
     /// disjoint (`RegionLayout::carve`), so no page is planned twice.
-    fn premap_footprints(&mut self) {
+    ///
+    /// There is no run-time page fault: a trace stays inside the regions
+    /// mapped here, and the frontend panics on a page outside them.
+    fn premap_footprints(&mut self, alloc: &mut FrameAllocator) {
         use ndp_types::addr::PAGE_SIZE;
 
         let footprint = self.cfg.footprint_per_core();
@@ -576,7 +569,7 @@ impl Machine {
                 // loop.
                 let plan = self.fronts[core_idx].procs[proc_idx]
                     .table
-                    .plan_range(first, pages, &mut self.alloc)
+                    .plan_range(first, pages, alloc)
                     .expect("built-in trees always plan, and every ECH range was shaped");
                 proc_faults[target_idx].absorb_range(plan.outcome);
                 plans[target_idx].push(plan);
@@ -601,10 +594,6 @@ impl Machine {
         for (target_idx, &(core_idx, proc_idx)) in targets.iter().enumerate() {
             let faults = proc_faults[target_idx];
             self.cores[core_idx].faults.absorb_range(faults);
-            // Init-phase OS work (e.g. ECH rehashes) is not timed.
-            let _ = self.fronts[core_idx].procs[proc_idx]
-                .table
-                .take_pending_os_work();
             let proc = &mut self.cores[core_idx].procs[proc_idx];
             // Fallback faults are per 4 KB page while huge faults are per
             // 2 MB region; normalise to regions before computing the
@@ -725,7 +714,7 @@ impl Machine {
                 }
                 let rec = cursor.next(lane, producer);
                 let is_memory = matches!(rec, Rec::Mem(_));
-                self.exec_op(i, rec, cursor, lane, producer);
+                self.exec_op(i, rec, cursor);
                 let core = &mut self.cores[i];
                 core.ops_done += 1;
                 if core.measuring {
@@ -801,14 +790,7 @@ impl Machine {
         }
     }
 
-    fn exec_op(
-        &mut self,
-        i: usize,
-        rec: Rec,
-        cursor: &mut Cursor,
-        lane: &Lane,
-        producer: Option<&Thread>,
-    ) {
+    fn exec_op(&mut self, i: usize, rec: Rec, cursor: &mut Cursor) {
         // Compaction/khugepaged interference while THP fallback pressure
         // persists: the OS periodically steals cycles trying to recover
         // contiguity (Fig 14's Huge Page collapse). The pressure is a
@@ -828,24 +810,12 @@ impl Machine {
                 }
             }
         }
-        let mut m = match rec {
+        let m = match rec {
             Rec::Compute(n) => {
                 self.cores[i].time += Cycles::new(u64::from(n));
                 return;
             }
             Rec::Mem(m) => m,
-        };
-        // A first touch: map the page now, in timing order, before the
-        // op's timing runs (the frontend waits for it).
-        let os = match m.xlat {
-            Xlat::Fault => {
-                let serviced = cursor.service_fault(&mut m, lane, &mut self.alloc, producer);
-                serviced.map_or(Cycles::ZERO, |(outcome, moved)| {
-                    self.cores[i].faults.absorb(outcome);
-                    self.fault_cycles(outcome, moved)
-                })
-            }
-            Xlat::Hit | Xlat::Walk(_) => Cycles::ZERO,
         };
 
         let window = self.cfg.mlp_window as usize;
@@ -857,17 +827,16 @@ impl Machine {
         }
 
         let issue_t = self.cores[i].time;
-        let translation = self.translate(i, &m, os, cursor);
+        let translation = self.translate(i, &m, cursor);
         let core = &mut self.cores[i];
         if core.measuring {
             core.translation_cycles += translation.as_u64();
-            core.os_cycles += os.as_u64();
         }
         if core.post_switch_ops > 0 {
             core.post_switch_ops -= 1;
         }
 
-        let data_issue = issue_t + translation + os;
+        let data_issue = issue_t + translation;
         let done = self.access_done(i, m.paddr, m.rw, AccessClass::Data, data_issue);
 
         let core = &mut self.cores[i];
@@ -890,29 +859,16 @@ impl Machine {
         }
     }
 
-    /// The OS cycles a first-touch fault costs: the service of its kind
-    /// plus the deferred rehash work (`moved` entries) it triggered.
-    fn fault_cycles(&self, outcome: MapOutcome, moved: u64) -> Cycles {
-        let service = match outcome.fault {
-            Some(FaultKind::Minor4K) => self.cfg.fault_minor_4k,
-            Some(FaultKind::Minor2M) => self.cfg.fault_minor_2m,
-            Some(FaultKind::Fallback4K) => self.cfg.fault_fallback,
-            None => Cycles::ZERO,
-        };
-        service + Cycles::new(moved * self.cfg.rehash_entry_cost.as_u64())
-    }
-
-    /// The timing of memory op `m`'s translation on core `i` (after `os`
-    /// cycles of fault service), returning its translation cycles: the TLB
-    /// lookup, plus on a miss the walk through the walker slots, the PWC
-    /// probes and the PTE fetches' memory rounds (Fig 11).
-    fn translate(&mut self, i: usize, m: &MemRec, os: Cycles, cursor: &mut Cursor) -> Cycles {
+    /// The timing of memory op `m`'s translation on core `i`, returning
+    /// its translation cycles: the TLB lookup, plus on a miss the walk
+    /// through the walker slots, the PWC probes and the PTE fetches'
+    /// memory rounds (Fig 11).
+    fn translate(&mut self, i: usize, m: &MemRec, cursor: &mut Cursor) -> Cycles {
         let lookup = Cycles::new(u64::from(m.tlb));
         let vpn = m.va.vpn();
         let asid = self.cores[i].asid();
         let walk = match m.xlat {
             Xlat::Walk(walk) => walk,
-            Xlat::Fault => unreachable!("faults are serviced before their timing"),
             Xlat::Hit => {
                 // The functional TLB installs entries the moment their
                 // walk is *planned*; in windowed mode that walk may still
@@ -936,7 +892,7 @@ impl Machine {
         // The walk needs a hardware walker: concurrent misses beyond the
         // walker count queue here (never in blocking mode — each walk
         // fully retires before the next op issues, so `admit` is free).
-        let walk_base = self.cores[i].time + lookup + os;
+        let walk_base = self.cores[i].time + lookup;
         let (slot, start) = self.cores[i].walkers.admit(walk_base);
         // One cycle per PWC probe, then the memory rounds; `clock` tracks
         // the walk's own completion frontier.
@@ -1642,74 +1598,23 @@ mod tests {
         assert_ne!(shared.fingerprint(), private.fingerprint());
     }
 
-    /// Builds `cfg`'s machine, then swaps a freshly built, empty table
-    /// into every process, so every first touch faults during `run`
-    /// (premap otherwise leaves no page for the run loop to fault on).
-    fn unmapped(cfg: SimConfig) -> Machine {
-        let mut m = Machine::new(cfg);
-        let mechanism = m.cfg.mechanism;
-        for front in &mut m.fronts {
-            for proc in &mut front.procs {
-                proc.table = build_table(mechanism, &mut m.alloc);
-            }
-        }
-        m
-    }
-
-    /// Runtime first-touch faults (`fault_in`, ECH rehash work, and
-    /// Ideal's map-on-miss) are serviced in timing order against the
-    /// shared allocator. The fingerprints pin that order and its costs,
-    /// with frontends inline and on a producer thread.
+    /// A page premap did not map is a bug, not a fault to service.
     #[test]
-    fn runtime_faults_are_pinned() {
-        let blocking = |m| SimConfig::quick(SystemKind::Ndp, 2, m, WorkloadId::Rnd);
-        let windowed = SimConfig::quick(SystemKind::Ndp, 2, Mechanism::Radix, WorkloadId::Bfs)
-            .with_procs(2)
-            .with_quantum(1_000)
-            .with_tlb_tagging(false)
-            .with_window(8)
-            .with_mshrs(8);
-        let cases = [
-            (blocking(Mechanism::Radix), 6686046148447409354u64),
-            (blocking(Mechanism::Ech), 2184814797022042534),
-            (blocking(Mechanism::HugePage), 2131746133039721284),
-            (blocking(Mechanism::NdPage), 3378737346428799703),
-            (blocking(Mechanism::Ideal), 14536634945980107553),
-            (windowed, 1921588809415402536),
-        ];
-        let faults = |r: &RunReport| r.faults.minor_4k + r.faults.minor_2m + r.faults.fallback;
-        for (cfg, pinned) in cases {
-            let mechanism = cfg.mechanism;
-            let premapped = Machine::new(cfg.clone()).run();
-            let r = unmapped(cfg.clone()).run();
-            assert_ne!(r.fingerprint(), premapped.fingerprint(), "{mechanism:?}");
-            if mechanism.is_ideal() {
-                assert_eq!(r.translation_cycles, 0, "map-on-miss is free");
-            } else {
-                assert!(
-                    faults(&r) > faults(&premapped),
-                    "{mechanism:?} faults at run time"
-                );
-                assert!(
-                    r.os_cycles > premapped.os_cycles,
-                    "{mechanism:?} pays the service"
-                );
-            }
-            assert_eq!(r.fingerprint(), pinned, "{mechanism:?}");
-            for producers in [0, 1] {
-                let again = unmapped(cfg.clone()).run_with(producers);
-                assert_eq!(
-                    again.fingerprint(),
-                    pinned,
-                    "{mechanism:?}, {producers} producers"
-                );
-            }
-        }
+    #[should_panic(expected = "is not mapped")]
+    fn an_unmapped_page_panics() {
+        let mut m = Machine::new(SimConfig::quick(
+            SystemKind::Ndp,
+            1,
+            Mechanism::Radix,
+            WorkloadId::Rnd,
+        ));
+        let mut alloc = FrameAllocator::new(1 << 30);
+        m.fronts[0].procs[0].table = build_table(Mechanism::Radix, &mut alloc);
+        let _ = m.run_with(0);
     }
 
     /// One producer thread serving all eight frontends, three serving
-    /// uneven shares of them, and inline frontends give the same report —
-    /// premapped, and with every page faulting at run time.
+    /// uneven shares of them, and inline frontends give the same report.
     #[test]
     fn producers_serving_several_frontends_match_inline() {
         let cfg = SimConfig::quick(SystemKind::Ndp, 8, Mechanism::NdPage, WorkloadId::Bfs)
@@ -1719,13 +1624,9 @@ mod tests {
             .with_quantum(700)
             .with_tlb_tagging(false);
         let inline = Machine::new(cfg.clone()).run_with(0).fingerprint();
-        let faulting = unmapped(cfg.clone()).run_with(0).fingerprint();
-        assert_ne!(inline, faulting);
         for producers in [1, 3] {
             let r = Machine::new(cfg.clone()).run_with(producers);
             assert_eq!(r.fingerprint(), inline, "{producers} producers");
-            let r = unmapped(cfg.clone()).run_with(producers);
-            assert_eq!(r.fingerprint(), faulting, "{producers} producers, faulting");
         }
     }
 

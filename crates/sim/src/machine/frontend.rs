@@ -11,11 +11,9 @@
 use super::TableImpl;
 use ndp_mmu::tlb::TlbHierarchy;
 use ndp_mmu::walker::{WalkPlanner, WalkRounds};
-use ndp_types::{Asid, Op, PageSize, Pfn, PhysAddr, RwKind, VirtAddr, Vpn};
+use ndp_types::{Asid, Op, PageSize, Pfn, PhysAddr, RwKind, VirtAddr};
 use ndp_workloads::Trace;
-use ndpage::alloc::FrameAllocator;
-use ndpage::table::{MapOutcome, PageTable, Translation};
-use ndpage::walk::WalkPath;
+use ndpage::table::PageTable;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -47,17 +45,13 @@ pub(super) enum Xlat {
     Hit,
     /// Both TLB levels missed and the page was walked.
     Walk(WalkRec),
-    /// First touch of an unmapped page. The chunk ends here and the
-    /// frontend stalls until the timing loop services the fault
-    /// ([`Frontend::service_fault`]) in timing order.
-    Fault,
 }
 
 /// A memory op, translated.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct MemRec {
     pub va: VirtAddr,
-    /// Physical address of the access (meaningless while `Fault`).
+    /// Physical address of the access.
     pub paddr: PhysAddr,
     pub rw: RwKind,
     /// TLB lookup latency (zero for Ideal).
@@ -112,8 +106,6 @@ pub(super) struct Frontend {
     active: usize,
     quantum_ops: u64,
     ops_done: u64,
-    /// A first touch stopped this frontend (at its last record).
-    stalled: bool,
     /// Untagged context-switch flushes, and the entries they dropped.
     pub tlb_flushes: u64,
     pub entries_flushed: u64,
@@ -134,7 +126,6 @@ impl Frontend {
             active: 0,
             quantum_ops: 0,
             ops_done: 0,
-            stalled: false,
             tlb_flushes: 0,
             entries_flushed: 0,
         }
@@ -142,13 +133,12 @@ impl Frontend {
 
     /// Every op is translated and retired.
     fn finished(&self) -> bool {
-        self.ops_done >= self.sched.total_ops && !self.stalled
+        self.ops_done >= self.sched.total_ops
     }
 
     /// Translates the next ops into `chunk` (replacing its contents): up to
-    /// [`CHUNK_OPS`], ending early at a first touch.
+    /// [`CHUNK_OPS`].
     fn fill(&mut self, chunk: &mut Chunk) {
-        assert!(!self.stalled, "a stalled frontend waits for its fault");
         chunk.recs.clear();
         chunk.fetches.clear();
         while chunk.recs.len() < CHUNK_OPS && self.ops_done < self.sched.total_ops {
@@ -166,13 +156,7 @@ impl Frontend {
                 Op::Compute(n) => Rec::Compute(n),
                 Op::Load(va) | Op::Store(va) => {
                     let rw = op.rw().expect("memory op");
-                    let rec = self.translate(va, rw, &mut chunk.fetches);
-                    if let Xlat::Fault = rec.xlat {
-                        chunk.recs.push(Rec::Mem(rec));
-                        self.stalled = true;
-                        return;
-                    }
-                    Rec::Mem(rec)
+                    Rec::Mem(self.translate(va, rw, &mut chunk.fetches))
                 }
             };
             chunk.recs.push(rec);
@@ -183,6 +167,11 @@ impl Frontend {
     /// The Fig 11 translation of `va` without its timing: TLB lookup, then
     /// on a miss the table descent, the PWC-filtered walk plan (fetch
     /// addresses appended to `fetches`) and the TLB install.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `va`'s page is unmapped: the machine maps every page of
+    /// every workload region before it runs, so that is a bug.
     fn translate(&mut self, va: VirtAddr, rw: RwKind, fetches: &mut Vec<PhysAddr>) -> MemRec {
         let vpn = va.vpn();
         let proc = &self.procs[self.active];
@@ -191,16 +180,14 @@ impl Frontend {
             paddr: PhysAddr::new(0),
             rw,
             tlb: 0,
-            xlat: Xlat::Fault,
+            xlat: Xlat::Hit,
         };
         if self.sched.ideal {
             // Every request hits a zero-latency L1 TLB (paper §VI); pages
             // are still placed through a real table so data-access
             // behaviour is comparable.
-            if let Some(tr) = proc.table.translate(vpn) {
-                rec.paddr = tr.pfn.base().add(va.page_offset());
-                rec.xlat = Xlat::Hit;
-            }
+            let tr = proc.table.translate(vpn).unwrap_or_else(|| unmapped(va));
+            rec.paddr = tr.pfn.base().add(va.page_offset());
             return rec;
         }
         let asid = proc.asid;
@@ -208,33 +195,18 @@ impl Frontend {
         rec.tlb = lookup.latency.as_u64() as u32;
         if let Some(hit) = lookup.hit {
             rec.paddr = hit.pfn.base().add(va.page_offset());
-            rec.xlat = Xlat::Hit;
             return rec;
         }
-        // One descent serves the fault check, the translation and the
-        // walk path; an unmapped page leaves the record a `Fault`.
-        if let Some((tr, path)) = proc.table.translate_and_walk(vpn) {
-            self.walk(asid, vpn, tr, &path, &mut rec, fetches);
-        }
-        rec
-    }
-
-    /// Plans the walk of `path` through the PWCs and installs the walked
-    /// translation in the TLBs, completing `rec`.
-    fn walk(
-        &mut self,
-        asid: Asid,
-        vpn: Vpn,
-        tr: Translation,
-        path: &WalkPath,
-        rec: &mut MemRec,
-        fetches: &mut Vec<PhysAddr>,
-    ) {
+        // One descent serves the translation and the walk path.
+        let (tr, path) = proc
+            .table
+            .translate_and_walk(vpn)
+            .unwrap_or_else(|| unmapped(va));
         let walk = WalkRec {
             probes: path.len() as u8,
             rounds: self
                 .planner
-                .plan_into(asid, vpn, path, |addr| fetches.push(addr)),
+                .plan_into(asid, vpn, &path, |addr| fetches.push(addr)),
             huge: tr.size == PageSize::Size2M && self.sched.native_huge,
         };
         // Install in the TLBs (huge mappings store the region base).
@@ -243,42 +215,9 @@ impl Frontend {
             PageSize::Size2M => Pfn::new(tr.pfn.as_u64() - vpn.l1_index() as u64),
         };
         self.tlb.fill(asid, vpn, base, tr.size);
-        rec.paddr = tr.pfn.base().add(rec.va.page_offset());
+        rec.paddr = tr.pfn.base().add(va.page_offset());
         rec.xlat = Xlat::Walk(walk);
-    }
-
-    /// Services the first touch this frontend stalled at (`rec`, its last
-    /// record): maps the page against the shared allocator, finishes the
-    /// op's translation into `rec` (walk fetches appended to `fetches`)
-    /// and resumes the stream. Returns the map outcome and the rehash
-    /// entries it moved, or `None` for Ideal, whose map-on-miss is free.
-    fn service_fault(
-        &mut self,
-        rec: &mut MemRec,
-        alloc: &mut FrameAllocator,
-        fetches: &mut Vec<PhysAddr>,
-    ) -> Option<(MapOutcome, u64)> {
-        assert!(
-            std::mem::take(&mut self.stalled),
-            "a fault record stalls its frontend"
-        );
-        let (va, vpn) = (rec.va, rec.va.vpn());
-        let asid = self.procs[self.active].asid;
-        let table = &mut self.procs[self.active].table;
-        let outcome = table.map(vpn, alloc);
-        let serviced = if self.sched.ideal {
-            let tr = table.translate(vpn).expect("just mapped");
-            rec.paddr = tr.pfn.base().add(va.page_offset());
-            rec.xlat = Xlat::Hit;
-            None
-        } else {
-            let moved = table.take_pending_os_work();
-            let (tr, path) = table.translate_and_walk(vpn).expect("just mapped");
-            self.walk(asid, vpn, tr, &path, rec, fetches);
-            Some((outcome, moved))
-        };
-        self.retire_op();
-        serviced
+        rec
     }
 
     /// Counts a translated op and applies its context switch, if due:
@@ -298,6 +237,12 @@ impl Frontend {
             }
         }
     }
+}
+
+/// A trace touched a page that premap did not map.
+#[cold]
+fn unmapped(va: VirtAddr) -> ! {
+    panic!("page {} (address {va}) is not mapped", va.vpn())
 }
 
 /// Ready chunks plus emptied ones kept for reuse.
@@ -335,16 +280,13 @@ impl Lane {
     }
 
     /// Queues one chunk if the lane has room and is free to run. Never
-    /// waits: a busy, stalled or full lane is `Idle`.
+    /// waits: a busy or full lane is `Idle`.
     fn produce(&self) -> Progress {
         let Ok(mut front) = self.front.try_lock() else {
             return Progress::Idle;
         };
         if front.finished() {
             return Progress::Finished;
-        }
-        if front.stalled {
-            return Progress::Idle;
         }
         let mut chunk = {
             let mut ready = self.ready.lock().expect("queue lock poisoned");
@@ -448,27 +390,6 @@ impl Cursor {
     pub fn next_fetch(&mut self) -> PhysAddr {
         self.fetch += 1;
         self.chunk.fetches[self.fetch - 1]
-    }
-
-    /// Services the first touch `rec` (the current, and last, record of
-    /// its chunk) stalled `lane`'s frontend at; see
-    /// [`Frontend::service_fault`].
-    pub fn service_fault(
-        &mut self,
-        rec: &mut MemRec,
-        lane: &Lane,
-        alloc: &mut FrameAllocator,
-        producer: Option<&Thread>,
-    ) -> Option<(MapOutcome, u64)> {
-        let serviced = lane
-            .front
-            .lock()
-            .expect("frontend lock poisoned")
-            .service_fault(rec, alloc, &mut self.chunk.fetches);
-        if let Some(thread) = producer {
-            thread.unpark();
-        }
-        serviced
     }
 }
 
