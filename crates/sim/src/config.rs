@@ -49,15 +49,6 @@ pub struct SimConfig {
     pub footprint_override: Option<u64>,
     /// Base RNG seed; core *i* uses `seed + i`.
     pub seed: u64,
-    /// OS cost of a 4 KB minor fault.
-    pub fault_minor_4k: Cycles,
-    /// OS cost of a 2 MB minor fault (zeroing 512 frames).
-    pub fault_minor_2m: Cycles,
-    /// OS cost of a failed-THP fallback fault (direct compaction attempt
-    /// + 4 KB path; see Kwon et al., OSDI'16, on why this is expensive).
-    pub fault_fallback: Cycles,
-    /// OS cost per PTE moved by an elastic-cuckoo rehash.
-    pub rehash_entry_cost: Cycles,
     /// Ablation override: force PWCs on/off (`None` = per mechanism).
     pub pwc_override: Option<bool>,
     /// Ablation override: force a bypass policy (`None` = per mechanism).
@@ -194,10 +185,6 @@ impl SimConfig {
             footprint_divisor: Self::DEFAULT_DIVISOR,
             footprint_override: None,
             seed: 0x5eed,
-            fault_minor_4k: Cycles::new(600),
-            fault_minor_2m: Cycles::new(2600),
-            fault_fallback: Cycles::new(15_000),
-            rehash_entry_cost: Cycles::new(40),
             pwc_override: None,
             bypass_override: None,
             memory_capacity_override: None,

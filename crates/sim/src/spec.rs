@@ -325,50 +325,6 @@ pub static KNOBS: &[KnobDef] = &[
         get: |c| c.seed.to_string(),
     },
     KnobDef {
-        name: "fault_minor_4k",
-        flag: None,
-        flag_scale: 1,
-        help: "OS cycles per 4 KB minor fault",
-        apply: |c, v| {
-            c.fault_minor_4k = Cycles::new(p_u64(v)?);
-            Ok(())
-        },
-        get: |c| c.fault_minor_4k.as_u64().to_string(),
-    },
-    KnobDef {
-        name: "fault_minor_2m",
-        flag: None,
-        flag_scale: 1,
-        help: "OS cycles per 2 MB minor fault",
-        apply: |c, v| {
-            c.fault_minor_2m = Cycles::new(p_u64(v)?);
-            Ok(())
-        },
-        get: |c| c.fault_minor_2m.as_u64().to_string(),
-    },
-    KnobDef {
-        name: "fault_fallback",
-        flag: None,
-        flag_scale: 1,
-        help: "OS cycles per failed-THP fallback fault",
-        apply: |c, v| {
-            c.fault_fallback = Cycles::new(p_u64(v)?);
-            Ok(())
-        },
-        get: |c| c.fault_fallback.as_u64().to_string(),
-    },
-    KnobDef {
-        name: "rehash_entry_cost",
-        flag: None,
-        flag_scale: 1,
-        help: "OS cycles per PTE moved by an elastic-cuckoo rehash",
-        apply: |c, v| {
-            c.rehash_entry_cost = Cycles::new(p_u64(v)?);
-            Ok(())
-        },
-        get: |c| c.rehash_entry_cost.as_u64().to_string(),
-    },
-    KnobDef {
         name: "pwc",
         flag: None,
         flag_scale: 1,
@@ -2470,10 +2426,6 @@ mod tests {
         cfg.footprint_divisor = 3;
         cfg.footprint_override = Some(77 << 20);
         cfg.seed = 0xdead_beef_dead_beef;
-        cfg.fault_minor_4k = Cycles::new(601);
-        cfg.fault_minor_2m = Cycles::new(2601);
-        cfg.fault_fallback = Cycles::new(15001);
-        cfg.rehash_entry_cost = Cycles::new(41);
         cfg.pwc_override = Some(false);
         cfg.bypass_override = Some(BypassPolicy::MetadataL1Bypass);
         cfg.memory_capacity_override = Some(1 << 33);
