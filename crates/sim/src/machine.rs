@@ -197,6 +197,7 @@ struct CoreCtx {
     os_cycles: u64,
     ptw: LatencyStat,
     ptw_hist: LatencyHistogram,
+    /// Premap's faults (untimed, before the run).
     faults: RangeMapOutcome,
     ops_measured: u64,
     mem_ops_measured: u64,

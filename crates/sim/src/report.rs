@@ -233,7 +233,8 @@ pub struct RunReport {
     pub mem_ops: u64,
     /// Cycles spent in address translation (TLB lookups + walks).
     pub translation_cycles: u64,
-    /// Cycles spent in OS memory management (faults, compaction, rehash).
+    /// OS cycles: the compaction tax under THP fallback pressure plus
+    /// context-switch costs. Premap faults are counted, never timed.
     pub os_cycles: u64,
     /// Page-table-walk latency distribution (the paper's PTW metric).
     pub ptw: LatencyStat,
@@ -258,8 +259,8 @@ pub struct RunReport {
     pub dram_row_hit_rate: f64,
     /// Mean DRAM queueing delay (cycles).
     pub dram_queue_delay: f64,
-    /// Fault counters (whole run, including warmup — faults are
-    /// predominantly a warmup/first-touch phenomenon).
+    /// Fault counters of the premap, which maps every page untimed before
+    /// the run starts.
     pub faults: FaultCounts,
     /// Context-switch / TLB-shootdown counters (whole run; the post-switch
     /// penalty fields are measured-window).

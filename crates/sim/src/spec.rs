@@ -1535,7 +1535,7 @@ pub struct RowCounters {
     pub mem_ops: u64,
     /// Cycles spent in address translation.
     pub translation_cycles: u64,
-    /// Cycles spent in OS memory management.
+    /// OS cycles: compaction tax plus context-switch costs.
     pub os_cycles: u64,
     /// Completed page-table walks.
     pub walks: u64,
