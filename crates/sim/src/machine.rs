@@ -294,6 +294,13 @@ pub struct Machine {
     /// One-way NoC latency from core `i` to channel `c`, at
     /// `i * channels + c` (the mesh arithmetic, done once).
     one_way: Vec<Cycles>,
+    /// The frame allocator premap draws from. Nothing uses it after
+    /// [`Machine::new`], but it is freed with the machine: freed at the
+    /// end of `Machine::new` instead, it made simbench's
+    /// `windowed_shared` `setup_s` three times slower on a 2-CPU x86_64
+    /// host, through glibc's dynamic mmap threshold (with the threshold
+    /// fixed by `GLIBC_TUNABLES` the two placements time the same).
+    alloc: FrameAllocator,
     bypass: BypassPolicy,
     controller_cleared: bool,
     /// Shared banked L3 every core's private misses contend in
@@ -473,12 +480,13 @@ impl Machine {
             fronts,
             controller,
             one_way,
+            alloc,
             bypass,
             controller_cleared: false,
             l3,
             vaults,
         };
-        machine.premap_footprints(&mut alloc);
+        machine.premap_footprints();
         machine
     }
 
@@ -511,7 +519,7 @@ impl Machine {
     ///
     /// There is no run-time page fault: a trace stays inside the regions
     /// mapped here, and the frontend panics on a page outside them.
-    fn premap_footprints(&mut self, alloc: &mut FrameAllocator) {
+    fn premap_footprints(&mut self) {
         use ndp_types::addr::PAGE_SIZE;
 
         let footprint = self.cfg.footprint_per_core();
@@ -570,7 +578,7 @@ impl Machine {
                 // loop.
                 let plan = self.fronts[core_idx].procs[proc_idx]
                     .table
-                    .plan_range(first, pages, alloc)
+                    .plan_range(first, pages, &mut self.alloc)
                     .expect("built-in trees always plan, and every ECH range was shaped");
                 proc_faults[target_idx].absorb_range(plan.outcome);
                 plans[target_idx].push(plan);
@@ -1609,8 +1617,7 @@ mod tests {
             Mechanism::Radix,
             WorkloadId::Rnd,
         ));
-        let mut alloc = FrameAllocator::new(1 << 30);
-        m.fronts[0].procs[0].table = build_table(Mechanism::Radix, &mut alloc);
+        m.fronts[0].procs[0].table = build_table(Mechanism::Radix, &mut m.alloc);
         let _ = m.run_with(0);
     }
 
