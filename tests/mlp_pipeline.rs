@@ -234,3 +234,41 @@ fn context_switches_drain_the_window() {
     assert!(r.total_cycles.as_u64() > 0);
     assert!(r.achieved_mlp() > 1.0, "overlap survives multiprogramming");
 }
+
+/// A 2-core NDPage/BFS run touching the knobs that couple the cores'
+/// timing: issue window (in-flight ops per core), process count (context
+/// switches drain the window) and shared L3 (cross-core contention).
+fn scheduler_cfg(window: u32, procs: u32, l3_kb: u32) -> SimConfig {
+    let mut c = SimConfig::new(SystemKind::Ndp, 2, Mechanism::NdPage, WorkloadId::Bfs)
+        .with_ops(2_000, 5_000)
+        .with_footprint(256 << 20)
+        .with_l3(l3_kb);
+    if procs > 1 {
+        c = c.with_procs(procs).with_quantum(1_000);
+    }
+    windowed(&c, window)
+}
+
+/// Scheduler pins, one per corner of the window × procs × L3 matrix:
+/// the timing loop interleaves the cores by the per-op rule (the
+/// unfinished core with the smallest clock runs next, lowest index on
+/// ties), so a change to that order moves these digests.
+const SCHEDULER_GOLDEN: [(u32, u32, u32, u64); 4] = [
+    (1, 1, 0, 7951321719782436550),
+    (8, 1, 0, 1578718316153312710),
+    (1, 2, 512, 294085866865651957),
+    (8, 2, 512, 16922653198480144996),
+];
+
+#[test]
+fn scheduler_golden_digests_hold() {
+    for (window, procs, l3_kb, want) in SCHEDULER_GOLDEN {
+        let got = Machine::new(scheduler_cfg(window, procs, l3_kb))
+            .run()
+            .fingerprint();
+        assert_eq!(
+            got, want,
+            "window={window} procs={procs} l3_kb={l3_kb}: scheduler digest moved"
+        );
+    }
+}
