@@ -1,7 +1,7 @@
-//! Criterion microbenches for the three hot probe loops the epoch-batched
-//! kernel leans on: the TLB set scan, the PWC probe/fill cycle, and the
-//! MSHR live-fill scan, plus an MSHR file in its windowed steady state. Each loop is a branch-light linear pass over a
-//! struct-of-arrays layout; these benches pin their per-probe cost so a
+//! Criterion microbenches for the three hot probe loops every simulated
+//! op leans on: the TLB set scan, the PWC probe/fill cycle, and the MSHR
+//! live-fill scan, plus an MSHR file in its windowed steady state. Each
+//! loop is a branch-light linear pass over a struct-of-arrays layout; these benches pin their per-probe cost so a
 //! layout regression shows up as a ns/iter jump rather than only as noise
 //! in an end-to-end `simbench` run.
 
@@ -12,7 +12,7 @@ use ndp_mmu::tlb::TlbHierarchy;
 use ndp_types::{Asid, Cycles, LineAddr, PageSize, Pfn, PhysAddr, PtLevel, Vpn};
 
 /// Resident lookups across a warm working set: every probe scans a full
-/// set's tag lane and hits, the steady state of an epoch's address burst.
+/// set's tag lane and hits, the steady state of a hot working set.
 fn bench_tlb_set_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_loops");
     group.bench_function("tlb_set_scan_hit", |b| {

@@ -161,7 +161,6 @@ fn every_registered_flag_reaches_the_config() {
         ("--l3-banks", "2"),
         ("--l3-policy", "exclusive"),
         ("--vault-kb", "64"),
-        ("--epoch", "128"),
     ];
     let flagged: Vec<&str> = KNOBS.iter().filter_map(|k| k.flag).collect();
     assert_eq!(

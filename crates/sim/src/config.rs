@@ -42,10 +42,8 @@ pub struct SimConfig {
     pub warmup_ops: u64,
     /// Measured operations per core.
     pub measure_ops: u64,
-    /// Per-core footprint = Table II size / divisor (private address
-    /// spaces; the default of 1 runs the full dataset per core).
-    pub footprint_divisor: u64,
-    /// Absolute per-core footprint override (wins over the divisor).
+    /// Absolute per-core footprint override (`None` = the workload's
+    /// Table II size, the full dataset per core).
     pub footprint_override: Option<u64>,
     /// Base RNG seed; core *i* uses `seed + i`.
     pub seed: u64,
@@ -124,13 +122,6 @@ pub struct SimConfig {
     /// `0` (the default) disables it; bypassed NDPage metadata fetches
     /// skip it just as they skip every other cache.
     pub vault_buffer_kb: u32,
-    /// Most ops a core executes per scheduler pick (the *epoch*). The
-    /// batched scheduler only keeps running a core while the per-op
-    /// scheduler would still pick it, so **every** epoch size is
-    /// cycle-identical to per-op execution (`epoch_ops = 1`); larger
-    /// epochs amortise the per-op core scan and keep one core's state
-    /// hot across a block of ops.
-    pub epoch_ops: u64,
 }
 
 impl SimConfig {
@@ -138,9 +129,6 @@ impl SimConfig {
     pub const DEFAULT_WARMUP: u64 = 150_000;
     /// The default measurement window per core.
     pub const DEFAULT_MEASURE: u64 = 250_000;
-    /// The default footprint divisor: 1 — every core runs the full
-    /// Table II dataset, as in the paper's per-core benchmark instances.
-    pub const DEFAULT_DIVISOR: u64 = 1;
     /// Ops between compaction-interference charges.
     pub const COMPACTION_PERIOD: u64 = 64;
     /// Nominal Table I DRAM capacity.
@@ -163,14 +151,6 @@ impl SimConfig {
     pub const DEFAULT_L3_WAYS: u32 = 16;
     /// Default shared-L3 bank count.
     pub const DEFAULT_L3_BANKS: u32 = 8;
-    /// Default scheduler epoch: long enough to amortise the per-op core
-    /// scan, short enough that a core's batch rarely outlives its
-    /// scheduling eligibility. Timing-inert at any value (see
-    /// [`Self::epoch_ops`]).
-    pub const DEFAULT_EPOCH_OPS: u64 = 64;
-    /// Largest accepted scheduler epoch (a sanity bound, not a timing
-    /// constraint).
-    pub const MAX_EPOCH_OPS: u64 = 1 << 20;
 
     /// A full-size run configuration.
     #[must_use]
@@ -182,7 +162,6 @@ impl SimConfig {
             workload,
             warmup_ops: Self::DEFAULT_WARMUP,
             measure_ops: Self::DEFAULT_MEASURE,
-            footprint_divisor: Self::DEFAULT_DIVISOR,
             footprint_override: None,
             seed: 0x5eed,
             pwc_override: None,
@@ -204,7 +183,6 @@ impl SimConfig {
             l3_banks: Self::DEFAULT_L3_BANKS,
             l3_policy: InclusionPolicy::Inclusive,
             vault_buffer_kb: 0,
-            epoch_ops: Self::DEFAULT_EPOCH_OPS,
         }
     }
 
@@ -347,14 +325,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the scheduler epoch in ops (1 = per-op scheduling; timing is
-    /// identical at any value).
-    #[must_use]
-    pub fn with_epoch_ops(mut self, ops: u64) -> Self {
-        self.epoch_ops = ops;
-        self
-    }
-
     /// The shared-L3 configuration implied by the knobs, if enabled.
     #[must_use]
     pub fn l3_config(&self) -> Option<SharedConfig> {
@@ -373,7 +343,7 @@ impl SimConfig {
     #[must_use]
     pub fn footprint_per_core(&self) -> u64 {
         self.footprint_override
-            .unwrap_or_else(|| self.workload.table2_footprint() / self.footprint_divisor.max(1))
+            .unwrap_or_else(|| self.workload.table2_footprint())
     }
 
     /// Validates parameter sanity.
@@ -420,9 +390,6 @@ impl SimConfig {
             || self.walkers_per_core as usize > ndp_mmu::walker::MAX_WALKERS
         {
             return Err(ConfigError::new("walkers_per_core must be in 1..=8"));
-        }
-        if self.epoch_ops == 0 || self.epoch_ops > Self::MAX_EPOCH_OPS {
-            return Err(ConfigError::new("epoch_ops must be in 1..=1048576"));
         }
         if let Some(l3) = self.l3_config() {
             if let Err(e) = l3.check() {
@@ -584,20 +551,6 @@ mod tests {
         assert_eq!(cfg.mlp_window, 8);
         assert_eq!(cfg.mshrs_per_core, 16);
         assert_eq!(cfg.walkers_per_core, 2);
-        assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn epoch_configs_validated() {
-        let mut cfg = SimConfig::quick(SystemKind::Ndp, 1, Mechanism::Radix, WorkloadId::Rnd);
-        assert_eq!(cfg.epoch_ops, SimConfig::DEFAULT_EPOCH_OPS);
-        cfg.epoch_ops = 0;
-        let err = cfg.validate().unwrap_err();
-        assert!(err.to_string().contains("epoch_ops"));
-        cfg.epoch_ops = SimConfig::MAX_EPOCH_OPS + 1;
-        assert!(cfg.validate().is_err());
-        let cfg = cfg.with_epoch_ops(1);
-        assert_eq!(cfg.epoch_ops, 1);
         assert!(cfg.validate().is_ok());
     }
 

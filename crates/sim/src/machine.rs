@@ -31,9 +31,9 @@
 //! native-huge install). It applies context-switch flushes and the warmup
 //! statistics clear at the same op counts the timing loop does. The
 //! **timing loop** keeps everything else and consumes the records in
-//! exactly the per-op order described below: clocks and the epoch
-//! scheduler, caches and MSHRs, the shared L3 and vault buffers, NoC and
-//! DRAM, walker occupancy, the compaction tax and the walk statistics.
+//! exactly the per-op order described below: clocks and the scheduler,
+//! caches and MSHRs, the shared L3 and vault buffers, NoC and DRAM,
+//! walker occupancy, the compaction tax and the walk statistics.
 //!
 //! The split is exact because no frontend state depends on timing in any
 //! mode: which entries a TLB or PWC holds follows from the op sequence
@@ -621,17 +621,9 @@ impl Machine {
     ///
     /// # Scheduling
     ///
-    /// The per-op rule is: the oldest unfinished core goes next
-    /// (conservative interleaving, lowest index on ties). The loop below
-    /// batches that rule into *epochs*: after picking core `i` it keeps
-    /// running `i` — up to [`SimConfig::epoch_ops`] ops — for as long as
-    /// the per-op scheduler would still pick it. Core `i` stays the pick
-    /// exactly while its clock is *strictly below* every lower-indexed
-    /// unfinished core's and *at or below* every higher-indexed one's;
-    /// since only core `i`'s clock moves during the batch, that bound is
-    /// a constant (`limit`) computable at pick time. Execution order —
-    /// and therefore every timestamp and digest — is identical at any
-    /// epoch size, including the per-op `epoch_ops = 1`.
+    /// One rule orders the cores: the unfinished core with the smallest
+    /// clock runs its next op (conservative interleaving, lowest index
+    /// on ties), and the pick is made again after every op.
     ///
     /// The ops themselves come translated from the cores' frontends (see
     /// the module docs), run ahead on producer threads when
@@ -676,11 +668,10 @@ impl Machine {
         self.into_report()
     }
 
-    /// The epoch scheduler over the cores' record streams (see
+    /// The scheduler over the cores' record streams (see
     /// [`Machine::run`]); `producers[i % n]` fills core `i`'s lane.
     fn timing_loop(&mut self, lanes: &[Lane], producers: &[Thread]) {
         let total_ops = self.cfg.warmup_ops + self.cfg.measure_ops;
-        let epoch = self.cfg.epoch_ops.max(1);
         let mut cursors: Vec<Cursor> = lanes.iter().map(|_| Cursor::default()).collect();
         loop {
             let mut next: Option<usize> = None;
@@ -692,51 +683,25 @@ impl Machine {
             }
             let Some(i) = next else { break };
 
-            // The batch bound: min over lower-indexed unfinished cores of
-            // their clock, and over higher-indexed ones of clock + 1
-            // (ties go to the lower index, so `i` keeps the pick at equal
-            // time against a higher index only). `None` = `i` is the last
-            // unfinished core and runs unbounded.
-            let mut limit: Option<Cycles> = None;
-            for (j, core) in self.cores.iter().enumerate() {
-                if j == i || core.ops_done >= total_ops {
-                    continue;
-                }
-                let bound = if j < i {
-                    core.time
-                } else {
-                    core.time + Cycles::new(1)
-                };
-                limit = Some(limit.map_or(bound, |l| l.min(bound)));
+            if !self.cores[i].measuring && self.cores[i].ops_done >= self.cfg.warmup_ops {
+                self.begin_measurement(i);
             }
-
-            let (lane, cursor) = (&lanes[i], &mut cursors[i]);
             let producer = (!producers.is_empty()).then(|| &producers[i % producers.len()]);
-            for _ in 0..epoch {
-                if self.cores[i].ops_done >= total_ops
-                    || limit.is_some_and(|l| self.cores[i].time >= l)
-                {
-                    break;
+            let rec = cursors[i].next(&lanes[i], producer);
+            let is_memory = matches!(rec, Rec::Mem(_));
+            self.exec_op(i, rec, &mut cursors[i]);
+            let core = &mut self.cores[i];
+            core.ops_done += 1;
+            if core.measuring {
+                core.ops_measured += 1;
+                if is_memory {
+                    core.mem_ops_measured += 1;
                 }
-                if !self.cores[i].measuring && self.cores[i].ops_done >= self.cfg.warmup_ops {
-                    self.begin_measurement(i);
-                }
-                let rec = cursor.next(lane, producer);
-                let is_memory = matches!(rec, Rec::Mem(_));
-                self.exec_op(i, rec, cursor);
-                let core = &mut self.cores[i];
-                core.ops_done += 1;
-                if core.measuring {
-                    core.ops_measured += 1;
-                    if is_memory {
-                        core.mem_ops_measured += 1;
-                    }
-                }
-                if core.procs.len() > 1 {
-                    core.quantum_ops += 1;
-                    if core.quantum_ops >= self.cfg.context_switch_quantum_ops {
-                        self.context_switch(i);
-                    }
+            }
+            if core.procs.len() > 1 {
+                core.quantum_ops += 1;
+                if core.quantum_ops >= self.cfg.context_switch_quantum_ops {
+                    self.context_switch(i);
                 }
             }
         }

@@ -292,21 +292,10 @@ pub static KNOBS: &[KnobDef] = &[
         get: |c| c.measure_ops.to_string(),
     },
     KnobDef {
-        name: "footprint_divisor",
-        flag: None,
-        flag_scale: 1,
-        help: "per-core footprint = Table II size / divisor",
-        apply: |c, v| {
-            c.footprint_divisor = p_u64(v)?;
-            Ok(())
-        },
-        get: |c| c.footprint_divisor.to_string(),
-    },
-    KnobDef {
         name: "footprint",
         flag: Some("--footprint-mb"),
         flag_scale: 1 << 20,
-        help: "absolute per-core footprint in bytes, or 'default' (Table II / divisor); the flag takes MiB",
+        help: "absolute per-core footprint in bytes, or 'default' (the Table II size); the flag takes MiB",
         apply: |c, v| {
             c.footprint_override = p_opt(v, p_u64)?;
             Ok(())
@@ -550,17 +539,6 @@ pub static KNOBS: &[KnobDef] = &[
             Ok(())
         },
         get: |c| c.vault_buffer_kb.to_string(),
-    },
-    KnobDef {
-        name: "epoch_ops",
-        flag: Some("--epoch"),
-        flag_scale: 1,
-        help: "ops per scheduler pick (timing-inert batching; 1 = per-op)",
-        apply: |c, v| {
-            c.epoch_ops = p_u64(v)?;
-            Ok(())
-        },
-        get: |c| c.epoch_ops.to_string(),
     },
 ];
 
@@ -2423,7 +2401,6 @@ mod tests {
         cfg.workload = WorkloadId::Gen;
         cfg.warmup_ops = 123;
         cfg.measure_ops = 456;
-        cfg.footprint_divisor = 3;
         cfg.footprint_override = Some(77 << 20);
         cfg.seed = 0xdead_beef_dead_beef;
         cfg.pwc_override = Some(false);

@@ -33,7 +33,7 @@ fn knob_registry_covers_every_simconfig_field_exactly_once() {
     let knobs = config_knobs(&cfg);
     assert_eq!(
         knobs.len(),
-        29,
+        27,
         "one KNOBS entry per SimConfig field — update KNOBS (and this pin) \
          together with the struct"
     );
