@@ -85,7 +85,8 @@ impl MapOutcome {
     }
 }
 
-/// Aggregated result of a [`PageTable::map_range`] call.
+/// Fault counts of a [`PageTable::map_range`] call, or summed over many
+/// (a run's whole premap).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RangeMapOutcome {
     /// 4 KB minor faults incurred.
@@ -112,6 +113,12 @@ impl RangeMapOutcome {
         self.minor_4k += other.minor_4k;
         self.minor_2m += other.minor_2m;
         self.fallback += other.fallback;
+    }
+
+    /// Total faults.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.minor_4k + self.minor_2m + self.fallback
     }
 }
 

@@ -59,5 +59,5 @@ pub mod spec;
 
 pub use config::{SimConfig, SystemKind};
 pub use machine::Machine;
-pub use report::{FaultCounts, RunReport, SchedStats};
+pub use report::{RunReport, SchedStats};
 pub use spec::{run_sweep, run_sweep_jsonl, SweepResult, SweepSpec};

@@ -51,7 +51,7 @@
 mod frontend;
 
 use crate::config::{InclusionPolicy, SimConfig, SystemKind};
-use crate::report::{FaultCounts, MlpStats, RunReport, SchedStats, SharedLlcStats};
+use crate::report::{MlpStats, RunReport, SchedStats, SharedLlcStats};
 use frontend::{Cursor, FrontProc, Frontend, Lane, MemRec, Rec, Schedule, StopProducers, Xlat};
 use ndp_cache::hierarchy::{CacheHierarchy, VictimList};
 use ndp_cache::mshr::MshrStep;
@@ -1188,7 +1188,7 @@ impl Machine {
         let mut pollution = 0u64;
         let mut ptw = LatencyStat::default();
         let mut ptw_histogram = LatencyHistogram::new();
-        let mut faults = FaultCounts::default();
+        let mut faults = RangeMapOutcome::default();
         let mut pwc: BTreeMap<PtLevel, HitMiss> = BTreeMap::new();
         let mut translation_cycles = 0u64;
         let mut os_cycles = 0u64;
@@ -1210,9 +1210,7 @@ impl Machine {
             pollution += l1.data_evicted_by_metadata;
             ptw.merge(&core.ptw);
             ptw_histogram.merge(&core.ptw_hist);
-            faults.minor_4k += core.faults.minor_4k;
-            faults.minor_2m += core.faults.minor_2m;
-            faults.fallback += core.faults.fallback;
+            faults.absorb_range(core.faults);
             translation_cycles += core.translation_cycles;
             os_cycles += core.os_cycles;
             ops += core.ops_measured;

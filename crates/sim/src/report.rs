@@ -7,6 +7,7 @@ use ndp_types::stats::{HitMiss, LatencyStat};
 use ndp_types::{Cycles, PtLevel};
 use ndp_workloads::WorkloadId;
 use ndpage::occupancy::OccupancyReport;
+use ndpage::table::RangeMapOutcome;
 use ndpage::Mechanism;
 use std::fmt;
 
@@ -18,27 +19,8 @@ pub fn ratio(num: f64, den: f64) -> Option<f64> {
     (den > 0.0).then(|| num / den)
 }
 
-/// Page-fault counters for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultCounts {
-    /// 4 KB minor faults.
-    pub minor_4k: u64,
-    /// 2 MB minor faults.
-    pub minor_2m: u64,
-    /// THP-fallback faults (contiguity exhausted).
-    pub fallback: u64,
-}
-
-impl FaultCounts {
-    /// Total faults.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.minor_4k + self.minor_2m + self.fallback
-    }
-}
-
 /// Scheduling and translation-shootdown counters of one run (whole run,
-/// like [`FaultCounts`] — flush effects from warmup linger into the
+/// like [`RunReport::faults`] — flush effects from warmup linger into the
 /// measured window, so a window-only count would under-report).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedStats {
@@ -261,7 +243,7 @@ pub struct RunReport {
     pub dram_queue_delay: f64,
     /// Fault counters of the premap, which maps every page untimed before
     /// the run starts.
-    pub faults: FaultCounts,
+    pub faults: RangeMapOutcome,
     /// Context-switch / TLB-shootdown counters (whole run; the post-switch
     /// penalty fields are measured-window).
     pub sched: SchedStats,
@@ -592,7 +574,7 @@ mod tests {
             mem_traffic: ClassTraffic::default(),
             dram_row_hit_rate: 0.5,
             dram_queue_delay: 1.0,
-            faults: FaultCounts::default(),
+            faults: RangeMapOutcome::default(),
             sched: SchedStats::default(),
             mlp_window: 1,
             mlp: MlpStats::default(),
@@ -802,7 +784,7 @@ mod tests {
 
     #[test]
     fn fault_totals() {
-        let f = FaultCounts {
+        let f = RangeMapOutcome {
             minor_4k: 1,
             minor_2m: 2,
             fallback: 3,
