@@ -5,7 +5,8 @@
 use ndp_sim::parallel::{par_map, par_map_threads};
 use ndp_sim::spec::{run_sweep, SweepSpec};
 use ndp_sim::{Machine, RunReport, SimConfig, SystemKind};
-use ndp_workloads::WorkloadId;
+use ndp_types::addr::PAGE_SIZE;
+use ndp_workloads::{TraceParams, WorkloadId};
 use ndpage::Mechanism;
 
 fn cfg(seed: u64) -> SimConfig {
@@ -254,4 +255,43 @@ fn ideal_reports_are_clean() {
     assert_eq!(r.tlb_l1.total(), 0);
     assert_eq!(r.mem_traffic.metadata, 0);
     assert!(r.mem_traffic.data > 0);
+}
+
+/// Premap fault conservation: premap maps every page of every process's
+/// regions exactly once, so the 4 KB designs take one 4 KB fault per
+/// region page, and Huge Page's 2 MB faults and THP fallbacks cover at
+/// least those pages (a 2 MB leaf may reach past a region's end).
+#[test]
+fn premap_faults_match_the_region_pages() {
+    for workload in WorkloadId::ALL {
+        for (cores, procs) in [(1u32, 1u32), (2, 2)] {
+            let base = SimConfig::quick(SystemKind::Ndp, cores, Mechanism::Radix, workload)
+                .with_ops(0, 200)
+                .with_footprint(64 << 20)
+                .with_procs(procs);
+            // Process `core * procs + p` traces with `seed + pid`, as
+            // the machine builds it.
+            let region_pages: u64 = (0..u64::from(cores * procs))
+                .flat_map(|pid| {
+                    workload.regions(TraceParams::new(base.seed + pid).with_footprint(64 << 20))
+                })
+                .map(|r| r.bytes.div_ceil(PAGE_SIZE))
+                .sum();
+            for mechanism in Mechanism::ALL {
+                let mut cfg = base.clone();
+                cfg.mechanism = mechanism;
+                let f = Machine::new(cfg).run().faults;
+                let at = format!("{workload}/{mechanism} on {cores}c x {procs}p");
+                if mechanism == Mechanism::HugePage {
+                    assert!(512 * f.minor_2m + f.fallback >= region_pages, "{at}: {f:?}");
+                } else {
+                    assert_eq!(
+                        (f.minor_4k, f.minor_2m, f.fallback),
+                        (region_pages, 0, 0),
+                        "{at}"
+                    );
+                }
+            }
+        }
+    }
 }
