@@ -16,7 +16,7 @@
 //!   at [`CONTIG_POOL_FRACTION`] of capacity.
 
 use ndp_types::addr::PAGE_SIZE;
-use ndp_types::{PageSize, Pfn};
+use ndp_types::Pfn;
 
 /// Fraction of physical capacity initially usable for 2 MB allocations.
 /// Busy systems rarely have most of DRAM defragmented and free: the
@@ -188,15 +188,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Allocates the backing for one page of the given size (4 KB frame or
-    /// 2 MB contiguous run).
-    pub fn alloc_page(&mut self, size: PageSize) -> Option<Pfn> {
-        match size {
-            PageSize::Size4K => Some(self.alloc_frame(FramePurpose::Data)),
-            PageSize::Size2M => self.alloc_contiguous(size.frames(), FramePurpose::Data),
-        }
-    }
-
     /// Whether `pfn` holds page-table storage (the OS's PTE-region mark).
     #[must_use]
     pub fn is_table_frame(&self, pfn: Pfn) -> bool {
@@ -291,15 +282,6 @@ mod tests {
             before - a.contig_free_bytes(),
             100 * PAGE_SIZE * FRAGMENTATION_FACTOR
         );
-    }
-
-    #[test]
-    fn alloc_page_by_size() {
-        let mut a = FrameAllocator::new(64 << 20);
-        assert!(a.alloc_page(PageSize::Size4K).is_some());
-        let huge = a.alloc_page(PageSize::Size2M).expect("pool");
-        assert_eq!(huge.as_u64() % 512, 0);
-        assert_eq!(a.stats().huge_allocs, 1);
     }
 
     #[test]

@@ -73,12 +73,6 @@ impl Pte {
         self.0 & FLATTENED != 0
     }
 
-    /// Whether the entry permits writes.
-    #[must_use]
-    pub const fn is_writable(self) -> bool {
-        self.0 & WRITABLE != 0
-    }
-
     /// The physical frame number carried by the entry.
     #[must_use]
     pub const fn pfn(self) -> Pfn {
@@ -107,7 +101,6 @@ mod tests {
     fn leaf_round_trips_pfn() {
         let p = Pte::leaf(Pfn::new(0x12345));
         assert!(p.is_present());
-        assert!(p.is_writable());
         assert!(!p.is_huge());
         assert!(!p.is_flattened());
         assert_eq!(p.pfn(), Pfn::new(0x12345));
@@ -125,7 +118,6 @@ mod tests {
     fn next_pointers() {
         let n = Pte::next(Pfn::new(7));
         assert!(n.is_present());
-        assert!(!n.is_writable());
         assert!(!n.is_flattened());
         let f = Pte::next_flattened(Pfn::new(7));
         assert!(f.is_flattened());

@@ -36,17 +36,6 @@ impl ClassTraffic {
     pub fn demand(&self) -> u64 {
         self.data + self.metadata
     }
-
-    /// Fraction of *demand* requests that were metadata, in `[0, 1]` (the
-    /// paper's "main-memory accesses caused by PTEs" share).
-    #[must_use]
-    pub fn metadata_fraction(&self) -> f64 {
-        if self.demand() == 0 {
-            0.0
-        } else {
-            self.metadata as f64 / self.demand() as f64
-        }
-    }
 }
 
 /// Controller-level statistics (device stats live in [`DramStats`]).
@@ -220,7 +209,6 @@ mod tests {
         );
         assert_eq!(mc.stats().traffic.metadata, 4);
         assert_eq!(mc.stats().traffic.data, 1);
-        assert!((mc.stats().traffic.metadata_fraction() - 0.8).abs() < 1e-12);
         assert_eq!(mc.stats().metadata_latency.count, 4);
     }
 
@@ -316,10 +304,5 @@ mod tests {
         mc.reset();
         assert_eq!(mc.stats().traffic.total(), 0);
         assert_eq!(mc.dram_stats().requests, 0);
-    }
-
-    #[test]
-    fn empty_traffic_fraction_is_zero() {
-        assert_eq!(ClassTraffic::default().metadata_fraction(), 0.0);
     }
 }

@@ -70,13 +70,6 @@ impl MeshNoc {
         let hops = cx.abs_diff(mx) + cy.abs_diff(my) + 1;
         Cycles::new(u64::from(hops) * self.hop_latency.as_u64()) + self.off_chip_penalty
     }
-
-    /// Round-trip network latency for a memory access.
-    #[must_use]
-    pub fn round_trip(&self, core: CoreId, channel: u32) -> Cycles {
-        let one_way = self.core_to_channel(core, channel);
-        one_way + one_way
-    }
 }
 
 /// Smallest square mesh that fits `cores` tiles.
@@ -106,16 +99,17 @@ mod tests {
     fn ndp_single_core_one_hop() {
         let noc = MeshNoc::ndp(1);
         assert_eq!(noc.core_to_channel(CoreId(0), 0), Cycles::new(4));
-        assert_eq!(noc.round_trip(CoreId(0), 0), Cycles::new(8));
     }
 
     #[test]
     fn cpu_pays_off_chip_both_ways() {
         let ndp = MeshNoc::ndp(4);
         let cpu = MeshNoc::cpu(4);
-        let n = ndp.round_trip(CoreId(0), 0);
-        let c = cpu.round_trip(CoreId(0), 0);
-        assert_eq!(c - n, Cycles::new(120));
+        // The machine adds the one-way latency to the request and again
+        // to the reply.
+        let n = ndp.core_to_channel(CoreId(0), 0);
+        let c = cpu.core_to_channel(CoreId(0), 0);
+        assert_eq!(c - n, Cycles::new(60));
     }
 
     #[test]

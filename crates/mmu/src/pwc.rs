@@ -327,12 +327,6 @@ impl PwcSet {
         }
     }
 
-    /// Whether the bank is active.
-    #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// The live (touched) PWC for `level`, creating it on first use.
     #[inline]
     fn level_pwc(&mut self, level: PtLevel) -> &mut Pwc {
@@ -491,7 +485,6 @@ mod tests {
         let mut set = PwcSet::disabled();
         set.fill(PtLevel::L4, Asid::ZERO, Vpn::new(1));
         assert!(!set.access(PtLevel::L4, Asid::ZERO, Vpn::new(1)));
-        assert!(!set.is_enabled());
         assert_eq!(set.stats().count(), 0);
     }
 

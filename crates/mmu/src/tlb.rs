@@ -40,17 +40,6 @@ impl TlbConfig {
         }
     }
 
-    /// Table I L1 ITLB: 128-entry, 4-way, 1-cycle.
-    #[must_use]
-    pub const fn l1_itlb() -> Self {
-        TlbConfig {
-            name: "L1 ITLB",
-            entries: 128,
-            ways: 4,
-            latency: Cycles::new(1),
-        }
-    }
-
     /// Table I L2 TLB: 1536-entry, 12-cycle (12-way here; Table I gives no
     /// associativity).
     #[must_use]
@@ -774,7 +763,6 @@ mod tests {
     #[test]
     fn table1_geometries() {
         assert_eq!(TlbConfig::l1_dtlb().sets(), 16);
-        assert_eq!(TlbConfig::l1_itlb().sets(), 32);
         assert_eq!(TlbConfig::l2_stlb().sets(), 128);
     }
 }

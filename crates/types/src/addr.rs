@@ -149,20 +149,6 @@ macro_rules! addr_newtype {
                 self.0 & (PAGE_SIZE - 1)
             }
 
-            /// The address rounded down to its 4 KB page base.
-            #[must_use]
-            #[inline]
-            pub const fn page_base(self) -> Self {
-                Self(self.0 & !(PAGE_SIZE - 1))
-            }
-
-            /// The address rounded down to its 64 B cache-line base.
-            #[must_use]
-            #[inline]
-            pub const fn line_base(self) -> Self {
-                Self(self.0 & !(CACHE_LINE_SIZE - 1))
-            }
-
             /// Returns the address advanced by `bytes`.
             ///
             /// # Panics
@@ -172,15 +158,6 @@ macro_rules! addr_newtype {
             #[inline]
             pub const fn add(self, bytes: u64) -> Self {
                 Self(self.0 + bytes)
-            }
-
-            /// Whether the address is aligned to `align` bytes
-            /// (`align` must be a power of two).
-            #[must_use]
-            #[inline]
-            pub const fn is_aligned(self, align: u64) -> bool {
-                debug_assert!(align.is_power_of_two());
-                self.0 & (align - 1) == 0
             }
         }
 
@@ -238,13 +215,6 @@ impl VirtAddr {
     #[inline]
     pub const fn vpn(self) -> Vpn {
         Vpn(self.0 >> PAGE_SHIFT)
-    }
-
-    /// Virtual "huge page number" of the containing 2 MB region.
-    #[must_use]
-    #[inline]
-    pub const fn huge_vpn(self) -> Vpn {
-        Vpn((self.0 >> HUGE_PAGE_SHIFT) << LEVEL_BITS)
     }
 }
 
@@ -431,14 +401,12 @@ mod tests {
     fn page_offset_and_base() {
         let va = VirtAddr::new(0x1234_5678);
         assert_eq!(va.page_offset(), 0x678);
-        assert_eq!(va.page_base().as_u64(), 0x1234_5000);
-        assert_eq!(va.line_base().as_u64(), 0x1234_5640);
     }
 
     #[test]
     fn vpn_round_trip() {
         let va = VirtAddr::new(0x7fff_0000_1000);
-        assert_eq!(va.vpn().base(), va.page_base());
+        assert_eq!(va.vpn().base(), va);
         assert_eq!(va.vpn().as_u64(), 0x0007_fff0_0001);
     }
 
@@ -482,15 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn huge_alignment() {
-        let va = VirtAddr::new(0x4020_3456);
-        let vpn = va.vpn();
-        assert_eq!(va.huge_vpn().l1_index(), 0);
-        assert_eq!(va.huge_vpn().l2_index(), vpn.l2_index());
-        assert_eq!(va.huge_vpn().as_u64(), vpn.as_u64() - vpn.l1_index() as u64);
-    }
-
-    #[test]
     fn page_size_accessors() {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
         assert_eq!(PageSize::Size2M.bytes(), 2 * 1024 * 1024);
@@ -527,13 +486,6 @@ mod tests {
             }
             last = Some((level, slot));
         }
-    }
-
-    #[test]
-    fn alignment_predicate() {
-        assert!(PhysAddr::new(0x1000).is_aligned(4096));
-        assert!(!PhysAddr::new(0x1040).is_aligned(4096));
-        assert!(PhysAddr::new(0x1040).is_aligned(64));
     }
 
     #[test]

@@ -93,14 +93,6 @@ impl MemTicket {
     pub fn total_latency(&self) -> Cycles {
         self.done - self.issue
     }
-
-    /// Time spent in the memory controller and DRAM (arrival to data
-    /// availability, excluding the return network hop is the caller's
-    /// concern — this is `done - arrival`).
-    #[must_use]
-    pub fn memory_latency(&self) -> Cycles {
-        self.done - self.arrival
-    }
 }
 
 impl Default for MemTicket {
@@ -132,7 +124,6 @@ mod tests {
             done: Cycles::new(250),
         };
         assert_eq!(t.total_latency(), Cycles::new(150));
-        assert_eq!(t.memory_latency(), Cycles::new(140));
         let i = MemTicket::immediate(Cycles::new(7));
         assert_eq!(i.total_latency(), Cycles::ZERO);
         assert_eq!(i.done, Cycles::new(7));
