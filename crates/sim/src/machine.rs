@@ -32,27 +32,47 @@
 //! statistics clear at the same op counts the timing loop does. The
 //! **timing loop** keeps everything else and consumes the records in
 //! exactly the per-op order described below: clocks and the scheduler,
-//! caches and MSHRs, the shared L3 and vault buffers, NoC and DRAM,
-//! walker occupancy, the compaction tax and the walk statistics.
+//! MSHRs, the shared L3 and vault buffers, NoC and DRAM, walker
+//! occupancy, the compaction tax and the walk statistics.
 //!
 //! The split is exact because no frontend state depends on timing in any
 //! mode: which entries a TLB or PWC holds follows from the op sequence
-//! alone. The caches stay on the timing side because their contents do
-//! depend on timing: MSHR coalescing and hit-under-miss key on fill
-//! completion times, and an inclusive shared L3 back-invalidates private
-//! lines in the global timing order of every core's misses.
+//! alone.
+//!
+//! # Where the private caches live
+//!
+//! Each core's private cache hierarchy has one home, chosen from the
+//! config. In a blocking run (`mlp_window = 1`) with neither a shared L3
+//! nor vault buffers it lives on the frontend, which resolves each memory
+//! op's non-bypassed PTE fetches in walk order and then its data access:
+//! the lookup and, on a full miss, the fill. Each chunk carries one
+//! outcome per access (lookup latency, serving level or miss, number of
+//! dirty victims) and the dirty victims in order. The timing loop charges
+//! a hit its latency, sends a miss to memory, and posts the fill's dirty
+//! victims at its completion in level order — the requests it would make
+//! with the caches on its side. That is exact because in such a run a
+//! core's cache contents follow from its own access order alone, as its
+//! TLBs' do: MSHR merges and hit-under-miss happen only in windowed runs,
+//! metadata never coalesces, and only an inclusive shared L3
+//! back-invalidates private lines. Every other run keeps the caches on the
+//! timing side, where those timing-ordered effects are modelled.
 //!
 //! Frontends run one chunk ahead on `default_threads() - 1` scoped
 //! producer threads, each serving every `n`-th core through a bounded
 //! queue. With one thread, or inside a [`crate::parallel`] worker, the
 //! timing loop translates each chunk itself when it needs it — the same
-//! code, so the result is bit-identical either way.
+//! code, so the result is bit-identical either way. When a producer holds
+//! the frontend of the lane the timing loop needs, the loop fills a chunk
+//! for another lane that can take one, and waits on the lane's lock only
+//! when none can.
 
 mod frontend;
 
 use crate::config::{InclusionPolicy, SimConfig, SystemKind};
 use crate::report::{MlpStats, RunReport, SchedStats, SharedLlcStats};
-use frontend::{Cursor, FrontProc, Frontend, Lane, MemRec, Rec, Schedule, StopProducers, Xlat};
+use frontend::{
+    Cursor, FrontProc, Frontend, Lane, MemRec, Rec, Resolved, Schedule, StopProducers, Xlat,
+};
 use ndp_cache::hierarchy::{CacheHierarchy, VictimList};
 use ndp_cache::mshr::MshrStep;
 use ndp_cache::set_assoc::{CacheConfig, Victim};
@@ -191,7 +211,9 @@ struct CoreCtx {
     /// Occupancy of the core's hardware walkers (the PWCs live with the
     /// frontend).
     walkers: WalkerSlots,
-    caches: CacheHierarchy,
+    /// The core's private caches, unless they run ahead on its frontend
+    /// (see the module docs for the placement rule).
+    caches: Option<CacheHierarchy>,
     // Measured-window accumulators.
     translation_cycles: u64,
     os_cycles: u64,
@@ -282,6 +304,13 @@ impl CoreCtx {
     fn asid(&self) -> Asid {
         self.procs[self.active].asid
     }
+
+    /// The private caches, on a run that keeps them on the timing side.
+    fn caches(&mut self) -> &mut CacheHierarchy {
+        self.caches
+            .as_mut()
+            .expect("the private caches run ahead on the frontend")
+    }
 }
 
 /// The simulated machine: cores plus the shared memory system.
@@ -321,6 +350,28 @@ impl Machine {
     /// Panics if `cfg` fails [`SimConfig::validate`].
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
+        let ahead = Self::caches_run_ahead(&cfg);
+        Self::build(cfg, ahead)
+    }
+
+    /// The placement rule: a core's private caches run ahead on its
+    /// frontend in a blocking run without a shared L3 or vault buffers
+    /// (their contents then follow from the core's own access order),
+    /// and stay on the timing side otherwise.
+    fn caches_run_ahead(cfg: &SimConfig) -> bool {
+        cfg.is_blocking() && cfg.l3_config().is_none() && cfg.vault_buffer_config().is_none()
+    }
+
+    /// [`Machine::new`] with every private cache on the timing side, the
+    /// reference the run-ahead placement is checked against.
+    #[cfg(test)]
+    fn with_timing_side_caches(cfg: SimConfig) -> Self {
+        Self::build(cfg, false)
+    }
+
+    /// Builds the machine for `cfg`, with the private caches on the
+    /// frontends when `ahead`.
+    fn build(cfg: SimConfig, ahead: bool) -> Self {
         cfg.validate().expect("invalid simulation config");
 
         let (mut dram, noc) = match cfg.system {
@@ -369,6 +420,7 @@ impl Machine {
             tagging: cfg.tlb_tagging,
             ideal: cfg.mechanism.is_ideal(),
             native_huge: !cfg.tlb_fracture_huge.unwrap_or(true),
+            bypass,
         };
         let mut fronts = Vec::with_capacity(cfg.cores as usize);
         let mut cores = Vec::with_capacity(cfg.cores as usize);
@@ -398,7 +450,30 @@ impl Machine {
             }
             .with_walkers(cfg.walkers_per_core as usize)
             .into_parts();
-            fronts.push(Frontend::new(procs, tlb, planner, schedule));
+            let caches = match (cfg.system, cfg.l3_kb) {
+                (SystemKind::Ndp, _) => CacheHierarchy::ndp(),
+                // Each CPU core gets its 2 MB share of the shared L3
+                // (the cores are multiprogrammed, so a fair-share
+                // private slice is the standard approximation)...
+                (SystemKind::Cpu, 0) => CacheHierarchy::new(vec![
+                    CacheConfig::l1d(),
+                    CacheConfig::l2(),
+                    CacheConfig::l3(1),
+                ]),
+                // ...unless a real shared L3 is enabled, which replaces
+                // the fair-share slice: the private hierarchy ends at L2
+                // and misses contend below.
+                (SystemKind::Cpu, _) => {
+                    CacheHierarchy::new(vec![CacheConfig::l1d(), CacheConfig::l2()])
+                }
+            }
+            .with_mshrs(cfg.mshrs_per_core as usize);
+            let (front_caches, core_caches) = if ahead {
+                (Some(caches), None)
+            } else {
+                (None, Some(caches))
+            };
+            fronts.push(Frontend::new(procs, tlb, planner, front_caches, schedule));
             cores.push(CoreCtx {
                 procs: (0..cfg.procs_per_core)
                     .map(|p| ProcCtx {
@@ -422,24 +497,7 @@ impl Machine {
                 ops_done: 0,
                 measuring: cfg.warmup_ops == 0,
                 walkers,
-                caches: match (cfg.system, cfg.l3_kb) {
-                    (SystemKind::Ndp, _) => CacheHierarchy::ndp(),
-                    // Each CPU core gets its 2 MB share of the shared L3
-                    // (the cores are multiprogrammed, so a fair-share
-                    // private slice is the standard approximation)...
-                    (SystemKind::Cpu, 0) => CacheHierarchy::new(vec![
-                        CacheConfig::l1d(),
-                        CacheConfig::l2(),
-                        CacheConfig::l3(1),
-                    ]),
-                    // ...unless a real shared L3 is enabled, which
-                    // replaces the fair-share slice: the private
-                    // hierarchy ends at L2 and misses contend below.
-                    (SystemKind::Cpu, _) => {
-                        CacheHierarchy::new(vec![CacheConfig::l1d(), CacheConfig::l2()])
-                    }
-                }
-                .with_mshrs(cfg.mshrs_per_core as usize),
+                caches: core_caches,
                 translation_cycles: 0,
                 os_cycles: 0,
                 ptw: LatencyStat::default(),
@@ -642,6 +700,7 @@ impl Machine {
     /// [`Machine::run`] with `producers` frontend threads (at most one per
     /// core; 0 translates inline). The report is the same for every count.
     fn run_with(mut self, producers: usize) -> RunReport {
+        let ahead = self.fronts.iter().all(|front| front.caches.is_some());
         let lanes: Vec<Lane> = std::mem::take(&mut self.fronts)
             .into_iter()
             .map(Lane::new)
@@ -662,7 +721,11 @@ impl Machine {
                 stop: &stop,
                 producers: &threads,
             };
-            self.timing_loop(&lanes, &threads);
+            if ahead {
+                self.timing_loop::<true>(&lanes, &threads);
+            } else {
+                self.timing_loop::<false>(&lanes, &threads);
+            }
         });
         self.fronts = lanes.into_iter().map(Lane::into_frontend).collect();
         self.into_report()
@@ -670,7 +733,10 @@ impl Machine {
 
     /// The scheduler over the cores' record streams (see
     /// [`Machine::run`]); `producers[i % n]` fills core `i`'s lane.
-    fn timing_loop(&mut self, lanes: &[Lane], producers: &[Thread]) {
+    /// `AHEAD`: the private caches run on the frontends, and each access
+    /// arrives resolved (a constant, so neither path tests it per
+    /// access).
+    fn timing_loop<const AHEAD: bool>(&mut self, lanes: &[Lane], producers: &[Thread]) {
         let total_ops = self.cfg.warmup_ops + self.cfg.measure_ops;
         let mut cursors: Vec<Cursor> = lanes.iter().map(|_| Cursor::default()).collect();
         loop {
@@ -687,9 +753,9 @@ impl Machine {
                 self.begin_measurement(i);
             }
             let producer = (!producers.is_empty()).then(|| &producers[i % producers.len()]);
-            let rec = cursors[i].next(&lanes[i], producer);
+            let rec = cursors[i].next(lanes, i, producer);
             let is_memory = matches!(rec, Rec::Mem(_));
-            self.exec_op(i, rec, &mut cursors[i]);
+            self.exec_op::<AHEAD>(i, rec, &mut cursors[i]);
             let core = &mut self.cores[i];
             core.ops_done += 1;
             if core.measuring {
@@ -739,7 +805,10 @@ impl Machine {
         let core = &mut self.cores[i];
         core.measuring = true;
         core.start_time = core.time;
-        core.caches.clear_stats();
+        // Caches that run ahead clear with the TLBs, on the frontend.
+        if let Some(caches) = &mut core.caches {
+            caches.clear_stats();
+        }
         core.walkers.clear_stats();
         // The shared controller's window opens with the *first* core to
         // measure, matching the per-core windows: every measured-window
@@ -764,7 +833,7 @@ impl Machine {
         }
     }
 
-    fn exec_op(&mut self, i: usize, rec: Rec, cursor: &mut Cursor) {
+    fn exec_op<const AHEAD: bool>(&mut self, i: usize, rec: Rec, cursor: &mut Cursor) {
         // Compaction/khugepaged interference while THP fallback pressure
         // persists: the OS periodically steals cycles trying to recover
         // contiguity (Fig 14's Huge Page collapse). The pressure is a
@@ -801,7 +870,7 @@ impl Machine {
         }
 
         let issue_t = self.cores[i].time;
-        let translation = self.translate(i, &m, cursor);
+        let translation = self.translate::<AHEAD>(i, &m, cursor);
         let core = &mut self.cores[i];
         if core.measuring {
             core.translation_cycles += translation.as_u64();
@@ -811,7 +880,8 @@ impl Machine {
         }
 
         let data_issue = issue_t + translation;
-        let done = self.access_done(i, m.paddr, m.rw, AccessClass::Data, data_issue);
+        let done =
+            self.access_done::<AHEAD>(i, m.paddr, m.rw, AccessClass::Data, data_issue, cursor);
 
         let core = &mut self.cores[i];
         if core.measuring {
@@ -837,7 +907,12 @@ impl Machine {
     /// its translation cycles: the TLB lookup, plus on a miss the walk
     /// through the walker slots, the PWC probes and the PTE fetches'
     /// memory rounds (Fig 11).
-    fn translate(&mut self, i: usize, m: &MemRec, cursor: &mut Cursor) -> Cycles {
+    fn translate<const AHEAD: bool>(
+        &mut self,
+        i: usize,
+        m: &MemRec,
+        cursor: &mut Cursor,
+    ) -> Cycles {
         let lookup = Cycles::new(u64::from(m.tlb));
         let vpn = m.va.vpn();
         let asid = self.cores[i].asid();
@@ -876,7 +951,14 @@ impl Machine {
             let mut round_done = t_issue;
             for _ in 0..fetches {
                 let addr = cursor.next_fetch();
-                let done = self.access_done(i, addr, RwKind::Read, AccessClass::Metadata, t_issue);
+                let done = self.access_done::<AHEAD>(
+                    i,
+                    addr,
+                    RwKind::Read,
+                    AccessClass::Metadata,
+                    t_issue,
+                    cursor,
+                );
                 round_done = round_done.max(done);
             }
             clock = round_done;
@@ -938,13 +1020,18 @@ impl Machine {
     /// skip the MSHRs — their structural limit is the hardware walkers,
     /// and within one walk a round's parallel fetches (ECH's hash ways)
     /// must not serialise on miss registers the walker does not use.
-    fn access_done(
+    ///
+    /// With `AHEAD`, the frontend has already looked the access up and
+    /// filled it ([`Resolved`]): a hit costs its recorded latency and a
+    /// miss goes to [`Machine::resolved_miss`].
+    fn access_done<const AHEAD: bool>(
         &mut self,
         i: usize,
         addr: PhysAddr,
         rw: RwKind,
         class: AccessClass,
         t_issue: Cycles,
+        cursor: &mut Cursor,
     ) -> Cycles {
         if self.bypass.bypasses(class) {
             // NDPage metadata bypass: straight to DRAM, probing no cache
@@ -956,13 +1043,21 @@ impl Machine {
                 .request_ticketed(addr, rw, class, t_issue, arrival);
             return ticket.done + one_way;
         }
+        if AHEAD {
+            let access = cursor.next_access();
+            let t = t_issue + Cycles::new(u64::from(access.latency));
+            if access.level != Resolved::MISS {
+                return t;
+            }
+            return self.resolved_miss(i, addr, class, access.dirty, t, cursor);
+        }
         // MSHR bookkeeping only matters when ops can overlap; a blocking
         // core's previous fill always lands before its next access, so
         // skipping the (provably inert) scans keeps the default hot path
         // at pre-pipeline speed. Metadata skips them in any mode — the
         // walker file, not the miss file, is its structural limit.
         let coalesce = class == AccessClass::Data && !self.cfg.is_blocking();
-        let caches = &mut self.cores[i].caches;
+        let caches = self.cores[i].caches();
         let look = caches.lookup(addr, rw, class);
         let t = t_issue + look.latency();
         let step = if coalesce {
@@ -1002,12 +1097,34 @@ impl Machine {
         // goes below as a *read* — which is also what keeps it in the
         // demand-latency statistics.
         let (done, extracted_dirty) = self.read_l3(i, addr, class, send_t);
-        let caches = &mut self.cores[i].caches;
+        let caches = self.cores[i].caches();
         if coalesce {
             caches.register_fill(addr, send_t, done);
         }
         let victims = caches.fill(addr, class, rw.is_write() || extracted_dirty);
         self.route_private_victims(i, &victims, done);
+        done
+    }
+
+    /// A miss the frontend resolved, leaving for memory at `send_t` (a run
+    /// with caches ahead has no shared level): fetch the line, then post
+    /// the fill's `dirty` victims at its completion in level order — the
+    /// DRAM requests [`Machine::private_miss`] makes without an L3.
+    #[inline(never)]
+    fn resolved_miss(
+        &mut self,
+        i: usize,
+        addr: PhysAddr,
+        class: AccessClass,
+        dirty: u8,
+        send_t: Cycles,
+        cursor: &mut Cursor,
+    ) -> Cycles {
+        let done = self.read_memory(i, addr, class, send_t);
+        for _ in 0..dirty {
+            let victim = cursor.next_victim();
+            self.post_write(i, victim.addr, victim.class, done);
+        }
         done
     }
 
@@ -1064,7 +1181,7 @@ impl Machine {
         let mut present = false;
         let mut dirty_private = false;
         for core in &mut self.cores {
-            let bi = core.caches.back_invalidate(victim.addr);
+            let bi = core.caches().back_invalidate(victim.addr);
             present |= bi.present;
             dirty_private |= bi.dirty;
         }
@@ -1084,7 +1201,7 @@ impl Machine {
     /// alike) or update their inclusive-L3 copy in place; every other
     /// dirty victim is posted toward memory.
     fn route_private_victims(&mut self, i: usize, victims: &VictimList, now: Cycles) {
-        let outer = self.cores[i].caches.depth() - 1;
+        let outer = self.cores[i].caches().depth() - 1;
         for &lv in victims {
             let v = lv.victim;
             if let Some(l3) = self.l3.as_mut().filter(|_| lv.level == outer) {
@@ -1204,7 +1321,12 @@ impl Machine {
             measured.push((core.time - core.start_time).as_f64());
             tlb_l1.merge(front.tlb.l1_stats());
             tlb_l2.merge(front.tlb.l2_stats());
-            let l1 = core.caches.level_stats(0);
+            let caches = core
+                .caches
+                .as_ref()
+                .or(front.caches.as_ref())
+                .expect("every core has its private caches in one home");
+            let l1 = caches.level_stats(0);
             l1_data.merge(&l1.data);
             l1_metadata.merge(&l1.metadata);
             pollution += l1.data_evicted_by_metadata;
@@ -1222,7 +1344,7 @@ impl Machine {
             // structures themselves (cleared at measurement start, like
             // every other cache/TLB statistic).
             mlp.merge(&core.mlp);
-            let mshr = core.caches.mshr_stats();
+            let mshr = caches.mshr_stats();
             mlp.mshr_coalesced += mshr.coalesced;
             mlp.mshr_full_stalls += mshr.full_stalls;
             mlp.mshr_stall_cycles += mshr.full_stall_cycles;
@@ -1585,19 +1707,113 @@ mod tests {
     }
 
     /// One producer thread serving all eight frontends, three serving
-    /// uneven shares of them, and inline frontends give the same report.
+    /// uneven shares of them, and inline frontends give the same report;
+    /// so do a 4-core CPU system, whose three private levels run ahead,
+    /// and a single core, where no other lane can take a chunk and the
+    /// timing loop waits on its lane's lock while the producer fills it.
     #[test]
     fn producers_serving_several_frontends_match_inline() {
-        let cfg = SimConfig::quick(SystemKind::Ndp, 8, Mechanism::NdPage, WorkloadId::Bfs)
-            .with_footprint(64 << 20)
-            .with_ops(2_000, 6_000)
-            .with_procs(2)
-            .with_quantum(700)
-            .with_tlb_tagging(false);
-        let inline = Machine::new(cfg.clone()).run_with(0).fingerprint();
-        for producers in [1, 3] {
-            let r = Machine::new(cfg.clone()).run_with(producers);
-            assert_eq!(r.fingerprint(), inline, "{producers} producers");
+        let configs = [
+            SimConfig::quick(SystemKind::Ndp, 8, Mechanism::NdPage, WorkloadId::Bfs)
+                .with_footprint(64 << 20)
+                .with_ops(2_000, 6_000)
+                .with_procs(2)
+                .with_quantum(700)
+                .with_tlb_tagging(false),
+            SimConfig::quick(SystemKind::Cpu, 4, Mechanism::Radix, WorkloadId::Bfs)
+                .with_footprint(64 << 20)
+                .with_ops(2_000, 6_000),
+            SimConfig::quick(SystemKind::Ndp, 1, Mechanism::Radix, WorkloadId::Rnd)
+                .with_footprint(64 << 20)
+                .with_ops(2_000, 6_000),
+        ];
+        for cfg in configs {
+            let inline = Machine::new(cfg.clone()).run_with(0).fingerprint();
+            for producers in [1, 3] {
+                let r = Machine::new(cfg.clone()).run_with(producers);
+                assert_eq!(
+                    r.fingerprint(),
+                    inline,
+                    "{:?} {} cores, {producers} producers",
+                    cfg.system,
+                    cfg.cores
+                );
+            }
+        }
+    }
+
+    /// Private caches resolved ahead on the frontends give the report the
+    /// timing loop gives with the same caches, on every system, mechanism
+    /// and core count, with untagged multiprogramming, and under every
+    /// producer count.
+    #[test]
+    fn private_caches_ahead_match_the_timing_loop() {
+        let mut configs = Vec::new();
+        for system in [SystemKind::Ndp, SystemKind::Cpu] {
+            for mechanism in Mechanism::ALL {
+                for cores in [1, 4] {
+                    configs.push(SimConfig::quick(system, cores, mechanism, WorkloadId::Rnd));
+                }
+            }
+        }
+        configs.push(
+            SimConfig::quick(SystemKind::Ndp, 2, Mechanism::Radix, WorkloadId::Bfs)
+                .with_procs(2)
+                .with_quantum(700)
+                .with_tlb_tagging(false),
+        );
+        for cfg in configs {
+            let cfg = cfg.with_footprint(32 << 20).with_ops(1_000, 3_000);
+            let label = format!(
+                "{:?} {:?} {} cores {} procs",
+                cfg.system, cfg.mechanism, cfg.cores, cfg.procs_per_core
+            );
+            let ahead = Machine::new(cfg.clone());
+            assert!(
+                ahead.fronts.iter().all(|f| f.caches.is_some()),
+                "{label}: a blocking run without a shared level runs its caches ahead"
+            );
+            let reference = Machine::with_timing_side_caches(cfg.clone()).run_with(0);
+            assert!(
+                reference.mem_traffic.write > 0,
+                "{label}: dirty victims reach memory"
+            );
+            for producers in [0, 1, 3] {
+                let timing_side = Machine::with_timing_side_caches(cfg.clone()).run_with(producers);
+                let ahead = Machine::new(cfg.clone()).run_with(producers);
+                for r in [&timing_side, &ahead] {
+                    assert_eq!(
+                        r.fingerprint(),
+                        reference.fingerprint(),
+                        "{label}, {producers} producers"
+                    );
+                    assert_eq!(
+                        r.l1_data, reference.l1_data,
+                        "{label}, {producers} producers"
+                    );
+                    assert_eq!(
+                        r.l1_metadata, reference.l1_metadata,
+                        "{label}, {producers} producers"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Windowed runs and runs with a shared level keep their caches on the
+    /// timing side.
+    #[test]
+    fn caches_stay_on_the_timing_side_with_overlap_or_a_shared_level() {
+        let base = SimConfig::quick(SystemKind::Ndp, 1, Mechanism::Radix, WorkloadId::Rnd)
+            .with_footprint(32 << 20);
+        for cfg in [
+            base.clone().with_window(4),
+            base.clone().with_l3(1024),
+            base.with_vault_buffer(256),
+        ] {
+            let m = Machine::new(cfg);
+            assert!(m.fronts.iter().all(|f| f.caches.is_none()));
+            assert!(m.cores.iter().all(|c| c.caches.is_some()));
         }
     }
 

@@ -1,29 +1,40 @@
 //! The translation frontend: one core's op stream resolved through its
-//! TLBs, page tables and PWCs into compact records, one chunk at a time,
-//! for the timing loop to replay (see the [`super`] module docs for the
-//! split and why it is exact).
+//! TLBs, page tables and PWCs — and, in a blocking run without a shared
+//! level, its private caches — into compact records, one chunk at a
+//! time, for the timing loop to replay (see the [`super`] module docs for
+//! the split, the caches' placement rule and why both are exact).
 //!
 //! Each core's [`Frontend`] sits in a [`Lane`] with a bounded queue of
 //! ready chunks. Producer threads fill the queues ahead of the timing
 //! loop; the timing loop fills a chunk itself whenever its queue is empty,
-//! which is the whole mechanism when there are no producer threads.
+//! which is the whole mechanism when there are no producer threads. When
+//! a producer holds the frontend of the lane it needs, the timing loop
+//! fills a chunk for another lane instead, and waits only when no lane
+//! can take one.
 
 use super::TableImpl;
+use ndp_cache::hierarchy::{CacheHierarchy, LookupResult};
+use ndp_cache::set_assoc::Victim;
 use ndp_mmu::tlb::TlbHierarchy;
 use ndp_mmu::walker::{WalkPlanner, WalkRounds};
-use ndp_types::{Asid, Op, PageSize, Pfn, PhysAddr, RwKind, VirtAddr};
+use ndp_types::{AccessClass, Asid, Op, PageSize, Pfn, PhysAddr, RwKind, VirtAddr};
 use ndp_workloads::Trace;
+use ndpage::bypass::BypassPolicy;
 use ndpage::table::PageTable;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, TryLockError};
 use std::thread::Thread;
 
-/// Most ops in one chunk.
-const CHUNK_OPS: usize = 512;
+/// Most ops in one chunk. A lane's frontend state moves between host
+/// cores whenever another thread fills its next chunk, so chunks are long
+/// enough to amortise that: on a 2-CPU x86_64 host simbench's
+/// `shootout_blocking` ran about 6% more simulated ops per second with
+/// 1,024-op chunks two deep than with 512-op chunks four deep.
+const CHUNK_OPS: usize = 1024;
 
 /// Most ready chunks a lane queues ahead of the timing loop.
-const QUEUE_CHUNKS: usize = 4;
+const QUEUE_CHUNKS: usize = 2;
 
 /// The page walk behind a TLB miss: what the timing loop needs to replay
 /// it through the walker slots and the memory system.
@@ -66,12 +77,68 @@ pub(super) enum Rec {
     Mem(MemRec),
 }
 
+/// A private-cache access resolved ahead of timing: a non-bypassed PTE
+/// fetch or a data access, looked up and, on a full miss, filled.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Resolved {
+    /// Probe latency of the levels looked up (all of them on a miss).
+    pub latency: u32,
+    /// The level that served the access (0 = L1), or [`Resolved::MISS`].
+    pub level: u8,
+    /// Dirty victims of the fill after a miss; they follow in level order
+    /// in the chunk's `victims`.
+    pub dirty: u8,
+}
+
+impl Resolved {
+    /// `level` of an access that missed every private level.
+    pub const MISS: u8 = u8::MAX;
+}
+
 /// A run of consecutive records of one core.
 #[derive(Debug, Default)]
 pub(super) struct Chunk {
     recs: Vec<Rec>,
     /// PTE fetch addresses of the chunk's walks, in record order.
     fetches: Vec<PhysAddr>,
+    /// Private-cache outcomes, in access order: each memory record's
+    /// non-bypassed PTE fetches in walk order, then its data access
+    /// (empty when the caches are on the timing side).
+    accesses: Vec<Resolved>,
+    /// The dirty victims of the resolved misses, in access order.
+    victims: Vec<Victim>,
+}
+
+impl Chunk {
+    /// Looks `addr` up in `caches` and fills it on a full miss, recording
+    /// the outcome and the fill's dirty victims.
+    fn resolve(
+        &mut self,
+        caches: &mut CacheHierarchy,
+        addr: PhysAddr,
+        rw: RwKind,
+        class: AccessClass,
+    ) {
+        let (latency, level, dirty) = match caches.lookup(addr, rw, class) {
+            LookupResult::Hit { level, latency } => (latency, level as u8, 0),
+            LookupResult::MissAll { lookup_latency } => {
+                let before = self.victims.len();
+                let fill = caches.fill(addr, class, rw.is_write());
+                self.victims
+                    .extend(fill.into_iter().map(|lv| lv.victim).filter(|v| v.dirty));
+                (
+                    lookup_latency,
+                    Resolved::MISS,
+                    (self.victims.len() - before) as u8,
+                )
+            }
+        };
+        self.accesses.push(Resolved {
+            latency: latency.as_u64() as u32,
+            level,
+            dirty,
+        });
+    }
 }
 
 /// One process as its core's frontend sees it: an address space (page
@@ -94,14 +161,20 @@ pub(super) struct Schedule {
     pub ideal: bool,
     /// 2 MB translations install native (unfractured) TLB entries.
     pub native_huge: bool,
+    /// Which fetches skip the private caches.
+    pub bypass: BypassPolicy,
 }
 
 /// A core's translation state: its processes' traces and page tables, its
-/// TLB hierarchy and its walker's PWC bank. None of it depends on timing.
+/// TLB hierarchy, its walker's PWC bank and, where the placement rule puts
+/// them here, its private caches. None of it depends on timing.
 pub(super) struct Frontend {
     pub procs: Vec<FrontProc>,
     pub tlb: TlbHierarchy,
     pub planner: WalkPlanner,
+    /// The core's private caches when they run ahead (`None` when they
+    /// live on the timing side).
+    pub caches: Option<CacheHierarchy>,
     sched: Schedule,
     active: usize,
     quantum_ops: u64,
@@ -116,12 +189,14 @@ impl Frontend {
         procs: Vec<FrontProc>,
         tlb: TlbHierarchy,
         planner: WalkPlanner,
+        caches: Option<CacheHierarchy>,
         sched: Schedule,
     ) -> Self {
         Frontend {
             procs,
             tlb,
             planner,
+            caches,
             sched,
             active: 0,
             quantum_ops: 0,
@@ -137,16 +212,24 @@ impl Frontend {
     }
 
     /// Translates the next ops into `chunk` (replacing its contents): up to
-    /// [`CHUNK_OPS`].
+    /// [`CHUNK_OPS`]. With the caches here, each memory op's non-bypassed
+    /// PTE fetches are then resolved in walk order, and its data access
+    /// after them: the order the timing loop issues them in.
     fn fill(&mut self, chunk: &mut Chunk) {
         chunk.recs.clear();
         chunk.fetches.clear();
+        chunk.accesses.clear();
+        chunk.victims.clear();
+        let walks_cached = !self.sched.bypass.bypasses(AccessClass::Metadata);
         while chunk.recs.len() < CHUNK_OPS && self.ops_done < self.sched.total_ops {
             // The timing loop opens the measured window before this op
-            // executes; the TLB and PWC statistics restart with it.
+            // executes; the TLB, PWC and cache statistics restart with it.
             if self.ops_done == self.sched.warmup_ops && self.sched.warmup_ops > 0 {
                 self.tlb.clear_stats();
                 self.planner.clear_stats();
+                if let Some(caches) = &mut self.caches {
+                    caches.clear_stats();
+                }
             }
             let op = self.procs[self.active]
                 .trace
@@ -156,7 +239,18 @@ impl Frontend {
                 Op::Compute(n) => Rec::Compute(n),
                 Op::Load(va) | Op::Store(va) => {
                     let rw = op.rw().expect("memory op");
-                    Rec::Mem(self.translate(va, rw, &mut chunk.fetches))
+                    let first_fetch = chunk.fetches.len();
+                    let m = self.translate(va, rw, &mut chunk.fetches);
+                    if let Some(caches) = &mut self.caches {
+                        if walks_cached {
+                            for k in first_fetch..chunk.fetches.len() {
+                                let addr = chunk.fetches[k];
+                                chunk.resolve(caches, addr, RwKind::Read, AccessClass::Metadata);
+                            }
+                        }
+                        chunk.resolve(caches, m.paddr, rw, AccessClass::Data);
+                    }
+                    Rec::Mem(m)
                 }
             };
             chunk.recs.push(rec);
@@ -339,16 +433,19 @@ pub(super) struct Cursor {
     chunk: Chunk,
     rec: usize,
     fetch: usize,
+    access: usize,
+    victim: usize,
 }
 
 impl Cursor {
-    /// The core's next record, taking the next ready chunk when this one
-    /// is spent — or translating it here when none is ready. `producer`
-    /// (the lane's producer thread, if any) is woken whenever the lane
-    /// gains room or its frontend lock is released.
-    pub fn next(&mut self, lane: &Lane, producer: Option<&Thread>) -> Rec {
+    /// The next record of core `i`, taking the next ready chunk of its
+    /// lane (`lanes[i]`) when this one is spent — or translating it here
+    /// when none is ready. `producer` (the lane's producer thread, if
+    /// any) is woken whenever the lane gains room or its frontend lock is
+    /// released.
+    pub fn next(&mut self, lanes: &[Lane], i: usize, producer: Option<&Thread>) -> Rec {
         if self.rec == self.chunk.recs.len() {
-            self.refill(lane);
+            self.refill(lanes, i);
             if let Some(thread) = producer {
                 thread.unpark();
             }
@@ -357,10 +454,18 @@ impl Cursor {
         self.chunk.recs[self.rec - 1]
     }
 
-    fn refill(&mut self, lane: &Lane) {
+    /// Takes lane `i`'s next chunk. While a producer holds that lane's
+    /// frontend, this thread fills a chunk for another lane that can take
+    /// one and looks again; it blocks on the lane's lock only when no lane
+    /// can. A chunk's contents depend only on its own lane's sequential
+    /// state, so who fills it cannot change a bit.
+    fn refill(&mut self, lanes: &[Lane], i: usize) {
+        let lane = &lanes[i];
         let spent = std::mem::take(&mut self.chunk);
         self.rec = 0;
         self.fetch = 0;
+        self.access = 0;
+        self.victim = 0;
         {
             let mut ready = lane.ready.lock().expect("queue lock poisoned");
             ready.spare.push(spent);
@@ -369,7 +474,27 @@ impl Cursor {
                 return;
             }
         }
-        let mut front = lane.front.lock().expect("frontend lock poisoned");
+        let mut front = loop {
+            match lane.front.try_lock() {
+                Ok(front) => break front,
+                Err(TryLockError::Poisoned(_)) => panic!("frontend lock poisoned"),
+                Err(TryLockError::WouldBlock) => {}
+            }
+            let mut others = lanes[i + 1..].iter().chain(&lanes[..i]);
+            if !others.any(|other| matches!(other.produce(), Progress::Filled)) {
+                break lane.front.lock().expect("frontend lock poisoned");
+            }
+            let next = lane
+                .ready
+                .lock()
+                .expect("queue lock poisoned")
+                .chunks
+                .pop_front();
+            if let Some(chunk) = next {
+                self.chunk = chunk;
+                return;
+            }
+        };
         let mut ready = lane.ready.lock().expect("queue lock poisoned");
         // A producer may have queued a chunk while this thread waited
         // for the frontend.
@@ -390,6 +515,18 @@ impl Cursor {
     pub fn next_fetch(&mut self) -> PhysAddr {
         self.fetch += 1;
         self.chunk.fetches[self.fetch - 1]
+    }
+
+    /// The outcome of the current record's next private-cache access.
+    pub fn next_access(&mut self) -> Resolved {
+        self.access += 1;
+        self.chunk.accesses[self.access - 1]
+    }
+
+    /// The next dirty victim of the current record's resolved misses.
+    pub fn next_victim(&mut self) -> Victim {
+        self.victim += 1;
+        self.chunk.victims[self.victim - 1]
     }
 }
 
