@@ -350,16 +350,12 @@ impl Machine {
     /// Panics if `cfg` fails [`SimConfig::validate`].
     #[must_use]
     pub fn new(cfg: SimConfig) -> Self {
-        let ahead = Self::caches_run_ahead(&cfg);
+        // The placement rule (module docs): a core's private caches run
+        // ahead on its frontend in a blocking run without a shared L3 or
+        // vault buffers, and stay on the timing side otherwise.
+        let ahead =
+            cfg.is_blocking() && cfg.l3_config().is_none() && cfg.vault_buffer_config().is_none();
         Self::build(cfg, ahead)
-    }
-
-    /// The placement rule: a core's private caches run ahead on its
-    /// frontend in a blocking run without a shared L3 or vault buffers
-    /// (their contents then follow from the core's own access order),
-    /// and stay on the timing side otherwise.
-    fn caches_run_ahead(cfg: &SimConfig) -> bool {
-        cfg.is_blocking() && cfg.l3_config().is_none() && cfg.vault_buffer_config().is_none()
     }
 
     /// [`Machine::new`] with every private cache on the timing side, the
