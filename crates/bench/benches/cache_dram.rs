@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ndp_cache::hierarchy::CacheHierarchy;
-use ndp_cache::set_assoc::{CacheConfig, SetAssocCache};
+use ndp_cache::set_assoc::{Access, CacheConfig, SetAssocCache};
 use ndp_cache::shared::{InclusionPolicy, SharedCache, SharedConfig};
 use ndp_mem::controller::MemoryController;
 use ndp_mem::dram::DramConfig;
@@ -26,17 +26,15 @@ fn bench_cache(c: &mut Criterion) {
             b.iter(|| {
                 i += 1;
                 let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0x3FFF_FFC0);
-                if !caches
-                    .lookup(addr, RwKind::Read, AccessClass::Data)
-                    .is_hit()
-                {
-                    black_box(caches.fill(addr, AccessClass::Data, false));
-                }
+                caches.resolve(addr, RwKind::Read, AccessClass::Data, |_, v| {
+                    black_box(v);
+                })
             });
         });
     }
-    // A lone L1D filled from a scattered 16 MiB line stream, so nearly
-    // every fill evicts; every fourth fill is a LIP metadata fill.
+    // A lone L1D missing on a scattered 16 MiB line stream, each miss
+    // installed through the slot its lookup picked, so nearly every
+    // install evicts; every fourth line is a LIP metadata fill.
     group.bench_function("fill_l1d", |b| {
         let mut l1 = SetAssocCache::new(CacheConfig::l1d());
         let mut i = 0u64;
@@ -48,7 +46,9 @@ fn bench_cache(c: &mut Criterion) {
                 AccessClass::Data
             };
             let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0xFF_FFC0);
-            black_box(l1.fill(addr, class, Asid::ZERO, i.is_multiple_of(8)))
+            if let Access::Miss(slot) = l1.access(addr, RwKind::Read, class) {
+                black_box(l1.install(slot, addr, class, Asid::ZERO, i.is_multiple_of(8)));
+            }
         });
     });
     // The CPU hierarchy's full miss path: a scattered 64 MiB line stream
@@ -59,8 +59,9 @@ fn bench_cache(c: &mut Criterion) {
         b.iter(|| {
             i += 1;
             let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0x3FF_FFC0);
-            black_box(caches.lookup(addr, RwKind::Read, AccessClass::Data));
-            black_box(caches.fill(addr, AccessClass::Data, false))
+            caches.resolve(addr, RwKind::Read, AccessClass::Data, |_, v| {
+                black_box(v);
+            })
         });
     });
     group.finish();
@@ -78,8 +79,9 @@ fn bench_shared(c: &mut Criterion) {
             i += 1;
             now += Cycles::new(4);
             let addr = PhysAddr::new((i.wrapping_mul(0x9E37_79B9)) & 0x3FFF_FFC0);
-            if !l3.access(addr, RwKind::Read, AccessClass::Data, now).hit {
-                black_box(l3.fill(addr, AccessClass::Data, Asid::ZERO, false));
+            let look = l3.access(addr, RwKind::Read, AccessClass::Data, now);
+            if let Some(slot) = look.slot {
+                black_box(l3.install(slot, addr, AccessClass::Data, Asid::ZERO, false));
             }
         });
     });

@@ -1,30 +1,17 @@
 //! Multi-level cache assembly: NDP (L1 only) vs CPU (L1+L2+L3).
 //!
 //! The hierarchy resolves lookups top-down and reports either the hit level
-//! (with the accumulated lookup latency) or a full miss. The caller then
-//! puts the tag check through [`CacheHierarchy::mshr_step`] (when misses
-//! overlap), fetches the line from below, and calls
-//! [`CacheHierarchy::fill`], which returns every victim tagged with the
-//! level that evicted it.
+//! (with the accumulated lookup latency) or a full miss. Each level that
+//! missed keeps the [`Slot`] its lookup picked. The caller then puts the
+//! tag check through [`CacheHierarchy::mshr_step`] (when misses overlap),
+//! fetches the line from below, and installs it level by level with
+//! [`CacheHierarchy::install`], routing each victim as it appears;
+//! [`CacheHierarchy::resolve`] does the lookup and the installs in one
+//! call when nothing happens in between.
 
 use crate::mshr::{MshrFile, MshrLookup, MshrStats, MshrStep};
-use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
-use ndp_types::{Asid, InlineVec, LineAddr};
-
-/// A victim tagged with the level (0 = L1) that evicted it. Victims of
-/// the *outermost* private level leave the private hierarchy entirely —
-/// those are the ones a shared last level absorbs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct LevelVictim {
-    /// Index of the evicting level (0 = L1).
-    pub level: usize,
-    /// The evicted line.
-    pub victim: Victim,
-}
-
-/// All victims produced by one fill, clean and dirty, one per level at
-/// most (so the list lives inline: a fill happens on every miss).
-pub type VictimList = InlineVec<LevelVictim, 4>;
+use crate::set_assoc::{Access, CacheConfig, CacheStats, SetAssocCache, Slot, Victim};
+use ndp_types::{Asid, LineAddr};
 
 /// Result of a back-invalidation sweep across the private levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -84,8 +71,15 @@ impl LookupResult {
 /// widens it.
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
-    levels: Vec<SetAssocCache>,
+    levels: Vec<Level>,
     mshrs: MshrFile,
+}
+
+/// One private level and the slot its last lookup miss picked.
+#[derive(Debug, Clone)]
+struct Level {
+    cache: SetAssocCache,
+    slot: Slot,
 }
 
 impl CacheHierarchy {
@@ -98,14 +92,14 @@ impl CacheHierarchy {
     #[must_use]
     pub fn new(configs: Vec<CacheConfig>) -> Self {
         assert!(!configs.is_empty(), "hierarchy needs at least one level");
-        // fill() collects at most one victim per level into a
-        // VictimList; bound the depth at construction.
-        assert!(
-            configs.len() <= 4,
-            "hierarchy supports at most 4 levels (VictimList capacity)"
-        );
         CacheHierarchy {
-            levels: configs.into_iter().map(SetAssocCache::new).collect(),
+            levels: configs
+                .into_iter()
+                .map(|config| Level {
+                    cache: SetAssocCache::new(config),
+                    slot: Slot::default(),
+                })
+                .collect(),
             mshrs: MshrFile::new(1),
         }
     }
@@ -154,7 +148,7 @@ impl CacheHierarchy {
     /// Panics if `level` is out of range.
     #[must_use]
     pub fn level_stats(&self, level: usize) -> &CacheStats {
-        self.levels[level].stats()
+        self.levels[level].cache.stats()
     }
 
     /// Checks residency in any level without perturbing state or
@@ -162,24 +156,51 @@ impl CacheHierarchy {
     /// [`CacheHierarchy::lookup`]).
     #[must_use]
     pub fn probe(&self, addr: PhysAddr) -> bool {
-        self.levels.iter().any(|level| level.probe(addr))
+        self.levels.iter().any(|level| level.cache.probe(addr))
     }
 
-    /// Probes levels in order until a hit; records per-level hit/miss stats.
+    /// Probes levels in order until a hit; records per-level hit/miss
+    /// stats. Every level that misses keeps the slot its scan picked for
+    /// [`CacheHierarchy::install`].
     pub fn lookup(&mut self, addr: PhysAddr, rw: RwKind, class: AccessClass) -> LookupResult {
         let mut latency = Cycles::ZERO;
         for (idx, level) in self.levels.iter_mut().enumerate() {
-            latency += level.config().latency;
-            if level.access(addr, rw, class) {
-                return LookupResult::Hit {
-                    level: idx,
-                    latency,
-                };
+            latency += level.cache.config().latency;
+            match level.cache.access(addr, rw, class) {
+                Access::Hit => {
+                    return LookupResult::Hit {
+                        level: idx,
+                        latency,
+                    }
+                }
+                Access::Miss(slot) => level.slot = slot,
             }
         }
         LookupResult::MissAll {
             lookup_latency: latency,
         }
+    }
+
+    /// Looks `addr` up and, on a full miss, installs it in every level at
+    /// once, handing each victim (clean ones included) to `victim` with
+    /// the level that evicted it, in level order. For callers with
+    /// nothing to do between the lookup and the fill.
+    pub fn resolve(
+        &mut self,
+        addr: PhysAddr,
+        rw: RwKind,
+        class: AccessClass,
+        mut victim: impl FnMut(usize, Victim),
+    ) -> LookupResult {
+        let look = self.lookup(addr, rw, class);
+        if !look.is_hit() {
+            for level in 0..self.levels.len() {
+                if let Some(v) = self.install(level, addr, class, rw.is_write()) {
+                    victim(level, v);
+                }
+            }
+        }
+        look
     }
 
     /// Probes the MSHR file for a miss on `addr`'s line observed at `now`
@@ -209,21 +230,32 @@ impl CacheHierarchy {
         self.mshrs.stats()
     }
 
-    /// Installs a line in every level after a fill from below, reporting
-    /// *every* victim, clean ones included, tagged with the level that
-    /// evicted it. Victims of the outermost level leave the private
-    /// hierarchy (an exclusive shared level is filled by exactly those);
-    /// inner-level victims are still resident further out.
-    pub fn fill(&mut self, addr: PhysAddr, class: AccessClass, dirty: bool) -> VictimList {
-        self.levels
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(level, cache)| {
-                cache
-                    .fill(addr, class, Asid::ZERO, dirty)
-                    .map(|victim| LevelVictim { level, victim })
-            })
-            .collect()
+    /// Installs `addr`'s line in `level` after a full miss of
+    /// [`CacheHierarchy::lookup`], into the slot that lookup picked (a
+    /// plain fill if the level changed since, e.g. a back-invalidation),
+    /// and reports the line it evicted, clean or dirty. Victims of the
+    /// outermost level leave the private hierarchy (an exclusive shared
+    /// level is filled by exactly those); inner-level victims are still
+    /// resident further out.
+    pub fn install(
+        &mut self,
+        level: usize,
+        addr: PhysAddr,
+        class: AccessClass,
+        dirty: bool,
+    ) -> Option<Victim> {
+        let Level { cache, slot } = &mut self.levels[level];
+        cache.install(*slot, addr, class, Asid::ZERO, dirty)
+    }
+
+    /// Installs a line in every level without a lookup, dropping the
+    /// victims (warm-up and tests; a simulated miss installs through
+    /// [`CacheHierarchy::install`] or [`CacheHierarchy::resolve`], which
+    /// report them).
+    pub fn fill(&mut self, addr: PhysAddr, class: AccessClass, dirty: bool) {
+        for level in &mut self.levels {
+            level.cache.fill(addr, class, Asid::ZERO, dirty);
+        }
     }
 
     /// Invalidates a line in every private level on behalf of an
@@ -232,7 +264,7 @@ impl CacheHierarchy {
     pub fn back_invalidate(&mut self, addr: PhysAddr) -> BackInvalidate {
         let mut result = BackInvalidate::default();
         for level in &mut self.levels {
-            if let Some(dirty) = level.invalidate(addr) {
+            if let Some(dirty) = level.cache.invalidate(addr) {
                 result.present = true;
                 result.dirty |= dirty;
             }
@@ -243,7 +275,7 @@ impl CacheHierarchy {
     /// Clears contents and statistics of every level, and the MSHR file.
     pub fn reset(&mut self) {
         for level in &mut self.levels {
-            level.reset();
+            level.cache.reset();
         }
         self.mshrs.reset();
     }
@@ -252,7 +284,7 @@ impl CacheHierarchy {
     /// contents and in-flight fills.
     pub fn clear_stats(&mut self) {
         for level in &mut self.levels {
-            level.clear_stats();
+            level.cache.clear_stats();
         }
         self.mshrs.clear_stats();
     }
@@ -313,24 +345,69 @@ mod tests {
     #[test]
     fn fill_tags_victims_with_their_level() {
         // One 64-set, 8-way level. Fill one set to capacity, then once
-        // more: the ninth fill evicts the LRU line and fill reports it.
+        // more: the ninth miss evicts the LRU line and resolve streams it.
         let mut h = CacheHierarchy::ndp();
         for i in 0..=8u64 {
-            let victims = h.fill(
-                PhysAddr::new(i * 64 * 64),
-                AccessClass::Data,
-                i == 0, // only the first line is dirty
-            );
+            let mut victims = Vec::new();
+            let rw = if i == 0 { RwKind::Write } else { RwKind::Read };
+            h.resolve(PhysAddr::new(i * 64 * 64), rw, AccessClass::Data, |l, v| {
+                victims.push((l, v));
+            });
             if i < 8 {
                 assert!(victims.is_empty(), "set not yet full at fill {i}");
             } else {
+                // Only the first line was stored to, so only it is dirty.
                 assert_eq!(victims.len(), 1);
-                let lv = victims.as_slice()[0];
-                assert_eq!(lv.level, 0);
-                assert_eq!(lv.victim.addr, PhysAddr::new(0));
-                assert!(lv.victim.dirty);
+                let (level, victim) = victims[0];
+                assert_eq!(level, 0);
+                assert_eq!(victim.addr, PhysAddr::new(0));
+                assert!(victim.dirty);
             }
         }
+        // Three levels: a miss that evicts from each streams the victims
+        // in level order. Lines 64 sets apart share an L1 set; 512 sets
+        // apart, an L2 set too; 8192 sets apart, the L3 set as well.
+        let mut h = CacheHierarchy::cpu(4);
+        let stride = 8192 * 64;
+        for i in 0..16u64 {
+            h.resolve(
+                PhysAddr::new(i * stride),
+                RwKind::Read,
+                AccessClass::Data,
+                |_, _| {},
+            );
+        }
+        let mut victims = Vec::new();
+        let look = h.resolve(
+            PhysAddr::new(16 * stride),
+            RwKind::Read,
+            AccessClass::Data,
+            |l, v| victims.push((l, v.addr)),
+        );
+        assert!(!look.is_hit());
+        let levels: Vec<_> = victims.iter().map(|&(l, _)| l).collect();
+        assert_eq!(levels, [0, 1, 2], "one victim per level, in level order");
+        // L1 (8 ways) evicted the ninth-newest line, L2 and L3 (16 ways)
+        // the oldest.
+        assert_eq!(victims[0].1, PhysAddr::new(8 * stride));
+        assert_eq!(victims[1].1, PhysAddr::new(0));
+        assert_eq!(victims[2].1, PhysAddr::new(0));
+    }
+
+    #[test]
+    fn install_falls_back_to_a_fill_after_a_back_invalidation() {
+        let mut h = CacheHierarchy::ndp();
+        let a = PhysAddr::new(0);
+        for i in 0..8u64 {
+            h.fill(PhysAddr::new((i + 1) * 64 * 64), AccessClass::Data, false);
+        }
+        // The lookup's slot is the oldest line; a back-invalidation of
+        // another line of the set frees a way, which the install takes.
+        assert!(!h.lookup(a, RwKind::Read, AccessClass::Data).is_hit());
+        let freed = PhysAddr::new(5 * 64 * 64);
+        assert!(h.back_invalidate(freed).present);
+        assert_eq!(h.install(0, a, AccessClass::Data, false), None);
+        assert!(h.probe(a) && h.probe(PhysAddr::new(64 * 64)));
     }
 
     #[test]

@@ -32,9 +32,11 @@
 //!
 //! let mut ndp_l1 = CacheHierarchy::ndp();
 //! let addr = PhysAddr::new(0x1000);
-//! // Cold miss, then fill, then hit.
+//! // Cold miss: the lookup's set scan picks the slot the line goes to,
+//! // and the install after the fetch below fills it (an empty set
+//! // evicts nothing).
 //! assert!(!ndp_l1.lookup(addr, RwKind::Read, AccessClass::Data).is_hit());
-//! ndp_l1.fill(addr, AccessClass::Data, false);
+//! assert_eq!(ndp_l1.install(0, addr, AccessClass::Data, false), None);
 //! assert!(ndp_l1.lookup(addr, RwKind::Read, AccessClass::Data).is_hit());
 //! ```
 
@@ -45,5 +47,5 @@ pub mod shared;
 
 pub use hierarchy::CacheHierarchy;
 pub use mshr::{MshrFile, MshrLookup, MshrStats, MshrStep};
-pub use set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
+pub use set_assoc::{Access, CacheConfig, CacheStats, SetAssocCache, Slot, Victim};
 pub use shared::{InclusionPolicy, SharedCache, SharedConfig, SharedStats};

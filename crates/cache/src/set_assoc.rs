@@ -156,30 +156,109 @@ impl Default for Victim {
     }
 }
 
-/// One way of a set. The owner ASID sits in what would otherwise be
-/// padding: the line stays 24 bytes.
-#[derive(Debug, Clone, Copy)]
+/// Bit layout of [`Line::key`]: valid, dirty and metadata flags, the
+/// owner ASID above them, and the tag in the rest of the word.
+const VALID: u64 = 1;
+const DIRTY: u64 = 1 << 1;
+const METADATA: u64 = 1 << 2;
+const ASID_SHIFT: u32 = 3;
+const TAG_SHIFT: u32 = ASID_SHIFT + u16::BITS;
+/// The bits a lookup compares: the tag and the valid flag.
+const MATCH_MASK: u64 = !((1 << TAG_SHIFT) - 1) | VALID;
+
+/// One way of a set: one key word that packs the tag with the valid,
+/// dirty, class and owner-ASID bits, and the LRU stamp. The line is 16
+/// bytes, so a 16-way set is four cache lines of host memory.
+#[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    tag: u64,
+    key: u64,
     stamp: u64,
-    valid: bool,
-    dirty: bool,
-    class: AccessClass,
-    asid: Asid,
 }
 
-const _: () = assert!(core::mem::size_of::<Line>() == 24);
+const _: () = assert!(core::mem::size_of::<Line>() == 16);
 
-impl Default for Line {
-    fn default() -> Self {
+impl Line {
+    /// A valid line.
+    fn new(tag: u64, class: AccessClass, asid: Asid, dirty: bool, stamp: u64) -> Self {
+        let class_bit = if class.is_metadata() { METADATA } else { 0 };
+        let dirty_bit = if dirty { DIRTY } else { 0 };
         Line {
-            tag: 0,
-            stamp: 0,
-            valid: false,
-            dirty: false,
-            class: AccessClass::Data,
-            asid: Asid::ZERO,
+            key: tag << TAG_SHIFT | u64::from(asid.0) << ASID_SHIFT | class_bit | dirty_bit | VALID,
+            stamp,
         }
+    }
+
+    /// Whether this is a valid line with `tag`.
+    #[inline]
+    fn holds(self, tag: u64) -> bool {
+        self.key & MATCH_MASK == (tag << TAG_SHIFT | VALID)
+    }
+
+    fn valid(self) -> bool {
+        self.key & VALID != 0
+    }
+
+    fn dirty(self) -> bool {
+        self.key & DIRTY != 0
+    }
+
+    fn class(self) -> AccessClass {
+        if self.key & METADATA != 0 {
+            AccessClass::Metadata
+        } else {
+            AccessClass::Data
+        }
+    }
+
+    fn asid(self) -> Asid {
+        Asid((self.key >> ASID_SHIFT) as u16)
+    }
+
+    fn tag(self) -> u64 {
+        self.key >> TAG_SHIFT
+    }
+}
+
+/// Where the fill after a miss goes, chosen by the miss's own set scan
+/// ([`SetAssocCache::access`]): the victim way, the set's oldest live
+/// stamp (LIP's insert point) and the cache's tick and invalidation count
+/// at the scan, which tell [`SetAssocCache::install`] whether the set may
+/// have changed since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Slot {
+    way: usize,
+    /// `u64::MAX` when the set held no live line.
+    oldest: u64,
+    tick: u64,
+    invalidations: u64,
+}
+
+impl Default for Slot {
+    /// A slot that is never current, so installing through it is a fill.
+    fn default() -> Self {
+        Slot {
+            way: 0,
+            oldest: u64::MAX,
+            tick: u64::MAX,
+            invalidations: 0,
+        }
+    }
+}
+
+/// Outcome of [`SetAssocCache::access`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The line was resident.
+    Hit,
+    /// The line was absent; the fill after the fetch goes to this slot.
+    Miss(Slot),
+}
+
+impl Access {
+    /// Whether the line was resident.
+    #[must_use]
+    pub fn is_hit(self) -> bool {
+        self == Access::Hit
     }
 }
 
@@ -193,6 +272,9 @@ pub struct SetAssocCache {
     set_shift: u32,
     lines: Vec<Line>,
     tick: u64,
+    /// Bumped whenever lines are dropped outside a fill, so a [`Slot`]
+    /// taken before knows it may be out of date.
+    invalidations: u64,
     stats: CacheStats,
 }
 
@@ -211,6 +293,7 @@ impl SetAssocCache {
             set_shift: sets.trailing_zeros(),
             config,
             tick: 0,
+            invalidations: 0,
             stats: CacheStats::default(),
         }
     }
@@ -233,60 +316,97 @@ impl SetAssocCache {
         self.set_and_tag(addr).0
     }
 
+    /// # Panics
+    ///
+    /// Panics if the tag does not fit beside a line's flag and ASID bits
+    /// (a physical address of 2^51 bytes or more).
     #[inline]
     fn set_and_tag(&self, addr: PhysAddr) -> (usize, u64) {
         let line_addr = addr.as_u64() >> self.line_shift;
-        (
-            (line_addr & ((1 << self.set_shift) - 1)) as usize,
-            line_addr >> self.set_shift,
-        )
+        let tag = line_addr >> self.set_shift;
+        assert!(
+            tag >> (u64::BITS - TAG_SHIFT) == 0,
+            "address {:#x} beyond the tag range",
+            addr.as_u64()
+        );
+        ((line_addr & ((1 << self.set_shift) - 1)) as usize, tag)
     }
 
-    fn set_mut(&mut self, set: usize) -> &mut [Line] {
-        let ways = self.config.ways as usize;
-        &mut self.lines[set * ways..(set + 1) * ways]
+    /// Index of the first way of `set` in `lines`.
+    #[inline]
+    fn base(&self, set: usize) -> usize {
+        set * self.config.ways as usize
     }
 
     /// Index of `addr`'s line in `lines`, if resident.
     fn resident(&self, addr: PhysAddr) -> Option<usize> {
         let (set, tag) = self.set_and_tag(addr);
-        let ways = self.config.ways as usize;
-        let row = &self.lines[set * ways..(set + 1) * ways];
-        let way = row.iter().position(|l| l.valid && l.tag == tag)?;
-        Some(set * ways + way)
+        let base = self.base(set);
+        let row = &self.lines[base..base + self.config.ways as usize];
+        Some(base + row.iter().position(|l| l.holds(tag))?)
     }
 
-    fn resident_mut(&mut self, addr: PhysAddr) -> Option<&mut Line> {
-        self.resident(addr).map(|i| &mut self.lines[i])
+    /// One pass over `set`: the index of the line holding `tag`, or else
+    /// the way a fill replaces (the first invalid way, else the first
+    /// oldest live way) and the set's oldest live stamp (`u64::MAX` when
+    /// none is live).
+    #[inline]
+    fn scan(&self, set: usize, tag: u64) -> Result<usize, (usize, u64)> {
+        let base = self.base(set);
+        let (mut way, mut key, mut oldest) = (0, u64::MAX, u64::MAX);
+        for (w, line) in self.lines[base..base + self.config.ways as usize]
+            .iter()
+            .enumerate()
+        {
+            if line.holds(tag) {
+                return Ok(base + w);
+            }
+            // Invalid ways key 0 and live ones stamp + 1: the first
+            // minimum is the victim.
+            let valid = line.valid();
+            let k = if valid { line.stamp + 1 } else { 0 };
+            if k < key {
+                (way, key) = (w, k);
+            }
+            oldest = oldest.min(if valid { line.stamp } else { u64::MAX });
+        }
+        Err((way, oldest))
     }
 
     /// Looks up `addr`, recording a hit or miss for `class`. On a hit, the
     /// line's recency is refreshed and stores mark it dirty. Misses do
-    /// **not** allocate; call [`fill`](Self::fill) once the line arrives
-    /// from below.
-    pub fn access(&mut self, addr: PhysAddr, rw: RwKind, class: AccessClass) -> bool {
+    /// **not** allocate: the same pass over the set picks the [`Slot`]
+    /// that [`install`](Self::install) fills once the line arrives from
+    /// below.
+    pub fn access(&mut self, addr: PhysAddr, rw: RwKind, class: AccessClass) -> Access {
         self.tick += 1;
-        let tick = self.tick;
-        let demote_metadata = self.config.metadata_lru_insert;
-        let is_hit = if let Some(line) = self.resident_mut(addr) {
+        let (set, tag) = self.set_and_tag(addr);
+        let scan = self.scan(set, tag);
+        if let Ok(i) = scan {
+            let line = &mut self.lines[i];
             // Metadata in a low-priority (LIP) cache is never promoted:
             // PTE lines behave as streaming dead blocks, matching the
             // paper's measured 98% L1 PTE miss rate under real cores.
-            if !(demote_metadata && line.class.is_metadata()) {
-                line.stamp = tick;
+            if !(self.config.metadata_lru_insert && line.class().is_metadata()) {
+                line.stamp = self.tick;
             }
             if rw.is_write() {
-                line.dirty = true;
+                line.key |= DIRTY;
             }
-            true
-        } else {
-            false
-        };
-        match class {
-            AccessClass::Data => self.stats.data.record(is_hit),
-            AccessClass::Metadata => self.stats.metadata.record(is_hit),
         }
-        is_hit
+        match class {
+            AccessClass::Data => self.stats.data.record(scan.is_ok()),
+            AccessClass::Metadata => self.stats.metadata.record(scan.is_ok()),
+        }
+        match scan {
+            Ok(_) => Access::Hit,
+            Err((way, oldest)) => Access::Miss(Slot {
+                way,
+                oldest,
+                tick: self.tick,
+                invalidations: self.invalidations,
+            }),
+        }
     }
 
     /// Checks residency without perturbing state or statistics.
@@ -295,16 +415,35 @@ impl SetAssocCache {
         self.resident(addr).is_some()
     }
 
-    /// Installs the line for `addr` on behalf of `asid` (after a miss was
-    /// serviced below), evicting the set's LRU line if the set is full,
-    /// and reports the evicted line whether or not it was dirty. The
-    /// `writebacks` counter counts only dirty victims.
+    /// Installs the line for `addr` on behalf of `asid` after the miss
+    /// whose [`access`](Self::access) returned `slot`: the set is not
+    /// scanned again. If the cache changed since that access (another
+    /// access or fill, or an invalidation), this is [`fill`](Self::fill).
+    pub fn install(
+        &mut self,
+        slot: Slot,
+        addr: PhysAddr,
+        class: AccessClass,
+        asid: Asid,
+        dirty: bool,
+    ) -> Option<Victim> {
+        if slot.tick != self.tick || slot.invalidations != self.invalidations {
+            return self.fill(addr, class, asid, dirty);
+        }
+        self.tick += 1;
+        let (set, tag) = self.set_and_tag(addr);
+        let line = Line::new(tag, class, asid, dirty, 0);
+        self.place(set, slot.way, slot.oldest, line)
+    }
+
+    /// Installs the line for `addr` on behalf of `asid` without a prior
+    /// lookup, evicting the set's LRU line if the set is full, and reports
+    /// the evicted line whether or not it was dirty. The `writebacks`
+    /// counter counts only dirty victims.
     ///
     /// One pass over the set: a resident line is refreshed in place;
-    /// otherwise the pass has chosen, branch-free, the victim (invalid
-    /// ways key 0, live ways key stamp + 1, the first minimum wins: the
-    /// first invalid way, else the first oldest way) and LIP's oldest
-    /// live stamp.
+    /// otherwise the line goes where [`access`](Self::access) would have
+    /// put it, as in [`install`](Self::install).
     pub fn fill(
         &mut self,
         addr: PhysAddr,
@@ -313,77 +452,74 @@ impl SetAssocCache {
         dirty: bool,
     ) -> Option<Victim> {
         self.tick += 1;
-        let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
-        let lip = self.config.metadata_lru_insert && class.is_metadata();
-        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
-        let lines = self.set_mut(set);
-        // Live stamps never exceed `tick`, so `oldest` starts there.
-        let (mut way, mut key, mut oldest) = (0, u64::MAX, tick);
-        for (w, line) in lines.iter_mut().enumerate() {
-            if line.valid && line.tag == tag {
+        match self.scan(set, tag) {
+            Ok(i) => {
                 // Already resident (e.g. racing fills): just refresh.
-                line.stamp = tick;
-                line.dirty |= dirty;
-                line.class = class;
-                line.asid = asid;
-                return None;
+                let dirty = dirty || self.lines[i].dirty();
+                self.lines[i] = Line::new(tag, class, asid, dirty, self.tick);
+                None
             }
-            let k = if line.valid { line.stamp + 1 } else { 0 };
-            if k < key {
-                (way, key) = (w, k);
+            Err((way, oldest)) => {
+                self.place(set, way, oldest, Line::new(tag, class, asid, dirty, 0))
             }
-            oldest = oldest.min(if line.valid { line.stamp } else { tick });
         }
+    }
+
+    /// Writes `line` over `way` of `set`, stamped at the current tick, and
+    /// reports the line it evicts. `oldest` is the set's oldest live
+    /// stamp.
+    fn place(&mut self, set: usize, way: usize, oldest: u64, mut line: Line) -> Option<Victim> {
+        let tick = self.tick;
+        let class = line.class();
         // LRU-position insertion for metadata: the new line gets a stamp
-        // older than everything resident, so it is the set's next victim
-        // unless an access promotes it first.
-        let stamp = if lip { oldest.saturating_sub(1) } else { tick };
-        let victim = &mut lines[way];
-        let evicted = victim.valid.then(|| Victim {
-            addr: PhysAddr::new(((victim.tag << set_shift) | set as u64) << line_shift),
-            class: victim.class,
-            dirty: victim.dirty,
-        });
-        *victim = Line {
-            tag,
-            stamp,
-            valid: true,
-            dirty,
-            class,
-            asid,
+        // older than everything resident (live stamps never exceed the
+        // tick), so it is the set's next victim unless an access promotes
+        // it first.
+        line.stamp = if self.config.metadata_lru_insert && class.is_metadata() {
+            oldest.min(tick).saturating_sub(1)
+        } else {
+            tick
         };
-        if let Some(v) = evicted {
-            if v.class == AccessClass::Data && class.is_metadata() {
-                self.stats.data_evicted_by_metadata += 1;
-            }
-            if v.dirty {
-                self.stats.writebacks += 1;
-            }
+        let i = self.base(set) + way;
+        let old = core::mem::replace(&mut self.lines[i], line);
+        if !old.valid() {
+            return None;
         }
-        evicted
+        if old.class() == AccessClass::Data && class.is_metadata() {
+            self.stats.data_evicted_by_metadata += 1;
+        }
+        if old.dirty() {
+            self.stats.writebacks += 1;
+        }
+        Some(Victim {
+            addr: PhysAddr::new(((old.tag() << self.set_shift) | set as u64) << self.line_shift),
+            class: old.class(),
+            dirty: old.dirty(),
+        })
     }
 
     /// Marks a resident line dirty (a write absorbed in place), returning
     /// whether the line was resident.
     pub fn mark_dirty(&mut self, addr: PhysAddr) -> bool {
-        self.resident_mut(addr)
-            .map(|line| line.dirty = true)
+        self.resident(addr)
+            .map(|i| self.lines[i].key |= DIRTY)
             .is_some()
     }
 
     /// Drops the line for `addr`: `Some(dirty)` if it was resident.
     pub fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
-        let line = self.resident_mut(addr)?;
-        let was_dirty = line.dirty;
-        *line = Line::default();
+        let i = self.resident(addr)?;
+        let was_dirty = self.lines[i].dirty();
+        self.lines[i] = Line::default();
+        self.invalidations += 1;
         Some(was_dirty)
     }
 
     /// Valid lines currently resident.
     #[must_use]
     pub fn live_lines(&self) -> u64 {
-        self.lines.iter().filter(|l| l.valid).count() as u64
+        self.lines.iter().filter(|l| l.valid()).count() as u64
     }
 
     /// Live lines per owning ASID, sorted by ASID — always sums to
@@ -391,8 +527,8 @@ impl SetAssocCache {
     #[must_use]
     pub fn occupancy_by_asid(&self) -> Vec<(Asid, u64)> {
         let mut by_asid: BTreeMap<Asid, u64> = BTreeMap::new();
-        for line in self.lines.iter().filter(|l| l.valid) {
-            *by_asid.entry(line.asid).or_default() += 1;
+        for line in self.lines.iter().filter(|l| l.valid()) {
+            *by_asid.entry(line.asid()).or_default() += 1;
         }
         by_asid.into_iter().collect()
     }
@@ -401,6 +537,8 @@ impl SetAssocCache {
     pub fn reset(&mut self) {
         self.lines.fill(Line::default());
         self.tick = 0;
+        // The tick restarts, so slots taken before must not match again.
+        self.invalidations += 1;
         self.stats = CacheStats::default();
     }
 
@@ -436,9 +574,9 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = tiny();
         let a = PhysAddr::new(0x1000);
-        assert!(!c.access(a, RwKind::Read, AccessClass::Data));
+        assert!(!c.access(a, RwKind::Read, AccessClass::Data).is_hit());
         fill(&mut c, 0x1000, AccessClass::Data, false);
-        assert!(c.access(a, RwKind::Read, AccessClass::Data));
+        assert!(c.access(a, RwKind::Read, AccessClass::Data).is_hit());
         assert_eq!(c.stats().data.hits, 1);
         assert_eq!(c.stats().data.misses, 1);
     }
@@ -617,6 +755,30 @@ mod tests {
         assert_eq!(CacheConfig::l3(1).latency, Cycles::new(35));
     }
 
+    /// The 24-byte line the oracle keeps: every field apart.
+    #[derive(Debug, Clone, Copy)]
+    struct OracleLine {
+        tag: u64,
+        stamp: u64,
+        valid: bool,
+        dirty: bool,
+        class: AccessClass,
+        asid: Asid,
+    }
+
+    impl Default for OracleLine {
+        fn default() -> Self {
+            OracleLine {
+                tag: 0,
+                stamp: 0,
+                valid: false,
+                dirty: false,
+                class: AccessClass::Data,
+                asid: Asid::ZERO,
+            }
+        }
+    }
+
     /// The division-decoded line array with its one-pass fill, kept as
     /// the oracle for the production decode and victim choice: a fill
     /// refreshes a resident line, else takes the first invalid way, else
@@ -625,7 +787,7 @@ mod tests {
     struct DivOracle {
         config: CacheConfig,
         sets: usize,
-        lines: Vec<Line>,
+        lines: Vec<OracleLine>,
         tick: u64,
         stats: CacheStats,
     }
@@ -634,7 +796,7 @@ mod tests {
         fn new(config: CacheConfig) -> Self {
             let sets = config.sets();
             DivOracle {
-                lines: vec![Line::default(); sets * config.ways as usize],
+                lines: vec![OracleLine::default(); sets * config.ways as usize],
                 config,
                 sets,
                 tick: 0,
@@ -650,7 +812,7 @@ mod tests {
             )
         }
 
-        fn resident(&mut self, addr: PhysAddr) -> Option<&mut Line> {
+        fn resident(&mut self, addr: PhysAddr) -> Option<&mut OracleLine> {
             let (set, tag) = self.set_and_tag(addr);
             let ways = self.config.ways as usize;
             self.lines[set * ways..(set + 1) * ways]
@@ -720,7 +882,7 @@ mod tests {
                 class: victim.class,
                 dirty: victim.dirty,
             });
-            *victim = Line {
+            *victim = OracleLine {
                 tag,
                 stamp,
                 valid: true,
@@ -746,13 +908,17 @@ mod tests {
         fn invalidate(&mut self, addr: PhysAddr) -> Option<bool> {
             let line = self.resident(addr)?;
             let dirty = line.dirty;
-            *line = Line::default();
+            *line = OracleLine::default();
             Some(dirty)
         }
     }
 
     /// Every field of a line, for whole-array comparisons.
     fn line_state(l: &Line) -> (u64, u64, bool, bool, AccessClass, Asid) {
+        (l.tag(), l.stamp, l.valid(), l.dirty(), l.class(), l.asid())
+    }
+
+    fn oracle_line_state(l: &OracleLine) -> (u64, u64, bool, bool, AccessClass, Asid) {
         (l.tag, l.stamp, l.valid, l.dirty, l.class, l.asid)
     }
 
@@ -787,7 +953,7 @@ mod tests {
                     i
                 ),
                 4..=6 => proptest::prop_assert_eq!(
-                    cache.access(addr, rw, class),
+                    cache.access(addr, rw, class).is_hit(),
                     oracle.access(addr, rw, class),
                     "access {}",
                     i
@@ -798,17 +964,46 @@ mod tests {
                     "mark_dirty {}",
                     i
                 ),
-                _ => proptest::prop_assert_eq!(
+                8 => proptest::prop_assert_eq!(
                     cache.invalidate(addr),
                     oracle.invalidate(addr),
                     "invalidate {}",
                     i
                 ),
+                _ => {
+                    // A miss installs through the slot its access picked;
+                    // between the two, kind 11 invalidates and kind 12
+                    // looks up another line of the same set, so a stale
+                    // slot falls back to a fill.
+                    let other = PhysAddr::new((line ^ 4) * 64);
+                    let access = cache.access(addr, rw, class);
+                    let hit = oracle.access(addr, rw, class);
+                    proptest::prop_assert_eq!(access.is_hit(), hit, "access {}", i);
+                    match kind {
+                        11 => proptest::prop_assert_eq!(
+                            cache.invalidate(other),
+                            oracle.invalidate(other)
+                        ),
+                        12 => proptest::prop_assert_eq!(
+                            cache.access(other, RwKind::Read, class).is_hit(),
+                            oracle.access(other, RwKind::Read, class)
+                        ),
+                        _ => {}
+                    }
+                    if let Access::Miss(slot) = access {
+                        proptest::prop_assert_eq!(
+                            cache.install(slot, addr, class, Asid(asid), flag),
+                            oracle.fill(addr, class, Asid(asid), flag),
+                            "install {}",
+                            i
+                        );
+                    }
+                }
             }
             proptest::prop_assert_eq!(cache.probe(addr), oracle.resident(addr).is_some());
             proptest::prop_assert_eq!(cache.tick, oracle.tick);
             let lines: Vec<_> = cache.lines.iter().map(line_state).collect();
-            let expect: Vec<_> = oracle.lines.iter().map(line_state).collect();
+            let expect: Vec<_> = oracle.lines.iter().map(oracle_line_state).collect();
             proptest::prop_assert_eq!(lines, expect, "lines after step {}", i);
             proptest::prop_assert_eq!(
                 format!("{:?}", cache.stats()),
@@ -836,17 +1031,18 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// Random fill, access, mark-dirty and invalidate streams over 1,
-        /// 2, 8 and 16 ways, with and without LIP metadata fills, give
-        /// the division-decoded one-pass oracle's hits, victims, stamps
-        /// and statistics. A line pool of five sets' worth per set keeps
-        /// every set evicting; LIP fills into sets with invalid ways or
-        /// stamp-0 lines tie at stamp 0, and repeated lines refill
-        /// resident ones.
+        /// Random fill, access, miss-then-install, mark-dirty and
+        /// invalidate streams over 1, 2, 8 and 16 ways, with and without
+        /// LIP metadata fills, give the division-decoded one-pass oracle's
+        /// hits, victims, stamps and statistics. A line pool of five sets'
+        /// worth per set keeps every set evicting; LIP fills into sets
+        /// with invalid ways or stamp-0 lines tie at stamp 0, repeated
+        /// lines refill resident ones, and installs whose set changed
+        /// since their access fall back to a fill.
         #[test]
         fn fill_matches_division_oracle(
             stream in proptest::collection::vec(
-                (0u8..9, 0u64..80, 0u16..3, access_class(), dirty_or_store()),
+                (0u8..13, 0u64..80, 0u16..3, access_class(), dirty_or_store()),
                 1..600,
             ),
         ) {

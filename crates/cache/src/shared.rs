@@ -28,7 +28,7 @@
 //! onto a single fetch below, and a saturated bank backpressures.
 
 use crate::mshr::{MshrFile, MshrStats, MshrStep};
-use crate::set_assoc::{CacheConfig, CacheStats, SetAssocCache, Victim};
+use crate::set_assoc::{Access, CacheConfig, CacheStats, SetAssocCache, Slot, Victim};
 use core::fmt;
 use ndp_types::{AccessClass, Asid, Cycles, LineAddr, PhysAddr, RwKind};
 
@@ -213,6 +213,9 @@ pub struct SharedLookup {
     /// latency included). For a miss: when the request may proceed below
     /// (the tag check that discovered the miss is complete).
     pub done: Cycles,
+    /// For a miss: where [`SharedCache::install`] puts the line once it
+    /// is fetched from below.
+    pub slot: Option<Slot>,
 }
 
 /// A [`SetAssocCache`] behind banked ports and per-bank MSHR files.
@@ -323,12 +326,16 @@ impl SharedCache {
         let start = self.arbitrate(self.bank_of(addr), now);
         let exclusive = self.config.policy == InclusionPolicy::Exclusive;
         let rw = if exclusive { RwKind::Read } else { rw };
-        let hit = self.lines.access(addr, rw, class);
+        let (hit, slot) = match self.lines.access(addr, rw, class) {
+            Access::Hit => (true, None),
+            Access::Miss(slot) => (false, Some(slot)),
+        };
         let dirty = hit && exclusive && self.lines.invalidate(addr) == Some(true);
         SharedLookup {
             hit,
             dirty,
             done: start + self.config.latency,
+            slot,
         }
     }
 
@@ -351,6 +358,21 @@ impl SharedCache {
         dirty: bool,
     ) -> Option<Victim> {
         self.lines.fill(addr, class, asid, dirty)
+    }
+
+    /// Installs the demand-fetched line for `asid` into the slot its
+    /// missing [`SharedCache::access`] picked (nothing touches the line
+    /// array while the fetch is below), and reports the victim as
+    /// [`SharedCache::fill`] does.
+    pub fn install(
+        &mut self,
+        slot: Slot,
+        addr: PhysAddr,
+        class: AccessClass,
+        asid: Asid,
+        dirty: bool,
+    ) -> Option<Victim> {
+        self.lines.install(slot, addr, class, asid, dirty)
     }
 
     /// Absorbs a posted private writeback: if the line is resident it is

@@ -4,7 +4,7 @@
 //! exclusion, occupancy partition, bank partition) under random streams.
 
 use ndp_cache::hierarchy::CacheHierarchy;
-use ndp_cache::set_assoc::{CacheConfig, SetAssocCache};
+use ndp_cache::set_assoc::{Access, CacheConfig, SetAssocCache};
 use ndp_cache::shared::{InclusionPolicy, SharedCache, SharedConfig};
 use ndp_types::{AccessClass, Asid, Cycles, PhysAddr, RwKind};
 use proptest::collection::vec;
@@ -126,17 +126,16 @@ proptest! {
         for (t, &addr) in addrs.iter().enumerate() {
             let a = PhysAddr::new(addr & !63);
             let got = cache.access(a, RwKind::Read, AccessClass::Data);
-            let shared_got = shared
-                .access(a, RwKind::Read, AccessClass::Data, Cycles::new(t as u64))
-                .hit;
+            let shared_got = shared.access(a, RwKind::Read, AccessClass::Data, Cycles::new(t as u64));
             let want = reference.access(addr & !63);
-            prop_assert_eq!(got, want, "divergence at {:#x}", addr);
-            prop_assert_eq!(shared_got, want, "shared divergence at {:#x}", addr);
-            if !got {
-                cache.fill(a, AccessClass::Data, Asid::ZERO, false);
+            prop_assert_eq!(got.is_hit(), want, "divergence at {:#x}", addr);
+            prop_assert_eq!(shared_got.hit, want, "shared divergence at {:#x}", addr);
+            // Misses install through the slot their lookup picked.
+            if let Access::Miss(slot) = got {
+                cache.install(slot, a, AccessClass::Data, Asid::ZERO, false);
             }
-            if !shared_got {
-                shared.fill(a, AccessClass::Data, Asid::ZERO, false);
+            if let Some(slot) = shared_got.slot {
+                shared.install(slot, a, AccessClass::Data, Asid::ZERO, false);
             }
             if !want {
                 reference.fill(addr & !63);
@@ -154,7 +153,7 @@ proptest! {
             let before = cache.stats().total().total();
             let _ = cache.probe(a);
             prop_assert_eq!(cache.stats().total().total(), before, "probe counted");
-            if !cache.access(a, RwKind::Read, AccessClass::Data) {
+            if !cache.access(a, RwKind::Read, AccessClass::Data).is_hit() {
                 cache.fill(a, AccessClass::Data, Asid::ZERO, false);
             }
         }
@@ -185,11 +184,11 @@ proptest! {
             } else {
                 AccessClass::Data
             };
-            let hit = cache.access(a, RwKind::Read, class);
-            prop_assert_eq!(hit, cache.probe(a), "access/probe disagree");
-            if !hit {
-                cache.fill(a, class, Asid::ZERO, false);
-                prop_assert!(cache.probe(a), "fill must install");
+            let access = cache.access(a, RwKind::Read, class);
+            prop_assert_eq!(access.is_hit(), cache.probe(a), "access/probe disagree");
+            if let Access::Miss(slot) = access {
+                cache.install(slot, a, class, Asid::ZERO, false);
+                prop_assert!(cache.probe(a), "install must install");
             }
         }
     }
@@ -252,10 +251,11 @@ proptest! {
             let rw = if is_store { RwKind::Write } else { RwKind::Read };
             if !l1.lookup(addr, rw, AccessClass::Data).is_hit() {
                 let look = l3.access(addr, RwKind::Read, AccessClass::Data, now);
-                if !look.hit {
+                if let Some(slot) = look.slot {
                     // Demand fill installs in the shared level too; its
-                    // victim back-invalidates every private copy.
-                    if let Some(victim) = l3.fill(addr, AccessClass::Data, Asid::ZERO, false) {
+                    // victim back-invalidates every private copy (so the
+                    // private installs below may find their slots stale).
+                    if let Some(victim) = l3.install(slot, addr, AccessClass::Data, Asid::ZERO, false) {
                         let bi = l1.back_invalidate(victim.addr);
                         if bi.present {
                             l3.note_back_invalidation();
@@ -265,11 +265,13 @@ proptest! {
                         }
                     }
                 }
-                // Private fill: outer dirty victims update the L3 copy.
+                // Private installs, level by level: outer dirty victims
+                // update the L3 copy.
                 let outer = l1.depth() - 1;
-                for lv in l1.fill(addr, AccessClass::Data, is_store) {
-                    if lv.level == outer && lv.victim.dirty {
-                        let _ = l3.accept_writeback(lv.victim.addr);
+                for level in 0..l1.depth() {
+                    let victim = l1.install(level, addr, AccessClass::Data, is_store);
+                    if let Some(v) = victim.filter(|v| level == outer && v.dirty) {
+                        let _ = l3.accept_writeback(v.addr);
                     }
                 }
             }
@@ -302,12 +304,13 @@ proptest! {
                 // Hit or miss, the line ends up (only) in the private L1;
                 // an exclusive hit extracted it from the L3.
                 let outer = l1.depth() - 1;
-                for lv in l1.fill(addr, AccessClass::Data, is_store || look.dirty) {
-                    if lv.level == outer {
+                for level in 0..l1.depth() {
+                    let victim = l1.install(level, addr, AccessClass::Data, is_store || look.dirty);
+                    if let Some(v) = victim.filter(|_| level == outer) {
                         // The departing line, clean or dirty, fills the
                         // exclusive L3 (its own victims just drop here —
                         // memory is not modelled in this harness).
-                        let _ = l3.fill(lv.victim.addr, lv.victim.class, Asid::ZERO, lv.victim.dirty);
+                        let _ = l3.fill(v.addr, v.class, Asid::ZERO, v.dirty);
                     }
                 }
             }
@@ -400,8 +403,8 @@ proptest! {
             if is_store {
                 written.insert(a.as_u64());
             }
-            if !cache.access(a, rw, AccessClass::Data) {
-                let victim = cache.fill(a, AccessClass::Data, Asid::ZERO, is_store);
+            if let Access::Miss(slot) = cache.access(a, rw, AccessClass::Data) {
+                let victim = cache.install(slot, a, AccessClass::Data, Asid::ZERO, is_store);
                 if let Some(wb) = victim.filter(|v| v.dirty) {
                     prop_assert!(
                         written.contains(&wb.addr.as_u64()),

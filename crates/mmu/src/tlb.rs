@@ -95,6 +95,11 @@ pub struct TlbHit {
 /// `huge_live` counts the live 2 MB entries, so a lookup that misses the
 /// 4 KB namespace skips the 2 MB probe while the level holds none — the
 /// common case, since fracturing (the default) never installs one.
+///
+/// A lookup that misses picks, in the same call, the way a 4 KB fill of
+/// its page would replace (`pending`). The fill right after it — an L2
+/// hit's promotion into L1, or a walk's install — writes there without
+/// scanning the set again; any other fill scans.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
@@ -104,7 +109,27 @@ pub struct Tlb {
     pfns: Vec<Pfn>,
     tick: u64,
     huge_live: usize,
+    pending: Pending,
     stats: HitMiss,
+}
+
+/// The victim way a missing lookup picked for a 4 KB fill of its page:
+/// current while the level's tick is still the lookup's (no lookup or
+/// fill since) and no flush has cleared it.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    tag: u64,
+    way: usize,
+    tick: u64,
+}
+
+impl Pending {
+    /// Matches no fill.
+    const NONE: Pending = Pending {
+        tag: INVALID_TAG,
+        way: 0,
+        tick: 0,
+    };
 }
 
 impl Tlb {
@@ -121,6 +146,7 @@ impl Tlb {
             pfns: vec![Pfn::new(0); ways],
             tick: 0,
             huge_live: 0,
+            pending: Pending::NONE,
             stats: HitMiss::default(),
         }
     }
@@ -168,63 +194,82 @@ impl Tlb {
         set * ways..(set + 1) * ways
     }
 
-    fn probe_key(&mut self, asid: Asid, key: u64) -> Option<(Pfn, PageSize)> {
-        let (row, tag) = (self.row(key), key | asid.tag_bits());
+    /// The way of `tag` in `row`, refreshed to the current tick.
+    fn probe_tag(&mut self, row: std::ops::Range<usize>, tag: u64) -> Option<usize> {
         let w = row.start + self.tags[row].iter().position(|&t| t == tag)?;
         self.stamps[w] = self.tick;
-        let size = if key & 1 == 1 {
-            PageSize::Size2M
-        } else {
-            PageSize::Size4K
-        };
-        Some((self.pfns[w], size))
+        Some(w)
+    }
+
+    /// The way a fill into `row` replaces: the first with the smallest
+    /// stamp (invalidated ways hold stamp 0, below every live stamp).
+    fn victim(&self, row: std::ops::Range<usize>) -> usize {
+        let (mut victim, mut oldest) = (row.start, u64::MAX);
+        for w in row {
+            if self.stamps[w] < oldest {
+                (victim, oldest) = (w, self.stamps[w]);
+            }
+        }
+        victim
     }
 
     /// Looks up `vpn` in address space `asid`, probing the 4 KB and then
     /// (while the level holds any) the 2 MB namespace, and records a hit
-    /// or miss. Entries of other ASIDs never hit.
+    /// or miss. Entries of other ASIDs never hit. A miss leaves the way a
+    /// 4 KB fill of `vpn` would replace for that fill.
     pub fn lookup(&mut self, asid: Asid, vpn: Vpn) -> Option<TlbHit> {
         self.tick += 1;
-        let hit = self
-            .probe_key(asid, Self::key_for(vpn, PageSize::Size4K))
-            .map(|(pfn, size)| TlbHit { pfn, size })
-            .or_else(|| {
-                if self.huge_live == 0 {
-                    return None;
-                }
-                self.probe_key(asid, Self::key_for(vpn, PageSize::Size2M))
-                    .map(|(base, size)| TlbHit {
-                        // Reconstruct the 4 KB frame within the huge page.
-                        pfn: base.add(vpn.l1_index() as u64),
-                        size,
-                    })
-            });
+        let key = Self::key_for(vpn, PageSize::Size4K);
+        let (row, tag) = (self.row(key), key | asid.tag_bits());
+        let hit = match self.probe_tag(row.clone(), tag) {
+            Some(w) => Some(TlbHit {
+                pfn: self.pfns[w],
+                size: PageSize::Size4K,
+            }),
+            None if self.huge_live == 0 => None,
+            None => {
+                let key = Self::key_for(vpn, PageSize::Size2M);
+                let w = self.probe_tag(self.row(key), key | asid.tag_bits());
+                w.map(|w| TlbHit {
+                    // Reconstruct the 4 KB frame within the huge page.
+                    pfn: self.pfns[w].add(vpn.l1_index() as u64),
+                    size: PageSize::Size2M,
+                })
+            }
+        };
+        if hit.is_none() {
+            self.pending = Pending {
+                tag,
+                way: self.victim(row),
+                tick: self.tick,
+            };
+        }
         self.stats.record(hit.is_some());
         hit
     }
 
     /// Installs a translation for address space `asid`. For 2 MB mappings
     /// pass the *huge page base* PFN (512-frame aligned).
+    ///
+    /// Right after a lookup of the same page that missed, the fill goes to
+    /// the way that lookup picked. Otherwise one pass refreshes the entry
+    /// if present (the size lives in the key, so a refresh can never
+    /// change it), else replaces the way [`Tlb::lookup`] would pick.
     pub fn fill(&mut self, asid: Asid, vpn: Vpn, pfn: Pfn, size: PageSize) {
-        self.tick += 1;
         let key = Self::key_for(vpn, size);
         let tag = key | asid.tag_bits();
-        // One pass: refresh if present (the size lives in the key, so a
-        // refresh can never change it), else the first way with the
-        // smallest stamp — invalidated ways hold stamp 0, below every
-        // live stamp.
-        let row = self.row(key);
-        let (mut victim, mut oldest) = (row.start, u64::MAX);
-        for w in row {
-            if self.tags[w] == tag {
-                self.stamps[w] = self.tick;
+        let pending = self.pending;
+        self.tick += 1;
+        let victim = if pending.tag == tag && pending.tick + 1 == self.tick {
+            pending.way
+        } else {
+            let row = self.row(key);
+            if let Some(w) = self.probe_tag(row.clone(), tag) {
                 self.pfns[w] = pfn;
                 return;
             }
-            if self.stamps[w] < oldest {
-                (victim, oldest) = (w, self.stamps[w]);
-            }
-        }
+            self.victim(row)
+        };
         self.huge_live -= usize::from(Self::is_huge_tag(self.tags[victim]));
         self.huge_live += usize::from(Self::is_huge_tag(tag));
         self.tags[victim] = tag;
@@ -236,6 +281,7 @@ impl Tlb {
     /// how many entries were dropped. Statistics and other address spaces
     /// are untouched.
     pub fn flush_asid(&mut self, asid: Asid) -> u64 {
+        self.pending = Pending::NONE;
         let tag_bits = asid.tag_bits();
         let mut dropped = 0;
         for w in 0..self.tags.len() {
@@ -253,6 +299,7 @@ impl Tlb {
     /// returning how many entries were dropped. Statistics survive — a
     /// flush loses state, not history.
     pub fn flush_all(&mut self) -> u64 {
+        self.pending = Pending::NONE;
         let mut dropped = 0;
         for w in 0..self.tags.len() {
             if self.tags[w] != INVALID_TAG {
@@ -272,6 +319,7 @@ impl Tlb {
         self.pfns.fill(Pfn::new(0));
         self.tick = 0;
         self.huge_live = 0;
+        self.pending = Pending::NONE;
         self.stats = HitMiss::default();
     }
 
@@ -704,6 +752,21 @@ mod tests {
             self.pfns[victim] = pfn;
         }
 
+        /// The hierarchy's lookup on two oracle levels: L1, then L2 with
+        /// an L2 hit promoted into L1 at its mapping granularity.
+        fn lookup_pair(l1: &mut Self, l2: &mut Self, asid: Asid, vpn: Vpn) -> Option<TlbHit> {
+            if let Some(hit) = l1.lookup(asid, vpn) {
+                return Some(hit);
+            }
+            let hit = l2.lookup(asid, vpn)?;
+            let base = match hit.size {
+                PageSize::Size4K => hit.pfn,
+                PageSize::Size2M => Pfn::new((hit.pfn.as_u64() >> 9) << 9),
+            };
+            l1.fill(asid, vpn, base, hit.size);
+            Some(hit)
+        }
+
         fn flush(&mut self, asid: Option<Asid>) -> u64 {
             let mut dropped = 0;
             for w in 0..self.tags.len() {
@@ -721,14 +784,16 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
 
-        /// Random fill (both sizes), lookup and shootdown streams over 1,
-        /// 2, 8 and 16 ways give the one-pass scan's hits, victims,
-        /// stamps, frames and statistics. Early shootdowns leave stamp-0
-        /// ways beside live ones, and repeated pages refill resident
-        /// entries.
+        /// Random fill (both sizes), lookup, lookup-then-install and
+        /// shootdown streams over 1, 2, 8 and 16 ways give the one-pass
+        /// scan's hits, victims, stamps, frames and statistics. Early
+        /// shootdowns leave stamp-0 ways beside live ones, and repeated
+        /// pages refill resident entries. A two-level hierarchy, with and
+        /// without fracturing, gives the oracle pair's L2-hit promotions
+        /// and walk installs.
         #[test]
         fn fill_matches_scan_oracle(
-            ops in proptest::collection::vec((0u8..16, 0u16..3, 0u64..1024), 1..500),
+            ops in proptest::collection::vec((0u8..20, 0u16..3, 0u64..1024), 1..500),
         ) {
             for ways in [1u32, 2, 8, 16] {
                 let config = TlbConfig { name: "prop", entries: 4 * ways, ways, latency: Cycles::new(1) };
@@ -748,13 +813,81 @@ mod tests {
                         }
                         8..=13 => proptest::prop_assert_eq!(t.lookup(asid, vpn), oracle.lookup(asid, vpn), "lookup {}", i),
                         14 => proptest::prop_assert_eq!(t.flush_asid(asid), oracle.flush(Some(asid))),
-                        _ => proptest::prop_assert_eq!(t.flush_all(), oracle.flush(None)),
+                        15 => proptest::prop_assert_eq!(t.flush_all(), oracle.flush(None)),
+                        _ => {
+                            // A walk's install right after its missing
+                            // lookup: a 4 KB one takes the way the lookup
+                            // picked, unless kind 18's shootdown of
+                            // another space or kind 19's fill of another
+                            // page of the set came between; a native
+                            // 2 MB one scans its own set.
+                            let hit = t.lookup(asid, vpn);
+                            proptest::prop_assert_eq!(hit, oracle.lookup(asid, vpn), "lookup {}", i);
+                            if op == 18 {
+                                let other = Asid((asid_raw + 1) % 3);
+                                proptest::prop_assert_eq!(t.flush_asid(other), oracle.flush(Some(other)));
+                            }
+                            if op == 19 {
+                                let other = vpn.add(4);
+                                t.fill(asid, other, Pfn::new(vpn_raw + 9), PageSize::Size4K);
+                                oracle.fill(asid, other, Pfn::new(vpn_raw + 9), PageSize::Size4K);
+                            }
+                            if hit.is_none() {
+                                let (pfn, size) = if op == 17 {
+                                    (Pfn::new(vpn_raw << 9), PageSize::Size2M)
+                                } else {
+                                    (Pfn::new(vpn_raw + 7), PageSize::Size4K)
+                                };
+                                t.fill(asid, vpn, pfn, size);
+                                oracle.fill(asid, vpn, pfn, size);
+                            }
+                        }
                     }
                     proptest::prop_assert_eq!(&t.tags, &oracle.tags, "tags after step {}", i);
                     proptest::prop_assert_eq!(&t.stamps, &oracle.stamps, "stamps after step {}", i);
                     proptest::prop_assert_eq!(&t.pfns, &oracle.pfns, "frames after step {}", i);
                     proptest::prop_assert_eq!(t.tick, oracle.tick);
                     proptest::prop_assert_eq!(*t.stats(), oracle.stats);
+                }
+            }
+            for fracture in [true, false] {
+                let l1 = TlbConfig { name: "prop-l1", entries: 8, ways: 2, latency: Cycles::new(1) };
+                let l2 = TlbConfig { name: "prop-l2", entries: 32, ways: 4, latency: Cycles::new(2) };
+                let mut h = TlbHierarchy::new(l1, l2).with_fracturing(fracture);
+                let (mut o1, mut o2) = (ScanTlb::new(l1), ScanTlb::new(l2));
+                for (i, &(op, asid_raw, vpn_raw)) in ops.iter().enumerate() {
+                    // 96 pages over 4 L1 and 8 L2 sets: pages come back
+                    // after L1 evicted them, and hit in L2.
+                    let vpn_raw = vpn_raw % 96;
+                    let (asid, vpn) = (Asid(asid_raw), Vpn::new(vpn_raw));
+                    if op >= 15 {
+                        proptest::prop_assert_eq!(h.flush_asid(asid), o1.flush(Some(asid)) + o2.flush(Some(asid)));
+                        continue;
+                    }
+                    let hit = h.lookup(asid, vpn).hit;
+                    proptest::prop_assert_eq!(hit, ScanTlb::lookup_pair(&mut o1, &mut o2, asid, vpn), "lookup {}", i);
+                    if hit.is_none() {
+                        // Every third page is a 2 MB mapping.
+                        let (base, size) = if vpn_raw % 3 == 0 {
+                            (Pfn::new((vpn_raw >> 9) << 18), PageSize::Size2M)
+                        } else {
+                            (Pfn::new(vpn_raw + 7), PageSize::Size4K)
+                        };
+                        h.fill(asid, vpn, base, size);
+                        let (base, size) = if fracture && size == PageSize::Size2M {
+                            (base.add(vpn.l1_index() as u64), PageSize::Size4K)
+                        } else {
+                            (base, size)
+                        };
+                        o1.fill(asid, vpn, base, size);
+                        o2.fill(asid, vpn, base, size);
+                    }
+                    for (t, o) in [(&h.l1, &o1), (&h.l2, &o2)] {
+                        proptest::prop_assert_eq!(&t.tags, &o.tags, "tags after step {}", i);
+                        proptest::prop_assert_eq!(&t.stamps, &o.stamps, "stamps after step {}", i);
+                        proptest::prop_assert_eq!(&t.pfns, &o.pfns, "frames after step {}", i);
+                        proptest::prop_assert_eq!(*t.stats(), o.stats);
+                    }
                 }
             }
         }

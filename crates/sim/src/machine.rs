@@ -73,7 +73,7 @@ use crate::report::{MlpStats, RunReport, SchedStats, SharedLlcStats};
 use frontend::{
     Cursor, FrontProc, Frontend, Lane, MemRec, Rec, Resolved, Schedule, StopProducers, Xlat,
 };
-use ndp_cache::hierarchy::{CacheHierarchy, VictimList};
+use ndp_cache::hierarchy::CacheHierarchy;
 use ndp_cache::mshr::MshrStep;
 use ndp_cache::set_assoc::{CacheConfig, Victim};
 use ndp_cache::shared::SharedCache;
@@ -1097,8 +1097,15 @@ impl Machine {
         if coalesce {
             caches.register_fill(addr, send_t, done);
         }
-        let victims = caches.fill(addr, class, rw.is_write() || extracted_dirty);
-        self.route_private_victims(i, &victims, done);
+        // Routing a victim touches only the shared levels and memory, so
+        // each level's victim goes out as soon as that level installs.
+        let dirty = rw.is_write() || extracted_dirty;
+        let outer = caches.depth() - 1;
+        for level in 0..=outer {
+            if let Some(victim) = self.cores[i].caches().install(level, addr, class, dirty) {
+                self.route_private_victim(i, victim, level == outer, done);
+            }
+        }
         done
     }
 
@@ -1135,13 +1142,13 @@ impl Machine {
         class: AccessClass,
         t: Cycles,
     ) -> (Cycles, bool) {
-        let send_t = match self.l3.as_mut() {
-            None => t,
+        let (send_t, slot) = match self.l3.as_mut() {
+            None => (t, None),
             Some(l3) => {
                 let look = l3.access(addr, RwKind::Read, class, t);
                 match l3.mshr_step(addr, look.hit, look.done) {
                     MshrStep::Ready(done) => return (done, look.dirty),
-                    MshrStep::Fetch(send_t) => send_t,
+                    MshrStep::Fetch(send_t) => (send_t, look.slot),
                 }
             }
         };
@@ -1163,7 +1170,8 @@ impl Machine {
         // private levels; exclusive fills bypass the L3 (it is fed by
         // private victims instead).
         if l3.config().policy == InclusionPolicy::Inclusive {
-            if let Some(victim) = l3.fill(addr, class, self.cores[i].asid(), false) {
+            let slot = slot.expect("a fetch below follows an L3 miss");
+            if let Some(victim) = l3.install(slot, addr, class, self.cores[i].asid(), false) {
                 self.back_invalidate_for(i, victim, done);
             }
         }
@@ -1192,36 +1200,30 @@ impl Machine {
         }
     }
 
-    /// Routes the victims of a private fill: lines leaving the
-    /// *outermost* private level feed an exclusive L3 (clean and dirty
-    /// alike) or update their inclusive-L3 copy in place; every other
-    /// dirty victim is posted toward memory.
-    fn route_private_victims(&mut self, i: usize, victims: &VictimList, now: Cycles) {
-        let outer = self.cores[i].caches().depth() - 1;
-        for &lv in victims {
-            let v = lv.victim;
-            if let Some(l3) = self.l3.as_mut().filter(|_| lv.level == outer) {
-                let policy = l3.config().policy;
-                match policy {
-                    InclusionPolicy::Exclusive => {
-                        let asid = self.cores[i].asid();
-                        let evicted = l3.fill(v.addr, v.class, asid, v.dirty);
-                        if let Some(evicted) = evicted.filter(|e| e.dirty) {
-                            self.post_write(i, evicted.addr, evicted.class, now);
-                        }
-                        continue;
+    /// Routes one victim of a private install: a line leaving the
+    /// `outermost` private level feeds an exclusive L3 (clean or dirty)
+    /// or updates its inclusive-L3 copy in place; any other dirty victim
+    /// is posted toward memory.
+    fn route_private_victim(&mut self, i: usize, v: Victim, outermost: bool, now: Cycles) {
+        if let Some(l3) = self.l3.as_mut().filter(|_| outermost) {
+            let policy = l3.config().policy;
+            match policy {
+                InclusionPolicy::Exclusive => {
+                    let asid = self.cores[i].asid();
+                    let evicted = l3.fill(v.addr, v.class, asid, v.dirty);
+                    if let Some(evicted) = evicted.filter(|e| e.dirty) {
+                        self.post_write(i, evicted.addr, evicted.class, now);
                     }
-                    // A dirty inclusive victim updates its L3 copy in
-                    // place when present (absorbed, no memory traffic).
-                    InclusionPolicy::Inclusive if v.dirty && l3.accept_writeback(v.addr) => {
-                        continue;
-                    }
-                    InclusionPolicy::Inclusive => {}
+                    return;
                 }
+                // A dirty inclusive victim updates its L3 copy in place
+                // when present (absorbed, no memory traffic).
+                InclusionPolicy::Inclusive if v.dirty && l3.accept_writeback(v.addr) => return,
+                InclusionPolicy::Inclusive => {}
             }
-            if v.dirty {
-                self.post_write(i, v.addr, v.class, now);
-            }
+        }
+        if v.dirty {
+            self.post_write(i, v.addr, v.class, now);
         }
     }
 
@@ -1235,13 +1237,13 @@ impl Machine {
     fn read_memory(&mut self, i: usize, addr: PhysAddr, class: AccessClass, t: Cycles) -> Cycles {
         let (channel, one_way) = self.route(i, addr);
         let arrival = t + one_way;
-        let send_t = match self.vaults.get_mut(channel as usize) {
-            None => arrival,
+        let (send_t, slot) = match self.vaults.get_mut(channel as usize) {
+            None => (arrival, None),
             Some(vault) => {
                 let look = vault.access(addr, RwKind::Read, class, arrival);
                 match vault.mshr_step(addr, look.hit, look.done) {
                     MshrStep::Ready(done) => return done + one_way,
-                    MshrStep::Fetch(send_t) => send_t,
+                    MshrStep::Fetch(send_t) => (send_t, look.slot),
                 }
             }
         };
@@ -1250,7 +1252,8 @@ impl Machine {
             .request_ticketed(addr, RwKind::Read, class, t, send_t);
         if let Some(vault) = self.vaults.get_mut(channel as usize) {
             vault.register_fill(addr, send_t, ticket.done);
-            let victim = vault.fill(addr, class, self.cores[i].asid(), false);
+            let slot = slot.expect("a fetch below follows a vault-buffer miss");
+            let victim = vault.install(slot, addr, class, self.cores[i].asid(), false);
             if let Some(victim) = victim.filter(|v| v.dirty) {
                 // The buffer sits at the vault: its dirty victims drain
                 // into the local banks with no further NoC traversal.

@@ -111,7 +111,7 @@ pub(super) struct Chunk {
 
 impl Chunk {
     /// Looks `addr` up in `caches` and fills it on a full miss, recording
-    /// the outcome and the fill's dirty victims.
+    /// the outcome and pushing the fill's dirty victims as they appear.
     fn resolve(
         &mut self,
         caches: &mut CacheHierarchy,
@@ -119,24 +119,20 @@ impl Chunk {
         rw: RwKind,
         class: AccessClass,
     ) {
-        let (latency, level, dirty) = match caches.lookup(addr, rw, class) {
-            LookupResult::Hit { level, latency } => (latency, level as u8, 0),
-            LookupResult::MissAll { lookup_latency } => {
-                let before = self.victims.len();
-                let fill = caches.fill(addr, class, rw.is_write());
-                self.victims
-                    .extend(fill.into_iter().map(|lv| lv.victim).filter(|v| v.dirty));
-                (
-                    lookup_latency,
-                    Resolved::MISS,
-                    (self.victims.len() - before) as u8,
-                )
+        let before = self.victims.len();
+        let victims = &mut self.victims;
+        let (latency, level) = match caches.resolve(addr, rw, class, |_, v| {
+            if v.dirty {
+                victims.push(v);
             }
+        }) {
+            LookupResult::Hit { level, latency } => (latency, level as u8),
+            LookupResult::MissAll { lookup_latency } => (lookup_latency, Resolved::MISS),
         };
         self.accesses.push(Resolved {
             latency: latency.as_u64() as u32,
             level,
-            dirty,
+            dirty: (self.victims.len() - before) as u8,
         });
     }
 }

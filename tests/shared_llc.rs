@@ -288,9 +288,10 @@ fn exclusive_l3_holds_only_lines_that_left_the_private_hierarchy() {
     // Evict it from L1 (fill the 8-way set), playing the machine: the
     // outermost-level victim feeds the exclusive L3.
     for i in 1..=8u64 {
-        for lv in l1.fill(PhysAddr::new(i * 64 * 64), AccessClass::Data, false) {
-            l3.fill(lv.victim.addr, lv.victim.class, Asid::ZERO, lv.victim.dirty);
-        }
+        let line = PhysAddr::new(i * 64 * 64);
+        l1.resolve(line, RwKind::Read, AccessClass::Data, |_, v| {
+            l3.fill(v.addr, v.class, Asid::ZERO, v.dirty);
+        });
     }
     assert!(!l1.lookup(a, RwKind::Read, AccessClass::Data).is_hit());
     assert!(l3.probe(a), "the private victim landed in the exclusive L3");
