@@ -1,9 +1,9 @@
 //! Criterion microbenches for the three hot probe loops every simulated
 //! op leans on: the TLB set scan, the PWC probe/fill cycle, and the MSHR
 //! live-fill scan, plus an MSHR file in its windowed steady state. Each
-//! loop is a branch-light linear pass over a struct-of-arrays layout; these benches pin their per-probe cost so a
-//! layout regression shows up as a ns/iter jump rather than only as noise
-//! in an end-to-end `simbench` run.
+//! loop is a branch-light linear pass; these benches pin their per-probe
+//! cost so a layout regression shows up as a ns/iter jump rather than
+//! only as noise in an end-to-end `simbench` run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use ndp_cache::mshr::{MshrFile, MshrLookup, HISTORY_SLACK};
@@ -61,8 +61,10 @@ fn bench_pwc_probe_fill(c: &mut Criterion) {
     group.finish();
 }
 
-/// Live-fill scans over a populated MSHR file: `fill_in_flight` walks the
-/// lines lane, `in_flight` the dones lane; both at history capacity.
+/// Live-fill scans over a populated MSHR file at history capacity:
+/// `fill_in_flight` and `in_flight` walk the records still in flight (49
+/// of the 80 at `fill_in_flight`'s instant, far more than a windowed
+/// core's file holds).
 fn bench_mshr_live_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_loops");
     group.bench_function("mshr_live_fill_scan", |b| {

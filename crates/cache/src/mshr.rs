@@ -15,7 +15,6 @@
 //! any interleaving the simulator produces.
 
 use ndp_types::{Cycles, LineAddr};
-use std::collections::VecDeque;
 
 /// Outcome of probing the MSHR file for a missing line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,32 +64,45 @@ pub struct MshrStats {
 /// timestamps interleave (an op's data access can carry an earlier time
 /// than the previously processed op's), so a record must survive until
 /// no earlier-timestamped probe can still need it — one full issue
-/// window (≤ 64 ops) bounds that distance.
+/// window (≤ 64 ops) bounds that distance. Queries walk only the live
+/// records, so the slack costs memory, not time: a full history evicts
+/// its earliest completion, the first of its sorted records.
 pub const HISTORY_SLACK: usize = 64;
+
+/// One fill record: its completion time, its slot in record order and
+/// its line. The file keeps its records in the derived order
+/// (completion time, then slot), so the first record holds the lowest
+/// slot among the earliest completions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Record {
+    done: Cycles,
+    slot: usize,
+    line: LineAddr,
+}
 
 /// A fixed-capacity file of in-flight line fills.
 ///
-/// `capacity` bounds the *live* fills (the hardware registers); the
-/// backing list additionally retains up to [`HISTORY_SLACK`] expired
-/// records so that probes processed later but timestamped earlier still
-/// observe fills that were in flight at their instant.
+/// `capacity` bounds the *live* fills (the hardware registers); the file
+/// additionally retains up to [`HISTORY_SLACK`] expired records so that
+/// probes processed later but timestamped earlier still observe fills
+/// that were in flight at their instant.
 ///
-/// Queries cost what the live frontier costs, not the retained history:
-/// an ascending index of the completion times answers occupancy from its
-/// tail (live fills are the suffix above `now`), the `Full` wait by
-/// position and the eviction minimum from its front. The record arrays
-/// keep their insertion order, because a merge reports the first live
-/// record of its line in that order; a branch-free equality pass over
-/// `lines` decides whether that exact scan is needed at all.
+/// Each record holds a slot, its place in record order: a new fill takes
+/// the next slot, or, once the history is full, the slot of the record it
+/// evicts. A merge reports the first live record of its line in that
+/// order, and an eviction takes the first of the earliest completions.
+///
+/// Queries cost what the live fills cost, not the retained history: the
+/// records are kept sorted by completion time, so the live fills are the
+/// suffix above `now`. Occupancy and merges walk only that suffix, the
+/// `Full` wait is read by position, and the eviction is the first record.
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    /// Record lines, parallel to `dones` (struct-of-arrays: the
-    /// equality pass touches only this array).
-    lines: Vec<LineAddr>,
-    /// Fill-completion time of each record, parallel to `lines`.
-    dones: Vec<Cycles>,
-    /// The same completion times as `dones`, sorted ascending.
-    by_done: VecDeque<Cycles>,
+    /// The retained records, sorted by (completion time, slot), from
+    /// `front` on: an eviction advances `front`, and the evicted prefix
+    /// is dropped in one move once it is [`HISTORY_SLACK`] long.
+    records: Vec<Record>,
+    front: usize,
     capacity: usize,
     stats: MshrStats,
 }
@@ -107,9 +119,8 @@ impl MshrFile {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "MSHR file needs at least one register");
         MshrFile {
-            lines: Vec::with_capacity(capacity),
-            dones: Vec::with_capacity(capacity),
-            by_done: VecDeque::with_capacity(capacity),
+            records: Vec::with_capacity(capacity),
+            front: 0,
             capacity,
             stats: MshrStats::default(),
         }
@@ -127,15 +138,34 @@ impl MshrFile {
         &self.stats
     }
 
+    /// The retained records, sorted by (completion time, slot).
+    fn sorted(&self) -> &[Record] {
+        &self.records[self.front..]
+    }
+
     /// Registers still occupied at `now` (fills not yet complete): the
-    /// suffix of the completion index above `now`, counted from the back.
+    /// records completing after `now`, counted from the back.
     #[must_use]
     pub fn in_flight(&self, now: Cycles) -> usize {
-        self.by_done
+        self.sorted()
             .iter()
             .rev()
-            .take_while(|&&done| done > now)
+            .take_while(|r| r.done > now)
             .count()
+    }
+
+    /// One pass over the fills in flight at `now`: how many there are,
+    /// and the completion time of the first of them (in record order)
+    /// that covers `line`.
+    fn scan_live(&self, line: LineAddr, now: Cycles) -> (usize, Option<Cycles>) {
+        let live = self.in_flight(now);
+        let (mut slot, mut done) = (usize::MAX, Cycles::ZERO);
+        for r in &self.records[self.records.len() - live..] {
+            let first = r.line == line && r.slot < slot;
+            slot = if first { r.slot } else { slot };
+            done = if first { r.done } else { done };
+        }
+        (live, (slot != usize::MAX).then_some(done))
     }
 
     /// The completion time of an in-flight fill covering `line`, if one
@@ -144,17 +174,7 @@ impl MshrFile {
     /// [`MshrFile::probe`] for a miss and by [`MshrFile::step`] for a
     /// hit-under-miss.
     pub fn fill_in_flight(&mut self, line: LineAddr, now: Cycles) -> Option<Cycles> {
-        // The merge is the first live record of `line` in record order;
-        // the exact scan runs only when some record holds `line` at all.
-        if !self.lines.iter().fold(false, |any, &l| any | (l == line)) {
-            return None;
-        }
-        let done = self
-            .lines
-            .iter()
-            .zip(&self.dones)
-            .find(|&(&l, &done)| l == line && done > now)
-            .map(|(_, &done)| done);
+        let (_, done) = self.scan_live(line, now);
         if done.is_some() {
             self.stats.coalesced += 1;
         }
@@ -166,10 +186,12 @@ impl MshrFile {
     /// result does **not** reserve anything — the caller re-issues the
     /// fetch at the returned time and allocates then.
     pub fn probe(&mut self, line: LineAddr, now: Cycles) -> MshrLookup {
-        if let Some(done) = self.fill_in_flight(line, now) {
+        let (live, merge) = self.scan_live(line, now);
+        if let Some(done) = merge {
+            self.stats.coalesced += 1;
             return MshrLookup::Coalesced(done);
         }
-        if self.in_flight(now) < self.capacity {
+        if live < self.capacity {
             return MshrLookup::Free;
         }
         // The file frees up once enough live fills land that the count
@@ -177,9 +199,9 @@ impl MshrFile {
         // timestamped out of order, so more than `capacity` fills can be
         // live at this probe's instant — the wait must cover all the
         // excess, not just the earliest completion. The live fills are
-        // the index's suffix above `now`, so the `capacity`-th latest of
-        // them is the `capacity`-th latest completion overall.
-        let free_at = self.by_done[self.by_done.len() - self.capacity];
+        // the sorted records' suffix above `now`, so the `capacity`-th
+        // latest of them is the `capacity`-th latest completion overall.
+        let free_at = self.records[self.records.len() - self.capacity].done;
         self.stats.full_stalls += 1;
         self.stats.full_stall_cycles += (free_at - now).as_u64();
         MshrLookup::Full(free_at)
@@ -209,36 +231,45 @@ impl MshrFile {
     ///
     /// Call after a [`MshrLookup::Free`] probe (or after waiting out a
     /// [`MshrLookup::Full`]); `now` is when the fetch was actually sent.
-    /// Records are never overwritten in place — an expired register's
-    /// *record* may still be needed by a probe that is processed later
-    /// but timestamped earlier (see [`HISTORY_SLACK`]); instead the
-    /// oldest-completing record (the first in record order, on ties) is
-    /// evicted once the history is full.
+    /// Records are never overwritten while the history has room — an
+    /// expired register's *record* may still be needed by a probe that is
+    /// processed later but timestamped earlier (see [`HISTORY_SLACK`]).
+    /// Once the history is full, the earliest-completing record (the
+    /// first in record order, on ties) is evicted and the new fill takes
+    /// its slot; a new fill that completes before every record is itself
+    /// the one evicted, so it is dropped at once (still counted as
+    /// allocated).
     pub fn allocate(&mut self, line: LineAddr, now: Cycles, done: Cycles) {
         debug_assert!(self.in_flight(now) < self.capacity, "no free register");
         self.stats.allocated += 1;
-        self.lines.push(line);
-        self.dones.push(done);
-        // New fills complete late, so their place is near the tail.
-        let at = self.by_done.len() - self.by_done.iter().rev().take_while(|&&d| d > done).count();
-        self.by_done.insert(at, done);
-        if self.dones.len() > self.capacity + HISTORY_SLACK {
-            let min = self.by_done.pop_front().expect("non-empty index");
-            let oldest = self
-                .dones
-                .iter()
-                .position(|&d| d == min)
-                .expect("minimum is present");
-            self.lines.swap_remove(oldest);
-            self.dones.swap_remove(oldest);
+        let mut slot = self.sorted().len();
+        if slot == self.capacity + HISTORY_SLACK {
+            let oldest = self.records[self.front];
+            if done < oldest.done {
+                return;
+            }
+            self.front += 1;
+            if self.front == HISTORY_SLACK {
+                self.records.drain(..self.front);
+                self.front = 0;
+            }
+            slot = oldest.slot;
         }
+        let record = Record { done, slot, line };
+        // New fills complete late, so their place is near the tail.
+        let later = self
+            .sorted()
+            .iter()
+            .rev()
+            .take_while(|&&r| r > record)
+            .count();
+        self.records.insert(self.records.len() - later, record);
     }
 
     /// Clears in-flight entries and statistics.
     pub fn reset(&mut self) {
-        self.lines.clear();
-        self.dones.clear();
-        self.by_done.clear();
+        self.records.clear();
+        self.front = 0;
         self.stats = MshrStats::default();
     }
 
@@ -257,6 +288,24 @@ mod tests {
 
     fn line(addr: u64) -> LineAddr {
         LineAddr::of(PhysAddr::new(addr))
+    }
+
+    /// The file's records in record order, as the lines and completion
+    /// times of slots 0, 1, …; panics unless the slots are exactly
+    /// `0..len`, each held once.
+    fn record_order(file: &MshrFile) -> (Vec<LineAddr>, Vec<Cycles>) {
+        let mut slots = vec![None; file.sorted().len()];
+        for r in file.sorted() {
+            assert!(
+                slots[r.slot].replace((r.line, r.done)).is_none(),
+                "slot {} held twice",
+                r.slot
+            );
+        }
+        slots
+            .into_iter()
+            .map(|s| s.expect("every slot held"))
+            .unzip()
     }
 
     #[test]
@@ -493,8 +542,9 @@ mod tests {
                 "stats after step {}",
                 i
             );
-            prop_assert_eq!(&fast.lines, &oracle.lines, "record lines after step {}", i);
-            prop_assert_eq!(&fast.dones, &oracle.dones, "record times after step {}", i);
+            let (lines, dones) = record_order(&fast);
+            prop_assert_eq!(&lines, &oracle.lines, "record lines after step {}", i);
+            prop_assert_eq!(&dones, &oracle.dones, "record times after step {}", i);
         }
         prop_assert_eq!(oracle.dones.len(), capacity + HISTORY_SLACK);
         Ok(())
@@ -566,8 +616,9 @@ mod tests {
                 "stats after step {}",
                 i
             );
-            prop_assert_eq!(&fast.lines, &oracle.lines, "record lines after step {}", i);
-            prop_assert_eq!(&fast.dones, &oracle.dones, "record times after step {}", i);
+            let (lines, dones) = record_order(&fast);
+            prop_assert_eq!(&lines, &oracle.lines, "record lines after step {}", i);
+            prop_assert_eq!(&dones, &oracle.dones, "record times after step {}", i);
         }
         prop_assert_eq!(oracle.dones.len(), capacity + HISTORY_SLACK);
         Ok(())
@@ -598,8 +649,131 @@ mod tests {
             m.allocate(line(i * 64), now, now + Cycles::new(10));
             now += Cycles::new(10);
         }
-        assert!(m.lines.len() <= 2 + HISTORY_SLACK);
+        assert!(m.sorted().len() <= 2 + HISTORY_SLACK);
         assert!(m.in_flight(now - Cycles::new(5)) >= 1, "newest survives");
+    }
+
+    /// When the fills of [`full_history`] were sent: every record has
+    /// completed by then.
+    const SENT: Cycles = Cycles::new(1_000);
+
+    /// A 2-register file and its oracle with a full history: slot `i`
+    /// holds line `i`, completing at `100 + i` unless `overrides` names
+    /// the slot with another completion time.
+    fn full_history(overrides: &[(usize, u64)]) -> (MshrFile, ScanOracle) {
+        let (mut fast, mut oracle) = (MshrFile::new(2), ScanOracle::new(2));
+        for i in 0..2 + HISTORY_SLACK {
+            let done = overrides
+                .iter()
+                .find(|&&(slot, _)| slot == i)
+                .map_or(100 + i as u64, |&(_, done)| done);
+            fast.allocate(line(i as u64 * 64), SENT, Cycles::new(done));
+            oracle.allocate(line(i as u64 * 64), Cycles::new(done));
+        }
+        (fast, oracle)
+    }
+
+    /// Allocates `line` completing at `done` in both, checks that the
+    /// oracle agrees on every record and on the statistics, and returns
+    /// the file's records in record order.
+    fn allocate_both(
+        fast: &mut MshrFile,
+        oracle: &mut ScanOracle,
+        line: LineAddr,
+        done: u64,
+    ) -> (Vec<LineAddr>, Vec<Cycles>) {
+        fast.allocate(line, SENT, Cycles::new(done));
+        oracle.allocate(line, Cycles::new(done));
+        let records = record_order(fast);
+        assert_eq!(records.0, oracle.lines, "record lines");
+        assert_eq!(records.1, oracle.dones, "record times");
+        assert_eq!(format!("{:?}", fast.stats()), format!("{:?}", oracle.stats));
+        records
+    }
+
+    #[test]
+    fn a_fill_tying_the_earliest_record_takes_its_slot() {
+        let (mut fast, mut oracle) = full_history(&[(5, 50)]);
+        let (mut lines, mut dones) = record_order(&fast);
+        let new = line(0x9000);
+        // The old record leaves on the tie, not the new fill.
+        lines[5] = new;
+        dones[5] = Cycles::new(50);
+        assert_eq!(
+            allocate_both(&mut fast, &mut oracle, new, 50),
+            (lines, dones)
+        );
+        assert_eq!(
+            fast.fill_in_flight(new, Cycles::new(49)),
+            Some(Cycles::new(50))
+        );
+    }
+
+    #[test]
+    fn a_fill_completing_before_every_record_is_dropped() {
+        let (mut fast, mut oracle) = full_history(&[(5, 50)]);
+        let before = record_order(&fast);
+        let new = line(0x9000);
+        assert_eq!(allocate_both(&mut fast, &mut oracle, new, 40), before);
+        assert_eq!(
+            fast.stats().allocated,
+            2 + HISTORY_SLACK as u64 + 1,
+            "still allocated"
+        );
+        assert_eq!(fast.fill_in_flight(new, Cycles::new(39)), None);
+    }
+
+    #[test]
+    fn tied_earliest_records_leave_lowest_slot_first() {
+        // After three evictions, slots 50, 7 and 30 (filled in that
+        // order) all complete at 50, the earliest time left.
+        let (mut fast, mut oracle) = full_history(&[(7, 20), (30, 20), (50, 10)]);
+        let (mut lines, mut dones) = record_order(&fast);
+        for (k, slot) in [50, 7, 30].into_iter().enumerate() {
+            let new = line(0xA000 + k as u64 * 64);
+            (lines[slot], dones[slot]) = (new, Cycles::new(50));
+            let got = allocate_both(&mut fast, &mut oracle, new, 50);
+            assert_eq!(
+                got,
+                (lines.clone(), dones.clone()),
+                "fill {k} into slot {slot}"
+            );
+        }
+        // Later fills evict the tied records by slot, not by arrival.
+        for (k, slot) in [7, 30, 50].into_iter().enumerate() {
+            let new = line(0xB000 + k as u64 * 64);
+            (lines[slot], dones[slot]) = (new, Cycles::new(70));
+            let got = allocate_both(&mut fast, &mut oracle, new, 70);
+            assert_eq!(
+                got,
+                (lines.clone(), dones.clone()),
+                "fill {k} into slot {slot}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_merge_reports_the_first_live_record_of_its_line() {
+        // Four records of one line: slot 0 has landed by t=150; of the
+        // live ones, slot 1 is first in record order, though slot 2
+        // lands earliest and slot 4 latest.
+        let mut m = MshrFile::new(8);
+        let y = line(0x4000);
+        for (l, done) in [(y, 100), (y, 300), (y, 200), (line(0x8000), 500), (y, 400)] {
+            m.allocate(l, Cycles::ZERO, Cycles::new(done));
+        }
+        assert_eq!(
+            m.fill_in_flight(y, Cycles::new(150)),
+            Some(Cycles::new(300))
+        );
+        assert_eq!(
+            m.probe(y, Cycles::new(150)),
+            MshrLookup::Coalesced(Cycles::new(300))
+        );
+        assert_eq!(
+            m.fill_in_flight(y, Cycles::new(300)),
+            Some(Cycles::new(400))
+        );
     }
 
     #[test]
