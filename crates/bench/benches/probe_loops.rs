@@ -1,12 +1,13 @@
 //! Criterion microbenches for the three hot probe loops every simulated
 //! op leans on: the TLB set scan, the PWC probe/fill cycle, and the MSHR
-//! live-fill scan, plus an MSHR file in its windowed steady state. Each
+//! live-fill scans over a full file, plus an MSHR file in its windowed
+//! steady state; no MSHR file holds more live fills than registers. Each
 //! loop is a branch-light linear pass; these benches pin their per-probe
 //! cost so a layout regression shows up as a ns/iter jump rather than
 //! only as noise in an end-to-end `simbench` run.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use ndp_cache::mshr::{MshrFile, MshrLookup, HISTORY_SLACK};
+use ndp_cache::mshr::{MshrFile, MshrLookup, MshrStep, HISTORY_SLACK};
 use ndp_mmu::pwc::PwcSet;
 use ndp_mmu::tlb::TlbHierarchy;
 use ndp_types::{Asid, Cycles, LineAddr, PageSize, Pfn, PhysAddr, PtLevel, Vpn};
@@ -61,36 +62,48 @@ fn bench_pwc_probe_fill(c: &mut Criterion) {
     group.finish();
 }
 
-/// Live-fill scans over a populated MSHR file at history capacity:
-/// `fill_in_flight` and `in_flight` walk the records still in flight (49
-/// of the 80 at `fill_in_flight`'s instant, far more than a windowed
-/// core's file holds).
+/// A 16-register MSHR file at history capacity (16 + [`HISTORY_SLACK`]
+/// records), filled the way the timing loop fills one: each miss goes
+/// through [`MshrFile::step`], waits out a full file, and registers its
+/// fill. Misses leave 2 cycles apart and take 40, so the file runs full;
+/// returns it with the instant after the last miss, when all 16 registers
+/// are live.
+fn full_mshr_file() -> (MshrFile, Cycles) {
+    let mut mshr = MshrFile::new(16);
+    let mut now = Cycles::ZERO;
+    for i in 0..(16 + HISTORY_SLACK) as u64 {
+        let line = LineAddr::of(PhysAddr::new(i << 6));
+        let MshrStep::Fetch(send) = mshr.step(line, false, now) else {
+            unreachable!("distinct lines never merge");
+        };
+        mshr.allocate(line, send, send + Cycles::new(40));
+        now = send + Cycles::new(2);
+    }
+    assert_eq!(mshr.in_flight(now), 16, "the file runs full");
+    (mshr, now)
+}
+
+/// Live-fill scans over [`full_mshr_file`]: `fill_in_flight` walks its
+/// 16 live fills at the file's last instant (one line in six is among
+/// them), and `in_flight` counts them at instants from there to the last
+/// completion, so it finds 16 down to none.
 fn bench_mshr_live_scan(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_loops");
     group.bench_function("mshr_live_fill_scan", |b| {
-        let mut mshr = MshrFile::new(16);
-        // Fill the file plus its history slack so scans run at max length.
-        for i in 0..80u64 {
-            let line = LineAddr::of(PhysAddr::new(i << 6));
-            mshr.allocate(line, Cycles::new(i), Cycles::new(i + 10));
-        }
+        let (mut mshr, now) = full_mshr_file();
         let mut i = 0u64;
         b.iter(|| {
             i += 1;
             let line = LineAddr::of(PhysAddr::new((i % 96) << 6));
-            black_box(mshr.fill_in_flight(line, Cycles::new(40)))
+            black_box(mshr.fill_in_flight(line, now))
         });
     });
     group.bench_function("mshr_in_flight_count", |b| {
-        let mut mshr = MshrFile::new(16);
-        for i in 0..80u64 {
-            let line = LineAddr::of(PhysAddr::new(i << 6));
-            mshr.allocate(line, Cycles::new(i), Cycles::new(i + 10));
-        }
-        let mut now = 0u64;
+        let (mshr, now) = full_mshr_file();
+        let mut k = 0u64;
         b.iter(|| {
-            now = (now + 1) % 300;
-            black_box(mshr.in_flight(Cycles::new(now)))
+            k = (k + 1) % 40;
+            black_box(mshr.in_flight(now + Cycles::new(k)))
         });
     });
     group.finish();

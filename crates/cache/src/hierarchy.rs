@@ -47,15 +47,6 @@ impl LookupResult {
     pub fn is_hit(self) -> bool {
         matches!(self, LookupResult::Hit { .. })
     }
-
-    /// Latency spent probing, regardless of outcome.
-    #[must_use]
-    pub fn latency(self) -> Cycles {
-        match self {
-            LookupResult::Hit { latency, .. } => latency,
-            LookupResult::MissAll { lookup_latency } => lookup_latency,
-        }
-    }
 }
 
 /// An inclusive-enough multi-level cache (fills install in every level,
@@ -305,8 +296,12 @@ mod tests {
         let mut h = CacheHierarchy::ndp();
         let a = PhysAddr::new(0x2000);
         let miss = h.lookup(a, RwKind::Read, AccessClass::Data);
-        assert!(!miss.is_hit());
-        assert_eq!(miss.latency(), Cycles::new(4));
+        assert_eq!(
+            miss,
+            LookupResult::MissAll {
+                lookup_latency: Cycles::new(4)
+            }
+        );
         h.fill(a, AccessClass::Data, false);
         let hit = h.lookup(a, RwKind::Read, AccessClass::Data);
         assert_eq!(
@@ -322,7 +317,12 @@ mod tests {
     fn cpu_miss_probes_all_levels() {
         let mut h = CacheHierarchy::cpu(1);
         let r = h.lookup(PhysAddr::new(0), RwKind::Read, AccessClass::Data);
-        assert_eq!(r.latency(), Cycles::new(4 + 16 + 35));
+        assert_eq!(
+            r,
+            LookupResult::MissAll {
+                lookup_latency: Cycles::new(4 + 16 + 35)
+            }
+        );
     }
 
     #[test]

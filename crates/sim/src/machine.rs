@@ -43,19 +43,20 @@
 //!
 //! Each core's private cache hierarchy has one home, chosen from the
 //! config. In a blocking run (`mlp_window = 1`) with neither a shared L3
-//! nor vault buffers it lives on the frontend, which resolves each memory
-//! op's non-bypassed PTE fetches in walk order and then its data access:
-//! the lookup and, on a full miss, the fill. Each chunk carries one
-//! outcome per access (lookup latency, serving level or miss, number of
-//! dirty victims) and the dirty victims in order. The timing loop charges
-//! a hit its latency, sends a miss to memory, and posts the fill's dirty
-//! victims at its completion in level order — the requests it would make
-//! with the caches on its side. That is exact because in such a run a
-//! core's cache contents follow from its own access order alone, as its
-//! TLBs' do: MSHR merges and hit-under-miss happen only in windowed runs,
-//! metadata never coalesces, and only an inclusive shared L3
-//! back-invalidates private lines. Every other run keeps the caches on the
-//! timing side, where those timing-ordered effects are modelled.
+//! nor vault buffers it lives on the frontend, which looks up each memory
+//! op's non-bypassed PTE fetches in walk order and then its data access,
+//! fills a full miss, and records the outcome (lookup latency, serving
+//! level or miss, number of dirty victims) and the dirty victims. Every
+//! other run keeps the caches on the timing side, where timing-ordered
+//! effects are modelled, and the timing loop's lookup gives the same
+//! outcome. From there one path serves both: a hit costs its latency; a
+//! miss fetches the line, then installs it level by level (timing side)
+//! or posts the recorded dirty victims at its completion in level order,
+//! the requests the timing side makes without a shared level. That is
+//! exact because in such a run a core's cache contents follow from its
+//! own access order alone, as its TLBs' do: MSHR merges and hit-under-miss
+//! happen only in windowed runs, metadata never coalesces, and only an
+//! inclusive shared L3 back-invalidates private lines.
 //!
 //! Frontends run one chunk ahead on `default_threads() - 1` scoped
 //! producer threads, each serving every `n`-th core through a bounded
@@ -684,18 +685,20 @@ impl Machine {
     /// [`crate::parallel::default_threads`] allows more than one thread
     /// and this is not already a parallel worker.
     #[must_use]
-    pub fn run(self) -> RunReport {
+    pub fn run(mut self) -> RunReport {
         let producers = if crate::parallel::in_worker() {
             0
         } else {
             crate::parallel::default_threads() - 1
         };
-        self.run_with(producers)
+        self.simulate(producers);
+        self.into_report()
     }
 
-    /// [`Machine::run`] with `producers` frontend threads (at most one per
-    /// core; 0 translates inline). The report is the same for every count.
-    fn run_with(mut self, producers: usize) -> RunReport {
+    /// [`Machine::run`]'s warmup and measurement, with `producers`
+    /// frontend threads (at most one per core; 0 translates inline). The
+    /// machine ends in the same state for every count.
+    fn simulate(&mut self, producers: usize) {
         let ahead = self.fronts.iter().all(|front| front.caches.is_some());
         let lanes: Vec<Lane> = std::mem::take(&mut self.fronts)
             .into_iter()
@@ -724,14 +727,13 @@ impl Machine {
             }
         });
         self.fronts = lanes.into_iter().map(Lane::into_frontend).collect();
-        self.into_report()
     }
 
     /// The scheduler over the cores' record streams (see
     /// [`Machine::run`]); `producers[i % n]` fills core `i`'s lane.
     /// `AHEAD`: the private caches run on the frontends, and each access
-    /// arrives resolved (a constant, so neither path tests it per
-    /// access).
+    /// arrives resolved (a constant, so no access tests where its
+    /// outcome comes from).
     fn timing_loop<const AHEAD: bool>(&mut self, lanes: &[Lane], producers: &[Thread]) {
         let total_ops = self.cfg.warmup_ops + self.cfg.measure_ops;
         let mut cursors: Vec<Cursor> = lanes.iter().map(|_| Cursor::default()).collect();
@@ -999,7 +1001,10 @@ impl Machine {
     }
 
     /// One memory access through (or around) core `i`'s cache hierarchy,
-    /// issued at `t_issue`; returns its **completion timestamp**.
+    /// issued at `t_issue`; returns its **completion timestamp**. The
+    /// private levels' outcome ([`Resolved`]) is the frontend's record
+    /// with `AHEAD` and the timing side's lookup otherwise; from there
+    /// both homes take one path.
     ///
     /// A miss walks one chain below the core: the private levels, then
     /// the shared L3 when configured (`read_l3`), then the line's vault
@@ -1016,10 +1021,6 @@ impl Machine {
     /// skip the MSHRs — their structural limit is the hardware walkers,
     /// and within one walk a round's parallel fetches (ECH's hash ways)
     /// must not serialise on miss registers the walker does not use.
-    ///
-    /// With `AHEAD`, the frontend has already looked the access up and
-    /// filled it ([`Resolved`]): a hit costs its recorded latency and a
-    /// miss goes to [`Machine::resolved_miss`].
     fn access_done<const AHEAD: bool>(
         &mut self,
         i: usize,
@@ -1039,53 +1040,56 @@ impl Machine {
                 .request_ticketed(addr, rw, class, t_issue, arrival);
             return ticket.done + one_way;
         }
-        if AHEAD {
-            let access = cursor.next_access();
-            let t = t_issue + Cycles::new(u64::from(access.latency));
-            if access.level != Resolved::MISS {
-                return t;
-            }
-            return self.resolved_miss(i, addr, class, access.dirty, t, cursor);
-        }
+        let access = if AHEAD {
+            cursor.next_access()
+        } else {
+            Resolved::new(self.cores[i].caches().lookup(addr, rw, class), 0)
+        };
+        let t = t_issue + Cycles::new(u64::from(access.latency));
+        let hit = access.level != Resolved::MISS;
         // MSHR bookkeeping only matters when ops can overlap; a blocking
         // core's previous fill always lands before its next access, so
         // skipping the (provably inert) scans keeps the default hot path
-        // at pre-pipeline speed. Metadata skips them in any mode — the
-        // walker file, not the miss file, is its structural limit.
-        let coalesce = class == AccessClass::Data && !self.cfg.is_blocking();
-        let caches = self.cores[i].caches();
-        let look = caches.lookup(addr, rw, class);
-        let t = t_issue + look.latency();
-        let step = if coalesce {
-            caches.mshr_step(addr, look.is_hit(), t)
-        } else if look.is_hit() {
+        // at pre-pipeline speed. `AHEAD` runs are blocking.
+        let step = if !AHEAD && self.coalesces(class) {
+            self.cores[i].caches().mshr_step(addr, hit, t)
+        } else if hit {
             MshrStep::Ready(t)
         } else {
             MshrStep::Fetch(t)
         };
         match step {
             MshrStep::Ready(done) => done,
-            MshrStep::Fetch(send_t) => self.private_miss(i, addr, rw, class, coalesce, send_t),
+            MshrStep::Fetch(send_t) => {
+                let victims = cursor.next_victims(access.dirty);
+                self.private_miss::<AHEAD>(i, addr, rw, class, victims, send_t)
+            }
         }
     }
 
+    /// Whether a private miss of `class` uses the MSHR file ([`Machine::access_done`]).
+    fn coalesces(&self, class: AccessClass) -> bool {
+        class == AccessClass::Data && !self.cfg.is_blocking()
+    }
+
     /// A miss in core `i`'s private levels, leaving for the chain below
-    /// at `send_t`: fetch the line, register the fill when its MSHR file
-    /// tracks it, install it and route the victims. Returns when the data
-    /// is back at the core.
+    /// at `send_t`: fetch the line, post the outcome's recorded dirty
+    /// `victims` (with `AHEAD` the frontend has installed the line), or
+    /// else register the fill when its MSHR file tracks it, install it
+    /// and route the victims. Returns when the data is back at the core.
     ///
     /// Kept out of line so that a hit, the common case, does not pay the
     /// miss chain's register and stack setup: with the chain inlined into
     /// `access_done`, simbench's `shootout_blocking` ran 6–11% fewer
     /// simulated ops per second on a 2-CPU x86_64 host.
     #[inline(never)]
-    fn private_miss(
+    fn private_miss<const AHEAD: bool>(
         &mut self,
         i: usize,
         addr: PhysAddr,
         rw: RwKind,
         class: AccessClass,
-        coalesce: bool,
+        victims: &[Victim],
         send_t: Cycles,
     ) -> Cycles {
         // The demand fill fetches the line regardless of load or store
@@ -1093,40 +1097,25 @@ impl Machine {
         // goes below as a *read* — which is also what keeps it in the
         // demand-latency statistics.
         let (done, extracted_dirty) = self.read_l3(i, addr, class, send_t);
-        let caches = self.cores[i].caches();
-        if coalesce {
-            caches.register_fill(addr, send_t, done);
+        if AHEAD {
+            // An ahead run has no L3, so a victim's level does not change
+            // its route.
+            for &victim in victims {
+                self.route_private_victim(i, victim, false, done);
+            }
+            return done;
+        }
+        if self.coalesces(class) {
+            self.cores[i].caches().register_fill(addr, send_t, done);
         }
         // Routing a victim touches only the shared levels and memory, so
         // each level's victim goes out as soon as that level installs.
         let dirty = rw.is_write() || extracted_dirty;
-        let outer = caches.depth() - 1;
+        let outer = self.cores[i].caches().depth() - 1;
         for level in 0..=outer {
             if let Some(victim) = self.cores[i].caches().install(level, addr, class, dirty) {
                 self.route_private_victim(i, victim, level == outer, done);
             }
-        }
-        done
-    }
-
-    /// A miss the frontend resolved, leaving for memory at `send_t` (a run
-    /// with caches ahead has no shared level): fetch the line, then post
-    /// the fill's `dirty` victims at its completion in level order — the
-    /// DRAM requests [`Machine::private_miss`] makes without an L3.
-    #[inline(never)]
-    fn resolved_miss(
-        &mut self,
-        i: usize,
-        addr: PhysAddr,
-        class: AccessClass,
-        dirty: u8,
-        send_t: Cycles,
-        cursor: &mut Cursor,
-    ) -> Cycles {
-        let done = self.read_memory(i, addr, class, send_t);
-        for _ in 0..dirty {
-            let victim = cursor.next_victim();
-            self.post_write(i, victim.addr, victim.class, done);
         }
         done
     }
@@ -1457,6 +1446,12 @@ mod tests {
     use super::*;
     use ndp_workloads::WorkloadId;
 
+    /// Runs `m` with `producers` frontend threads.
+    fn run_with(mut m: Machine, producers: usize) -> RunReport {
+        m.simulate(producers);
+        m.into_report()
+    }
+
     fn quick(mechanism: Mechanism) -> RunReport {
         Machine::new(SimConfig::quick(
             SystemKind::Ndp,
@@ -1702,7 +1697,7 @@ mod tests {
             WorkloadId::Rnd,
         ));
         m.fronts[0].procs[0].table = build_table(Mechanism::Radix, &mut m.alloc);
-        let _ = m.run_with(0);
+        let _ = run_with(m, 0);
     }
 
     /// One producer thread serving all eight frontends, three serving
@@ -1727,9 +1722,9 @@ mod tests {
                 .with_ops(2_000, 6_000),
         ];
         for cfg in configs {
-            let inline = Machine::new(cfg.clone()).run_with(0).fingerprint();
+            let inline = run_with(Machine::new(cfg.clone()), 0).fingerprint();
             for producers in [1, 3] {
-                let r = Machine::new(cfg.clone()).run_with(producers);
+                let r = run_with(Machine::new(cfg.clone()), producers);
                 assert_eq!(
                     r.fingerprint(),
                     inline,
@@ -1741,10 +1736,24 @@ mod tests {
         }
     }
 
-    /// Private caches resolved ahead on the frontends give the report the
-    /// timing loop gives with the same caches, on every system, mechanism
-    /// and core count, with untagged multiprogramming, and under every
-    /// producer count.
+    /// Each core's private-cache statistics after a run, as text: every
+    /// level's [`ndp_cache::set_assoc::CacheStats`], then the MSHR file's.
+    fn private_stats(m: &Machine) -> Vec<String> {
+        m.cores
+            .iter()
+            .zip(&m.fronts)
+            .map(|(core, front)| {
+                let caches = core.caches.as_ref().or(front.caches.as_ref()).unwrap();
+                let levels: Vec<_> = (0..caches.depth()).map(|l| caches.level_stats(l)).collect();
+                format!("{levels:?} {:?}", caches.mshr_stats())
+            })
+            .collect()
+    }
+
+    /// Private caches resolved ahead on the frontends give the report and
+    /// the per-level cache and MSHR statistics the timing loop gives with
+    /// the same caches, on every system, mechanism and core count, with
+    /// untagged multiprogramming, and under every producer count.
     #[test]
     fn private_caches_ahead_match_the_timing_loop() {
         let mut configs = Vec::new();
@@ -1772,28 +1781,26 @@ mod tests {
                 ahead.fronts.iter().all(|f| f.caches.is_some()),
                 "{label}: a blocking run without a shared level runs its caches ahead"
             );
-            let reference = Machine::with_timing_side_caches(cfg.clone()).run_with(0);
+            let mut reference = Machine::with_timing_side_caches(cfg.clone());
+            reference.simulate(0);
+            let reference_stats = private_stats(&reference);
+            let reference = reference.into_report();
             assert!(
                 reference.mem_traffic.write > 0,
                 "{label}: dirty victims reach memory"
             );
             for producers in [0, 1, 3] {
-                let timing_side = Machine::with_timing_side_caches(cfg.clone()).run_with(producers);
-                let ahead = Machine::new(cfg.clone()).run_with(producers);
-                for r in [&timing_side, &ahead] {
-                    assert_eq!(
-                        r.fingerprint(),
-                        reference.fingerprint(),
-                        "{label}, {producers} producers"
-                    );
-                    assert_eq!(
-                        r.l1_data, reference.l1_data,
-                        "{label}, {producers} producers"
-                    );
-                    assert_eq!(
-                        r.l1_metadata, reference.l1_metadata,
-                        "{label}, {producers} producers"
-                    );
+                for mut m in [
+                    Machine::with_timing_side_caches(cfg.clone()),
+                    Machine::new(cfg.clone()),
+                ] {
+                    m.simulate(producers);
+                    let context = format!("{label}, {producers} producers");
+                    assert_eq!(private_stats(&m), reference_stats, "{context}");
+                    let r = m.into_report();
+                    assert_eq!(r.fingerprint(), reference.fingerprint(), "{context}");
+                    assert_eq!(r.l1_data, reference.l1_data, "{context}");
+                    assert_eq!(r.l1_metadata, reference.l1_metadata, "{context}");
                 }
             }
         }

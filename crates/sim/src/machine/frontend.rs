@@ -77,22 +77,38 @@ pub(super) enum Rec {
     Mem(MemRec),
 }
 
-/// A private-cache access resolved ahead of timing: a non-bypassed PTE
-/// fetch or a data access, looked up and, on a full miss, filled.
+/// The outcome of a private-cache access (a non-bypassed PTE fetch or a
+/// data access) in either home of the caches: resolved ahead of timing
+/// (looked up and, on a full miss, filled), or looked up by the timing
+/// loop.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct Resolved {
     /// Probe latency of the levels looked up (all of them on a miss).
     pub latency: u32,
     /// The level that served the access (0 = L1), or [`Resolved::MISS`].
     pub level: u8,
-    /// Dirty victims of the fill after a miss; they follow in level order
-    /// in the chunk's `victims`.
+    /// Dirty victims of the frontend's fill after a miss; they follow in
+    /// level order in the chunk's `victims`. Always 0 on the timing side,
+    /// which installs after the fetch.
     pub dirty: u8,
 }
 
 impl Resolved {
     /// `level` of an access that missed every private level.
     pub const MISS: u8 = u8::MAX;
+
+    /// The outcome of `look`, whose fill evicted `dirty` dirty victims.
+    pub fn new(look: LookupResult, dirty: u8) -> Self {
+        let (latency, level) = match look {
+            LookupResult::Hit { level, latency } => (latency, level as u8),
+            LookupResult::MissAll { lookup_latency } => (lookup_latency, Resolved::MISS),
+        };
+        Resolved {
+            latency: latency.as_u64() as u32,
+            level,
+            dirty,
+        }
+    }
 }
 
 /// A run of consecutive records of one core.
@@ -121,19 +137,13 @@ impl Chunk {
     ) {
         let before = self.victims.len();
         let victims = &mut self.victims;
-        let (latency, level) = match caches.resolve(addr, rw, class, |_, v| {
+        let look = caches.resolve(addr, rw, class, |_, v| {
             if v.dirty {
                 victims.push(v);
             }
-        }) {
-            LookupResult::Hit { level, latency } => (latency, level as u8),
-            LookupResult::MissAll { lookup_latency } => (lookup_latency, Resolved::MISS),
-        };
-        self.accesses.push(Resolved {
-            latency: latency.as_u64() as u32,
-            level,
-            dirty: (self.victims.len() - before) as u8,
         });
+        let dirty = (self.victims.len() - before) as u8;
+        self.accesses.push(Resolved::new(look, dirty));
     }
 }
 
@@ -519,10 +529,12 @@ impl Cursor {
         self.chunk.accesses[self.access - 1]
     }
 
-    /// The next dirty victim of the current record's resolved misses.
-    pub fn next_victim(&mut self) -> Victim {
-        self.victim += 1;
-        self.chunk.victims[self.victim - 1]
+    /// The next `n` dirty victims of the current record's resolved misses
+    /// (none on the timing side, where `n` is always 0).
+    pub fn next_victims(&mut self, n: u8) -> &[Victim] {
+        let first = self.victim;
+        self.victim += usize::from(n);
+        &self.chunk.victims[first..self.victim]
     }
 }
 
