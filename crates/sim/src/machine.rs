@@ -52,8 +52,8 @@
 //! outcome. From there one path serves both: a hit costs its latency; a
 //! miss fetches the line, then installs it level by level (timing side)
 //! or posts the recorded dirty victims at its completion in level order,
-//! the requests the timing side makes without a shared level. That is
-//! exact because in such a run a core's cache contents follow from its
+//! the requests the timing side makes without a shared level. Running
+//! ahead is exact because there a core's cache contents follow from its
 //! own access order alone, as its TLBs' do: MSHR merges and hit-under-miss
 //! happen only in windowed runs, metadata never coalesces, and only an
 //! inclusive shared L3 back-invalidates private lines.
