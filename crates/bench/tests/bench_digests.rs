@@ -1,4 +1,4 @@
-//! The six pinned sweep digests: each folds (XOR) the `RunReport`
+//! The seven pinned sweep digests: each folds (XOR) the `RunReport`
 //! fingerprints of one fixed sweep, so any change to simulated behaviour
 //! on that sweep moves its constant. They cover the blocking figure
 //! engine plus a PWC-capacity sweep (`report`), the issue-window sweep
@@ -7,8 +7,9 @@
 //! runs the overlap (reservation-list) scheduler (`windowed_shared`), and
 //! Huge Page on memories small enough that 2 MB contiguity runs out
 //! during premap, so most of each footprint takes THP-fallback faults
-//! (`huge_fallback`). Every sweep runs on the parallel driver, so the
-//! pins also witness thread-count independence.
+//! (`huge_fallback`), and ECH machines whose processes premap the same
+//! regions (`ech_shared_layout`). Every sweep runs on the parallel
+//! driver, so the pins also witness thread-count independence.
 
 use ndp_bench::calibration;
 use ndp_sim::spec::{apply_knob, mechanism_names, run_sweep, SweepSpec};
@@ -22,6 +23,7 @@ const LLC_DIGEST: u64 = 14219396697369523494;
 const CAL_DIGEST: u64 = 907243844365967685;
 const WINDOWED_SHARED_DIGEST: u64 = 1664570759798941318;
 const HUGE_FALLBACK_DIGEST: u64 = 14058462956231557024;
+const ECH_SHARED_LAYOUT_DIGEST: u64 = 2805327607033760383;
 
 /// An NDP Radix machine with 4 k warmup / 8 k measured ops over 512 MB.
 fn base(cores: u32, workload: WorkloadId) -> SimConfig {
@@ -150,4 +152,31 @@ fn huge_fallback_digest_is_pinned() {
     assert_eq!(fallback, rows.map(|r| r.4));
     assert!(result.rows.iter().all(|r| r.report.faults.minor_2m > 0));
     assert_eq!(result.digest(), HUGE_FALLBACK_DIGEST);
+}
+
+/// ECH on RND (one region per process) and XS (two) with 1 core of 1
+/// process, and with 4 cores of 2 processes each: eight tables premapped
+/// over the same regions, whose frames, walk addresses and table sizes
+/// must stay each table's own however their layouts are built. At 8 MiB
+/// per process no table resizes, so every walk probes the ways its table
+/// was built with; at 64 MiB every table resizes during premap.
+#[test]
+fn ech_shared_layout_digest_is_pinned() {
+    let base =
+        SimConfig::new(SystemKind::Ndp, 1, Mechanism::Ech, WorkloadId::Rnd).with_ops(2_000, 4_000);
+    let spec = SweepSpec::new(base)
+        .axis("footprint", &[8u64 << 20, 64 << 20])
+        .axis("workload", &[WorkloadId::Rnd, WorkloadId::Xs])
+        .paired_axis(
+            [(1, 1), (4, 2)]
+                .iter()
+                .map(|&(cores, procs): &(u32, u32)| {
+                    vec![
+                        ("cores", cores.to_string()),
+                        ("procs_per_core", procs.to_string()),
+                    ]
+                })
+                .collect(),
+        );
+    assert_eq!(digest(&spec), ECH_SHARED_LAYOUT_DIGEST);
 }
