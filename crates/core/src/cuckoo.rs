@@ -16,6 +16,13 @@
 //! page's VPN (the low `KEY_BITS`) with the index of its leaf PTE in the
 //! table's one leaf array. The simulated layout is not this: a walk
 //! fetches the PTE-sized entry of each probed slot from the way's frames.
+//!
+//! Where entries land depends only on the VPN sequence, so tables
+//! premapped over the same pages hold the same slots: the machine shapes
+//! each distinct layout once and the other tables adopt it
+//! ([`ElasticCuckooTable::adopt_layout`]), sharing its slot arrays until
+//! one of them writes. The sharing is host-side only: each simulated
+//! table keeps its own way frames and leaf PTEs.
 
 use crate::alloc::{FrameAllocator, FramePurpose};
 use crate::occupancy::{LevelOccupancy, OccupancyReport};
@@ -24,6 +31,7 @@ use crate::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangePlan, T
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{PAGE_SHIFT, PAGE_SIZE, PTE_SIZE, VA_BITS};
 use ndp_types::{PageSize, Pfn, PtLevel, Vpn};
+use std::sync::Arc;
 
 /// Number of cuckoo ways (3-ary, as in the ECH paper's default).
 pub const WAYS: usize = 3;
@@ -154,9 +162,11 @@ impl Frames for Shaping {
     }
 }
 
+/// A way's slots and load: the part of a table that shaping lays out.
+/// Where the way's entries sit in simulated memory is the table's
+/// (`ElasticCuckooTable::bases`).
 #[derive(Debug, Clone)]
 struct Way {
-    base: Pfn,
     /// Packed slots (see [`pack`]), or [`EMPTY`].
     slots: Vec<u64>,
     used: usize,
@@ -213,8 +223,11 @@ pub struct CuckooStats {
 /// The elastic cuckoo page table ("ECH" in Figs 12–14).
 #[derive(Debug, Clone)]
 pub struct ElasticCuckooTable {
-    /// Boxed: the table sits inline in every process's context.
-    ways: Box<[Way; WAYS]>,
+    /// The layout, shared with the tables that adopted it or that it
+    /// was adopted from, and copied on its first write while shared.
+    ways: Arc<[Way; WAYS]>,
+    /// Each way's first frame, this table's own.
+    bases: [Pfn; WAYS],
     /// Every mapped page's leaf PTE, indexed by its slot's leaf field.
     leaves: Vec<Pte>,
     mapped: u64,
@@ -243,8 +256,8 @@ impl ElasticCuckooTable {
             0x1656_67B1_9E37_79F9,
         ];
         ElasticCuckooTable {
-            ways: Box::new(std::array::from_fn(|w| Way {
-                base: alloc.way(w, slots),
+            bases: std::array::from_fn(|w| alloc.way(w, slots)),
+            ways: Arc::new(std::array::from_fn(|w| Way {
                 slots: vec![EMPTY; slots],
                 used: 0,
                 limit: resize_limit(slots),
@@ -263,6 +276,30 @@ impl ElasticCuckooTable {
         &self.stats
     }
 
+    /// Makes this freshly built table what it would be had it shaped the
+    /// ranges `shaped` has shaped: it shares `shaped`'s slot arrays (a
+    /// later write copies them) and takes its mapped count, statistics
+    /// and shaping log. It keeps its own way bases, so planning still
+    /// makes its own allocator calls and its walks probe its own frames.
+    /// Both tables must start from the same way size, as [`Self::new`]
+    /// builds them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this table has mapped or shaped a page, or if `shaped`
+    /// has planned one.
+    pub fn adopt_layout(&mut self, shaped: &ElasticCuckooTable) {
+        assert_eq!(self.mapped, 0, "only a table that maps nothing adopts");
+        assert!(
+            shaped.leaves.is_empty(),
+            "a layout is adopted before its table plans"
+        );
+        self.ways = Arc::clone(&shaped.ways);
+        self.mapped = shaped.mapped;
+        self.stats = shaped.stats;
+        self.shaping.clone_from(&shaped.shaping);
+    }
+
     fn needs_resize(&self) -> bool {
         self.ways.iter().any(|w| w.used >= w.limit)
     }
@@ -272,19 +309,22 @@ impl ElasticCuckooTable {
     /// each would land there anyway. The other ways' entries are
     /// reinserted.
     fn resize<F: Frames>(&mut self, frames: &mut F) {
-        let mut entries = Vec::with_capacity(self.ways[1..].iter().map(|w| w.used).sum());
-        for way in &self.ways[1..] {
+        let ways = Arc::make_mut(&mut self.ways);
+        let mut entries = Vec::with_capacity(ways[1..].iter().map(|w| w.used).sum());
+        for way in &ways[1..] {
             entries.extend(way.slots.iter().copied().filter(|&slot| slot != EMPTY));
         }
-        let moved = (self.ways[0].used + entries.len()) as u64;
+        let moved = (ways[0].used + entries.len()) as u64;
         // Grown in place: glibc's `realloc` keeps a block in the arena that
         // allocated it, and a table's ways start in the main thread's, so
         // the memory one machine frees is reused by the next. Fresh
         // blocks would pile up in the arenas of the threads that shaped
         // the tables, raising peak RSS by a third on the calibration grid;
         // the leaf array grows only while planning, on the main thread.
-        for (w, way) in self.ways.iter_mut().enumerate() {
-            way.base = frames.way(w, way.slots.len() * 2);
+        // Tables that adopt a layout share these arrays and allocate
+        // none; the frames each table's ways take stay its own.
+        for (w, way) in ways.iter_mut().enumerate() {
+            self.bases[w] = frames.way(w, way.slots.len() * 2);
             if w == 0 {
                 way.split();
             } else {
@@ -299,11 +339,12 @@ impl ElasticCuckooTable {
     }
 
     fn insert<F: Frames>(&mut self, slot: u64, frames: &mut F) {
+        let ways = Arc::make_mut(&mut self.ways);
         let mut cur = slot;
         let mut way_idx = 0usize;
         for kick in 0..=MAX_KICKS {
             // Try every way for an empty slot first.
-            for way in self.ways.iter_mut() {
+            for way in ways.iter_mut() {
                 let idx = way.index(key(cur));
                 if way.slots[idx] == EMPTY {
                     way.slots[idx] = cur;
@@ -315,7 +356,7 @@ impl ElasticCuckooTable {
                 break;
             }
             // Displace from the rotating way.
-            let way = &mut self.ways[way_idx];
+            let way = &mut ways[way_idx];
             let idx = way.index(key(cur));
             std::mem::swap(&mut cur, &mut way.slots[idx]);
             self.stats.kicks += 1;
@@ -350,8 +391,9 @@ impl ElasticCuckooTable {
         let slot = pack(raw, frames.leaf(&mut self.leaves));
         match probed.iter().position(|&probe| probe == EMPTY) {
             Some(w) if !due => {
-                self.ways[w].slots[idx[w]] = slot;
-                self.ways[w].used += 1;
+                let way = &mut Arc::make_mut(&mut self.ways)[w];
+                way.slots[idx[w]] = slot;
+                way.used += 1;
             }
             _ => self.insert(slot, frames),
         }
@@ -442,7 +484,7 @@ impl PageTable for ElasticCuckooTable {
             plan_data_run(&mut plan, log.next, upto, alloc);
             log.next = upto;
             match owed {
-                Owed::Way { way, slots } => self.ways[way].base = alloc.way(way, slots),
+                Owed::Way { way, slots } => self.bases[way] = alloc.way(way, slots),
                 Owed::Skip => log.next += 1,
             }
         }
@@ -480,9 +522,9 @@ impl PageTable for ElasticCuckooTable {
         // One find() instead of two; the path probes every way anyway.
         let slot = self.find(vpn)?;
         let mut path = WalkPath::empty();
-        for (way_idx, way) in self.ways.iter().enumerate() {
+        for (way_idx, (way, base)) in self.ways.iter().zip(self.bases).enumerate() {
             path.push(WalkStep {
-                addr: way.base.entry_addr(way.index(vpn.as_u64())),
+                addr: base.entry_addr(way.index(vpn.as_u64())),
                 level: PtLevel::HashWay(way_idx as u8),
                 group: 0,
             });
@@ -581,37 +623,66 @@ mod tests {
         }
     }
 
-    /// Shapes each of `vpns` as a one-page range, plans and applies
-    /// them, and checks the result against a twin that maps them
-    /// directly. Returns the direct table and the shaping log's owed
-    /// allocator calls.
+    /// Premaps `vpns`, one page per range, in a pair of tables three
+    /// ways from the same start: each table shapes the pages itself;
+    /// both adopt the layout of a third table that shaped them; or both
+    /// map them directly. The shaped pairs plan page by page, taking
+    /// turns on one allocator as the machine's processes do, then apply;
+    /// the direct pair maps in the same turns. Checks both shaped pairs
+    /// against the direct one, and returns a direct table and the
+    /// shaping log's owed allocator calls.
     fn phased_matches_map(slots: usize, vpns: &[u64]) -> (ElasticCuckooTable, Vec<(u64, Owed)>) {
         let mut alloc = FrameAllocator::new(4 << 30);
-        let mut phased = ElasticCuckooTable::with_slots(&mut alloc, slots);
-        let mut direct_alloc = alloc.clone();
-        let mut direct = phased.clone();
+        let mut phased: [ElasticCuckooTable; 2] =
+            std::array::from_fn(|_| ElasticCuckooTable::with_slots(&mut alloc, slots));
+        let (mut adopting, mut adopting_alloc) = (phased.clone(), alloc.clone());
+        let (mut direct, mut direct_alloc) = (phased.clone(), alloc.clone());
+        // Its ways sit in other frames than either table's.
+        let mut shaped = ElasticCuckooTable::with_slots(&mut alloc.clone(), slots);
         for &v in vpns {
-            phased.shape_range(Vpn::new(v), 1);
-            direct.map(Vpn::new(v), &mut direct_alloc);
+            for table in phased.iter_mut().chain([&mut shaped]) {
+                table.shape_range(Vpn::new(v), 1);
+            }
+            for table in &mut direct {
+                table.map(Vpn::new(v), &mut direct_alloc);
+            }
         }
-        let owed = phased.shaping.as_ref().unwrap().owed.clone();
-        let plans: Vec<RangePlan> = vpns
-            .iter()
-            .map(|&v| phased.plan_range(Vpn::new(v), 1, &mut alloc).unwrap())
-            .collect();
-        for plan in &plans {
-            phased.apply_plan(plan);
+        for table in &mut adopting {
+            table.adopt_layout(&shaped);
         }
-        assert_eq!(alloc.frames_used(), direct_alloc.frames_used());
-        assert_eq!(alloc.stats(), direct_alloc.stats());
-        assert_eq!(phased.stats(), direct.stats());
-        for &v in vpns {
-            let vpn = Vpn::new(v);
-            assert_eq!(
-                phased.translate_and_walk(vpn),
-                direct.translate_and_walk(vpn)
-            );
+        let owed = phased[0].shaping.as_ref().unwrap().owed.clone();
+        for (tables, alloc) in [
+            (&mut phased, &mut alloc),
+            (&mut adopting, &mut adopting_alloc),
+        ] {
+            let mut plans: [Vec<RangePlan>; 2] = Default::default();
+            for &v in vpns {
+                for (table, plans) in tables.iter_mut().zip(&mut plans) {
+                    plans.push(table.plan_range(Vpn::new(v), 1, alloc).unwrap());
+                }
+            }
+            for (table, plans) in tables.iter_mut().zip(&plans) {
+                for plan in plans {
+                    table.apply_plan(plan);
+                }
+            }
+            assert_eq!(alloc.frames_used(), direct_alloc.frames_used());
+            assert_eq!(alloc.stats(), direct_alloc.stats());
+            for (table, direct) in tables.iter().zip(&direct) {
+                assert_eq!(table.stats(), direct.stats());
+                assert_eq!(table.occupancy(), direct.occupancy());
+                assert_eq!(table.table_bytes(), direct.table_bytes());
+                assert_eq!(table.mapped_pages(), direct.mapped_pages());
+                for &v in vpns {
+                    let vpn = Vpn::new(v);
+                    assert_eq!(
+                        table.translate_and_walk(vpn),
+                        direct.translate_and_walk(vpn)
+                    );
+                }
+            }
         }
+        let [direct, _] = direct;
         (direct, owed)
     }
 
@@ -637,6 +708,85 @@ mod tests {
             owed.iter().filter(|(_, o)| matches!(o, Owed::Skip)).count(),
             2
         );
+    }
+
+    /// Packed slots and load of every way, to compare layouts by.
+    fn layout(t: &ElasticCuckooTable) -> Vec<(Vec<u64>, usize)> {
+        t.ways.iter().map(|w| (w.slots.clone(), w.used)).collect()
+    }
+
+    #[test]
+    fn a_write_to_an_adopted_layout_leaves_its_other_holders_unchanged() {
+        let (mut alloc, mut shaped) = setup();
+        // Shape until a resize is due, so the adopter's first map writes
+        // the shared layout through a resize.
+        let mut pages = 0;
+        while !shaped.needs_resize() {
+            shaped.shape_range(Vpn::new(pages * 7919 + 1), 1);
+            pages += 1;
+        }
+        let mut tables: [ElasticCuckooTable; 2] =
+            std::array::from_fn(|_| ElasticCuckooTable::new(&mut alloc));
+        for table in &mut tables {
+            table.adopt_layout(&shaped);
+            let plans: Vec<RangePlan> = (0..pages)
+                .map(|p| {
+                    let vpn = Vpn::new(p * 7919 + 1);
+                    table.plan_range(vpn, 1, &mut alloc).unwrap()
+                })
+                .collect();
+            for plan in &plans {
+                table.apply_plan(plan);
+            }
+        }
+        let shaped_layout = layout(&shaped);
+        let [writer, reader] = &mut tables;
+        let walks: Vec<_> = (0..pages)
+            .map(|p| reader.translate_and_walk(Vpn::new(p * 7919 + 1)))
+            .collect();
+        let fresh = Vpn::new(3);
+        assert!(writer.map(fresh, &mut alloc).newly_mapped);
+        assert_eq!(writer.stats().resizes, reader.stats().resizes + 1);
+        assert!(writer.translate(fresh).is_some());
+        assert!(reader.translate(fresh).is_none());
+        assert_eq!(reader.mapped_pages(), pages);
+        assert!(Arc::ptr_eq(&reader.ways, &shaped.ways));
+        assert_eq!(layout(&shaped), shaped_layout);
+        for p in 0..pages {
+            let vpn = Vpn::new(p * 7919 + 1);
+            assert_eq!(reader.translate_and_walk(vpn), walks[p as usize]);
+            assert!(writer.translate(vpn).is_some());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "only a table that maps nothing adopts")]
+    fn adopting_into_a_table_that_maps_pages_panics() {
+        let (mut alloc, mut table) = setup();
+        let mut shaped = ElasticCuckooTable::new(&mut alloc);
+        shaped.shape_range(Vpn::new(10), 4);
+        table.map(Vpn::new(3), &mut alloc);
+        table.adopt_layout(&shaped);
+    }
+
+    #[test]
+    #[should_panic(expected = "a layout is adopted before its table plans")]
+    fn adopting_a_planned_layout_panics() {
+        let (mut alloc, mut table) = setup();
+        let mut shaped = ElasticCuckooTable::new(&mut alloc);
+        shaped.shape_range(Vpn::new(10), 4);
+        shaped.plan_range(Vpn::new(10), 4, &mut alloc).unwrap();
+        table.adopt_layout(&shaped);
+    }
+
+    #[test]
+    fn phased_premap_without_a_resize_walks_each_tables_own_ways() {
+        // No way is reallocated, so every walk probes the ways its table
+        // was built with, adopted layout or not.
+        let vpns: Vec<u64> = (0..500).map(|i| i * 7919 + 1).collect();
+        let (direct, owed) = phased_matches_map(ElasticCuckooTable::INITIAL_SLOTS, &vpns);
+        assert_eq!(direct.stats().resizes, 0);
+        assert!(owed.is_empty());
     }
 
     #[test]

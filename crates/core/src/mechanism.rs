@@ -114,6 +114,17 @@ pub enum PageTableImpl {
     Ech(ElasticCuckooTable),
 }
 
+impl PageTableImpl {
+    /// [`ElasticCuckooTable::adopt_layout`] when both tables are elastic
+    /// cuckoo tables; a no-op otherwise (a tree's layout is fixed by the
+    /// VPNs, so it shapes nothing to share).
+    pub fn adopt_layout(&mut self, shaped: &PageTableImpl) {
+        if let (PageTableImpl::Ech(table), PageTableImpl::Ech(shaped)) = (self, shaped) {
+            table.adopt_layout(shaped);
+        }
+    }
+}
+
 macro_rules! dispatch {
     ($self:ident, $table:ident => $body:expr) => {
         match $self {

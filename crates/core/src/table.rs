@@ -218,8 +218,9 @@ pub trait PageTable {
 
     /// The allocator-free first step of a phased premap: lays out
     /// `pages` pages from `first` as [`Self::map`] would, without touching
-    /// the allocator, so that per-table shaping can run in parallel
-    /// across tables. The allocator calls it owes are then made by
+    /// the allocator, so that shaping can run in parallel across tables,
+    /// and tables premapped over the same pages can share one shaped
+    /// layout (`PageTableImpl::adopt_layout`). The allocator calls it owes are then made by
     /// [`Self::plan_range`] over the same ranges in the same order, and
     /// the frames land in the table when [`Self::apply_plan`] has applied
     /// every resulting plan; until then the table must not be queried.

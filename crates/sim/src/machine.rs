@@ -557,9 +557,13 @@ impl Machine {
     /// already lazy iterators). The phase splits three ways, so that only
     /// the allocator calls run serially:
     ///
-    /// 1. **Shape**, one parallel task per table: each table lays out its
-    ///    own pages without the allocator ([`PageTable::shape_range`]; a
-    ///    no-op for the trees, whose layout the VPNs fix).
+    /// 1. **Shape**, one parallel task per distinct region list: its
+    ///    first table lays out its pages without the allocator
+    ///    ([`PageTable::shape_range`]; a no-op for the trees, whose
+    ///    layout the VPNs fix). An ECH layout depends only on the pages,
+    ///    so every other table over the same regions adopts it
+    ///    ([`ndpage::PageTableImpl::adopt_layout`]), sharing its slot
+    ///    arrays in host memory; each table keeps its own frames.
     /// 2. **Plan**, serially over the canonical interleaved schedule:
     ///    every allocator call a per-page `map` loop would make, in its
     ///    order (so frames, faults and digests are identical). Huge Page
@@ -598,13 +602,25 @@ impl Machine {
         let mut proc_faults = vec![RangeMapOutcome::default(); targets.len()];
         let mut plans: Vec<Vec<RangePlan>> = vec![Vec::new(); targets.len()];
         // Only the hashed table shapes (`shape_range` is a no-op on the
-        // trees), so the trees skip the fan-out.
-        let work: Vec<(&mut TableImpl, ChunkCursor<'_>)> = self
+        // trees), so the trees skip the fan-out. Each target's leader is
+        // the first target with its region list; only leaders shape.
+        let leaders: Vec<usize> = region_lists
+            .iter()
+            .map(|regions| region_lists.iter().position(|r| r == regions).unwrap())
+            .collect();
+        let mut tables: Vec<&mut TableImpl> = self
             .fronts
             .iter_mut()
             .flat_map(|f| f.procs.iter_mut().map(|p| &mut p.table))
-            .zip(region_lists.iter().map(|r| ChunkCursor::new(r)))
-            .filter(|(table, _)| table.kind() == PageTableKind::ElasticCuckoo)
+            .collect();
+        let work: Vec<(&mut TableImpl, ChunkCursor<'_>)> = tables
+            .iter_mut()
+            .zip(&region_lists)
+            .enumerate()
+            .filter(|&(i, (ref table, _))| {
+                leaders[i] == i && table.kind() == PageTableKind::ElasticCuckoo
+            })
+            .map(|(_, (table, regions))| (&mut **table, ChunkCursor::new(regions)))
             .collect();
         crate::parallel::par_map(work, |(table, mut cursor)| {
             while let Some((base, len)) = cursor.next_chunk() {
@@ -612,6 +628,10 @@ impl Machine {
                 table.shape_range(first, len.div_ceil(PAGE_SIZE));
             }
         });
+        for (i, &leader) in leaders.iter().enumerate().filter(|&(i, &l)| l != i) {
+            let (shaped, rest) = tables.split_at_mut(i);
+            rest[0].adopt_layout(shaped[leader]);
+        }
 
         // Round-robin passes over the cursors reproduce the historical
         // `for chunk_idx { for target }` interleaving exactly (exhausted
