@@ -27,7 +27,9 @@
 use crate::alloc::{FrameAllocator, FramePurpose};
 use crate::occupancy::{LevelOccupancy, OccupancyReport};
 use crate::pte::Pte;
-use crate::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangePlan, Translation};
+use crate::table::{
+    FaultKind, MapOutcome, PageTable, PageTableKind, RangeMapOutcome, RangePlan, Translation,
+};
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{PAGE_SHIFT, PAGE_SIZE, PTE_SIZE, VA_BITS};
 use ndp_types::{PageSize, Pfn, PtLevel, Vpn};
@@ -300,6 +302,47 @@ impl ElasticCuckooTable {
         self.shaping.clone_from(&shaped.shaping);
     }
 
+    /// The table borrowed for mapping, its layout made its own once per
+    /// call rather than once per page (`Arc::make_mut` is an atomic
+    /// read-modify-write). A shared layout is copied even if the call
+    /// then maps nothing new.
+    fn mapping(&mut self) -> Mapping<'_> {
+        Mapping {
+            ways: Arc::make_mut(&mut self.ways),
+            bases: &mut self.bases,
+            leaves: &mut self.leaves,
+            mapped: &mut self.mapped,
+            stats: &mut self.stats,
+        }
+    }
+
+    /// The slot holding `vpn`, if it is mapped.
+    fn find(&self, vpn: Vpn) -> Option<u64> {
+        let raw = vpn.as_u64();
+        let mut probed = self.ways.iter().map(|way| way.slots[way.index(raw)]);
+        // No mapped page has an empty slot's key, or one past it.
+        probed.find(|&slot| key(slot) == raw && raw < KEY_MASK)
+    }
+
+    fn translation(&self, slot: u64) -> Translation {
+        Translation {
+            pfn: self.leaves[(slot >> KEY_BITS) as usize].pfn(),
+            size: PageSize::Size4K,
+        }
+    }
+}
+
+/// An elastic cuckoo table borrowed for mapping pages: its layout, no
+/// longer shared, and the per-table fields a map changes.
+struct Mapping<'t> {
+    ways: &'t mut [Way; WAYS],
+    bases: &'t mut [Pfn; WAYS],
+    leaves: &'t mut Vec<Pte>,
+    mapped: &'t mut u64,
+    stats: &'t mut CuckooStats,
+}
+
+impl Mapping<'_> {
     fn needs_resize(&self) -> bool {
         self.ways.iter().any(|w| w.used >= w.limit)
     }
@@ -309,12 +352,11 @@ impl ElasticCuckooTable {
     /// each would land there anyway. The other ways' entries are
     /// reinserted.
     fn resize<F: Frames>(&mut self, frames: &mut F) {
-        let ways = Arc::make_mut(&mut self.ways);
-        let mut entries = Vec::with_capacity(ways[1..].iter().map(|w| w.used).sum());
-        for way in &ways[1..] {
+        let mut entries = Vec::with_capacity(self.ways[1..].iter().map(|w| w.used).sum());
+        for way in &self.ways[1..] {
             entries.extend(way.slots.iter().copied().filter(|&slot| slot != EMPTY));
         }
-        let moved = (ways[0].used + entries.len()) as u64;
+        let moved = (self.ways[0].used + entries.len()) as u64;
         // Grown in place: glibc's `realloc` keeps a block in the arena that
         // allocated it, and a table's ways start in the main thread's, so
         // the memory one machine frees is reused by the next. Fresh
@@ -323,7 +365,7 @@ impl ElasticCuckooTable {
         // the leaf array grows only while planning, on the main thread.
         // Tables that adopt a layout share these arrays and allocate
         // none; the frames each table's ways take stay its own.
-        for (w, way) in ways.iter_mut().enumerate() {
+        for (w, way) in self.ways.iter_mut().enumerate() {
             self.bases[w] = frames.way(w, way.slots.len() * 2);
             if w == 0 {
                 way.split();
@@ -339,12 +381,11 @@ impl ElasticCuckooTable {
     }
 
     fn insert<F: Frames>(&mut self, slot: u64, frames: &mut F) {
-        let ways = Arc::make_mut(&mut self.ways);
         let mut cur = slot;
         let mut way_idx = 0usize;
         for kick in 0..=MAX_KICKS {
             // Try every way for an empty slot first.
-            for way in ways.iter_mut() {
+            for way in self.ways.iter_mut() {
                 let idx = way.index(key(cur));
                 if way.slots[idx] == EMPTY {
                     way.slots[idx] = cur;
@@ -356,7 +397,7 @@ impl ElasticCuckooTable {
                 break;
             }
             // Displace from the rotating way.
-            let way = &mut ways[way_idx];
+            let way = &mut self.ways[way_idx];
             let idx = way.index(key(cur));
             std::mem::swap(&mut cur, &mut way.slots[idx]);
             self.stats.kicks += 1;
@@ -388,35 +429,20 @@ impl ElasticCuckooTable {
         if due {
             self.resize(frames);
         }
-        let slot = pack(raw, frames.leaf(&mut self.leaves));
+        let slot = pack(raw, frames.leaf(self.leaves));
         match probed.iter().position(|&probe| probe == EMPTY) {
             Some(w) if !due => {
-                let way = &mut Arc::make_mut(&mut self.ways)[w];
+                let way = &mut self.ways[w];
                 way.slots[idx[w]] = slot;
                 way.used += 1;
             }
             _ => self.insert(slot, frames),
         }
-        self.mapped += 1;
+        *self.mapped += 1;
         MapOutcome {
             newly_mapped: true,
             fault: Some(FaultKind::Minor4K),
             tables_allocated: ((self.stats.resizes - tables_before) * WAYS as u64) as u32,
-        }
-    }
-
-    /// The slot holding `vpn`, if it is mapped.
-    fn find(&self, vpn: Vpn) -> Option<u64> {
-        let raw = vpn.as_u64();
-        let mut probed = self.ways.iter().map(|way| way.slots[way.index(raw)]);
-        // No mapped page has an empty slot's key, or one past it.
-        probed.find(|&slot| key(slot) == raw && raw < KEY_MASK)
-    }
-
-    fn translation(&self, slot: u64) -> Translation {
-        Translation {
-            pfn: self.leaves[(slot >> KEY_BITS) as usize].pfn(),
-            size: PageSize::Size4K,
         }
     }
 }
@@ -431,7 +457,17 @@ impl PageTable for ElasticCuckooTable {
     }
 
     fn map(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> MapOutcome {
-        self.map_with(vpn, alloc)
+        self.mapping().map_with(vpn, alloc)
+    }
+
+    /// [`Self::map`] per page, taking the layout for writing once.
+    fn map_range(&mut self, first: Vpn, pages: u64, alloc: &mut FrameAllocator) -> RangeMapOutcome {
+        let mut mapping = self.mapping();
+        let mut totals = RangeMapOutcome::default();
+        for p in 0..pages {
+            totals.absorb(mapping.map_with(first.add(p), alloc));
+        }
+        totals
     }
 
     /// Inserts the pages with leaf indices and no allocator, logging the
@@ -445,9 +481,10 @@ impl PageTable for ElasticCuckooTable {
             })
         });
         log.ranges.push((first.as_u64(), pages));
+        let mut mapping = self.mapping();
         for p in 0..pages {
             log.leaf_taken = false;
-            if !self.map_with(first.add(p), &mut *log).newly_mapped {
+            if !mapping.map_with(first.add(p), &mut *log).newly_mapped {
                 log.owed.push((2 * log.pages, Owed::Skip));
             }
             log.pages += 1;
@@ -721,7 +758,7 @@ mod tests {
         // Shape until a resize is due, so the adopter's first map writes
         // the shared layout through a resize.
         let mut pages = 0;
-        while !shaped.needs_resize() {
+        while !shaped.mapping().needs_resize() {
             shaped.shape_range(Vpn::new(pages * 7919 + 1), 1);
             pages += 1;
         }
