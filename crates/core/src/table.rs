@@ -220,10 +220,11 @@ pub trait PageTable {
     /// `pages` pages from `first` as [`Self::map`] would, without touching
     /// the allocator, so that shaping can run in parallel across tables,
     /// and tables premapped over the same pages can share one shaped
-    /// layout (`PageTableImpl::adopt_layout`). The allocator calls it owes are then made by
-    /// [`Self::plan_range`] over the same ranges in the same order, and
-    /// the frames land in the table when [`Self::apply_plan`] has applied
-    /// every resulting plan; until then the table must not be queried.
+    /// layout (`PageTableImpl::adopt_layout`). The allocator calls it
+    /// owes are then made by [`Self::plan_range`] over the same ranges in
+    /// the same order, and the frames land in the table when
+    /// [`Self::apply_plan`] has applied every resulting plan; until then
+    /// the table must not be queried.
     ///
     /// The trees need no shaping (their layout is fixed by the VPNs, so
     /// `plan_range` already makes every allocator call up front), and

@@ -606,7 +606,10 @@ impl Machine {
         // the first target with its region list; only leaders shape.
         let leaders: Vec<usize> = region_lists
             .iter()
-            .map(|regions| region_lists.iter().position(|r| r == regions).unwrap())
+            .map(|regions| {
+                let first = region_lists.iter().position(|r| r == regions);
+                first.expect("a region list is its own first match")
+            })
             .collect();
         let mut tables: Vec<&mut TableImpl> = self
             .fronts
