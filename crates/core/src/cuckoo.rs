@@ -27,9 +27,7 @@
 use crate::alloc::{FrameAllocator, FramePurpose};
 use crate::occupancy::{LevelOccupancy, OccupancyReport};
 use crate::pte::Pte;
-use crate::table::{
-    FaultKind, MapOutcome, PageTable, PageTableKind, RangeMapOutcome, RangePlan, Translation,
-};
+use crate::table::{FaultKind, MapOutcome, PageTable, PageTableKind, RangePlan, Translation};
 use crate::walk::{WalkPath, WalkStep};
 use ndp_types::addr::{PAGE_SHIFT, PAGE_SIZE, PTE_SIZE, VA_BITS};
 use ndp_types::{PageSize, Pfn, PtLevel, Vpn};
@@ -458,16 +456,6 @@ impl PageTable for ElasticCuckooTable {
 
     fn map(&mut self, vpn: Vpn, alloc: &mut FrameAllocator) -> MapOutcome {
         self.mapping().map_with(vpn, alloc)
-    }
-
-    /// [`Self::map`] per page, taking the layout for writing once.
-    fn map_range(&mut self, first: Vpn, pages: u64, alloc: &mut FrameAllocator) -> RangeMapOutcome {
-        let mut mapping = self.mapping();
-        let mut totals = RangeMapOutcome::default();
-        for p in 0..pages {
-            totals.absorb(mapping.map_with(first.add(p), alloc));
-        }
-        totals
     }
 
     /// Inserts the pages with leaf indices and no allocator, logging the
